@@ -27,6 +27,7 @@ import requests
 from .corpus import Corpus, Post
 from .dimensions import DIMENSIONS, AnnotationScale, Dimension
 from .errors import (
+    AmbiguousModel,
     AnnotationFailed,
     AnnotationParseError,
     BackendError,
@@ -210,33 +211,21 @@ class AnnotationCache:
                 self._appender.close()
                 self._appender = None
 
-    def scores_for(self, pair_hash: str, model: str | None,
-                   dimension: str, n_replications: int) -> list[int] | None:
-        """Raw scores in replication order, or None if any is missing.
-
-        With ``model=None`` any model's records are accepted (used when a
-        cache is consumed standalone, e.g. a synthetic cache)."""
-        out = []
-        for rep in range(n_replications):
-            if model is None:
-                found = [s for key, s in self._scores.items()
-                         if key.pair_hash == pair_hash
-                         and key.dimension == dimension
-                         and key.replication == rep]
-                if not found:
-                    return None
-                out.append(found[0])
-            else:
-                score = self._scores.get(CacheKey(pair_hash, model, dimension, rep))
-                if score is None:
-                    return None
-                out.append(score)
-        return out
-
     def index_by_pair(self, n_replications: int,
                       model: str | None = None) -> dict[str, dict[str, list[int]]]:
         """pair_hash -> dimension -> replication-ordered scores, keeping only
-        (pair, dimension) groups with the full replication set."""
+        (pair, dimension) groups with the full replication set.
+
+        ``model=None`` reads the cache's only model id and raises
+        AmbiguousModel when it holds more than one, since replications of
+        different models must never be combined."""
+        if model is None:
+            models = sorted({key.model for key in self._scores})
+            if len(models) > 1:
+                raise AmbiguousModel(
+                    f"annotation cache {self.path} mixes model ids "
+                    f"{', '.join(models)}; replications of different "
+                    f"models are never combined")
         grouped: dict[str, dict[str, dict[int, int]]] = {}
         for key, score in self._scores.items():
             if model is not None and key.model != model:
@@ -469,7 +458,7 @@ def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
     """Join cached scores back onto posts via content hashes.
 
     Posts lacking a complete replication set on a dimension are omitted for
-    that dimension. ``model=None`` accepts records from any model id.
+    that dimension. ``model=None`` uses the cache's only model id.
     """
     by_pair = cache.index_by_pair(n_replications, model=model)
     means: dict[str, dict[str, float]] = {}
@@ -487,27 +476,3 @@ def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
                 for dim_name, scores in dims.items()
             }
     return means
-
-
-def load_annotation_records(corpus: Corpus, cache: AnnotationCache,
-                            scale: AnnotationScale = AnnotationScale(),
-                            n_replications: int = 4,
-                            model: str | None = None,
-                            ) -> dict[str, dict[str, AnnotationRecord]]:
-    """Like load_annotation_means but with full replication detail."""
-    by_pair = cache.index_by_pair(n_replications, model=model)
-    records: dict[str, dict[str, AnnotationRecord]] = {}
-    for discussion_id in corpus.discussion_ids():
-        for post in corpus.posts_of(discussion_id):
-            if post.parent_id is None:
-                continue
-            parent = corpus.posts[post.parent_id]
-            pair_hash = pair_content_hash(parent.text, post.text, scale)
-            dims = by_pair.get(pair_hash)
-            if not dims:
-                continue
-            records[post.post_id] = {
-                dim_name: _record(post.post_id, dim_name, scores)
-                for dim_name, scores in dims.items()
-            }
-    return records

@@ -226,18 +226,26 @@ def cmd_features(args: argparse.Namespace) -> int:
         return EXIT_VALIDATION
     scale = _scale(args)
     cache = AnnotationCache(args.annotations)
-    means = load_annotation_means(corpus, cache, scale=scale,
-                                  n_replications=args.replications)
-    rows = compute_feature_table(corpus, means, strict=args.strict,
-                                 prev_scope=args.prev_scope)
-    write_features_csv(rows, args.out)
-    print(f"wrote {len(rows)} feature rows to {args.out}")
+    try:
+        means = load_annotation_means(corpus, cache, scale=scale,
+                                      n_replications=args.replications)
+    except AnnotationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ANNOTATION
+    features = compute_feature_table(corpus, means, strict=args.strict,
+                                     prev_scope=args.prev_scope)
+    write_features_csv(features, args.out)
+    print(f"wrote {len(features)} feature rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
     cache = AnnotationCache(args.cache)
-    by_pair = cache.index_by_pair(args.replications)
+    try:
+        by_pair = cache.index_by_pair(args.replications)
+    except AnnotationError as exc:
+        print(exc, file=sys.stderr)
+        return EXIT_ANNOTATION
     scores_by_dimension = {
         dim.name: {pair: dims[dim.name] for pair, dims in by_pair.items()
                    if dim.name in dims}
@@ -253,12 +261,12 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    rows = read_features_csv(args.features)
+    features = read_features_csv(args.features)
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     if args.model == "all" and args.dimension == "all":
         tables, errors = run_all(
-            rows, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
+            features, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
             star_scheme=args.stars_scheme,
             m6_relax_sibling_filter=args.m6_relax_sibling_filter)
     else:
@@ -271,7 +279,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
             for dim_name in dims:
                 try:
                     tables.append(run_model(
-                        spec, rows, dim_name, cr_correction=args.cr_correction,
+                        spec, features, dim_name, cr_correction=args.cr_correction,
                         pvalue_dist=args.pvalue, star_scheme=args.stars_scheme))
                 except StatsError as exc:
                     errors[f"{model_id}/{dim_name}"] = str(exc)
@@ -291,11 +299,11 @@ def cmd_regress(args: argparse.Namespace) -> int:
 
 
 def cmd_report(args: argparse.Namespace) -> int:
-    rows = read_features_csv(args.features)
+    features = read_features_csv(args.features)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     tables, errors = run_all(
-        rows, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
+        features, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
         star_scheme=args.stars_scheme,
         m6_relax_sibling_filter=args.m6_relax_sibling_filter)
     tables_dir = out_dir / "tables"
@@ -308,18 +316,25 @@ def cmd_report(args: argparse.Namespace) -> int:
     for model_id in SIMPLE_MODELS:
         for dim in DIMENSIONS:
             if (model_id, dim.name) in fitted:
-                svg = emit_scatter(rows, model_id, dim.name,
+                svg = emit_scatter(features, model_id, dim.name,
                                    cr_correction=args.cr_correction)
                 (figures_dir / f"{model_id}_{dim.name}.svg").write_text(
                     svg, encoding="utf-8")
-    means = {row.post_id: dict(row.metric) for row in rows}
+    metric = {name: column.tolist() for name, column in features.metric.items()}
+    means = {post_id: {name: values[i] for name, values in metric.items()
+                       if values[i] == values[i]}  # NaN: absent
+             for i, post_id in enumerate(features.post_id)}
     correlations = correlation_report(means)
     write_correlation_csv(correlations, out_dir / "correlations.csv")
     (out_dir / "correlations.txt").write_text(
         render_correlations(correlations), encoding="utf-8")
     if args.cache:
         cache = AnnotationCache(args.cache)
-        by_pair = cache.index_by_pair(args.replications)
+        try:
+            by_pair = cache.index_by_pair(args.replications)
+        except AnnotationError as exc:
+            print(exc, file=sys.stderr)
+            return EXIT_ANNOTATION
         scores_by_dimension = {
             dim.name: {pair: dims[dim.name] for pair, dims in by_pair.items()
                        if dim.name in dims}

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -121,9 +121,9 @@ def build_tree(posts: Iterable[Post]) -> DiscussionTree:
 
     depth: dict[str, int] = {root.post_id: 0}
     branch_root_of: dict[str, str] = {}
-    queue = [root.post_id]
+    queue = deque([root.post_id])
     while queue:
-        pid = queue.pop(0)
+        pid = queue.popleft()
         for child in child_lists.get(pid, ()):
             depth[child] = depth[pid] + 1
             branch_root_of[child] = child if depth[child] == 1 else branch_root_of[pid]

@@ -98,6 +98,10 @@ class AnnotationFailed(AnnotationError):
     """All retries exhausted for one (pair, replication) request."""
 
 
+class AmbiguousModel(AnnotationError):
+    """A cache read without a model id holds records from several models."""
+
+
 # --- feature-table errors ----------------------------------------------------
 
 class FeatureError(ThreadToneError):
@@ -106,10 +110,6 @@ class FeatureError(ThreadToneError):
 
 class MissingAnnotation(FeatureError):
     pass
-
-
-class NegativeDelta(FeatureError):
-    """Child timestamped before its parent; the row is excluded from models."""
 
 
 # --- statistics errors -------------------------------------------------------

@@ -7,234 +7,215 @@ negative-sign indicator. Field presence follows fixed rules: parent scores
 and branch-root indicators exist only at depth >= 2 (replies to the root
 have an unannotated parent), sibling means only when an annotated older
 sibling exists.
+
+The table is built in one pass per discussion over its posts in
+(timestamp, post_id) order, keeping a running predecessor (per discussion,
+and per branch for ``prev_scope="branch"``) and running per-parent sibling
+sums. It is stored as columns: ``post_id``, ``discussion_id`` and ``depth``
+per row, float64 ``dt_prev`` and ``dt_parent``, and per dimension float64
+``metric``, ``parent_metric``, ``sib_older_mean`` and ``br_neg`` (0 or 1).
+NaN means absent.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping
 
-from .corpus import Corpus, DiscussionTree, Post
+import numpy as np
+
+from .corpus import Corpus
 from .dimensions import DIMENSIONS
-from .errors import MissingAnnotation, NegativeDelta
+from .errors import MissingAnnotation
 
 log = logging.getLogger(__name__)
 
 SECONDS_PER_HOUR = 3600.0
+NAN = float("nan")
 
 # annotations are addressed as post_id -> dimension name -> mean score
 MeanMap = Mapping[str, Mapping[str, float]]
 
-
-@dataclass
-class FeatureRow:
-    post_id: str
-    discussion_id: str
-    depth: int
-    dt_prev: float | None
-    dt_parent: float | None
-    metric: dict[str, float]
-    parent_metric: dict[str, float | None] = field(default_factory=dict)
-    sib_older_mean: dict[str, float | None] = field(default_factory=dict)
-    br_neg: dict[str, int | None] = field(default_factory=dict)
+PER_DIMENSION = ("metric", "parent_metric", "sib_older_mean", "br_neg")
 
 
-def delta_t_prev(post: Post, ordered_posts: list[Post]) -> float | None:
-    """Hours since the predecessor in (timestamp, post_id) order; None for
-    the earliest post of the scope."""
-    key = post.order_key()
-    prev = None
-    for other in ordered_posts:
-        if other.order_key() < key:
-            prev = other
-        else:
-            break
-    if prev is None:
-        return None
-    return (post.timestamp - prev.timestamp) / SECONDS_PER_HOUR
+def _csv_header() -> list[str]:
+    header = ["post_id", "discussion_id", "depth", "dt_prev", "dt_parent"]
+    for dim in DIMENSIONS:
+        header += [f"{dim.name}_{kind}" for kind in PER_DIMENSION]
+    return header
 
 
-def delta_t_parent(post: Post, posts_by_id: Mapping[str, Post]) -> float | None:
-    """Hours since the parent post; None for the root.
+@dataclass(frozen=True, eq=False)
+class FeatureTable:
+    """One row per annotated non-root post, stored as columns."""
 
-    Raises NegativeDelta when the child is timestamped before its parent.
-    """
-    if post.parent_id is None:
-        return None
-    parent = posts_by_id[post.parent_id]
-    delta = (post.timestamp - parent.timestamp) / SECONDS_PER_HOUR
-    if delta < 0:
-        raise NegativeDelta(
-            f"post {post.post_id} predates its parent {parent.post_id} "
-            f"by {-delta:.4g} h")
-    return delta
+    post_id: tuple[str, ...]
+    discussion_id: tuple[str, ...]
+    depth: np.ndarray
+    dt_prev: np.ndarray
+    dt_parent: np.ndarray
+    metric: dict[str, np.ndarray]
+    parent_metric: dict[str, np.ndarray]
+    sib_older_mean: dict[str, np.ndarray]
+    br_neg: dict[str, np.ndarray]
 
+    def __len__(self) -> int:
+        return len(self.post_id)
 
-def _older_siblings(post: Post, tree: DiscussionTree,
-                    posts_by_id: Mapping[str, Post]) -> list[Post]:
-    if post.parent_id is None:
-        return []
-    siblings = tree.children.get(post.parent_id, ())
-    key = post.order_key()
-    return [posts_by_id[pid] for pid in siblings
-            if posts_by_id[pid].order_key() < key]
+    def column(self, name: str, dimension: str) -> np.ndarray:
+        """A feature by model field name; NaN where it is absent."""
+        if name in ("dt_prev", "dt_parent"):
+            return getattr(self, name)
+        if name in PER_DIMENSION:
+            return getattr(self, name)[dimension]
+        raise ValueError(f"unknown feature field {name!r}")
 
+    def csv_columns(self) -> list[np.ndarray | tuple]:
+        """Columns in ``_csv_header()`` order."""
+        columns = [self.post_id, self.discussion_id, self.depth,
+                   self.dt_prev, self.dt_parent]
+        for dim in DIMENSIONS:
+            columns += [getattr(self, kind)[dim.name] for kind in PER_DIMENSION]
+        return columns
 
-def older_sibling_mean(post: Post, dimension_name: str, tree: DiscussionTree,
-                       posts_by_id: Mapping[str, Post],
-                       means: MeanMap) -> float | None:
-    """Mean score of annotated older siblings; None when there are none."""
-    values = [means[s.post_id][dimension_name]
-              for s in _older_siblings(post, tree, posts_by_id)
-              if s.post_id in means and dimension_name in means[s.post_id]]
-    if not values:
-        return None
-    return sum(values) / len(values)
+    @classmethod
+    def from_csv_columns(cls, columns: dict[str, list]) -> "FeatureTable":
+        """Build from lists keyed by ``_csv_header()`` names."""
+        def floats(key: str) -> np.ndarray:
+            return np.array(columns[key], dtype=float)
 
-
-def br_neg_indicator(post: Post, dimension_name: str, tree: DiscussionTree,
-                     means: MeanMap) -> int | None:
-    """1 iff the branch root's score is strictly negative; None at depth 1.
-
-    A score of exactly zero yields 0 (strict inequality).
-    """
-    if tree.depth[post.post_id] < 2:
-        return None
-    branch_root = tree.branch_root_of[post.post_id]
-    branch_means = means.get(branch_root)
-    if branch_means is None or dimension_name not in branch_means:
-        return None
-    return 1 if branch_means[dimension_name] < 0 else 0
+        return cls(
+            post_id=tuple(columns["post_id"]),
+            discussion_id=tuple(columns["discussion_id"]),
+            depth=np.array(columns["depth"], dtype=np.int64),
+            dt_prev=floats("dt_prev"),
+            dt_parent=floats("dt_parent"),
+            **{kind: {dim.name: floats(f"{dim.name}_{kind}")
+                      for dim in DIMENSIONS}
+               for kind in PER_DIMENSION},
+        )
 
 
 def compute_feature_table(corpus: Corpus, means: MeanMap, strict: bool = True,
-                          prev_scope: str = "discussion") -> list[FeatureRow]:
-    """One FeatureRow per annotated non-root post.
+                          prev_scope: str = "discussion") -> FeatureTable:
+    """One row per annotated non-root post, discussions in id order and
+    posts in (timestamp, post_id) order.
 
     ``prev_scope`` selects the predecessor pool for dt_prev: the whole
     discussion (default) or the post's own branch plus the discussion root.
     Posts timestamped before their parent are dropped from the table (and
     hence from every model sample) with a warning; in strict mode a non-root
-    post without annotations raises MissingAnnotation.
+    post without annotations raises MissingAnnotation. Dropped and skipped
+    posts still count as predecessors and, when annotated, as older
+    siblings.
     """
     if prev_scope not in ("discussion", "branch"):
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
-    rows: list[FeatureRow] = []
+    columns: dict[str, list] = {key: [] for key in _csv_header()}
+    per_dim = [(dim.name, *(columns[f"{dim.name}_{kind}"]
+                            for kind in PER_DIMENSION))
+               for dim in DIMENSIONS]
     for discussion_id in corpus.discussion_ids():
         tree = corpus.discussions[discussion_id]
         ordered = corpus.posts_of(discussion_id)
-        posts_by_id = {p.post_id: p for p in ordered}
-        for post in ordered:
-            depth = tree.depth[post.post_id]
+        root_at = -1                                # index of the root, once seen
+        last_at: dict[str, int] = {}                # branch root -> last index
+        # parent id -> dimension -> [sum, count] of annotated children so far:
+        # a left fold in sibling order, not pairwise (np.sum) or compensated
+        # summation, which would change the last bits of the means
+        sib_sums: dict[str, dict[str, list]] = {}
+        for i, post in enumerate(ordered):
+            post_id = post.post_id
+            depth = tree.depth[post_id]
             if depth == 0:
+                root_at = i
                 continue
-            if post.post_id not in means:
-                if strict:
-                    raise MissingAnnotation(
-                        f"post {post.post_id} (discussion {discussion_id}) "
-                        f"has no annotation")
-                log.warning("skipping unannotated post %s", post.post_id)
-                continue
-            try:
-                dt_par = delta_t_parent(post, posts_by_id)
-            except NegativeDelta as err:
-                log.warning("excluding %s from model samples: %s",
-                            post.post_id, err)
-                continue
-
-            if prev_scope == "branch":
-                branch = tree.branch_root_of[post.post_id]
-                pool = [p for p in ordered
-                        if p.post_id == tree.root_id
-                        or tree.branch_root_of.get(p.post_id) == branch]
+            post_means = means.get(post_id)
+            if post_means is None and strict:
+                raise MissingAnnotation(
+                    f"post {post_id} (discussion {discussion_id}) "
+                    f"has no annotation")
+            branch = tree.branch_root_of[post_id]
+            sums = sib_sums.setdefault(post.parent_id, {})
+            parent = corpus.posts[post.parent_id]
+            if post_means is None:
+                log.warning("skipping unannotated post %s", post_id)
+            elif post.timestamp < parent.timestamp:
+                log.warning("excluding %s from model samples: it predates "
+                            "its parent %s by %.4g h", post_id, parent.post_id,
+                            (parent.timestamp - post.timestamp)
+                            / SECONDS_PER_HOUR)
             else:
-                pool = ordered
-            dt_prev = delta_t_prev(post, pool)
-
-            row = FeatureRow(
-                post_id=post.post_id,
-                discussion_id=discussion_id,
-                depth=depth,
-                dt_prev=dt_prev,
-                dt_parent=dt_par,
-                metric=dict(means[post.post_id]),
-            )
-            parent_annotated = (depth >= 2 and post.parent_id in means)
-            for dim in DIMENSIONS:
-                row.parent_metric[dim.name] = (
-                    means[post.parent_id].get(dim.name)
-                    if parent_annotated else None)
-                row.sib_older_mean[dim.name] = older_sibling_mean(
-                    post, dim.name, tree, posts_by_id, means)
-                row.br_neg[dim.name] = br_neg_indicator(
-                    post, dim.name, tree, means)
-            rows.append(row)
-    return rows
+                prev_at = (max(last_at.get(branch, -1), root_at)
+                           if prev_scope == "branch" else i - 1)
+                columns["post_id"].append(post_id)
+                columns["discussion_id"].append(discussion_id)
+                columns["depth"].append(depth)
+                columns["dt_prev"].append(
+                    NAN if prev_at < 0 else
+                    (post.timestamp - ordered[prev_at].timestamp)
+                    / SECONDS_PER_HOUR)
+                columns["dt_parent"].append(
+                    (post.timestamp - parent.timestamp) / SECONDS_PER_HOUR)
+                parent_means = means.get(post.parent_id) if depth >= 2 else None
+                branch_means = means.get(branch) if depth >= 2 else None
+                for name, metric, parent_metric, sib_mean, br_neg in per_dim:
+                    metric.append(post_means.get(name, NAN))
+                    parent_metric.append(NAN if parent_means is None
+                                         else parent_means.get(name, NAN))
+                    acc = sums.get(name)
+                    sib_mean.append(NAN if acc is None else acc[0] / acc[1])
+                    br = None if branch_means is None else branch_means.get(name)
+                    br_neg.append(NAN if br is None else float(br < 0))
+            last_at[branch] = i
+            for name, value in (post_means or {}).items():
+                acc = sums.setdefault(name, [0.0, 0])
+                acc[0] += value
+                acc[1] += 1
+    return FeatureTable.from_csv_columns(columns)
 
 
 # --- CSV interchange ----------------------------------------------------------
 
-def _csv_header() -> list[str]:
-    header = ["post_id", "discussion_id", "depth", "dt_prev", "dt_parent"]
-    for dim in DIMENSIONS:
-        header += [f"{dim.name}_metric", f"{dim.name}_parent_metric",
-                   f"{dim.name}_sib_older_mean", f"{dim.name}_br_neg"]
-    return header
-
-
-def _cell(value: float | int | None) -> str:
-    if value is None:
+def _cell(value: float | int) -> str:
+    if value != value:  # NaN: absent
         return ""
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def write_features_csv(rows: list[FeatureRow], path: str | Path) -> None:
+def write_features_csv(features: FeatureTable, path: str | Path) -> None:
+    header = _csv_header()
+    cells = []
+    for key, column in zip(header, features.csv_columns()):
+        if isinstance(column, tuple):
+            cells.append(column)
+        elif key.endswith("_br_neg"):
+            cells.append(["" if v != v else str(int(v)) for v in column.tolist()])
+        else:
+            # tolist() yields Python floats: repr(np.float64) is not a number
+            cells.append([_cell(v) for v in column.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_csv_header())
-        for row in rows:
-            record = [row.post_id, row.discussion_id, str(row.depth),
-                      _cell(row.dt_prev), _cell(row.dt_parent)]
-            for dim in DIMENSIONS:
-                record += [
-                    _cell(row.metric.get(dim.name)),
-                    _cell(row.parent_metric.get(dim.name)),
-                    _cell(row.sib_older_mean.get(dim.name)),
-                    _cell(row.br_neg.get(dim.name)),
-                ]
-            writer.writerow(record)
+        writer.writerow(header)
+        writer.writerows(zip(*cells))
 
 
-def read_features_csv(path: str | Path) -> list[FeatureRow]:
-    rows: list[FeatureRow] = []
+def read_features_csv(path: str | Path) -> FeatureTable:
     with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.DictReader(fh)
+        reader = csv.reader(fh)
+        header = next(reader, None)
         expected = _csv_header()
-        if reader.fieldnames != expected:
-            raise ValueError(f"unexpected feature CSV header {reader.fieldnames}")
-        for record in reader:
-            def opt_float(key: str) -> float | None:
-                return float(record[key]) if record[key] != "" else None
-
-            row = FeatureRow(
-                post_id=record["post_id"],
-                discussion_id=record["discussion_id"],
-                depth=int(record["depth"]),
-                dt_prev=opt_float("dt_prev"),
-                dt_parent=opt_float("dt_parent"),
-                metric={},
-            )
-            for dim in DIMENSIONS:
-                metric = opt_float(f"{dim.name}_metric")
-                if metric is not None:
-                    row.metric[dim.name] = metric
-                row.parent_metric[dim.name] = opt_float(f"{dim.name}_parent_metric")
-                row.sib_older_mean[dim.name] = opt_float(f"{dim.name}_sib_older_mean")
-                br = record[f"{dim.name}_br_neg"]
-                row.br_neg[dim.name] = int(br) if br != "" else None
-            rows.append(row)
-    return rows
+        if header != expected:
+            raise ValueError(f"unexpected feature CSV header {header}")
+        records = [record for record in reader if record]
+    columns = {key: [record[j] for record in records]
+               for j, key in enumerate(expected)}
+    columns["depth"] = [int(v) for v in columns["depth"]]
+    for key in expected[3:]:
+        columns[key] = [float(v) if v != "" else NAN for v in columns[key]]
+    return FeatureTable.from_csv_columns(columns)

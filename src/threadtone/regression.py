@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
+from itertools import compress
 from statistics import NormalDist
 from typing import Iterable, Sequence
 
@@ -24,7 +25,7 @@ from scipy import stats as scipy_stats
 
 from .dimensions import DIMENSIONS, Dimension
 from .errors import EmptySample, InsufficientSample, SingularDesign
-from .features import FeatureRow
+from .features import FeatureTable
 
 log = logging.getLogger(__name__)
 
@@ -156,10 +157,10 @@ def stars_for(p: float, scheme: str = "default") -> str:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """A linear model over FeatureRow fields.
+    """A linear model over FeatureTable columns.
 
     ``terms`` are non-intercept regressors in design order; "a:b" denotes
-    the elementwise product of a and b. ``requires`` lists the row fields
+    the elementwise product of a and b. ``requires`` lists the fields
     that must be present for the row to enter the sample (which may include
     fields the model itself does not use, e.g. M6's older-sibling filter).
     """
@@ -209,44 +210,13 @@ def get_model_spec(model_id: str, m6_relax_sibling_filter: bool = False) -> Mode
     return spec
 
 
-def row_field(row: FeatureRow, name: str, dimension: str) -> float | None:
-    if name == "dt_prev":
-        return row.dt_prev
-    if name == "dt_parent":
-        return row.dt_parent
-    if name == "metric":
-        return row.metric.get(dimension)
-    if name == "parent_metric":
-        return row.parent_metric.get(dimension)
-    if name == "sib_older_mean":
-        return row.sib_older_mean.get(dimension)
-    if name == "br_neg":
-        value = row.br_neg.get(dimension)
-        return None if value is None else float(value)
-    raise ValueError(f"unknown feature field {name!r}")
-
-
-def term_value(row: FeatureRow, term: str, dimension: str) -> float | None:
-    product = 1.0
-    for name in term.split(":"):
-        value = row_field(row, name, dimension)
-        if value is None:
-            return None
-        product *= value
-    return product
-
-
-def filter_rows(spec: ModelSpec, rows: Iterable[FeatureRow],
-                dimension: str) -> list[FeatureRow]:
-    """Rows with the response and every required field present."""
-    kept = []
-    for row in rows:
-        if dimension not in row.metric:
-            continue
-        if all(row_field(row, name, dimension) is not None
-               for name in spec.base_fields()):
-            kept.append(row)
-    return kept
+def filter_rows(spec: ModelSpec, features: FeatureTable,
+                dimension: str) -> np.ndarray:
+    """Mask of the rows with the response and every required field present."""
+    mask = ~np.isnan(features.metric[dimension])
+    for name in spec.base_fields():
+        mask &= ~np.isnan(features.column(name, dimension))
+    return mask
 
 
 # --- fitted tables -------------------------------------------------------------------
@@ -286,20 +256,23 @@ class FitResult:
         return len(set(self.cluster_ids))
 
 
-def fit_model(spec: ModelSpec, rows: Sequence[FeatureRow], dimension: str,
+def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
               cr_correction: bool = False) -> FitResult:
     """Filter, assemble the design (intercept first), fit and compute the
     cluster sandwich for one (model, dimension)."""
-    sample = filter_rows(spec, rows, dimension)
-    if not sample:
+    mask = filter_rows(spec, features, dimension)
+    n = int(mask.sum())
+    if n == 0:
         raise EmptySample(f"{spec.id}/{dimension}: no rows pass the filter")
-    n = len(sample)
-    k = 1 + len(spec.terms)
-    x = np.ones((n, k))
+    x = np.ones((n, 1 + len(spec.terms)))
     for j, term in enumerate(spec.terms, start=1):
-        x[:, j] = [term_value(row, term, dimension) for row in sample]
-    y = np.array([row.metric[dimension] for row in sample])
-    clusters = tuple(row.discussion_id for row in sample)
+        first, *rest = term.split(":")
+        column = features.column(first, dimension)[mask]
+        for name in rest:
+            column = column * features.column(name, dimension)[mask]
+        x[:, j] = column
+    y = features.metric[dimension][mask]
+    clusters = tuple(compress(features.discussion_id, mask.tolist()))
 
     beta, residuals = ols_fit(x, y)
     vcov = cluster_robust_vcov(x, residuals, clusters,
@@ -334,15 +307,15 @@ def table_from_fit(fit: FitResult, pvalue_dist: str = "t",
                            n_clusters=n_clusters, r_squared=r_squared)
 
 
-def run_model(spec: ModelSpec, rows: Sequence[FeatureRow], dimension: str,
+def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,
               cr_correction: bool = False, pvalue_dist: str = "t",
               star_scheme: str = "default") -> RegressionTable:
     """Fit one model for one dimension with discussion-clustered SEs."""
-    fit = fit_model(spec, rows, dimension, cr_correction=cr_correction)
+    fit = fit_model(spec, features, dimension, cr_correction=cr_correction)
     return table_from_fit(fit, pvalue_dist=pvalue_dist, star_scheme=star_scheme)
 
 
-def run_all(rows: Sequence[FeatureRow],
+def run_all(features: FeatureTable,
             dimensions: Iterable[Dimension] = DIMENSIONS,
             cr_correction: bool = False, pvalue_dist: str = "t",
             star_scheme: str = "default",
@@ -363,7 +336,7 @@ def run_all(rows: Sequence[FeatureRow],
     for model_id, dim_name in grid:
         spec = get_model_spec(model_id, m6_relax_sibling_filter)
         try:
-            tables.append(run_model(spec, rows, dim_name,
+            tables.append(run_model(spec, features, dim_name,
                                     cr_correction=cr_correction,
                                     pvalue_dist=pvalue_dist,
                                     star_scheme=star_scheme))

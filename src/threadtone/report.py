@@ -19,7 +19,6 @@ import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
 
 from . import __version__
 from .agreement import (
@@ -39,7 +38,7 @@ from .annotate import (
 from .corpus import validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale, dimension_by_name
 from .errors import AnnotationError, StatsError
-from .features import FeatureRow, compute_feature_table, write_features_csv
+from .features import FeatureTable, compute_feature_table, write_features_csv
 from .regression import (
     RegressionTable,
     STAR_SCHEMES,
@@ -134,13 +133,13 @@ def write_table_files(table: RegressionTable, directory: Path,
         writer.writerows(csv_rows)
 
 
-def emit_scatter(rows: Sequence[FeatureRow], model_id: str, dimension: str,
+def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
                  cr_correction: bool = False) -> str:
     """Fit a one-regressor model and render its scatter + fit + 95% band."""
     if model_id not in SIMPLE_MODELS:
         raise ValueError(f"{model_id} is not a single-regressor model")
     spec = get_model_spec(model_id)
-    fit = fit_model(spec, rows, dimension, cr_correction=cr_correction)
+    fit = fit_model(spec, features, dimension, cr_correction=cr_correction)
     term = spec.terms[0]
     dim = dimension_by_name(dimension)
     data = ScatterData(
@@ -303,9 +302,9 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
     # stage 3: features
     means = {post_id: {name: rec.mean for name, rec in dims.items()}
              for post_id, dims in records.items()}
-    rows = compute_feature_table(corpus, means, strict=False,
-                                 prev_scope=options.prev_scope)
-    write_features_csv(rows, output_dir / "features.csv")
+    features = compute_feature_table(corpus, means, strict=False,
+                                     prev_scope=options.prev_scope)
+    write_features_csv(features, output_dir / "features.csv")
 
     # stage 4: agreement + correlations
     scores_by_dimension = {
@@ -323,7 +322,7 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
 
     # stage 5: regress
     tables, errors = run_all(
-        rows, cr_correction=options.cr_correction,
+        features, cr_correction=options.cr_correction,
         pvalue_dist=options.pvalue_dist, star_scheme=options.star_scheme,
         m6_relax_sibling_filter=options.m6_relax_sibling_filter)
     if not tables:
@@ -351,7 +350,7 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
             if (model_id, dim.name) not in fitted:
                 continue
             try:
-                svg = emit_scatter(rows, model_id, dim.name,
+                svg = emit_scatter(features, model_id, dim.name,
                                    cr_correction=options.cr_correction)
             except StatsError as exc:
                 log.warning("figure %s/%s skipped: %s", model_id, dim.name, exc)
@@ -367,7 +366,7 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
         "annotations_sha256": annotation_content_hash(records),
         "options": options.to_manifest(),
         "n_annotated_posts": len(records),
-        "n_feature_rows": len(rows),
+        "n_feature_rows": len(features),
         "n_tables": len(tables),
         "n_figures": n_figures,
         "regression_errors": errors,

@@ -339,11 +339,11 @@ def recovery_experiment(config: SynthConfig, n_runs: int,
     for run in range(n_runs):
         run_config = _reseeded(config, run)
         result = generate_corpus(run_config)
-        rows = compute_feature_table(result.corpus, result.means)
+        features = compute_feature_table(result.corpus, result.means)
         for dim_name in target_dims:
             beta = config.coefficient_vector(dim_name)
             try:
-                table = run_model(spec, rows, dim_name)
+                table = run_model(spec, features, dim_name)
             except (EmptySample, SingularDesign, InsufficientSample) as exc:
                 log.warning("run %d (%s): %s", run, dim_name, exc)
                 n_failed += 1

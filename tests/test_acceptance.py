@@ -39,6 +39,7 @@ from threadtone.regression import stars_for
 from threadtone.synth import SynthConfig, generate_corpus, recovery_experiment
 
 from conftest import corpus_from_posts, random_tree_posts, uniform_means
+from feature_oracle import assert_table_equals_rows, oracle_feature_rows
 from test_agreement import alpha_oracle, kappa_oracle
 from test_regression import random_instance, sandwich_oracle
 
@@ -88,8 +89,8 @@ def test_noiseless_identifiability_all_models():
                              coefficients={"disagree_vs_agree": coefs},
                              sigma=0.0, tau=0.0, seed=31, continuous=True)
         result = generate_corpus(config)
-        rows = compute_feature_table(result.corpus, result.means)
-        table = run_model(get_model_spec(model), rows, "disagree_vs_agree")
+        features = compute_feature_table(result.corpus, result.means)
+        table = run_model(get_model_spec(model), features, "disagree_vs_agree")
         for j, term in enumerate(table.terms):
             assert abs(term.estimate - coefs[j]) < 1e-8, (model, term.term)
             assert term.std_error <= 1e-8, (model, term.term)
@@ -158,7 +159,9 @@ def test_model_filters_match_bruteforce_recount():
             model="M4", coefficients={dim: (0.1, 0.3)},
             sigma=1.0, tau=0.3, seed=int(rng.integers(1 << 30)))
         result = generate_corpus(config)
-        rows = compute_feature_table(result.corpus, result.means)
+        features = compute_feature_table(result.corpus, result.means)
+        rows = oracle_feature_rows(result.corpus, result.means)
+        assert_table_equals_rows(features, rows)
         recount = {
             "M1": sum(1 for r in rows if r.dt_prev is not None),
             "M2": sum(1 for r in rows if r.dt_parent is not None),
@@ -172,8 +175,8 @@ def test_model_filters_match_bruteforce_recount():
                       and r.sib_older_mean[dim] is not None),
         }
         for model_id, expected in recount.items():
-            sample = filter_rows(get_model_spec(model_id), rows, dim)
-            assert len(sample) == expected, (trial, model_id)
+            sample = filter_rows(get_model_spec(model_id), features, dim)
+            assert sample.sum() == expected, (trial, model_id)
     report("per-model sample sizes equal brute-force recounts on 50 "
            "random corpora")
 
@@ -185,13 +188,15 @@ def test_geometry_invariants():
     posts = random_tree_posts(rng, 80)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = {r.post_id: r for r in compute_feature_table(corpus, means)}
+    features = compute_feature_table(corpus, means)
     for c in (0.01, 7.3):
         scaled = {pid: {k: c * v for k, v in vals.items()}
                   for pid, vals in means.items()}
-        for pid, row in ((r.post_id, r)
-                         for r in compute_feature_table(corpus, scaled)):
-            assert row.br_neg == rows[pid].br_neg
+        scaled_features = compute_feature_table(corpus, scaled)
+        assert scaled_features.post_id == features.post_id
+        for name, column in features.br_neg.items():
+            assert np.array_equal(scaled_features.br_neg[name], column,
+                                  equal_nan=True)
 
     # tree invariants on generated and parsed corpora
     config = SynthConfig(n_discussions=8, mean_posts=20, model="M4",

@@ -9,6 +9,7 @@ import pytest
 from threadtone.annotate import (
     AnnotationCache,
     BackendConfig,
+    CacheKey,
     HttpBackend,
     MockBackend,
     annotate_corpus,
@@ -21,6 +22,7 @@ from threadtone.annotate import (
 )
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import (
+    AmbiguousModel,
     AnnotationFailed,
     BackendError,
     EmptyText,
@@ -267,6 +269,34 @@ def test_load_annotation_means(tmp_path):
     means = load_annotation_means(corpus, AnnotationCache(cache_path))
     assert means["B"]["disagree_vs_agree"] == \
         records["B"]["disagree_vs_agree"].mean
+
+
+def test_index_by_pair_never_mixes_model_ids(tmp_path):
+    # modelA has reps 0-3 = -5, modelB reps 0-1 = +5; splicing them used to
+    # yield [5, 5, -5, -5] as one "complete" replication set
+    dim = "disagree_vs_agree"
+    path = tmp_path / "mixed.jsonl"
+    cache = AnnotationCache(path)
+    for rep in range(4):
+        cache.put(CacheKey("pair", "modelA", dim, rep), -5, timestamp=0)
+    for rep in range(2):
+        cache.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
+    cache.close()
+    cache = AnnotationCache(path)
+    assert cache.index_by_pair(4, model="modelA") == {"pair": {dim: [-5] * 4}}
+    assert cache.index_by_pair(4, model="modelB") == {}
+    with pytest.raises(AmbiguousModel, match="modelA, modelB"):
+        cache.index_by_pair(4)
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+    with pytest.raises(AmbiguousModel):
+        load_annotation_means(corpus, cache)
+
+    # a single-model cache needs no model id
+    single = AnnotationCache(tmp_path / "single.jsonl")
+    for rep in range(4):
+        single.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
+    assert single.index_by_pair(4) == {"pair": {dim: [5] * 4}}
+    assert AnnotationCache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
 
 
 def test_cache_keys_include_scale(tmp_path):

@@ -108,6 +108,29 @@ def test_annotate_features_agreement_regress_report(synth_setup):
     assert (report_dir / "agreement.csv").exists()
 
 
+def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
+    tmp_path, _, corpus_path, synth_cache = synth_setup
+    features_path = tmp_path / "features.csv"
+    proc = run_cli("features", "--corpus", str(corpus_path),
+                   "--annotations", str(synth_cache),
+                   "--out", str(features_path))
+    assert proc.returncode == 0, proc.stderr
+    first = json.loads(synth_cache.read_text().splitlines()[0])
+    mixed = tmp_path / "mixed.jsonl"
+    mixed.write_text(synth_cache.read_text()
+                     + json.dumps({**first, "model": "other-model"}) + "\n")
+    for args in (("features", "--corpus", str(corpus_path),
+                  "--annotations", str(mixed),
+                  "--out", str(tmp_path / "f2.csv")),
+                 ("agreement", "--cache", str(mixed),
+                  "--out", str(tmp_path / "a.csv")),
+                 ("report", "--features", str(features_path),
+                  "--cache", str(mixed), "--output-dir", str(tmp_path / "r"))):
+        proc = run_cli(*args)
+        assert proc.returncode == 3, (args[0], proc.stderr)
+        assert first["model"] in proc.stderr and "other-model" in proc.stderr
+
+
 def test_regress_all_grid(synth_setup):
     tmp_path, _, corpus_path, synth_cache = synth_setup
     features_path = tmp_path / "features.csv"

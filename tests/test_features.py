@@ -3,20 +3,31 @@ import pytest
 
 from threadtone.corpus import Corpus
 from threadtone.dimensions import DIMENSIONS
-from threadtone.errors import MissingAnnotation, NegativeDelta
+from threadtone.errors import MissingAnnotation
 from threadtone.features import (
-    br_neg_indicator,
+    PER_DIMENSION,
+    FeatureTable,
     compute_feature_table,
-    delta_t_parent,
-    delta_t_prev,
-    older_sibling_mean,
     read_features_csv,
     write_features_csv,
 )
 
 from conftest import corpus_from_posts, mk_post, random_tree_posts, uniform_means
+from feature_oracle import (
+    NegativeDelta,
+    br_neg_indicator,
+    delta_t_parent,
+    delta_t_prev,
+    older_sibling_mean,
+)
 
 DIM = DIMENSIONS[0].name
+
+
+def cell(table: FeatureTable, post_id: str, name: str, dim: str = DIM):
+    """One table cell as a Python float, or None where it is absent (NaN)."""
+    value = float(table.column(name, dim)[table.post_id.index(post_id)])
+    return None if np.isnan(value) else value
 
 
 def flat_means(corpus: Corpus, scores: dict[str, float]) -> dict[str, dict[str, float]]:
@@ -64,8 +75,14 @@ def test_older_sibling_mean_examples(four_node_corpus):
     assert older_sibling_mean(by_id["s4"], DIM, tree, by_id, means) == \
         pytest.approx(2.0 / 3.0, abs=1e-9)
     assert older_sibling_mean(by_id["s1"], DIM, tree, by_id, means) is None
+    table = compute_feature_table(corpus, means)
+    assert cell(table, "s4", "sib_older_mean") == \
+        pytest.approx(2.0 / 3.0, abs=1e-9)
+    assert cell(table, "s1", "sib_older_mean") is None
     means_single = flat_means(corpus, {"s1": 3.0, "s2": 0.0})
     assert older_sibling_mean(by_id["s2"], DIM, tree, by_id, means_single) == 3.0
+    table = compute_feature_table(corpus, means_single, strict=False)
+    assert cell(table, "s2", "sib_older_mean") == 3.0
 
 
 def test_br_neg_examples(four_node_corpus):
@@ -75,42 +92,46 @@ def test_br_neg_examples(four_node_corpus):
     for score, expected in ((-1.25, 1), (0.0, 0), (2.5, 0)):
         means = flat_means(four_node_corpus, {"B": score, "C": 0.0, "D": 0.0})
         assert br_neg_indicator(d_post, DIM, tree, means) == expected
+        table = compute_feature_table(four_node_corpus, means)
+        assert cell(table, "D", "br_neg") == expected
     means = flat_means(four_node_corpus, {"B": -1.0, "C": 0.0, "D": 0.0})
     assert br_neg_indicator(b_post, DIM, tree, means) is None
+    table = compute_feature_table(four_node_corpus, means)
+    assert cell(table, "B", "br_neg") is None
 
 
 def test_feature_table_presence_walkthrough(four_node_corpus):
     means = flat_means(four_node_corpus, {"B": 1.5, "C": -2.0, "D": 0.25})
-    rows = {r.post_id: r for r in compute_feature_table(four_node_corpus, means)}
-    assert set(rows) == {"B", "C", "D"}
+    table = compute_feature_table(four_node_corpus, means)
+    assert set(table.post_id) == {"B", "C", "D"}
 
-    c = rows["C"]
-    assert c.sib_older_mean[DIM] == 1.5          # B is the older sibling
-    assert c.parent_metric[DIM] is None          # parent is the root
-    assert c.br_neg[DIM] is None
+    assert cell(table, "C", "sib_older_mean") == 1.5   # B is the older sibling
+    assert cell(table, "C", "parent_metric") is None   # parent is the root
+    assert cell(table, "C", "br_neg") is None
 
-    d = rows["D"]
-    assert d.parent_metric[DIM] == 1.5           # B's metric
-    assert d.sib_older_mean[DIM] is None
-    assert d.br_neg[DIM] == 0                    # branch root B scored +1.5
+    assert cell(table, "D", "parent_metric") == 1.5    # B's metric
+    assert cell(table, "D", "sib_older_mean") is None
+    assert cell(table, "D", "br_neg") == 0             # branch root B scored +1.5
 
-    b = rows["B"]
-    assert b.parent_metric[DIM] is None
-    assert b.sib_older_mean[DIM] is None
-    assert b.br_neg[DIM] is None
+    assert cell(table, "B", "parent_metric") is None
+    assert cell(table, "B", "sib_older_mean") is None
+    assert cell(table, "B", "br_neg") is None
 
 
 def test_root_only_corpus_gives_empty_table():
     corpus = corpus_from_posts([mk_post("A"), mk_post("X", discussion_id="d2")])
-    assert compute_feature_table(corpus, {}) == []
+    table = compute_feature_table(corpus, {})
+    assert len(table) == 0
+    for column in table.csv_columns():
+        assert len(column) == 0
 
 
 def test_strict_vs_lenient_missing_annotation(four_node_corpus):
     means = flat_means(four_node_corpus, {"B": 1.0, "D": 2.0})  # C missing
     with pytest.raises(MissingAnnotation):
         compute_feature_table(four_node_corpus, means, strict=True)
-    rows = compute_feature_table(four_node_corpus, means, strict=False)
-    assert {r.post_id for r in rows} == {"B", "D"}
+    table = compute_feature_table(four_node_corpus, means, strict=False)
+    assert set(table.post_id) == {"B", "D"}
 
 
 def test_negative_delta_rows_are_excluded(caplog):
@@ -120,8 +141,8 @@ def test_negative_delta_rows_are_excluded(caplog):
         mk_post("C", parent_id="B", timestamp=500),  # predates its parent
     ])
     means = flat_means(corpus, {"B": 1.0, "C": 1.0})
-    rows = compute_feature_table(corpus, means, strict=False)
-    assert {r.post_id for r in rows} == {"B"}
+    table = compute_feature_table(corpus, means, strict=False)
+    assert set(table.post_id) == {"B"}
 
 
 def test_presence_partition_and_dt_bounds():
@@ -130,20 +151,22 @@ def test_presence_partition_and_dt_bounds():
         posts = random_tree_posts(rng, int(rng.integers(2, 80)))
         corpus = corpus_from_posts(posts)
         means = uniform_means(corpus, rng)
-        rows = compute_feature_table(corpus, means)
+        table = compute_feature_table(corpus, means)
         tree = corpus.discussions["d1"]
         root_time = corpus.posts[tree.root_id].timestamp
-        for row in rows:
-            assert (row.depth == 1) == (row.parent_metric[DIM] is None)
-            post = corpus.posts[row.post_id]
+        for i, post_id in enumerate(table.post_id):
+            depth = table.depth[i]
+            assert (depth == 1) == (cell(table, post_id, "parent_metric") is None)
+            post = corpus.posts[post_id]
             older = [pid for pid in tree.children[post.parent_id]
                      if corpus.posts[pid].order_key() < post.order_key()]
-            assert (not older) == (row.sib_older_mean[DIM] is None)
-            assert (row.depth >= 2) == (row.br_neg[DIM] is not None)
+            assert (not older) == (cell(table, post_id, "sib_older_mean") is None)
+            assert (depth >= 2) == (cell(table, post_id, "br_neg") is not None)
             # the predecessor is never earlier than the root
             dt_root = (post.timestamp - root_time) / 3600.0
-            assert row.dt_prev is not None
-            assert row.dt_prev <= dt_root + 1e-12
+            dt_prev = cell(table, post_id, "dt_prev")
+            assert dt_prev is not None
+            assert dt_prev <= dt_root + 1e-12
 
 
 def test_scale_sign_invariance_of_br_neg():
@@ -151,14 +174,15 @@ def test_scale_sign_invariance_of_br_neg():
     posts = random_tree_posts(rng, 60)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = {r.post_id: r for r in compute_feature_table(corpus, means)}
+    table = compute_feature_table(corpus, means)
     for c in (0.1, 3.0, 250.0):
         scaled = {pid: {k: c * v for k, v in vals.items()}
                   for pid, vals in means.items()}
-        scaled_rows = {r.post_id: r
-                       for r in compute_feature_table(corpus, scaled)}
-        for pid, row in rows.items():
-            assert scaled_rows[pid].br_neg == row.br_neg
+        scaled_table = compute_feature_table(corpus, scaled)
+        assert scaled_table.post_id == table.post_id
+        for dim in DIMENSIONS:
+            assert np.array_equal(scaled_table.br_neg[dim.name],
+                                  table.br_neg[dim.name], equal_nan=True)
 
 
 def test_adding_sibling_at_mean_keeps_mean():
@@ -177,6 +201,9 @@ def test_adding_sibling_at_mean_keeps_mean():
     means = flat_means(corpus, {"s1": -1.0, "s2": 4.0, "s3": before, "s4": 0.0})
     after = older_sibling_mean(by_id["s4"], DIM, tree, by_id, means)
     assert after == pytest.approx(before, abs=1e-12)
+    table = compute_feature_table(corpus, means)
+    assert cell(table, "s3", "sib_older_mean") == before
+    assert cell(table, "s4", "sib_older_mean") == pytest.approx(before, abs=1e-12)
 
 
 def test_prev_scope_branch():
@@ -188,14 +215,13 @@ def test_prev_scope_branch():
         mk_post("D", parent_id="B", timestamp=3 * 3600),   # in branch B
     ])
     means = flat_means(corpus, {"B": 0.0, "C": 0.0, "D": 0.0})
-    rows = {r.post_id: r
-            for r in compute_feature_table(corpus, means, prev_scope="branch")}
+    table = compute_feature_table(corpus, means, prev_scope="branch")
     # D's predecessor within branch B is B (2 h ago), not C (1 h ago)
-    assert rows["D"].dt_prev == pytest.approx(2.0)
-    global_rows = {r.post_id: r for r in compute_feature_table(corpus, means)}
-    assert global_rows["D"].dt_prev == pytest.approx(1.0)
+    assert cell(table, "D", "dt_prev") == pytest.approx(2.0)
+    global_table = compute_feature_table(corpus, means)
+    assert cell(global_table, "D", "dt_prev") == pytest.approx(1.0)
     # a branch root's predecessor is the discussion root
-    assert rows["C"].dt_prev == pytest.approx(2.0)
+    assert cell(table, "C", "dt_prev") == pytest.approx(2.0)
 
 
 def test_feature_csv_round_trip(tmp_path):
@@ -203,11 +229,25 @@ def test_feature_csv_round_trip(tmp_path):
     posts = random_tree_posts(rng, 40)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = compute_feature_table(corpus, means)
+    # drop some annotations so that absent cells appear in every column
+    for j, pid in enumerate(list(means)[::5]):
+        del means[pid][DIMENSIONS[j % len(DIMENSIONS)].name]
+    table = compute_feature_table(corpus, means)
     path = tmp_path / "features.csv"
-    write_features_csv(rows, path)
+    write_features_csv(table, path)
     loaded = read_features_csv(path)
-    assert loaded == rows
+    assert loaded.post_id == table.post_id
+    assert loaded.discussion_id == table.discussion_id
+    for got, want in zip(loaded.csv_columns()[2:], table.csv_columns()[2:]):
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want, equal_nan=True)
+    for kind in PER_DIMENSION:
+        for dim in DIMENSIONS:
+            assert np.isnan(getattr(table, kind)[dim.name]).any(), (kind, dim)
+    # a second write reproduces the bytes
+    again = tmp_path / "again.csv"
+    write_features_csv(loaded, again)
+    assert again.read_bytes() == path.read_bytes()
 
 
 def test_output_order_is_deterministic():
@@ -215,7 +255,7 @@ def test_output_order_is_deterministic():
     posts = random_tree_posts(rng, 30, "dB") + random_tree_posts(rng, 20, "dA")
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = compute_feature_table(corpus, means)
-    keys = [(r.discussion_id, corpus.posts[r.post_id].timestamp, r.post_id)
-            for r in rows]
+    table = compute_feature_table(corpus, means)
+    keys = [(did, corpus.posts[pid].timestamp, pid)
+            for did, pid in zip(table.discussion_id, table.post_id)]
     assert keys == sorted(keys)

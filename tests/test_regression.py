@@ -4,7 +4,6 @@ from scipy import stats as scipy_stats
 
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import EmptySample, InsufficientSample, SingularDesign
-from threadtone.features import FeatureRow
 from threadtone.regression import (
     MODEL_SPECS,
     cluster_robust_vcov,
@@ -16,6 +15,8 @@ from threadtone.regression import (
     run_model,
     stars_for,
 )
+
+from feature_oracle import FeatureRow, table_from_rows, term_value
 
 DIM = DIMENSIONS[0].name
 
@@ -222,7 +223,7 @@ def synthetic_rows(rng, n=120, n_discussions=8):
 def test_run_model_empty_sample():
     rows = [make_row("a", "d1", 1, 0.5, sib=None)]
     with pytest.raises(EmptySample):
-        run_model(MODEL_SPECS["M3"], rows, DIM)
+        run_model(MODEL_SPECS["M3"], table_from_rows(rows), DIM)
 
 
 def test_run_model_degenerate_interaction_singular():
@@ -232,21 +233,20 @@ def test_run_model_degenerate_interaction_singular():
         rows.append(make_row(f"p{i}", f"d{i % 4}", 2, float(rng.normal()),
                              parent=float(rng.normal()), sib=0.0, br=0))
     with pytest.raises(SingularDesign):
-        run_model(MODEL_SPECS["M5"], rows, DIM)
+        run_model(MODEL_SPECS["M5"], table_from_rows(rows), DIM)
 
 
 def test_m6_sibling_filter_and_relax():
     rng = np.random.default_rng(4)
-    rows = synthetic_rows(rng, 200)
+    table = table_from_rows(synthetic_rows(rng, 200))
     strict_spec = get_model_spec("M6")
     relaxed_spec = get_model_spec("M6", m6_relax_sibling_filter=True)
-    strict_sample = filter_rows(strict_spec, rows, DIM)
-    relaxed_sample = filter_rows(relaxed_spec, rows, DIM)
-    assert len(strict_sample) < len(relaxed_sample)
-    for row in strict_sample:
-        assert row.sib_older_mean[DIM] is not None
-    for row in relaxed_sample:
-        assert row.parent_metric[DIM] is not None
+    strict_sample = filter_rows(strict_spec, table, DIM)
+    relaxed_sample = filter_rows(relaxed_spec, table, DIM)
+    assert strict_sample.dtype == bool and relaxed_sample.dtype == bool
+    assert strict_sample.sum() < relaxed_sample.sum()
+    assert not np.isnan(table.sib_older_mean[DIM][strict_sample]).any()
+    assert not np.isnan(table.parent_metric[DIM][relaxed_sample]).any()
 
 
 def test_filter_counts_match_bruteforce():
@@ -263,14 +263,14 @@ def test_filter_counts_match_bruteforce():
         and r.sib_older_mean[DIM] is not None and r.br_neg[DIM] is not None,
     }
     for model_id, predicate in expectations.items():
-        table = run_model(MODEL_SPECS[model_id], rows, DIM)
+        table = run_model(MODEL_SPECS[model_id], table_from_rows(rows), DIM)
         assert table.n_obs == sum(1 for r in rows if predicate(r))
 
 
 def test_run_all_grid_and_consistency():
     rng = np.random.default_rng(6)
-    rows = synthetic_rows(rng, 250)
-    tables, errors = run_all(rows)
+    features = table_from_rows(synthetic_rows(rng, 250))
+    tables, errors = run_all(features)
     assert errors == {}
     assert len(tables) == 16
     keys = [(t.model_id, t.dimension) for t in tables]
@@ -279,8 +279,8 @@ def test_run_all_grid_and_consistency():
     # identical to individual calls, and identical on rerun
     for table in tables:
         spec = get_model_spec(table.model_id)
-        assert run_model(spec, rows, table.dimension) == table
-    tables2, _ = run_all(rows)
+        assert run_model(spec, features, table.dimension) == table
+    tables2, _ = run_all(features)
     assert tables2 == tables
 
 
@@ -288,7 +288,7 @@ def test_run_all_collects_errors():
     rows = [make_row("a", "d1", 1, 0.5, dt_prev=1.0, dt_parent=2.0),
             make_row("b", "d1", 1, 0.2, dt_prev=3.0, dt_parent=1.0),
             make_row("c", "d2", 1, 0.1, dt_prev=2.0, dt_parent=5.0)]
-    tables, errors = run_all(rows)
+    tables, errors = run_all(table_from_rows(rows))
     fitted = {t.model_id for t in tables}
     assert "M1" in fitted and "M2" in fitted
     assert any(key.startswith("M3") for key in errors)
@@ -298,10 +298,10 @@ def test_run_all_collects_errors():
 def test_row_order_invariance():
     rng = np.random.default_rng(8)
     rows = synthetic_rows(rng, 150)
-    tables, _ = run_all(rows)
+    tables, _ = run_all(table_from_rows(rows))
     shuffled = list(rows)
     rng.shuffle(shuffled)
-    tables_shuffled, _ = run_all(shuffled)
+    tables_shuffled, _ = run_all(table_from_rows(shuffled))
     for a, b in zip(tables, tables_shuffled):
         assert a.model_id == b.model_id and a.dimension == b.dimension
         assert a.n_obs == b.n_obs
@@ -329,11 +329,10 @@ def test_noiseless_recovery_all_models():
         spec = MODEL_SPECS[model_id]
         for row in rows:
             value = beta[0]
-            from threadtone.regression import term_value
             for j, term in enumerate(spec.terms, start=1):
                 value += beta[j] * term_value(row, term, DIM)
             row.metric[DIM] = value
-        table = run_model(spec, rows, DIM)
+        table = run_model(spec, table_from_rows(rows), DIM)
         for j, term in enumerate(table.terms):
             assert term.estimate == pytest.approx(beta[j], abs=1e-8)
             assert term.std_error <= 1e-8

@@ -120,8 +120,8 @@ def test_band_narrowest_at_center_and_monotone():
     posts = random_tree_posts(rng, 120)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = compute_feature_table(corpus, means)
-    fit = fit_model(get_model_spec("M1"), rows, DIM)
+    features = compute_feature_table(corpus, means)
+    fit = fit_model(get_model_spec("M1"), features, DIM)
     v = fit.vcov
     center = -v[0, 1] / v[1, 1]
     widths_right = [band_half_width(center + step, v)
@@ -147,20 +147,20 @@ def test_emit_scatter_structure():
     posts = random_tree_posts(rng, 60)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    rows = compute_feature_table(corpus, means)
-    svg = emit_scatter(rows, "M1", DIM)
+    features = compute_feature_table(corpus, means)
+    svg = emit_scatter(features, "M1", DIM)
     assert svg.startswith("<svg ")
-    assert svg.count("<circle") == len(rows)
+    assert svg.count("<circle") == len(features)
     assert "<polygon" in svg
     assert 'stroke="#cc0000"' in svg
     dim = DIMENSIONS[0]
     assert dim.negative_pole in svg and dim.positive_pole in svg
     # deterministic
-    assert emit_scatter(rows, "M1", DIM) == svg
+    assert emit_scatter(features, "M1", DIM) == svg
     with pytest.raises(ValueError):
-        emit_scatter(rows, "M5", DIM)
+        emit_scatter(features, "M5", DIM)
     with pytest.raises(EmptySample):
-        emit_scatter([], "M1", DIM)
+        emit_scatter(compute_feature_table(corpus, {}, strict=False), "M1", DIM)
 
 
 def test_scatter_svg_zero_band_when_exact():
