@@ -168,10 +168,12 @@ class AnnotationCache:
         self._lock = threading.Lock()
         self._scores: dict[CacheKey, int] = {}
         self._appender: "object | None" = None
+        self._torn_tail = False  # last line lacks its "\n" (interrupted write)
         if self.path.exists():
             self._load()
 
     def _load(self) -> None:
+        line = "\n"
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
@@ -184,6 +186,7 @@ class AnnotationCache:
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     log.warning("ignoring malformed cache line %d in %s",
                                 line_no, self.path)
+        self._torn_tail = not line.endswith("\n")
 
     def __len__(self) -> int:
         return len(self._scores)
@@ -202,6 +205,9 @@ class AnnotationCache:
             if self._appender is None:
                 self._appender = open(self.path, "a", encoding="utf-8",
                                       newline="\n")
+                if self._torn_tail:  # close it, or the record joins it
+                    self._appender.write("\n")
+                    self._torn_tail = False
             self._appender.write(json.dumps(record) + "\n")
             self._appender.flush()
 

@@ -4,53 +4,38 @@ regress / report / synth / pipeline."""
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import logging
 import sys
-import time
+from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .agreement import (
-    agreement_report,
-    correlation_report,
-    render_correlations,
-    write_agreement_csv,
-    write_correlation_csv,
-)
-from .annotate import (
-    AnnotationCache,
-    BackendConfig,
-    HttpBackend,
-    MockBackend,
-    annotate_corpus,
-    load_annotation_means,
-)
-from .corpus import load_corpus, validate_corpus
+from .annotate import AnnotationCache, load_annotation_means
+from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale
-from .errors import AnnotationError, CorpusError, StatsError
-from .features import compute_feature_table, read_features_csv, write_features_csv
-from .regression import (
-    MODEL_IDS,
-    get_model_spec,
-    run_all,
-    run_model,
-)
+from .errors import AnnotationError, CorpusError
+from .features import (FeatureTable, compute_feature_table, read_features_csv,
+                       write_features_csv)
+from .regression import DEFAULT_GRID, MODEL_IDS
 from .report import (
     EXIT_ANNOTATION,
     EXIT_INFERENCE,
     EXIT_OK,
     EXIT_VALIDATION,
     PipelineOptions,
-    SIMPLE_MODELS,
-    emit_scatter,
+    annotate_stage,
     run_pipeline,
-    write_table_files,
-    _write_json,
+    write_agreement,
+    write_correlations,
+    write_figures,
+    write_regression,
 )
 from .synth import SynthConfig, generate_corpus, recovery_experiment, write_cache_records
-from .corpus import save_corpus
 
 log = logging.getLogger("threadtone")
+
+_OPTION_FIELDS = {field.name for field in dataclasses.fields(PipelineOptions)}
 
 
 def _common_options() -> argparse.ArgumentParser:
@@ -63,15 +48,28 @@ def _common_options() -> argparse.ArgumentParser:
     return common
 
 
+def _backend_options() -> argparse.ArgumentParser:
+    backend = argparse.ArgumentParser(add_help=False)
+    group = backend.add_argument_group("backend options")
+    group.add_argument("--backend-url")
+    group.add_argument("--api-key-env", default="ANNOTATOR_API_KEY")
+    group.add_argument("--model", default="mock")
+    group.add_argument("--mock", action="store_true",
+                       help="use the deterministic offline backend")
+    group.add_argument("--concurrency", type=int, default=1)
+    group.add_argument("--max-retries", type=int, default=3)
+    return backend
+
+
 def _inference_options() -> argparse.ArgumentParser:
     inf = argparse.ArgumentParser(add_help=False)
     group = inf.add_argument_group("inference options")
     group.add_argument("--cr-correction", action="store_true",
                        help="apply the CR1 small-sample factor to the sandwich")
-    group.add_argument("--pvalue", choices=("t", "normal"), default="t",
-                       help="reference distribution for p-values")
-    group.add_argument("--stars-scheme", choices=("default", "four-star"),
-                       default="default")
+    group.add_argument("--pvalue", dest="pvalue_dist", choices=("t", "normal"),
+                       default="t", help="reference distribution for p-values")
+    group.add_argument("--stars-scheme", dest="star_scheme",
+                       choices=("default", "four-star"), default="default")
     group.add_argument("--m6-relax-sibling-filter", action="store_true",
                        help="drop M6's older-sibling sample restriction")
     return inf
@@ -85,6 +83,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
     common = _common_options()
+    backend = _backend_options()
     inference = _inference_options()
 
     p = sub.add_parser("validate", help="check an interchange corpus file")
@@ -92,17 +91,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lenient", action="store_true",
                    help="drop invalid discussions instead of failing")
 
-    p = sub.add_parser("annotate", parents=[common],
+    p = sub.add_parser("annotate", parents=[common, backend],
                        help="score parent-child pairs via a backend")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cache", required=True)
-    p.add_argument("--backend-url")
-    p.add_argument("--api-key-env", default="ANNOTATOR_API_KEY")
-    p.add_argument("--model", default="mock")
-    p.add_argument("--mock", action="store_true",
-                   help="use the deterministic offline backend")
-    p.add_argument("--concurrency", type=int, default=1)
-    p.add_argument("--max-retries", type=int, default=3)
 
     p = sub.add_parser("features", parents=[common],
                        help="export the regression feature table")
@@ -124,7 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("regress", parents=[inference],
                        help="fit models on an exported feature table")
     p.add_argument("--features", required=True)
-    p.add_argument("--model", default="all",
+    p.add_argument("--model", dest="model_id", default="all",
                    choices=("all",) + MODEL_IDS)
     p.add_argument("--dimension", default="all",
                    choices=("all",) + tuple(d.name for d in DIMENSIONS))
@@ -148,17 +140,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--runs", type=int, default=200)
     p.add_argument("--out", help="recovery summary JSON")
 
-    p = sub.add_parser("pipeline", parents=[common, inference],
+    p = sub.add_parser("pipeline", parents=[common, backend, inference],
                        help="run the whole analysis end to end")
     p.add_argument("--corpus", required=True)
     p.add_argument("--cache", required=True)
     p.add_argument("--output-dir", required=True)
-    p.add_argument("--backend-url")
-    p.add_argument("--api-key-env", default="ANNOTATOR_API_KEY")
-    p.add_argument("--model", default="mock")
-    p.add_argument("--mock", action="store_true")
-    p.add_argument("--concurrency", type=int, default=1)
-    p.add_argument("--max-retries", type=int, default=3)
     p.add_argument("--lenient", action="store_true")
     p.add_argument("--prev-scope", choices=("discussion", "branch"),
                    default="discussion")
@@ -166,8 +152,22 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _scale(args: argparse.Namespace) -> AnnotationScale:
-    return AnnotationScale(args.scale_min, args.scale_max)
+def _options(args: argparse.Namespace) -> PipelineOptions:
+    """The PipelineOptions the parsed flags name; a field the subcommand has
+    no flag for keeps its default."""
+    given = vars(args)
+    values = {name: given[name] for name in _OPTION_FIELDS & given.keys()}
+    if "scale_min" in given:
+        values["scale"] = AnnotationScale(args.scale_min, args.scale_max)
+    return PipelineOptions(**values)
+
+
+def _means(features: FeatureTable) -> dict[str, dict[str, float]]:
+    """post_id -> dimension -> metric, from the table's present cells."""
+    metric = {name: column.tolist() for name, column in features.metric.items()}
+    return {post_id: {name: values[i] for name, values in metric.items()
+                      if values[i] == values[i]}  # NaN: absent
+            for i, post_id in enumerate(features.post_id)}
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -183,77 +183,30 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    try:
-        corpus = load_corpus(args.corpus)
-    except CorpusError as err:
-        print(err.diagnostic(), file=sys.stderr)
-        return EXIT_VALIDATION
-    scale = _scale(args)
-    if args.mock:
-        backend = MockBackend(seed=args.seed, scale=scale, model=args.model)
-        cache_timestamp = 0
-    else:
-        if not args.backend_url:
-            print("either --mock or --backend-url is required", file=sys.stderr)
-            return EXIT_ANNOTATION
-        backend = HttpBackend(BackendConfig(
-            url=args.backend_url, api_key_env=args.api_key_env,
-            model=args.model, max_retries=args.max_retries,
-            concurrency=args.concurrency))
-        cache_timestamp = int(time.time())
-    cache = AnnotationCache(args.cache)
-    try:
-        records = annotate_corpus(corpus, backend, cache, scale=scale,
-                                  n_replications=args.replications,
-                                  max_retries=args.max_retries,
-                                  concurrency=args.concurrency,
-                                  cache_timestamp=cache_timestamp)
-    except AnnotationError as exc:
-        print(f"annotation failed: {exc}", file=sys.stderr)
-        return EXIT_ANNOTATION
-    finally:
-        cache.close()
+    records, calls = annotate_stage(load_corpus(args.corpus), args.cache,
+                                    _options(args))
     print(f"annotated {len(records)} posts "
-          f"({backend.calls} backend calls, cache {args.cache})")
+          f"({calls} backend calls, cache {args.cache})")
     return EXIT_OK
 
 
 def cmd_features(args: argparse.Namespace) -> int:
-    try:
-        corpus = load_corpus(args.corpus)
-    except CorpusError as err:
-        print(err.diagnostic(), file=sys.stderr)
-        return EXIT_VALIDATION
-    scale = _scale(args)
-    cache = AnnotationCache(args.annotations)
-    try:
-        means = load_annotation_means(corpus, cache, scale=scale,
-                                      n_replications=args.replications)
-    except AnnotationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ANNOTATION
+    options = _options(args)
+    corpus = load_corpus(args.corpus)
+    means = load_annotation_means(corpus, AnnotationCache(args.annotations),
+                                  scale=options.scale,
+                                  n_replications=options.replications)
     features = compute_feature_table(corpus, means, strict=args.strict,
-                                     prev_scope=args.prev_scope)
+                                     prev_scope=options.prev_scope)
     write_features_csv(features, args.out)
     print(f"wrote {len(features)} feature rows to {args.out}")
     return EXIT_OK
 
 
 def cmd_agreement(args: argparse.Namespace) -> int:
-    cache = AnnotationCache(args.cache)
-    try:
-        by_pair = cache.index_by_pair(args.replications)
-    except AnnotationError as exc:
-        print(exc, file=sys.stderr)
-        return EXIT_ANNOTATION
-    scores_by_dimension = {
-        dim.name: {pair: dims[dim.name] for pair, dims in by_pair.items()
-                   if dim.name in dims}
-        for dim in DIMENSIONS
-    }
-    report = agreement_report(scores_by_dimension, scale=_scale(args),
-                              unanimity=args.unanimity)
-    write_agreement_csv(report, args.out)
+    options = _options(args)
+    by_pair = AnnotationCache(args.cache).index_by_pair(options.replications)
+    report = write_agreement(by_pair, options, Path(args.out))
     for row in report:
         print(f"{row.dimension}: alpha={row.krippendorff_alpha:.3f} "
               f"kappa={row.fleiss_kappa:.3f} n_items={row.n_items}")
@@ -261,88 +214,34 @@ def cmd_agreement(args: argparse.Namespace) -> int:
 
 
 def cmd_regress(args: argparse.Namespace) -> int:
-    features = read_features_csv(args.features)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if args.model == "all" and args.dimension == "all":
-        tables, errors = run_all(
-            features, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
-            star_scheme=args.stars_scheme,
-            m6_relax_sibling_filter=args.m6_relax_sibling_filter)
+    if args.model_id == "all" and args.dimension == "all":
+        grid = DEFAULT_GRID
     else:
-        models = MODEL_IDS if args.model == "all" else (args.model,)
+        models = MODEL_IDS if args.model_id == "all" else (args.model_id,)
         dims = ([d.name for d in DIMENSIONS] if args.dimension == "all"
                 else (args.dimension,))
-        tables, errors = [], {}
-        for model_id in models:
-            spec = get_model_spec(model_id, args.m6_relax_sibling_filter)
-            for dim_name in dims:
-                try:
-                    tables.append(run_model(
-                        spec, features, dim_name, cr_correction=args.cr_correction,
-                        pvalue_dist=args.pvalue, star_scheme=args.stars_scheme))
-                except StatsError as exc:
-                    errors[f"{model_id}/{dim_name}"] = str(exc)
-    summary = {}
-    for table in tables:
-        write_table_files(table, out_dir, scheme=args.stars_scheme)
-        summary[f"{table.model_id}/{table.dimension}"] = {
-            "n_obs": table.n_obs, "n_clusters": table.n_clusters,
-            "r_squared": table.r_squared,
-        }
-    _write_json(out_dir / "regression_summary.json",
-                {"models": summary, "errors": errors})
-    for key, message in errors.items():
-        print(f"{key}: {message}", file=sys.stderr)
+        grid = tuple(product(models, dims))
+    out_dir = Path(args.out)
+    tables, _ = write_regression(read_features_csv(args.features),
+                                 _options(args), out_dir, out_dir, grid)
     print(f"wrote {len(tables)} tables to {out_dir}")
     return EXIT_OK if tables else EXIT_INFERENCE
 
 
 def cmd_report(args: argparse.Namespace) -> int:
+    options = _options(args)
+    # read the cache first: a cache that cannot be used exits before any
+    # output is written
+    by_pair = (AnnotationCache(args.cache).index_by_pair(options.replications)
+               if args.cache else None)
     features = read_features_csv(args.features)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    tables, errors = run_all(
-        features, cr_correction=args.cr_correction, pvalue_dist=args.pvalue,
-        star_scheme=args.stars_scheme,
-        m6_relax_sibling_filter=args.m6_relax_sibling_filter)
-    tables_dir = out_dir / "tables"
-    tables_dir.mkdir(exist_ok=True)
-    for table in tables:
-        write_table_files(table, tables_dir, scheme=args.stars_scheme)
-    figures_dir = out_dir / "figures"
-    figures_dir.mkdir(exist_ok=True)
-    fitted = {(t.model_id, t.dimension) for t in tables}
-    for model_id in SIMPLE_MODELS:
-        for dim in DIMENSIONS:
-            if (model_id, dim.name) in fitted:
-                svg = emit_scatter(features, model_id, dim.name,
-                                   cr_correction=args.cr_correction)
-                (figures_dir / f"{model_id}_{dim.name}.svg").write_text(
-                    svg, encoding="utf-8")
-    metric = {name: column.tolist() for name, column in features.metric.items()}
-    means = {post_id: {name: values[i] for name, values in metric.items()
-                       if values[i] == values[i]}  # NaN: absent
-             for i, post_id in enumerate(features.post_id)}
-    correlations = correlation_report(means)
-    write_correlation_csv(correlations, out_dir / "correlations.csv")
-    (out_dir / "correlations.txt").write_text(
-        render_correlations(correlations), encoding="utf-8")
-    if args.cache:
-        cache = AnnotationCache(args.cache)
-        try:
-            by_pair = cache.index_by_pair(args.replications)
-        except AnnotationError as exc:
-            print(exc, file=sys.stderr)
-            return EXIT_ANNOTATION
-        scores_by_dimension = {
-            dim.name: {pair: dims[dim.name] for pair, dims in by_pair.items()
-                       if dim.name in dims}
-            for dim in DIMENSIONS
-        }
-        report = agreement_report(scores_by_dimension, scale=_scale(args),
-                                  unanimity=args.unanimity)
-        write_agreement_csv(report, out_dir / "agreement.csv")
+    if by_pair is not None:
+        write_agreement(by_pair, options, out_dir / "agreement.csv")
+    write_correlations(_means(features), out_dir)
+    tables, _ = write_regression(features, options, out_dir / "tables", out_dir)
+    write_figures(features, tables, options, out_dir / "figures")
     print(f"wrote {len(tables)} tables to {out_dir}")
     return EXIT_OK if tables else EXIT_INFERENCE
 
@@ -377,25 +276,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
-    options = PipelineOptions(
-        scale=_scale(args),
-        replications=args.replications,
-        seed=args.seed,
-        mock=args.mock,
-        backend_url=args.backend_url,
-        api_key_env=args.api_key_env,
-        model=args.model,
-        concurrency=args.concurrency,
-        max_retries=args.max_retries,
-        lenient=args.lenient,
-        cr_correction=args.cr_correction,
-        pvalue_dist=args.pvalue,
-        star_scheme=args.stars_scheme,
-        prev_scope=args.prev_scope,
-        m6_relax_sibling_filter=args.m6_relax_sibling_filter,
-        unanimity=args.unanimity,
-    )
-    code = run_pipeline(args.corpus, args.cache, args.output_dir, options)
+    code = run_pipeline(args.corpus, args.cache, args.output_dir, _options(args))
     if code == EXIT_OK:
         print(f"pipeline complete: {args.output_dir}")
     else:
@@ -419,7 +300,14 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
     args = build_parser().parse_args(argv)
-    return _COMMANDS[args.command](args)
+    try:
+        return _COMMANDS[args.command](args)
+    except CorpusError as err:
+        print(err.diagnostic(), file=sys.stderr)
+        return EXIT_VALIDATION
+    except AnnotationError as exc:
+        print(f"annotation failed: {exc}", file=sys.stderr)
+        return EXIT_ANNOTATION
 
 
 if __name__ == "__main__":

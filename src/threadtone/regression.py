@@ -18,13 +18,13 @@ import logging
 from dataclasses import dataclass, field, replace
 from itertools import compress
 from statistics import NormalDist
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .dimensions import DIMENSIONS, Dimension
-from .errors import EmptySample, InsufficientSample, SingularDesign
+from .dimensions import DIMENSIONS
+from .errors import EmptySample, InsufficientSample, SingularDesign, StatsError
 from .features import FeatureTable
 
 log = logging.getLogger(__name__)
@@ -117,7 +117,8 @@ def p_value(estimate: float, se: float, n_clusters: int,
             dist: str = "t") -> float:
     """Two-sided p under Student's t with (n_clusters - 1) df, or the normal
     limit with ``dist='normal'``. A zero SE with a non-zero estimate is a
-    degenerate case reported as p = 0."""
+    degenerate case reported as p = 0. The t reference needs two clusters
+    (InsufficientSample otherwise)."""
     if se < 0:
         raise ValueError("se must be non-negative")
     if se == 0.0:
@@ -131,7 +132,8 @@ def p_value(estimate: float, se: float, n_clusters: int,
     if dist == "t":
         df = n_clusters - 1
         if df < 1:
-            raise ValueError("need at least 2 clusters for t-based p-values")
+            raise InsufficientSample(
+                "need at least 2 clusters for t-based p-values")
         return float(2.0 * scipy_stats.t.sf(abs(t), df))
     raise ValueError(f"unknown reference distribution {dist!r}")
 
@@ -199,8 +201,12 @@ MODEL_SPECS: dict[str, ModelSpec] = {
 
 MODEL_IDS = tuple(MODEL_SPECS)
 
-# M6's default response; the other models run on every dimension
-M6_DEFAULT_DIMENSION = "disagree_vs_agree"
+# The paper's grid, ordered by (model id, dimension name): M1-M5 on every
+# dimension, M6 on the stance dimension only.
+DEFAULT_GRID: tuple[tuple[str, str], ...] = tuple(
+    (model_id, name) for model_id in MODEL_IDS[:5]
+    for name in sorted(d.name for d in DIMENSIONS)
+) + (("M6", "disagree_vs_agree"),)
 
 
 def get_model_spec(model_id: str, m6_relax_sibling_filter: bool = False) -> ModelSpec:
@@ -316,21 +322,13 @@ def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,
 
 
 def run_all(features: FeatureTable,
-            dimensions: Iterable[Dimension] = DIMENSIONS,
+            grid: Sequence[tuple[str, str]] = DEFAULT_GRID,
             cr_correction: bool = False, pvalue_dist: str = "t",
             star_scheme: str = "default",
             m6_relax_sibling_filter: bool = False,
-            m6_dimension: str = M6_DEFAULT_DIMENSION,
             ) -> tuple[list[RegressionTable], dict[str, str]]:
-    """The default grid: M1-M5 on every dimension plus M6 on its default
-    response, ordered by (model id, dimension name). Per-model failures are
-    collected, not raised."""
-    grid: list[tuple[str, str]] = []
-    for model_id in ("M1", "M2", "M3", "M4", "M5"):
-        for dim_name in sorted(d.name for d in dimensions):
-            grid.append((model_id, dim_name))
-    grid.append(("M6", m6_dimension))
-
+    """Fit every (model id, dimension) of ``grid`` in order. Per-model
+    failures (StatsError) are collected by "model/dimension", not raised."""
     tables: list[RegressionTable] = []
     errors: dict[str, str] = {}
     for model_id, dim_name in grid:
@@ -340,6 +338,6 @@ def run_all(features: FeatureTable,
                                     cr_correction=cr_correction,
                                     pvalue_dist=pvalue_dist,
                                     star_scheme=star_scheme))
-        except (EmptySample, SingularDesign, InsufficientSample) as exc:
+        except StatsError as exc:
             errors[f"{model_id}/{dim_name}"] = str(exc)
     return tables, errors

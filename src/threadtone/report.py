@@ -17,11 +17,13 @@ import logging
 import math
 import os
 import time
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
+from typing import Mapping, Sequence
 
 from . import __version__
 from .agreement import (
+    DimensionAgreement,
     agreement_report,
     correlation_report,
     render_correlations,
@@ -35,11 +37,12 @@ from .annotate import (
     MockBackend,
     annotate_corpus,
 )
-from .corpus import validate_corpus
+from .corpus import Corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale, dimension_by_name
 from .errors import AnnotationError, StatsError
 from .features import FeatureTable, compute_feature_table, write_features_csv
 from .regression import (
+    DEFAULT_GRID,
     RegressionTable,
     STAR_SCHEMES,
     fit_model,
@@ -156,7 +159,9 @@ def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
     return scatter_svg(data)
 
 
-# --- pipeline -------------------------------------------------------------------
+# --- pipeline stages --------------------------------------------------------------
+#
+# One function per stage; run_pipeline and the CLI subcommands both call them.
 
 @dataclass
 class PipelineOptions:
@@ -178,23 +183,119 @@ class PipelineOptions:
     unanimity: bool = False
 
     def to_manifest(self) -> dict:
-        return {
-            "scale_min": self.scale.min,
-            "scale_max": self.scale.max,
-            "replications": self.replications,
-            "seed": self.seed,
-            "mock": self.mock,
-            "model": self.model,
-            "max_retries": self.max_retries,
-            "lenient": self.lenient,
-            "cr_correction": self.cr_correction,
-            "pvalue_dist": self.pvalue_dist,
-            "star_scheme": self.star_scheme,
-            "prev_scope": self.prev_scope,
-            "m6_relax_sibling_filter": self.m6_relax_sibling_filter,
-            "unanimity": self.unanimity,
-        }
+        """Every option that can change the outputs, with the scale flattened."""
+        manifest = asdict(self)
+        for name in ("backend_url", "api_key_env", "concurrency"):
+            del manifest[name]
+        scale = manifest.pop("scale")
+        manifest["scale_min"], manifest["scale_max"] = scale["min"], scale["max"]
+        return manifest
 
+
+def annotate_stage(corpus: Corpus, cache_path: str | Path,
+                   options: PipelineOptions) -> tuple[dict, int]:
+    """Annotate every reply, cache-first. Returns post_id -> dimension ->
+    AnnotationRecord and the number of backend calls; raises
+    AnnotationError, also when no backend is configured."""
+    if options.mock:
+        backend = MockBackend(seed=options.seed, scale=options.scale,
+                              model=options.model)
+        cache_timestamp = 0
+    elif options.backend_url:
+        backend = HttpBackend(BackendConfig(
+            url=options.backend_url, api_key_env=options.api_key_env,
+            model=options.model, max_retries=options.max_retries,
+            concurrency=options.concurrency))
+        cache_timestamp = int(time.time())
+    else:
+        raise AnnotationError("no backend configured: mock mode is off and "
+                              "there is no backend URL")
+    cache = AnnotationCache(cache_path)
+    try:
+        records = annotate_corpus(
+            corpus, backend, cache, scale=options.scale,
+            n_replications=options.replications,
+            max_retries=options.max_retries,
+            concurrency=options.concurrency,
+            cache_timestamp=cache_timestamp)
+    finally:
+        cache.close()
+    return records, backend.calls
+
+
+def write_agreement(scores_by_item: Mapping[str, Mapping[str, Sequence[int]]],
+                    options: PipelineOptions,
+                    path: Path) -> list[DimensionAgreement]:
+    """Replication reliability from item -> dimension -> replication-ordered
+    scores; the caller picks the item key (post id or pair hash)."""
+    scores_by_dimension = {
+        dim.name: {item: dims[dim.name] for item, dims in scores_by_item.items()
+                   if dim.name in dims}
+        for dim in DIMENSIONS
+    }
+    report = agreement_report(scores_by_dimension, scale=options.scale,
+                              unanimity=options.unanimity)
+    write_agreement_csv(report, path)
+    return report
+
+
+def write_correlations(means: Mapping[str, Mapping[str, float]],
+                       out_dir: Path) -> None:
+    correlations = correlation_report(means)
+    write_correlation_csv(correlations, out_dir / "correlations.csv")
+    (out_dir / "correlations.txt").write_text(
+        render_correlations(correlations), encoding="utf-8")
+
+
+def write_regression(features: FeatureTable, options: PipelineOptions,
+                     tables_dir: Path, summary_dir: Path,
+                     grid: Sequence[tuple[str, str]] = DEFAULT_GRID,
+                     ) -> tuple[list[RegressionTable], dict[str, str]]:
+    """Fit the (model, dimension) grid, write one table pair per fit and
+    regression_summary.json; per-model failures are logged and collected."""
+    tables, errors = run_all(
+        features, grid, cr_correction=options.cr_correction,
+        pvalue_dist=options.pvalue_dist, star_scheme=options.star_scheme,
+        m6_relax_sibling_filter=options.m6_relax_sibling_filter)
+    for key, message in errors.items():
+        log.warning("%s not fitted: %s", key, message)
+    tables_dir.mkdir(parents=True, exist_ok=True)
+    summary = {}
+    for table in tables:
+        write_table_files(table, tables_dir, scheme=options.star_scheme)
+        summary[f"{table.model_id}/{table.dimension}"] = {
+            "n_obs": table.n_obs, "n_clusters": table.n_clusters,
+            "r_squared": table.r_squared,
+        }
+    write_json(summary_dir / "regression_summary.json",
+               {"models": summary, "errors": errors})
+    return tables, errors
+
+
+def write_figures(features: FeatureTable, tables: list[RegressionTable],
+                  options: PipelineOptions, figures_dir: Path) -> int:
+    """Scatter figures for the single-regressor models that were fitted;
+    returns how many were written."""
+    figures_dir.mkdir(exist_ok=True)
+    n_figures = 0
+    fitted = {(t.model_id, t.dimension) for t in tables}
+    for model_id in SIMPLE_MODELS:
+        for dim in DIMENSIONS:
+            if (model_id, dim.name) not in fitted:
+                continue
+            try:
+                svg = emit_scatter(features, model_id, dim.name,
+                                   cr_correction=options.cr_correction)
+            except StatsError as exc:
+                log.warning("figure %s/%s skipped: %s", model_id, dim.name, exc)
+                continue
+            (figures_dir / f"{model_id}_{dim.name}.svg").write_text(
+                svg, encoding="utf-8")
+            n_figures += 1
+    return n_figures
+
+
+# --- pipeline -------------------------------------------------------------------
 
 def file_sha256(path: str | Path) -> str:
     h = hashlib.sha256()
@@ -264,40 +365,19 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
         "n_discussions": len(corpus.discussions),
         "n_posts": len(corpus.posts),
     }
-    _write_json(output_dir / "validation.json", validation)
+    write_json(output_dir / "validation.json", validation)
     if failed:
         log.error("corpus validation failed (%d diagnostics)", len(diagnostics))
         return EXIT_VALIDATION
 
     # stage 2: annotate, cache-first
-    if options.mock:
-        backend = MockBackend(seed=options.seed, scale=options.scale,
-                              model=options.model)
-        cache_timestamp = 0
-    else:
-        if not options.backend_url:
-            log.error("no backend URL configured and mock mode is off")
-            return EXIT_ANNOTATION
-        backend = HttpBackend(BackendConfig(
-            url=options.backend_url, api_key_env=options.api_key_env,
-            model=options.model, max_retries=options.max_retries,
-            concurrency=options.concurrency))
-        cache_timestamp = int(time.time())
-    cache = AnnotationCache(cache_path)
     try:
-        records = annotate_corpus(
-            corpus, backend, cache, scale=options.scale,
-            n_replications=options.replications,
-            max_retries=options.max_retries,
-            concurrency=options.concurrency,
-            cache_timestamp=cache_timestamp)
+        records, calls = annotate_stage(corpus, cache_path, options)
     except AnnotationError as exc:
         log.error("annotation failed: %s", exc)
         return EXIT_ANNOTATION
-    finally:
-        cache.close()
     log.info("annotation complete: %d posts, %d backend calls",
-             len(records), backend.calls)
+             len(records), calls)
 
     # stage 3: features
     means = {post_id: {name: rec.mean for name, rec in dims.items()}
@@ -306,58 +386,21 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, output_dir / "features.csv")
 
-    # stage 4: agreement + correlations
-    scores_by_dimension = {
-        dim.name: {post_id: list(records[post_id][dim.name].raw_scores)
-                   for post_id in records if dim.name in records[post_id]}
-        for dim in DIMENSIONS
-    }
-    report = agreement_report(scores_by_dimension, scale=options.scale,
-                              unanimity=options.unanimity)
-    write_agreement_csv(report, output_dir / "agreement.csv")
-    correlations = correlation_report(means)
-    write_correlation_csv(correlations, output_dir / "correlations.csv")
-    (output_dir / "correlations.txt").write_text(
-        render_correlations(correlations), encoding="utf-8")
+    # stage 4: agreement (items keyed by post id) + correlations
+    write_agreement({post_id: {name: rec.raw_scores for name, rec in dims.items()}
+                     for post_id, dims in records.items()},
+                    options, output_dir / "agreement.csv")
+    write_correlations(means, output_dir)
 
     # stage 5: regress
-    tables, errors = run_all(
-        features, cr_correction=options.cr_correction,
-        pvalue_dist=options.pvalue_dist, star_scheme=options.star_scheme,
-        m6_relax_sibling_filter=options.m6_relax_sibling_filter)
+    tables, errors = write_regression(features, options,
+                                      output_dir / "tables", output_dir)
     if not tables:
-        log.error("all regressions failed: %s", errors)
+        log.error("all regressions failed")
         return EXIT_INFERENCE
-    tables_dir = output_dir / "tables"
-    tables_dir.mkdir(exist_ok=True)
-    summary = {}
-    for table in tables:
-        write_table_files(table, tables_dir, scheme=options.star_scheme)
-        summary[f"{table.model_id}/{table.dimension}"] = {
-            "n_obs": table.n_obs, "n_clusters": table.n_clusters,
-            "r_squared": table.r_squared,
-        }
-    _write_json(output_dir / "regression_summary.json",
-                {"models": summary, "errors": errors})
 
-    # stage 6: figures for the single-regressor models that were fit
-    figures_dir = output_dir / "figures"
-    figures_dir.mkdir(exist_ok=True)
-    n_figures = 0
-    fitted = {(t.model_id, t.dimension) for t in tables}
-    for model_id in SIMPLE_MODELS:
-        for dim in DIMENSIONS:
-            if (model_id, dim.name) not in fitted:
-                continue
-            try:
-                svg = emit_scatter(features, model_id, dim.name,
-                                   cr_correction=options.cr_correction)
-            except StatsError as exc:
-                log.warning("figure %s/%s skipped: %s", model_id, dim.name, exc)
-                continue
-            (figures_dir / f"{model_id}_{dim.name}.svg").write_text(
-                svg, encoding="utf-8")
-            n_figures += 1
+    # stage 6: figures
+    n_figures = write_figures(features, tables, options, output_dir / "figures")
 
     manifest = {
         "tool": "threadtone",
@@ -371,11 +414,12 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
         "n_figures": n_figures,
         "regression_errors": errors,
     }
-    _write_json(output_dir / "manifest.json", manifest)
+    write_json(output_dir / "manifest.json", manifest)
     return EXIT_OK
 
 
-def _write_json(path: Path, obj: dict) -> None:
+def write_json(path: str | Path, obj: dict) -> None:
+    """Indented, key-sorted JSON with a final newline."""
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
@@ -24,9 +24,10 @@ from scipy import stats as scipy_stats
 from .annotate import MOCK_MODEL_ID, pair_content_hash
 from .corpus import Corpus, Post, build_tree
 from .dimensions import DIMENSIONS, AnnotationScale
-from .errors import EmptySample, InsufficientSample, SingularDesign
+from .errors import StatsError
 from .features import compute_feature_table
 from .regression import MODEL_SPECS, get_model_spec, run_model
+from .report import write_json
 
 log = logging.getLogger(__name__)
 
@@ -90,25 +91,7 @@ class SynthConfig:
         return SynthConfig(**raw)
 
     def to_json(self, path: str | Path) -> None:
-        obj = {
-            "n_discussions": self.n_discussions,
-            "mean_posts": self.mean_posts,
-            "p_reply_to_root": self.p_reply_to_root,
-            "mean_hours_between_posts": self.mean_hours_between_posts,
-            "model": self.model,
-            "coefficients": {k: list(v) for k, v in self.coefficients.items()},
-            "sigma": self.sigma,
-            "tau": self.tau,
-            "seed": self.seed,
-            "scale_min": self.scale_min,
-            "scale_max": self.scale_max,
-            "replications": self.replications,
-            "continuous": self.continuous,
-            "model_id": self.model_id,
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 @dataclass
@@ -307,21 +290,7 @@ class RecoveryReport:
     results: tuple[CoefficientRecovery, ...]
 
     def to_json(self, path: str | Path) -> None:
-        obj = {
-            "model": self.model,
-            "n_runs": self.n_runs,
-            "n_failed": self.n_failed,
-            "results": [
-                {"dimension": r.dimension, "term": r.term,
-                 "true_value": r.true_value, "mean_estimate": r.mean_estimate,
-                 "bias": r.bias, "sd_estimate": r.sd_estimate,
-                 "coverage": r.coverage}
-                for r in self.results
-            ],
-        }
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            json.dump(obj, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        write_json(path, asdict(self))
 
 
 def recovery_experiment(config: SynthConfig, n_runs: int,
@@ -344,7 +313,7 @@ def recovery_experiment(config: SynthConfig, n_runs: int,
             beta = config.coefficient_vector(dim_name)
             try:
                 table = run_model(spec, features, dim_name)
-            except (EmptySample, SingularDesign, InsufficientSample) as exc:
+            except StatsError as exc:
                 log.warning("run %d (%s): %s", run, dim_name, exc)
                 n_failed += 1
                 continue
@@ -378,23 +347,4 @@ def recovery_experiment(config: SynthConfig, n_runs: int,
 
 def _reseeded(config: SynthConfig, run: int) -> SynthConfig:
     seed = int(np.random.SeedSequence([config.seed, run]).generate_state(1)[0])
-    return SynthConfig(**{**_as_dict(config), "seed": seed})
-
-
-def _as_dict(config: SynthConfig) -> dict:
-    return {
-        "n_discussions": config.n_discussions,
-        "mean_posts": config.mean_posts,
-        "p_reply_to_root": config.p_reply_to_root,
-        "mean_hours_between_posts": config.mean_hours_between_posts,
-        "model": config.model,
-        "coefficients": config.coefficients,
-        "sigma": config.sigma,
-        "tau": config.tau,
-        "seed": config.seed,
-        "scale_min": config.scale_min,
-        "scale_max": config.scale_max,
-        "replications": config.replications,
-        "continuous": config.continuous,
-        "model_id": config.model_id,
-    }
+    return replace(config, seed=seed)

@@ -299,6 +299,30 @@ def test_index_by_pair_never_mixes_model_ids(tmp_path):
     assert AnnotationCache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
 
 
+def test_torn_final_line_is_closed_before_the_next_append(tmp_path):
+    # an interrupted write leaves a last line without its newline; the first
+    # new record used to be glued onto it and lost on the next load
+    dim = "disagree_vs_agree"
+    path = tmp_path / "torn.jsonl"
+    path.write_text('{"pair_hash": "p", "model": "m", "dimen', encoding="utf-8")
+    cache = AnnotationCache(path)
+    assert len(cache) == 0
+    cache.put(CacheKey("pair", "m", dim, 0), 1, timestamp=0)
+    cache.put(CacheKey("pair", "m", dim, 1), 2, timestamp=0)
+    cache.close()
+    reloaded = AnnotationCache(path)
+    assert len(reloaded) == 2
+    assert reloaded.get(CacheKey("pair", "m", dim, 0)) == 1
+    assert reloaded.get(CacheKey("pair", "m", dim, 1)) == 2
+    # a cache that ends cleanly gains no blank line
+    cache = AnnotationCache(path)
+    before = path.read_text(encoding="utf-8")
+    cache.put(CacheKey("pair", "m", dim, 2), 3, timestamp=0)
+    cache.close()
+    added = path.read_text(encoding="utf-8")[len(before):]
+    assert added.count("\n") == 1 and added.startswith("{")
+
+
 def test_cache_keys_include_scale(tmp_path):
     h1 = pair_content_hash("p", "c", AnnotationScale(-5, 5))
     h2 = pair_content_hash("p", "c", AnnotationScale(-3, 3))

@@ -1,11 +1,19 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+from threadtone.cli import _options, build_parser
 from threadtone.corpus import save_corpus
+from threadtone.dimensions import AnnotationScale
+from threadtone.report import PipelineOptions
 from threadtone.synth import SynthConfig, generate_corpus, write_cache_records
+
+BUNDLED_CORPUS = (Path(__file__).resolve().parent.parent / "data"
+                  / "synthetic_corpus.jsonl")
 
 
 def run_cli(*args, **kwargs):
@@ -129,6 +137,9 @@ def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
         proc = run_cli(*args)
         assert proc.returncode == 3, (args[0], proc.stderr)
         assert first["model"] in proc.stderr and "other-model" in proc.stderr
+    # report reads the cache before it writes anything: no tables/, figures/
+    # or output directory
+    assert not (tmp_path / "r").exists()
 
 
 def test_regress_all_grid(synth_setup):
@@ -172,3 +183,103 @@ def test_pipeline_cli_byte_determinism(synth_setup):
                    for p in outs[0].rglob("*") if p.is_file())
     for rel in files:
         assert (outs[0] / rel).read_bytes() == (outs[1] / rel).read_bytes()
+
+
+def test_single_discussion_corpus_exits_with_inference_code(tmp_path):
+    # one discussion is one cluster: t-based p-values are undefined, so
+    # every model fails cleanly; the normal reference still works
+    lines = BUNDLED_CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    corpus = tmp_path / "one.jsonl"
+    corpus.write_text("".join(line for line in lines
+                              if json.loads(line)["discussion_id"] == "d000"),
+                      encoding="utf-8")
+    cache = tmp_path / "cache.jsonl"
+    for pvalue, code in (("t", 4), ("normal", 0)):
+        out = tmp_path / f"bundle-{pvalue}"
+        proc = run_cli("pipeline", "--corpus", str(corpus), "--cache", str(cache),
+                       "--output-dir", str(out), "--mock", "--seed", "7",
+                       "--pvalue", pvalue)
+        assert proc.returncode == code, proc.stderr
+        assert "Traceback" not in proc.stderr
+        summary = json.loads((out / "regression_summary.json").read_text())
+        if code == 4:
+            assert summary["models"] == {} and len(summary["errors"]) == 16
+            assert "2 clusters" in summary["errors"]["M1/disagree_vs_agree"]
+        else:
+            assert summary["models"]
+            assert (out / "manifest.json").exists()
+        features = str(out / "features.csv")
+        for args in (("regress", "--features", features,
+                      "--out", str(tmp_path / f"regress-{pvalue}")),
+                     ("report", "--features", features,
+                      "--output-dir", str(tmp_path / f"report-{pvalue}"))):
+            proc = run_cli(*args, "--pvalue", pvalue)
+            assert proc.returncode == code, (args[0], proc.stderr)
+            assert "Traceback" not in proc.stderr
+
+
+def test_report_reproduces_the_pipeline_bundle(tmp_path):
+    # report and the pipeline run the same stage functions, so report on the
+    # bundle's features.csv rebuilds the bundle's regression and figure bytes
+    bundle, cache = tmp_path / "bundle", tmp_path / "cache.jsonl"
+    proc = run_cli("pipeline", "--corpus", str(BUNDLED_CORPUS),
+                   "--cache", str(cache), "--output-dir", str(bundle),
+                   "--mock", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    report = tmp_path / "report"
+    proc = run_cli("report", "--features", str(bundle / "features.csv"),
+                   "--cache", str(cache), "--output-dir", str(report))
+    assert proc.returncode == 0, proc.stderr
+    for directory in ("tables", "figures"):
+        names = sorted(p.name for p in (bundle / directory).iterdir())
+        assert names == sorted(p.name for p in (report / directory).iterdir())
+        assert len(names) == {"tables": 32, "figures": 12}[directory]
+        for name in names:
+            assert ((report / directory / name).read_bytes()
+                    == (bundle / directory / name).read_bytes()), name
+    for name in ("regression_summary.json", "correlations.csv",
+                 "correlations.txt"):
+        assert (report / name).read_bytes() == (bundle / name).read_bytes(), name
+    assert (report / "agreement.csv").exists()
+
+
+PIPELINE_ARGS = ("pipeline", "--corpus", "c.jsonl", "--cache", "k.jsonl",
+                 "--output-dir", "out")
+
+
+@pytest.mark.parametrize("flags, expected", [
+    ((), {}),
+    (("--pvalue", "normal"), {"pvalue_dist": "normal"}),
+    (("--stars-scheme", "four-star"), {"star_scheme": "four-star"}),
+    (("--m6-relax-sibling-filter",), {"m6_relax_sibling_filter": True}),
+    (("--prev-scope", "branch"), {"prev_scope": "branch"}),
+    (("--unanimity",), {"unanimity": True}),
+    (("--scale-min", "-3", "--scale-max", "3"),
+     {"scale": AnnotationScale(-3, 3)}),
+    (("--cr-correction", "--lenient"), {"cr_correction": True, "lenient": True}),
+    (("--replications", "6", "--seed", "9"), {"replications": 6, "seed": 9}),
+    (("--mock", "--model", "m2", "--concurrency", "2", "--max-retries", "5"),
+     {"mock": True, "model": "m2", "concurrency": 2, "max_retries": 5}),
+    (("--backend-url", "http://localhost:1/v1", "--api-key-env", "KEY"),
+     {"backend_url": "http://localhost:1/v1", "api_key_env": "KEY"}),
+    (("--pvalue", "normal", "--stars-scheme", "four-star",
+      "--m6-relax-sibling-filter", "--prev-scope", "branch", "--unanimity",
+      "--scale-min", "-3", "--scale-max", "3"),
+     {"pvalue_dist": "normal", "star_scheme": "four-star",
+      "m6_relax_sibling_filter": True, "prev_scope": "branch",
+      "unanimity": True, "scale": AnnotationScale(-3, 3)}),
+])
+def test_pipeline_flags_map_onto_options(flags, expected):
+    options = _options(build_parser().parse_args([*PIPELINE_ARGS, *flags]))
+    defaults = PipelineOptions()
+    for field in dataclasses.fields(PipelineOptions):
+        assert getattr(options, field.name) == expected.get(
+            field.name, getattr(defaults, field.name)), field.name
+
+
+def test_regress_flags_leave_backend_options_at_defaults():
+    # regress --model names a regression model, not the annotator model
+    args = build_parser().parse_args(
+        ["regress", "--features", "f.csv", "--out", "o", "--model", "M4",
+         "--pvalue", "normal"])
+    assert _options(args) == PipelineOptions(pvalue_dist="normal")
