@@ -153,14 +153,12 @@ def midranks(values: Sequence[float]) -> np.ndarray:
     """Ranks 1..n with ties receiving the average of their rank block."""
     arr = np.asarray(values, dtype=float)
     order = np.argsort(arr, kind="stable")
+    ordered = arr[order]
+    # tie block b spans sorted positions first[b]..last[b]
+    first = np.flatnonzero(np.r_[True, ordered[1:] != ordered[:-1]])
+    last = np.r_[first[1:], len(arr)] - 1
     ranks = np.empty(len(arr), dtype=float)
-    i = 0
-    while i < len(arr):
-        j = i
-        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 
@@ -174,8 +172,7 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
         raise ValueError("need at least 3 observations")
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateData("rank correlation undefined for constant input")
-    rx = midranks(x) - midranks(x).mean()
-    ry = midranks(y) - midranks(y).mean()
+    rx, ry = (ranks - ranks.mean() for ranks in (midranks(x), midranks(y)))
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 

@@ -3,11 +3,12 @@
 Each (parent, child) pair is scored N times by a chat-style backend; every
 request is an isolated conversation carrying only the two posts, and each
 response must be a single JSON object with exactly one integer per dimension.
-Scores are written through to an append-only JSONL cache keyed by
-(content hash of parent+child+scale, model id, dimension, replication), so
-reruns fetch only what is missing and a fully-cached run issues zero
-backend requests. A deterministic offline mock backend stands in for the
-live service in tests and reproducible pipelines.
+Scores are written through to an append-only JSONL cache, one line (and in
+memory one dict entry) per 4-tuple (content hash of parent+child+scale,
+model id, dimension, replication). A fully cached pair builds no prompt and
+makes no request; a replication missing a dimension is requested again,
+and its cached dimensions keep their stored scores. A deterministic offline
+mock backend stands in for the live service in tests and pipelines.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping, Protocol
+from typing import Iterable, Mapping, NamedTuple, Protocol
 
 import requests
 
@@ -150,8 +151,7 @@ def pair_content_hash(parent_text: str, child_text: str,
     return h.hexdigest()
 
 
-@dataclass(frozen=True)
-class CacheKey:
+class CacheKey(NamedTuple):  # equal to the plain tuple of its fields
     pair_hash: str
     model: str
     dimension: str
@@ -161,12 +161,12 @@ class CacheKey:
 class AnnotationCache:
     """Append-only JSONL score cache, safe for concurrent appends from one
     process. Records: {pair_hash, model, dimension, replication, score,
-    timestamp}."""
+    timestamp}. ``get`` also takes a CacheKey's plain 4-tuple."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._scores: dict[CacheKey, int] = {}
+        self._scores: dict[tuple[str, str, str, int], int] = {}
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
         if self.path.exists():
@@ -174,16 +174,21 @@ class AnnotationCache:
 
     def _load(self) -> None:
         line = "\n"
+        scores = self._scores
+        # keys share one string object per distinct pair hash, model and
+        # dimension, where json.loads makes a new one on each of the 12 lines
+        share = {}.setdefault
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
                 if not line.strip():
                     continue
                 try:
                     rec = json.loads(line)
-                    key = CacheKey(rec["pair_hash"], rec["model"],
-                                   rec["dimension"], int(rec["replication"]))
-                    self._scores[key] = int(rec["score"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    pair, model, dim = rec["pair_hash"], rec["model"], rec["dimension"]
+                    scores[share(pair, pair), share(model, model), share(dim, dim),
+                           int(rec["replication"])] = int(rec["score"])
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                        OverflowError):  # int(Infinity)
                     log.warning("ignoring malformed cache line %d in %s",
                                 line_no, self.path)
         self._torn_tail = not line.endswith("\n")
@@ -191,7 +196,7 @@ class AnnotationCache:
     def __len__(self) -> int:
         return len(self._scores)
 
-    def get(self, key: CacheKey) -> int | None:
+    def get(self, key: tuple[str, str, str, int]) -> int | None:
         return self._scores.get(key)
 
     def put(self, key: CacheKey, score: int, timestamp: int) -> None:
@@ -199,9 +204,7 @@ class AnnotationCache:
             if key in self._scores:
                 return
             self._scores[key] = score
-            record = {"pair_hash": key.pair_hash, "model": key.model,
-                      "dimension": key.dimension, "replication": key.replication,
-                      "score": score, "timestamp": timestamp}
+            record = {**key._asdict(), "score": score, "timestamp": timestamp}
             if self._appender is None:
                 self._appender = open(self.path, "a", encoding="utf-8",
                                       newline="\n")
@@ -226,18 +229,17 @@ class AnnotationCache:
         AmbiguousModel when it holds more than one, since replications of
         different models must never be combined."""
         if model is None:
-            models = sorted({key.model for key in self._scores})
+            models = sorted({key[1] for key in self._scores})
             if len(models) > 1:
                 raise AmbiguousModel(
                     f"annotation cache {self.path} mixes model ids "
                     f"{', '.join(models)}; replications of different "
                     f"models are never combined")
         grouped: dict[str, dict[str, dict[int, int]]] = {}
-        for key, score in self._scores.items():
-            if model is not None and key.model != model:
+        for (pair_hash, key_model, dimension, rep), score in self._scores.items():
+            if model is not None and key_model != model:
                 continue
-            grouped.setdefault(key.pair_hash, {}).setdefault(
-                key.dimension, {})[key.replication] = score
+            grouped.setdefault(pair_hash, {}).setdefault(dimension, {})[rep] = score
         out: dict[str, dict[str, list[int]]] = {}
         for pair_hash, dims in grouped.items():
             for dim_name, reps in dims.items():
@@ -287,6 +289,7 @@ class HttpBackend:
         self.config = config
         self.model = config.model
         self.calls = 0
+        self._calls_lock = threading.Lock()
         self._session = requests.Session()
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
@@ -302,7 +305,8 @@ class HttpBackend:
             "effort": self.config.effort,
             "verbosity": self.config.verbosity,
         }
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         try:
             response = self._session.post(
                 self.config.url, json=body, timeout=self.config.timeout,
@@ -344,9 +348,11 @@ class MockBackend:
         self.dimensions = tuple(dimensions)
         self.model = model
         self.calls = 0
+        self._calls_lock = threading.Lock()
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
-        self.calls += 1
+        with self._calls_lock:
+            self.calls += 1
         scores = {
             d.name: mock_annotate(prompt.parent_text, prompt.child_text,
                                   d.name, replication_index, self.seed,
@@ -366,12 +372,6 @@ class AnnotationRecord:
     mean: float
 
 
-def _record(pair_id: str, dimension: str, scores: list[int]) -> AnnotationRecord:
-    return AnnotationRecord(pair_id=pair_id, dimension=dimension,
-                            raw_scores=tuple(scores),
-                            mean=sum(scores) / len(scores))
-
-
 def annotate_pair(parent: Post, child: Post, backend: Backend,
                   cache: AnnotationCache,
                   scale: AnnotationScale = AnnotationScale(),
@@ -381,43 +381,47 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
                   cache_timestamp: int = 0) -> dict[str, AnnotationRecord]:
     """Score one parent-child pair, cache-first.
 
-    Each missing replication is requested as an isolated conversation and
-    retried up to ``max_retries`` additional times on malformed output or
-    transport errors; successful replications are cached immediately, so a
-    failed run resumes where it stopped.
+    Each (dimension, replication) score is looked up once. Only a
+    replication that misses a dimension builds the prompt and is requested,
+    as an isolated conversation retried up to ``max_retries`` more times on
+    malformed output or transport errors. Its cached dimensions keep their
+    stored scores; the rest are cached at once, so a failed run resumes.
     """
+    if not parent.text.strip() or not child.text.strip():
+        raise EmptyText("parent and child texts must be non-empty")
     dimensions = tuple(dimensions)
     pair_hash = pair_content_hash(parent.text, child.text, scale)
-    prompt = build_prompt(parent.text, child.text, dimensions, scale)
-    per_rep: list[dict[str, int]] = []
-    for rep in range(n_replications):
-        cached = {d.name: cache.get(CacheKey(pair_hash, backend.model, d.name, rep))
-                  for d in dimensions}
-        if all(v is not None for v in cached.values()):
-            per_rep.append(cached)  # type: ignore[arg-type]
-            continue
+    model = backend.model
+    scores = {d.name: [cache.get((pair_hash, model, d.name, rep))
+                       for rep in range(n_replications)]
+              for d in dimensions}
+    missing = [rep for rep, row in enumerate(zip(*scores.values()))
+               if None in row]  # row: one replication's scores
+    if missing:
+        prompt = build_prompt(parent.text, child.text, dimensions, scale)
+    for rep in missing:
         last_error: Exception | None = None
-        scores = None
+        fresh = None
         for _attempt in range(max_retries + 1):
             try:
                 text = backend.complete(prompt, rep)
-                scores = parse_annotation_json(text, dimensions, scale)
+                fresh = parse_annotation_json(text, dimensions, scale)
                 break
             except (AnnotationParseError, BackendError) as exc:
                 last_error = exc
-        if scores is None:
+        if fresh is None:
             raise AnnotationFailed(
                 f"pair {child.post_id}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
-        for d in dimensions:
-            cache.put(CacheKey(pair_hash, backend.model, d.name, rep),
-                      scores[d.name], cache_timestamp)
-        per_rep.append(scores)
-    return {
-        d.name: _record(child.post_id, d.name,
-                        [per_rep[rep][d.name] for rep in range(n_replications)])
-        for d in dimensions
-    }
+        for name, reps in scores.items():
+            if reps[rep] is None:
+                reps[rep] = fresh[name]
+                cache.put(CacheKey(pair_hash, model, name, rep), reps[rep],
+                          cache_timestamp)
+    return {name: AnnotationRecord(pair_id=child.post_id, dimension=name,
+                                   raw_scores=tuple(reps),
+                                   mean=sum(reps) / len(reps))
+            for name, reps in scores.items()}
 
 
 def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
@@ -432,11 +436,10 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
     so up to ``concurrency`` (pair x replication-set) requests run in
     flight at once.
     """
-    pairs: list[tuple[Post, Post]] = []
-    for discussion_id in corpus.discussion_ids():
-        for post in corpus.posts_of(discussion_id):
-            if post.parent_id is not None:
-                pairs.append((corpus.posts[post.parent_id], post))
+    pairs = [(corpus.posts[post.parent_id], post)
+             for discussion_id in corpus.discussion_ids()
+             for post in corpus.posts_of(discussion_id)
+             if post.parent_id is not None]
 
     def work(pair: tuple[Post, Post]) -> tuple[str, dict[str, AnnotationRecord]]:
         parent, child = pair
@@ -445,16 +448,10 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                                 cache_timestamp)
         return child.post_id, records
 
-    results: dict[str, dict[str, AnnotationRecord]] = {}
     if concurrency <= 1:
-        for pair in pairs:
-            post_id, records = work(pair)
-            results[post_id] = records
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            for post_id, records in pool.map(work, pairs):
-                results[post_id] = records
-    return results
+        return dict(map(work, pairs))
+    with ThreadPoolExecutor(max_workers=concurrency) as pool:
+        return dict(pool.map(work, pairs))
 
 
 def load_annotation_means(corpus: Corpus, cache: AnnotationCache,

@@ -14,7 +14,7 @@ from . import __version__
 from .annotate import AnnotationCache, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale
-from .errors import AnnotationError, CorpusError
+from .errors import AnnotationError, CorpusError, FeatureError
 from .features import (FeatureTable, compute_feature_table, read_features_csv,
                        write_features_csv)
 from .regression import DEFAULT_GRID, MODEL_IDS
@@ -299,13 +299,19 @@ _COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=logging.INFO,
                         format="%(levelname)s %(name)s: %(message)s")
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if "scale_min" in vars(args):
+        try:
+            AnnotationScale(args.scale_min, args.scale_max)
+        except ValueError as exc:
+            parser.error(f"--scale-min/--scale-max: {exc}")
     try:
         return _COMMANDS[args.command](args)
     except CorpusError as err:
         print(err.diagnostic(), file=sys.stderr)
         return EXIT_VALIDATION
-    except AnnotationError as exc:
+    except (AnnotationError, FeatureError) as exc:  # FeatureError: --strict
         print(f"annotation failed: {exc}", file=sys.stderr)
         return EXIT_ANNOTATION
 

@@ -2,6 +2,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadtone.agreement import (
     AGREEMENT_CSV_HEADER,
@@ -81,6 +83,21 @@ def dispersion_oracle(values: np.ndarray):
     mean_of = lambda xs: sum(xs) / len(xs)
     return (mean_of(mapd), mean_of(exact), mean_of(within1),
             mean_of(rng_), mean_of(sd))
+
+
+def midranks_oracle(values) -> np.ndarray:
+    """The tie-block loop that ``agreement.midranks`` replaced."""
+    arr = np.asarray(values, dtype=float)
+    order = np.argsort(arr, kind="stable")
+    ranks = np.empty(len(arr), dtype=float)
+    i = 0
+    while i < len(arr):
+        j = i
+        while j + 1 < len(arr) and arr[order[j + 1]] == arr[order[i]]:
+            j += 1
+        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
+        i = j + 1
+    return ranks
 
 
 def spearman_oracle(x, y) -> float:
@@ -289,6 +306,28 @@ def test_spearman_degenerate():
 
 def test_midranks():
     assert midranks([10.0, 20.0, 20.0, 30.0]).tolist() == [1.0, 2.5, 2.5, 4.0]
+
+
+# few distinct values, so most draws are mostly ties; a float pool mixes in
+# signed zeros, which compare equal
+_TIED_VALUES = st.one_of(st.integers(-3, 3).map(float),
+                         st.sampled_from([-0.0, 0.0, 0.5, 1e300, -2.25]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(3, 200).flatmap(
+    lambda n: st.tuples(st.lists(_TIED_VALUES, min_size=n, max_size=n),
+                        st.lists(_TIED_VALUES, min_size=n, max_size=n))))
+def test_midranks_and_spearman_match_the_loop(xy):
+    x, y = (np.array(v) for v in xy)
+    assert np.array_equal(midranks(x), midranks_oracle(x))
+    assert np.array_equal(midranks(y), midranks_oracle(y))
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return
+    rx = midranks_oracle(x) - midranks_oracle(x).mean()
+    ry = midranks_oracle(y) - midranks_oracle(y).mean()
+    expected = float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    assert spearman_rho(x, y) == expected  # exact: correlations.csv bytes
 
 
 # --- correlation report ---------------------------------------------------------------

@@ -1,11 +1,14 @@
 import json
+import sys
 import threading
 from collections import Counter
 from http.server import BaseHTTPRequestHandler, HTTPServer
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from threadtone import annotate
 from threadtone.annotate import (
     AnnotationCache,
     BackendConfig,
@@ -20,6 +23,7 @@ from threadtone.annotate import (
     pair_content_hash,
     parse_annotation_json,
 )
+from threadtone.corpus import load_corpus
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import (
     AmbiguousModel,
@@ -32,6 +36,8 @@ from threadtone.errors import (
     NotJson,
     OutOfRange,
 )
+
+from threadtone.report import PipelineOptions, annotate_stage
 
 from conftest import corpus_from_posts, mk_post
 
@@ -327,6 +333,88 @@ def test_cache_keys_include_scale(tmp_path):
     h1 = pair_content_hash("p", "c", AnnotationScale(-5, 5))
     h2 = pair_content_hash("p", "c", AnnotationScale(-3, 3))
     assert h1 != h2
+
+
+def test_partial_replication_keeps_cached_dimensions(tmp_path):
+    parent, child = pair()
+    cache_path = tmp_path / "cache.jsonl"
+    cache = AnnotationCache(cache_path)
+    pair_hash = pair_content_hash(parent.text, child.text, SCALE)
+    cache.put(CacheKey(pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
+              5, timestamp=0)
+    backend = ScriptedBackend([make_payload(disagree_vs_agree=-1)])
+    first = annotate_pair(parent, child, backend, cache, n_replications=1)
+    cache.close()
+    assert backend.calls == 1
+    assert first["disagree_vs_agree"].raw_scores == (5,)
+    assert first["emotional_vs_factual"].raw_scores == (-2,)
+    rerun_backend = ScriptedBackend([])
+    rerun = annotate_pair(parent, child, rerun_backend,
+                          AnnotationCache(cache_path), n_replications=1)
+    assert rerun_backend.calls == 0
+    assert rerun == first
+
+
+def test_empty_text_is_rejected_before_the_cache(tmp_path):
+    parent = mk_post("P", timestamp=0, text="   ")
+    child = mk_post("C", parent_id="P", timestamp=60)
+    backend = ScriptedBackend([make_payload()])
+    with pytest.raises(EmptyText):
+        annotate_pair(parent, child, backend,
+                      AnnotationCache(tmp_path / "cache.jsonl"))
+    assert backend.calls == 0
+
+
+# --- backend and cache counters on the bundled corpus -------------------------------
+
+BUNDLED_CORPUS = (Path(__file__).resolve().parent.parent / "data"
+                  / "synthetic_corpus.jsonl")
+
+
+@pytest.fixture(scope="module")
+def bundled():
+    corpus = load_corpus(BUNDLED_CORPUS)
+    pairs = sum(post.parent_id is not None for post in corpus.posts.values())
+    return corpus, pairs
+
+
+def test_cold_concurrent_run_counts_every_call(bundled, tmp_path):
+    corpus, pairs = bundled
+    options = PipelineOptions(mock=True, seed=7, concurrency=4)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
+    try:
+        records, calls = annotate_stage(corpus, tmp_path / "cache.jsonl",
+                                        options)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(records) == pairs
+    assert calls == pairs * options.replications
+
+
+def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
+    corpus, pairs = bundled
+    options = PipelineOptions(mock=True, seed=7)
+    cache_path = tmp_path / "cache.jsonl"
+    cold, _ = annotate_stage(corpus, cache_path, options)
+
+    lookups = Counter()
+    get = AnnotationCache.get
+
+    def counted_get(cache, key):
+        value = get(cache, key)
+        lookups["hit" if value is not None else "miss"] += 1
+        return value
+
+    def no_prompt(*args, **kwargs):
+        raise AssertionError("a fully cached pair built a prompt")
+
+    monkeypatch.setattr(AnnotationCache, "get", counted_get)
+    monkeypatch.setattr(annotate, "build_prompt", no_prompt)
+    warm, calls = annotate_stage(corpus, cache_path, options)
+    assert calls == 0
+    assert lookups == {"hit": pairs * options.replications * len(DIMENSIONS)}
+    assert warm == cold
 
 
 # --- HTTP backend against a local stub ------------------------------------------------

@@ -1,0 +1,170 @@
+"""Property test: the tuple-keyed cache loader against the dataclass-keyed one.
+
+``OracleCache`` is the loader and index that ``AnnotationCache`` had before
+its keys became plain tuples: a frozen-dataclass key per line and
+``json.loads`` per line. Hypothesis writes JSONL files with blank lines,
+torn final lines, non-object JSON, records with missing fields,
+non-integer replications and scores, two model ids and duplicate keys
+with different scores, and both loaders must agree on the scores, the
+malformed-line warnings, the torn-tail flag and every model's index.
+"""
+
+from __future__ import annotations
+
+import json
+import logging
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from threadtone.annotate import AnnotationCache
+from threadtone.errors import AmbiguousModel
+
+
+@dataclass(frozen=True)
+class OracleKey:
+    pair_hash: str
+    model: str
+    dimension: str
+    replication: int
+
+
+class OracleCache:
+    def __init__(self, path: Path):
+        self.path = path
+        self.scores: dict[OracleKey, int] = {}
+        self.malformed: list[int] = []
+        line = "\n"
+        with open(path, "r", encoding="utf-8") as fh:
+            for line_no, line in enumerate(fh, start=1):
+                if not line.strip():
+                    continue
+                try:
+                    rec = json.loads(line)
+                    key = OracleKey(rec["pair_hash"], rec["model"],
+                                    rec["dimension"], int(rec["replication"]))
+                    self.scores[key] = int(rec["score"])
+                except (json.JSONDecodeError, KeyError, TypeError, ValueError):
+                    self.malformed.append(line_no)
+        self.torn_tail = not line.endswith("\n")
+
+    def index_by_pair(self, n_replications: int, model: str | None = None):
+        if model is None:
+            models = sorted({key.model for key in self.scores})
+            if len(models) > 1:
+                raise AmbiguousModel(", ".join(models))
+        grouped: dict = {}
+        for key, score in self.scores.items():
+            if model is not None and key.model != model:
+                continue
+            grouped.setdefault(key.pair_hash, {}).setdefault(
+                key.dimension, {})[key.replication] = score
+        out: dict = {}
+        for pair_hash, dims in grouped.items():
+            for dim_name, reps in dims.items():
+                if set(reps) == set(range(n_replications)):
+                    out.setdefault(pair_hash, {})[dim_name] = [
+                        reps[r] for r in range(n_replications)]
+        return out
+
+
+FIELDS = ("pair_hash", "model", "dimension", "replication", "score")
+MODELS = ("model-a", "model-b")
+
+_records = st.fixed_dictionaries({
+    "pair_hash": st.one_of(st.sampled_from(["p0", "p1", "p2"]),
+                           st.just(["p0"])),  # unhashable: malformed
+    "model": st.sampled_from(MODELS),
+    "dimension": st.sampled_from(["disagree_vs_agree", "emotional_vs_factual"]),
+    "replication": st.one_of(
+        st.integers(0, 3), st.integers(0, 3), st.integers(-1, 5),
+        st.sampled_from([1.0, 1.5, "2", "x", None, True, [0], {}])),
+    "score": st.one_of(st.integers(-5, 5),
+                       st.sampled_from([2.5, "3", "three", None])),
+    "timestamp": st.integers(0, 10),
+}).flatmap(lambda rec: st.sets(st.sampled_from(FIELDS), max_size=2).map(
+    lambda dropped: json.dumps({k: v for k, v in rec.items()
+                                if k not in dropped})))
+
+_other_lines = st.sampled_from([
+    "", "   ", "\t", "[1, 2]", "3", '"text"', "null", "{not json",
+    '{"pair_hash": "p0"', "}"])
+
+_lines = st.lists(st.one_of(_records, _records, _records, _other_lines),
+                  max_size=40)
+
+
+@st.composite
+def cache_text(draw) -> str:
+    lines = draw(_lines)
+    text = "".join(line + "\n" for line in lines)
+    if lines and draw(st.booleans()):  # torn final line: cut it short
+        last = lines[-1]
+        text = text[:len(text) - 1 - draw(st.integers(0, len(last)))]
+    return text
+
+
+class _Collect(logging.Handler):
+    def __init__(self) -> None:
+        super().__init__(logging.WARNING)
+        self.messages: list[str] = []
+
+    def emit(self, record: logging.LogRecord) -> None:
+        self.messages.append(record.getMessage())
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cache_text())
+def test_loader_matches_the_dataclass_oracle(text):
+    handler = _Collect()
+    logger = logging.getLogger("threadtone.annotate")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_text(text, encoding="utf-8")
+        oracle = OracleCache(path)
+        logger.addHandler(handler)
+        try:
+            cache = AnnotationCache(path)
+        finally:
+            logger.removeHandler(handler)
+
+        assert cache._scores == {
+            (k.pair_hash, k.model, k.dimension, k.replication): v
+            for k, v in oracle.scores.items()}
+        assert list(cache._scores) == [
+            (k.pair_hash, k.model, k.dimension, k.replication)
+            for k in oracle.scores]
+        assert handler.messages == [
+            f"ignoring malformed cache line {n} in {path}"
+            for n in oracle.malformed]
+        assert cache._torn_tail == oracle.torn_tail
+        for n_replications in (1, 2, 4):
+            for model in MODELS:
+                assert cache.index_by_pair(n_replications, model) == \
+                    oracle.index_by_pair(n_replications, model)
+            if len({k.model for k in oracle.scores}) > 1:
+                with pytest.raises(AmbiguousModel):
+                    cache.index_by_pair(n_replications)
+            else:
+                assert cache.index_by_pair(n_replications) == \
+                    oracle.index_by_pair(n_replications)
+
+
+def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
+    path = tmp_path / "cache.jsonl"
+    good = {"pair_hash": "p", "model": "m", "dimension": "d",
+            "replication": 0, "score": 1, "timestamp": 0}
+    path.write_text(
+        json.dumps({**good, "replication": float("inf")}) + "\n"
+        + json.dumps({**good, "score": float("-inf")}) + "\n"
+        + json.dumps(good) + "\n", encoding="utf-8")
+    with caplog.at_level(logging.WARNING, logger="threadtone.annotate"):
+        cache = AnnotationCache(path)
+    assert cache._scores == {("p", "m", "d", 0): 1}
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring malformed cache line {n} in {path}" for n in (1, 2)]

@@ -142,6 +142,34 @@ def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
     assert not (tmp_path / "r").exists()
 
 
+def test_strict_features_on_an_incomplete_cache_exits_with_annotation_code(
+        synth_setup):
+    tmp_path, _, corpus_path, synth_cache = synth_setup
+    partial = tmp_path / "partial.jsonl"
+    partial.write_text("".join(synth_cache.read_text().splitlines(True)[:40]))
+    out = tmp_path / "strict.csv"
+    proc = run_cli("features", "--corpus", str(corpus_path),
+                   "--annotations", str(partial), "--out", str(out), "--strict")
+    assert proc.returncode == 3, proc.stderr
+    assert "MissingAnnotation" not in proc.stderr  # no traceback
+    assert "annotation failed" in proc.stderr
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("scale", (("--scale-min", "1"),
+                                   ("--scale-max", "0"),
+                                   ("--scale-min", "3", "--scale-max", "-3")))
+def test_bad_scale_is_a_usage_error(synth_setup, scale):
+    tmp_path, _, corpus_path, synth_cache = synth_setup
+    proc = run_cli("features", "--corpus", str(corpus_path),
+                   "--annotations", str(synth_cache),
+                   "--out", str(tmp_path / "f.csv"), *scale)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert ("threadtone: error: --scale-min/--scale-max: scale must satisfy "
+            "min < 0 < max") in proc.stderr
+
+
 def test_regress_all_grid(synth_setup):
     tmp_path, _, corpus_path, synth_cache = synth_setup
     features_path = tmp_path / "features.csv"
