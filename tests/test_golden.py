@@ -4,13 +4,24 @@ The determinism tests compare a run with another run of the same code, so a
 refactor that changes the output the same way twice passes them. These
 hashes were computed once and pin the exact bytes: the whole bundle under
 the default options, and ``features.csv`` under ``prev_scope="branch"``,
-which the default pipeline never exercises.
+which the default pipeline never exercises. The synthetic generator is
+pinned the same way: its bundled-config corpus, replication cache and
+truncation count, and a short recovery experiment's report.
 """
 
 import hashlib
+import json
+from dataclasses import asdict
 from pathlib import Path
 
+from threadtone.corpus import save_corpus
 from threadtone.report import PipelineOptions, run_pipeline
+from threadtone.synth import (
+    SynthConfig,
+    generate_corpus,
+    recovery_experiment,
+    write_cache_records,
+)
 
 CORPUS = Path(__file__).resolve().parent.parent / "data" / "synthetic_corpus.jsonl"
 SEED = 7
@@ -48,3 +59,31 @@ def test_branch_scope_features_golden_hash(tmp_path):
     out = run_mock(tmp_path, prev_scope="branch")
     digest = hashlib.sha256((out / "features.csv").read_bytes()).hexdigest()
     assert digest == BRANCH_FEATURES_SHA256
+
+
+SYNTH_CONFIG = CORPUS.parent / "synth_config.json"
+SYNTH_CACHE_SHA256 = (
+    "ae7cccdfdbeb8ac2a3ee084ea53c0d53305c7c0dad8dd5bfcc0fb99aed69a112")
+SYNTH_CACHE_LINES = 27_216
+SYNTH_TRUNCATIONS = 47
+RECOVERY_SHA256 = (
+    "b931dc9a02f1f156e7bb1f02540b62bec1d8000f4367e9d7d03d9a81d51298a8")
+
+
+def test_synth_generator_golden(tmp_path):
+    """The bundled corpus is the generator's output for the bundled config;
+    the replication cache and the truncation count are pinned with it."""
+    result = generate_corpus(SynthConfig.from_json(SYNTH_CONFIG))
+    save_corpus(result.corpus, tmp_path / "corpus.jsonl")
+    write_cache_records(result.cache_records, tmp_path / "cache.jsonl")
+    assert (tmp_path / "corpus.jsonl").read_bytes() == CORPUS.read_bytes()
+    cache = (tmp_path / "cache.jsonl").read_bytes()
+    assert cache.count(b"\n") == SYNTH_CACHE_LINES
+    assert hashlib.sha256(cache).hexdigest() == SYNTH_CACHE_SHA256
+    assert result.truncations == SYNTH_TRUNCATIONS
+
+
+def test_recovery_experiment_golden():
+    report = recovery_experiment(SynthConfig.from_json(SYNTH_CONFIG), n_runs=3)
+    text = json.dumps(asdict(report), sort_keys=True)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == RECOVERY_SHA256

@@ -1,0 +1,92 @@
+"""Property tests: ``synth.generate_corpus`` against the reference generator
+in ``synth_oracle``.
+
+Configurations vary the model, continuous mode, the replication count, the
+scale, both noise levels (including 0), the reply-to-root probability
+(including 0 and 1), small and tied-timestamp discussions, model ids that
+need JSON escaping, and coefficients large enough to clip. Every comparison
+is exact: the serialized corpus, the replication records, the truncation
+count, and the means by ``repr`` so that the sign of a zero counts.
+"""
+
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from threadtone.corpus import serialize_corpus
+from threadtone.dimensions import DIMENSIONS
+from threadtone.regression import MODEL_IDS, MODEL_SPECS
+from threadtone.synth import SynthConfig, generate_corpus
+
+from synth_oracle import oracle_generate_corpus
+
+DIM_NAMES = [d.name for d in DIMENSIONS]
+
+coefficients = st.one_of(st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5]),
+                         st.floats(-8.0, 8.0, allow_nan=False))
+noise = st.one_of(st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+                  st.floats(0.0, 4.0, allow_nan=False))
+
+
+@st.composite
+def synth_configs(draw) -> SynthConfig:
+    model = draw(st.sampled_from(MODEL_IDS))
+    n_coefs = 1 + len(MODEL_SPECS[model].terms)
+    dims = draw(st.lists(st.sampled_from(DIM_NAMES), unique=True))
+    return SynthConfig(
+        n_discussions=draw(st.integers(1, 3)),
+        mean_posts=draw(st.one_of(st.sampled_from([1, 2, 3]),
+                                  st.floats(1.0, 16.0))),
+        p_reply_to_root=draw(st.one_of(st.sampled_from([0.0, 1.0]),
+                                       st.floats(0.0, 1.0))),
+        mean_hours_between_posts=draw(st.sampled_from([0.0001, 0.5, 6.0])),
+        model=model,
+        coefficients={d: tuple(draw(st.lists(coefficients, min_size=n_coefs,
+                                             max_size=n_coefs)))
+                      for d in dims},
+        sigma=draw(noise), tau=draw(noise),
+        seed=draw(st.integers(0, 2**32 - 1)),
+        scale_min=draw(st.sampled_from([-1, -3, -5])),
+        scale_max=draw(st.sampled_from([1, 3, 5])),
+        replications=draw(st.integers(1, 5)),
+        continuous=draw(st.booleans()),
+        model_id=draw(st.sampled_from(["mock", 'm"q\\x', "modèle\n\t"])),
+    )
+
+
+def means_repr(means) -> str:
+    # float() keeps the sign of a zero; the oracle's continuous-mode means
+    # are numpy scalars, whose repr differs from a float's
+    return repr({pid: {name: float(v) for name, v in by_dim.items()}
+                 for pid, by_dim in means.items()})
+
+
+def assert_matches_oracle(config: SynthConfig) -> None:
+    result = generate_corpus(config)
+    oracle = oracle_generate_corpus(config)
+    assert (list(serialize_corpus(result.corpus))
+            == list(serialize_corpus(oracle.corpus)))
+    assert list(result.corpus.posts) == list(oracle.corpus.posts)
+    assert means_repr(result.means) == means_repr(oracle.means)
+    assert repr(result.cache_records) == repr(oracle.cache_records)
+    assert result.truncations == oracle.truncations
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(synth_configs())
+def test_generate_corpus_matches_oracle(config):
+    assert_matches_oracle(config)
+
+
+@pytest.mark.parametrize("continuous", [False, True])
+@pytest.mark.parametrize("model", MODEL_IDS)
+def test_paper_like_configs_match_oracle(model, continuous):
+    n_coefs = 1 + len(MODEL_SPECS[model].terms)
+    coefs = (-0.9, 0.33, -0.4, -0.19)[:n_coefs]
+    config = SynthConfig(n_discussions=8, mean_posts=38, model=model,
+                         coefficients={"disagree_vs_agree": coefs,
+                                       "emotional_vs_factual": coefs[::-1]},
+                         sigma=1.0, tau=0.15, seed=20240301,
+                         continuous=continuous)
+    assert_matches_oracle(config)
