@@ -20,6 +20,7 @@ import os
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Protocol
 
@@ -151,6 +152,16 @@ def pair_content_hash(parent_text: str, child_text: str,
     return h.hexdigest()
 
 
+def cache_line(pair_hash: str, model: str, dimension: str, replication: int,
+               score: int, timestamp: int) -> str:
+    """One cache record as its JSONL line: the bytes ``json.dumps`` writes
+    for the record dict, formatted directly."""
+    return (f'{{"pair_hash": {_json_quote(pair_hash)}, "model": '
+            f'{_json_quote(model)}, "dimension": {_json_quote(dimension)}, '
+            f'"replication": {replication}, "score": {score}, '
+            f'"timestamp": {timestamp}}}\n')
+
+
 class CacheKey(NamedTuple):  # equal to the plain tuple of its fields
     pair_hash: str
     model: str
@@ -204,14 +215,13 @@ class AnnotationCache:
             if key in self._scores:
                 return
             self._scores[key] = score
-            record = {**key._asdict(), "score": score, "timestamp": timestamp}
             if self._appender is None:
                 self._appender = open(self.path, "a", encoding="utf-8",
                                       newline="\n")
                 if self._torn_tail:  # close it, or the record joins it
                     self._appender.write("\n")
                     self._torn_tail = False
-            self._appender.write(json.dumps(record) + "\n")
+            self._appender.write(cache_line(*key, score, timestamp))
             self._appender.flush()
 
     def close(self) -> None:

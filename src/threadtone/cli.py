@@ -264,11 +264,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
         return 2
     result = generate_corpus(config)
     save_corpus(result.corpus, args.out_corpus)
-    if result.cache_records is None:
+    records = result.cache_records
+    if records is None:
         print("continuous-mode configs produce no integer cache",
               file=sys.stderr)
         return 2
-    write_cache_records(result.cache_records, args.out_cache)
+    write_cache_records(records, args.out_cache)
     print(f"generated {len(result.corpus.posts)} posts in "
           f"{len(result.corpus.discussions)} discussions "
           f"({result.truncations} truncated scores)")
@@ -306,6 +307,9 @@ def main(argv: list[str] | None = None) -> int:
             AnnotationScale(args.scale_min, args.scale_max)
         except ValueError as exc:
             parser.error(f"--scale-min/--scale-max: {exc}")
+    for flag, least in (("concurrency", 1), ("max_retries", 0)):
+        if vars(args).get(flag, least) < least:
+            parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
     try:
         return _COMMANDS[args.command](args)
     except CorpusError as err:

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 from scipy import stats as scipy_stats
 
-from .annotate import MOCK_MODEL_ID, pair_content_hash
+from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
 from .corpus import Corpus, Post, build_tree
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
@@ -96,177 +96,156 @@ class SynthConfig:
 
 @dataclass
 class SynthResult:
+    """A generated corpus and its post-level means. ``replications`` keeps
+    each reply's integer scores as (parent text, child text, one replication
+    list per dimension) in generation order, or None in continuous mode."""
     corpus: Corpus
     means: dict[str, dict[str, float]]
-    cache_records: list[dict] | None
     truncations: int
+    replications: list[tuple[str, str, tuple[list[int], ...]]] | None
+    config: SynthConfig
+
+    @property
+    def cache_records(self) -> list[dict] | None:
+        """Annotation-cache records, built on each access; None if continuous."""
+        if self.replications is None:
+            return None
+        scale, model = self.config.scale, self.config.model_id
+        return [{"pair_hash": pair_hash, "model": model, "dimension": name,
+                 "replication": rep, "score": score, "timestamp": 0}
+                for parent_text, child_text, scores in self.replications
+                for pair_hash in (pair_content_hash(parent_text, child_text, scale),)
+                for name, reps in zip(_DIM_NAMES, scores)
+                for rep, score in enumerate(reps)]
 
 
-def _gen_covariates(term_fields: set[str], post_idx: int, parent_idx: int,
-                    depths: list[int], branch_roots: list[int],
-                    timestamps: list[int], children: dict[int, list[int]],
-                    values: list[dict[str, float]],
-                    dim_name: str) -> dict[str, float | None]:
-    cov: dict[str, float | None] = {}
-    if "dt_prev" in term_fields:
-        cov["dt_prev"] = (timestamps[post_idx] - timestamps[post_idx - 1]) / 3600.0
-    if "dt_parent" in term_fields:
-        cov["dt_parent"] = (timestamps[post_idx] - timestamps[parent_idx]) / 3600.0
-    if "parent_metric" in term_fields:
-        cov["parent_metric"] = (values[parent_idx][dim_name]
-                                if depths[parent_idx] >= 1 else None)
-    if "sib_older_mean" in term_fields:
-        older = children.get(parent_idx, [])
-        cov["sib_older_mean"] = (
-            sum(values[c][dim_name] for c in older) / len(older)
-            if older else None)
-    if "br_neg" in term_fields:
-        if depths[parent_idx] >= 1:  # focal post will sit at depth >= 2
-            br = branch_roots[parent_idx] if depths[parent_idx] >= 2 else parent_idx
-            cov["br_neg"] = 1.0 if values[br][dim_name] < 0 else 0.0
-        else:
-            cov["br_neg"] = None
-    return cov
+_DIM_NAMES = tuple(d.name for d in DIMENSIONS)
+_FIELDS = ("dt_prev", "dt_parent", "parent_metric", "sib_older_mean", "br_neg")
 
 
 def generate_corpus(config: SynthConfig) -> SynthResult:
-    """Draw a corpus, post-level means and (unless continuous) a replication
-    cache, all fully determined by the config seed."""
+    """Draw a corpus, post-level means and (unless continuous) replication
+    scores, all fully determined by the config seed."""
     rng = np.random.default_rng(config.seed)
-    spec = MODEL_SPECS[config.model]
     scale = config.scale
-    term_fields = {name for term in spec.terms for name in term.split(":")}
-    betas = {d.name: config.coefficient_vector(d.name) for d in DIMENSIONS}
+    lo_f, hi_f = float(scale.min), float(scale.max)
+    n_reps = config.replications
+    # each term as (coefficient index, indices into a post's covariates)
+    terms = [(t, [_FIELDS.index(name) for name in term.split(":")])
+             for t, term in enumerate(MODEL_SPECS[config.model].terms, start=1)]
+    betas = [config.coefficient_vector(name).tolist() for name in _DIM_NAMES]
+    n_dims = len(_DIM_NAMES)
 
-    posts: list[Post] = []
+    posts_by_discussion: dict[str, list[Post]] = {}
+    posts_by_id: dict[str, Post] = {}
     means: dict[str, dict[str, float]] = {}
-    records: list[dict] | None = None if config.continuous else []
+    replications: list | None = None if config.continuous else []
     truncations = 0
 
     for d in range(config.n_discussions):
         did = f"d{d:03d}"
         n_posts = max(2, int(rng.poisson(config.mean_posts)))
-        u_d = rng.normal(0.0, config.tau, size=len(DIMENSIONS))
+        u_d = rng.normal(0.0, config.tau, size=n_dims).tolist()
         gaps = rng.exponential(config.mean_hours_between_posts * 3600.0,
-                               size=n_posts - 1)
-        root_coins = rng.random(size=n_posts - 1)
-        pick_a = rng.random(size=n_posts - 1)
-        eps = rng.normal(0.0, config.sigma, size=(n_posts - 1, len(DIMENSIONS)))
+                               size=n_posts - 1).tolist()
+        root_coins = rng.random(size=n_posts - 1).tolist()
+        pick_a = rng.random(size=n_posts - 1).tolist()
+        eps = rng.normal(0.0, config.sigma, size=(n_posts - 1, n_dims)).tolist()
         # inner 80% of the scale leaves headroom for the noise terms
         base_draws = rng.uniform(0.8 * scale.min, 0.8 * scale.max,
-                                 size=(n_posts - 1, len(DIMENSIONS)))
-        jitter_coin = rng.random(size=(n_posts - 1, len(DIMENSIONS)))
-        jitter_lo = rng.random(size=(n_posts - 1, len(DIMENSIONS)))
-        jitter_hi = rng.random(size=(n_posts - 1, len(DIMENSIONS)))
-        authors = rng.integers(0, 40, size=n_posts)
+                                 size=(n_posts - 1, n_dims)).tolist()
+        jitter_coin = rng.random(size=(n_posts - 1, n_dims)).tolist()
+        jitter_lo = rng.random(size=(n_posts - 1, n_dims)).tolist()
+        jitter_hi = rng.random(size=(n_posts - 1, n_dims)).tolist()
+        authors = rng.integers(0, 40, size=n_posts).tolist()
 
-        base = _BASE_TIME + d * _DISCUSSION_SPACING
-        timestamps = [base]
-        depths = [0]
-        parent_of = [-1]
+        timestamps = [_BASE_TIME + d * _DISCUSSION_SPACING]
         branch_roots = [-1]
-        children: dict[int, list[int]] = {}
-        values: list[dict[str, float]] = [{}]
-        ids = [f"{did}-p0000"]
-        texts = [f"synthetic root post {did}-p0000"]
-        non_root: list[int] = []
+        posts = [Post(f"{did}-p0000", did, None, f"u{authors[0]:02d}",
+                      timestamps[0], f"synthetic root post {did}-p0000")]
+        values = [[0] * n_posts for _ in range(n_dims)]
+        # per-parent older-sibling counts and sums (a left fold from int 0,
+        # like sum())
+        sib_counts = [0] * n_posts
+        sib_sums = [[0] * n_posts for _ in range(n_dims)]
 
         for i in range(1, n_posts):
             j = i - 1
-            if i == 1 or root_coins[j] < config.p_reply_to_root or not non_root:
+            if i == 1 or root_coins[j] < config.p_reply_to_root:
                 parent = 0
-            else:
-                parent = non_root[int(pick_a[j] * len(non_root))]
-            timestamps.append(timestamps[-1] + int(gaps[j]))
-            depths.append(depths[parent] + 1)
-            branch_roots.append(i if depths[i] == 1 else branch_roots[parent])
-            parent_of.append(parent)
+            else:  # uniform over the earlier replies 1..i-1
+                parent = 1 + int(pick_a[j] * j)
+            timestamps.append(timestamps[j] + int(gaps[j]))
+            branch_roots.append(branch_roots[parent] if parent else i)
             pid = f"{did}-p{i:04d}"
-            ids.append(pid)
-            texts.append(f"synthetic reply {pid}")
-
-            post_values: dict[str, float] = {}
-            post_means: dict[str, float] = {}
-            for m, dim in enumerate(DIMENSIONS):
-                beta = betas[dim.name]
-                cov = _gen_covariates(term_fields, i, parent, depths,
-                                      branch_roots, timestamps, children,
-                                      values, dim.name)
+            posts.append(Post(pid, did, posts[parent].post_id,
+                              f"u{authors[i]:02d}", timestamps[i],
+                              f"synthetic reply {pid}"))
+            dt_prev = (timestamps[i] - timestamps[j]) / 3600.0
+            dt_parent = (timestamps[i] - timestamps[parent]) / 3600.0
+            n_older = sib_counts[parent]
+            sib_counts[parent] += 1
+            post_means, post_reps = [], []
+            for m, (vals, sums, beta) in enumerate(zip(values, sib_sums, betas)):
+                cov = (dt_prev, dt_parent, vals[parent] if parent else None,
+                       sums[parent] / n_older if n_older else None,
+                       (1.0 if vals[branch_roots[parent]] < 0 else 0.0)
+                       if parent else None)
                 term_sum = 0.0
                 any_term = False
-                for t, term in enumerate(spec.terms, start=1):
+                for t, fields in terms:
                     product = 1.0
-                    for name in term.split(":"):
-                        part = cov.get(name)
+                    for k in fields:
+                        part = cov[k]
                         if part is None:
-                            product = None
                             break
                         product *= part
-                    if product is not None:
+                    else:
                         term_sum += beta[t] * product
                         any_term = True
                 if any_term:
-                    y = beta[0] + term_sum + u_d[m] + eps[j, m]
+                    y = beta[0] + term_sum + u_d[m] + eps[j][m]
                 else:
                     # no covariate exists yet (e.g. replies to the root):
                     # an exogenous draw seeds variation into the process
-                    y = base_draws[j, m] + u_d[m] + eps[j, m]
-                clipped = min(max(y, float(scale.min)), float(scale.max))
+                    y = base_draws[j][m] + u_d[m] + eps[j][m]
+                clipped = min(max(y, lo_f), hi_f)
                 if clipped != y:
                     truncations += 1
-                y = clipped
+                # round() rounds half to even, like np.rint
+                vals[i] = v = clipped if config.continuous else round(clipped)
+                sums[parent] = sums[parent] + v
+                post_means.append(float(v))  # the jitter below sums to zero
                 if config.continuous:
-                    post_values[dim.name] = y
-                    post_means[dim.name] = y
                     continue
-                v = int(np.rint(y))
-                reps = [v] * config.replications
-                if (config.replications >= 2 and scale.min < v < scale.max
-                        and jitter_coin[j, m] < 0.5):
-                    lo = int(jitter_lo[j, m] * config.replications)
-                    hi = int(jitter_hi[j, m] * (config.replications - 1))
+                reps = [v] * n_reps
+                if (n_reps >= 2 and scale.min < v < scale.max
+                        and jitter_coin[j][m] < 0.5):
+                    lo = int(jitter_lo[j][m] * n_reps)
+                    hi = int(jitter_hi[j][m] * (n_reps - 1))
                     if hi >= lo:
                         hi += 1
                     reps[lo] -= 1
                     reps[hi] += 1
-                post_values[dim.name] = v
-                post_means[dim.name] = sum(reps) / len(reps)
-                pair_hash = pair_content_hash(texts[parent], texts[i], scale)
-                for rep, score in enumerate(reps):
-                    records.append({
-                        "pair_hash": pair_hash, "model": config.model_id,
-                        "dimension": dim.name, "replication": rep,
-                        "score": score, "timestamp": 0,
-                    })
-            values.append(post_values)
-            means[pid] = post_means
-            children.setdefault(parent, []).append(i)
-            non_root.append(i)
+                post_reps.append(reps)
+            means[pid] = dict(zip(_DIM_NAMES, post_means))
+            if replications is not None:
+                replications.append(
+                    (posts[parent].text, posts[i].text, tuple(post_reps)))
 
-        for i in range(n_posts):
-            posts.append(Post(
-                post_id=ids[i], discussion_id=did,
-                parent_id=None if parent_of[i] < 0 else ids[parent_of[i]],
-                author=f"u{int(authors[i]):02d}",
-                timestamp=int(timestamps[i]), text=texts[i]))
+        posts_by_discussion[did] = posts
+        posts_by_id.update((post.post_id, post) for post in posts)
 
-    discussions = {}
-    posts_by_id = {}
-    by_discussion: dict[str, list[Post]] = {}
-    for post in posts:
-        by_discussion.setdefault(post.discussion_id, []).append(post)
-        posts_by_id[post.post_id] = post
-    for did in sorted(by_discussion):
-        discussions[did] = build_tree(by_discussion[did])
-    corpus = Corpus(discussions=discussions, posts=posts_by_id)
-    return SynthResult(corpus=corpus, means=means, cache_records=records,
-                       truncations=truncations)
+    discussions = {did: build_tree(posts_by_discussion[did])
+                   for did in sorted(posts_by_discussion)}
+    return SynthResult(corpus=Corpus(discussions=discussions, posts=posts_by_id),
+                       means=means, truncations=truncations,
+                       replications=replications, config=config)
 
 
 def write_cache_records(records: list[dict], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for record in records:
-            fh.write(json.dumps(record) + "\n")
+        fh.writelines(cache_line(**record) for record in records)
 
 
 # --- coefficient recovery ---------------------------------------------------------

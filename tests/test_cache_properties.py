@@ -7,6 +7,7 @@ torn final lines, non-object JSON, records with missing fields,
 non-integer replications and scores, two model ids and duplicate keys
 with different scores, and both loaders must agree on the scores, the
 malformed-line warnings, the torn-tail flag and every model's index.
+The cache line writer is checked against ``json.dumps`` of the record.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadtone.annotate import AnnotationCache
+from threadtone.annotate import AnnotationCache, CacheKey, cache_line
 from threadtone.errors import AmbiguousModel
 
 
@@ -168,3 +169,27 @@ def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
     assert cache._scores == {("p", "m", "d", 0): 1}
     assert [r.getMessage() for r in caplog.records] == [
         f"ignoring malformed cache line {n} in {path}" for n in (1, 2)]
+
+
+line_strings = st.one_of(
+    st.sampled_from(['m"q', "back\\slash", "new\nline", "modèle", "\u2028",
+                     "\U0001f600", "\x00\x1f\x7f", ""]),
+    st.text())
+
+
+@settings(max_examples=300, deadline=None)
+@given(line_strings, line_strings, line_strings, st.integers(), st.integers(),
+       st.integers())
+def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
+                                       replication, score, timestamp):
+    record = {"pair_hash": pair_hash, "model": model, "dimension": dimension,
+              "replication": replication, "score": score,
+              "timestamp": timestamp}
+    expected = json.dumps(record) + "\n"
+    assert cache_line(**record) == expected
+    with tempfile.TemporaryDirectory() as tmp:
+        cache = AnnotationCache(Path(tmp) / "cache.jsonl")
+        cache.put(CacheKey(pair_hash, model, dimension, replication), score,
+                  timestamp)
+        cache.close()
+        assert cache.path.read_text(encoding="utf-8") == expected

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -14,6 +15,7 @@ from threadtone.synth import SynthConfig, generate_corpus, write_cache_records
 
 BUNDLED_CORPUS = (Path(__file__).resolve().parent.parent / "data"
                   / "synthetic_corpus.jsonl")
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(*args, **kwargs):
@@ -154,6 +156,35 @@ def test_strict_features_on_an_incomplete_cache_exits_with_annotation_code(
     assert "MissingAnnotation" not in proc.stderr  # no traceback
     assert "annotation failed" in proc.stderr
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ("annotate", "pipeline"))
+@pytest.mark.parametrize("flag, value, message", (
+    ("--concurrency", "0", "--concurrency must be >= 1"),
+    ("--concurrency", "-2", "--concurrency must be >= 1"),
+    ("--max-retries", "-1", "--max-retries must be >= 0"),
+))
+def test_bad_backend_limits_are_usage_errors(tmp_path, command, flag, value,
+                                             message):
+    cache = tmp_path / "cache.jsonl"
+    out = ("--output-dir", str(tmp_path / "out")) if command == "pipeline" else ()
+    proc = run_cli(command, "--corpus", str(BUNDLED_CORPUS), "--cache",
+                   str(cache), *out, "--backend-url", "http://127.0.0.1:9",
+                   flag, value)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert f"threadtone: error: {message}" in proc.stderr
+    assert not cache.exists() and not (tmp_path / "out").exists()
+
+
+def test_package_runs_as_a_module():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run([sys.executable, "-m", "threadtone", "--help"],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage: threadtone")
+    assert "pipeline" in proc.stdout
 
 
 @pytest.mark.parametrize("scale", (("--scale-min", "1"),
