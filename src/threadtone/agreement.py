@@ -78,7 +78,7 @@ def krippendorff_alpha_interval(matrix: RatingsMatrix) -> ScalarResult:
     d_exp = (2.0 * n * total_sq - 2.0 * total ** 2) / (n * (n - 1))
     if d_exp == 0.0:
         return ScalarResult(1.0, degenerate=True)
-    return ScalarResult(1.0 - d_obs / d_exp)
+    return ScalarResult(float(1.0 - d_obs / d_exp))
 
 
 def fleiss_kappa(matrix: RatingsMatrix,
@@ -101,7 +101,7 @@ def fleiss_kappa(matrix: RatingsMatrix,
     p_exp = float((p_cat ** 2).sum())
     if p_exp >= 1.0:
         return ScalarResult(1.0, degenerate=True)
-    return ScalarResult((p_bar - p_exp) / (1.0 - p_exp))
+    return ScalarResult(float((p_bar - p_exp) / (1.0 - p_exp)))
 
 
 @dataclass(frozen=True)

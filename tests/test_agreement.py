@@ -1,4 +1,6 @@
+import csv
 import itertools
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -19,6 +21,7 @@ from threadtone.agreement import (
 )
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import DegenerateData
+from threadtone.report import PipelineOptions, run_pipeline
 
 SCALE = AnnotationScale()
 
@@ -385,6 +388,20 @@ def test_agreement_report_and_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0].split(",") == AGREEMENT_CSV_HEADER
     assert len(lines) == 4
+
+
+def test_bundled_corpus_agreement_csv_cells_are_numbers(tmp_path):
+    corpus = Path(__file__).resolve().parent.parent / "data" / "synthetic_corpus.jsonl"
+    out = tmp_path / "bundle"
+    assert run_pipeline(corpus, tmp_path / "cache.jsonl", out,
+                        PipelineOptions(mock=True, seed=7)) == 0
+    with open(out / "agreement.csv", newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert header == AGREEMENT_CSV_HEADER
+    assert [row[0] for row in rows] == [d.name for d in DIMENSIONS]
+    for row in rows:
+        for cell in row[1:]:
+            float(cell)  # e.g. not "np.float64(-0.0014...)"
 
 
 def test_agreement_report_common_item_set():
