@@ -96,27 +96,30 @@ class SynthConfig:
 
 @dataclass
 class SynthResult:
-    """A generated corpus and its post-level means. ``replications`` keeps
-    each reply's integer scores as (parent text, child text, one replication
-    list per dimension) in generation order, or None in continuous mode."""
+    """A generated corpus and its post-level means. ``replication_scores``
+    holds every reply's integer scores, flat, in the order of
+    ``corpus.posts`` (reply, then dimension, then replication), or None in
+    continuous mode."""
     corpus: Corpus
     means: dict[str, dict[str, float]]
     truncations: int
-    replications: list[tuple[str, str, tuple[list[int], ...]]] | None
+    replication_scores: list[int] | None
     config: SynthConfig
 
     @property
     def cache_records(self) -> list[dict] | None:
         """Annotation-cache records, built on each access; None if continuous."""
-        if self.replications is None:
+        if self.replication_scores is None:
             return None
         scale, model = self.config.scale, self.config.model_id
+        posts, scores = self.corpus.posts, iter(self.replication_scores)
         return [{"pair_hash": pair_hash, "model": model, "dimension": name,
-                 "replication": rep, "score": score, "timestamp": 0}
-                for parent_text, child_text, scores in self.replications
-                for pair_hash in (pair_content_hash(parent_text, child_text, scale),)
-                for name, reps in zip(_DIM_NAMES, scores)
-                for rep, score in enumerate(reps)]
+                 "replication": rep, "score": next(scores), "timestamp": 0}
+                for post in posts.values() if post.parent_id is not None
+                for pair_hash in (pair_content_hash(
+                    posts[post.parent_id].text, post.text, scale),)
+                for name in _DIM_NAMES
+                for rep in range(self.config.replications)]
 
 
 _DIM_NAMES = tuple(d.name for d in DIMENSIONS)
@@ -139,7 +142,7 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
     posts_by_discussion: dict[str, list[Post]] = {}
     posts_by_id: dict[str, Post] = {}
     means: dict[str, dict[str, float]] = {}
-    replications: list | None = None if config.continuous else []
+    scores: list[int] | None = None if config.continuous else []
     truncations = 0
 
     for d in range(config.n_discussions):
@@ -185,7 +188,7 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
             dt_parent = (timestamps[i] - timestamps[parent]) / 3600.0
             n_older = sib_counts[parent]
             sib_counts[parent] += 1
-            post_means, post_reps = [], []
+            post_means = []
             for m, (vals, sums, beta) in enumerate(zip(values, sib_sums, betas)):
                 cov = (dt_prev, dt_parent, vals[parent] if parent else None,
                        sums[parent] / n_older if n_older else None,
@@ -227,11 +230,8 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
                         hi += 1
                     reps[lo] -= 1
                     reps[hi] += 1
-                post_reps.append(reps)
+                scores.extend(reps)
             means[pid] = dict(zip(_DIM_NAMES, post_means))
-            if replications is not None:
-                replications.append(
-                    (posts[parent].text, posts[i].text, tuple(post_reps)))
 
         posts_by_discussion[did] = posts
         posts_by_id.update((post.post_id, post) for post in posts)
@@ -240,7 +240,7 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
                    for did in sorted(posts_by_discussion)}
     return SynthResult(corpus=Corpus(discussions=discussions, posts=posts_by_id),
                        means=means, truncations=truncations,
-                       replications=replications, config=config)
+                       replication_scores=scores, config=config)
 
 
 def write_cache_records(records: list[dict], path: str | Path) -> None:

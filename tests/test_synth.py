@@ -5,6 +5,7 @@ import pytest
 
 from threadtone.annotate import AnnotationCache, load_annotation_means
 from threadtone.corpus import serialize_corpus
+from threadtone import synth
 from threadtone.features import compute_feature_table
 from threadtone.synth import (
     SynthConfig,
@@ -116,6 +117,17 @@ def test_recovery_zero_bias_noiseless():
     for result in report.results:
         assert abs(result.bias) < 1e-8
         assert result.coverage == 1.0
+
+
+def test_recovery_never_builds_cache_records(monkeypatch):
+    def no_hashing(*args):
+        raise AssertionError("recovery_experiment hashed a pair")
+
+    monkeypatch.setattr(synth, "pair_content_hash", no_hashing)
+    report = recovery_experiment(small_config(), n_runs=2)
+    assert report.n_failed == 0
+    with pytest.raises(AssertionError, match="hashed a pair"):
+        generate_corpus(small_config()).cache_records
 
 
 def test_recovery_m1_small_slope_unbiased():
