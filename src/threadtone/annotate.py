@@ -9,6 +9,10 @@ model id, dimension, replication). A fully cached pair builds no prompt and
 makes no request; a replication missing a dimension is requested again,
 and its cached dimensions keep their stored scores. A deterministic offline
 mock backend stands in for the live service in tests and pipelines.
+
+The HTTP backend reads proxy and CA bundle settings from the environment
+once, when it is built. It never reads ``~/.netrc``: its only credential is
+the bearer token in the environment variable named by ``--api-key-env``.
 """
 
 from __future__ import annotations
@@ -189,12 +193,21 @@ class AnnotationCache:
         # keys share one string object per distinct pair hash, model and
         # dimension, where json.loads makes a new one on each of the 12 lines
         share = {}.setdefault
+        # one call decodes a well-formed line; any other line (blank, padded,
+        # extra data, torn) takes the json.loads path and its warnings
+        raw_decode = json.JSONDecoder().raw_decode
         with open(self.path, "r", encoding="utf-8") as fh:
             for line_no, line in enumerate(fh, start=1):
-                if not line.strip():
+                try:
+                    rec, end = raw_decode(line)
+                    whole = line[end:] == "\n"
+                except ValueError:  # json.JSONDecodeError
+                    whole = False
+                if not whole and not line.strip():
                     continue
                 try:
-                    rec = json.loads(line)
+                    if not whole:
+                        rec = json.loads(line)
                     pair, model, dim = rec["pair_hash"], rec["model"], rec["dimension"]
                     scores[share(pair, pair), share(model, model), share(dim, dim),
                            int(rec["replication"])] = int(rec["score"])
@@ -293,6 +306,11 @@ class HttpBackend:
     must be a JSON object whose "output_text" field carries the assistant
     text. The bearer token is read from the configured environment variable
     and never logged.
+
+    Proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) and
+    CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) settings are read
+    from the environment once, for the configured URL, when the backend is
+    built; ``requests`` would otherwise re-read them on every request.
     """
 
     def __init__(self, config: BackendConfig):
@@ -301,6 +319,9 @@ class HttpBackend:
         self.calls = 0
         self._calls_lock = threading.Lock()
         self._session = requests.Session()
+        self._send_settings = self._session.merge_environment_settings(
+            config.url, {}, None, None, None)
+        self._session.trust_env = False
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
         token = os.environ.get(self.config.api_key_env)
@@ -320,7 +341,8 @@ class HttpBackend:
         try:
             response = self._session.post(
                 self.config.url, json=body, timeout=self.config.timeout,
-                headers={"Authorization": f"Bearer {token}"})
+                headers={"Authorization": f"Bearer {token}"},
+                **self._send_settings)
         except requests.RequestException as exc:
             raise BackendError(f"request failed: {exc}") from None
         if response.status_code != 200:

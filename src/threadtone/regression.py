@@ -21,7 +21,7 @@ from statistics import NormalDist
 from typing import Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special as scipy_special
 
 from .dimensions import DIMENSIONS
 from .errors import EmptySample, InsufficientSample, SingularDesign, StatsError
@@ -134,7 +134,7 @@ def p_value(estimate: float, se: float, n_clusters: int,
         if df < 1:
             raise InsufficientSample(
                 "need at least 2 clusters for t-based p-values")
-        return float(2.0 * scipy_stats.t.sf(abs(t), df))
+        return float(2.0 * scipy_special.stdtr(df, -abs(t)))
     raise ValueError(f"unknown reference distribution {dist!r}")
 
 

@@ -19,7 +19,7 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
-from scipy import stats as scipy_stats
+from scipy import special as scipy_special
 
 from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
 from .corpus import Corpus, Post, build_tree
@@ -296,7 +296,7 @@ def recovery_experiment(config: SynthConfig, n_runs: int,
                 log.warning("run %d (%s): %s", run, dim_name, exc)
                 n_failed += 1
                 continue
-            crit = scipy_stats.t.ppf((1 + confidence) / 2, table.n_clusters - 1)
+            crit = scipy_special.stdtrit(table.n_clusters - 1, (1 + confidence) / 2)
             for t_idx, term in enumerate(table.terms):
                 key = (dim_name, term.term)
                 estimates.setdefault(key, []).append(term.estimate)

@@ -426,8 +426,8 @@ class StubHandler(BaseHTTPRequestHandler):
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        type(self).seen.append(
-            {"body": body, "auth": self.headers.get("Authorization")})
+        type(self).seen.append({"body": body, "path": self.path,
+                                "auth": self.headers.get("Authorization")})
         if type(self).fail_times > 0:
             type(self).fail_times -= 1
             self.send_response(500)
@@ -444,8 +444,17 @@ class StubHandler(BaseHTTPRequestHandler):
         pass
 
 
+PROXY_VARIABLES = ("HTTP_PROXY", "HTTPS_PROXY", "ALL_PROXY", "NO_PROXY")
+
+
 @pytest.fixture
-def stub_server():
+def stub_server(monkeypatch, tmp_path):
+    # the developer's proxies and netrc must not reach these requests
+    for name in PROXY_VARIABLES:
+        monkeypatch.delenv(name, raising=False)
+        monkeypatch.delenv(name.lower(), raising=False)
+    monkeypatch.delenv("NETRC", raising=False)
+    monkeypatch.setenv("HOME", str(tmp_path))
     StubHandler.seen = []
     StubHandler.fail_times = 0
     server = HTTPServer(("127.0.0.1", 0), StubHandler)
@@ -496,3 +505,58 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch, tmp_path
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=1)
     assert records["disagree_vs_agree"].raw_scores == (1,)
+
+
+def test_netrc_never_replaces_the_bearer_token(stub_server, monkeypatch,
+                                               tmp_path):
+    (tmp_path / ".netrc").write_text(  # HOME is tmp_path
+        "machine 127.0.0.1 login alice password hunter2\n")
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "sekrit")
+    backend = HttpBackend(BackendConfig(
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen[0]["auth"] == "Bearer sekrit"
+
+
+def test_environment_proxy_receives_the_absolute_form_target(stub_server,
+                                                             monkeypatch):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    monkeypatch.setenv("HTTP_PROXY", stub_server)
+    backend = HttpBackend(BackendConfig(
+        url="http://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
+        model="m"))
+    assert parse_annotation_json(backend.complete(build_prompt("p", "c"), 0))
+    # only the proxy is contacted, so backend.invalid is never resolved
+    assert StubHandler.seen[0]["path"] == "http://backend.invalid/v1"
+    assert StubHandler.seen[0]["auth"] == "Bearer k"
+
+
+@pytest.mark.parametrize("no_proxy, path", [
+    (None, "{url}/v1"),
+    (("NO_PROXY", "127.0.0.1"), "/v1"),
+    (("no_proxy", "127.0.0.1"), "/v1"),
+    (("NO_PROXY", "example.org"), "{url}/v1"),
+])
+def test_no_proxy_bypasses_the_environment_proxy(stub_server, monkeypatch,
+                                                 no_proxy, path):
+    # the stub serves both roles: an absolute-form path means the request
+    # went through it as a proxy, an origin-form path that it went direct
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    monkeypatch.setenv("HTTP_PROXY", stub_server)
+    if no_proxy is not None:
+        monkeypatch.setenv(*no_proxy)
+    backend = HttpBackend(BackendConfig(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen[0]["path"] == path.format(url=stub_server)
+
+
+def test_proxy_settings_are_read_when_the_backend_is_built(stub_server,
+                                                           monkeypatch):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    monkeypatch.setenv("HTTP_PROXY", stub_server)
+    backend = HttpBackend(BackendConfig(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    monkeypatch.delenv("HTTP_PROXY")
+    backend.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen[0]["path"] == f"{stub_server}/v1"  # via the proxy

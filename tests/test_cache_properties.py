@@ -4,8 +4,10 @@
 its keys became plain tuples: a frozen-dataclass key per line and
 ``json.loads`` per line. Hypothesis writes JSONL files with blank lines,
 torn final lines, non-object JSON, records with missing fields,
-non-integer replications and scores, two model ids and duplicate keys
-with different scores, and both loaders must agree on the scores, the
+non-integer replications and scores, two model ids, duplicate keys
+with different scores, and records padded with whitespace, followed by
+extra data or led by a byte order mark (which the loader must not decode
+in one call), and both loaders must agree on the scores, the
 malformed-line warnings, the torn-tail flag and every model's index.
 The cache line writer is checked against ``json.dumps`` of the record.
 """
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from threadtone.annotate import AnnotationCache, CacheKey, cache_line
@@ -91,9 +93,23 @@ _records = st.fixed_dictionaries({
     lambda dropped: json.dumps({k: v for k, v in rec.items()
                                 if k not in dropped})))
 
-_other_lines = st.sampled_from([
+_RECORD = json.dumps({"pair_hash": "p1", "model": "model-a",
+                      "dimension": "emotional_vs_factual", "replication": 1,
+                      "score": 2, "timestamp": 0})
+
+# the loader decodes a line in one call only when the record ends exactly
+# at its "\n"; these lines must take the json.loads path instead
+_fallback_lines = st.sampled_from([
+    " " + _RECORD,  # leading space: a valid record
+    _RECORD + "  ",  # trailing spaces: a valid record
+    _RECORD + "x",  # one stray character: malformed, or a torn last line
+    _RECORD + _RECORD,  # two records on one line: malformed
+    "\ufeff" + _RECORD,  # byte order mark: malformed
+])
+
+_other_lines = st.one_of(st.sampled_from([
     "", "   ", "\t", "[1, 2]", "3", '"text"', "null", "{not json",
-    '{"pair_hash": "p0"', "}"])
+    '{"pair_hash": "p0"', "}"]), _fallback_lines)
 
 _lines = st.lists(st.one_of(_records, _records, _records, _other_lines),
                   max_size=40)
@@ -121,6 +137,7 @@ class _Collect(logging.Handler):
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cache_text())
+@example(_RECORD + "\n" + _RECORD + "x")  # torn tail: one stray character
 def test_loader_matches_the_dataclass_oracle(text):
     handler = _Collect()
     logger = logging.getLogger("threadtone.annotate")

@@ -177,14 +177,26 @@ def test_bad_backend_limits_are_usage_errors(tmp_path, command, flag, value,
     assert not cache.exists() and not (tmp_path / "out").exists()
 
 
-def test_package_runs_as_a_module():
+def run_python(*args):
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-m", "threadtone", "--help"],
-                          capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def test_package_runs_as_a_module():
+    proc = run_python("-m", "threadtone", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage: threadtone")
     assert "pipeline" in proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs about a second of start-up; scipy.special suffices
+    proc = run_python("-c", "import sys, threadtone.cli; "
+                      "print('scipy.stats' in sys.modules)")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
 
 
 @pytest.mark.parametrize("scale", (("--scale-min", "1"),
