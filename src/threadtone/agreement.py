@@ -19,12 +19,14 @@ import csv
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import DegenerateData
+
+_NAMES = tuple(d.name for d in DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -176,19 +178,15 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def correlation_report(means_by_post: Mapping[str, Mapping[str, float]],
-                       dimensions: Iterable = DIMENSIONS) -> np.ndarray:
+def correlation_report(means_by_post: Mapping[str, Mapping[str, float]]) -> np.ndarray:
     """Pairwise Spearman correlations of post-level means, over posts with
     all dimensions present. Symmetric with unit diagonal."""
-    dims = [d.name for d in dimensions]
     posts = sorted(pid for pid, vals in means_by_post.items()
-                   if all(name in vals for name in dims))
-    series = {name: [means_by_post[pid][name] for pid in posts] for name in dims}
-    k = len(dims)
-    out = np.eye(k)
-    for i, j in combinations(range(k), 2):
-        rho = spearman_rho(series[dims[i]], series[dims[j]])
-        out[i, j] = out[j, i] = rho
+                   if all(name in vals for name in _NAMES))
+    series = [[means_by_post[pid][name] for pid in posts] for name in _NAMES]
+    out = np.eye(len(_NAMES))
+    for i, j in combinations(range(len(_NAMES)), 2):
+        out[i, j] = out[j, i] = spearman_rho(series[i], series[j])
     return out
 
 
@@ -270,26 +268,22 @@ def write_agreement_csv(report: list[DimensionAgreement], path: str | Path) -> N
             ])
 
 
-def write_correlation_csv(matrix: np.ndarray, path: str | Path,
-                          dimensions: Iterable = DIMENSIONS) -> None:
-    names = [d.name for d in dimensions]
+def write_correlation_csv(matrix: np.ndarray, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dimension"] + names)
-        for i, name in enumerate(names):
+        writer.writerow(["dimension", *_NAMES])
+        for i, name in enumerate(_NAMES):
             writer.writerow([name] + [repr(float(v)) for v in matrix[i]])
 
 
-def render_correlations(matrix: np.ndarray,
-                        dimensions: Iterable = DIMENSIONS) -> str:
+def render_correlations(matrix: np.ndarray) -> str:
     """Two-decimal text rendering of the Spearman matrix."""
-    names = [d.name for d in dimensions]
-    width = max(len(n) for n in names)
+    width = max(len(n) for n in _NAMES)
     lines = ["pairwise Spearman correlations of post-level means"]
-    header = " " * (width + 2) + "  ".join(n.rjust(width) for n in names)
+    header = " " * (width + 2) + "  ".join(n.rjust(width) for n in _NAMES)
     lines.append(header)
-    for i, name in enumerate(names):
+    for i, name in enumerate(_NAMES):
         cells = "  ".join(f"{matrix[i, j]:.2f}".rjust(width)
-                          for j in range(len(names)))
+                          for j in range(len(_NAMES)))
         lines.append(f"{name.ljust(width)}  {cells}")
     return "\n".join(lines) + "\n"

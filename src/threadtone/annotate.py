@@ -26,12 +26,12 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Protocol
+from typing import NamedTuple, Protocol
 
 import requests
 
 from .corpus import Corpus, Post
-from .dimensions import DIMENSIONS, AnnotationScale, Dimension
+from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
     AmbiguousModel,
     AnnotationFailed,
@@ -70,39 +70,24 @@ _SYSTEM_HEADER = (
 _SYSTEM_FOOTER = (
     "\nRespond with a single JSON object and nothing else: no explanation, "
     "no reasoning, no text before or after the object. The object must have "
-    "exactly these keys, each mapped to an integer score: {keys}."
+    "exactly these keys, each mapped to an integer score: "
+    + ", ".join(f'"{d.name}"' for d in DIMENSIONS) + "."
 )
 
 
-def default_definitions(scale: AnnotationScale,
-                        dimensions: Iterable[Dimension] = DIMENSIONS) -> dict[str, str]:
-    """Paraphrased per-dimension instructions (the operator may override
-    them with the original codebook text via configuration)."""
-    return {
-        d.name: (f"negative values mean the child post is more "
-                 f"{d.negative_pole} toward the parent, positive values "
-                 f"mean it is more {d.positive_pole}")
-        for d in dimensions
-    }
-
-
 def build_prompt(parent_text: str, child_text: str,
-                 dimensions: Iterable[Dimension] = DIMENSIONS,
-                 scale: AnnotationScale = AnnotationScale(),
-                 definitions: Mapping[str, str] | None = None) -> Prompt:
+                 scale: AnnotationScale = AnnotationScale()) -> Prompt:
     """Deterministic system+user prompt; both scale bounds appear exactly
     once per dimension and user texts never leak into the system message."""
     if not parent_text.strip() or not child_text.strip():
         raise EmptyText("parent and child texts must be non-empty")
-    dimensions = tuple(dimensions)
-    if definitions is None:
-        definitions = default_definitions(scale, dimensions)
     lines = []
-    for d in dimensions:
+    for d in DIMENSIONS:
         lines.append(f"- {d.name} (integer from {scale.min:+d} to "
-                     f"{scale.max:+d}): {definitions[d.name]}.")
-    keys = ", ".join(f'"{d.name}"' for d in dimensions)
-    system = _SYSTEM_HEADER + "\n".join(lines) + _SYSTEM_FOOTER.format(keys=keys)
+                     f"{scale.max:+d}): negative values mean the child post "
+                     f"is more {d.negative_pole} toward the parent, positive "
+                     f"values mean it is more {d.positive_pole}.")
+    system = _SYSTEM_HEADER + "\n".join(lines) + _SYSTEM_FOOTER
     user = (f"PARENT POST:\n<<<\n{parent_text}\n>>>\n\n"
             f"CHILD POST (score this one):\n<<<\n{child_text}\n>>>")
     return Prompt(system=system, user=user,
@@ -112,7 +97,6 @@ def build_prompt(parent_text: str, child_text: str,
 # --- strict response parsing ----------------------------------------------------
 
 def parse_annotation_json(text: str,
-                          dimensions: Iterable[Dimension] = DIMENSIONS,
                           scale: AnnotationScale = AnnotationScale()) -> dict[str, int]:
     """Parse a backend response into one integer per dimension.
 
@@ -125,7 +109,7 @@ def parse_annotation_json(text: str,
         raise NotJson(f"not a single JSON document: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise NotJson(f"expected a JSON object, got {type(obj).__name__}")
-    expected = [d.name for d in dimensions]
+    expected = [d.name for d in DIMENSIONS]
     missing = [k for k in expected if k not in obj]
     if missing:
         raise MissingKey(f"missing keys {missing}")
@@ -373,11 +357,9 @@ class MockBackend:
     """Offline deterministic backend emitting valid JSON responses."""
 
     def __init__(self, seed: int = 0, scale: AnnotationScale = AnnotationScale(),
-                 dimensions: Iterable[Dimension] = DIMENSIONS,
                  model: str = MOCK_MODEL_ID):
         self.seed = seed
         self.scale = scale
-        self.dimensions = tuple(dimensions)
         self.model = model
         self.calls = 0
         self._calls_lock = threading.Lock()
@@ -389,29 +371,21 @@ class MockBackend:
             d.name: mock_annotate(prompt.parent_text, prompt.child_text,
                                   d.name, replication_index, self.seed,
                                   self.scale)
-            for d in self.dimensions
+            for d in DIMENSIONS
         }
         return json.dumps(scores)
 
 
 # --- annotation driver -------------------------------------------------------------
 
-@dataclass(frozen=True)
-class AnnotationRecord:
-    pair_id: str
-    dimension: str
-    raw_scores: tuple[int, ...]
-    mean: float
-
-
 def annotate_pair(parent: Post, child: Post, backend: Backend,
                   cache: AnnotationCache,
                   scale: AnnotationScale = AnnotationScale(),
-                  dimensions: Iterable[Dimension] = DIMENSIONS,
                   n_replications: int = 4,
                   max_retries: int = 3,
-                  cache_timestamp: int = 0) -> dict[str, AnnotationRecord]:
-    """Score one parent-child pair, cache-first.
+                  cache_timestamp: int = 0) -> dict[str, tuple[int, ...]]:
+    """Score one parent-child pair, cache-first: dimension ->
+    replication-ordered scores.
 
     Each (dimension, replication) score is looked up once. Only a
     replication that misses a dimension builds the prompt and is requested,
@@ -421,23 +395,22 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
     """
     if not parent.text.strip() or not child.text.strip():
         raise EmptyText("parent and child texts must be non-empty")
-    dimensions = tuple(dimensions)
     pair_hash = pair_content_hash(parent.text, child.text, scale)
     model = backend.model
     scores = {d.name: [cache.get((pair_hash, model, d.name, rep))
                        for rep in range(n_replications)]
-              for d in dimensions}
+              for d in DIMENSIONS}
     missing = [rep for rep, row in enumerate(zip(*scores.values()))
                if None in row]  # row: one replication's scores
     if missing:
-        prompt = build_prompt(parent.text, child.text, dimensions, scale)
+        prompt = build_prompt(parent.text, child.text, scale)
     for rep in missing:
         last_error: Exception | None = None
         fresh = None
         for _attempt in range(max_retries + 1):
             try:
                 text = backend.complete(prompt, rep)
-                fresh = parse_annotation_json(text, dimensions, scale)
+                fresh = parse_annotation_json(text, scale)
                 break
             except (AnnotationParseError, BackendError) as exc:
                 last_error = exc
@@ -450,21 +423,17 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
                 reps[rep] = fresh[name]
                 cache.put(CacheKey(pair_hash, model, name, rep), reps[rep],
                           cache_timestamp)
-    return {name: AnnotationRecord(pair_id=child.post_id, dimension=name,
-                                   raw_scores=tuple(reps),
-                                   mean=sum(reps) / len(reps))
-            for name, reps in scores.items()}
+    return {name: tuple(reps) for name, reps in scores.items()}
 
 
 def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                     scale: AnnotationScale = AnnotationScale(),
-                    dimensions: Iterable[Dimension] = DIMENSIONS,
                     n_replications: int = 4, max_retries: int = 3,
                     concurrency: int = 1,
-                    cache_timestamp: int = 0) -> dict[str, dict[str, AnnotationRecord]]:
+                    cache_timestamp: int = 0) -> dict[str, dict[str, tuple[int, ...]]]:
     """Annotate every non-root post against its parent.
 
-    Returns post_id -> dimension -> AnnotationRecord. Pairs are independent,
+    Returns post_id -> dimension -> replication-ordered scores. Pairs are independent,
     so up to ``concurrency`` (pair x replication-set) requests run in
     flight at once.
     """
@@ -473,12 +442,11 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
              for post in corpus.posts_of(discussion_id)
              if post.parent_id is not None]
 
-    def work(pair: tuple[Post, Post]) -> tuple[str, dict[str, AnnotationRecord]]:
+    def work(pair: tuple[Post, Post]) -> tuple[str, dict[str, tuple[int, ...]]]:
         parent, child = pair
-        records = annotate_pair(parent, child, backend, cache, scale,
-                                dimensions, n_replications, max_retries,
-                                cache_timestamp)
-        return child.post_id, records
+        return child.post_id, annotate_pair(parent, child, backend, cache,
+                                            scale, n_replications,
+                                            max_retries, cache_timestamp)
 
     if concurrency <= 1:
         return dict(map(work, pairs))
@@ -488,14 +456,13 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
 
 def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
                           scale: AnnotationScale = AnnotationScale(),
-                          n_replications: int = 4,
-                          model: str | None = None) -> dict[str, dict[str, float]]:
+                          n_replications: int = 4) -> dict[str, dict[str, float]]:
     """Join cached scores back onto posts via content hashes.
 
     Posts lacking a complete replication set on a dimension are omitted for
-    that dimension. ``model=None`` uses the cache's only model id.
+    that dimension. The cache must hold one model id (AmbiguousModel).
     """
-    by_pair = cache.index_by_pair(n_replications, model=model)
+    by_pair = cache.index_by_pair(n_replications)
     means: dict[str, dict[str, float]] = {}
     for discussion_id in corpus.discussion_ids():
         for post in corpus.posts_of(discussion_id):

@@ -233,7 +233,6 @@ class TermEstimate:
     estimate: float
     std_error: float
     p_value: float
-    stars: str
 
 
 @dataclass(frozen=True)
@@ -287,8 +286,7 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
                      residuals=residuals, vcov=vcov, cluster_ids=clusters)
 
 
-def table_from_fit(fit: FitResult, pvalue_dist: str = "t",
-                   star_scheme: str = "default") -> RegressionTable:
+def table_from_fit(fit: FitResult, pvalue_dist: str = "t") -> RegressionTable:
     ses = np.sqrt(np.maximum(np.diag(fit.vcov), 0.0))
     n_clusters = fit.n_clusters
     names = ("intercept",) + fit.spec.terms
@@ -299,12 +297,9 @@ def table_from_fit(fit: FitResult, pvalue_dist: str = "t",
             std_error=float(ses[j]),
             p_value=p_value(float(fit.beta[j]), float(ses[j]), n_clusters,
                             dist=pvalue_dist),
-            stars="",
         )
         for j, name in enumerate(names)
     )
-    terms = tuple(replace(t, stars=stars_for(t.p_value, star_scheme))
-                  for t in terms)
     sst = float(((fit.y - fit.y.mean()) ** 2).sum())
     ssr = float((fit.residuals ** 2).sum())
     r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
@@ -315,16 +310,15 @@ def table_from_fit(fit: FitResult, pvalue_dist: str = "t",
 
 def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,
               cr_correction: bool = False, pvalue_dist: str = "t",
-              star_scheme: str = "default") -> RegressionTable:
+              ) -> RegressionTable:
     """Fit one model for one dimension with discussion-clustered SEs."""
     fit = fit_model(spec, features, dimension, cr_correction=cr_correction)
-    return table_from_fit(fit, pvalue_dist=pvalue_dist, star_scheme=star_scheme)
+    return table_from_fit(fit, pvalue_dist=pvalue_dist)
 
 
 def run_all(features: FeatureTable,
             grid: Sequence[tuple[str, str]] = DEFAULT_GRID,
             cr_correction: bool = False, pvalue_dist: str = "t",
-            star_scheme: str = "default",
             m6_relax_sibling_filter: bool = False,
             ) -> tuple[list[RegressionTable], dict[str, str]]:
     """Fit every (model id, dimension) of ``grid`` in order. Per-model
@@ -336,8 +330,7 @@ def run_all(features: FeatureTable,
         try:
             tables.append(run_model(spec, features, dim_name,
                                     cr_correction=cr_correction,
-                                    pvalue_dist=pvalue_dist,
-                                    star_scheme=star_scheme))
+                                    pvalue_dist=pvalue_dist))
         except StatsError as exc:
             errors[f"{model_id}/{dim_name}"] = str(exc)
     return tables, errors

@@ -195,7 +195,7 @@ class PipelineOptions:
 def annotate_stage(corpus: Corpus, cache_path: str | Path,
                    options: PipelineOptions) -> tuple[dict, int]:
     """Annotate every reply, cache-first. Returns post_id -> dimension ->
-    AnnotationRecord and the number of backend calls; raises
+    replication-ordered scores and the number of backend calls; raises
     AnnotationError, also when no backend is configured."""
     if options.mock:
         backend = MockBackend(seed=options.seed, scale=options.scale,
@@ -255,7 +255,7 @@ def write_regression(features: FeatureTable, options: PipelineOptions,
     regression_summary.json; per-model failures are logged and collected."""
     tables, errors = run_all(
         features, grid, cr_correction=options.cr_correction,
-        pvalue_dist=options.pvalue_dist, star_scheme=options.star_scheme,
+        pvalue_dist=options.pvalue_dist,
         m6_relax_sibling_filter=options.m6_relax_sibling_filter)
     for key, message in errors.items():
         log.warning("%s not fitted: %s", key, message)
@@ -310,7 +310,7 @@ def annotation_content_hash(records: dict[str, dict]) -> str:
     lines = []
     for post_id in sorted(records):
         for dim_name in sorted(records[post_id]):
-            scores = records[post_id][dim_name].raw_scores
+            scores = records[post_id][dim_name]
             lines.append(f"{post_id}|{dim_name}|{','.join(map(str, scores))}")
     h = hashlib.sha256()
     for line in sorted(lines):
@@ -380,16 +380,15 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
              len(records), calls)
 
     # stage 3: features
-    means = {post_id: {name: rec.mean for name, rec in dims.items()}
+    means = {post_id: {name: sum(scores) / len(scores)
+                       for name, scores in dims.items()}
              for post_id, dims in records.items()}
     features = compute_feature_table(corpus, means, strict=False,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, output_dir / "features.csv")
 
     # stage 4: agreement (items keyed by post id) + correlations
-    write_agreement({post_id: {name: rec.raw_scores for name, rec in dims.items()}
-                     for post_id, dims in records.items()},
-                    options, output_dir / "agreement.csv")
+    write_agreement(records, options, output_dir / "agreement.csv")
     write_correlations(means, output_dir)
 
     # stage 5: regress

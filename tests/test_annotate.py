@@ -181,9 +181,9 @@ def test_annotate_pair_means(tmp_path):
     backend = ScriptedBackend(responses)
     cache = AnnotationCache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache)
-    assert records["disagree_vs_agree"].raw_scores == (-3, -3, -2, -3)
-    assert records["disagree_vs_agree"].mean == pytest.approx(-2.75)
-    assert records["disagree_vs_agree"].pair_id == "C"
+    scores = records["disagree_vs_agree"]
+    assert scores == (-3, -3, -2, -3)
+    assert sum(scores) / len(scores) == pytest.approx(-2.75)
 
 
 def test_retry_contract(tmp_path):
@@ -193,7 +193,7 @@ def test_retry_contract(tmp_path):
     cache = AnnotationCache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=4)
-    assert len(records["disagree_vs_agree"].raw_scores) == 4
+    assert len(records["disagree_vs_agree"]) == 4
 
 
 def test_annotation_failed_after_retries(tmp_path):
@@ -220,7 +220,7 @@ def test_partial_results_cached_and_resumed(tmp_path):
     records = annotate_pair(parent, child, backend2, cache2, max_retries=0,
                             n_replications=2)
     assert backend2.calls == 1
-    assert records["disagree_vs_agree"].raw_scores == (1, 2)
+    assert records["disagree_vs_agree"] == (1, 2)
 
 
 def test_cache_idempotence_zero_calls(tmp_path):
@@ -273,8 +273,8 @@ def test_load_annotation_means(tmp_path):
     records = annotate_corpus(corpus, MockBackend(seed=5),
                               AnnotationCache(cache_path))
     means = load_annotation_means(corpus, AnnotationCache(cache_path))
-    assert means["B"]["disagree_vs_agree"] == \
-        records["B"]["disagree_vs_agree"].mean
+    scores = records["B"]["disagree_vs_agree"]
+    assert means["B"]["disagree_vs_agree"] == sum(scores) / len(scores)
 
 
 def test_index_by_pair_never_mixes_model_ids(tmp_path):
@@ -346,8 +346,8 @@ def test_partial_replication_keeps_cached_dimensions(tmp_path):
     first = annotate_pair(parent, child, backend, cache, n_replications=1)
     cache.close()
     assert backend.calls == 1
-    assert first["disagree_vs_agree"].raw_scores == (5,)
-    assert first["emotional_vs_factual"].raw_scores == (-2,)
+    assert first["disagree_vs_agree"] == (5,)
+    assert first["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
     rerun = annotate_pair(parent, child, rerun_backend,
                           AnnotationCache(cache_path), n_replications=1)
@@ -504,7 +504,7 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch, tmp_path
     cache = AnnotationCache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=1)
-    assert records["disagree_vs_agree"].raw_scores == (1,)
+    assert records["disagree_vs_agree"] == (1,)
 
 
 def test_netrc_never_replaces_the_bearer_token(stub_server, monkeypatch,

@@ -53,8 +53,7 @@ def test_format_p_convention():
 
 def make_table(p_values) -> RegressionTable:
     terms = tuple(
-        TermEstimate(term=name, estimate=est, std_error=0.1, p_value=p,
-                     stars="")
+        TermEstimate(term=name, estimate=est, std_error=0.1, p_value=p)
         for name, est, p in p_values
     )
     return RegressionTable(model_id="M1", dimension=DIM, terms=terms,
@@ -262,10 +261,6 @@ def test_pipeline_lock(tmp_path):
 
 
 def test_annotation_content_hash_is_order_free():
-    from threadtone.annotate import AnnotationRecord
-    rec = lambda pid, dim, scores: AnnotationRecord(
-        pair_id=pid, dimension=dim, raw_scores=tuple(scores),
-        mean=sum(scores) / len(scores))
-    a = {"p1": {"x": rec("p1", "x", [1, 2])}, "p2": {"x": rec("p2", "x", [0, 0])}}
-    b = {"p2": {"x": rec("p2", "x", [0, 0])}, "p1": {"x": rec("p1", "x", [1, 2])}}
+    a = {"p1": {"x": (1, 2)}, "p2": {"x": (0, 0)}}
+    b = {"p2": {"x": (0, 0)}, "p1": {"x": (1, 2)}}
     assert annotation_content_hash(a) == annotation_content_hash(b)
