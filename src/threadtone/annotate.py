@@ -289,7 +289,8 @@ class HttpBackend:
     POSTs a JSON body {model, system, input, effort, verbosity}; the response
     must be a JSON object whose "output_text" field carries the assistant
     text. The bearer token is read from the configured environment variable
-    and never logged.
+    when the backend is built (BackendError if it is unset, before any
+    request) and never logged.
 
     Proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) and
     CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) settings are read
@@ -298,8 +299,14 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig):
+        token = os.environ.get(config.api_key_env)
+        if token is None:
+            raise BackendError(
+                f"API key environment variable {config.api_key_env!r} "
+                f"is not set")
         self.config = config
         self.model = config.model
+        self._headers = {"Authorization": f"Bearer {token}"}
         self.calls = 0
         self._calls_lock = threading.Lock()
         self._session = requests.Session()
@@ -308,11 +315,6 @@ class HttpBackend:
         self._session.trust_env = False
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
-        token = os.environ.get(self.config.api_key_env)
-        if token is None:
-            raise BackendError(
-                f"API key environment variable {self.config.api_key_env!r} "
-                f"is not set")
         body = {
             "model": self.config.model,
             "system": prompt.system,
@@ -325,7 +327,7 @@ class HttpBackend:
         try:
             response = self._session.post(
                 self.config.url, json=body, timeout=self.config.timeout,
-                headers={"Authorization": f"Bearer {token}"},
+                headers=self._headers,
                 **self._send_settings)
         except requests.RequestException as exc:
             raise BackendError(f"request failed: {exc}") from None

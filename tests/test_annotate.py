@@ -23,7 +23,8 @@ from threadtone.annotate import (
     pair_content_hash,
     parse_annotation_json,
 )
-from threadtone.corpus import load_corpus
+from threadtone.cli import main
+from threadtone.corpus import load_corpus, save_corpus
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import (
     AmbiguousModel,
@@ -489,10 +490,35 @@ def test_http_backend_errors(stub_server, monkeypatch):
     StubHandler.fail_times = 1
     with pytest.raises(BackendError):
         backend.complete(build_prompt("p", "c"), 0)
-    missing = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="NOT_SET_ANYWHERE_123", model="m"))
     with pytest.raises(BackendError):
-        missing.complete(build_prompt("p", "c"), 0)
+        HttpBackend(BackendConfig(
+            url=stub_server, api_key_env="NOT_SET_ANYWHERE_123", model="m"))
+
+
+def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch,
+                                                  tmp_path):
+    monkeypatch.delenv("NOT_SET_ANYWHERE_123", raising=False)
+    calls = Counter()
+    complete = HttpBackend.complete
+
+    def counted_complete(backend, prompt, replication_index):
+        calls["complete"] += 1
+        return complete(backend, prompt, replication_index)
+
+    monkeypatch.setattr(HttpBackend, "complete", counted_complete)
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(corpus, corpus_path)
+    options = PipelineOptions(backend_url=stub_server, model="m",
+                              api_key_env="NOT_SET_ANYWHERE_123")
+    with pytest.raises(BackendError, match="NOT_SET_ANYWHERE_123"):
+        annotate_stage(corpus, tmp_path / "cache.jsonl", options)
+    code = main(["annotate", "--corpus", str(corpus_path),
+                 "--cache", str(tmp_path / "cache.jsonl"),
+                 "--backend-url", stub_server,
+                 "--api-key-env", "NOT_SET_ANYWHERE_123"])
+    assert code == 3
+    assert calls["complete"] == 0 and StubHandler.seen == []
 
 
 def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch, tmp_path):
