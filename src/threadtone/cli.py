@@ -15,8 +15,7 @@ from .annotate import AnnotationCache, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import AnnotationError, CorpusError, FeatureError
-from .features import (FeatureTable, compute_feature_table, read_features_csv,
-                       write_features_csv)
+from .features import compute_feature_table, read_features_csv, write_features_csv
 from .regression import DEFAULT_GRID, MODEL_IDS
 from .report import (
     EXIT_ANNOTATION,
@@ -162,14 +161,6 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
     return PipelineOptions(**values)
 
 
-def _means(features: FeatureTable) -> dict[str, dict[str, float]]:
-    """post_id -> dimension -> metric, from the table's present cells."""
-    metric = {name: column.tolist() for name, column in features.metric.items()}
-    return {post_id: {name: values[i] for name, values in metric.items()
-                      if values[i] == values[i]}  # NaN: absent
-            for i, post_id in enumerate(features.post_id)}
-
-
 def cmd_validate(args: argparse.Namespace) -> int:
     # always parse in collecting mode so every violation gets its line
     corpus, diagnostics = validate_corpus(args.corpus, lenient=True)
@@ -239,7 +230,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     if by_pair is not None:
         write_agreement(by_pair, options, out_dir / "agreement.csv")
-    write_correlations(_means(features), out_dir)
+    write_correlations(features, out_dir)
     tables, _ = write_regression(features, options, out_dir / "tables", out_dir)
     write_figures(features, tables, options, out_dir / "figures")
     print(f"wrote {len(tables)} tables to {out_dir}")

@@ -239,8 +239,12 @@ def write_agreement(scores_by_item: Mapping[str, Mapping[str, Sequence[int]]],
     return report
 
 
-def write_correlations(means: Mapping[str, Mapping[str, float]],
-                       out_dir: Path) -> None:
+def write_correlations(features: FeatureTable, out_dir: Path) -> None:
+    """Spearman correlations of the feature rows' post-level means."""
+    metric = {name: column.tolist() for name, column in features.metric.items()}
+    means = {post_id: {name: values[i] for name, values in metric.items()
+                       if values[i] == values[i]}  # NaN: absent
+             for i, post_id in enumerate(features.post_id)}
     correlations = correlation_report(means)
     write_correlation_csv(correlations, out_dir / "correlations.csv")
     (out_dir / "correlations.txt").write_text(
@@ -389,7 +393,7 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
 
     # stage 4: agreement (items keyed by post id) + correlations
     write_agreement(records, options, output_dir / "agreement.csv")
-    write_correlations(means, output_dir)
+    write_correlations(features, output_dir)
 
     # stage 5: regress
     tables, errors = write_regression(features, options,

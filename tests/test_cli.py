@@ -314,6 +314,35 @@ def test_report_reproduces_the_pipeline_bundle(tmp_path):
     assert (report / "agreement.csv").exists()
 
 
+def test_report_correlations_match_the_pipeline_with_a_predating_reply(
+        tmp_path):
+    # a reply timestamped before its parent gets no feature row; the pipeline
+    # and report both correlate the feature rows, so their files agree
+    records = [json.loads(line) for line in
+               BUNDLED_CORPUS.read_text(encoding="utf-8").splitlines()]
+    records = [r for r in records
+               if r["discussion_id"] in ("d000", "d001", "d002")]
+    by_id = {r["post_id"]: r for r in records}
+    reply = next(r for r in records if r["parent_id"] is not None)
+    reply["timestamp"] = by_id[reply["parent_id"]]["timestamp"] - 1
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(r) + "\n" for r in records),
+                      encoding="utf-8")
+    bundle = tmp_path / "bundle"
+    proc = run_cli("pipeline", "--corpus", str(corpus),
+                   "--cache", str(tmp_path / "cache.jsonl"),
+                   "--output-dir", str(bundle), "--mock", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert manifest["n_feature_rows"] == manifest["n_annotated_posts"] - 1
+    report = tmp_path / "report"
+    proc = run_cli("report", "--features", str(bundle / "features.csv"),
+                   "--output-dir", str(report))
+    assert proc.returncode == 0, proc.stderr
+    for name in ("correlations.csv", "correlations.txt"):
+        assert (report / name).read_bytes() == (bundle / name).read_bytes(), name
+
+
 PIPELINE_ARGS = ("pipeline", "--corpus", "c.jsonl", "--cache", "k.jsonl",
                  "--output-dir", "out")
 
