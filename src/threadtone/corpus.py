@@ -52,14 +52,6 @@ class DiscussionTree:
     depth: dict[str, int]
     branch_root_of: dict[str, str]
 
-    @property
-    def n_nodes(self) -> int:
-        return len(self.depth)
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(c) for c in self.children.values())
-
 
 @dataclass(frozen=True)
 class Corpus:
@@ -73,10 +65,6 @@ class Corpus:
 
     def discussion_ids(self) -> list[str]:
         return sorted(self.discussions)
-
-    def parent_of(self, post_id: str) -> Post | None:
-        parent_id = self.posts[post_id].parent_id
-        return None if parent_id is None else self.posts[parent_id]
 
 
 def build_tree(posts: Iterable[Post]) -> DiscussionTree:

@@ -205,7 +205,7 @@ def test_geometry_invariants():
     generated = generate_corpus(config).corpus
     for corpus_under_test in (corpus, generated):
         for tree in corpus_under_test.discussions.values():
-            assert tree.n_edges == tree.n_nodes - 1
+            assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
             assert tree.depth[tree.root_id] == 0
             seen = set()
             queue = [tree.root_id]
@@ -214,7 +214,7 @@ def test_geometry_invariants():
                 assert pid not in seen
                 seen.add(pid)
                 queue.extend(tree.children.get(pid, ()))
-            assert len(seen) == tree.n_nodes
+            assert len(seen) == len(tree.depth)
 
     # branch_root_of equals the parent-walk oracle on random trees
     for _ in range(20):

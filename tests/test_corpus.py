@@ -124,8 +124,8 @@ def test_build_tree_cycle():
 
 def test_single_post_discussion():
     tree = build_tree([mk_post("A", timestamp=0)])
-    assert tree.n_nodes == 1
-    assert tree.n_edges == 0
+    assert len(tree.depth) == 1
+    assert tree.children == {}
     assert tree.branch_root_of == {}
 
 
@@ -145,7 +145,7 @@ def test_tree_invariants_on_random_trees():
         n = int(rng.integers(1, 201))
         posts = random_tree_posts(rng, n, allow_ties=True)
         tree = build_tree(posts)
-        assert tree.n_edges == tree.n_nodes - 1
+        assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
         # BFS from root reaches every node exactly once
         seen = []
         queue = [tree.root_id]

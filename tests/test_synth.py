@@ -36,7 +36,7 @@ def test_same_seed_same_bytes():
 def test_generated_corpus_validates():
     result = generate_corpus(small_config())
     for did, tree in result.corpus.discussions.items():
-        assert tree.n_edges == tree.n_nodes - 1
+        assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
         for pid, depth in tree.depth.items():
             post = result.corpus.posts[pid]
             if depth == 0:
