@@ -18,9 +18,15 @@ BUNDLED_CORPUS = (Path(__file__).resolve().parent.parent / "data"
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(*args, **kwargs):
-    return subprocess.run([sys.executable, "-m", "threadtone.cli", *args],
-                          capture_output=True, text=True, **kwargs)
+def run_python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env)
+
+
+def run_cli(*args):
+    return run_python("-m", "threadtone.cli", *args)
 
 
 @pytest.fixture
@@ -175,13 +181,6 @@ def test_bad_backend_limits_are_usage_errors(tmp_path, command, flag, value,
     assert "Traceback" not in proc.stderr
     assert f"threadtone: error: {message}" in proc.stderr
     assert not cache.exists() and not (tmp_path / "out").exists()
-
-
-def run_python(*args):
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, (str(SRC), os.environ.get("PYTHONPATH"))))}
-    return subprocess.run([sys.executable, *args], capture_output=True,
-                          text=True, env=env)
 
 
 def test_package_runs_as_a_module():
