@@ -138,6 +138,20 @@ def p_value(estimate: float, se: float, n_clusters: int,
     raise ValueError(f"unknown reference distribution {dist!r}")
 
 
+def critical_value(n_clusters: int, dist: str = "t") -> float:
+    """Two-sided 95% critical value of ``p_value``'s reference distribution:
+    Student's t with (n_clusters - 1) df (InsufficientSample below two
+    clusters), or the normal limit with ``dist='normal'``."""
+    if dist == "normal":
+        return NormalDist().inv_cdf(0.975)
+    if dist == "t":
+        if n_clusters < 2:
+            raise InsufficientSample(
+                "need at least 2 clusters for a t critical value")
+        return float(scipy_special.stdtrit(n_clusters - 1, 0.975))
+    raise ValueError(f"unknown reference distribution {dist!r}")
+
+
 # --- significance stars -----------------------------------------------------------
 
 STAR_SCHEMES: dict[str, tuple[tuple[float, str], ...]] = {

@@ -45,6 +45,7 @@ from .regression import (
     DEFAULT_GRID,
     RegressionTable,
     STAR_SCHEMES,
+    critical_value,
     fit_model,
     get_model_spec,
     run_all,
@@ -137,8 +138,9 @@ def write_table_files(table: RegressionTable, directory: Path,
 
 
 def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
-                 cr_correction: bool = False) -> str:
-    """Fit a one-regressor model and render its scatter + fit + 95% band."""
+                 cr_correction: bool = False, pvalue_dist: str = "t") -> str:
+    """Fit a one-regressor model and render its scatter + fit + 95% band,
+    whose critical value comes from the tables' reference distribution."""
     if model_id not in SIMPLE_MODELS:
         raise ValueError(f"{model_id} is not a single-regressor model")
     spec = get_model_spec(model_id)
@@ -156,7 +158,7 @@ def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
         y_label=f"{dim.negative_pole} (-) to {dim.positive_pole} (+)",
         title=f"{model_id}: {dimension} vs {term}",
     )
-    return scatter_svg(data)
+    return scatter_svg(data, critical_value(fit.n_clusters, pvalue_dist))
 
 
 # --- pipeline stages --------------------------------------------------------------
@@ -289,7 +291,8 @@ def write_figures(features: FeatureTable, tables: list[RegressionTable],
                 continue
             try:
                 svg = emit_scatter(features, model_id, dim.name,
-                                   cr_correction=options.cr_correction)
+                                   cr_correction=options.cr_correction,
+                                   pvalue_dist=options.pvalue_dist)
             except StatsError as exc:
                 log.warning("figure %s/%s skipped: %s", model_id, dim.name, exc)
                 continue

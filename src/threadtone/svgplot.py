@@ -16,11 +16,10 @@ from typing import Sequence
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 64, 16
 MARGIN_TOP, MARGIN_BOTTOM = 36, 56
-Z_95 = 1.96
 
 
 def band_half_width(x: float, vcov: Sequence[Sequence[float]],
-                    z: float = Z_95) -> float:
+                    z: float) -> float:
     """z * sqrt([1, x] V [1, x]') for a 2-coefficient model."""
     v = vcov
     quad = v[0][0] + 2.0 * x * v[0][1] + x * x * v[1][1]
@@ -69,8 +68,9 @@ class ScatterData:
     title: str
 
 
-def scatter_svg(data: ScatterData, z: float = Z_95, band_points: int = 64) -> str:
-    """A self-contained SVG document for one simple-regression scatter."""
+def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
+    """A self-contained SVG document for one simple-regression scatter, its
+    band drawn at +-z standard errors of the fitted line."""
     if not data.x:
         raise ValueError("no points to plot")
     x_lo, x_hi = min(data.x), max(data.x)

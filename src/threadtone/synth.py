@@ -19,14 +19,13 @@ import logging
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
-from scipy import special as scipy_special
 
 from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
 from .corpus import Corpus, Post, build_tree
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
-from .regression import MODEL_SPECS, get_model_spec, run_model
+from .regression import MODEL_SPECS, critical_value, get_model_spec, run_model
 from .report import write_json
 
 log = logging.getLogger(__name__)
@@ -272,9 +271,8 @@ class RecoveryReport:
         write_json(path, asdict(self))
 
 
-def recovery_experiment(config: SynthConfig, n_runs: int,
-                        confidence: float = 0.95) -> RecoveryReport:
-    """Repeatedly generate, fit and check CI coverage of the true
+def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
+    """Repeatedly generate, fit and check 95% CI coverage of the true
     coefficients; every run gets its own (seed, run) substream."""
     spec = get_model_spec(config.model)
     target_dims = sorted(config.coefficients)
@@ -292,11 +290,11 @@ def recovery_experiment(config: SynthConfig, n_runs: int,
             beta = config.coefficient_vector(dim_name)
             try:
                 table = run_model(spec, features, dim_name)
+                crit = critical_value(table.n_clusters)
             except StatsError as exc:
                 log.warning("run %d (%s): %s", run, dim_name, exc)
                 n_failed += 1
                 continue
-            crit = scipy_special.stdtrit(table.n_clusters - 1, (1 + confidence) / 2)
             for t_idx, term in enumerate(table.terms):
                 key = (dim_name, term.term)
                 estimates.setdefault(key, []).append(term.estimate)

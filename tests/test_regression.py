@@ -7,6 +7,7 @@ from threadtone.errors import EmptySample, InsufficientSample, SingularDesign
 from threadtone.regression import (
     MODEL_SPECS,
     cluster_robust_vcov,
+    critical_value,
     filter_rows,
     get_model_spec,
     ols_fit,
@@ -179,6 +180,20 @@ def test_p_value_t_reference():
 
 def test_p_value_degenerate_se():
     assert p_value(0.5, 0.0, 10) == 0.0
+
+
+def test_critical_value_matches_the_p_value_reference():
+    for g in (2, 3, 10, 61):
+        crit = critical_value(g)
+        assert crit == pytest.approx(scipy_stats.t.ppf(0.975, g - 1), abs=1e-12)
+        assert p_value(crit, 1.0, g) == pytest.approx(0.05, abs=1e-12)
+    normal = critical_value(1, dist="normal")
+    assert normal == pytest.approx(scipy_stats.norm.ppf(0.975), abs=1e-15)
+    assert p_value(normal, 1.0, 1, dist="normal") == pytest.approx(0.05, abs=1e-12)
+    with pytest.raises(InsufficientSample):
+        critical_value(1)
+    with pytest.raises(ValueError):
+        critical_value(10, dist="cauchy")
 
 
 def test_stars_scheme():

@@ -3,9 +3,11 @@ import json
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from threadtone import report
 from threadtone.dimensions import DIMENSIONS
-from threadtone.errors import EmptySample
+from threadtone.errors import EmptySample, InsufficientSample
 from threadtone.features import compute_feature_table
 from threadtone.regression import (
     RegressionTable,
@@ -104,13 +106,13 @@ def test_band_half_width_quadratic_form():
         x = float(rng.normal(scale=3))
         direct = 1.96 * np.sqrt(
             np.array([1.0, x]) @ np.array(vcov) @ np.array([1.0, x]))
-        assert band_half_width(x, vcov) == pytest.approx(direct, abs=1e-12)
+        assert band_half_width(x, vcov, 1.96) == pytest.approx(direct, abs=1e-12)
 
 
 def test_band_zero_for_zero_vcov():
     vcov = ((0.0, 0.0), (0.0, 0.0))
     for x in (-3.0, 0.0, 7.5):
-        assert band_half_width(x, vcov) == 0.0
+        assert band_half_width(x, vcov, 1.96) == 0.0
 
 
 def test_band_narrowest_at_center_and_monotone():
@@ -123,14 +125,14 @@ def test_band_narrowest_at_center_and_monotone():
     fit = fit_model(get_model_spec("M1"), features, DIM)
     v = fit.vcov
     center = -v[0, 1] / v[1, 1]
-    widths_right = [band_half_width(center + step, v)
+    widths_right = [band_half_width(center + step, v, 1.96)
                     for step in np.linspace(0, 20, 40)]
-    widths_left = [band_half_width(center - step, v)
+    widths_left = [band_half_width(center - step, v, 1.96)
                    for step in np.linspace(0, 20, 40)]
     assert all(np.diff(widths_right) >= -1e-12)
     assert all(np.diff(widths_left) >= -1e-12)
     assert min(widths_right[0], widths_left[0]) == \
-        pytest.approx(band_half_width(center, v), abs=1e-12)
+        pytest.approx(band_half_width(center, v, 1.96), abs=1e-12)
 
 
 def test_nice_ticks_cover_range():
@@ -147,7 +149,8 @@ def test_emit_scatter_structure():
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
     features = compute_feature_table(corpus, means)
-    svg = emit_scatter(features, "M1", DIM)
+    # one discussion is one cluster: only the normal reference has a band
+    svg = emit_scatter(features, "M1", DIM, pvalue_dist="normal")
     assert svg.startswith("<svg ")
     assert svg.count("<circle") == len(features)
     assert "<polygon" in svg
@@ -155,11 +158,30 @@ def test_emit_scatter_structure():
     dim = DIMENSIONS[0]
     assert dim.negative_pole in svg and dim.positive_pole in svg
     # deterministic
-    assert emit_scatter(features, "M1", DIM) == svg
+    assert emit_scatter(features, "M1", DIM, pvalue_dist="normal") == svg
+    with pytest.raises(InsufficientSample):
+        emit_scatter(features, "M1", DIM)
     with pytest.raises(ValueError):
         emit_scatter(features, "M5", DIM)
     with pytest.raises(EmptySample):
         emit_scatter(compute_feature_table(corpus, {}, strict=False), "M1", DIM)
+
+
+def test_scatter_band_uses_the_tables_critical_value(monkeypatch):
+    # the band and the table p-values share a reference distribution: t with
+    # G - 1 df by default, the normal limit with pvalue_dist="normal"
+    rng = np.random.default_rng(3)
+    posts = [post for d in range(4)
+             for post in random_tree_posts(rng, 30, discussion_id=f"d{d}")]
+    corpus = corpus_from_posts(posts)
+    features = compute_feature_table(corpus, uniform_means(corpus, rng))
+    seen = []
+    monkeypatch.setattr(report, "scatter_svg",
+                        lambda data, z: seen.append(z) or "")
+    for dist in ("t", "normal"):
+        emit_scatter(features, "M1", DIM, pvalue_dist=dist)
+    assert seen == [pytest.approx(stats.t.ppf(0.975, 3), abs=1e-12),
+                    pytest.approx(stats.norm.ppf(0.975), abs=1e-15)]
 
 
 def test_scatter_svg_zero_band_when_exact():
@@ -167,7 +189,7 @@ def test_scatter_svg_zero_band_when_exact():
                        intercept=1.0, slope=2.0,
                        vcov=((0.0, 0.0), (0.0, 0.0)),
                        x_label="x", y_label="y", title="t")
-    svg = scatter_svg(data)
+    svg = scatter_svg(data, 1.96)
     assert "<polygon" in svg  # degenerate band still renders (zero height)
 
 
