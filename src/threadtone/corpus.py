@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import logging
 from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 

@@ -15,7 +15,7 @@ clusters the middle sum collapses to sum_i x_i x_i' e_i^2, i.e. plain HC0.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from itertools import compress
 from statistics import NormalDist
 from typing import Sequence
