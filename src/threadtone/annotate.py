@@ -435,9 +435,9 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                     cache_timestamp: int = 0) -> dict[str, dict[str, tuple[int, ...]]]:
     """Annotate every non-root post against its parent.
 
-    Returns post_id -> dimension -> replication-ordered scores. Pairs are independent,
-    so up to ``concurrency`` (pair x replication-set) requests run in
-    flight at once.
+    Returns post_id -> dimension -> replication-ordered scores. Pairs are
+    independent, so up to ``concurrency`` (pair x replication-set) requests
+    run in flight at once.
     """
     pairs = [(corpus.posts[post.parent_id], post)
              for discussion_id in corpus.discussion_ids()

@@ -323,8 +323,7 @@ def table_from_fit(fit: FitResult, pvalue_dist: str = "t") -> RegressionTable:
 
 
 def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,
-              cr_correction: bool = False, pvalue_dist: str = "t",
-              ) -> RegressionTable:
+              cr_correction: bool = False, pvalue_dist: str = "t") -> RegressionTable:
     """Fit one model for one dimension with discussion-clustered SEs."""
     fit = fit_model(spec, features, dimension, cr_correction=cr_correction)
     return table_from_fit(fit, pvalue_dist=pvalue_dist)
