@@ -17,19 +17,26 @@ the bearer token in the environment variable named by ``--api-key-env``.
 
 from __future__ import annotations
 
+import base64
 import hashlib
+import http.client
+import ipaddress
 import json
 import logging
 import os
+import ssl
 import threading
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
-import requests
 
+from . import __version__
 from .corpus import Corpus, Post
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
@@ -227,25 +234,20 @@ class AnnotationCache:
                 self._appender.close()
                 self._appender = None
 
-    def index_by_pair(self, n_replications: int,
-                      model: str | None = None) -> dict[str, dict[str, list[int]]]:
+    def index_by_pair(self, n_replications: int) -> dict[str, dict[str, list[int]]]:
         """pair_hash -> dimension -> replication-ordered scores, keeping only
         (pair, dimension) groups with the full replication set.
 
-        ``model=None`` reads the cache's only model id and raises
-        AmbiguousModel when it holds more than one, since replications of
-        different models must never be combined."""
-        if model is None:
-            models = sorted({key[1] for key in self._scores})
-            if len(models) > 1:
-                raise AmbiguousModel(
-                    f"annotation cache {self.path} mixes model ids "
-                    f"{', '.join(models)}; replications of different "
-                    f"models are never combined")
+        Raises AmbiguousModel when the cache holds more than one model id,
+        since replications of different models must never be combined."""
+        models = sorted({key[1] for key in self._scores})
+        if len(models) > 1:
+            raise AmbiguousModel(
+                f"annotation cache {self.path} mixes model ids "
+                f"{', '.join(models)}; replications of different "
+                f"models are never combined")
         grouped: dict[str, dict[str, dict[int, int]]] = {}
-        for (pair_hash, key_model, dimension, rep), score in self._scores.items():
-            if model is not None and key_model != model:
-                continue
+        for (pair_hash, _model, dimension, rep), score in self._scores.items():
             grouped.setdefault(pair_hash, {}).setdefault(dimension, {})[rep] = score
         out: dict[str, dict[str, list[int]]] = {}
         for pair_hash, dims in grouped.items():
@@ -283,19 +285,82 @@ class BackendConfig:
             raise ValueError("concurrency must be >= 1")
 
 
+def _environment_proxy(scheme: str, netloc: str,
+                       host: str) -> tuple[str, int, dict[str, str]] | None:
+    """The proxy host, port and headers the environment sets for a URL, or
+    None. ``NO_PROXY`` applies as ``requests`` applied it: host names and
+    domain suffixes (``proxy_bypass_environment``), plus CIDR entries for
+    IP-literal hosts."""
+    proxies = urllib.request.getproxies_environment()
+    proxy_url = proxies.get(scheme) or proxies.get("all")
+    if proxy_url is None or urllib.request.proxy_bypass_environment(netloc, proxies):
+        return None
+    try:
+        address = ipaddress.ip_address(host)
+    except ValueError:
+        address = None
+    if address is not None:
+        for entry in proxies.get("no", "").split(","):
+            try:
+                if "/" in entry and address in ipaddress.ip_network(
+                        entry.strip(), strict=False):
+                    return None
+            except ValueError:
+                pass
+    proxy = urllib.parse.urlsplit(
+        proxy_url if "://" in proxy_url else f"http://{proxy_url}")
+    try:
+        proxy_host, proxy_port = proxy.hostname, proxy.port
+    except ValueError:
+        proxy_host = None
+    if proxy.scheme != "http" or not proxy_host:
+        raise BackendError(f"unsupported {scheme} proxy: only "
+                           f"http://host:port proxies are supported")
+    headers = {}
+    if proxy.username is not None:
+        credentials = (f"{urllib.parse.unquote(proxy.username)}:"
+                       f"{urllib.parse.unquote(proxy.password or '')}")
+        headers["Proxy-Authorization"] = "Basic " + base64.b64encode(
+            credentials.encode("utf-8")).decode("ascii")
+    return proxy_host, proxy_port or 80, headers
+
+
+def _tls_context() -> ssl.SSLContext:
+    bundle = os.environ.get("REQUESTS_CA_BUNDLE") or os.environ.get("CURL_CA_BUNDLE")
+    try:
+        if bundle and os.path.isdir(bundle):
+            return ssl.create_default_context(capath=bundle)
+        return ssl.create_default_context(cafile=bundle)
+    except OSError as exc:
+        raise BackendError(f"cannot load CA bundle {bundle!r}: {exc}") from None
+
+
 class HttpBackend:
-    """Chat-style HTTP backend.
+    """Chat-style HTTP backend over the standard library's ``http.client``.
 
     POSTs a JSON body {model, system, input, effort, verbosity}; the response
     must be a JSON object whose "output_text" field carries the assistant
     text. The bearer token is read from the configured environment variable
     when the backend is built (BackendError if it is unset, before any
-    request) and never logged.
+    request) and never logged. ``~/.netrc`` is never read.
 
-    Proxy (``HTTP_PROXY``, ``HTTPS_PROXY``, ``ALL_PROXY``, ``NO_PROXY``) and
-    CA bundle (``REQUESTS_CA_BUNDLE``, ``CURL_CA_BUNDLE``) settings are read
-    from the environment once, for the configured URL, when the backend is
-    built; ``requests`` would otherwise re-read them on every request.
+    Everything else is settled once, when the backend is built: the URL's
+    host, port and request target; the proxy from ``HTTP_PROXY``,
+    ``HTTPS_PROXY`` or ``ALL_PROXY`` (either case) unless ``NO_PROXY``
+    names the host, a domain suffix of it or, for an IP-literal host, a
+    CIDR block holding it; and for https the TLS context, which trusts
+    ``REQUESTS_CA_BUNDLE`` or ``CURL_CA_BUNDLE`` if set and otherwise the
+    system store (where OpenSSL's ``SSL_CERT_FILE``/``SSL_CERT_DIR``
+    apply). An http URL goes through the proxy in absolute form, an https
+    URL through a CONNECT tunnel; credentials in the proxy URL are sent as
+    ``Proxy-Authorization: Basic``. Only ``http://`` proxies are supported.
+
+    Each worker thread keeps one keep-alive connection, so ``concurrency``
+    workers open at most that many. A reused connection that the server has
+    closed meanwhile is reopened and the request sent again, once, without
+    costing an attempt. Any other transport error closes the thread's
+    connection and raises BackendError, as does any status but 200:
+    redirects are not followed. ``close`` closes every connection.
     """
 
     def __init__(self, config: BackendConfig):
@@ -304,40 +369,111 @@ class HttpBackend:
             raise BackendError(
                 f"API key environment variable {config.api_key_env!r} "
                 f"is not set")
+        if "\r" in token or "\n" in token:
+            raise BackendError(
+                f"API key environment variable {config.api_key_env!r} "
+                f"holds a line break")
         self.config = config
         self.model = config.model
-        self._headers = {"Authorization": f"Bearer {token}"}
         self.calls = 0
-        self._calls_lock = threading.Lock()
-        self._session = requests.Session()
-        self._send_settings = self._session.merge_environment_settings(
-            config.url, {}, None, None, None)
-        self._session.trust_env = False
+        self._lock = threading.Lock()
+        self._local = threading.local()
+        self._connections: list[http.client.HTTPConnection] = []
+        self._headers = {"Authorization": f"Bearer {token}",
+                         "Content-Type": "application/json",
+                         "User-Agent": f"threadtone/{__version__}"}
+
+        url = urllib.parse.urlsplit(config.url)
+        try:
+            host, port = url.hostname, url.port
+        except ValueError:
+            host = None
+        if url.scheme not in ("http", "https") or not host:
+            raise BackendError(f"backend URL {config.url!r} is not an "
+                               f"http or https URL")
+        netloc = url.netloc.rpartition("@")[2]
+        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
+        https = url.scheme == "https"
+        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        options = {"timeout": config.timeout}
+        if https:
+            options["context"] = _tls_context()
+
+        proxy = _environment_proxy(url.scheme, netloc, host)
+        if proxy is None:
+            self._connect = partial(connection, host, port, **options)
+        elif https:
+            proxy_host, proxy_port, proxy_headers = proxy
+
+            def tunnel() -> http.client.HTTPConnection:
+                conn = connection(proxy_host, proxy_port, **options)
+                conn.set_tunnel(host, port, headers=proxy_headers)
+                return conn
+
+            self._connect = tunnel
+        else:
+            proxy_host, proxy_port, proxy_headers = proxy
+            self._target = f"http://{netloc}{self._target}"  # absolute form
+            self._headers.update(proxy_headers)
+            self._connect = partial(connection, proxy_host, proxy_port, **options)
+
+    def _connection(self) -> http.client.HTTPConnection:
+        conn = getattr(self._local, "conn", None)
+        if conn is None:
+            conn = self._local.conn = self._connect()
+            with self._lock:
+                self._connections.append(conn)
+        return conn
+
+    def _exchange(self, conn: http.client.HTTPConnection,
+                  body: bytes) -> tuple[int, bytes]:
+        """Send one request and read its whole response, also on a non-200
+        status, so the connection stays usable."""
+        reused = conn.sock is not None
+        try:
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+        except ConnectionError:  # before any status line arrived
+            if not reused:
+                raise
+            conn.close()  # the server closed it while it sat idle
+            conn.request("POST", self._target, body, self._headers)
+            response = conn.getresponse()
+        return response.status, response.read()
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
-        body = {
+        body = json.dumps({
             "model": self.config.model,
             "system": prompt.system,
             "input": prompt.user,
             "effort": self.config.effort,
             "verbosity": self.config.verbosity,
-        }
-        with self._calls_lock:
+        }, allow_nan=False).encode("utf-8")
+        with self._lock:
             self.calls += 1
+        conn = self._connection()
         try:
-            response = self._session.post(
-                self.config.url, json=body, timeout=self.config.timeout,
-                headers=self._headers,
-                **self._send_settings)
-        except requests.RequestException as exc:
+            status, data = self._exchange(conn, body)
+        except (OSError, http.client.HTTPException) as exc:
+            conn.close()
             raise BackendError(f"request failed: {exc}") from None
-        if response.status_code != 200:
-            raise BackendError(f"backend returned HTTP {response.status_code}")
+        if status != 200:
+            raise BackendError(f"backend returned HTTP {status}")
         try:
-            payload = response.json()
-            return payload["output_text"]
+            text = json.loads(data)["output_text"]
         except (ValueError, KeyError, TypeError):
             raise BackendError("response JSON lacks 'output_text'") from None
+        if not isinstance(text, str):
+            raise BackendError("response 'output_text' is not a string")
+        return text
+
+    def close(self) -> None:
+        """Close every worker's connection."""
+        with self._lock:
+            for conn in self._connections:
+                conn.close()
+            self._connections.clear()
+            self._local = threading.local()
 
 
 def mock_annotate(parent_text: str, child_text: str, dimension_name: str,

@@ -222,6 +222,8 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
             cache_timestamp=cache_timestamp)
     finally:
         cache.close()
+        if isinstance(backend, HttpBackend):
+            backend.close()
     return records, backend.calls
 
 

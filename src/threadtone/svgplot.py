@@ -68,6 +68,18 @@ class ScatterData:
     title: str
 
 
+def _band(data: ScatterData, z: float, x_lo: float, x_hi: float,
+          band_points: int) -> list[tuple[float, float, float]]:
+    """(x, lower, upper) of the band at band_points + 1 even steps of x."""
+    band = []
+    for t in range(band_points + 1):
+        gx = x_lo + (x_hi - x_lo) * t / band_points
+        gy = data.intercept + data.slope * gx
+        half = band_half_width(gx, data.vcov, z)
+        band.append((gx, gy - half, gy + half))
+    return band
+
+
 def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
     """A self-contained SVG document for one simple-regression scatter, its
     band drawn at +-z standard errors of the fitted line."""
@@ -77,11 +89,8 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
     y_candidates = list(data.y)
-    for t in range(band_points + 1):
-        gx = x_lo + (x_hi - x_lo) * t / band_points
-        gy = data.intercept + data.slope * gx
-        half = band_half_width(gx, data.vcov, z)
-        y_candidates += [gy - half, gy + half]
+    for _gx, lower, upper in _band(data, z, x_lo, x_hi, band_points):
+        y_candidates += [lower, upper]
     y_lo, y_hi = min(y_candidates), max(y_candidates)
     if y_hi == y_lo:
         y_hi = y_lo + 1.0
@@ -106,15 +115,11 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
     out.append(f'<text x="{WIDTH / 2:.1f}" y="20" font-family="sans-serif" '
                f'font-size="14" text-anchor="middle">{data.title}</text>')
 
-    # confidence band
-    upper, lower = [], []
-    for t in range(band_points + 1):
-        gx = x_lo + (x_hi - x_lo) * t / band_points
-        gy = data.intercept + data.slope * gx
-        half = band_half_width(gx, data.vcov, z)
-        upper.append((sx(gx), sy(gy + half)))
-        lower.append((sx(gx), sy(gy - half)))
-    path = " ".join(f"{_fmt(px)},{_fmt(py)}" for px, py in upper + lower[::-1])
+    # confidence band, across the padded x-range
+    band = _band(data, z, x_lo, x_hi, band_points)
+    outline = ([(gx, upper) for gx, _lower, upper in band]
+               + [(gx, lower) for gx, lower, _upper in band[::-1]])
+    path = " ".join(f"{_fmt(sx(gx))},{_fmt(sy(gy))}" for gx, gy in outline)
     out.append(f'<polygon points="{path}" fill="#bfbfbf" fill-opacity="0.5" '
                f'stroke="none"/>')
 

@@ -1,8 +1,10 @@
+import base64
 import json
 import sys
 import threading
+import time
 from collections import Counter
-from http.server import BaseHTTPRequestHandler, HTTPServer
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import numpy as np
@@ -290,19 +292,22 @@ def test_index_by_pair_never_mixes_model_ids(tmp_path):
         cache.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
     cache.close()
     cache = AnnotationCache(path)
-    assert cache.index_by_pair(4, model="modelA") == {"pair": {dim: [-5] * 4}}
-    assert cache.index_by_pair(4, model="modelB") == {}
     with pytest.raises(AmbiguousModel, match="modelA, modelB"):
         cache.index_by_pair(4)
     corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
     with pytest.raises(AmbiguousModel):
         load_annotation_means(corpus, cache)
 
-    # a single-model cache needs no model id
-    single = AnnotationCache(tmp_path / "single.jsonl")
-    for rep in range(4):
-        single.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
-    assert single.index_by_pair(4) == {"pair": {dim: [5] * 4}}
+    # a single-model cache needs no model id: modelA's set alone is
+    # complete, modelB's two replications alone are not
+    for model, reps, score, expected in (
+            ("modelA", 4, -5, {"pair": {dim: [-5] * 4}}),
+            ("modelB", 2, 5, {}),
+            ("modelB", 4, 5, {"pair": {dim: [5] * 4}})):
+        single = AnnotationCache(tmp_path / f"{model}-{reps}.jsonl")
+        for rep in range(reps):
+            single.put(CacheKey("pair", model, dim, rep), score, timestamp=0)
+        assert single.index_by_pair(4) == expected
     assert AnnotationCache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
 
 
@@ -421,25 +426,79 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
 # --- HTTP backend against a local stub ------------------------------------------------
 
 class StubHandler(BaseHTTPRequestHandler):
+    """Annotation backend stub, also usable as an http proxy. Answers HTTP/1.0
+    (one request per connection) unless a test switches it to HTTP/1.1
+    keep-alive. ``script`` lists one fault per request, consumed in order;
+    an exhausted script or "ok" answers normally."""
+
     fail_times = 0
     seen: list[dict] = []
+    script: list[str] = []
+    opened: list[tuple] = []  # connections, appended on setup and finish
+    closed: list[tuple] = []
+
+    def setup(self):
+        super().setup()
+        StubHandler.opened.append(self.client_address)
+
+    def finish(self):
+        super().finish()
+        StubHandler.closed.append(self.client_address)
+
+    def _reply(self, status, payload):
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(payload)))
+        self.end_headers()
+        self.wfile.write(payload)
 
     def do_POST(self):
         length = int(self.headers["Content-Length"])
         body = json.loads(self.rfile.read(length))
-        type(self).seen.append({"body": body, "path": self.path,
-                                "auth": self.headers.get("Authorization")})
-        if type(self).fail_times > 0:
-            type(self).fail_times -= 1
-            self.send_response(500)
+        StubHandler.seen.append({
+            "body": body, "path": self.path,
+            "auth": self.headers.get("Authorization"),
+            "proxy_auth": self.headers.get("Proxy-Authorization")})
+        fault = StubHandler.script.pop(0) if StubHandler.script else "ok"
+        if StubHandler.fail_times > 0:
+            StubHandler.fail_times -= 1
+            fault = "500"
+        ok = json.dumps({"output_text": make_payload()}).encode()
+        if fault == "500":
+            self._reply(500, b'{"error": "overloaded"}')
+        elif fault == "redirect":
+            self.send_response(302)
+            self.send_header("Location", "/elsewhere")
+            self.send_header("Content-Length", "0")
             self.end_headers()
-            return
-        response = json.dumps({"output_text": make_payload()}).encode()
-        self.send_response(200)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(response)))
+        elif fault == "not-json":
+            self._reply(200, b"<html>busy</html>")
+        elif fault == "no-output-text":
+            self._reply(200, json.dumps({"output": make_payload()}).encode())
+        elif fault == "output-not-text":
+            self._reply(200, b'{"output_text": 5}')
+        elif fault == "hang-up":  # close before any status line
+            self.close_connection = True
+        elif fault == "drop":  # close half-way through the body
+            self.send_response(200)
+            self.send_header("Content-Length", str(len(ok)))
+            self.end_headers()
+            self.wfile.write(ok[:len(ok) // 2])
+            self.close_connection = True
+        elif fault == "close-after":  # a keep-alive reply, then close
+            self._reply(200, ok)
+            self.close_connection = True
+        else:
+            self._reply(200, ok)
+
+    def do_CONNECT(self):
+        StubHandler.seen.append({
+            "method": "CONNECT", "path": self.path,
+            "proxy_auth": self.headers.get("Proxy-Authorization")})
+        self.send_response(403)
+        self.send_header("Content-Length", "0")
         self.end_headers()
-        self.wfile.write(response)
+        self.close_connection = True
 
     def log_message(self, *args):
         pass
@@ -457,12 +516,24 @@ def stub_server(monkeypatch, tmp_path):
     monkeypatch.delenv("NETRC", raising=False)
     monkeypatch.setenv("HOME", str(tmp_path))
     StubHandler.seen = []
+    StubHandler.script = []
+    StubHandler.opened = []
+    StubHandler.closed = []
     StubHandler.fail_times = 0
-    server = HTTPServer(("127.0.0.1", 0), StubHandler)
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
+    server = ThreadingHTTPServer(("127.0.0.1", 0), StubHandler)
+    server.daemon_threads = True
+    thread = threading.Thread(target=server.serve_forever, args=(0.05,),
+                              daemon=True)
     thread.start()
     yield f"http://127.0.0.1:{server.server_port}"
     server.shutdown()
+    server.server_close()
+
+
+@pytest.fixture
+def keepalive_server(stub_server, monkeypatch):
+    monkeypatch.setattr(StubHandler, "protocol_version", "HTTP/1.1")
+    return stub_server
 
 
 def test_http_backend_wire_format(stub_server, monkeypatch, tmp_path):
@@ -586,3 +657,158 @@ def test_proxy_settings_are_read_when_the_backend_is_built(stub_server,
     monkeypatch.delenv("HTTP_PROXY")
     backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[0]["path"] == f"{stub_server}/v1"  # via the proxy
+
+
+# --- keep-alive transport faults -----------------------------------------------------
+
+def cache_keys(path):
+    """Every record key in a cache file, one per line, duplicates kept."""
+    if not path.exists():
+        return []
+    return [(rec["pair_hash"], rec["model"], rec["dimension"], rec["replication"])
+            for rec in map(json.loads, path.read_text(encoding="utf-8").splitlines())]
+
+
+@pytest.mark.parametrize("script, max_retries, replications_scored", [
+    (["500"], 1, 2),
+    (["not-json"], 1, 2),
+    (["no-output-text"], 1, 2),
+    (["output-not-text"], 1, 2),
+    (["drop"], 1, 2),
+    (["hang-up"], 1, 2),
+    (["redirect"], 1, 2),
+    # the server closes the connection after the first reply: reopening it
+    # costs no attempt
+    (["close-after"], 0, 2),
+    (["close-after", "close-after", "close-after"], 0, 2),
+    (["500", "drop"], 1, 0),
+    (["ok", "drop", "not-json"], 1, 1),
+])
+def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
+                                    script, max_retries, replications_scored):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    StubHandler.script = list(script)
+    backend = HttpBackend(BackendConfig(
+        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    parent, child = pair()
+    cache_path = tmp_path / "cache.jsonl"
+    cache = AnnotationCache(cache_path)
+    try:
+        if replications_scored == 2:
+            records = annotate_pair(parent, child, backend, cache,
+                                    max_retries=max_retries, n_replications=2)
+            assert records == {name: (value, value) for name, value
+                               in json.loads(make_payload()).items()}
+        else:
+            with pytest.raises(AnnotationFailed):
+                annotate_pair(parent, child, backend, cache,
+                              max_retries=max_retries, n_replications=2)
+    finally:
+        cache.close()
+        backend.close()
+    keys = cache_keys(cache_path)
+    assert len(keys) == len(set(keys)) == replications_scored * len(DIMENSIONS)
+    assert {key[3] for key in keys} == set(range(replications_scored))
+    faults = sum(fault != "close-after" for fault in script)
+    assert len(StubHandler.seen) == min(faults, 2) + replications_scored
+    assert backend.calls == len(StubHandler.seen)
+
+
+def test_keepalive_opens_one_connection_per_worker(keepalive_server,
+                                                   monkeypatch, tmp_path):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    posts = [mk_post("A", timestamp=0)]
+    posts += [mk_post(f"B{i}", parent_id="A", timestamp=60 + i)
+              for i in range(8)]
+    corpus = corpus_from_posts(posts)
+    backend = HttpBackend(BackendConfig(
+        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    try:
+        records = annotate_corpus(corpus, backend, cache, n_replications=2,
+                                  concurrency=2)
+    finally:
+        cache.close()
+        backend.close()
+    assert len(records) == 8
+    assert len(StubHandler.seen) == 16
+    assert 1 <= len(StubHandler.opened) <= 2
+
+
+def test_annotate_stage_closes_the_backend_connections(keepalive_server,
+                                                       monkeypatch, tmp_path):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A"),
+                                mk_post("C", parent_id="A")])
+    options = PipelineOptions(backend_url=keepalive_server, model="m",
+                              api_key_env="TEST_ANNOTATOR_KEY", concurrency=2)
+    records, calls = annotate_stage(corpus, tmp_path / "cache.jsonl", options)
+    assert len(records) == 2 and calls == 8
+    deadline = time.monotonic() + 10
+    while len(StubHandler.closed) < len(StubHandler.opened):
+        assert time.monotonic() < deadline, "a connection was left open"
+        time.sleep(0.01)
+
+
+@pytest.mark.parametrize("no_proxy, path", [
+    ("10.0.0.0/8, 127.0.0.0/8", "/v1"),
+    ("127.0.0.1/32", "/v1"),
+    ("10.0.0.0/8,::1/128", "{url}/v1"),
+])
+def test_no_proxy_cidr_entries_match_ip_literal_hosts(stub_server, monkeypatch,
+                                                      no_proxy, path):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    monkeypatch.setenv("HTTP_PROXY", stub_server)
+    monkeypatch.setenv("NO_PROXY", no_proxy)
+    backend = HttpBackend(BackendConfig(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen[0]["path"] == path.format(url=stub_server)
+
+
+def test_proxy_credentials_become_proxy_authorization(stub_server, monkeypatch):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    proxy = stub_server.replace("http://", "http://alice:s%40cret@")
+    monkeypatch.setenv("HTTP_PROXY", proxy)
+    expected = "Basic " + base64.b64encode(b"alice:s@cret").decode("ascii")
+    backend = HttpBackend(BackendConfig(
+        url="http://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
+        model="m"))
+    assert parse_annotation_json(backend.complete(build_prompt("p", "c"), 0))
+    assert StubHandler.seen[0]["path"] == "http://backend.invalid/v1"
+    assert StubHandler.seen[0]["proxy_auth"] == expected
+    assert StubHandler.seen[0]["auth"] == "Bearer k"
+
+    # a host that bypasses the proxy is never sent the proxy's credentials
+    monkeypatch.setenv("NO_PROXY", "127.0.0.1")
+    direct = HttpBackend(BackendConfig(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    direct.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen[1]["path"] == "/v1"
+    assert StubHandler.seen[1]["proxy_auth"] is None
+
+
+def test_https_goes_through_a_connect_tunnel(stub_server, monkeypatch):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    monkeypatch.delenv("REQUESTS_CA_BUNDLE", raising=False)
+    monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
+    monkeypatch.setenv("HTTPS_PROXY",
+                       stub_server.replace("http://", "http://alice:pw@"))
+    backend = HttpBackend(BackendConfig(
+        url="https://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
+        model="m"))
+    with pytest.raises(BackendError, match="403"):  # the stub refuses it
+        backend.complete(build_prompt("p", "c"), 0)
+    assert StubHandler.seen == [{
+        "method": "CONNECT", "path": "backend.invalid:443",
+        "proxy_auth": "Basic " + base64.b64encode(b"alice:pw").decode("ascii")}]
+
+
+@pytest.mark.parametrize("url", ["ftp://backend.invalid/", "backend.invalid/v1",
+                                 "http://:80/v1", "http://host:port/"])
+def test_a_url_that_is_not_http_fails_when_the_backend_is_built(monkeypatch,
+                                                               url):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    with pytest.raises(BackendError, match="not an http or https URL"):
+        HttpBackend(BackendConfig(url=url, api_key_env="TEST_ANNOTATOR_KEY",
+                                  model="m"))

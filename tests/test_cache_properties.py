@@ -8,7 +8,8 @@ non-integer replications and scores, two model ids, duplicate keys
 with different scores, and records padded with whitespace, followed by
 extra data or led by a byte order mark (which the loader must not decode
 in one call), and both loaders must agree on the scores, the
-malformed-line warnings, the torn-tail flag and every model's index.
+malformed-line warnings, the torn-tail flag and the index: of the whole
+cache when it holds one model id, and of each model's records alone.
 The cache line writer is checked against ``json.dumps`` of the record.
 """
 
@@ -161,9 +162,19 @@ def test_loader_matches_the_dataclass_oracle(text):
             f"ignoring malformed cache line {n} in {path}"
             for n in oracle.malformed]
         assert cache._torn_tail == oracle.torn_tail
+        # each model's records alone, written and reloaded as a one-model
+        # cache, index as the oracle indexes that model's records
+        single = {}
+        for model in MODELS:
+            single[model] = AnnotationCache(Path(tmp) / f"{model}.jsonl")
+            for key, score in cache._scores.items():
+                if key[1] == model:
+                    single[model].put(CacheKey(*key), score, timestamp=0)
+            single[model].close()
+            single[model] = AnnotationCache(single[model].path)
         for n_replications in (1, 2, 4):
             for model in MODELS:
-                assert cache.index_by_pair(n_replications, model) == \
+                assert single[model].index_by_pair(n_replications) == \
                     oracle.index_by_pair(n_replications, model)
             if len({k.model for k in oracle.scores}) > 1:
                 with pytest.raises(AmbiguousModel):

@@ -198,6 +198,15 @@ def test_cli_import_leaves_scipy_stats_unloaded():
     assert proc.stdout == "False\n"
 
 
+def test_cli_import_loads_no_third_party_http_client():
+    # the HTTP backend uses the standard library's http.client
+    proc = run_python("-c", "import sys, threadtone.cli; "
+                      "print([name for name in ('requests', 'urllib3') "
+                      "if name in sys.modules])")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 @pytest.mark.parametrize("scale", (("--scale-min", "1"),
                                    ("--scale-max", "0"),
                                    ("--scale-min", "3", "--scale-max", "-3")))
