@@ -10,9 +10,12 @@ makes no request; a replication missing a dimension is requested again,
 and its cached dimensions keep their stored scores. A deterministic offline
 mock backend stands in for the live service in tests and pipelines.
 
-The HTTP backend reads proxy and CA bundle settings from the environment
-once, when it is built. It never reads ``~/.netrc``: its only credential is
-the bearer token in the environment variable named by ``--api-key-env``.
+The HTTP backend speaks HTTP/1.1 through the standard library's
+``http.client``, one keep-alive connection per worker thread. It reads the
+proxy, ``NO_PROXY`` and CA bundle settings from the environment once, when
+it is built, and follows no redirects. It never reads ``~/.netrc``: its
+only credential is the bearer token in the environment variable named by
+``--api-key-env``.
 """
 
 from __future__ import annotations
@@ -34,7 +37,6 @@ from functools import partial
 from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
 from typing import NamedTuple, Protocol
-
 
 from . import __version__
 from .corpus import Corpus, Post
@@ -359,8 +361,9 @@ class HttpBackend:
     workers open at most that many. A reused connection that the server has
     closed meanwhile is reopened and the request sent again, once, without
     costing an attempt. Any other transport error closes the thread's
-    connection and raises BackendError, as does any status but 200:
-    redirects are not followed. ``close`` closes every connection.
+    connection and raises BackendError. Any status but 200 raises
+    BackendError on a connection that stays open: redirects are not
+    followed. ``close`` closes every connection.
     """
 
     def __init__(self, config: BackendConfig):

@@ -88,6 +88,8 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
     x_lo, x_hi = min(data.x), max(data.x)
     if x_hi == x_lo:
         x_hi = x_lo + 1.0
+    # the y-range holds the band over the data's x-range; the band drawn
+    # below spans the padded x-range, a grid of other x values
     y_candidates = list(data.y)
     for _gx, lower, upper in _band(data, z, x_lo, x_hi, band_points):
         y_candidates += [lower, upper]
