@@ -238,7 +238,11 @@ def cmd_report(args: argparse.Namespace) -> int:
 
 
 def cmd_synth(args: argparse.Namespace) -> int:
-    config = SynthConfig.from_json(args.config)
+    try:
+        config = SynthConfig.from_json(args.config)
+    except (OSError, ValueError, TypeError) as exc:
+        print(f"invalid synth config {args.config}: {exc}", file=sys.stderr)
+        return 2
     if args.action == "recover":
         if not args.out:
             print("synth recover requires --out", file=sys.stderr)
@@ -298,7 +302,7 @@ def main(argv: list[str] | None = None) -> int:
             AnnotationScale(args.scale_min, args.scale_max)
         except ValueError as exc:
             parser.error(f"--scale-min/--scale-max: {exc}")
-    for flag, least in (("concurrency", 1), ("max_retries", 0)):
+    for flag, least in (("concurrency", 1), ("max_retries", 0), ("runs", 1)):
         if vars(args).get(flag, least) < least:
             parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
     try:

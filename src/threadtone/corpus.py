@@ -51,6 +51,7 @@ class DiscussionTree:
     children: dict[str, tuple[str, ...]]
     depth: dict[str, int]
     branch_root_of: dict[str, str]
+    order: tuple[str, ...]  # post ids in (timestamp, post_id) order
 
 
 @dataclass(frozen=True)
@@ -60,8 +61,7 @@ class Corpus:
 
     def posts_of(self, discussion_id: str) -> list[Post]:
         """Posts of one discussion in global (timestamp, post_id) order."""
-        tree = self.discussions[discussion_id]
-        return sorted((self.posts[pid] for pid in tree.depth), key=Post.order_key)
+        return [self.posts[pid] for pid in self.discussions[discussion_id].order]
 
     def discussion_ids(self) -> list[str]:
         return sorted(self.discussions)
@@ -102,8 +102,9 @@ def build_tree(posts: Iterable[Post]) -> DiscussionTree:
                             discussion_id=discussion_id)
     root = roots[0]
 
+    ordered = sorted(posts, key=Post.order_key)
     child_lists: dict[str, list[str]] = defaultdict(list)
-    for post in sorted(posts, key=Post.order_key):
+    for post in ordered:
         if post.parent_id is not None:
             child_lists[post.parent_id].append(post.post_id)
 
@@ -129,6 +130,7 @@ def build_tree(posts: Iterable[Post]) -> DiscussionTree:
         children={pid: tuple(kids) for pid, kids in child_lists.items()},
         depth=depth,
         branch_root_of=branch_root_of,
+        order=tuple(post.post_id for post in ordered),
     )
 
 

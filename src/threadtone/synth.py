@@ -16,12 +16,13 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 import numpy as np
 
 from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
-from .corpus import Corpus, Post, build_tree
+from .corpus import Corpus, DiscussionTree, Post
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
@@ -32,6 +33,11 @@ log = logging.getLogger(__name__)
 
 _BASE_TIME = 1_600_000_000  # fixed epoch anchor for synthetic timestamps
 _DISCUSSION_SPACING = 30 * 86_400
+_DIM_NAMES = tuple(d.name for d in DIMENSIONS)
+# the score recursion runs over blocks of discussions holding at most this
+# many padded replies (a paper-scale corpus of 60 x 38 is ~3,500): a block's
+# arrays stay at a few MB, while each block costs one step per reply index
+_BLOCK_REPLIES = 8192
 
 
 @dataclass(frozen=True)
@@ -52,23 +58,41 @@ class SynthConfig:
     model_id: str = MOCK_MODEL_ID  # model id stamped on cache records
 
     def __post_init__(self) -> None:
-        if self.n_discussions < 1 or self.mean_posts < 1:
-            raise ValueError("need at least one discussion and one post")
+        for name in ("n_discussions", "seed", "scale_min", "scale_max",
+                     "replications"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
+        # the comparisons are written so that NaN fails them
+        if not (self.n_discussions >= 1 and 1 <= self.mean_posts < math.inf):
+            raise ValueError("need at least one discussion and a finite "
+                             "mean_posts >= 1")
+        if not 0 <= self.mean_hours_between_posts < math.inf:
+            raise ValueError("mean_hours_between_posts must be finite and "
+                             ">= 0")
         if not (0.0 <= self.p_reply_to_root <= 1.0):
             raise ValueError("p_reply_to_root must be a probability")
-        if self.sigma < 0 or self.tau < 0:
-            raise ValueError("noise standard deviations must be >= 0")
+        if not (0 <= self.sigma < math.inf and 0 <= self.tau < math.inf):
+            raise ValueError("noise standard deviations must be finite "
+                             "and >= 0")
         if self.replications < 1:
             raise ValueError("replications must be >= 1")
         if self.model not in MODEL_SPECS:
             raise ValueError(f"unknown model {self.model!r}")
+        AnnotationScale(self.scale_min, self.scale_max)  # min < 0 < max
         spec = MODEL_SPECS[self.model]
         for dim_name, coefs in self.coefficients.items():
+            if dim_name not in _DIM_NAMES:
+                raise ValueError(f"unknown dimension {dim_name!r}")
             expected = 1 + len(spec.terms)
             if len(coefs) != expected:
                 raise ValueError(
                     f"{dim_name}: {self.model} needs {expected} coefficients "
                     f"(intercept first), got {len(coefs)}")
+            if not all(math.isfinite(c) for c in coefs):
+                raise ValueError(f"{dim_name}: coefficients must be finite")
 
     @property
     def scale(self) -> AnnotationScale:
@@ -85,6 +109,10 @@ class SynthConfig:
     def from_json(path: str | Path) -> "SynthConfig":
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
+        if not (isinstance(raw, dict)
+                and isinstance(raw.get("coefficients", {}), dict)):
+            raise ValueError("a synth config and its coefficients must be "
+                             "JSON objects")
         raw["coefficients"] = {k: tuple(v)
                                for k, v in raw.get("coefficients", {}).items()}
         return SynthConfig(**raw)
@@ -121,124 +149,270 @@ class SynthResult:
                 for rep in range(self.config.replications)]
 
 
-_DIM_NAMES = tuple(d.name for d in DIMENSIONS)
-_FIELDS = ("dt_prev", "dt_parent", "parent_metric", "sib_older_mean", "br_neg")
+def _draw_discussion(rng: np.random.Generator, config: SynthConfig) -> tuple:
+    """One discussion's random draws, in the generator's fixed order."""
+    scale, n_dims = config.scale, len(_DIM_NAMES)
+    n_posts = max(2, int(rng.poisson(config.mean_posts)))
+    u = rng.normal(0.0, config.tau, size=n_dims)
+    gaps = rng.exponential(config.mean_hours_between_posts * 3600.0,
+                           size=n_posts - 1)
+    root_coins = rng.random(size=n_posts - 1)
+    picks = rng.random(size=n_posts - 1)
+    eps = rng.normal(0.0, config.sigma, size=(n_posts - 1, n_dims))
+    # inner 80% of the scale leaves headroom for the noise terms
+    base = rng.uniform(0.8 * scale.min, 0.8 * scale.max,
+                       size=(n_posts - 1, n_dims))
+    jitter_coin = rng.random(size=(n_posts - 1, n_dims))
+    jitter_lo = rng.random(size=(n_posts - 1, n_dims))
+    jitter_hi = rng.random(size=(n_posts - 1, n_dims))
+    authors = rng.integers(0, 40, size=n_posts)
+    return (n_posts, u, gaps, root_coins, picks, eps, base,
+            jitter_coin, jitter_lo, jitter_hi, authors)
+
+
+def _draw_blocks(rng: np.random.Generator, config: SynthConfig):
+    """Every discussion's draws, in order, grouped into blocks of consecutive
+    discussions whose replies, padded to the block's longest discussion, fit
+    in _BLOCK_REPLIES (a block holds at least one discussion)."""
+    block: list[tuple] = []
+    longest = 0
+    for _ in range(config.n_discussions):
+        draws = _draw_discussion(rng, config)
+        longest = max(longest, draws[0] - 1)
+        if block and (len(block) + 1) * longest > _BLOCK_REPLIES:
+            yield block
+            block, longest = [], draws[0] - 1
+        block.append(draws)
+    yield block
+
+
+def _older_sibling_counts(parent_keys: np.ndarray) -> np.ndarray:
+    """For each position, how many earlier positions share its parent key."""
+    order = np.argsort(parent_keys, kind="stable")
+    ranked = parent_keys[order]
+    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
+    counts = np.empty_like(parent_keys)
+    counts[order] = (np.arange(len(ranked))
+                     - np.repeat(starts, np.diff(np.r_[starts, len(ranked)])))
+    return counts
+
+
+def _discussion_tree(did: str, ids: list[str], parents: list[int],
+                     depths: list[int], branch_roots: list[int],
+                     timestamps: list[int]) -> DiscussionTree:
+    """The tree build_tree derives, from the generator's parent indices."""
+    n_posts = len(ids)
+    # timestamps never decrease and ids are zero-padded to four digits, so
+    # up to p9999 the index order is the (timestamp, post_id) order
+    order = (range(n_posts) if n_posts <= 10_000 else
+             sorted(range(n_posts), key=lambda i: (timestamps[i], ids[i])))
+    children: dict[str, list[str]] = {}
+    for i in order:
+        if i:
+            children.setdefault(ids[parents[i]], []).append(ids[i])
+    return DiscussionTree(
+        discussion_id=did, root_id=ids[0],
+        children={pid: tuple(kids) for pid, kids in children.items()},
+        depth=dict(zip(ids, depths)),
+        branch_root_of={ids[i]: ids[branch_roots[i]]
+                        for i in range(1, n_posts)},
+        order=tuple(ids[i] for i in order))
+
+
+def _simulate(config: SynthConfig, block: list[tuple], first: int) -> tuple:
+    """The structure and scores of one block of discussions, as arrays;
+    ``first`` is the index of its first discussion.
+
+    Whatever does not depend on earlier scores (parents, timestamps, branch
+    roots, older-sibling counts, which terms exist, the exogenous path) is
+    computed as whole arrays, padded to the longest discussion. The score
+    recursion then steps over the reply index for all discussions at once,
+    so its cost grows with the longest discussion, not with the number of
+    posts.
+
+    Returns ``(sizes, parents, depths, branch_roots, timestamps, authors,
+    scores, truncations, jitter)``: one row per discussion for parents to
+    timestamps (one column per post index), the author arrays and the reply
+    scores (one column per reply); jitter holds what the replication jitter
+    needs, or None without integer replications.
+    """
+    scale = config.scale
+    lo_f, hi_f = float(scale.min), float(scale.max)
+    n_dims = len(_DIM_NAMES)
+    (sizes, u, gaps, root_coins, picks, eps, base, jitter_coin, jitter_lo,
+     jitter_hi, authors) = zip(*block)
+    n_disc, n_steps = len(sizes), max(sizes) - 1   # step j draws reply j + 1
+    valid = np.arange(n_steps) < np.array(sizes)[:, None] - 1
+
+    def padded(arrays):
+        out = np.zeros((n_disc, n_steps) + arrays[0].shape[1:])
+        out[valid] = np.concatenate(arrays)
+        return out
+
+    n_reps = config.replications
+    jitter = (None if config.continuous or n_reps < 2 else
+              (padded(jitter_coin) < 0.5,
+               (padded(jitter_lo) * n_reps).astype(np.int64),
+               (padded(jitter_hi) * (n_reps - 1)).astype(np.int64)))
+
+    # --- everything that does not depend on earlier scores ----------------
+    step = np.arange(1, n_steps + 1)
+    parent = np.where(
+        (step == 1) | (padded(root_coins) < config.p_reply_to_root) | ~valid,
+        0, 1 + (padded(picks) * (step - 1)).astype(np.int64))
+    parents = np.hstack([np.zeros((n_disc, 1), np.int64), parent])
+    index = np.broadcast_to(np.arange(n_steps + 1), parents.shape)
+    # pointer doubling: every post's branch root (depth-1 ancestor) and depth
+    branch_roots = np.where(parents == 0, index, parents)
+    while True:
+        hop = np.take_along_axis(branch_roots, branch_roots, axis=1)
+        if np.array_equal(hop, branch_roots):
+            break
+        branch_roots = hop
+    ancestor, depths = parents, (index > 0).astype(np.int64)
+    while ancestor.any():
+        depths = depths + np.take_along_axis(depths, ancestor, axis=1)
+        ancestor = np.take_along_axis(ancestor, ancestor, axis=1)
+    starts = _BASE_TIME + _DISCUSSION_SPACING * (
+        first + np.arange(n_disc)[:, None])
+    gaps = padded(gaps)
+    if starts[-1, 0] + gaps.sum(axis=1).max() >= 2.0 ** 62:
+        raise ValueError("timestamps would overflow 64-bit integers; "
+                         "lower mean_hours_between_posts")
+    stamps = np.hstack([starts, starts + np.cumsum(gaps.astype(np.int64),
+                                                   axis=1)])
+    hours = {"dt_prev": np.diff(stamps, axis=1) / 3600.0,
+             "dt_parent": (stamps[:, 1:] - np.take_along_axis(
+                 stamps, parent, axis=1)) / 3600.0}
+
+    spec = MODEL_SPECS[config.model]
+    reads = {name for term in spec.terms for name in term.split(":")}
+    row_base = (n_steps + 1) * np.arange(n_disc)[:, None]
+    parent_at = row_base + parent            # flat index of each parent
+    branch_at = row_base + np.take_along_axis(branch_roots, parent, axis=1)
+    exists = dict.fromkeys(hours, valid)
+    exists["parent_metric"] = exists["br_neg"] = parent > 0
+    if "sib_older_mean" in reads:
+        n_older = _older_sibling_counts(parent_at.ravel()).reshape(
+            parent.shape)
+        exists["sib_older_mean"] = n_older > 0
+        sib_divisor = np.maximum(n_older, 1)[..., None]
+    betas = np.array([config.coefficient_vector(name) for name in _DIM_NAMES])
+    terms = [(betas[:, t], term.split(":"))
+             for t, term in enumerate(spec.terms, start=1)]
+    any_term = np.logical_or.reduce([
+        np.logical_and.reduce([exists[name] for name in fields])
+        for _, fields in terms])[..., None]
+    # no covariate exists yet (e.g. replies to the root): an exogenous draw
+    # seeds variation into the process
+    u = np.array(u)
+    eps = padded(eps)
+    exogenous = padded(base) + u[:, None] + eps
+
+    # --- the score recursion, one reply index at a time -------------------
+    values = np.zeros((n_disc, n_steps + 1, n_dims))   # roots stay 0
+    flat_values = values.reshape(-1, n_dims)
+    if "sib_older_mean" in reads:
+        sib_sums = np.zeros_like(flat_values)
+    clipped = np.empty((n_disc, n_steps, n_dims), bool)
+    intercept = betas[:, 0]
+    cov = {}
+    for j in range(n_steps):
+        at = parent_at[:, j]
+        for name, column in hours.items():
+            if name in reads:
+                cov[name] = column[:, j, None]
+        if "parent_metric" in reads:
+            cov["parent_metric"] = flat_values[at]
+        if "sib_older_mean" in reads:
+            # a left fold from 0 in sibling order, like sum()
+            cov["sib_older_mean"] = sib_sums[at] / sib_divisor[:, j]
+        if "br_neg" in reads:
+            cov["br_neg"] = flat_values[branch_at[:, j]] < 0
+        # a missing covariate reads 0 (the root's score, an empty sibling
+        # sum), so with finite coefficients its term adds a signed zero; a
+        # sum that starts at 0.0 is never -0.0, so that leaves it unchanged
+        term_sum = 0.0
+        for beta, fields in terms:
+            product = cov[fields[0]]
+            for name in fields[1:]:
+                product = product * cov[name]
+            term_sum = term_sum + beta * product
+        y = np.where(any_term[:, j],
+                     intercept + term_sum + u + eps[:, j], exogenous[:, j])
+        v = np.minimum(np.maximum(y, lo_f), hi_f)
+        clipped[:, j] = v != y
+        if not config.continuous:
+            # rint rounds half to even like round(); + 0.0 turns -0.0 into 0
+            v = np.rint(v) + 0.0
+        values[:, j + 1] = v
+        if "sib_older_mean" in reads:
+            sib_sums[at] += v
+
+    truncations = int(np.count_nonzero(clipped[valid]))
+    return (sizes, parents, depths, branch_roots, stamps, authors,
+            values[:, 1:], truncations, jitter)
+
+
+def _replication_scores(values: np.ndarray, jitter: tuple | None,
+                        scale: AnnotationScale, n_reps: int) -> list[int]:
+    """One discussion's replication scores, reply by reply and dimension by
+    dimension: each integer score n_reps times, with a zero-sum +-1 jitter
+    that keeps its mean exact."""
+    reps = np.repeat(values.astype(np.int64)[..., None], n_reps, axis=2)
+    if jitter is not None:
+        coin, lo, hi = jitter
+        r, m = np.nonzero((scale.min < reps[..., 0])
+                          & (reps[..., 0] < scale.max) & coin)
+        lo, hi = lo[r, m], hi[r, m]
+        hi += hi >= lo
+        reps[r, m, lo] -= 1
+        reps[r, m, hi] += 1
+    return reps.ravel().tolist()
 
 
 def generate_corpus(config: SynthConfig) -> SynthResult:
     """Draw a corpus, post-level means and (unless continuous) replication
     scores, all fully determined by the config seed."""
-    rng = np.random.default_rng(config.seed)
-    scale = config.scale
-    lo_f, hi_f = float(scale.min), float(scale.max)
-    n_reps = config.replications
-    # each term as (coefficient index, indices into a post's covariates)
-    terms = [(t, [_FIELDS.index(name) for name in term.split(":")])
-             for t, term in enumerate(MODEL_SPECS[config.model].terms, start=1)]
-    betas = [config.coefficient_vector(name).tolist() for name in _DIM_NAMES]
-    n_dims = len(_DIM_NAMES)
-
-    posts_by_discussion: dict[str, list[Post]] = {}
     posts_by_id: dict[str, Post] = {}
     means: dict[str, dict[str, float]] = {}
+    discussions: dict[str, DiscussionTree] = {}
     scores: list[int] | None = None if config.continuous else []
     truncations = 0
-
-    for d in range(config.n_discussions):
-        did = f"d{d:03d}"
-        n_posts = max(2, int(rng.poisson(config.mean_posts)))
-        u_d = rng.normal(0.0, config.tau, size=n_dims).tolist()
-        gaps = rng.exponential(config.mean_hours_between_posts * 3600.0,
-                               size=n_posts - 1).tolist()
-        root_coins = rng.random(size=n_posts - 1).tolist()
-        pick_a = rng.random(size=n_posts - 1).tolist()
-        eps = rng.normal(0.0, config.sigma, size=(n_posts - 1, n_dims)).tolist()
-        # inner 80% of the scale leaves headroom for the noise terms
-        base_draws = rng.uniform(0.8 * scale.min, 0.8 * scale.max,
-                                 size=(n_posts - 1, n_dims)).tolist()
-        jitter_coin = rng.random(size=(n_posts - 1, n_dims)).tolist()
-        jitter_lo = rng.random(size=(n_posts - 1, n_dims)).tolist()
-        jitter_hi = rng.random(size=(n_posts - 1, n_dims)).tolist()
-        authors = rng.integers(0, 40, size=n_posts).tolist()
-
-        timestamps = [_BASE_TIME + d * _DISCUSSION_SPACING]
-        branch_roots = [-1]
-        posts = [Post(f"{did}-p0000", did, None, f"u{authors[0]:02d}",
-                      timestamps[0], f"synthetic root post {did}-p0000")]
-        values = [[0] * n_posts for _ in range(n_dims)]
-        # per-parent older-sibling counts and sums (a left fold from int 0,
-        # like sum())
-        sib_counts = [0] * n_posts
-        sib_sums = [[0] * n_posts for _ in range(n_dims)]
-
-        for i in range(1, n_posts):
-            j = i - 1
-            if i == 1 or root_coins[j] < config.p_reply_to_root:
-                parent = 0
-            else:  # uniform over the earlier replies 1..i-1
-                parent = 1 + int(pick_a[j] * j)
-            timestamps.append(timestamps[j] + int(gaps[j]))
-            branch_roots.append(branch_roots[parent] if parent else i)
-            pid = f"{did}-p{i:04d}"
-            posts.append(Post(pid, did, posts[parent].post_id,
-                              f"u{authors[i]:02d}", timestamps[i],
-                              f"synthetic reply {pid}"))
-            dt_prev = (timestamps[i] - timestamps[j]) / 3600.0
-            dt_parent = (timestamps[i] - timestamps[parent]) / 3600.0
-            n_older = sib_counts[parent]
-            sib_counts[parent] += 1
-            post_means = []
-            for m, (vals, sums, beta) in enumerate(zip(values, sib_sums, betas)):
-                cov = (dt_prev, dt_parent, vals[parent] if parent else None,
-                       sums[parent] / n_older if n_older else None,
-                       (1.0 if vals[branch_roots[parent]] < 0 else 0.0)
-                       if parent else None)
-                term_sum = 0.0
-                any_term = False
-                for t, fields in terms:
-                    product = 1.0
-                    for k in fields:
-                        part = cov[k]
-                        if part is None:
-                            break
-                        product *= part
-                    else:
-                        term_sum += beta[t] * product
-                        any_term = True
-                if any_term:
-                    y = beta[0] + term_sum + u_d[m] + eps[j][m]
-                else:
-                    # no covariate exists yet (e.g. replies to the root):
-                    # an exogenous draw seeds variation into the process
-                    y = base_draws[j][m] + u_d[m] + eps[j][m]
-                clipped = min(max(y, lo_f), hi_f)
-                if clipped != y:
-                    truncations += 1
-                # round() rounds half to even, like np.rint
-                vals[i] = v = clipped if config.continuous else round(clipped)
-                sums[parent] = sums[parent] + v
-                post_means.append(float(v))  # the jitter below sums to zero
-                if config.continuous:
-                    continue
-                reps = [v] * n_reps
-                if (n_reps >= 2 and scale.min < v < scale.max
-                        and jitter_coin[j][m] < 0.5):
-                    lo = int(jitter_lo[j][m] * n_reps)
-                    hi = int(jitter_hi[j][m] * (n_reps - 1))
-                    if hi >= lo:
-                        hi += 1
-                    reps[lo] -= 1
-                    reps[hi] += 1
-                scores.extend(reps)
-            means[pid] = dict(zip(_DIM_NAMES, post_means))
-
-        posts_by_discussion[did] = posts
-        posts_by_id.update((post.post_id, post) for post in posts)
-
-    discussions = {did: build_tree(posts_by_discussion[did])
-                   for did in sorted(posts_by_discussion)}
-    return SynthResult(corpus=Corpus(discussions=discussions, posts=posts_by_id),
-                       means=means, truncations=truncations,
+    first = 0
+    for block in _draw_blocks(np.random.default_rng(config.seed), config):
+        (sizes, parents, depths, branch_roots, stamps, authors, values,
+         block_truncations, jitter) = _simulate(config, block, first)
+        truncations += block_truncations
+        for k, n_posts in enumerate(sizes):
+            did = f"d{first + k:03d}"
+            ids = [f"{did}-p{i:04d}" for i in range(n_posts)]
+            parent_row = parents[k, :n_posts].tolist()
+            stamp_row = stamps[k, :n_posts].tolist()
+            author_row = authors[k].tolist()
+            posts = [Post(ids[0], did, None, f"u{author_row[0]:02d}",
+                          stamp_row[0], f"synthetic root post {ids[0]}")]
+            posts.extend(Post(pid, did, ids[p], f"u{a:02d}", t,
+                              f"synthetic reply {pid}")
+                         for pid, p, a, t in zip(ids[1:], parent_row[1:],
+                                                 author_row[1:],
+                                                 stamp_row[1:]))
+            posts_by_id.update(zip(ids, posts))
+            replies = values[k, :n_posts - 1]
+            means.update(zip(ids[1:], (dict(zip(_DIM_NAMES, row))
+                                       for row in replies.tolist())))
+            if scores is not None:
+                draws = (None if jitter is None else
+                         tuple(a[k, :n_posts - 1] for a in jitter))
+                scores += _replication_scores(replies, draws, config.scale,
+                                              config.replications)
+            discussions[did] = _discussion_tree(
+                did, ids, parent_row, depths[k, :n_posts].tolist(),
+                branch_roots[k, :n_posts].tolist(), stamp_row)
+        first += len(sizes)
+    corpus = Corpus(discussions=dict(sorted(discussions.items())),
+                    posts=posts_by_id)
+    return SynthResult(corpus=corpus, means=means, truncations=truncations,
                        replication_scores=scores, config=config)
 
 

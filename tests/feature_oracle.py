@@ -127,7 +127,10 @@ def oracle_feature_rows(corpus: Corpus, means: MeanMap, strict: bool = True,
     rows: list[FeatureRow] = []
     for discussion_id in corpus.discussion_ids():
         tree = corpus.discussions[discussion_id]
-        ordered = corpus.posts_of(discussion_id)
+        # sorted here, not taken from the tree's stored order, so that the
+        # oracle checks that order instead of inheriting it
+        ordered = sorted((corpus.posts[pid] for pid in tree.depth),
+                         key=Post.order_key)
         posts_by_id = {p.post_id: p for p in ordered}
         for post in ordered:
             depth = tree.depth[post.post_id]

@@ -47,6 +47,20 @@ from conftest import corpus_from_posts, mk_post
 SCALE = AnnotationScale()
 
 
+@pytest.fixture
+def open_cache():
+    """Opens caches like AnnotationCache and closes each when the test ends."""
+    caches = []
+
+    def opener(path):
+        caches.append(AnnotationCache(path))
+        return caches[-1]
+
+    yield opener
+    for cache in caches:
+        cache.close()
+
+
 # --- prompt --------------------------------------------------------------------
 
 def test_prompt_mentions_each_dimension_and_bounds_once():
@@ -178,55 +192,55 @@ def pair():
     return parent, child
 
 
-def test_annotate_pair_means(tmp_path):
+def test_annotate_pair_means(tmp_path, open_cache):
     parent, child = pair()
     responses = [make_payload(disagree_vs_agree=v) for v in (-3, -3, -2, -3)]
     backend = ScriptedBackend(responses)
-    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    cache = open_cache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache)
     scores = records["disagree_vs_agree"]
     assert scores == (-3, -3, -2, -3)
     assert sum(scores) / len(scores) == pytest.approx(-2.75)
 
 
-def test_retry_contract(tmp_path):
+def test_retry_contract(tmp_path, open_cache):
     parent, child = pair()
     backend = ScriptedBackend(["garbage", "{\"also\": \"bad\"}", make_payload(),
                                make_payload(), make_payload(), make_payload()])
-    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    cache = open_cache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=4)
     assert len(records["disagree_vs_agree"]) == 4
 
 
-def test_annotation_failed_after_retries(tmp_path):
+def test_annotation_failed_after_retries(tmp_path, open_cache):
     parent, child = pair()
     backend = ScriptedBackend(["bad"] * 10)
-    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    cache = open_cache(tmp_path / "cache.jsonl")
     with pytest.raises(AnnotationFailed):
         annotate_pair(parent, child, backend, cache, max_retries=2,
                       n_replications=2)
 
 
-def test_partial_results_cached_and_resumed(tmp_path):
+def test_partial_results_cached_and_resumed(tmp_path, open_cache):
     parent, child = pair()
     # replication 0 succeeds, replication 1 exhausts retries
     backend = ScriptedBackend([make_payload()] + ["bad"] * 3)
     cache_path = tmp_path / "cache.jsonl"
-    cache = AnnotationCache(cache_path)
+    cache = open_cache(cache_path)
     with pytest.raises(AnnotationFailed):
         annotate_pair(parent, child, backend, cache, max_retries=2,
                       n_replications=2)
     # a rerun only needs the missing replication
     backend2 = ScriptedBackend([make_payload(disagree_vs_agree=2)])
-    cache2 = AnnotationCache(cache_path)
+    cache2 = open_cache(cache_path)
     records = annotate_pair(parent, child, backend2, cache2, max_retries=0,
                             n_replications=2)
     assert backend2.calls == 1
     assert records["disagree_vs_agree"] == (1, 2)
 
 
-def test_cache_idempotence_zero_calls(tmp_path):
+def test_cache_idempotence_zero_calls(tmp_path, open_cache):
     corpus = corpus_from_posts([
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=60),
@@ -234,64 +248,64 @@ def test_cache_idempotence_zero_calls(tmp_path):
     ])
     cache_path = tmp_path / "cache.jsonl"
     backend = MockBackend(seed=9)
-    first = annotate_corpus(corpus, backend, AnnotationCache(cache_path))
+    first = annotate_corpus(corpus, backend, open_cache(cache_path))
     assert backend.calls > 0
     again = MockBackend(seed=9)
-    second = annotate_corpus(corpus, again, AnnotationCache(cache_path))
+    second = annotate_corpus(corpus, again, open_cache(cache_path))
     assert again.calls == 0
     assert second == first
 
 
-def test_mock_end_to_end_determinism(tmp_path):
+def test_mock_end_to_end_determinism(tmp_path, open_cache):
     corpus = corpus_from_posts([
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=60),
     ])
     runs = []
     for i in range(2):
-        cache = AnnotationCache(tmp_path / f"cache{i}.jsonl")
+        cache = open_cache(tmp_path / f"cache{i}.jsonl")
         runs.append(annotate_corpus(corpus, MockBackend(seed=3), cache))
     assert runs[0] == runs[1]
 
 
-def test_concurrent_annotation_matches_serial(tmp_path):
+def test_concurrent_annotation_matches_serial(tmp_path, open_cache):
     posts = [mk_post("A", timestamp=0)]
     posts += [mk_post(f"B{i}", parent_id="A", timestamp=60 + i)
               for i in range(12)]
     corpus = corpus_from_posts(posts)
     serial = annotate_corpus(corpus, MockBackend(seed=4),
-                             AnnotationCache(tmp_path / "s.jsonl"))
+                             open_cache(tmp_path / "s.jsonl"))
     parallel = annotate_corpus(corpus, MockBackend(seed=4),
-                               AnnotationCache(tmp_path / "p.jsonl"),
+                               open_cache(tmp_path / "p.jsonl"),
                                concurrency=4)
     assert parallel == serial
 
 
-def test_load_annotation_means(tmp_path):
+def test_load_annotation_means(tmp_path, open_cache):
     corpus = corpus_from_posts([
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=60),
     ])
     cache_path = tmp_path / "cache.jsonl"
     records = annotate_corpus(corpus, MockBackend(seed=5),
-                              AnnotationCache(cache_path))
-    means = load_annotation_means(corpus, AnnotationCache(cache_path))
+                              open_cache(cache_path))
+    means = load_annotation_means(corpus, open_cache(cache_path))
     scores = records["B"]["disagree_vs_agree"]
     assert means["B"]["disagree_vs_agree"] == sum(scores) / len(scores)
 
 
-def test_index_by_pair_never_mixes_model_ids(tmp_path):
+def test_index_by_pair_never_mixes_model_ids(tmp_path, open_cache):
     # modelA has reps 0-3 = -5, modelB reps 0-1 = +5; splicing them used to
     # yield [5, 5, -5, -5] as one "complete" replication set
     dim = "disagree_vs_agree"
     path = tmp_path / "mixed.jsonl"
-    cache = AnnotationCache(path)
+    cache = open_cache(path)
     for rep in range(4):
         cache.put(CacheKey("pair", "modelA", dim, rep), -5, timestamp=0)
     for rep in range(2):
         cache.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
     cache.close()
-    cache = AnnotationCache(path)
+    cache = open_cache(path)
     with pytest.raises(AmbiguousModel, match="modelA, modelB"):
         cache.index_by_pair(4)
     corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
@@ -304,31 +318,32 @@ def test_index_by_pair_never_mixes_model_ids(tmp_path):
             ("modelA", 4, -5, {"pair": {dim: [-5] * 4}}),
             ("modelB", 2, 5, {}),
             ("modelB", 4, 5, {"pair": {dim: [5] * 4}})):
-        single = AnnotationCache(tmp_path / f"{model}-{reps}.jsonl")
+        single = open_cache(tmp_path / f"{model}-{reps}.jsonl")
         for rep in range(reps):
             single.put(CacheKey("pair", model, dim, rep), score, timestamp=0)
         single.close()
         assert single.index_by_pair(4) == expected
-    assert AnnotationCache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
+    assert open_cache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
 
 
-def test_torn_final_line_is_closed_before_the_next_append(tmp_path):
+def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
+                                                          open_cache):
     # an interrupted write leaves a last line without its newline; the first
     # new record used to be glued onto it and lost on the next load
     dim = "disagree_vs_agree"
     path = tmp_path / "torn.jsonl"
     path.write_text('{"pair_hash": "p", "model": "m", "dimen', encoding="utf-8")
-    cache = AnnotationCache(path)
+    cache = open_cache(path)
     assert len(cache) == 0
     cache.put(CacheKey("pair", "m", dim, 0), 1, timestamp=0)
     cache.put(CacheKey("pair", "m", dim, 1), 2, timestamp=0)
     cache.close()
-    reloaded = AnnotationCache(path)
+    reloaded = open_cache(path)
     assert len(reloaded) == 2
     assert reloaded.get(CacheKey("pair", "m", dim, 0)) == 1
     assert reloaded.get(CacheKey("pair", "m", dim, 1)) == 2
     # a cache that ends cleanly gains no blank line
-    cache = AnnotationCache(path)
+    cache = open_cache(path)
     before = path.read_text(encoding="utf-8")
     cache.put(CacheKey("pair", "m", dim, 2), 3, timestamp=0)
     cache.close()
@@ -342,10 +357,10 @@ def test_cache_keys_include_scale(tmp_path):
     assert h1 != h2
 
 
-def test_partial_replication_keeps_cached_dimensions(tmp_path):
+def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
     parent, child = pair()
     cache_path = tmp_path / "cache.jsonl"
-    cache = AnnotationCache(cache_path)
+    cache = open_cache(cache_path)
     pair_hash = pair_content_hash(parent.text, child.text, SCALE)
     cache.put(CacheKey(pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
               5, timestamp=0)
@@ -357,18 +372,18 @@ def test_partial_replication_keeps_cached_dimensions(tmp_path):
     assert first["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
     rerun = annotate_pair(parent, child, rerun_backend,
-                          AnnotationCache(cache_path), n_replications=1)
+                          open_cache(cache_path), n_replications=1)
     assert rerun_backend.calls == 0
     assert rerun == first
 
 
-def test_empty_text_is_rejected_before_the_cache(tmp_path):
+def test_empty_text_is_rejected_before_the_cache(tmp_path, open_cache):
     parent = mk_post("P", timestamp=0, text="   ")
     child = mk_post("C", parent_id="P", timestamp=60)
     backend = ScriptedBackend([make_payload()])
     with pytest.raises(EmptyText):
         annotate_pair(parent, child, backend,
-                      AnnotationCache(tmp_path / "cache.jsonl"))
+                      open_cache(tmp_path / "cache.jsonl"))
     assert backend.calls == 0
 
 
@@ -593,13 +608,14 @@ def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch,
     assert calls["complete"] == 0 and StubHandler.seen == []
 
 
-def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch, tmp_path):
+def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
+                                              tmp_path, open_cache):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     StubHandler.fail_times = 2
     backend = HttpBackend(BackendConfig(
         url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
     parent, child = pair()
-    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    cache = open_cache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=1)
     assert records["disagree_vs_agree"] == (1,)

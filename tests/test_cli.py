@@ -83,6 +83,47 @@ def test_synth_generate_and_recover(synth_setup):
     assert json.loads(recover_out.read_text())["n_runs"] == 3
 
 
+@pytest.mark.parametrize("override, message", (
+    ({"model": "M9"}, "unknown model 'M9'"),
+    ({"n_discussion": 5}, "unexpected keyword argument 'n_discussion'"),
+    ({"mean_hours_between_posts": -1}, "mean_hours_between_posts must be"),
+    ({"mean_hours_between_posts": float("nan")},
+     "mean_hours_between_posts must be"),
+    ({"mean_posts": float("nan")}, "mean_posts >= 1"),
+    ({"scale_min": 2}, "scale must satisfy min < 0 < max"),
+    ({"n_discussions": 2.5}, "n_discussions must be an integer"),
+    ({"coefficients": [0.1, 0.4]}, "coefficients must be JSON objects"),
+))
+def test_invalid_synth_config_exits_with_one_line(synth_setup, override,
+                                                  message):
+    tmp_path, config_path, _, _ = synth_setup
+    bad = tmp_path / "bad_config.json"
+    bad.write_text(json.dumps({**json.loads(config_path.read_text()),
+                               **override}))
+    corpus_out = tmp_path / "gen.jsonl"
+    proc = run_cli("synth", "--config", str(bad),
+                   "--out-corpus", str(corpus_out),
+                   "--out-cache", str(tmp_path / "gen_cache.jsonl"))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    [line] = proc.stderr.splitlines()
+    assert line.startswith(f"invalid synth config {bad}: ")
+    assert message in line
+    assert not corpus_out.exists()
+
+
+@pytest.mark.parametrize("runs", ("0", "-1"))
+def test_synth_recover_needs_a_run(synth_setup, runs):
+    tmp_path, config_path, _, _ = synth_setup
+    out = tmp_path / "recovery.json"
+    proc = run_cli("synth", "recover", "--config", str(config_path),
+                   "--runs", runs, "--out", str(out))
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert "threadtone: error: --runs must be >= 1" in proc.stderr
+    assert not out.exists()
+
+
 def test_annotate_features_agreement_regress_report(synth_setup):
     tmp_path, _, corpus_path, _ = synth_setup
     cache_path = tmp_path / "mock_cache.jsonl"

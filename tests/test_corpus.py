@@ -160,6 +160,8 @@ def test_tree_invariants_on_random_trees():
         for kids in tree.children.values():
             keys = [by_id[k].order_key() for k in kids]
             assert keys == sorted(keys)
+        assert tree.order == tuple(sorted(by_id, key=lambda pid:
+                                          by_id[pid].order_key()))
 
 
 def test_branch_root_matches_parent_walk_oracle():

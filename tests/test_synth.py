@@ -171,6 +171,34 @@ def test_config_validation():
         small_config(model="M6", coefficients={"disagree_vs_agree": (1.0, 2.0)})
 
 
+NAN = float("nan")
+
+
+@pytest.mark.parametrize("override", (
+    {"mean_posts": NAN}, {"mean_posts": float("inf")}, {"mean_posts": 0.5},
+    {"mean_hours_between_posts": -1.0}, {"mean_hours_between_posts": NAN},
+    {"sigma": NAN}, {"tau": float("inf")},
+    {"scale_min": 1}, {"scale_max": -2}, {"scale_min": -2.5},
+    {"n_discussions": 2.5}, {"replications": True}, {"seed": -1},
+    {"coefficients": {"disagreement": (0.0, 1.0)}},
+    {"coefficients": {"disagree_vs_agree": (0.0, float("inf"))}},
+    {"coefficients": {"disagree_vs_agree": (NAN, 1.0)}},
+))
+def test_config_rejects_values_that_would_fail_mid_generation(override):
+    with pytest.raises(ValueError):
+        small_config(**override)
+
+
+def test_timestamps_that_overflow_64_bits_raise():
+    with pytest.raises(ValueError, match="overflow"):
+        generate_corpus(small_config(mean_hours_between_posts=1e16))
+
+
+def test_config_accepts_zero_gaps_and_noise():
+    generate_corpus(small_config(mean_hours_between_posts=0.0, sigma=0.0,
+                                 tau=0.0))
+
+
 def test_corpus_scale_matches_config():
     config = SynthConfig(n_discussions=60, mean_posts=38, seed=5,
                          coefficients={"disagree_vs_agree": (0.0, 0.2)})

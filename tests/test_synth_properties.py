@@ -6,16 +6,19 @@ scale, both noise levels (including 0), the reply-to-root probability
 (including 0 and 1), small and tied-timestamp discussions, model ids that
 need JSON escaping, and coefficients large enough to clip. Every comparison
 is exact: the serialized corpus, the replication records, the truncation
-count, and the means by ``repr`` so that the sign of a zero counts.
+count, and the means by ``repr`` so that the sign of a zero counts. The
+generator builds each discussion's tree from its own parent indices; every
+such tree must equal the one ``build_tree`` derives from the posts.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadtone.corpus import serialize_corpus
+from threadtone.corpus import build_tree, serialize_corpus
 from threadtone.dimensions import DIMENSIONS
 from threadtone.regression import MODEL_IDS, MODEL_SPECS
+from threadtone import synth
 from threadtone.synth import SynthConfig, generate_corpus
 
 from synth_oracle import oracle_generate_corpus
@@ -61,8 +64,20 @@ def means_repr(means) -> str:
                  for pid, by_dim in means.items()})
 
 
+def assert_trees_match_build_tree(corpus) -> None:
+    by_discussion = {}
+    for post in corpus.posts.values():
+        by_discussion.setdefault(post.discussion_id, []).append(post)
+    assert list(corpus.discussions) == sorted(by_discussion)
+    for did, posts in by_discussion.items():
+        tree, expected = corpus.discussions[did], build_tree(posts)
+        assert tree == expected  # children, depth, branch roots and order
+        assert list(tree.children) == list(expected.children)
+
+
 def assert_matches_oracle(config: SynthConfig) -> None:
     result = generate_corpus(config)
+    assert_trees_match_build_tree(result.corpus)
     oracle = oracle_generate_corpus(config)
     assert (list(serialize_corpus(result.corpus))
             == list(serialize_corpus(oracle.corpus)))
@@ -89,4 +104,31 @@ def test_paper_like_configs_match_oracle(model, continuous):
                                        "emotional_vs_factual": coefs[::-1]},
                          sigma=1.0, tau=0.15, seed=20240301,
                          continuous=continuous)
+    assert_matches_oracle(config)
+
+
+def test_over_ten_thousand_tied_posts_keep_the_timestamp_id_order():
+    # most gaps truncate to 0 s, so p10000 ties p9999 and, by id, sorts
+    # before it: past p9999 the index order is not the (timestamp, id) order
+    config = SynthConfig(n_discussions=1, mean_posts=10_300,
+                         mean_hours_between_posts=0.0001, model="M6",
+                         coefficients={"disagree_vs_agree":
+                                       (-0.9, 0.33, -0.4, -0.19)},
+                         seed=1)
+    assert_matches_oracle(config)
+    tree = generate_corpus(config).corpus.discussions["d000"]
+    assert len(tree.order) > 10_000
+    assert tree.order.index("d000-p10000") < tree.order.index("d000-p9999")
+
+
+@pytest.mark.parametrize("block_replies", (1, 60))
+@pytest.mark.parametrize("model", ("M5", "M6"))
+def test_discussion_blocks_match_oracle(monkeypatch, block_replies, model):
+    # the recursion runs over blocks of discussions; small blocks put block
+    # boundaries (one discussion each, or a few) into a small corpus
+    monkeypatch.setattr(synth, "_BLOCK_REPLIES", block_replies)
+    config = SynthConfig(n_discussions=12, mean_posts=20, model=model,
+                         coefficients={"disagree_vs_agree":
+                                       (-0.9, 0.33, -0.4, -0.19)},
+                         sigma=1.0, tau=0.3, seed=77)
     assert_matches_oracle(config)
