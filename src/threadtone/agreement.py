@@ -16,7 +16,8 @@ the all-rater unanimity variant.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+import logging
+from dataclasses import astuple, dataclass
 from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -25,6 +26,8 @@ import numpy as np
 
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import DegenerateData
+
+log = logging.getLogger(__name__)
 
 _NAMES = tuple(d.name for d in DIMENSIONS)
 
@@ -180,13 +183,20 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
 
 def correlation_report(means_by_post: Mapping[str, Mapping[str, float]]) -> np.ndarray:
     """Pairwise Spearman correlations of post-level means, over posts with
-    all dimensions present. Symmetric with unit diagonal."""
+    all dimensions present. Symmetric with unit diagonal; a cell that is
+    undefined (fewer than three posts, or a constant series) is nan."""
     posts = sorted(pid for pid, vals in means_by_post.items()
                    if all(name in vals for name in _NAMES))
     series = [[means_by_post[pid][name] for pid in posts] for name in _NAMES]
     out = np.eye(len(_NAMES))
     for i, j in combinations(range(len(_NAMES)), 2):
-        out[i, j] = out[j, i] = spearman_rho(series[i], series[j])
+        try:
+            out[i, j] = out[j, i] = spearman_rho(series[i], series[j])
+        except (ValueError, DegenerateData):
+            out[i, j] = out[j, i] = np.nan
+    if np.isnan(out).any():
+        log.warning("Spearman correlation undefined for some pairs over %d "
+                    "posts; written as nan", len(posts))
     return out
 
 
@@ -212,13 +222,17 @@ def ratings_from_scores(scores_by_item: Mapping[str, Sequence[int]]) -> RatingsM
     only; enforced by the caller)."""
     items = tuple(sorted(scores_by_item))
     values = np.array([scores_by_item[item] for item in items], dtype=int).T
+    if not items:  # no items, so no replications either
+        values = values.reshape(0, 0)
     return RatingsMatrix(items=items, values=values)
 
 
 def agreement_report(scores_by_dimension: Mapping[str, Mapping[str, Sequence[int]]],
                      scale: AnnotationScale = AnnotationScale(),
                      unanimity: bool = False) -> list[DimensionAgreement]:
-    """Per-dimension reliability over the items common to every dimension."""
+    """Per-dimension reliability over the items common to every dimension.
+    A dimension with fewer than two replications or two items gets nan
+    statistics."""
     dims = [d.name for d in DIMENSIONS if d.name in scores_by_dimension]
     common: set[str] | None = None
     for name in dims:
@@ -227,25 +241,24 @@ def agreement_report(scores_by_dimension: Mapping[str, Mapping[str, Sequence[int
     common = common or set()
 
     report = []
+    undefined = []
     for name in dims:
         matrix = ratings_from_scores(
             {item: scores_by_dimension[name][item] for item in common})
-        alpha = krippendorff_alpha_interval(matrix)
-        kappa = fleiss_kappa(matrix, scale)
-        disp = dispersion_stats(matrix, unanimity=unanimity)
-        report.append(DimensionAgreement(
-            dimension=name,
-            n_items=matrix.n_items,
-            n_raters=matrix.n_raters,
-            krippendorff_alpha=alpha.value,
-            fleiss_kappa=kappa.value,
-            mapd_mean=disp.mapd_mean,
-            exact_agreement=disp.exact_agreement,
-            pct_within_1=disp.pct_within_1,
-            mean_range=disp.mean_range,
-            mean_sd=disp.mean_sd,
-            degenerate=alpha.degenerate or kappa.degenerate,
-        ))
+        if matrix.n_raters < 2 or matrix.n_items < 2:
+            undefined.append(name)
+            stats, degenerate = [float("nan")] * 7, True
+        else:
+            alpha = krippendorff_alpha_interval(matrix)
+            kappa = fleiss_kappa(matrix, scale)
+            disp = dispersion_stats(matrix, unanimity=unanimity)
+            stats = [alpha.value, kappa.value, *astuple(disp)]
+            degenerate = alpha.degenerate or kappa.degenerate
+        report.append(DimensionAgreement(name, matrix.n_items, matrix.n_raters,
+                                         *stats, degenerate))
+    if undefined:
+        log.warning("agreement undefined for %s (needs 2 items and 2 "
+                    "replications); written as nan", ", ".join(undefined))
     return report
 
 

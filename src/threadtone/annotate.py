@@ -277,14 +277,6 @@ class BackendConfig:
     effort: str = "high"
     verbosity: str = "low"
     timeout: float = 60.0
-    max_retries: int = 3
-    concurrency: int = 1
-
-    def __post_init__(self) -> None:
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be >= 0")
-        if self.concurrency < 1:
-            raise ValueError("concurrency must be >= 1")
 
 
 def _environment_proxy(scheme: str, netloc: str,

@@ -302,7 +302,8 @@ def main(argv: list[str] | None = None) -> int:
             AnnotationScale(args.scale_min, args.scale_max)
         except ValueError as exc:
             parser.error(f"--scale-min/--scale-max: {exc}")
-    for flag, least in (("concurrency", 1), ("max_retries", 0), ("runs", 1)):
+    for flag, least in (("concurrency", 1), ("max_retries", 0), ("runs", 1),
+                        ("replications", 1)):
         if vars(args).get(flag, least) < least:
             parser.error(f"--{flag.replace('_', '-')} must be >= {least}")
     try:

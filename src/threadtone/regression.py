@@ -1,9 +1,13 @@
 """OLS with discussion-clustered sandwich standard errors, models M1-M6.
 
-The designs here never exceed four columns, so the fit solves the normal
-equations with an explicitly pivoted elimination and a rank check rather
-than pulling in a decomposition library. The covariance of the estimates is
-the cluster sandwich
+The fit solves the normal equations X'X b = X'y with ``numpy.linalg.solve``
+and takes the sandwich's bread, (X'X)^-1, from ``numpy.linalg.inv`` (both
+LAPACK). Both first pass one rank check that does not depend on column
+scale: X'X is divided by the outer product of the square roots of its
+diagonal, and a zero diagonal entry, or a smallest singular value of that
+unit-diagonal matrix at most 1e-10 times the largest, raises SingularDesign,
+so a column's units do not decide whether a design fits. The covariance of
+the estimates is the cluster sandwich
 
     (X'X)^-1 ( sum_d X_d' e_d e_d' X_d ) (X'X)^-1
 
@@ -29,42 +33,21 @@ from .features import FeatureTable
 
 log = logging.getLogger(__name__)
 
-_PIVOT_RTOL = 1e-10
+_RANK_RTOL = 1e-10
 
 
-def _solve_pivoted(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve a @ x = b by Gaussian elimination with partial pivoting.
-
-    Raises SingularDesign when a pivot falls below _PIVOT_RTOL relative to
-    the largest entry of ``a``.
-    """
-    a = np.array(a, dtype=float)
-    b = np.array(b, dtype=float)
-    k = a.shape[0]
-    if a.shape != (k, k):
-        raise ValueError("matrix must be square")
-    b_was_vector = b.ndim == 1
-    if b_was_vector:
-        b = b[:, None]
-    scale = np.abs(a).max()
-    if scale == 0.0:
-        raise SingularDesign("all-zero normal equations")
-    tol = _PIVOT_RTOL * scale
-    for col in range(k):
-        pivot_row = col + int(np.argmax(np.abs(a[col:, col])))
-        if abs(a[pivot_row, col]) <= tol:
-            raise SingularDesign(f"rank-deficient design (pivot {col})")
-        if pivot_row != col:
-            a[[col, pivot_row]] = a[[pivot_row, col]]
-            b[[col, pivot_row]] = b[[pivot_row, col]]
-        for row in range(col + 1, k):
-            factor = a[row, col] / a[col, col]
-            a[row, col:] -= factor * a[col, col:]
-            b[row] -= factor * b[col]
-    x = np.zeros_like(b)
-    for col in range(k - 1, -1, -1):
-        x[col] = (b[col] - a[col, col + 1:] @ x[col + 1:]) / a[col, col]
-    return x[:, 0] if b_was_vector else x
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X'X, after the scale-free rank check: a zero diagonal entry, or a
+    smallest singular value of X'X scaled to unit diagonal at most _RANK_RTOL
+    times the largest, raises SingularDesign."""
+    gram = x.T @ x
+    norms = np.sqrt(np.diag(gram))
+    if not norms.all():
+        raise SingularDesign("all-zero design column")
+    singular = np.linalg.svd(gram / np.outer(norms, norms), compute_uv=False)
+    if singular[-1] <= _RANK_RTOL * singular[0]:
+        raise SingularDesign("rank-deficient design")
+    return gram
 
 
 def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -76,7 +59,7 @@ def ols_fit(x: np.ndarray, y: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n, k = x.shape
     if n <= k:
         raise InsufficientSample(f"n={n} observations for k={k} parameters")
-    beta = _solve_pivoted(x.T @ x, x.T @ y)
+    beta = np.linalg.solve(_gram(x), x.T @ y)
     residuals = y - x @ beta
     return beta, residuals
 
@@ -105,7 +88,7 @@ def cluster_robust_vcov(x: np.ndarray, residuals: np.ndarray,
     np.add.at(sums, inverse, scores)
     meat = sums.T @ sums
 
-    bread = _solve_pivoted(x.T @ x, np.eye(k))
+    bread = np.linalg.inv(_gram(x))
     vcov = bread @ meat @ bread
     vcov = (vcov + vcov.T) / 2.0
     if small_sample and n_clusters > 1 and n > k:

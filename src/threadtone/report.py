@@ -206,8 +206,7 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
     elif options.backend_url:
         backend = HttpBackend(BackendConfig(
             url=options.backend_url, api_key_env=options.api_key_env,
-            model=options.model, max_retries=options.max_retries,
-            concurrency=options.concurrency))
+            model=options.model))
         cache_timestamp = int(time.time())
     else:
         raise AnnotationError("no backend configured: mock mode is off and "

@@ -358,6 +358,20 @@ def test_correlation_report_structure_and_consistency():
             assert m[i, j] == pytest.approx(rho, abs=1e-12)
 
 
+def test_correlation_report_undefined_cells_are_nan(caplog):
+    names = [d.name for d in DIMENSIONS]
+    two_posts = {"p1": dict.fromkeys(names, 1.0), "p2": dict.fromkeys(names, 2.0)}
+    m = correlation_report(two_posts)
+    assert np.array_equal(np.isnan(m), ~np.eye(3, dtype=bool))
+    # a constant series leaves only its own cells undefined
+    means = {f"p{i}": {names[0]: float(i), names[1]: float(i % 3),
+                       names[2]: 0.5} for i in range(10)}
+    caplog.clear()
+    m = correlation_report(means)
+    assert np.isnan(m[0, 2]) and np.isnan(m[1, 2]) and not np.isnan(m[0, 1])
+    assert len(caplog.records) == 1
+
+
 def test_correlation_rendering_uses_two_decimals():
     from threadtone.agreement import render_correlations
     m = np.array([[1.0, 0.56, 0.48], [0.56, 1.0, 0.02], [0.48, 0.02, 1.0]])
@@ -402,6 +416,21 @@ def test_bundled_corpus_agreement_csv_cells_are_numbers(tmp_path):
     for row in rows:
         for cell in row[1:]:
             float(cell)  # e.g. not "np.float64(-0.0014...)"
+
+
+@pytest.mark.parametrize("n_items, n_raters", ((30, 1), (1, 4), (0, 4)))
+def test_agreement_report_too_few_items_or_replications_is_nan(
+        caplog, n_items, n_raters):
+    scores = {d.name: {f"pair{i:02d}": [1] * n_raters for i in range(n_items)}
+              for d in DIMENSIONS}
+    report = agreement_report(scores)
+    assert len(caplog.records) == 1
+    for row in report:
+        # an empty item set has no replications to count
+        assert (row.n_items, row.n_raters) == (n_items, n_raters if n_items else 0)
+        assert np.isnan([row.krippendorff_alpha, row.fleiss_kappa, row.mapd_mean,
+                         row.exact_agreement, row.pct_within_1, row.mean_range,
+                         row.mean_sd]).all()
 
 
 def test_agreement_report_common_item_set():

@@ -210,6 +210,7 @@ def test_strict_features_on_an_incomplete_cache_exits_with_annotation_code(
     ("--concurrency", "0", "--concurrency must be >= 1"),
     ("--concurrency", "-2", "--concurrency must be >= 1"),
     ("--max-retries", "-1", "--max-retries must be >= 0"),
+    ("--replications", "0", "--replications must be >= 1"),
 ))
 def test_bad_backend_limits_are_usage_errors(tmp_path, command, flag, value,
                                              message):
@@ -336,6 +337,54 @@ def test_single_discussion_corpus_exits_with_inference_code(tmp_path):
             proc = run_cli(*args, "--pvalue", pvalue)
             assert proc.returncode == code, (args[0], proc.stderr)
             assert "Traceback" not in proc.stderr
+
+
+def test_two_reply_corpus_exits_with_inference_code(tmp_path):
+    # two replies leave every Spearman cell undefined (written as nan) and
+    # too few rows for any model
+    lines = BUNDLED_CORPUS.read_text(encoding="utf-8").splitlines(keepends=True)
+    posts = [json.loads(line) for line in lines]
+    root = next(p for p in posts if p["parent_id"] is None)
+    replies = [p for p in posts if p["parent_id"] == root["post_id"]][:2]
+    corpus = tmp_path / "two.jsonl"
+    corpus.write_text("".join(json.dumps(p) + "\n" for p in [root, *replies]),
+                      encoding="utf-8")
+    out = tmp_path / "out"
+    proc = run_cli("pipeline", "--corpus", str(corpus),
+                   "--cache", str(tmp_path / "cache.jsonl"),
+                   "--output-dir", str(out), "--mock", "--seed", "7")
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "Spearman correlation undefined" in proc.stderr
+    rows = (out / "correlations.csv").read_text().splitlines()[1:]
+    assert [row.split(",")[1:].count("nan") for row in rows] == [2, 2, 2]
+
+
+def test_one_replication_writes_nan_agreement(synth_setup):
+    tmp_path, _, corpus_path, _ = synth_setup
+    out = tmp_path / "bundle"
+    proc = run_cli("pipeline", "--corpus", str(corpus_path),
+                   "--cache", str(tmp_path / "c.jsonl"),
+                   "--output-dir", str(out), "--mock", "--replications", "1")
+    assert proc.returncode == 0, proc.stderr
+    assert "agreement undefined" in proc.stderr
+    rows = (out / "agreement.csv").read_text().splitlines()[1:]
+    assert len(rows) == 3
+    for row in rows:
+        _, n_items, n_raters, *stats = row.split(",")
+        assert int(n_items) > 0 and n_raters == "1"
+        assert stats == ["nan"] * 7
+
+
+def test_agreement_on_an_empty_cache(tmp_path):
+    cache, out = tmp_path / "empty.jsonl", tmp_path / "agreement.csv"
+    cache.write_text("")
+    proc = run_cli("agreement", "--cache", str(cache), "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    assert "Traceback" not in proc.stderr
+    rows = [row.split(",") for row in out.read_text().splitlines()[1:]]
+    assert len(rows) == 3
+    assert all(row[1] == "0" and row[3:] == ["nan"] * 7 for row in rows)
 
 
 def test_report_reproduces_the_pipeline_bundle(tmp_path):

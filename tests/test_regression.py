@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as scipy_stats
 
 from threadtone.dimensions import DIMENSIONS
@@ -18,6 +20,7 @@ from threadtone.regression import (
 )
 
 from feature_oracle import FeatureRow, table_from_rows, term_value
+from regression_oracle import _solve_pivoted
 
 DIM = DIMENSIONS[0].name
 
@@ -89,6 +92,98 @@ def test_ols_orthogonality_of_residuals():
         moment = x.T @ residuals
         scale = max(np.abs(x.T @ y).max(), 1.0)
         assert np.abs(moment).max() / scale < 1e-8
+
+
+# --- numpy.linalg against the former pivoted solver ----------------------------------
+
+# Over 20,000 random designs drawn as below (8,768 of them singular under
+# both rules, none under only one), the largest differences, measured as
+# below, were 5.0e-14 (coefficients), 2.2e-14 (residuals) and 7.6e-13
+# (covariance).
+SOLVER_RTOL = 1e-10
+
+
+def oracle_fit(x, y, scores, clusters):
+    """Coefficients and residuals from the pivoted solver, and the CR0
+    covariance with its bread for the residual vector ``scores``; None when
+    it finds the design singular."""
+    gram = x.T @ x
+    try:
+        beta = _solve_pivoted(gram, x.T @ y)
+        bread = _solve_pivoted(gram, np.eye(x.shape[1]))
+    except SingularDesign:
+        return None
+    meat = np.zeros((x.shape[1],) * 2)
+    for cluster in set(clusters):
+        idx = [i for i, c in enumerate(clusters) if c == cluster]
+        score = x[idx].T @ scores[idx]
+        meat += np.outer(score, score)
+    return beta, y - x @ beta, bread @ meat @ bread
+
+
+@settings(max_examples=400, deadline=None)
+@given(k=st.integers(1, 4), n_extra=st.integers(1, 196),
+       n_clusters=st.integers(1, 12), exponent=st.floats(-3.0, 4.0),
+       inject=st.sampled_from(("none", "none", "duplicate", "zero", "constant")),
+       column=st.integers(0, 3), seed=st.integers(0, 2 ** 32 - 1))
+def test_solver_matches_the_pivoted_oracle(k, n_extra, n_clusters, exponent,
+                                           inject, column, seed):
+    # an intercept plus k-1 columns at a common scale of 10**exponent, one
+    # of them optionally replaced by a duplicate, all-zero or constant column
+    rng = np.random.default_rng(seed)
+    n = k + n_extra
+    x = np.ones((n, k))
+    x[:, 1:] = ((rng.normal(size=(n, k - 1)) + rng.uniform(-3, 3, size=k - 1))
+                * 10.0 ** exponent)
+    column %= k
+    if inject == "duplicate" and k > 1:
+        x[:, column] = x[:, (column + 1) % k]
+    elif inject == "zero":
+        x[:, column] = 0.0
+    elif inject == "constant":
+        x[:, column] = rng.uniform(-2, 2) * 10.0 ** exponent
+    y = x @ rng.normal(size=k) + rng.normal(size=n)
+    clusters = [f"c{c}" for c in rng.integers(0, n_clusters, size=n)]
+    # least-squares residuals sum to zero over a single cluster, leaving a
+    # meat of rounding noise; random residuals keep it well defined
+    scores = rng.normal(size=n)
+
+    want = oracle_fit(x, y, scores, clusters)
+    if want is None:
+        with pytest.raises(SingularDesign):
+            ols_fit(x, y)
+        with pytest.raises(SingularDesign):
+            cluster_robust_vcov(x, scores, clusters)
+        return
+    beta, residuals = ols_fit(x, y)
+    vcov = cluster_robust_vcov(x, scores, clusters)
+    # compare in units of the columns' norms, where every entry is O(1)
+    norms = np.sqrt((x * x).sum(axis=0))
+    scaled = np.outer(norms, norms)
+    assert (np.abs(norms * (beta - want[0])).max()
+            <= SOLVER_RTOL * np.abs(norms * want[0]).max())
+    assert np.abs(residuals - want[1]).max() <= SOLVER_RTOL * np.abs(y).max()
+    assert (np.abs(scaled * (vcov - want[2])).max()
+            <= SOLVER_RTOL * np.abs(scaled * want[2]).max())
+
+
+def test_a_design_spanning_1e6_in_column_scale_fits():
+    # hours since the parent over more than a century next to a unit-scale
+    # score: the pivot rule on the unscaled normal equations called this
+    # singular, the rule on the unit-diagonal matrix does not
+    rng = np.random.default_rng(0)
+    n = 120
+    x = np.column_stack([np.ones(n), rng.normal(size=n),
+                         rng.exponential(size=n) * 1e6])
+    y = x @ [0.5, -1.0, 3e-6] + rng.normal(scale=0.1, size=n)
+    with pytest.raises(SingularDesign):
+        _solve_pivoted(x.T @ x, x.T @ y)
+    beta, residuals = ols_fit(x, y)
+    assert beta == pytest.approx(np.linalg.lstsq(x, y, rcond=None)[0],
+                                 rel=1e-6)
+    clusters = [f"d{i % 10}" for i in range(n)]
+    vcov = cluster_robust_vcov(x, residuals, clusters)
+    assert np.all(np.diag(vcov) > 0)
 
 
 # --- sandwich ---------------------------------------------------------------------------
