@@ -128,7 +128,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--output-dir", required=True)
     p.add_argument("--unanimity", action="store_true")
 
-    p = sub.add_parser("synth", parents=[common],
+    p = sub.add_parser("synth",
                        help="generate a synthetic corpus, or run a "
                             "coefficient-recovery experiment")
     p.add_argument("action", nargs="?", choices=("recover",),

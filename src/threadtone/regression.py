@@ -265,7 +265,7 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
     mask = filter_rows(spec, features, dimension)
     n = int(mask.sum())
     if n == 0:
-        raise EmptySample(f"{spec.id}/{dimension}: no rows pass the filter")
+        raise EmptySample("no rows pass the filter")
     x = np.ones((n, 1 + len(spec.terms)))
     for j, term in enumerate(spec.terms, start=1):
         first, *rest = term.split(":")

@@ -112,6 +112,22 @@ def test_invalid_synth_config_exits_with_one_line(synth_setup, override,
     assert not corpus_out.exists()
 
 
+@pytest.mark.parametrize("flag, value", (("--replications", "2"),
+                                         ("--seed", "99"),
+                                         ("--scale-min", "-2"),
+                                         ("--scale-max", "2")))
+def test_synth_rejects_scoring_flags(synth_setup, capsys, flag, value):
+    # the config file holds these settings; the flags would be ignored
+    tmp_path, config_path, _, _ = synth_setup
+    with pytest.raises(SystemExit) as exited:
+        build_parser().parse_args([
+            "synth", "--config", str(config_path),
+            "--out-corpus", str(tmp_path / "gen.jsonl"),
+            "--out-cache", str(tmp_path / "gen_cache.jsonl"), flag, value])
+    assert exited.value.code == 2
+    assert "threadtone synth: error: " in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("runs", ("0", "-1"))
 def test_synth_recover_needs_a_run(synth_setup, runs):
     tmp_path, config_path, _, _ = synth_setup
@@ -358,6 +374,12 @@ def test_two_reply_corpus_exits_with_inference_code(tmp_path):
     assert "Spearman correlation undefined" in proc.stderr
     rows = (out / "correlations.csv").read_text().splitlines()[1:]
     assert [row.split(",")[1:].count("nan") for row in rows] == [2, 2, 2]
+    # replies to the root only: M4 has no rows; the key is not repeated in
+    # the log line or in the stored message
+    key = "M4/disagree_vs_agree"
+    assert f"{key} not fitted: no rows pass the filter\n" in proc.stderr
+    summary = json.loads((out / "regression_summary.json").read_text())
+    assert summary["errors"][key] == "no rows pass the filter"
 
 
 def test_one_replication_writes_nan_agreement(synth_setup):
