@@ -16,6 +16,8 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
+import numpy as np
+
 from .errors import (
     CorpusError,
     CycleDetected,
@@ -65,6 +67,54 @@ class Corpus:
 
     def discussion_ids(self) -> list[str]:
         return sorted(self.discussions)
+
+    def arrays(self) -> "PostArrays":
+        """The posts as flat arrays, in ``posts_of`` order per discussion."""
+        trees = [self.discussions[d] for d in self.discussion_ids()]
+        ids = [post_id for tree in trees for post_id in tree.order]
+        at = {post_id: i for i, post_id in enumerate(ids)}
+        posts = [self.posts[post_id] for post_id in ids]
+        return PostArrays(
+            tuple(ids), tuple(self.discussion_ids()),
+            np.cumsum([0] + [len(tree.order) for tree in trees]),
+            np.array([at.get(post.parent_id, -1) for post in posts], np.int64),
+            np.array([post.timestamp for post in posts], np.int64))
+
+
+@dataclass(frozen=True, eq=False)
+class PostArrays:
+    """The posts as flat arrays: discussions in id order, each one's posts
+    in (timestamp, post_id) order from position ``starts[k]`` (the total
+    appended), with each post's parent position (-1 for a root) and int64
+    timestamp. ``tree_arrays`` derives the rest of the structure."""
+    posts: tuple[str, ...]
+    discussion_ids: tuple[str, ...]
+    starts: np.ndarray
+    parent: np.ndarray
+    timestamp: np.ndarray
+
+
+def tree_arrays(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Depth, branch root (the depth-1 ancestor; a root is its own) and
+    older-sibling rank (earlier positions with the same parent) of every
+    post of a forest, from each post's parent position (-1 for a root). The
+    pointer doubling lets a parent be stored after its child."""
+    index = np.arange(len(parent))
+    up = np.where(parent < 0, index, parent)        # a root points to itself
+    own = up[up] == up                              # roots and depth 1
+    branch_root = np.where(own, index, up)
+    depth = (~own).astype(np.int64)                 # hops to ``branch_root``
+    hop = branch_root[branch_root]
+    while not np.array_equal(hop, branch_root):
+        depth += depth[branch_root]
+        branch_root, hop = hop, hop[hop]
+    depth += parent >= 0
+    order = np.argsort(parent, kind="stable")
+    grouped = parent[order]
+    first = np.r_[True, grouped[1:] != grouped[:-1]]
+    rank = np.empty_like(parent)
+    rank[order] = index - np.maximum.accumulate(np.where(first, index, 0))
+    return depth, branch_root, rank
 
 
 def build_tree(posts: Iterable[Post]) -> DiscussionTree:
@@ -171,8 +221,8 @@ def _parse_record(raw: str, line_no: int) -> Post:
         raise MalformedRecord("timestamp must be an integer (epoch seconds)",
                               line_no=line_no, post_id=post_id,
                               discussion_id=discussion_id)
-    if timestamp < 0:
-        raise MalformedRecord("timestamp must be non-negative",
+    if not 0 <= timestamp < 2 ** 63:   # the features take int64 seconds
+        raise MalformedRecord("timestamp must be non-negative and below 2**63",
                               line_no=line_no, post_id=post_id,
                               discussion_id=discussion_id)
     if not isinstance(text, str):

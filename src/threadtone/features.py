@@ -8,13 +8,13 @@ and branch-root indicators exist only at depth >= 2 (replies to the root
 have an unannotated parent), sibling means only when an annotated older
 sibling exists.
 
-The table is built in one pass per discussion over its posts in
-(timestamp, post_id) order, keeping a running predecessor (per discussion,
-and per branch for ``prev_scope="branch"``) and running per-parent sibling
-sums. It is stored as columns: ``post_id``, ``discussion_id`` and ``depth``
-per row, float64 ``dt_prev`` and ``dt_parent``, and per dimension float64
-``metric``, ``parent_metric``, ``sib_older_mean`` and ``br_neg`` (0 or 1).
-NaN means absent.
+The table is built in one array pass over ``corpus.PostArrays`` (every
+post's parent and timestamp, in (timestamp, post_id) order per discussion)
+and a matrix of the posts' means; only the older-sibling sums step, once
+per sibling rank. It is stored as columns: ``post_id``, ``discussion_id``
+and ``depth`` per row, float64 ``dt_prev`` and ``dt_parent``, and per
+dimension float64 ``metric``, ``parent_metric``, ``sib_older_mean`` and
+``br_neg`` (0 or 1). NaN means absent.
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus
+from .corpus import Corpus, PostArrays, tree_arrays
 from .dimensions import DIMENSIONS
 from .errors import MissingAnnotation
 
@@ -100,11 +100,15 @@ class FeatureTable:
         )
 
 
-def compute_feature_table(corpus: Corpus, means: MeanMap, strict: bool = True,
+def compute_feature_table(posts: PostArrays | Corpus,
+                          means: np.ndarray | MeanMap, strict: bool = True,
                           prev_scope: str = "discussion") -> FeatureTable:
     """One row per annotated non-root post, discussions in id order and
     posts in (timestamp, post_id) order.
 
+    ``means`` is an (n_posts x n_dimensions) matrix in ``posts`` order, NaN
+    where a post lacks a dimension and all NaN for an unannotated post; a
+    Corpus and a post-id mapping are converted to that form first.
     ``prev_scope`` selects the predecessor pool for dt_prev: the whole
     discussion (default) or the post's own branch plus the discussion root.
     Posts timestamped before their parent are dropped from the table (and
@@ -116,68 +120,91 @@ def compute_feature_table(corpus: Corpus, means: MeanMap, strict: bool = True,
     if prev_scope not in ("discussion", "branch"):
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
-    columns: dict[str, list] = {key: [] for key in _csv_header()}
-    per_dim = [(dim.name, *(columns[f"{dim.name}_{kind}"]
-                            for kind in PER_DIMENSION))
-               for dim in DIMENSIONS]
-    for discussion_id in corpus.discussion_ids():
-        tree = corpus.discussions[discussion_id]
-        ordered = corpus.posts_of(discussion_id)
-        root_at = -1                                # index of the root, once seen
-        last_at: dict[str, int] = {}                # branch root -> last index
-        # parent id -> dimension -> [sum, count] of annotated children so far:
-        # a left fold in sibling order, not pairwise (np.sum) or compensated
-        # summation, which would change the last bits of the means
-        sib_sums: dict[str, dict[str, list]] = {}
-        for i, post in enumerate(ordered):
-            post_id = post.post_id
-            depth = tree.depth[post_id]
-            if depth == 0:
-                root_at = i
-                continue
-            post_means = means.get(post_id)
-            if post_means is None and strict:
-                raise MissingAnnotation(
-                    f"post {post_id} (discussion {discussion_id}) "
-                    f"has no annotation")
-            branch = tree.branch_root_of[post_id]
-            sums = sib_sums.setdefault(post.parent_id, {})
-            parent = corpus.posts[post.parent_id]
-            if post_means is None:
-                log.warning("skipping unannotated post %s", post_id)
-            elif post.timestamp < parent.timestamp:
-                log.warning("excluding %s from model samples: it predates "
-                            "its parent %s by %.4g h", post_id, parent.post_id,
-                            (parent.timestamp - post.timestamp)
-                            / SECONDS_PER_HOUR)
-            else:
-                prev_at = (max(last_at.get(branch, -1), root_at)
-                           if prev_scope == "branch" else i - 1)
-                columns["post_id"].append(post_id)
-                columns["discussion_id"].append(discussion_id)
-                columns["depth"].append(depth)
-                columns["dt_prev"].append(
-                    NAN if prev_at < 0 else
-                    (post.timestamp - ordered[prev_at].timestamp)
-                    / SECONDS_PER_HOUR)
-                columns["dt_parent"].append(
-                    (post.timestamp - parent.timestamp) / SECONDS_PER_HOUR)
-                parent_means = means.get(post.parent_id) if depth >= 2 else None
-                branch_means = means.get(branch) if depth >= 2 else None
-                for name, metric, parent_metric, sib_mean, br_neg in per_dim:
-                    metric.append(post_means.get(name, NAN))
-                    parent_metric.append(NAN if parent_means is None
-                                         else parent_means.get(name, NAN))
-                    acc = sums.get(name)
-                    sib_mean.append(NAN if acc is None else acc[0] / acc[1])
-                    br = None if branch_means is None else branch_means.get(name)
-                    br_neg.append(NAN if br is None else float(br < 0))
-            last_at[branch] = i
-            for name, value in (post_means or {}).items():
-                acc = sums.setdefault(name, [0.0, 0])
-                acc[0] += value
-                acc[1] += 1
-    return FeatureTable.from_csv_columns(columns)
+    if isinstance(posts, Corpus):
+        posts = posts.arrays()
+    if isinstance(means, np.ndarray):
+        annotated = ~np.isnan(means).all(axis=1)
+    else:
+        found = [means.get(post_id) for post_id in posts.posts]
+        annotated = np.array([m is not None for m in found], bool)
+        means = np.array([[NAN if m is None else m.get(dim.name, NAN)
+                           for dim in DIMENSIONS] for m in found],
+                         float).reshape(len(found), len(DIMENSIONS))
+    ids, parent, stamp = posts.posts, posts.parent, posts.timestamp
+    depth, branch_root, sibling_rank = tree_arrays(parent)
+    discussion = np.repeat(posts.discussion_ids, np.diff(posts.starts))
+    reply = parent >= 0
+    # a root's parent -1 reads the last post, which ``reply`` masks
+    early = reply & annotated & (stamp < stamp[parent])
+    for i in np.flatnonzero(reply & (early | ~annotated)).tolist():
+        if annotated[i]:
+            p = int(parent[i])
+            log.warning("excluding %s from model samples: it predates its "
+                        "parent %s by %.4g h", ids[i], ids[p],
+                        int(stamp[p] - stamp[i]) / SECONDS_PER_HOUR)
+        elif strict:
+            raise MissingAnnotation(f"post {ids[i]} (discussion "
+                                    f"{discussion[i]}) has no annotation")
+        else:
+            log.warning("skipping unannotated post %s", ids[i])
+    rows = np.flatnonzero(reply & annotated & ~early)
+
+    if prev_scope == "branch":
+        # the latest earlier post of the branch, or the root if that is later
+        order = np.argsort(branch_root, kind="stable")
+        same = branch_root[order[1:]] == branch_root[order[:-1]]
+        prev = np.full(len(ids), -1)
+        prev[order[1:][same]] = order[:-1][same]
+        root = np.repeat(np.flatnonzero(~reply), np.diff(posts.starts))
+        later = root < np.arange(len(ids))
+        prev = np.maximum(prev, np.where(later, root, -1))[rows]
+    else:
+        prev = np.where(np.isin(rows, posts.starts), -1, rows - 1)
+    p, t = parent[rows], stamp[rows]
+    deep = (depth[rows] >= 2)[:, None]
+    branch = means[branch_root[rows]]
+    per_kind = {
+        "metric": means[rows],
+        "parent_metric": np.where(deep, means[p], NAN),
+        "sib_older_mean": _older_sibling_means(parent, sibling_rank,
+                                               means)[rows],
+        "br_neg": np.where(deep & ~np.isnan(branch), branch < 0, NAN),
+    }
+    names = [dim.name for dim in DIMENSIONS]
+    return FeatureTable(
+        post_id=tuple(ids[i] for i in rows.tolist()),
+        discussion_id=tuple(discussion[rows].tolist()),
+        depth=depth[rows],
+        dt_prev=np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR),
+        dt_parent=(t - stamp[p]) / SECONDS_PER_HOUR,
+        **{kind: dict(zip(names, np.ascontiguousarray(matrix.T)))
+           for kind, matrix in per_kind.items()})
+
+
+def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
+                         means: np.ndarray) -> np.ndarray:
+    """Per post and dimension, the mean of its annotated older siblings'
+    means (NaN without one). Each sum is a left fold from 0.0 in sibling
+    order, as a per-post loop keeps it (np.sum's pairwise or a compensated
+    sum would change the last bits): the fold steps over the sibling rank,
+    every parent's next sibling at once."""
+    present = ~np.isnan(means)
+    values = np.where(present, means, 0.0)
+    totals = np.zeros_like(values)                 # per parent, so far
+    counts = np.zeros(values.shape, np.int64)
+    older = np.full_like(values, NAN)
+    replies = np.flatnonzero(parent >= 0)
+    by_rank = replies[np.argsort(rank[replies], kind="stable")]
+    ranks = rank[by_rank]
+    steps = np.flatnonzero(np.r_[True, ranks[1:] != ranks[:-1], True]).tolist()
+    for lo, hi in zip(steps[:-1], steps[1:]):
+        at = by_rank[lo:hi]
+        p = parent[at]                             # distinct within a rank
+        n = counts[p]
+        older[at] = np.where(n > 0, totals[p] / np.maximum(n, 1), NAN)
+        totals[p] += values[at]
+        counts[p] += present[at]
+    return older
 
 
 # --- CSV interchange ----------------------------------------------------------

@@ -18,11 +18,14 @@ import json
 import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
+from functools import cached_property
+from itertools import groupby
+from operator import attrgetter
 from pathlib import Path
 import numpy as np
 
 from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
-from .corpus import Corpus, DiscussionTree, Post
+from .corpus import Corpus, Post, PostArrays, build_tree, tree_arrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
@@ -34,10 +37,6 @@ log = logging.getLogger(__name__)
 _BASE_TIME = 1_600_000_000  # fixed epoch anchor for synthetic timestamps
 _DISCUSSION_SPACING = 30 * 86_400
 _DIM_NAMES = tuple(d.name for d in DIMENSIONS)
-# the score recursion runs over blocks of discussions holding at most this
-# many padded replies (a paper-scale corpus of 60 x 38 is ~3,500): a block's
-# arrays stay at a few MB, while each block costs one step per reply index
-_BLOCK_REPLIES = 8192
 
 
 @dataclass(frozen=True)
@@ -121,17 +120,73 @@ class SynthConfig:
         write_json(path, asdict(self))
 
 
-@dataclass
+@dataclass(eq=False)
 class SynthResult:
-    """A generated corpus and its post-level means. ``replication_scores``
-    holds every reply's integer scores, flat, in the order of
-    ``corpus.posts`` (reply, then dimension, then replication), or None in
-    continuous mode."""
-    corpus: Corpus
-    means: dict[str, dict[str, float]]
+    """A generated corpus as arrays: its structure, and the posts' means
+    (NaN for roots) and authors in that order; ``generated`` holds each
+    post's position there in generation order, ``jitter`` each reply's
+    replication jitter in that order (None without integer replications).
+    ``corpus``, ``means`` and ``replication_scores`` are built on first
+    access."""
+    arrays: PostArrays
+    mean_matrix: np.ndarray
     truncations: int
-    replication_scores: list[int] | None
     config: SynthConfig
+    authors: np.ndarray
+    generated: np.ndarray
+    jitter: tuple | None
+
+    @cached_property
+    def corpus(self) -> Corpus:
+        """The corpus, its posts in generation order."""
+        arrays = self.arrays
+        ids, parent = arrays.posts, arrays.parent.tolist()
+        stamps, authors = arrays.timestamp.tolist(), self.authors.tolist()
+        discussion = np.repeat(arrays.discussion_ids,
+                               np.diff(arrays.starts)).tolist()
+        posts = {}
+        for i in self.generated.tolist():
+            pid, p = ids[i], parent[i]
+            posts[pid] = Post(
+                pid, discussion[i], None if p < 0 else ids[p],
+                f"u{authors[i]:02d}", stamps[i],
+                f"synthetic reply {pid}" if p >= 0
+                else f"synthetic root post {pid}")
+        # each discussion's posts are consecutive in generation order
+        trees = {did: build_tree(group) for did, group in groupby(
+            posts.values(), attrgetter("discussion_id"))}
+        return Corpus(discussions=dict(sorted(trees.items())), posts=posts)
+
+    @cached_property
+    def means(self) -> dict[str, dict[str, float]]:
+        """Post id -> dimension -> mean score, replies in generation order."""
+        replies = self.generated[self.arrays.parent[self.generated] >= 0]
+        ids, rows = self.arrays.posts, self.mean_matrix[replies].tolist()
+        return {ids[i]: dict(zip(_DIM_NAMES, row))
+                for i, row in zip(replies.tolist(), rows)}
+
+    @cached_property
+    def replication_scores(self) -> list[int] | None:
+        """Every reply's integer scores, flat, in the order of
+        ``corpus.posts`` (reply, then dimension, then replication), or None
+        in continuous mode."""
+        if self.config.continuous:
+            return None
+        # each integer score n_reps times, with a zero-sum +-1 jitter that
+        # keeps its mean exact
+        scale, n_reps = self.config.scale, self.config.replications
+        replies = self.generated[self.arrays.parent[self.generated] >= 0]
+        values = self.mean_matrix[replies].astype(np.int64)
+        reps = np.repeat(values[..., None], n_reps, axis=2)
+        if self.jitter is not None:
+            coin, lo, hi = self.jitter
+            r, m = np.nonzero((scale.min < values) & (values < scale.max)
+                              & coin)
+            lo, hi = lo[r, m], hi[r, m]
+            hi += hi >= lo
+            reps[r, m, lo] -= 1
+            reps[r, m, hi] += 1
+        return reps.ravel().tolist()
 
     @property
     def cache_records(self) -> list[dict] | None:
@@ -170,165 +225,80 @@ def _draw_discussion(rng: np.random.Generator, config: SynthConfig) -> tuple:
             jitter_coin, jitter_lo, jitter_hi, authors)
 
 
-def _draw_blocks(rng: np.random.Generator, config: SynthConfig):
-    """Every discussion's draws, in order, grouped into blocks of consecutive
-    discussions whose replies, padded to the block's longest discussion, fit
-    in _BLOCK_REPLIES (a block holds at least one discussion)."""
-    block: list[tuple] = []
-    longest = 0
-    for _ in range(config.n_discussions):
-        draws = _draw_discussion(rng, config)
-        longest = max(longest, draws[0] - 1)
-        if block and (len(block) + 1) * longest > _BLOCK_REPLIES:
-            yield block
-            block, longest = [], draws[0] - 1
-        block.append(draws)
-    yield block
-
-
-def _older_sibling_counts(parent_keys: np.ndarray) -> np.ndarray:
-    """For each position, how many earlier positions share its parent key."""
-    order = np.argsort(parent_keys, kind="stable")
-    ranked = parent_keys[order]
-    starts = np.flatnonzero(np.r_[True, ranked[1:] != ranked[:-1]])
-    counts = np.empty_like(parent_keys)
-    counts[order] = (np.arange(len(ranked))
-                     - np.repeat(starts, np.diff(np.r_[starts, len(ranked)])))
-    return counts
-
-
-def _discussion_tree(did: str, ids: list[str], parents: list[int],
-                     depths: list[int], branch_roots: list[int],
-                     timestamps: list[int]) -> DiscussionTree:
-    """The tree build_tree derives, from the generator's parent indices."""
-    n_posts = len(ids)
-    # timestamps never decrease and ids are zero-padded to four digits, so
-    # up to p9999 the index order is the (timestamp, post_id) order
-    order = (range(n_posts) if n_posts <= 10_000 else
-             sorted(range(n_posts), key=lambda i: (timestamps[i], ids[i])))
-    children: dict[str, list[str]] = {}
-    for i in order:
-        if i:
-            children.setdefault(ids[parents[i]], []).append(ids[i])
-    return DiscussionTree(
-        discussion_id=did, root_id=ids[0],
-        children={pid: tuple(kids) for pid, kids in children.items()},
-        depth=dict(zip(ids, depths)),
-        branch_root_of={ids[i]: ids[branch_roots[i]]
-                        for i in range(1, n_posts)},
-        order=tuple(ids[i] for i in order))
-
-
-def _simulate(config: SynthConfig, block: list[tuple], first: int) -> tuple:
-    """The structure and scores of one block of discussions, as arrays;
-    ``first`` is the index of its first discussion.
+def _simulate(config: SynthConfig, draws: list[tuple]) -> tuple:
+    """The structure and scores of every discussion, flat over the posts in
+    generation order: ``(sizes, parents, timestamps, authors, scores,
+    truncations, jitter)``, a root's parent -1 and its scores NaN.
 
     Whatever does not depend on earlier scores (parents, timestamps, branch
     roots, older-sibling counts, which terms exist, the exogenous path) is
-    computed as whole arrays, padded to the longest discussion. The score
-    recursion then steps over the reply index for all discussions at once,
-    so its cost grows with the longest discussion, not with the number of
-    posts.
-
-    Returns ``(sizes, parents, depths, branch_roots, timestamps, authors,
-    scores, truncations, jitter)``: one row per discussion for parents to
-    timestamps (one column per post index), the author arrays and the reply
-    scores (one column per reply); jitter holds what the replication jitter
-    needs, or None without integer replications.
+    computed as whole arrays. The score recursion then steps over the reply
+    index, for every discussion that long at once, so its cost grows with
+    the longest discussion, not with the number of posts.
     """
-    scale = config.scale
-    lo_f, hi_f = float(scale.min), float(scale.max)
-    n_dims = len(_DIM_NAMES)
+    scale, n_reps = config.scale, config.replications
     (sizes, u, gaps, root_coins, picks, eps, base, jitter_coin, jitter_lo,
-     jitter_hi, authors) = zip(*block)
-    n_disc, n_steps = len(sizes), max(sizes) - 1   # step j draws reply j + 1
-    valid = np.arange(n_steps) < np.array(sizes)[:, None] - 1
-
-    def padded(arrays):
-        out = np.zeros((n_disc, n_steps) + arrays[0].shape[1:])
-        out[valid] = np.concatenate(arrays)
-        return out
-
-    n_reps = config.replications
+     jitter_hi, authors) = zip(*draws)
+    first = np.cumsum((0,) + sizes[:-1])        # the position of each root
+    discussion = np.repeat(np.arange(len(sizes)), sizes)
+    local = np.arange(len(discussion)) - first[discussion]
+    replies = np.flatnonzero(local > 0)
     jitter = (None if config.continuous or n_reps < 2 else
-              (padded(jitter_coin) < 0.5,
-               (padded(jitter_lo) * n_reps).astype(np.int64),
-               (padded(jitter_hi) * (n_reps - 1)).astype(np.int64)))
+              (np.concatenate(jitter_coin) < 0.5,
+               (np.concatenate(jitter_lo) * n_reps).astype(np.int64),
+               (np.concatenate(jitter_hi) * (n_reps - 1)).astype(np.int64)))
 
     # --- everything that does not depend on earlier scores ----------------
-    step = np.arange(1, n_steps + 1)
-    parent = np.where(
-        (step == 1) | (padded(root_coins) < config.p_reply_to_root) | ~valid,
-        0, 1 + (padded(picks) * (step - 1)).astype(np.int64))
-    parents = np.hstack([np.zeros((n_disc, 1), np.int64), parent])
-    index = np.broadcast_to(np.arange(n_steps + 1), parents.shape)
-    # pointer doubling: every post's branch root (depth-1 ancestor) and depth
-    branch_roots = np.where(parents == 0, index, parents)
-    while True:
-        hop = np.take_along_axis(branch_roots, branch_roots, axis=1)
-        if np.array_equal(hop, branch_roots):
-            break
-        branch_roots = hop
-    ancestor, depths = parents, (index > 0).astype(np.int64)
-    while ancestor.any():
-        depths = depths + np.take_along_axis(depths, ancestor, axis=1)
-        ancestor = np.take_along_axis(ancestor, ancestor, axis=1)
-    starts = _BASE_TIME + _DISCUSSION_SPACING * (
-        first + np.arange(n_disc)[:, None])
-    gaps = padded(gaps)
-    if starts[-1, 0] + gaps.sum(axis=1).max() >= 2.0 ** 62:
+    i = local[replies]
+    parents = np.full(len(local), -1)
+    parents[replies] = first[discussion[replies]] + np.where(
+        (i == 1) | (np.concatenate(root_coins) < config.p_reply_to_root),
+        0, 1 + (np.concatenate(picks) * (i - 1)).astype(np.int64))
+    _, branch_root, n_older = tree_arrays(parents)
+    starts = _BASE_TIME + _DISCUSSION_SPACING * np.arange(len(sizes))
+    if starts[-1] + max(g.sum() for g in gaps) >= 2.0 ** 62:
         raise ValueError("timestamps would overflow 64-bit integers; "
                          "lower mean_hours_between_posts")
-    stamps = np.hstack([starts, starts + np.cumsum(gaps.astype(np.int64),
-                                                   axis=1)])
-    hours = {"dt_prev": np.diff(stamps, axis=1) / 3600.0,
-             "dt_parent": (stamps[:, 1:] - np.take_along_axis(
-                 stamps, parent, axis=1)) / 3600.0}
+    stamps = np.concatenate([start + np.r_[0, np.cumsum(g.astype(np.int64))]
+                             for start, g in zip(starts.tolist(), gaps)])
 
-    spec = MODEL_SPECS[config.model]
-    reads = {name for term in spec.terms for name in term.split(":")}
-    row_base = (n_steps + 1) * np.arange(n_disc)[:, None]
-    parent_at = row_base + parent            # flat index of each parent
-    branch_at = row_base + np.take_along_axis(branch_roots, parent, axis=1)
-    exists = dict.fromkeys(hours, valid)
-    exists["parent_metric"] = exists["br_neg"] = parent > 0
-    if "sib_older_mean" in reads:
-        n_older = _older_sibling_counts(parent_at.ravel()).reshape(
-            parent.shape)
-        exists["sib_older_mean"] = n_older > 0
-        sib_divisor = np.maximum(n_older, 1)[..., None]
+    # from here on the replies go in step order: the first reply of every
+    # discussion, then every second reply, and so on
+    in_steps = np.argsort(i, kind="stable")
+    replies, i = replies[in_steps], i[in_steps]
+    steps = np.flatnonzero(np.r_[True, i[1:] != i[:-1], True]).tolist()
+    at = parents[replies]
+    hours = {"dt_prev": (stamps[replies] - stamps[replies - 1]) / 3600.0,
+             "dt_parent": (stamps[replies] - stamps[at]) / 3600.0}
+    exists = dict.fromkeys(hours, np.ones(len(replies), bool))
+    exists["parent_metric"] = exists["br_neg"] = parents[at] >= 0
+    exists["sib_older_mean"] = n_older[replies] > 0
+    sib_divisor = np.maximum(n_older[replies], 1)[:, None]
     betas = np.array([config.coefficient_vector(name) for name in _DIM_NAMES])
     terms = [(betas[:, t], term.split(":"))
-             for t, term in enumerate(spec.terms, start=1)]
+             for t, term in enumerate(MODEL_SPECS[config.model].terms, 1)]
     any_term = np.logical_or.reduce([
         np.logical_and.reduce([exists[name] for name in fields])
-        for _, fields in terms])[..., None]
+        for _, fields in terms])[:, None]
+    u = np.array(u)[discussion[replies]]
+    eps = np.concatenate(eps)[in_steps]
     # no covariate exists yet (e.g. replies to the root): an exogenous draw
     # seeds variation into the process
-    u = np.array(u)
-    eps = padded(eps)
-    exogenous = padded(base) + u[:, None] + eps
+    exogenous = np.concatenate(base)[in_steps] + u + eps
 
     # --- the score recursion, one reply index at a time -------------------
-    values = np.zeros((n_disc, n_steps + 1, n_dims))   # roots stay 0
-    flat_values = values.reshape(-1, n_dims)
-    if "sib_older_mean" in reads:
-        sib_sums = np.zeros_like(flat_values)
-    clipped = np.empty((n_disc, n_steps, n_dims), bool)
+    values = np.zeros((len(local), len(_DIM_NAMES)))   # roots stay 0
+    sib_sums = np.zeros_like(values)
+    clipped = np.empty(eps.shape, bool)
     intercept = betas[:, 0]
-    cov = {}
-    for j in range(n_steps):
-        at = parent_at[:, j]
-        for name, column in hours.items():
-            if name in reads:
-                cov[name] = column[:, j, None]
-        if "parent_metric" in reads:
-            cov["parent_metric"] = flat_values[at]
-        if "sib_older_mean" in reads:
-            # a left fold from 0 in sibling order, like sum()
-            cov["sib_older_mean"] = sib_sums[at] / sib_divisor[:, j]
-        if "br_neg" in reads:
-            cov["br_neg"] = flat_values[branch_at[:, j]] < 0
+    lo_f, hi_f = float(scale.min), float(scale.max)
+    for lo, hi in zip(steps[:-1], steps[1:]):
+        step_at = at[lo:hi]           # distinct parents: one per discussion
+        cov = {name: column[lo:hi, None] for name, column in hours.items()}
+        cov["parent_metric"] = values[step_at]
+        # a left fold from 0 in sibling order, like sum()
+        cov["sib_older_mean"] = sib_sums[step_at] / sib_divisor[lo:hi]
+        cov["br_neg"] = values[branch_root[step_at]] < 0
         # a missing covariate reads 0 (the root's score, an empty sibling
         # sum), so with finite coefficients its term adds a signed zero; a
         # sum that starts at 0.0 is never -0.0, so that leaves it unchanged
@@ -338,82 +308,46 @@ def _simulate(config: SynthConfig, block: list[tuple], first: int) -> tuple:
             for name in fields[1:]:
                 product = product * cov[name]
             term_sum = term_sum + beta * product
-        y = np.where(any_term[:, j],
-                     intercept + term_sum + u + eps[:, j], exogenous[:, j])
+        y = np.where(any_term[lo:hi], intercept + term_sum + u[lo:hi]
+                     + eps[lo:hi], exogenous[lo:hi])
         v = np.minimum(np.maximum(y, lo_f), hi_f)
-        clipped[:, j] = v != y
+        clipped[lo:hi] = v != y
         if not config.continuous:
             # rint rounds half to even like round(); + 0.0 turns -0.0 into 0
             v = np.rint(v) + 0.0
-        values[:, j + 1] = v
-        if "sib_older_mean" in reads:
-            sib_sums[at] += v
+        values[replies[lo:hi]] = v
+        sib_sums[step_at] += v
 
-    truncations = int(np.count_nonzero(clipped[valid]))
-    return (sizes, parents, depths, branch_roots, stamps, authors,
-            values[:, 1:], truncations, jitter)
-
-
-def _replication_scores(values: np.ndarray, jitter: tuple | None,
-                        scale: AnnotationScale, n_reps: int) -> list[int]:
-    """One discussion's replication scores, reply by reply and dimension by
-    dimension: each integer score n_reps times, with a zero-sum +-1 jitter
-    that keeps its mean exact."""
-    reps = np.repeat(values.astype(np.int64)[..., None], n_reps, axis=2)
-    if jitter is not None:
-        coin, lo, hi = jitter
-        r, m = np.nonzero((scale.min < reps[..., 0])
-                          & (reps[..., 0] < scale.max) & coin)
-        lo, hi = lo[r, m], hi[r, m]
-        hi += hi >= lo
-        reps[r, m, lo] -= 1
-        reps[r, m, hi] += 1
-    return reps.ravel().tolist()
+    values[local == 0] = np.nan
+    return (sizes, parents, stamps, np.concatenate(authors), values,
+            int(np.count_nonzero(clipped)), jitter)
 
 
 def generate_corpus(config: SynthConfig) -> SynthResult:
     """Draw a corpus, post-level means and (unless continuous) replication
     scores, all fully determined by the config seed."""
-    posts_by_id: dict[str, Post] = {}
-    means: dict[str, dict[str, float]] = {}
-    discussions: dict[str, DiscussionTree] = {}
-    scores: list[int] | None = None if config.continuous else []
-    truncations = 0
-    first = 0
-    for block in _draw_blocks(np.random.default_rng(config.seed), config):
-        (sizes, parents, depths, branch_roots, stamps, authors, values,
-         block_truncations, jitter) = _simulate(config, block, first)
-        truncations += block_truncations
-        for k, n_posts in enumerate(sizes):
-            did = f"d{first + k:03d}"
-            ids = [f"{did}-p{i:04d}" for i in range(n_posts)]
-            parent_row = parents[k, :n_posts].tolist()
-            stamp_row = stamps[k, :n_posts].tolist()
-            author_row = authors[k].tolist()
-            posts = [Post(ids[0], did, None, f"u{author_row[0]:02d}",
-                          stamp_row[0], f"synthetic root post {ids[0]}")]
-            posts.extend(Post(pid, did, ids[p], f"u{a:02d}", t,
-                              f"synthetic reply {pid}")
-                         for pid, p, a, t in zip(ids[1:], parent_row[1:],
-                                                 author_row[1:],
-                                                 stamp_row[1:]))
-            posts_by_id.update(zip(ids, posts))
-            replies = values[k, :n_posts - 1]
-            means.update(zip(ids[1:], (dict(zip(_DIM_NAMES, row))
-                                       for row in replies.tolist())))
-            if scores is not None:
-                draws = (None if jitter is None else
-                         tuple(a[k, :n_posts - 1] for a in jitter))
-                scores += _replication_scores(replies, draws, config.scale,
-                                              config.replications)
-            discussions[did] = _discussion_tree(
-                did, ids, parent_row, depths[k, :n_posts].tolist(),
-                branch_roots[k, :n_posts].tolist(), stamp_row)
-        first += len(sizes)
-    corpus = Corpus(discussions=dict(sorted(discussions.items())),
-                    posts=posts_by_id)
-    return SynthResult(corpus=corpus, means=means, truncations=truncations,
-                       replication_scores=scores, config=config)
+    rng = np.random.default_rng(config.seed)
+    sizes, parents, stamps, authors, values, truncations, jitter = _simulate(
+        config, [_draw_discussion(rng, config)
+                 for _ in range(config.n_discussions)])
+    dids = [f"d{k:03d}" for k in range(len(sizes))]
+    ids = [f"{did}-p{i:04d}" for did, n in zip(dids, sizes) for i in range(n)]
+    # stored order: discussions by id ("d1000" sorts before "d101"), then
+    # posts by (timestamp, post_id) ("p10000" sorts before "p9999")
+    ranked = np.argsort(dids)
+    order = np.lexsort((ids, stamps, np.repeat(np.argsort(ranked), sizes)))
+    position = np.empty_like(order)
+    position[order] = np.arange(len(order))
+    parents[parents >= 0] = position[parents[parents >= 0]]
+    arrays = PostArrays(
+        tuple(map(ids.__getitem__, order.tolist())),
+        tuple(dids[k] for k in ranked.tolist()),
+        np.cumsum(np.r_[0, np.array(sizes)[ranked]]), parents[order],
+        stamps[order])
+    return SynthResult(
+        arrays=arrays, mean_matrix=values[order], truncations=truncations,
+        config=config, authors=authors[order], generated=position,
+        jitter=jitter)
 
 
 def write_cache_records(records: list[dict], path: str | Path) -> None:
@@ -459,7 +393,7 @@ def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
     for run in range(n_runs):
         run_config = _reseeded(config, run)
         result = generate_corpus(run_config)
-        features = compute_feature_table(result.corpus, result.means)
+        features = compute_feature_table(result.arrays, result.mean_matrix)
         for dim_name in target_dims:
             beta = config.coefficient_vector(dim_name)
             try:

@@ -77,6 +77,9 @@ def test_malformed_json_and_fields():
         parse_corpus(lines(record("A", unexpected=1)))
     with pytest.raises(MalformedRecord):
         parse_corpus(lines(record("A", timestamp=-5)))
+    with pytest.raises(MalformedRecord, match="below 2"):
+        parse_corpus(lines(record("A", timestamp=2 ** 63)))
+    parse_corpus(lines(record("A", timestamp=2 ** 63 - 1)))
     with pytest.raises(MalformedRecord):
         parse_corpus(lines(record("A", timestamp=1.5)))
 

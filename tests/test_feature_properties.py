@@ -1,9 +1,11 @@
-"""Property tests: the single-pass columnar feature table and the mask-based
-model fits against the per-row oracle in ``feature_oracle``.
+"""Property tests: the array-pass feature table and the mask-based model
+fits against the per-row oracle in ``feature_oracle``.
 
 Random corpora have several discussions, timestamp ties, children that
 predate their parent, unannotated posts and posts annotated on only some
-dimensions. Every comparison is exact.
+dimensions; some add a star discussion whose root has thousands of
+replies, so that the older-sibling fold steps over thousands of ranks.
+Every comparison is exact.
 """
 
 import tempfile
@@ -58,6 +60,31 @@ def annotated_corpora(draw):
             elif kind == "some":
                 dims = draw(st.sets(st.sampled_from(DIM_NAMES)))
                 means[ids[i]] = {name: draw(scores) for name in sorted(dims)}
+    return corpus_from_posts(posts), means
+
+
+@st.composite
+def forests_with_a_star(draw):
+    """annotated_corpora plus a star discussion: a root with 2,000-2,200
+    replies, a tenth of them to earlier replies, on a narrow time grid that
+    puts some before the root, with the same mix of annotations."""
+    corpus, means = draw(annotated_corpora())
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = int(rng.integers(2_001, 2_201))
+    ids = [f"star-p{label:04d}" for label in rng.permutation(n)]
+    posts = [*corpus.posts.values(), mk_post(ids[0], "star", None, 3600)]
+    for i in range(1, n):
+        to_reply = i > 1 and rng.random() < 0.1
+        parent = ids[int(rng.integers(1, i))] if to_reply else ids[0]
+        posts.append(mk_post(ids[i], "star", parent,
+                             int(rng.integers(0, 40)) * 1800))
+        kind = rng.random()
+        if kind < 0.9:  # the rest stay unannotated
+            dims = [name for name in DIM_NAMES
+                    if kind < 0.7 or rng.random() < 0.5]
+            means[ids[i]] = {name: float(rng.integers(-20, 21)) / 4
+                             if rng.random() < 0.5 else rng.uniform(-5, 5)
+                             for name in dims}
     return corpus_from_posts(posts), means
 
 
@@ -124,3 +151,19 @@ def test_masks_and_fits_match_oracle(data):
                 assert fit.cluster_ids == clusters
                 assert np.array_equal(fit.beta, beta)
                 assert np.array_equal(fit.vcov, vcov)
+
+
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(forests_with_a_star(), st.sampled_from(SCOPES))
+def test_star_discussion_matches_oracle(data, scope):
+    corpus, means = data
+    rows = oracle_feature_rows(corpus, means, strict=False, prev_scope=scope)
+    assert_table_equals_rows(
+        compute_feature_table(corpus, means, strict=False, prev_scope=scope),
+        rows)
+    with pytest.raises(MissingAnnotation) as got:
+        compute_feature_table(corpus, means, prev_scope=scope)
+    with pytest.raises(MissingAnnotation) as want:
+        oracle_feature_rows(corpus, means, prev_scope=scope)
+    assert str(got.value) == str(want.value)

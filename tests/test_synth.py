@@ -1,10 +1,11 @@
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from threadtone.annotate import AnnotationCache, load_annotation_means
-from threadtone.corpus import serialize_corpus
+from threadtone.corpus import PostArrays, serialize_corpus
 from threadtone import synth
 from threadtone.features import compute_feature_table
 from threadtone.synth import (
@@ -128,6 +129,52 @@ def test_recovery_never_builds_cache_records(monkeypatch):
     assert report.n_failed == 0
     with pytest.raises(AssertionError, match="hashed a pair"):
         generate_corpus(small_config()).cache_records
+
+
+def test_recovery_builds_no_post_objects(monkeypatch):
+    def no_objects(*args):
+        raise AssertionError("recovery_experiment built Python objects")
+
+    monkeypatch.setattr(synth, "Post", no_objects)
+    monkeypatch.setattr(synth, "build_tree", no_objects)
+    for name in ("corpus", "means", "replication_scores"):
+        monkeypatch.setattr(synth.SynthResult, name, property(no_objects))
+    report = recovery_experiment(small_config(), n_runs=2)
+    assert report.n_failed == 0
+    with pytest.raises(AssertionError, match="built Python objects"):
+        generate_corpus(small_config()).corpus
+
+
+@pytest.mark.parametrize("overrides", (
+    # "d1000" sorts between "d100" and "d101"
+    {"n_discussions": 1_005, "mean_posts": 3},
+    # past p9999 the index order is not the (timestamp, post_id) order
+    {"n_discussions": 2, "mean_posts": 10_300,
+     "mean_hours_between_posts": 0.0001},
+))
+def test_generator_arrays_match_the_corpus(overrides):
+    result = generate_corpus(small_config(model="M6", coefficients={
+        "disagree_vs_agree": (-0.9, 0.33, -0.4, -0.19)}, **overrides))
+    derived = result.corpus.arrays()
+    for field in dataclasses.fields(PostArrays):
+        got, want = getattr(result.arrays, field.name), getattr(derived,
+                                                                field.name)
+        if isinstance(want, tuple):
+            assert got == want, field.name
+        else:
+            assert got.dtype == want.dtype, field.name
+            assert np.array_equal(got, want), field.name
+    if overrides["n_discussions"] > 1_000:
+        assert result.arrays.discussion_ids[100:102] == ("d100", "d1000")
+    else:
+        assert max(np.diff(result.arrays.starts)) > 10_000
+    from_arrays = compute_feature_table(result.arrays, result.mean_matrix)
+    from_corpus = compute_feature_table(result.corpus, result.means)
+    for got, want in zip(from_arrays.csv_columns(), from_corpus.csv_columns()):
+        if isinstance(want, tuple):
+            assert got == want
+        else:
+            assert np.array_equal(got, want, equal_nan=True)
 
 
 def test_recovery_m1_small_slope_unbiased():

@@ -6,9 +6,9 @@ scale, both noise levels (including 0), the reply-to-root probability
 (including 0 and 1), small and tied-timestamp discussions, model ids that
 need JSON escaping, and coefficients large enough to clip. Every comparison
 is exact: the serialized corpus, the replication records, the truncation
-count, and the means by ``repr`` so that the sign of a zero counts. The
-generator builds each discussion's tree from its own parent indices; every
-such tree must equal the one ``build_tree`` derives from the posts.
+count, and the means by ``repr`` so that the sign of a zero counts. Every
+tree of the generated corpus must equal the one ``build_tree`` derives from
+its posts.
 """
 
 import pytest
@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 from threadtone.corpus import build_tree, serialize_corpus
 from threadtone.dimensions import DIMENSIONS
 from threadtone.regression import MODEL_IDS, MODEL_SPECS
-from threadtone import synth
 from threadtone.synth import SynthConfig, generate_corpus
 
 from synth_oracle import oracle_generate_corpus
@@ -121,13 +120,12 @@ def test_over_ten_thousand_tied_posts_keep_the_timestamp_id_order():
     assert tree.order.index("d000-p10000") < tree.order.index("d000-p9999")
 
 
-@pytest.mark.parametrize("block_replies", (1, 60))
+@pytest.mark.parametrize("mean_posts", (2, 60))
 @pytest.mark.parametrize("model", ("M5", "M6"))
-def test_discussion_blocks_match_oracle(monkeypatch, block_replies, model):
-    # the recursion runs over blocks of discussions; small blocks put block
-    # boundaries (one discussion each, or a few) into a small corpus
-    monkeypatch.setattr(synth, "_BLOCK_REPLIES", block_replies)
-    config = SynthConfig(n_discussions=12, mean_posts=20, model=model,
+def test_uneven_discussions_match_oracle(model, mean_posts):
+    # the recursion steps over the reply index across all discussions, and
+    # discussions of different lengths drop out of it at different steps
+    config = SynthConfig(n_discussions=12, mean_posts=mean_posts, model=model,
                          coefficients={"disagree_vs_agree":
                                        (-0.9, 0.33, -0.4, -0.19)},
                          sigma=1.0, tau=0.3, seed=77)
