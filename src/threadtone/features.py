@@ -100,15 +100,16 @@ class FeatureTable:
         )
 
 
-def compute_feature_table(posts: PostArrays | Corpus,
+def compute_feature_table(corpus: Corpus | PostArrays,
                           means: np.ndarray | MeanMap, strict: bool = True,
                           prev_scope: str = "discussion") -> FeatureTable:
     """One row per annotated non-root post, discussions in id order and
     posts in (timestamp, post_id) order.
 
-    ``means`` is an (n_posts x n_dimensions) matrix in ``posts`` order, NaN
-    where a post lacks a dimension and all NaN for an unannotated post; a
-    Corpus and a post-id mapping are converted to that form first.
+    ``means`` is an (n_posts x n_dimensions) matrix in the order of
+    ``PostArrays.posts``, NaN where a post lacks a dimension and all NaN for
+    an unannotated post; a Corpus and a post-id mapping are converted to
+    that form first.
     ``prev_scope`` selects the predecessor pool for dt_prev: the whole
     discussion (default) or the post's own branch plus the discussion root.
     Posts timestamped before their parent are dropped from the table (and
@@ -120,8 +121,7 @@ def compute_feature_table(posts: PostArrays | Corpus,
     if prev_scope not in ("discussion", "branch"):
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
-    if isinstance(posts, Corpus):
-        posts = posts.arrays()
+    posts = corpus.arrays() if isinstance(corpus, Corpus) else corpus
     if isinstance(means, np.ndarray):
         annotated = ~np.isnan(means).all(axis=1)
     else:
