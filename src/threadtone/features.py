@@ -122,14 +122,14 @@ def compute_feature_table(corpus: Corpus | PostArrays,
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
     posts = corpus.arrays() if isinstance(corpus, Corpus) else corpus
+    names = [dim.name for dim in DIMENSIONS]
     if isinstance(means, np.ndarray):
         annotated = ~np.isnan(means).all(axis=1)
     else:
         found = [means.get(post_id) for post_id in posts.posts]
         annotated = np.array([m is not None for m in found], bool)
-        means = np.array([[NAN if m is None else m.get(dim.name, NAN)
-                           for dim in DIMENSIONS] for m in found],
-                         float).reshape(len(found), len(DIMENSIONS))
+        means = np.array([[NAN if m is None else m.get(name, NAN)
+                           for m in found] for name in names], float).T
     ids, parent, stamp = posts.posts, posts.parent, posts.timestamp
     depth, branch_root, sibling_rank = tree_arrays(parent)
     discussion = np.repeat(posts.discussion_ids, np.diff(posts.starts))
@@ -170,7 +170,6 @@ def compute_feature_table(corpus: Corpus | PostArrays,
                                                means)[rows],
         "br_neg": np.where(deep & ~np.isnan(branch), branch < 0, NAN),
     }
-    names = [dim.name for dim in DIMENSIONS]
     return FeatureTable(
         post_id=tuple(ids[i] for i in rows.tolist()),
         discussion_id=tuple(discussion[rows].tolist()),
@@ -189,10 +188,10 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
     sum would change the last bits): the fold steps over the sibling rank,
     every parent's next sibling at once."""
     present = ~np.isnan(means)
-    values = np.where(present, means, 0.0)
+    # each row: the sums per dimension, then the counts (exact as floats)
+    values = np.hstack([np.where(present, means, 0.0), present])
     totals = np.zeros_like(values)                 # per parent, so far
-    counts = np.zeros(values.shape, np.int64)
-    older = np.full_like(values, NAN)
+    older = np.zeros_like(values)                  # per post, before it
     replies = np.flatnonzero(parent >= 0)
     by_rank = replies[np.argsort(rank[replies], kind="stable")]
     ranks = rank[by_rank]
@@ -200,11 +199,10 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
     for lo, hi in zip(steps[:-1], steps[1:]):
         at = by_rank[lo:hi]
         p = parent[at]                             # distinct within a rank
-        n = counts[p]
-        older[at] = np.where(n > 0, totals[p] / np.maximum(n, 1), NAN)
+        older[at] = totals[p]
         totals[p] += values[at]
-        counts[p] += present[at]
-    return older
+    sums, counts = np.hsplit(older, 2)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), NAN)
 
 
 # --- CSV interchange ----------------------------------------------------------
