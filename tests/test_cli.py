@@ -248,12 +248,14 @@ def test_package_runs_as_a_module():
     assert "pipeline" in proc.stdout
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs about a second of start-up; scipy.special suffices
-    proc = run_python("-c", "import sys, threadtone.cli; "
-                      "print('scipy.stats' in sys.modules)")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False\n"
+def test_cli_and_recovery_imports_load_no_scipy():
+    # the t reference needs only math; scipy is a test-only oracle
+    for module in ("threadtone.cli", "threadtone.synth"):
+        proc = run_python("-c", f"import sys, {module}; print(sorted("
+                          "name for name in sys.modules "
+                          "if name.split('.')[0] == 'scipy'))")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n", module
 
 
 def test_cli_import_loads_no_third_party_http_client():

@@ -1,7 +1,10 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
 from threadtone.dimensions import DIMENSIONS
@@ -289,6 +292,60 @@ def test_critical_value_matches_the_p_value_reference():
         critical_value(1)
     with pytest.raises(ValueError):
         critical_value(10, dist="cauchy")
+
+
+@pytest.mark.parametrize("t", [5.0, 8.0, 9.0, 12.0, 30.0])
+def test_p_value_normal_tail_keeps_its_digits(t):
+    # erfc's argument t/sqrt(2) is rounded, and that alone moves erfc by up
+    # to ~t^2/2 ulps: 1e-13 at t = 30, where the oracle itself is 5.7e-14
+    # from the exact value
+    tolerance = max(1e-14, t * t * 1.1e-16)
+    expected = 2.0 * scipy_stats.norm.sf(t)
+    assert p_value(t, 1.0, 10, dist="normal") == pytest.approx(
+        expected, rel=tolerance, abs=0.0)
+    assert p_value(-t, 1.0, 10, dist="normal") == p_value(t, 1.0, 10,
+                                                          dist="normal")
+
+
+@settings(max_examples=300, deadline=None)
+@given(df=st.integers(1, 10_000), log_t=st.floats(-8.0, 4.0))
+def test_t_tail_matches_the_scipy_oracle(df, log_t):
+    t = math.exp(log_t)
+    expected = 2.0 * scipy_special.stdtr(df, -t)
+    assume(expected >= 1e-300)
+    assert p_value(t, 1.0, df + 1) == pytest.approx(expected, rel=1e-12,
+                                                     abs=0.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(df=st.integers(1, 10_000))
+def test_t_critical_value_matches_the_scipy_oracle(df):
+    crit = critical_value(df + 1)
+    assert crit == pytest.approx(scipy_special.stdtrit(df, 0.975), rel=1e-13,
+                                 abs=0.0)
+    assert p_value(crit, 1.0, df + 1) == pytest.approx(0.05, rel=1e-14,
+                                                       abs=0.0)
+
+
+@pytest.mark.parametrize("g", [2, 3, 30, 31, 32, 61, 10_001])
+def test_p_value_t_edge_cases(g):
+    assert p_value(0.0, 1.0, g) == 1.0
+    assert p_value(1e-300, 1.0, g) == 1.0
+    assert p_value(math.inf, 1.0, g) == 0.0
+    assert p_value(-math.inf, 1.0, g) == 0.0
+    assert p_value(1e300, 1e-300, g) == 0.0
+    assert math.isnan(p_value(math.nan, 1.0, g))
+    assert math.isnan(p_value(1.0, math.nan, g))
+
+
+@pytest.mark.parametrize("g", [2, 3, 6, 30, 31, 32, 60, 1_001, 10_001])
+def test_p_value_t_is_symmetric_and_falls_with_abs_t(g):
+    # the grid crosses every switch between the tail's three methods
+    ts = np.exp(np.linspace(-8.0, 6.0, 400)).tolist()
+    tails = [p_value(t, 1.0, g) for t in ts]
+    assert tails == [p_value(-t, 1.0, g) for t in ts]
+    assert all(0.0 <= p <= 1.0 for p in tails)
+    assert all(a > b or b == 0.0 for a, b in zip(tails, tails[1:]))
 
 
 def test_stars_scheme():
