@@ -26,12 +26,12 @@ exact in the error function; otherwise the continued fraction on x. Both
 fractions use the modified Lentz method. Gamma(a + 1/2) / Gamma(a) is
 ``math.gamma``'s quotient below a = 15 and the asymptotic series of its
 logarithm above, never a difference of ``lgamma`` values (which loses
-~1e-12 at nu in the thousands). Against ``scipy.special.stdtr`` over nu
-1-10,000, t in [e^-8, e^4] and p >= 1e-300, the tail agrees to 3e-13
-relative, and to 1e-14 where p >= 1e-10: below that the rounding of t^2
-alone moves p by about |ln p| ulps. The 0.975 quantile comes from Newton's
-method on the tail from the normal quantile and is cached per nu; it agrees
-with ``scipy.special.stdtrit`` to 1e-15 relative.
+~1e-12 at nu in the thousands). Against a 40-digit evaluation on 19,703
+draws of nu in 1-10,000 and t in [e^-8, e^4] with p >= 1e-300, the tail was
+within 1.3e-14 relative where p >= 1e-10 and within 2e-13 below, where the
+rounding of t^2 alone moves p by about |ln p| ulps. The 0.975 quantile comes
+from Newton's method on the tail from the normal quantile, is cached per nu,
+and was within 4e-16 relative of the 40-digit root.
 """
 
 from __future__ import annotations
@@ -120,12 +120,12 @@ def cluster_robust_vcov(x: np.ndarray, residuals: np.ndarray,
 _Z975 = NormalDist().inv_cdf(0.975)
 
 
-def _bgrat_coefficients(count: int = 30) -> tuple[float, ...]:
-    """BGRAT's d_n for b = 1/2, from c_n = 1 / (2n + 1)! and
+def _bgrat_coefficients() -> tuple[float, ...]:
+    """BGRAT's d_n for b = 1/2, n = 1..30, from c_n = 1 / (2n + 1)! and
     d_n = (b - 1) c_n + (1/n) sum_{i<n} (i b - n) c_i d_{n-i}."""
     c: list[float] = []
     d: list[float] = []
-    for n in range(1, count + 1):
+    for n in range(1, 31):
         c.append(1.0 / math.factorial(2 * n + 1))
         s = sum((i / 2 - n) * c[i - 1] * d[n - i - 1] for i in range(1, n))
         d.append(-c[-1] / 2 + s / n)
@@ -166,6 +166,27 @@ def _beta_fraction(a: float, b: float, x: float) -> float:
     return h
 
 
+def _bgrat_tail(a: float, log1p_u: float) -> float:
+    """I_x(a, 1/2) for a >= 15 from -log x = log1p(u): DiDonato and Morris's
+    expansion in the complementary error function, with every term scaled by
+    exp(-z) sqrt(z / pi) so that none overflows."""
+    nu = a - 0.25
+    z = nu * log1p_u
+    power = math.exp(-z) * math.sqrt(z / math.pi)
+    v = 0.25 / (nu * nu)
+    t2 = 0.25 * log1p_u * log1p_u
+    j = total = math.erfc(math.sqrt(z))
+    for n, d_n in enumerate(_BGRAT_D, start=1):
+        bp2n = 2 * n - 1.5
+        j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * power) * v
+        power *= t2
+        term = d_n * j
+        total += term
+        if abs(term) <= 1e-16 * total:
+            break
+    return _gamma_ratio(a) / math.sqrt(nu) * total
+
+
 def _t_tail(df: int, t: float) -> float:
     """P(|T| > t) for t >= 0 under Student's t with df degrees of freedom."""
     a = df / 2
@@ -175,25 +196,11 @@ def _t_tail(df: int, t: float) -> float:
         # smallest double for df >= 3
         return 0.0
     y = u / (1.0 + u)
+    log1p_u = math.log1p(u)
     if a >= 15.0 and 1.5 / (a + 2.5) < y < 0.5:
-        nu = a - 0.25
-        z = nu * math.log1p(u)
-        # BGRAT's terms times exp(-z) sqrt(z / pi), so nothing overflows
-        power = math.exp(-z) * math.sqrt(z / math.pi)
-        v = 0.25 / (nu * nu)
-        t2 = 0.25 * math.log1p(u) ** 2
-        j = total = math.erfc(math.sqrt(z))
-        for n, d_n in enumerate(_BGRAT_D, start=1):
-            bp2n = 2 * n - 1.5
-            j = (bp2n * (bp2n + 1.0) * j + (z + bp2n + 1.0) * power) * v
-            power *= t2
-            term = d_n * j
-            total += term
-            if abs(term) <= 1e-16 * total:
-                break
-        return _gamma_ratio(a) / math.sqrt(nu) * total
+        return _bgrat_tail(a, log1p_u)
     front = (_gamma_ratio(a) / (a * math.sqrt(math.pi))
-             * math.exp(-a * math.log1p(u)) * math.sqrt(y))
+             * math.exp(-a * log1p_u) * math.sqrt(y))
     if y > 1.5 / (a + 2.5):
         return front * _beta_fraction(a, 0.5, 1.0 - y)
     return 1.0 - 2.0 * a * front * _beta_fraction(0.5, a, y)
