@@ -21,9 +21,9 @@ incomplete beta I_x(nu/2, 1/2) with x = nu / (nu + t^2), written through
 u = t^2 / nu so that log x = -log1p(u) and 1 - x = u / (1 + u) keep their
 digits. For small t (1 - x at most 1.5 / (nu/2 + 2.5)) it is one minus the
 complement's continued fraction; otherwise, for nu >= 30 and t^2 < nu, the
-asymptotic expansion BGRAT of DiDonato and Morris (1992, ACM TOMS 708),
-exact in the error function; otherwise the continued fraction on x. Both
-fractions use the modified Lentz method. Gamma(a + 1/2) / Gamma(a) is
+asymptotic expansion BGRAT of DiDonato and Morris (1992, ACM TOMS 708), a
+series in the complementary error function; otherwise the continued
+fraction on x. Both fractions use the modified Lentz method. Gamma(a + 1/2) / Gamma(a) is
 ``math.gamma``'s quotient below a = 15 and the asymptotic series of its
 logarithm above, never a difference of ``lgamma`` values (which loses
 ~1e-12 at nu in the thousands). Against a 40-digit evaluation on 19,703
@@ -197,13 +197,14 @@ def _t_tail(df: int, t: float) -> float:
         return 0.0
     y = u / (1.0 + u)
     log1p_u = math.log1p(u)
-    if a >= 15.0 and 1.5 / (a + 2.5) < y < 0.5:
+    small_t = y <= 1.5 / (a + 2.5)
+    if a >= 15.0 and not small_t and y < 0.5:
         return _bgrat_tail(a, log1p_u)
     front = (_gamma_ratio(a) / (a * math.sqrt(math.pi))
              * math.exp(-a * log1p_u) * math.sqrt(y))
-    if y > 1.5 / (a + 2.5):
-        return front * _beta_fraction(a, 0.5, 1.0 - y)
-    return 1.0 - 2.0 * a * front * _beta_fraction(0.5, a, y)
+    if small_t:
+        return 1.0 - 2.0 * a * front * _beta_fraction(0.5, a, y)
+    return front * _beta_fraction(a, 0.5, 1.0 - y)
 
 
 @lru_cache(maxsize=None)
