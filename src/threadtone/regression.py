@@ -233,6 +233,8 @@ def p_value(estimate: float, se: float, n_clusters: int,
     if se < 0:
         raise ValueError("se must be non-negative")
     if se == 0.0:
+        if math.isnan(estimate):
+            return math.nan
         if estimate == 0.0:
             return 1.0
         log.warning("degenerate SE = 0 with non-zero estimate; reporting p = 0")

@@ -17,6 +17,10 @@ from __future__ import annotations
 import json
 import logging
 import math
+import os
+import threading
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -29,7 +33,7 @@ from .corpus import Corpus, Post, PostArrays, build_tree, tree_arrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
-from .regression import MODEL_SPECS, critical_value, get_model_spec, run_model
+from .regression import MODEL_SPECS, critical_value, run_model
 from .report import write_json
 
 log = logging.getLogger(__name__)
@@ -381,35 +385,35 @@ class RecoveryReport:
 
 def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
     """Repeatedly generate, fit and check 95% CI coverage of the true
-    coefficients; every run gets its own (seed, run) substream."""
-    spec = get_model_spec(config.model)
+    coefficients; every run gets its own (seed, run) substream.
+
+    The runs are independent, so they are spread over the CPUs in this
+    process's affinity mask, in forked worker processes on Linux. They run
+    in this process for one run, one CPU, where fork or the affinity mask is
+    unavailable, or while other threads run. Either way the results are
+    merged and the failed fits' ``run r (dimension)`` warnings logged in run
+    order, so the report's bytes do not depend on the CPU count; warnings
+    raised inside a run are logged by the process that ran it. An error in
+    a run is re-raised here with its type and message."""
+    spec = MODEL_SPECS[config.model]
     target_dims = sorted(config.coefficients)
     if not target_dims:
         raise ValueError("config.coefficients must name at least one dimension")
 
+    # seeding here also imports numpy.random once, before any fork
+    run_configs = [_reseeded(config, run) for run in range(n_runs)]
     estimates: dict[tuple[str, str], list[float]] = {}
     covered: dict[tuple[str, str], list[bool]] = {}
     n_failed = 0
-    for run in range(n_runs):
-        run_config = _reseeded(config, run)
-        result = generate_corpus(run_config)
-        features = compute_feature_table(result.arrays, result.mean_matrix)
-        for dim_name in target_dims:
-            beta = config.coefficient_vector(dim_name)
-            try:
-                table = run_model(spec, features, dim_name)
-                crit = critical_value(table.n_clusters)
-            except StatsError as exc:
-                log.warning("run %d (%s): %s", run, dim_name, exc)
-                n_failed += 1
-                continue
-            for t_idx, term in enumerate(table.terms):
-                key = (dim_name, term.term)
-                estimates.setdefault(key, []).append(term.estimate)
-                # epsilon keeps exact (zero-SE) fits counted as covered
-                covered.setdefault(key, []).append(
-                    abs(term.estimate - beta[t_idx])
-                    <= crit * term.std_error + 1e-10)
+    with _run_map(n_runs) as run_map:
+        for run, (rows, failures) in enumerate(
+                run_map(_recovery_run, run_configs)):
+            for dim_name, message in failures:
+                log.warning("run %d (%s): %s", run, dim_name, message)
+            n_failed += len(failures)
+            for dim_name, term, estimate, is_covered in rows:
+                estimates.setdefault((dim_name, term), []).append(estimate)
+                covered.setdefault((dim_name, term), []).append(is_covered)
 
     results = []
     for dim_name in target_dims:
@@ -428,6 +432,51 @@ def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
             ))
     return RecoveryReport(model=config.model, n_runs=n_runs,
                           n_failed=n_failed, results=tuple(results))
+
+
+def _recovery_run(config: SynthConfig) -> tuple[list[tuple], list[tuple]]:
+    """One recovery run on its reseeded config: ``(dimension, term,
+    estimate, covered)`` for every fitted term and ``(dimension, message)``
+    for every failed fit, as plain values a worker process can return."""
+    spec = MODEL_SPECS[config.model]
+    result = generate_corpus(config)
+    features = compute_feature_table(result.arrays, result.mean_matrix)
+    rows, failures = [], []
+    for dim_name in sorted(config.coefficients):
+        beta = config.coefficient_vector(dim_name)
+        try:
+            table = run_model(spec, features, dim_name)
+            crit = critical_value(table.n_clusters)
+        except StatsError as exc:
+            failures.append((dim_name, str(exc)))
+            continue
+        for t_idx, term in enumerate(table.terms):
+            # epsilon keeps exact (zero-SE) fits counted as covered
+            rows.append((dim_name, term.term, term.estimate,
+                         abs(term.estimate - beta[t_idx])
+                         <= crit * term.std_error + 1e-10))
+    return rows, failures
+
+
+@contextmanager
+def _run_map(n_runs: int) -> Iterator[Callable]:
+    """An ordered ``map`` for the runs: a pool's, with one forked worker per
+    CPU in the affinity mask up to ``n_runs``, or the builtin. The pool is
+    shut down and its workers joined when the block exits."""
+    workers = (min(len(os.sched_getaffinity(0)), n_runs)
+               if hasattr(os, "sched_getaffinity") else 1)
+    # fork copies only the calling thread, not the locks other threads hold
+    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        yield map
+        return
+    # fork, not spawn: a spawned worker would import numpy and the package
+    # again (~0.27 s), most of what 36 paper-scale runs take. Imported here:
+    # ~20 ms that one-run calls and the pipeline never need
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+    with ProcessPoolExecutor(
+            workers, mp_context=multiprocessing.get_context("fork")) as pool:
+        yield pool.map
 
 
 def _reseeded(config: SynthConfig, run: int) -> SynthConfig:

@@ -276,8 +276,13 @@ def test_p_value_t_reference():
     assert p == pytest.approx(2 * scipy_stats.t.sf(2.0, 9), abs=1e-15)
 
 
-def test_p_value_degenerate_se():
+def test_p_value_degenerate_se(caplog):
     assert p_value(0.5, 0.0, 10) == 0.0
+    caplog.clear()
+    # a NaN estimate is undefined, not degenerate: no p = 0, no warning
+    for dist in ("t", "normal"):
+        assert math.isnan(p_value(float("nan"), 0.0, 10, dist=dist))
+    assert caplog.records == []
 
 
 def test_critical_value_matches_the_p_value_reference():

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import logging
+import multiprocessing
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -143,6 +147,68 @@ def test_recovery_builds_no_post_objects(monkeypatch):
     assert report.n_failed == 0
     with pytest.raises(AssertionError, match="built Python objects"):
         generate_corpus(small_config()).corpus
+
+
+PAPER_CONFIG = Path(__file__).resolve().parents[1] / "data" / "synth_config.json"
+
+
+def set_cpus(monkeypatch, n: int) -> None:
+    """Make recovery_experiment see ``n`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+def run_warnings(caplog) -> list[str]:
+    return [r.getMessage() for r in caplog.records
+            if r.getMessage().startswith("run ")]
+
+
+def test_pooled_recovery_matches_the_in_process_one(monkeypatch, tmp_path,
+                                                    caplog):
+    pids = tmp_path / "pids"
+
+    def generate_and_record(config):
+        with open(pids, "a", encoding="utf-8") as fh:
+            fh.write(f"{os.getpid()}\n")
+        return generate_corpus(config)
+
+    paper = SynthConfig.from_json(PAPER_CONFIG)
+    failing = small_config(n_discussions=1)   # the t reference needs two
+    set_cpus(monkeypatch, 1)
+    in_process = recovery_experiment(paper, n_runs=4)
+    with caplog.at_level(logging.WARNING, logger="threadtone.synth"):
+        failed_in_process = recovery_experiment(failing, n_runs=5)
+    warnings_in_process = run_warnings(caplog)
+    caplog.clear()
+
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(synth, "generate_corpus", generate_and_record)
+    pooled = recovery_experiment(paper, n_runs=4)
+    ran_in = pids.read_text(encoding="utf-8").split()
+    assert len(ran_in) == 4 and str(os.getpid()) not in ran_in
+    assert repr(pooled) == repr(in_process)
+    with caplog.at_level(logging.WARNING, logger="threadtone.synth"):
+        failed_pooled = recovery_experiment(failing, n_runs=5)
+    assert failed_pooled.n_failed == failed_in_process.n_failed == 5
+    assert run_warnings(caplog) == warnings_in_process
+    assert [int(w.split()[1]) for w in warnings_in_process] == list(range(5))
+
+
+def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_a_call(
+        monkeypatch):
+    overflowing = small_config(mean_hours_between_posts=1e16)
+    set_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError, match="overflow") as in_process:
+        recovery_experiment(overflowing, n_runs=4)
+
+    set_cpus(monkeypatch, 2)
+    assert recovery_experiment(small_config(), n_runs=4).n_failed == 0
+    assert multiprocessing.active_children() == []
+    with pytest.raises(ValueError) as pooled:
+        recovery_experiment(overflowing, n_runs=4)
+    assert type(pooled.value) is type(in_process.value)
+    assert str(pooled.value) == str(in_process.value)
+    assert multiprocessing.active_children() == []
 
 
 @pytest.mark.parametrize("overrides", (
