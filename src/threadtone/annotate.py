@@ -27,6 +27,7 @@ import ipaddress
 import json
 import logging
 import os
+import re
 import ssl
 import threading
 import urllib.parse
@@ -53,6 +54,7 @@ from .errors import (
     NotJson,
     OutOfRange,
 )
+from .workers import run_map
 
 log = logging.getLogger(__name__)
 
@@ -166,10 +168,85 @@ class CacheKey(NamedTuple):  # equal to the plain tuple of its fields
     replication: int
 
 
+_CHUNK_BYTES = 8 << 20  # a larger cache is decoded in chunks of about this
+
+# One line per match: the exact line cache_line writes, when json.loads
+# would decode it to the same values (strings without escapes or control
+# characters, integers short enough for any int() digit limit), or else
+# any other line, whole, in the last group. The match after a final "\n"
+# is empty.
+_STRING = r'"([^"\\\x00-\x1f]*+)"'
+_INTEGER = r'-?+(?:0|[1-9][0-9]{0,17}+)'
+_LINE = re.compile(
+    rf'(?m)^(?:\{{"pair_hash": {_STRING}, "model": {_STRING}, '
+    rf'"dimension": {_STRING}, "replication": ({_INTEGER}), '
+    rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}\n|(.*)$)')
+
+
+def _line_ranges(path: Path) -> list[tuple[int, int]]:
+    """Byte ranges covering the file in order, one per ``_CHUNK_BYTES``,
+    each cut moved forward to just after the next ``\\n``, so every range
+    holds whole lines (a ``\\r\\n`` is never split)."""
+    size = path.stat().st_size
+    cuts = [0]
+    with open(path, "rb") as fh:
+        for nominal in range(_CHUNK_BYTES, size, _CHUNK_BYTES):
+            fh.seek(nominal)
+            fh.readline()
+            cuts.append(fh.tell())
+    cuts.append(size)
+    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
+
+
+def _decode_chunk(path: Path, start: int,
+                  stop: int) -> tuple[dict, list[int], int, bool]:
+    """The cache records of bytes [start, stop) of a file, read as the
+    text-mode ``open`` reads them (UTF-8, universal newlines).
+
+    Returns the ``{key: score}`` dict (later lines win), the 0-based line
+    offsets of the malformed lines, the number of lines, and whether the
+    last line lacks its ``\\n``."""
+    with open(path, "rb") as fh:
+        fh.seek(start)
+        text = fh.read(stop - start).decode("utf-8")
+    if "\r" in text:
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
+    torn = not text.endswith("\n")
+    rows = _LINE.findall(text)
+    if not torn:
+        rows.pop()  # the empty match after the final "\n"
+    scores: dict[tuple[str, str, str, int], int] = {}
+    malformed = []
+    # keys share one string object per distinct pair hash, model and
+    # dimension, where the match makes a new one on each of the 12 lines
+    share = {}.setdefault
+    for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
+        if rep:  # the exact line cache_line writes
+            scores[share(pair, pair), share(model, model), share(dim, dim),
+                   int(rep)] = int(score)
+            continue
+        if not line.strip():
+            continue
+        try:
+            rec = json.loads(line)
+            pair, model, dim = rec["pair_hash"], rec["model"], rec["dimension"]
+            scores[share(pair, pair), share(model, model), share(dim, dim),
+                   int(rec["replication"])] = int(rec["score"])
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                OverflowError):  # int(Infinity)
+            malformed.append(offset)
+    return scores, malformed, len(rows), torn
+
+
 class AnnotationCache:
     """Append-only JSONL score cache, safe for concurrent appends from one
     process. Records: {pair_hash, model, dimension, replication, score,
-    timestamp}. ``get`` also takes a CacheKey's plain 4-tuple."""
+    timestamp}. ``get`` also takes a CacheKey's plain 4-tuple.
+
+    A file larger than ``_CHUNK_BYTES`` is decoded in line-aligned chunks
+    on the CPUs in the affinity mask (``workers.run_map``) and merged in
+    file order, so the scores, their order, the malformed-line warnings and
+    any decoding error are those of a serial read."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -177,38 +254,18 @@ class AnnotationCache:
         self._scores: dict[tuple[str, str, str, int], int] = {}
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
-        if self.path.exists():
-            self._load()
-
-    def _load(self) -> None:
-        line = "\n"
-        scores = self._scores
-        # keys share one string object per distinct pair hash, model and
-        # dimension, where json.loads makes a new one on each of the 12 lines
-        share = {}.setdefault
-        # one call decodes a well-formed line; any other line (blank, padded,
-        # extra data, torn) takes the json.loads path and its warnings
-        raw_decode = json.JSONDecoder().raw_decode
-        with open(self.path, "r", encoding="utf-8") as fh:
-            for line_no, line in enumerate(fh, start=1):
-                try:
-                    rec, end = raw_decode(line)
-                    whole = line[end:] == "\n"
-                except ValueError:  # json.JSONDecodeError
-                    whole = False
-                if not whole and not line.strip():
-                    continue
-                try:
-                    if not whole:
-                        rec = json.loads(line)
-                    pair, model, dim = rec["pair_hash"], rec["model"], rec["dimension"]
-                    scores[share(pair, pair), share(model, model), share(dim, dim),
-                           int(rec["replication"])] = int(rec["score"])
-                except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                        OverflowError):  # int(Infinity)
+        if not self.path.exists():
+            return
+        ranges = _line_ranges(self.path)
+        line_no = 0
+        with run_map(len(ranges)) as mapped:
+            for part, malformed, n_lines, self._torn_tail in mapped(
+                    _decode_chunk, [self.path] * len(ranges), *zip(*ranges)):
+                self._scores.update(part)
+                for offset in malformed:
                     log.warning("ignoring malformed cache line %d in %s",
-                                line_no, self.path)
-        self._torn_tail = not line.endswith("\n")
+                                line_no + offset + 1, self.path)
+                line_no += n_lines
 
     def __len__(self) -> int:
         return len(self._scores)

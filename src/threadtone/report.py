@@ -148,8 +148,8 @@ def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
     term = spec.terms[0]
     dim = dimension_by_name(dimension)
     data = ScatterData(
-        x=tuple(float(v) for v in fit.x[:, 1]),
-        y=tuple(float(v) for v in fit.y),
+        x=tuple(fit.x[:, 1].tolist()),
+        y=tuple(fit.y.tolist()),
         intercept=float(fit.beta[0]),
         slope=float(fit.beta[1]),
         vcov=((float(fit.vcov[0, 0]), float(fit.vcov[0, 1])),

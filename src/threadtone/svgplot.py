@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 WIDTH, HEIGHT = 640, 480
 MARGIN_LEFT, MARGIN_RIGHT = 64, 16
 MARGIN_TOP, MARGIN_BOTTOM = 36, 56
@@ -144,10 +146,12 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
         out.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" font-family="sans-serif" '
                    f'font-size="11" text-anchor="end">{_fmt_tick(tick)}</text>')
 
-    # points
-    for px, py in zip(data.x, data.y):
-        out.append(f'<circle cx="{_fmt(sx(px))}" cy="{_fmt(sy(py))}" r="2.5" '
-                   f'fill="#33547a" fill-opacity="0.55" stroke="none"/>')
+    # points: sx and sy on arrays, the same IEEE operations in the same order
+    cx = MARGIN_LEFT + (np.asarray(data.x) - x_lo) / (x_hi - x_lo) * plot_w
+    cy = MARGIN_TOP + (y_hi - np.asarray(data.y)) / (y_hi - y_lo) * plot_h
+    out += [f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2.5" '
+            f'fill="#33547a" fill-opacity="0.55" stroke="none"/>'
+            for px, py in zip(cx.tolist(), cy.tolist())]
 
     # fitted line
     lx0, lx1 = x_lo, x_hi

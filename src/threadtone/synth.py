@@ -17,10 +17,6 @@ from __future__ import annotations
 import json
 import logging
 import math
-import os
-import threading
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
 from itertools import groupby
@@ -35,6 +31,7 @@ from .errors import StatsError
 from .features import compute_feature_table
 from .regression import MODEL_SPECS, critical_value, run_model
 from .report import write_json
+from .workers import run_map
 
 log = logging.getLogger(__name__)
 
@@ -392,9 +389,10 @@ def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
     in this process for one run, one CPU, where fork or the affinity mask is
     unavailable, or while other threads run. Either way the results are
     merged and the failed fits' ``run r (dimension)`` warnings logged in run
-    order, so the report's bytes do not depend on the CPU count; warnings
-    raised inside a run are logged by the process that ran it. An error in
-    a run is re-raised here with its type and message."""
+    order, so the report's bytes do not depend on the CPU count. Records
+    logged inside a run reach this process's handlers too, just before that
+    run's warnings. An error in a run is re-raised here with its type and
+    message."""
     spec = MODEL_SPECS[config.model]
     target_dims = sorted(config.coefficients)
     if not target_dims:
@@ -405,9 +403,9 @@ def recovery_experiment(config: SynthConfig, n_runs: int) -> RecoveryReport:
     estimates: dict[tuple[str, str], list[float]] = {}
     covered: dict[tuple[str, str], list[bool]] = {}
     n_failed = 0
-    with _run_map(n_runs) as run_map:
+    with run_map(n_runs) as mapped:
         for run, (rows, failures) in enumerate(
-                run_map(_recovery_run, run_configs)):
+                mapped(_recovery_run, run_configs)):
             for dim_name, message in failures:
                 log.warning("run %d (%s): %s", run, dim_name, message)
             n_failed += len(failures)
@@ -456,27 +454,6 @@ def _recovery_run(config: SynthConfig) -> tuple[list[tuple], list[tuple]]:
                          abs(term.estimate - beta[t_idx])
                          <= crit * term.std_error + 1e-10))
     return rows, failures
-
-
-@contextmanager
-def _run_map(n_runs: int) -> Iterator[Callable]:
-    """An ordered ``map`` for the runs: a pool's, with one forked worker per
-    CPU in the affinity mask up to ``n_runs``, or the builtin. The pool is
-    shut down and its workers joined when the block exits."""
-    workers = (min(len(os.sched_getaffinity(0)), n_runs)
-               if hasattr(os, "sched_getaffinity") else 1)
-    # fork copies only the calling thread, not the locks other threads hold
-    if workers < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        yield map
-        return
-    # fork, not spawn: a spawned worker would import numpy and the package
-    # again (~0.27 s), most of what 36 paper-scale runs take. Imported here:
-    # ~20 ms that one-run calls and the pipeline never need
-    import multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(
-            workers, mp_context=multiprocessing.get_context("fork")) as pool:
-        yield pool.map
 
 
 def _reseeded(config: SynthConfig, run: int) -> SynthConfig:

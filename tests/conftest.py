@@ -1,6 +1,9 @@
-"""Shared builders for corpus and annotation test data."""
+"""Shared builders for corpus and annotation test data, and a check that
+no worker process outlives a test."""
 
 from __future__ import annotations
+
+import multiprocessing
 
 import numpy as np
 import pytest
@@ -67,3 +70,10 @@ def four_node_corpus() -> Corpus:
         mk_post("C", parent_id="A", timestamp=7200),
         mk_post("D", parent_id="B", timestamp=10800),
     ])
+
+
+@pytest.fixture(autouse=True)
+def no_worker_outlives_a_test():
+    """Every pool the code under test builds is joined before it returns."""
+    yield
+    assert multiprocessing.active_children() == []

@@ -3,20 +3,25 @@
 ``OracleCache`` is the loader and index that ``AnnotationCache`` had before
 its keys became plain tuples: a frozen-dataclass key per line and
 ``json.loads`` per line. Hypothesis writes JSONL files with blank lines,
-torn final lines, non-object JSON, records with missing fields,
-non-integer replications and scores, two model ids, duplicate keys
-with different scores, and records padded with whitespace, followed by
-extra data or led by a byte order mark (which the loader must not decode
-in one call), and both loaders must agree on the scores, the
+torn final lines, ``\r\n`` and bare ``\r`` line ends, non-object JSON,
+records with missing fields, non-integer replications and scores, two model
+ids, duplicate keys with different scores, and records padded with
+whitespace, followed by extra data, led by a byte order mark or a near
+miss of the layout ``cache_line`` writes (which the loader's matcher must
+leave to ``json.loads``), and both loaders must agree on the scores, the
 malformed-line warnings, the torn-tail flag and the index: of the whole
-cache when it holds one model id, and of each model's records alone.
-The cache line writer is checked against ``json.dumps`` of the record.
+cache when it holds one model id, and of each model's records alone. The
+same files load alike when cut into chunks of a few bytes, in this process
+or in worker processes. The cache line writer is checked against
+``json.dumps`` of the record, and each line it writes loads back to its
+own key and score.
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import os
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -25,6 +30,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+from threadtone import annotate
 from threadtone.annotate import AnnotationCache, CacheKey, cache_line
 from threadtone.errors import AmbiguousModel
 
@@ -98,31 +104,51 @@ _RECORD = json.dumps({"pair_hash": "p1", "model": "model-a",
                       "dimension": "emotional_vs_factual", "replication": 1,
                       "score": 2, "timestamp": 0})
 
-# the loader decodes a line in one call only when the record ends exactly
-# at its "\n"; these lines must take the json.loads path instead
+# the loader's matcher takes a line only in the exact layout cache_line
+# writes, with strings json.loads would not unescape and integers it would
+# not reject; these lines must take the json.loads path instead
 _fallback_lines = st.sampled_from([
     " " + _RECORD,  # leading space: a valid record
     _RECORD + "  ",  # trailing spaces: a valid record
     _RECORD + "x",  # one stray character: malformed, or a torn last line
     _RECORD + _RECORD,  # two records on one line: malformed
     "\ufeff" + _RECORD,  # byte order mark: malformed
+    _RECORD.replace('"replication": 1', '"replication": 01'),  # malformed
+    _RECORD.replace('"replication": 1', '"replication": 1.0'),
+    _RECORD.replace('"replication": 1', '"replication": 1e0'),
+    _RECORD.replace('"replication": 1', '"replication": true'),
+    _RECORD.replace('"score": 2', '"score":  2'),  # an extra space
+    _RECORD.replace('"model-a"', '"mod\\u00e8le"'),  # an escape
+    _RECORD.replace('"p1"', '"p\t1"'),  # a raw tab: malformed
+    _RECORD.replace('"timestamp": 0', '"timestamp": ' + "9" * 5000),
+    _RECORD.replace('"timestamp": 0', '"timestamp": ' + "9" * 19),
+])
+
+# lines the matcher takes: json.loads decodes them to the same values
+_matched_lines = st.sampled_from([
+    _RECORD.replace('"score": 2', '"score": -0'),
+    _RECORD.replace('"model-a"', '"mod\u00e8le"'),  # unescaped, as read
+    _RECORD.replace('"timestamp": 0', '"timestamp": ' + "9" * 18),
 ])
 
 _other_lines = st.one_of(st.sampled_from([
     "", "   ", "\t", "[1, 2]", "3", '"text"', "null", "{not json",
     '{"pair_hash": "p0"', "}"]), _fallback_lines)
 
-_lines = st.lists(st.one_of(_records, _records, _records, _other_lines),
-                  max_size=40)
+_lines = st.lists(
+    st.tuples(st.one_of(_records, _records, _records, _other_lines,
+                        _matched_lines),
+              st.sampled_from(["\n", "\n", "\n", "\r\n", "\r"])),
+    max_size=40)
 
 
 @st.composite
 def cache_text(draw) -> str:
     lines = draw(_lines)
-    text = "".join(line + "\n" for line in lines)
+    text = "".join(line + end for line, end in lines)
     if lines and draw(st.booleans()):  # torn final line: cut it short
-        last = lines[-1]
-        text = text[:len(text) - 1 - draw(st.integers(0, len(last)))]
+        last, end = lines[-1]
+        text = text[:len(text) - len(end) - draw(st.integers(0, len(last)))]
     return text
 
 
@@ -135,33 +161,42 @@ class _Collect(logging.Handler):
         self.messages.append(record.getMessage())
 
 
+def load(path: Path) -> tuple[AnnotationCache, list[str]]:
+    """The cache at ``path`` and the warnings its load logged."""
+    handler = _Collect()
+    logger = logging.getLogger("threadtone.annotate")
+    logger.addHandler(handler)
+    try:
+        return AnnotationCache(path), handler.messages
+    finally:
+        logger.removeHandler(handler)
+
+
+def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCache:
+    cache, messages = load(path)
+    assert cache._scores == {
+        (k.pair_hash, k.model, k.dimension, k.replication): v
+        for k, v in oracle.scores.items()}
+    assert list(cache._scores) == [
+        (k.pair_hash, k.model, k.dimension, k.replication)
+        for k in oracle.scores]
+    assert messages == [f"ignoring malformed cache line {n} in {path}"
+                        for n in oracle.malformed]
+    assert cache._torn_tail == oracle.torn_tail
+    return cache
+
+
 @settings(max_examples=300, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(cache_text())
 @example(_RECORD + "\n" + _RECORD + "x")  # torn tail: one stray character
+@example(_RECORD)  # a whole record without its "\n"
 def test_loader_matches_the_dataclass_oracle(text):
-    handler = _Collect()
-    logger = logging.getLogger("threadtone.annotate")
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
-        path.write_text(text, encoding="utf-8")
+        path.write_bytes(text.encode("utf-8"))
         oracle = OracleCache(path)
-        logger.addHandler(handler)
-        try:
-            cache = AnnotationCache(path)
-        finally:
-            logger.removeHandler(handler)
-
-        assert cache._scores == {
-            (k.pair_hash, k.model, k.dimension, k.replication): v
-            for k, v in oracle.scores.items()}
-        assert list(cache._scores) == [
-            (k.pair_hash, k.model, k.dimension, k.replication)
-            for k in oracle.scores]
-        assert handler.messages == [
-            f"ignoring malformed cache line {n} in {path}"
-            for n in oracle.malformed]
-        assert cache._torn_tail == oracle.torn_tail
+        cache = assert_loads_as_the_oracle(path, oracle)
         # each model's records alone, written and reloaded as a one-model
         # cache, index as the oracle indexes that model's records
         single = {}
@@ -182,6 +217,63 @@ def test_loader_matches_the_dataclass_oracle(text):
             else:
                 assert cache.index_by_pair(n_replications) == \
                     oracle.index_by_pair(n_replications)
+
+
+def set_cpus(monkeypatch: pytest.MonkeyPatch, n: int) -> None:
+    """Make the loader see ``n`` CPUs in its affinity mask."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)),
+                        raising=False)
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(cache_text())
+@example(_RECORD + "\r\n" + _RECORD + "\r")
+def test_chunked_loads_match_the_oracle(text):
+    with tempfile.TemporaryDirectory() as tmp, \
+            pytest.MonkeyPatch.context() as monkeypatch:
+        path = Path(tmp) / "cache.jsonl"
+        path.write_bytes(text.encode("utf-8"))
+        oracle = OracleCache(path)
+        set_cpus(monkeypatch, 1)
+        for chunk_bytes in (1, 7, 64):
+            monkeypatch.setattr(annotate, "_CHUNK_BYTES", chunk_bytes)
+            assert_loads_as_the_oracle(path, oracle)
+
+
+decode_chunk = annotate._decode_chunk
+
+
+def _decode_and_record(path: Path, start: int, stop: int):
+    with open(path.with_name("pids"), "a", encoding="utf-8") as fh:
+        fh.write(f"{os.getpid()}\n")
+    return decode_chunk(path, start, stop)
+
+
+def test_pooled_loads_match_the_oracle(tmp_path, monkeypatch):
+    lines = [json.dumps({"pair_hash": f"p{i % 7}", "model": "model-a",
+                         "dimension": "disagree_vs_agree",
+                         "replication": i % 4, "score": i % 11 - 5,
+                         "timestamp": 0}) for i in range(60)]
+    lines[5], lines[17], lines[40] = "{not json", "", '"text"'
+    text = "".join(line + ("\r\n" if i % 3 else "\n")
+                   for i, line in enumerate(lines))
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes(text[:-9].encode("utf-8"))  # a torn tail
+    oracle = OracleCache(path)
+    set_cpus(monkeypatch, 2)
+    monkeypatch.setattr(annotate, "_CHUNK_BYTES", 512)
+    monkeypatch.setattr(annotate, "_decode_chunk", _decode_and_record)
+    assert_loads_as_the_oracle(path, oracle)
+    pids = (tmp_path / "pids").read_text(encoding="utf-8").split()
+    assert len(pids) > 2 and str(os.getpid()) not in pids
+
+    path.write_bytes(text.encode("utf-8") + b"\xff\n")
+    with pytest.raises(UnicodeDecodeError):
+        AnnotationCache(path)
+    set_cpus(monkeypatch, 1)
+    with pytest.raises(UnicodeDecodeError):
+        AnnotationCache(path)
 
 
 def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
@@ -217,7 +309,8 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
     assert cache_line(**record) == expected
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnnotationCache(Path(tmp) / "cache.jsonl")
-        cache.put(CacheKey(pair_hash, model, dimension, replication), score,
-                  timestamp)
+        key = CacheKey(pair_hash, model, dimension, replication)
+        cache.put(key, score, timestamp)
         cache.close()
         assert cache.path.read_text(encoding="utf-8") == expected
+        assert AnnotationCache(cache.path)._scores == {key: score}

@@ -80,6 +80,16 @@ def test_ols_duplicate_column_singular():
         ols_fit(x, np.arange(5.0))
 
 
+def test_a_column_whose_squared_norm_underflows_is_singular():
+    # the entries are normal floats, but their squares are subnormal: X'X
+    # then loses the column, and solving it would fail or give NaN
+    x = np.column_stack([np.ones(4), [1e-159, 1e-159, 3e-165, 2e-160]])
+    with pytest.raises(SingularDesign):
+        ols_fit(x, np.arange(4.0))
+    with pytest.raises(SingularDesign):
+        cluster_robust_vcov(x, np.ones(4), ["a", "a", "b", "b"])
+
+
 def test_ols_insufficient_sample():
     with pytest.raises(InsufficientSample):
         ols_fit(np.ones((2, 2)), np.array([1.0, 2.0]))

@@ -158,9 +158,8 @@ def set_cpus(monkeypatch, n: int) -> None:
                         raising=False)
 
 
-def run_warnings(caplog) -> list[str]:
-    return [r.getMessage() for r in caplog.records
-            if r.getMessage().startswith("run ")]
+def logged(caplog) -> list[tuple[str, int, str]]:
+    return [(r.name, r.levelno, r.getMessage()) for r in caplog.records]
 
 
 def test_pooled_recovery_matches_the_in_process_one(monkeypatch, tmp_path,
@@ -178,7 +177,7 @@ def test_pooled_recovery_matches_the_in_process_one(monkeypatch, tmp_path,
     in_process = recovery_experiment(paper, n_runs=4)
     with caplog.at_level(logging.WARNING, logger="threadtone.synth"):
         failed_in_process = recovery_experiment(failing, n_runs=5)
-    warnings_in_process = run_warnings(caplog)
+    logged_in_process = logged(caplog)
     caplog.clear()
 
     set_cpus(monkeypatch, 2)
@@ -190,8 +189,14 @@ def test_pooled_recovery_matches_the_in_process_one(monkeypatch, tmp_path,
     with caplog.at_level(logging.WARNING, logger="threadtone.synth"):
         failed_pooled = recovery_experiment(failing, n_runs=5)
     assert failed_pooled.n_failed == failed_in_process.n_failed == 5
-    assert run_warnings(caplog) == warnings_in_process
-    assert [int(w.split()[1]) for w in warnings_in_process] == list(range(5))
+    # the records logged inside each run, then that run's own warning
+    assert logged(caplog) == logged_in_process == [
+        record for run in range(5) for record in (
+            ("threadtone.regression", logging.WARNING,
+             "cluster-robust vcov with a single cluster"),
+            ("threadtone.synth", logging.WARNING,
+             f"run {run} (disagree_vs_agree): need at least 2 clusters "
+             f"for t-based p-values"))]
 
 
 def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_a_call(
