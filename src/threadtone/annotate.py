@@ -175,8 +175,8 @@ _CHUNK_BYTES = 8 << 20  # a larger cache is decoded in chunks of about this
 # characters, integers short enough for any int() digit limit), or else
 # any other line, whole, in the last group. The match after a final "\n"
 # is empty.
-_STRING = r'"([^"\\\x00-\x1f]*+)"'
-_INTEGER = r'-?+(?:0|[1-9][0-9]{0,17}+)'
+_STRING = r'"([^"\\\x00-\x1f]*)"'
+_INTEGER = r'-?(?:0|[1-9][0-9]{0,17})'
 _LINE = re.compile(
     rf'(?m)^(?:\{{"pair_hash": {_STRING}, "model": {_STRING}, '
     rf'"dimension": {_STRING}, "replication": ({_INTEGER}), '

@@ -56,17 +56,15 @@ _RANK_RTOL = 1e-10
 
 
 def _gram(x: np.ndarray) -> np.ndarray:
-    """X'X, after the scale-free rank check: a zero diagonal entry, a
-    subnormal one (the column's squared norm underflows, so X'X can no
+    """X'X, after the scale-free rank check: a diagonal entry that is zero
+    or subnormal (the column's squared norm underflows, so X'X can no
     longer be solved or inverted), or a smallest singular value of X'X
     scaled to unit diagonal at most _RANK_RTOL times the largest, raises
     SingularDesign."""
     gram = x.T @ x
-    norms = np.sqrt(np.diag(gram))
-    if not norms.all():
-        raise SingularDesign("all-zero design column")
     if np.diag(gram).min() < np.finfo(float).tiny:
-        raise SingularDesign("design column too close to zero")
+        raise SingularDesign("all-zero or underflowing design column")
+    norms = np.sqrt(np.diag(gram))
     singular = np.linalg.svd(gram / np.outer(norms, norms), compute_uv=False)
     if singular[-1] <= _RANK_RTOL * singular[0]:
         raise SingularDesign("rank-deficient design")

@@ -146,9 +146,8 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
         out.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" font-family="sans-serif" '
                    f'font-size="11" text-anchor="end">{_fmt_tick(tick)}</text>')
 
-    # points: sx and sy on arrays, the same IEEE operations in the same order
-    cx = MARGIN_LEFT + (np.asarray(data.x) - x_lo) / (x_hi - x_lo) * plot_w
-    cy = MARGIN_TOP + (y_hi - np.asarray(data.y)) / (y_hi - y_lo) * plot_h
+    # points
+    cx, cy = sx(np.asarray(data.x)), sy(np.asarray(data.y))
     out += [f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2.5" '
             f'fill="#33547a" fill-opacity="0.55" stroke="none"/>'
             for px, py in zip(cx.tolist(), cy.tolist())]

@@ -2,10 +2,12 @@
 when the affinity mask leaves CPUs to spare.
 
 A worker emits no log record itself: it returns the records its call
-logged (logger name, level, message) with the call's result, and the
-caller's process logs them again, item by item in input order, just before
-it hands that item's result on. The caller's handlers therefore see the
-same records in the same order however many workers ran.
+logged with the call's result, each frozen to plain attributes (its message
+formatted, its traceback as text), and the caller's process hands them to
+its handlers, item by item in input order, just before it hands that item's
+result on. The caller's handlers therefore see the same records, with
+their own source line, function and time, in the same order however many
+workers ran; only the process fields name the worker.
 """
 
 from __future__ import annotations
@@ -18,12 +20,17 @@ from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from functools import partial
 
-_records: list[tuple[str, int, str]] = []  # a worker's records for its call
+_records: list[dict] = []  # a worker's records for its call
 
 
 class _Hold(logging.Handler):
     def emit(self, record: logging.LogRecord) -> None:
-        _records.append((record.name, record.levelno, record.getMessage()))
+        record.msg, record.args = record.getMessage(), None
+        if record.exc_info:
+            record.exc_text = (record.exc_text or logging.Formatter()
+                               .formatException(record.exc_info))
+            record.exc_info = None
+        _records.append(record.__dict__)
 
 
 def _hold_records() -> None:
@@ -35,25 +42,33 @@ def _hold_records() -> None:
     logging.root.handlers[:] = [_Hold()]
 
 
-def _held_call(fn: Callable, *args) -> tuple[list, bool, object]:
-    """``fn(*args)`` in a worker: the records it logged, whether it
-    returned, and its result or its exception."""
+class _RemoteTraceback(Exception):
+    """The worker's traceback, as the ``__cause__`` of its re-raised
+    exception."""
+
+    def __str__(self) -> str:
+        return self.args[0]
+
+
+def _held_call(fn: Callable, *args) -> tuple[list, str | None, object]:
+    """``fn(*args)`` in a worker: the records it logged, the traceback of
+    its exception or None if it returned, and its result or exception."""
     _records.clear()
     try:
-        returned, value = True, fn(*args)
+        failure, value = None, fn(*args)
     except Exception as exc:
-        exc.add_note("".join(traceback.format_exception(exc)).rstrip())
-        returned, value = False, exc
-    return _records[:], returned, value
+        failure, value = "".join(traceback.format_exception(exc)), exc
+    return _records[:], failure, value
 
 
 def _pooled_map(pool, fn: Callable, *iterables: Iterable) -> Iterator:
-    for records, returned, value in pool.map(partial(_held_call, fn),
-                                             *iterables):
-        for name, level, message in records:
-            logging.getLogger(name).log(level, message)
-        if not returned:
-            raise value
+    for records, failure, value in pool.map(partial(_held_call, fn),
+                                            *iterables):
+        for attributes in records:
+            logging.getLogger(attributes["name"]).handle(
+                logging.makeLogRecord(attributes))
+        if failure is not None:
+            raise value from _RemoteTraceback(failure.rstrip())
         yield value
 
 

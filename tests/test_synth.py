@@ -12,6 +12,7 @@ from threadtone.annotate import AnnotationCache, load_annotation_means
 from threadtone.corpus import PostArrays, serialize_corpus
 from threadtone import synth
 from threadtone.features import compute_feature_table
+from threadtone.workers import run_map
 from threadtone.synth import (
     SynthConfig,
     generate_corpus,
@@ -213,7 +214,38 @@ def test_a_worker_error_reaches_the_caller_and_no_worker_outlives_a_call(
         recovery_experiment(overflowing, n_runs=4)
     assert type(pooled.value) is type(in_process.value)
     assert str(pooled.value) == str(in_process.value)
+    worker_traceback = str(pooled.value.__cause__)
+    assert worker_traceback.startswith("Traceback")
+    assert worker_traceback.endswith(str(in_process.value))
     assert multiprocessing.active_children() == []
+
+
+def _log_a_caught_error(item: int) -> int:
+    try:
+        raise KeyError(item)
+    except KeyError:
+        logging.getLogger("threadtone.test").exception("item %d", item)
+    return item
+
+
+def test_pooled_records_keep_their_attributes(monkeypatch, caplog):
+    def seen() -> list[tuple]:
+        return [(r.name, r.levelno, r.getMessage(), r.pathname, r.lineno,
+                 r.funcName, logging.Formatter().format(r))
+                for r in caplog.records]
+
+    runs = {}
+    for cpus in (1, 2):
+        set_cpus(monkeypatch, cpus)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="threadtone.test"), \
+                run_map(2) as mapped:
+            assert list(mapped(_log_a_caught_error, [1, 2])) == [1, 2]
+        runs[cpus] = seen()
+    assert runs[2] == runs[1]
+    assert [r[5] for r in runs[2]] == ["_log_a_caught_error"] * 2
+    assert runs[2][0][6].startswith("item 1\nTraceback")
+    assert runs[2][0][6].endswith("KeyError: 1")
 
 
 @pytest.mark.parametrize("overrides", (
