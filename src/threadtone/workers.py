@@ -46,9 +46,6 @@ class _RemoteTraceback(Exception):
     """The worker's traceback, as the ``__cause__`` of its re-raised
     exception."""
 
-    def __str__(self) -> str:
-        return self.args[0]
-
 
 def _held_call(fn: Callable, *args) -> tuple[list, str | None, object]:
     """``fn(*args)`` in a worker: the records it logged, the traceback of
@@ -57,7 +54,7 @@ def _held_call(fn: Callable, *args) -> tuple[list, str | None, object]:
     try:
         failure, value = None, fn(*args)
     except Exception as exc:
-        failure, value = "".join(traceback.format_exception(exc)), exc
+        failure, value = "".join(traceback.format_exception(exc)).rstrip(), exc
     return _records[:], failure, value
 
 
@@ -68,7 +65,7 @@ def _pooled_map(pool, fn: Callable, *iterables: Iterable) -> Iterator:
             logging.getLogger(attributes["name"]).handle(
                 logging.makeLogRecord(attributes))
         if failure is not None:
-            raise value from _RemoteTraceback(failure.rstrip())
+            raise value from _RemoteTraceback(failure)
         yield value
 
 
