@@ -1,7 +1,8 @@
 """Intra-annotator reliability across replications, plus rank correlations.
 
 All statistics operate on a complete R x N integer matrix (R replications,
-N items) for one dimension. Items with any missing replication are excluded
+N items) for one dimension, a slice of the items x dimensions x
+replications score array. Items with any missing replication are excluded
 upstream so every metric is computed on a common item set.
 
 Krippendorff's alpha uses the interval (squared-difference) distance:
@@ -181,13 +182,17 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
 
 
-def correlation_report(means_by_post: Mapping[str, Mapping[str, float]]) -> np.ndarray:
-    """Pairwise Spearman correlations of post-level means, over posts with
-    all dimensions present. Symmetric with unit diagonal; a cell that is
-    undefined (fewer than three posts, or a constant series) is nan."""
-    posts = sorted(pid for pid, vals in means_by_post.items()
-                   if all(name in vals for name in _NAMES))
-    series = [[means_by_post[pid][name] for pid in posts] for name in _NAMES]
+def correlation_report(post_ids: Sequence[str],
+                       metric: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Pairwise Spearman correlations of post-level means, given as one
+    column per dimension name (NaN where absent), over the posts with all
+    dimensions present in post-id order. Symmetric with unit diagonal; a
+    cell that is undefined (fewer than three posts, or a constant series)
+    is nan."""
+    columns = np.column_stack([metric[name] for name in _NAMES])
+    present = np.flatnonzero(~np.isnan(columns).any(axis=1)).tolist()
+    posts = sorted(present, key=post_ids.__getitem__)
+    series = columns[posts].T.copy()
     out = np.eye(len(_NAMES))
     for i, j in combinations(range(len(_NAMES)), 2):
         try:
@@ -217,34 +222,23 @@ class DimensionAgreement:
     degenerate: bool
 
 
-def ratings_from_scores(scores_by_item: Mapping[str, Sequence[int]]) -> RatingsMatrix:
-    """Build a matrix from item -> replication-ordered scores (complete sets
-    only; enforced by the caller)."""
-    items = tuple(sorted(scores_by_item))
-    values = np.array([scores_by_item[item] for item in items], dtype=int).T
-    if not items:  # no items, so no replications either
-        values = values.reshape(0, 0)
-    return RatingsMatrix(items=items, values=values)
-
-
-def agreement_report(scores_by_dimension: Mapping[str, Mapping[str, Sequence[int]]],
+def agreement_report(items: Sequence[str], scores: np.ndarray,
                      scale: AnnotationScale = AnnotationScale(),
                      unanimity: bool = False) -> list[DimensionAgreement]:
-    """Per-dimension reliability over the items common to every dimension.
-    A dimension with fewer than two replications or two items gets nan
-    statistics."""
-    dims = [d.name for d in DIMENSIONS if d.name in scores_by_dimension]
-    common: set[str] | None = None
-    for name in dims:
-        ids = set(scores_by_dimension[name])
-        common = ids if common is None else common & ids
-    common = common or set()
-
+    """Per-dimension reliability of ``scores[i, d, r]``, replication r of
+    dimension d (``DIMENSIONS`` order) for item i, with the items in key
+    order. A dimension with fewer than two replications or two items gets
+    nan statistics."""
+    order = sorted(range(len(items)), key=items.__getitem__)
+    keys = tuple(items[i] for i in order)
     report = []
     undefined = []
-    for name in dims:
-        matrix = ratings_from_scores(
-            {item: scores_by_dimension[name][item] for item in common})
+    for d, name in enumerate(_NAMES):
+        # the C-contiguous items x replications block, as rows of scores
+        # build it, so every reduction adds in the same order
+        values = np.ascontiguousarray(scores[order, d, :], dtype=np.int64)
+        matrix = RatingsMatrix(items=keys, values=(values.T if keys else
+                                                   values.reshape(0, 0)))
         if matrix.n_raters < 2 or matrix.n_items < 2:
             undefined.append(name)
             stats, degenerate = [float("nan")] * 7, True

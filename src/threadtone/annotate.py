@@ -39,8 +39,10 @@ from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
 from typing import NamedTuple, Protocol
 
+import numpy as np
+
 from . import __version__
-from .corpus import Corpus, Post
+from .corpus import Corpus, Post, PostArrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
     AmbiguousModel,
@@ -142,13 +144,8 @@ def parse_annotation_json(text: str,
 
 def pair_content_hash(parent_text: str, child_text: str,
                       scale: AnnotationScale) -> str:
-    h = hashlib.sha256()
-    h.update(b"pair\x00")
-    h.update(parent_text.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(child_text.encode("utf-8"))
-    h.update(f"\x00{scale.min}:{scale.max}".encode("ascii"))
-    return h.hexdigest()
+    text = f"pair\x00{parent_text}\x00{child_text}\x00{scale.min}:{scale.max}"
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
 def cache_line(pair_hash: str, model: str, dimension: str, replication: int,
@@ -294,8 +291,10 @@ class AnnotationCache:
                 self._appender = None
 
     def index_by_pair(self, n_replications: int) -> dict[str, dict[str, list[int]]]:
-        """pair_hash -> dimension -> replication-ordered scores, keeping only
-        (pair, dimension) groups with the full replication set.
+        """pair_hash -> dimension -> the scores of replications 0..n-1 in
+        order, keeping only (pair, dimension) groups that hold all of them;
+        a group's other replications are ignored, as ``annotate_pair``
+        ignores them.
 
         Raises AmbiguousModel when the cache holds more than one model id,
         since replications of different models must never be combined."""
@@ -311,7 +310,7 @@ class AnnotationCache:
         out: dict[str, dict[str, list[int]]] = {}
         for pair_hash, dims in grouped.items():
             for dim_name, reps in dims.items():
-                if set(reps) == set(range(n_replications)):
+                if all(r in reps for r in range(n_replications)):
                     out.setdefault(pair_hash, {})[dim_name] = [
                         reps[r] for r in range(n_replications)]
         return out
@@ -568,14 +567,17 @@ class MockBackend:
 
 # --- annotation driver -------------------------------------------------------------
 
+_NAMES = tuple(d.name for d in DIMENSIONS)
+
+
 def annotate_pair(parent: Post, child: Post, backend: Backend,
                   cache: AnnotationCache,
                   scale: AnnotationScale = AnnotationScale(),
                   n_replications: int = 4,
                   max_retries: int = 3,
-                  cache_timestamp: int = 0) -> dict[str, tuple[int, ...]]:
-    """Score one parent-child pair, cache-first: dimension ->
-    replication-ordered scores.
+                  cache_timestamp: int = 0) -> list[int]:
+    """Score one parent-child pair, cache-first: the dimension x
+    replication scores, flat and dimension-major (``DIMENSIONS`` order).
 
     Each (dimension, replication) score is looked up once. Only a
     replication that misses a dimension builds the prompt and is requested,
@@ -587,14 +589,15 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
         raise EmptyText("parent and child texts must be non-empty")
     pair_hash = pair_content_hash(parent.text, child.text, scale)
     model = backend.model
-    scores = {d.name: [cache.get((pair_hash, model, d.name, rep))
-                       for rep in range(n_replications)]
-              for d in DIMENSIONS}
-    missing = [rep for rep, row in enumerate(zip(*scores.values()))
-               if None in row]  # row: one replication's scores
-    if missing:
-        prompt = build_prompt(parent.text, child.text, scale)
-    for rep in missing:
+    get = cache.get
+    scores = [get((pair_hash, model, name, rep))
+              for name in _NAMES for rep in range(n_replications)]
+    if None not in scores:
+        return scores
+    prompt = build_prompt(parent.text, child.text, scale)
+    for rep in range(n_replications):
+        if None not in scores[rep::n_replications]:  # one replication's scores
+            continue
         last_error: Exception | None = None
         fresh = None
         for _attempt in range(max_retries + 1):
@@ -608,63 +611,101 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
             raise AnnotationFailed(
                 f"pair {child.post_id}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
-        for name, reps in scores.items():
-            if reps[rep] is None:
-                reps[rep] = fresh[name]
-                cache.put(CacheKey(pair_hash, model, name, rep), reps[rep],
+        for d, name in enumerate(_NAMES):
+            at = d * n_replications + rep
+            if scores[at] is None:
+                scores[at] = fresh[name]
+                cache.put(CacheKey(pair_hash, model, name, rep), scores[at],
                           cache_timestamp)
-    return {name: tuple(reps) for name, reps in scores.items()}
+    return scores
+
+
+@dataclass(frozen=True, eq=False)
+class Annotations:
+    """Every reply's scores, aligned with ``Corpus.arrays()``: int64
+    ``scores[k, d, r]`` is replication r of dimension d (``DIMENSIONS``
+    order) of the reply at position ``reply[k]`` of ``posts``."""
+
+    posts: PostArrays
+    reply: np.ndarray
+    scores: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.reply)
+
+    def reply_ids(self) -> list[str]:
+        return [self.posts.posts[i] for i in self.reply.tolist()]
+
+    def means(self) -> np.ndarray:
+        """``compute_feature_table``'s means matrix, NaN for the roots; the
+        sums are exact, so each mean is ``sum(scores) / len(scores)``."""
+        means = np.full((len(self.posts.posts), len(_NAMES)), np.nan)
+        means[self.reply] = self.scores.sum(axis=2) / self.scores.shape[2]
+        return means
+
+
+def _reply_pairs(corpus: Corpus) -> tuple[PostArrays, np.ndarray,
+                                          list[tuple[Post, Post]]]:
+    """The corpus's arrays, its replies' positions and (parent, reply)s."""
+    posts = corpus.arrays()
+    reply = np.flatnonzero(posts.parent >= 0)
+    ids, by_id = posts.posts, corpus.posts
+    return posts, reply, [
+        (by_id[ids[p]], by_id[ids[c]])
+        for c, p in zip(reply.tolist(), posts.parent[reply].tolist())]
 
 
 def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                     scale: AnnotationScale = AnnotationScale(),
                     n_replications: int = 4, max_retries: int = 3,
                     concurrency: int = 1,
-                    cache_timestamp: int = 0) -> dict[str, dict[str, tuple[int, ...]]]:
+                    cache_timestamp: int = 0) -> Annotations:
     """Annotate every non-root post against its parent.
 
-    Returns post_id -> dimension -> replication-ordered scores. Pairs are
-    independent, so up to ``concurrency`` (pair x replication-set) requests
-    run in flight at once.
+    Pairs are independent, so up to ``concurrency`` (pair x replication-set)
+    requests run in flight at once.
     """
-    pairs = [(corpus.posts[post.parent_id], post)
-             for discussion_id in corpus.discussion_ids()
-             for post in corpus.posts_of(discussion_id)
-             if post.parent_id is not None]
+    posts, reply, pairs = _reply_pairs(corpus)
 
-    def work(pair: tuple[Post, Post]) -> tuple[str, dict[str, tuple[int, ...]]]:
-        parent, child = pair
-        return child.post_id, annotate_pair(parent, child, backend, cache,
-                                            scale, n_replications,
-                                            max_retries, cache_timestamp)
+    def work(pair: tuple[Post, Post]) -> list[int]:
+        return annotate_pair(*pair, backend, cache, scale, n_replications,
+                             max_retries, cache_timestamp)
 
     if concurrency <= 1:
-        return dict(map(work, pairs))
-    with ThreadPoolExecutor(max_workers=concurrency) as pool:
-        return dict(pool.map(work, pairs))
+        rows = list(map(work, pairs))
+    else:
+        with ThreadPoolExecutor(max_workers=concurrency) as pool:
+            rows = list(pool.map(work, pairs))
+    scores = np.array(rows, np.int64).reshape(len(rows), len(_NAMES),
+                                              n_replications)
+    return Annotations(posts, reply, scores)
 
 
 def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
                           scale: AnnotationScale = AnnotationScale(),
-                          n_replications: int = 4) -> dict[str, dict[str, float]]:
-    """Join cached scores back onto posts via content hashes.
-
-    Posts lacking a complete replication set on a dimension are omitted for
-    that dimension. The cache must hold one model id (AmbiguousModel).
-    """
+                          n_replications: int = 4,
+                          ) -> tuple[PostArrays, np.ndarray]:
+    """The corpus's arrays and ``compute_feature_table``'s means matrix from
+    the cache, joined via content hashes: NaN where a reply lacks a complete
+    replication set on a dimension. One model id only (AmbiguousModel)."""
     by_pair = cache.index_by_pair(n_replications)
-    means: dict[str, dict[str, float]] = {}
-    for discussion_id in corpus.discussion_ids():
-        for post in corpus.posts_of(discussion_id):
-            if post.parent_id is None:
-                continue
-            parent = corpus.posts[post.parent_id]
-            pair_hash = pair_content_hash(parent.text, post.text, scale)
-            dims = by_pair.get(pair_hash)
-            if not dims:
-                continue
-            means[post.post_id] = {
-                dim_name: sum(scores) / len(scores)
-                for dim_name, scores in dims.items()
-            }
-    return means
+    posts, reply, pairs = _reply_pairs(corpus)
+    means = np.full((len(posts.posts), len(_NAMES)), np.nan)
+    for i, (parent, child) in zip(reply.tolist(), pairs):
+        dims = by_pair.get(pair_content_hash(parent.text, child.text, scale), {})
+        means[i] = [sum(dims[name]) / n_replications if name in dims
+                    else np.nan for name in _NAMES]
+    return posts, means
+
+
+def cached_pair_scores(cache: AnnotationCache, n_replications: int,
+                       ) -> tuple[list[str], np.ndarray]:
+    """The hashes of the pairs the cache holds every dimension's
+    replications 0..n-1 of, and their int64 pair x dimension x replication
+    scores. One model id only (AmbiguousModel)."""
+    by_pair = cache.index_by_pair(n_replications)
+    items = [pair_hash for pair_hash, dims in by_pair.items()
+             if all(name in dims for name in _NAMES)]
+    scores = np.array([[by_pair[pair_hash][name] for name in _NAMES]
+                       for pair_hash in items], np.int64)
+    return items, scores.reshape(len(items), len(_NAMES), n_replications)

@@ -11,7 +11,7 @@ from itertools import product
 from pathlib import Path
 
 from . import __version__
-from .annotate import AnnotationCache, load_annotation_means
+from .annotate import AnnotationCache, cached_pair_scores, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import AnnotationError, CorpusError, FeatureError
@@ -174,9 +174,9 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    records, calls = annotate_stage(load_corpus(args.corpus), args.cache,
-                                    _options(args))
-    print(f"annotated {len(records)} posts "
+    annotations, calls = annotate_stage(load_corpus(args.corpus), args.cache,
+                                        _options(args))
+    print(f"annotated {len(annotations)} posts "
           f"({calls} backend calls, cache {args.cache})")
     return EXIT_OK
 
@@ -184,10 +184,10 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 def cmd_features(args: argparse.Namespace) -> int:
     options = _options(args)
     corpus = load_corpus(args.corpus)
-    means = load_annotation_means(corpus, AnnotationCache(args.annotations),
-                                  scale=options.scale,
-                                  n_replications=options.replications)
-    features = compute_feature_table(corpus, means, strict=args.strict,
+    posts, means = load_annotation_means(
+        corpus, AnnotationCache(args.annotations), scale=options.scale,
+        n_replications=options.replications)
+    features = compute_feature_table(posts, means, strict=args.strict,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, args.out)
     print(f"wrote {len(features)} feature rows to {args.out}")
@@ -196,8 +196,9 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_agreement(args: argparse.Namespace) -> int:
     options = _options(args)
-    by_pair = AnnotationCache(args.cache).index_by_pair(options.replications)
-    report = write_agreement(by_pair, options, Path(args.out))
+    items, scores = cached_pair_scores(AnnotationCache(args.cache),
+                                       options.replications)
+    report = write_agreement(items, scores, options, Path(args.out))
     for row in report:
         print(f"{row.dimension}: alpha={row.krippendorff_alpha:.3f} "
               f"kappa={row.fleiss_kappa:.3f} n_items={row.n_items}")
@@ -223,13 +224,14 @@ def cmd_report(args: argparse.Namespace) -> int:
     options = _options(args)
     # read the cache first: a cache that cannot be used exits before any
     # output is written
-    by_pair = (AnnotationCache(args.cache).index_by_pair(options.replications)
-               if args.cache else None)
+    cached = (cached_pair_scores(AnnotationCache(args.cache),
+                                 options.replications)
+              if args.cache else None)
     features = read_features_csv(args.features)
     out_dir = Path(args.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    if by_pair is not None:
-        write_agreement(by_pair, options, out_dir / "agreement.csv")
+    if cached is not None:
+        write_agreement(*cached, options, out_dir / "agreement.csv")
     write_correlations(features, out_dir)
     tables, _ = write_regression(features, options, out_dir / "tables", out_dir)
     write_figures(features, tables, options, out_dir / "figures")

@@ -61,15 +61,11 @@ class Corpus:
     discussions: dict[str, DiscussionTree]
     posts: dict[str, Post]
 
-    def posts_of(self, discussion_id: str) -> list[Post]:
-        """Posts of one discussion in global (timestamp, post_id) order."""
-        return [self.posts[pid] for pid in self.discussions[discussion_id].order]
-
     def discussion_ids(self) -> list[str]:
         return sorted(self.discussions)
 
     def arrays(self) -> "PostArrays":
-        """The posts as flat arrays, in ``posts_of`` order per discussion."""
+        """The posts as flat arrays, in each tree's ``order``."""
         trees = [self.discussions[d] for d in self.discussion_ids()]
         ids = [post_id for tree in trees for post_id in tree.order]
         at = {post_id: i for i, post_id in enumerate(ids)}
@@ -322,8 +318,8 @@ def post_to_json(post: Post) -> str:
 def serialize_corpus(corpus: Corpus) -> Iterator[str]:
     """Emit interchange lines in deterministic (discussion, time, id) order."""
     for discussion_id in corpus.discussion_ids():
-        for post in corpus.posts_of(discussion_id):
-            yield post_to_json(post)
+        for post_id in corpus.discussions[discussion_id].order:
+            yield post_to_json(corpus.posts[post_id])
 
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:

@@ -23,11 +23,10 @@ import csv
 import logging
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping
 
 import numpy as np
 
-from .corpus import Corpus, PostArrays, tree_arrays
+from .corpus import PostArrays, tree_arrays
 from .dimensions import DIMENSIONS
 from .errors import MissingAnnotation
 
@@ -35,9 +34,6 @@ log = logging.getLogger(__name__)
 
 SECONDS_PER_HOUR = 3600.0
 NAN = float("nan")
-
-# annotations are addressed as post_id -> dimension name -> mean score
-MeanMap = Mapping[str, Mapping[str, float]]
 
 PER_DIMENSION = ("metric", "parent_metric", "sib_older_mean", "br_neg")
 
@@ -100,16 +96,15 @@ class FeatureTable:
         )
 
 
-def compute_feature_table(corpus: Corpus | PostArrays,
-                          means: np.ndarray | MeanMap, strict: bool = True,
+def compute_feature_table(posts: PostArrays, means: np.ndarray,
+                          strict: bool = True,
                           prev_scope: str = "discussion") -> FeatureTable:
     """One row per annotated non-root post, discussions in id order and
     posts in (timestamp, post_id) order.
 
     ``means`` is an (n_posts x n_dimensions) matrix in the order of
-    ``PostArrays.posts``, NaN where a post lacks a dimension and all NaN for
-    an unannotated post; a Corpus and a post-id mapping are converted to
-    that form first.
+    ``posts.posts``, NaN where a post lacks a dimension and all NaN for an
+    unannotated post.
     ``prev_scope`` selects the predecessor pool for dt_prev: the whole
     discussion (default) or the post's own branch plus the discussion root.
     Posts timestamped before their parent are dropped from the table (and
@@ -121,15 +116,8 @@ def compute_feature_table(corpus: Corpus | PostArrays,
     if prev_scope not in ("discussion", "branch"):
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
-    posts = corpus.arrays() if isinstance(corpus, Corpus) else corpus
     names = [dim.name for dim in DIMENSIONS]
-    if isinstance(means, np.ndarray):
-        annotated = ~np.isnan(means).all(axis=1)
-    else:
-        found = [means.get(post_id) for post_id in posts.posts]
-        annotated = np.array([m is not None for m in found], bool)
-        means = np.array([[NAN if m is None else m.get(name, NAN)
-                           for m in found] for name in names], float).T
+    annotated = ~np.isnan(means).all(axis=1)
     ids, parent, stamp = posts.posts, posts.parent, posts.timestamp
     depth, branch_root, sibling_rank = tree_arrays(parent)
     discussion = np.repeat(posts.discussion_ids, np.diff(posts.starts))

@@ -19,7 +19,9 @@ import os
 import time
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
+
+import numpy as np
 
 from . import __version__
 from .agreement import (
@@ -32,6 +34,7 @@ from .agreement import (
 )
 from .annotate import (
     AnnotationCache,
+    Annotations,
     BackendConfig,
     HttpBackend,
     MockBackend,
@@ -71,12 +74,13 @@ _X_LABELS = {
 
 
 def format_sig(x: float, digits: int = 5) -> str:
-    """Fixed-point with exactly ``digits`` significant digits."""
+    """Fixed-point with exactly ``digits`` significant digits, counted
+    after rounding (9.999996 is "10.000")."""
     if math.isnan(x):
         return "nan"
     if x == 0:
         return "0." + "0" * digits
-    exponent = math.floor(math.log10(abs(x)))
+    exponent = int(f"{x:.{digits - 1}e}".partition("e")[2])
     decimals = digits - 1 - exponent
     if decimals <= 0:
         return f"{round(x, decimals):.0f}"
@@ -195,10 +199,10 @@ class PipelineOptions:
 
 
 def annotate_stage(corpus: Corpus, cache_path: str | Path,
-                   options: PipelineOptions) -> tuple[dict, int]:
-    """Annotate every reply, cache-first. Returns post_id -> dimension ->
-    replication-ordered scores and the number of backend calls; raises
-    AnnotationError, also when no backend is configured."""
+                   options: PipelineOptions) -> tuple[Annotations, int]:
+    """Annotate every reply, cache-first. Returns the replies' scores and
+    the number of backend calls; raises AnnotationError, also when no
+    backend is configured."""
     if options.mock:
         backend = MockBackend(seed=options.seed, scale=options.scale,
                               model=options.model)
@@ -213,7 +217,7 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
                               "there is no backend URL")
     cache = AnnotationCache(cache_path)
     try:
-        records = annotate_corpus(
+        annotations = annotate_corpus(
             corpus, backend, cache, scale=options.scale,
             n_replications=options.replications,
             max_retries=options.max_retries,
@@ -223,20 +227,15 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
         cache.close()
         if isinstance(backend, HttpBackend):
             backend.close()
-    return records, backend.calls
+    return annotations, backend.calls
 
 
-def write_agreement(scores_by_item: Mapping[str, Mapping[str, Sequence[int]]],
+def write_agreement(items: Sequence[str], scores: np.ndarray,
                     options: PipelineOptions,
                     path: Path) -> list[DimensionAgreement]:
-    """Replication reliability from item -> dimension -> replication-ordered
-    scores; the caller picks the item key (post id or pair hash)."""
-    scores_by_dimension = {
-        dim.name: {item: dims[dim.name] for item, dims in scores_by_item.items()
-                   if dim.name in dims}
-        for dim in DIMENSIONS
-    }
-    report = agreement_report(scores_by_dimension, scale=options.scale,
+    """Replication reliability from item x dimension x replication scores;
+    the caller picks the item key (post id or pair hash)."""
+    report = agreement_report(items, scores, scale=options.scale,
                               unanimity=options.unanimity)
     write_agreement_csv(report, path)
     return report
@@ -244,11 +243,7 @@ def write_agreement(scores_by_item: Mapping[str, Mapping[str, Sequence[int]]],
 
 def write_correlations(features: FeatureTable, out_dir: Path) -> None:
     """Spearman correlations of the feature rows' post-level means."""
-    metric = {name: column.tolist() for name, column in features.metric.items()}
-    means = {post_id: {name: values[i] for name, values in metric.items()
-                       if values[i] == values[i]}  # NaN: absent
-             for i, post_id in enumerate(features.post_id)}
-    correlations = correlation_report(means)
+    correlations = correlation_report(features.post_id, features.metric)
     write_correlation_csv(correlations, out_dir / "correlations.csv")
     (out_dir / "correlations.txt").write_text(
         render_correlations(correlations), encoding="utf-8")
@@ -313,18 +308,22 @@ def file_sha256(path: str | Path) -> str:
     return h.hexdigest()
 
 
-def annotation_content_hash(records: dict[str, dict]) -> str:
-    """Order-independent hash of post-level raw scores."""
-    lines = []
-    for post_id in sorted(records):
-        for dim_name in sorted(records[post_id]):
-            scores = records[post_id][dim_name]
-            lines.append(f"{post_id}|{dim_name}|{','.join(map(str, scores))}")
-    h = hashlib.sha256()
-    for line in sorted(lines):
-        h.update(line.encode("utf-8"))
-        h.update(b"\n")
-    return h.hexdigest()
+def annotation_content_hash(items: Sequence[str], scores: np.ndarray) -> str:
+    """Order-independent hash of item x dimension x replication raw scores:
+    sha256 of the sorted lines ``item|dimension|score,score,...``, each
+    ended by a newline. Replication rows repeat, so each distinct one is
+    formatted once, keyed by its bytes."""
+    names = [dim.name for dim in DIMENSIONS]
+    scores = np.ascontiguousarray(scores, np.int64)
+    row_bytes = scores.itemsize * scores.shape[2]
+    rows = scores.view(np.dtype((np.void, row_bytes)))[..., 0].tolist()
+    text = {row: ",".join(map(str, np.frombuffer(row, np.int64).tolist()))
+            for row in {row for dims in rows for row in dims}}
+    lines = sorted([f"{item}|{name}|{text[row]}"
+                    for item, dims in zip(items, rows)
+                    for name, row in zip(names, dims)])
+    joined = "".join(line + "\n" for line in lines)
+    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
 class PipelineLock:
@@ -380,23 +379,23 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
 
     # stage 2: annotate, cache-first
     try:
-        records, calls = annotate_stage(corpus, cache_path, options)
+        annotations, calls = annotate_stage(corpus, cache_path, options)
     except AnnotationError as exc:
         log.error("annotation failed: %s", exc)
         return EXIT_ANNOTATION
     log.info("annotation complete: %d posts, %d backend calls",
-             len(records), calls)
+             len(annotations), calls)
 
     # stage 3: features
-    means = {post_id: {name: sum(scores) / len(scores)
-                       for name, scores in dims.items()}
-             for post_id, dims in records.items()}
-    features = compute_feature_table(corpus, means, strict=False,
+    features = compute_feature_table(annotations.posts, annotations.means(),
+                                     strict=False,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, output_dir / "features.csv")
 
     # stage 4: agreement (items keyed by post id) + correlations
-    write_agreement(records, options, output_dir / "agreement.csv")
+    post_ids = annotations.reply_ids()
+    write_agreement(post_ids, annotations.scores, options,
+                    output_dir / "agreement.csv")
     write_correlations(features, output_dir)
 
     # stage 5: regress
@@ -413,9 +412,10 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
         "tool": "threadtone",
         "version": __version__,
         "corpus_sha256": file_sha256(corpus_path),
-        "annotations_sha256": annotation_content_hash(records),
+        "annotations_sha256": annotation_content_hash(post_ids,
+                                                      annotations.scores),
         "options": options.to_manifest(),
-        "n_annotated_posts": len(records),
+        "n_annotated_posts": len(annotations),
         "n_feature_rows": len(features),
         "n_tables": len(tables),
         "n_figures": n_figures,

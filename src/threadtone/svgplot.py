@@ -52,6 +52,18 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
+def _circles(cx: np.ndarray, cy: np.ndarray) -> list[str]:
+    """One ``<circle>`` per point. Each distinct coordinate is formatted
+    once: the y values are means of a few integers and x is often discrete,
+    so they repeat. (``np.unique`` would merge -0.0 with 0.0, but every
+    coordinate lies inside the plot, away from 0.)"""
+    (ux, ix), (uy, iy) = (np.unique(c, return_inverse=True) for c in (cx, cy))
+    xs, ys = ([_fmt(v) for v in u.tolist()] for u in (ux, uy))
+    return [f'<circle cx="{xs[i]}" cy="{ys[j]}" r="2.5" '
+            f'fill="#33547a" fill-opacity="0.55" stroke="none"/>'
+            for i, j in zip(ix.tolist(), iy.tolist())]
+
+
 def _fmt_tick(x: float) -> str:
     if x == int(x) and abs(x) < 1e15:
         return str(int(x))
@@ -146,11 +158,7 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
         out.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" font-family="sans-serif" '
                    f'font-size="11" text-anchor="end">{_fmt_tick(tick)}</text>')
 
-    # points
-    cx, cy = sx(np.asarray(data.x)), sy(np.asarray(data.y))
-    out += [f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2.5" '
-            f'fill="#33547a" fill-opacity="0.55" stroke="none"/>'
-            for px, py in zip(cx.tolist(), cy.tolist())]
+    out += _circles(sx(np.asarray(data.x)), sy(np.asarray(data.y)))
 
     # fitted line
     lx0, lx1 = x_lo, x_hi

@@ -8,7 +8,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from threadtone.corpus import Corpus, Post, build_tree
+from threadtone.corpus import Corpus, Post, PostArrays, build_tree
 from threadtone.dimensions import DIMENSIONS
 
 
@@ -59,6 +59,17 @@ def uniform_means(corpus: Corpus, rng: np.random.Generator,
                 continue
             means[pid] = {d.name: float(rng.uniform(lo, hi)) for d in DIMENSIONS}
     return means
+
+
+def mean_matrix(corpus: Corpus, means: dict[str, dict[str, float]],
+                ) -> tuple[PostArrays, np.ndarray]:
+    """A corpus and post id -> dimension -> mean as ``compute_feature_table``
+    takes them: the posts' arrays and an (n_posts x n_dimensions) matrix,
+    NaN where a post lacks a dimension."""
+    posts = corpus.arrays()
+    rows = [[means.get(post_id, {}).get(d.name, np.nan) for d in DIMENSIONS]
+            for post_id in posts.posts]
+    return posts, np.array(rows, float).reshape(len(rows), len(DIMENSIONS))
 
 
 @pytest.fixture

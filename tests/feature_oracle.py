@@ -124,6 +124,9 @@ def br_neg_indicator(post: Post, dimension_name: str, tree: DiscussionTree,
 def oracle_feature_rows(corpus: Corpus, means: MeanMap, strict: bool = True,
                         prev_scope: str = "discussion") -> list[FeatureRow]:
     """One FeatureRow per annotated non-root post (see compute_feature_table)."""
+    # a post mapped to no dimension is unannotated: the means matrix that
+    # compute_feature_table takes holds it as an all-NaN row
+    means = {post_id: dims for post_id, dims in means.items() if dims}
     rows: list[FeatureRow] = []
     for discussion_id in corpus.discussion_ids():
         tree = corpus.discussions[discussion_id]

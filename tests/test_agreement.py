@@ -19,6 +19,7 @@ from threadtone.agreement import (
     spearman_rho,
     write_agreement_csv,
 )
+from threadtone.annotate import AnnotationCache, CacheKey, cached_pair_scores
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import DegenerateData
 from threadtone.report import PipelineOptions, run_pipeline
@@ -335,6 +336,15 @@ def test_midranks_and_spearman_match_the_loop(xy):
 
 # --- correlation report ---------------------------------------------------------------
 
+def columns_of(means_by_post):
+    """post id -> dimension -> mean as post ids and one column per
+    dimension, NaN where a post lacks it."""
+    post_ids = tuple(means_by_post)
+    return post_ids, {d.name: np.array([means_by_post[p].get(d.name, np.nan)
+                                        for p in post_ids])
+                      for d in DIMENSIONS}
+
+
 def test_correlation_report_structure_and_consistency():
     rng = np.random.default_rng(6)
     means = {}
@@ -345,7 +355,7 @@ def test_correlation_report_structure_and_consistency():
             "attacking_vs_respectful": base + rng.normal(),
             "emotional_vs_factual": rng.normal(),
         }
-    m = correlation_report(means)
+    m = correlation_report(*columns_of(means))
     assert np.allclose(m, m.T)
     assert np.allclose(np.diag(m), 1.0)
     # element-wise recomputation
@@ -361,13 +371,13 @@ def test_correlation_report_structure_and_consistency():
 def test_correlation_report_undefined_cells_are_nan(caplog):
     names = [d.name for d in DIMENSIONS]
     two_posts = {"p1": dict.fromkeys(names, 1.0), "p2": dict.fromkeys(names, 2.0)}
-    m = correlation_report(two_posts)
+    m = correlation_report(*columns_of(two_posts))
     assert np.array_equal(np.isnan(m), ~np.eye(3, dtype=bool))
     # a constant series leaves only its own cells undefined
     means = {f"p{i}": {names[0]: float(i), names[1]: float(i % 3),
                        names[2]: 0.5} for i in range(10)}
     caplog.clear()
-    m = correlation_report(means)
+    m = correlation_report(*columns_of(means))
     assert np.isnan(m[0, 2]) and np.isnan(m[1, 2]) and not np.isnan(m[0, 1])
     assert len(caplog.records) == 1
 
@@ -384,12 +394,9 @@ def test_correlation_rendering_uses_two_decimals():
 
 def test_agreement_report_and_csv(tmp_path):
     rng = np.random.default_rng(10)
-    scores = {
-        d.name: {f"pair{i:02d}": [int(v) for v in rng.integers(-5, 6, size=4)]
-                 for i in range(30)}
-        for d in DIMENSIONS
-    }
-    report = agreement_report(scores)
+    items = [f"pair{i:02d}" for i in range(30)]
+    scores = rng.integers(-5, 6, size=(30, len(DIMENSIONS), 4))
+    report = agreement_report(items, scores)
     assert [r.dimension for r in report] == [d.name for d in DIMENSIONS]
     for row in report:
         assert row.n_items == 30
@@ -421,9 +428,9 @@ def test_bundled_corpus_agreement_csv_cells_are_numbers(tmp_path):
 @pytest.mark.parametrize("n_items, n_raters", ((30, 1), (1, 4), (0, 4)))
 def test_agreement_report_too_few_items_or_replications_is_nan(
         caplog, n_items, n_raters):
-    scores = {d.name: {f"pair{i:02d}": [1] * n_raters for i in range(n_items)}
-              for d in DIMENSIONS}
-    report = agreement_report(scores)
+    items = [f"pair{i:02d}" for i in range(n_items)]
+    scores = np.ones((n_items, len(DIMENSIONS), n_raters), np.int64)
+    report = agreement_report(items, scores)
     assert len(caplog.records) == 1
     for row in report:
         # an empty item set has no replications to count
@@ -433,12 +440,17 @@ def test_agreement_report_too_few_items_or_replications_is_nan(
                          row.mean_sd]).all()
 
 
-def test_agreement_report_common_item_set():
+def test_agreement_report_common_item_set(tmp_path):
     # one dimension is missing an item: every dimension drops it
-    scores = {
-        d.name: {"a": [1, 1, 2, 1], "b": [0, 0, 0, 1], "c": [-2, 1, 0, 0]}
-        for d in DIMENSIONS
-    }
-    del scores[DIMENSIONS[2].name]["c"]
-    report = agreement_report(scores)
+    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    for item, reps in {"a": [1, 1, 2, 1], "b": [0, 0, 0, 1],
+                       "c": [-2, 1, 0, 0]}.items():
+        for d in DIMENSIONS:
+            if (item, d) != ("c", DIMENSIONS[2]):
+                for rep, score in enumerate(reps):
+                    cache.put(CacheKey(item, "m", d.name, rep), score, 0)
+    cache.close()
+    items, scores = cached_pair_scores(cache, 4)
+    assert sorted(items) == ["a", "b"] and scores.shape == (2, 3, 4)
+    report = agreement_report(items, scores)
     assert all(r.n_items == 2 for r in report)

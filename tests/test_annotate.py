@@ -1,4 +1,5 @@
 import base64
+import hashlib
 import json
 import sys
 import threading
@@ -9,6 +10,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from threadtone import annotate
 from threadtone.annotate import (
@@ -186,6 +189,12 @@ class ScriptedBackend:
         return item
 
 
+def by_dimension(scores, n_replications=4):
+    """annotate_pair's flat dimension-major scores as name -> tuple."""
+    return {d.name: tuple(scores[k * n_replications:(k + 1) * n_replications])
+            for k, d in enumerate(DIMENSIONS)}
+
+
 def pair():
     parent = mk_post("P", timestamp=0)
     child = mk_post("C", parent_id="P", timestamp=60)
@@ -197,7 +206,7 @@ def test_annotate_pair_means(tmp_path, open_cache):
     responses = [make_payload(disagree_vs_agree=v) for v in (-3, -3, -2, -3)]
     backend = ScriptedBackend(responses)
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotate_pair(parent, child, backend, cache)
+    records = by_dimension(annotate_pair(parent, child, backend, cache))
     scores = records["disagree_vs_agree"]
     assert scores == (-3, -3, -2, -3)
     assert sum(scores) / len(scores) == pytest.approx(-2.75)
@@ -210,7 +219,8 @@ def test_retry_contract(tmp_path, open_cache):
     cache = open_cache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=4)
-    assert len(records["disagree_vs_agree"]) == 4
+    assert len(records) == 4 * len(DIMENSIONS)
+    assert None not in records
 
 
 def test_annotation_failed_after_retries(tmp_path, open_cache):
@@ -237,7 +247,7 @@ def test_partial_results_cached_and_resumed(tmp_path, open_cache):
     records = annotate_pair(parent, child, backend2, cache2, max_retries=0,
                             n_replications=2)
     assert backend2.calls == 1
-    assert records["disagree_vs_agree"] == (1, 2)
+    assert by_dimension(records, 2)["disagree_vs_agree"] == (1, 2)
 
 
 def test_cache_idempotence_zero_calls(tmp_path, open_cache):
@@ -253,7 +263,7 @@ def test_cache_idempotence_zero_calls(tmp_path, open_cache):
     again = MockBackend(seed=9)
     second = annotate_corpus(corpus, again, open_cache(cache_path))
     assert again.calls == 0
-    assert second == first
+    assert np.array_equal(second.scores, first.scores)
 
 
 def test_mock_end_to_end_determinism(tmp_path, open_cache):
@@ -265,7 +275,7 @@ def test_mock_end_to_end_determinism(tmp_path, open_cache):
     for i in range(2):
         cache = open_cache(tmp_path / f"cache{i}.jsonl")
         runs.append(annotate_corpus(corpus, MockBackend(seed=3), cache))
-    assert runs[0] == runs[1]
+    assert np.array_equal(runs[0].scores, runs[1].scores)
 
 
 def test_concurrent_annotation_matches_serial(tmp_path, open_cache):
@@ -278,7 +288,7 @@ def test_concurrent_annotation_matches_serial(tmp_path, open_cache):
     parallel = annotate_corpus(corpus, MockBackend(seed=4),
                                open_cache(tmp_path / "p.jsonl"),
                                concurrency=4)
-    assert parallel == serial
+    assert np.array_equal(parallel.scores, serial.scores)
 
 
 def test_load_annotation_means(tmp_path, open_cache):
@@ -289,9 +299,13 @@ def test_load_annotation_means(tmp_path, open_cache):
     cache_path = tmp_path / "cache.jsonl"
     records = annotate_corpus(corpus, MockBackend(seed=5),
                               open_cache(cache_path))
-    means = load_annotation_means(corpus, open_cache(cache_path))
-    scores = records["B"]["disagree_vs_agree"]
-    assert means["B"]["disagree_vs_agree"] == sum(scores) / len(scores)
+    posts, means = load_annotation_means(corpus, open_cache(cache_path))
+    assert posts.posts == records.posts.posts == ("A", "B")
+    assert records.reply_ids() == ["B"]
+    scores = records.scores[0, 0].tolist()  # B's disagree_vs_agree
+    assert means[1, 0] == sum(scores) / len(scores)
+    assert np.isnan(means[0]).all()  # the root
+    assert means.tobytes() == records.means().tobytes()
 
 
 def test_index_by_pair_never_mixes_model_ids(tmp_path, open_cache):
@@ -326,6 +340,19 @@ def test_index_by_pair_never_mixes_model_ids(tmp_path, open_cache):
     assert open_cache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
 
 
+def test_index_by_pair_ignores_extra_replications(tmp_path, open_cache):
+    # a group holding replications 0-5 and a stray -1 used to be dropped
+    # whole, because its replication set was not exactly range(4)
+    dim = "disagree_vs_agree"
+    cache = open_cache(tmp_path / "extra.jsonl")
+    for rep in (-1, *range(6)):
+        cache.put(CacheKey("pair", "m", dim, rep), rep, timestamp=0)
+    cache.put(CacheKey("gap", "m", dim, 1), 0, timestamp=0)  # lacks 0
+    assert cache.index_by_pair(4) == {"pair": {dim: [0, 1, 2, 3]}}
+    assert cache.index_by_pair(6) == {"pair": {dim: [0, 1, 2, 3, 4, 5]}}
+    assert cache.index_by_pair(7) == {}
+
+
 def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
                                                           open_cache):
     # an interrupted write leaves a last line without its newline; the first
@@ -351,6 +378,20 @@ def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
     assert added.count("\n") == 1 and added.startswith("{")
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.text(), st.text(), st.integers(-9, -1), st.integers(1, 9))
+def test_pair_hash_matches_the_field_by_field_digest(parent, child, lo, hi):
+    # the digest the cache keys have always used: one update per field
+    h = hashlib.sha256()
+    h.update(b"pair\x00")
+    h.update(parent.encode("utf-8"))
+    h.update(b"\x00")
+    h.update(child.encode("utf-8"))
+    h.update(f"\x00{lo}:{hi}".encode("ascii"))
+    assert pair_content_hash(parent, child, AnnotationScale(lo, hi)) \
+        == h.hexdigest()
+
+
 def test_cache_keys_include_scale(tmp_path):
     h1 = pair_content_hash("p", "c", AnnotationScale(-5, 5))
     h2 = pair_content_hash("p", "c", AnnotationScale(-3, 3))
@@ -368,8 +409,8 @@ def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
     first = annotate_pair(parent, child, backend, cache, n_replications=1)
     cache.close()
     assert backend.calls == 1
-    assert first["disagree_vs_agree"] == (5,)
-    assert first["emotional_vs_factual"] == (-2,)
+    assert by_dimension(first, 1)["disagree_vs_agree"] == (5,)
+    assert by_dimension(first, 1)["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
     rerun = annotate_pair(parent, child, rerun_backend,
                           open_cache(cache_path), n_replications=1)
@@ -436,7 +477,7 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
     warm, calls = annotate_stage(corpus, cache_path, options)
     assert calls == 0
     assert lookups == {"hit": pairs * options.replications * len(DIMENSIONS)}
-    assert warm == cold
+    assert np.array_equal(warm.scores, cold.scores)
 
 
 # --- HTTP backend against a local stub ------------------------------------------------
@@ -618,7 +659,7 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
     cache = open_cache(tmp_path / "cache.jsonl")
     records = annotate_pair(parent, child, backend, cache, max_retries=3,
                             n_replications=1)
-    assert records["disagree_vs_agree"] == (1,)
+    assert by_dimension(records, 1)["disagree_vs_agree"] == (1,)
 
 
 def test_netrc_never_replaces_the_bearer_token(stub_server, monkeypatch,
@@ -716,8 +757,9 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
         if replications_scored == 2:
             records = annotate_pair(parent, child, backend, cache,
                                     max_retries=max_retries, n_replications=2)
-            assert records == {name: (value, value) for name, value
-                               in json.loads(make_payload()).items()}
+            assert by_dimension(records, 2) == {
+                name: (value, value)
+                for name, value in json.loads(make_payload()).items()}
         else:
             with pytest.raises(AnnotationFailed):
                 annotate_pair(parent, child, backend, cache,

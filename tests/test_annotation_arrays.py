@@ -1,0 +1,169 @@
+"""Property test: the annotate stage's score array against the dict path.
+
+``annotate_corpus`` returns one reply x dimension x replication array, and
+the pipeline's means, agreement, correlations and manifest hash all read
+it. ``annotation_oracle`` keeps the per-post dict path it replaced. On
+small random corpora (duplicate (parent, child) texts, replies timestamped
+before their parent, post ids that sort apart from tree order), with an
+empty, a partly filled or a full cache, 1 or 4 replications and 1 or 2
+workers, both paths must give the same scores, backend calls, cache
+contents, feature columns, agreement rows, Spearman matrix and content
+hash, bit for bit. A warm rerun then looks every score up once.
+"""
+
+from __future__ import annotations
+
+import shutil
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import annotation_oracle as oracle
+from conftest import corpus_from_posts, mean_matrix, mk_post
+from threadtone.agreement import agreement_report, correlation_report
+from threadtone.annotate import AnnotationCache, MockBackend, annotate_corpus
+from threadtone.dimensions import DIMENSIONS
+from threadtone.features import PER_DIMENSION, compute_feature_table
+from threadtone.report import annotation_content_hash
+
+TEXTS = ("yes", "no", "maybe so")  # few texts: duplicate pairs are common
+
+
+@st.composite
+def corpora(draw):
+    """1-3 discussions of 1-8 posts with ids in a random order."""
+    posts = []
+    for d in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(1, 8))
+        ids = [f"d{d}-p{label}" for label in draw(st.permutations(range(n)))]
+        for i in range(n):
+            parent = None if i == 0 else ids[draw(st.integers(0, i - 1))]
+            posts.append(mk_post(ids[i], f"d{d}", parent,
+                                 draw(st.integers(0, 6)) * 600,
+                                 text=draw(st.sampled_from(TEXTS))))
+    return corpus_from_posts(posts)
+
+
+@contextmanager
+def counted_gets():
+    """Count AnnotationCache.get hits and misses while the block runs."""
+    get = AnnotationCache.get
+    counts = {"hit": 0, "miss": 0}
+
+    def counted(cache, key):
+        value = get(cache, key)
+        counts["hit" if value is not None else "miss"] += 1
+        return value
+
+    AnnotationCache.get = counted
+    try:
+        yield counts
+    finally:
+        AnnotationCache.get = get
+
+
+def annotate(path, corpus, run, n_replications, concurrency):
+    """Annotate with mock seed 2 into the cache at ``path``; returns the
+    result, the backend calls and the loaded cache contents."""
+    backend = MockBackend(seed=2)
+    cache = AnnotationCache(path)
+    try:
+        result = run(corpus, backend, cache, n_replications=n_replications,
+                     concurrency=concurrency)
+    finally:
+        cache.close()
+    return result, backend.calls, AnnotationCache(path)._scores
+
+
+def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
+    assert a.dtype == b.dtype and a.shape == b.shape
+    assert a.tobytes() == b.tobytes()
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=corpora(), fill=st.sampled_from(("empty", "partial", "full")),
+       n_replications=st.sampled_from((1, 4)),
+       concurrency=st.sampled_from((1, 2)), data=st.data())
+def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
+                                           concurrency, data):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        seeded = tmp / "seeded.jsonl"
+        seeded.touch()
+        if fill != "empty":
+            # another seed's scores, so kept and fresh ones differ
+            cache = AnnotationCache(seeded)
+            oracle.annotate_corpus(corpus, MockBackend(seed=1), cache,
+                                   n_replications=n_replications)
+            cache.close()
+        if fill == "partial":
+            lines = seeded.read_text().splitlines(keepends=True)
+            keep = data.draw(st.lists(st.booleans(), min_size=len(lines),
+                                      max_size=len(lines)))
+            seeded.write_text("".join(line for line, k in zip(lines, keep)
+                                      if k))
+        for name in ("array.jsonl", "dict.jsonl"):
+            shutil.copy(seeded, tmp / name)
+
+        got, calls, cached = annotate(tmp / "array.jsonl", corpus,
+                                      annotate_corpus, n_replications,
+                                      concurrency)
+        records, oracle_calls, oracle_cached = annotate(
+            tmp / "dict.jsonl", corpus, oracle.annotate_corpus,
+            n_replications, concurrency)
+
+    post_ids = got.reply_ids()
+    assert sorted(post_ids) == sorted(records)
+    assert got.scores.dtype == np.int64
+    assert got.scores.shape == (len(records), len(DIMENSIONS), n_replications)
+    for post_id, row in zip(post_ids, got.scores.tolist()):
+        assert row == [list(records[post_id][d.name]) for d in DIMENSIONS]
+    assert cached == oracle_cached
+    if concurrency == 1:  # two workers may both request a duplicate pair
+        assert calls == oracle_calls
+
+    features = compute_feature_table(got.posts, got.means(), strict=False)
+    expected = compute_feature_table(
+        *mean_matrix(corpus, oracle.means_of(records)), strict=False)
+    assert features.post_id == expected.post_id
+    for name in ("depth", "dt_prev", "dt_parent"):
+        assert_same_bits(getattr(features, name), getattr(expected, name))
+    for kind in PER_DIMENSION:
+        for d in DIMENSIONS:
+            assert_same_bits(getattr(features, kind)[d.name],
+                             getattr(expected, kind)[d.name])
+
+    for unanimity in (False, True):
+        assert (repr(agreement_report(post_ids, got.scores,
+                                      unanimity=unanimity))
+                == repr(oracle.agreement_report(records,
+                                                unanimity=unanimity)))
+    assert_same_bits(correlation_report(features.post_id, features.metric),
+                     oracle.correlation_report(features))
+    assert (annotation_content_hash(post_ids, got.scores)
+            == oracle.annotation_content_hash(records))
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(corpus=corpora(), n_replications=st.sampled_from((1, 4)),
+       concurrency=st.sampled_from((1, 2)))
+def test_a_warm_rerun_looks_each_score_up_once(corpus, n_replications,
+                                               concurrency):
+    pairs = sum(post.parent_id is not None for post in corpus.posts.values())
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cache.jsonl"
+        cold, _, _ = annotate(path, corpus, annotate_corpus, n_replications,
+                              concurrency)
+        with counted_gets() as counts:
+            warm, calls, _ = annotate(path, corpus, annotate_corpus,
+                                      n_replications, concurrency)
+    assert calls == 0
+    assert counts == {"hit": pairs * len(DIMENSIONS) * n_replications,
+                      "miss": 0}
+    assert_same_bits(warm.scores, cold.scores)

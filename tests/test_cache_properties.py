@@ -76,7 +76,8 @@ class OracleCache:
         out: dict = {}
         for pair_hash, dims in grouped.items():
             for dim_name, reps in dims.items():
-                if set(reps) == set(range(n_replications)):
+                # replications 0..n-1 present; others (5, -1) are ignored
+                if set(range(n_replications)) <= set(reps):
                     out.setdefault(pair_hash, {})[dim_name] = [
                         reps[r] for r in range(n_replications)]
         return out

@@ -411,6 +411,28 @@ def test_agreement_on_an_empty_cache(tmp_path):
     assert all(row[1] == "0" and row[3:] == ["nan"] * 7 for row in rows)
 
 
+def test_features_read_the_first_replications_of_a_larger_cache(synth_setup):
+    # a cache annotated at 6 replications, read at 4, keeps every pair, as
+    # the pipeline at 4 does; it used to lose them all
+    tmp_path, _, corpus_path, _ = synth_setup
+    cache = tmp_path / "six.jsonl"
+    proc = run_cli("annotate", "--corpus", str(corpus_path), "--cache",
+                   str(cache), "--mock", "--seed", "5", "--replications", "6")
+    assert proc.returncode == 0, proc.stderr
+    bundle = tmp_path / "bundle"
+    proc = run_cli("pipeline", "--corpus", str(corpus_path), "--cache",
+                   str(cache), "--output-dir", str(bundle), "--mock",
+                   "--seed", "5", "--replications", "4")
+    assert proc.returncode == 0, proc.stderr
+    features = tmp_path / "features.csv"
+    proc = run_cli("features", "--corpus", str(corpus_path), "--annotations",
+                   str(cache), "--replications", "4", "--out", str(features))
+    assert proc.returncode == 0, proc.stderr
+    assert features.read_bytes() == (bundle / "features.csv").read_bytes()
+    rows = json.loads((bundle / "manifest.json").read_text())["n_feature_rows"]
+    assert rows > 0 and f"wrote {rows} feature rows" in proc.stdout
+
+
 def test_report_reproduces_the_pipeline_bundle(tmp_path):
     # report and the pipeline run the same stage functions, so report on the
     # bundle's features.csv rebuilds the bundle's regression and figure bytes

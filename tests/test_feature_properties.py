@@ -21,7 +21,7 @@ from threadtone.errors import MissingAnnotation, StatsError
 from threadtone.features import compute_feature_table, write_features_csv
 from threadtone.regression import MODEL_IDS, filter_rows, fit_model, get_model_spec
 
-from conftest import corpus_from_posts, mk_post
+from conftest import corpus_from_posts, mean_matrix, mk_post
 from feature_oracle import (
     assert_table_equals_rows,
     oracle_csv_text,
@@ -97,8 +97,8 @@ PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,
 def test_table_matches_oracle_cell_for_cell(data):
     corpus, means = data
     for scope in SCOPES:
-        table = compute_feature_table(corpus, means, strict=False,
-                                      prev_scope=scope)
+        table = compute_feature_table(*mean_matrix(corpus, means),
+                                      strict=False, prev_scope=scope)
         rows = oracle_feature_rows(corpus, means, strict=False,
                                    prev_scope=scope)
         assert_table_equals_rows(table, rows)
@@ -116,11 +116,12 @@ def test_strict_mode_raises_on_the_same_post(data):
         oracle_feature_rows(corpus, means, strict=True)
     except MissingAnnotation as exc:
         with pytest.raises(MissingAnnotation) as got:
-            compute_feature_table(corpus, means, strict=True)
+            compute_feature_table(*mean_matrix(corpus, means), strict=True)
         assert str(got.value) == str(exc)
     else:
-        assert_table_equals_rows(compute_feature_table(corpus, means),
-                                 oracle_feature_rows(corpus, means))
+        assert_table_equals_rows(
+            compute_feature_table(*mean_matrix(corpus, means)),
+            oracle_feature_rows(corpus, means))
 
 
 @PROPERTY_SETTINGS
@@ -128,8 +129,8 @@ def test_strict_mode_raises_on_the_same_post(data):
 def test_masks_and_fits_match_oracle(data):
     corpus, means = data
     for scope in SCOPES:
-        table = compute_feature_table(corpus, means, strict=False,
-                                      prev_scope=scope)
+        table = compute_feature_table(*mean_matrix(corpus, means),
+                                      strict=False, prev_scope=scope)
         rows = oracle_feature_rows(corpus, means, strict=False,
                                    prev_scope=scope)
         for spec in SPECS:
@@ -160,10 +161,11 @@ def test_star_discussion_matches_oracle(data, scope):
     corpus, means = data
     rows = oracle_feature_rows(corpus, means, strict=False, prev_scope=scope)
     assert_table_equals_rows(
-        compute_feature_table(corpus, means, strict=False, prev_scope=scope),
+        compute_feature_table(*mean_matrix(corpus, means), strict=False,
+                              prev_scope=scope),
         rows)
     with pytest.raises(MissingAnnotation) as got:
-        compute_feature_table(corpus, means, prev_scope=scope)
+        compute_feature_table(*mean_matrix(corpus, means), prev_scope=scope)
     with pytest.raises(MissingAnnotation) as want:
         oracle_feature_rows(corpus, means, prev_scope=scope)
     assert str(got.value) == str(want.value)

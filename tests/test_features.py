@@ -12,7 +12,13 @@ from threadtone.features import (
     write_features_csv,
 )
 
-from conftest import corpus_from_posts, mk_post, random_tree_posts, uniform_means
+from conftest import (
+    corpus_from_posts,
+    mean_matrix,
+    mk_post,
+    random_tree_posts,
+    uniform_means,
+)
 from feature_oracle import (
     NegativeDelta,
     br_neg_indicator,
@@ -75,13 +81,14 @@ def test_older_sibling_mean_examples(four_node_corpus):
     assert older_sibling_mean(by_id["s4"], DIM, tree, by_id, means) == \
         pytest.approx(2.0 / 3.0, abs=1e-9)
     assert older_sibling_mean(by_id["s1"], DIM, tree, by_id, means) is None
-    table = compute_feature_table(corpus, means)
+    table = compute_feature_table(*mean_matrix(corpus, means))
     assert cell(table, "s4", "sib_older_mean") == \
         pytest.approx(2.0 / 3.0, abs=1e-9)
     assert cell(table, "s1", "sib_older_mean") is None
     means_single = flat_means(corpus, {"s1": 3.0, "s2": 0.0})
     assert older_sibling_mean(by_id["s2"], DIM, tree, by_id, means_single) == 3.0
-    table = compute_feature_table(corpus, means_single, strict=False)
+    table = compute_feature_table(*mean_matrix(corpus, means_single),
+                                  strict=False)
     assert cell(table, "s2", "sib_older_mean") == 3.0
 
 
@@ -92,17 +99,17 @@ def test_br_neg_examples(four_node_corpus):
     for score, expected in ((-1.25, 1), (0.0, 0), (2.5, 0)):
         means = flat_means(four_node_corpus, {"B": score, "C": 0.0, "D": 0.0})
         assert br_neg_indicator(d_post, DIM, tree, means) == expected
-        table = compute_feature_table(four_node_corpus, means)
+        table = compute_feature_table(*mean_matrix(four_node_corpus, means))
         assert cell(table, "D", "br_neg") == expected
     means = flat_means(four_node_corpus, {"B": -1.0, "C": 0.0, "D": 0.0})
     assert br_neg_indicator(b_post, DIM, tree, means) is None
-    table = compute_feature_table(four_node_corpus, means)
+    table = compute_feature_table(*mean_matrix(four_node_corpus, means))
     assert cell(table, "B", "br_neg") is None
 
 
 def test_feature_table_presence_walkthrough(four_node_corpus):
     means = flat_means(four_node_corpus, {"B": 1.5, "C": -2.0, "D": 0.25})
-    table = compute_feature_table(four_node_corpus, means)
+    table = compute_feature_table(*mean_matrix(four_node_corpus, means))
     assert set(table.post_id) == {"B", "C", "D"}
 
     assert cell(table, "C", "sib_older_mean") == 1.5   # B is the older sibling
@@ -120,7 +127,7 @@ def test_feature_table_presence_walkthrough(four_node_corpus):
 
 def test_root_only_corpus_gives_empty_table():
     corpus = corpus_from_posts([mk_post("A"), mk_post("X", discussion_id="d2")])
-    table = compute_feature_table(corpus, {})
+    table = compute_feature_table(*mean_matrix(corpus, {}))
     assert len(table) == 0
     for column in table.csv_columns():
         assert len(column) == 0
@@ -129,8 +136,10 @@ def test_root_only_corpus_gives_empty_table():
 def test_strict_vs_lenient_missing_annotation(four_node_corpus):
     means = flat_means(four_node_corpus, {"B": 1.0, "D": 2.0})  # C missing
     with pytest.raises(MissingAnnotation):
-        compute_feature_table(four_node_corpus, means, strict=True)
-    table = compute_feature_table(four_node_corpus, means, strict=False)
+        compute_feature_table(*mean_matrix(four_node_corpus, means),
+                              strict=True)
+    table = compute_feature_table(*mean_matrix(four_node_corpus, means),
+                                  strict=False)
     assert set(table.post_id) == {"B", "D"}
 
 
@@ -141,7 +150,7 @@ def test_negative_delta_rows_are_excluded(caplog):
         mk_post("C", parent_id="B", timestamp=500),  # predates its parent
     ])
     means = flat_means(corpus, {"B": 1.0, "C": 1.0})
-    table = compute_feature_table(corpus, means, strict=False)
+    table = compute_feature_table(*mean_matrix(corpus, means), strict=False)
     assert set(table.post_id) == {"B"}
 
 
@@ -151,7 +160,7 @@ def test_presence_partition_and_dt_bounds():
         posts = random_tree_posts(rng, int(rng.integers(2, 80)))
         corpus = corpus_from_posts(posts)
         means = uniform_means(corpus, rng)
-        table = compute_feature_table(corpus, means)
+        table = compute_feature_table(*mean_matrix(corpus, means))
         tree = corpus.discussions["d1"]
         root_time = corpus.posts[tree.root_id].timestamp
         for i, post_id in enumerate(table.post_id):
@@ -174,11 +183,11 @@ def test_scale_sign_invariance_of_br_neg():
     posts = random_tree_posts(rng, 60)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    table = compute_feature_table(corpus, means)
+    table = compute_feature_table(*mean_matrix(corpus, means))
     for c in (0.1, 3.0, 250.0):
         scaled = {pid: {k: c * v for k, v in vals.items()}
                   for pid, vals in means.items()}
-        scaled_table = compute_feature_table(corpus, scaled)
+        scaled_table = compute_feature_table(*mean_matrix(corpus, scaled))
         assert scaled_table.post_id == table.post_id
         for dim in DIMENSIONS:
             assert np.array_equal(scaled_table.br_neg[dim.name],
@@ -201,7 +210,7 @@ def test_adding_sibling_at_mean_keeps_mean():
     means = flat_means(corpus, {"s1": -1.0, "s2": 4.0, "s3": before, "s4": 0.0})
     after = older_sibling_mean(by_id["s4"], DIM, tree, by_id, means)
     assert after == pytest.approx(before, abs=1e-12)
-    table = compute_feature_table(corpus, means)
+    table = compute_feature_table(*mean_matrix(corpus, means))
     assert cell(table, "s3", "sib_older_mean") == before
     assert cell(table, "s4", "sib_older_mean") == pytest.approx(before, abs=1e-12)
 
@@ -215,10 +224,11 @@ def test_prev_scope_branch():
         mk_post("D", parent_id="B", timestamp=3 * 3600),   # in branch B
     ])
     means = flat_means(corpus, {"B": 0.0, "C": 0.0, "D": 0.0})
-    table = compute_feature_table(corpus, means, prev_scope="branch")
+    table = compute_feature_table(*mean_matrix(corpus, means),
+                                  prev_scope="branch")
     # D's predecessor within branch B is B (2 h ago), not C (1 h ago)
     assert cell(table, "D", "dt_prev") == pytest.approx(2.0)
-    global_table = compute_feature_table(corpus, means)
+    global_table = compute_feature_table(*mean_matrix(corpus, means))
     assert cell(global_table, "D", "dt_prev") == pytest.approx(1.0)
     # a branch root's predecessor is the discussion root
     assert cell(table, "C", "dt_prev") == pytest.approx(2.0)
@@ -232,7 +242,7 @@ def test_feature_csv_round_trip(tmp_path):
     # drop some annotations so that absent cells appear in every column
     for j, pid in enumerate(list(means)[::5]):
         del means[pid][DIMENSIONS[j % len(DIMENSIONS)].name]
-    table = compute_feature_table(corpus, means)
+    table = compute_feature_table(*mean_matrix(corpus, means))
     path = tmp_path / "features.csv"
     write_features_csv(table, path)
     loaded = read_features_csv(path)
@@ -255,7 +265,7 @@ def test_output_order_is_deterministic():
     posts = random_tree_posts(rng, 30, "dB") + random_tree_posts(rng, 20, "dA")
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    table = compute_feature_table(corpus, means)
+    table = compute_feature_table(*mean_matrix(corpus, means))
     keys = [(did, corpus.posts[pid].timestamp, pid)
             for did, pid in zip(table.discussion_id, table.post_id)]
     assert keys == sorted(keys)

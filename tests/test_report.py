@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from threadtone import report
+from threadtone import report, svgplot
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import EmptySample, InsufficientSample
 from threadtone.features import compute_feature_table
@@ -30,7 +30,12 @@ from threadtone.svgplot import band_half_width, nice_ticks, scatter_svg, Scatter
 from threadtone.synth import SynthConfig, generate_corpus
 from threadtone.corpus import save_corpus
 
-from conftest import corpus_from_posts, random_tree_posts, uniform_means
+from conftest import (
+    corpus_from_posts,
+    mean_matrix,
+    random_tree_posts,
+    uniform_means,
+)
 
 DIM = DIMENSIONS[0].name
 
@@ -44,6 +49,20 @@ def test_format_sig():
     assert format_sig(1.96) == "1.9600"
     assert format_sig(0.0) == "0.00000"
     assert format_sig(123456.0) == "123460"
+
+
+@pytest.mark.parametrize("x, text", [
+    # rounding carries into the next power of ten: still 5 digits
+    (9.999996, "10.000"), (0.000999996, "0.0010000"), (9999.96, "10000"),
+    (99999.5, "100000"), (0.999996, "1.0000"),
+    # just below the carry
+    (9.999949, "9.9999"), (0.000999994, "0.00099999"), (99999.4, "99999"),
+    # negatives mirror the positives
+    (-9.999996, "-10.000"), (-0.000999996, "-0.0010000"),
+    (-9999.96, "-10000"), (-99999.5, "-100000"), (-9.999949, "-9.9999"),
+])
+def test_format_sig_counts_digits_after_rounding(x, text):
+    assert format_sig(x) == text
 
 
 def test_format_p_convention():
@@ -121,7 +140,7 @@ def test_band_narrowest_at_center_and_monotone():
     posts = random_tree_posts(rng, 120)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    features = compute_feature_table(corpus, means)
+    features = compute_feature_table(*mean_matrix(corpus, means))
     fit = fit_model(get_model_spec("M1"), features, DIM)
     v = fit.vcov
     center = -v[0, 1] / v[1, 1]
@@ -148,7 +167,7 @@ def test_emit_scatter_structure():
     posts = random_tree_posts(rng, 60)
     corpus = corpus_from_posts(posts)
     means = uniform_means(corpus, rng)
-    features = compute_feature_table(corpus, means)
+    features = compute_feature_table(*mean_matrix(corpus, means))
     # one discussion is one cluster: only the normal reference has a band
     svg = emit_scatter(features, "M1", DIM, pvalue_dist="normal")
     assert svg.startswith("<svg ")
@@ -164,7 +183,8 @@ def test_emit_scatter_structure():
     with pytest.raises(ValueError):
         emit_scatter(features, "M5", DIM)
     with pytest.raises(EmptySample):
-        emit_scatter(compute_feature_table(corpus, {}, strict=False), "M1", DIM)
+        emit_scatter(compute_feature_table(*mean_matrix(corpus, {}),
+                                           strict=False), "M1", DIM)
 
 
 def test_scatter_band_uses_the_tables_critical_value(monkeypatch):
@@ -174,7 +194,8 @@ def test_scatter_band_uses_the_tables_critical_value(monkeypatch):
     posts = [post for d in range(4)
              for post in random_tree_posts(rng, 30, discussion_id=f"d{d}")]
     corpus = corpus_from_posts(posts)
-    features = compute_feature_table(corpus, uniform_means(corpus, rng))
+    features = compute_feature_table(
+        *mean_matrix(corpus, uniform_means(corpus, rng)))
     seen = []
     monkeypatch.setattr(report, "scatter_svg",
                         lambda data, z: seen.append(z) or "")
@@ -182,6 +203,20 @@ def test_scatter_band_uses_the_tables_critical_value(monkeypatch):
         emit_scatter(features, "M1", DIM, pvalue_dist=dist)
     assert seen == [pytest.approx(stats.t.ppf(0.975, 3), abs=1e-12),
                     pytest.approx(stats.norm.ppf(0.975), abs=1e-15)]
+
+
+@pytest.mark.parametrize("kind", ["random", "tied"])
+def test_circles_match_per_point_formatting(kind):
+    rng = np.random.default_rng(8)
+    if kind == "random":
+        cx, cy = rng.uniform(64, 624, 500), rng.uniform(36, 424, 500)
+    else:  # few distinct values, as discrete x and means of integers give
+        cx = rng.integers(0, 7, 500) * 80.0 + 64.0
+        cy = 230.0 + rng.integers(-20, 21, 500) / 4 * 17.3
+    expected = [f'<circle cx="{px:.3f}" cy="{py:.3f}" r="2.5" '
+                f'fill="#33547a" fill-opacity="0.55" stroke="none"/>'
+                for px, py in zip(cx.tolist(), cy.tolist())]
+    assert svgplot._circles(cx, cy) == expected
 
 
 def test_scatter_svg_zero_band_when_exact():
@@ -283,6 +318,7 @@ def test_pipeline_lock(tmp_path):
 
 
 def test_annotation_content_hash_is_order_free():
-    a = {"p1": {"x": (1, 2)}, "p2": {"x": (0, 0)}}
-    b = {"p2": {"x": (0, 0)}, "p1": {"x": (1, 2)}}
-    assert annotation_content_hash(a) == annotation_content_hash(b)
+    scores = np.arange(2 * 3 * 2).reshape(2, 3, 2)
+    a = annotation_content_hash(["p1", "p2"], scores)
+    assert a == annotation_content_hash(["p2", "p1"], scores[::-1])
+    assert a != annotation_content_hash(["p2", "p1"], scores)

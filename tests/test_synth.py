@@ -20,6 +20,8 @@ from threadtone.synth import (
     write_cache_records,
 )
 
+from conftest import mean_matrix
+
 
 def small_config(**overrides) -> SynthConfig:
     base = dict(n_discussions=6, mean_posts=15, model="M4",
@@ -91,8 +93,9 @@ def test_cache_loads_through_annotation_layer(tmp_path):
     result = generate_corpus(small_config())
     path = tmp_path / "cache.jsonl"
     write_cache_records(result.cache_records, path)
-    means = load_annotation_means(result.corpus, AnnotationCache(path))
-    assert means == result.means
+    posts, means = load_annotation_means(result.corpus, AnnotationCache(path))
+    assert posts.posts == result.arrays.posts
+    assert np.array_equal(means, result.mean_matrix, equal_nan=True)
 
 
 def test_truncation_counting():
@@ -272,7 +275,8 @@ def test_generator_arrays_match_the_corpus(overrides):
     else:
         assert max(np.diff(result.arrays.starts)) > 10_000
     from_arrays = compute_feature_table(result.arrays, result.mean_matrix)
-    from_corpus = compute_feature_table(result.corpus, result.means)
+    from_corpus = compute_feature_table(
+        *mean_matrix(result.corpus, result.means))
     for got, want in zip(from_arrays.csv_columns(), from_corpus.csv_columns()):
         if isinstance(want, tuple):
             assert got == want
@@ -360,7 +364,8 @@ def test_corpus_scale_matches_config():
 
 def test_feature_table_from_synth_has_all_presence_classes():
     result = generate_corpus(small_config(n_discussions=10, mean_posts=25))
-    features = compute_feature_table(result.corpus, result.means)
+    features = compute_feature_table(
+        *mean_matrix(result.corpus, result.means))
     dim = "disagree_vs_agree"
     assert np.isnan(features.parent_metric[dim]).any()
     assert (~np.isnan(features.parent_metric[dim])).any()
