@@ -37,14 +37,11 @@ _NAMES = tuple(d.name for d in DIMENSIONS)
 class RatingsMatrix:
     """Scores for one dimension: values[r, i] is replication r of item i."""
 
-    items: tuple[str, ...]
     values: np.ndarray
 
     def __post_init__(self) -> None:
         if self.values.ndim != 2:
             raise ValueError("values must be a 2-D (raters x items) array")
-        if self.values.shape[1] != len(self.items):
-            raise ValueError("item count does not match value columns")
 
     @property
     def n_raters(self) -> int:
@@ -230,15 +227,13 @@ def agreement_report(items: Sequence[str], scores: np.ndarray,
     order. A dimension with fewer than two replications or two items gets
     nan statistics."""
     order = sorted(range(len(items)), key=items.__getitem__)
-    keys = tuple(items[i] for i in order)
     report = []
     undefined = []
     for d, name in enumerate(_NAMES):
         # the C-contiguous items x replications block, as rows of scores
         # build it, so every reduction adds in the same order
         values = np.ascontiguousarray(scores[order, d, :], dtype=np.int64)
-        matrix = RatingsMatrix(items=keys, values=(values.T if keys else
-                                                   values.reshape(0, 0)))
+        matrix = RatingsMatrix(values.T if order else values.reshape(0, 0))
         if matrix.n_raters < 2 or matrix.n_items < 2:
             undefined.append(name)
             stats, degenerate = [float("nan")] * 7, True

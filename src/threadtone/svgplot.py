@@ -158,6 +158,7 @@ def scatter_svg(data: ScatterData, z: float, band_points: int = 64) -> str:
         out.append(f'<text x="{x0 - 8}" y="{_fmt(py + 4)}" font-family="sans-serif" '
                    f'font-size="11" text-anchor="end">{_fmt_tick(tick)}</text>')
 
+    # points
     out += _circles(sx(np.asarray(data.x)), sy(np.asarray(data.y)))
 
     # fitted line

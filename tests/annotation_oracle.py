@@ -123,7 +123,7 @@ def agreement_report(records, scale=AnnotationScale(), unanimity=False):
                           dtype=int).T
         if not items:
             values = values.reshape(0, 0)
-        matrix = RatingsMatrix(items=items, values=values)
+        matrix = RatingsMatrix(values)
         if matrix.n_raters < 2 or matrix.n_items < 2:
             stats, degenerate = [float("nan")] * 7, True
         else:

@@ -127,8 +127,7 @@ def test_agreement_statistic_oracles():
     for _ in range(100):
         n_items = int(rng.integers(2, 30))
         values = rng.integers(-5, 6, size=(4, n_items))
-        matrix = RatingsMatrix(items=tuple(f"i{j}" for j in range(n_items)),
-                               values=values)
+        matrix = RatingsMatrix(values)
         alpha = krippendorff_alpha_interval(matrix)
         kappa = fleiss_kappa(matrix)
         if not alpha.degenerate:
@@ -136,7 +135,7 @@ def test_agreement_statistic_oracles():
         if not kappa.degenerate:
             assert abs(kappa.value - kappa_oracle(values, AnnotationScale())) < 1e-12
 
-    hand = RatingsMatrix(items=("item",), values=np.array([[1], [2], [3], [4]]))
+    hand = RatingsMatrix(np.array([[1], [2], [3], [4]]))
     stats = dispersion_stats(hand)
     assert abs(stats.mapd_mean - 1.6667) < 1e-4
     assert abs(stats.exact_agreement - 0.0) < 1e-4
@@ -144,8 +143,7 @@ def test_agreement_statistic_oracles():
     assert abs(stats.mean_range - 3.0) < 1e-4
     assert abs(stats.mean_sd - 1.2910) < 1e-4
 
-    identical = RatingsMatrix(items=("a", "b", "c"),
-                              values=np.tile([[2, -1, 0]], (4, 1)))
+    identical = RatingsMatrix(np.tile([[2, -1, 0]], (4, 1)))
     alpha = krippendorff_alpha_interval(identical)
     kappa = fleiss_kappa(identical)
     stats = dispersion_stats(identical)

@@ -28,9 +28,7 @@ SCALE = AnnotationScale()
 
 
 def matrix(values) -> RatingsMatrix:
-    arr = np.asarray(values)
-    return RatingsMatrix(items=tuple(f"i{j}" for j in range(arr.shape[1])),
-                         values=arr)
+    return RatingsMatrix(np.asarray(values))
 
 
 def random_matrix(rng, n_raters=4, n_items=20, lo=-5, hi=5) -> RatingsMatrix:
