@@ -189,7 +189,7 @@ def correlation_report(post_ids: Sequence[str],
     columns = np.column_stack([metric[name] for name in _NAMES])
     present = np.flatnonzero(~np.isnan(columns).any(axis=1)).tolist()
     posts = sorted(present, key=post_ids.__getitem__)
-    series = columns[posts].T.copy()
+    series = columns[posts].T
     out = np.eye(len(_NAMES))
     for i, j in combinations(range(len(_NAMES)), 2):
         try:
