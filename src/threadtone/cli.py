@@ -313,6 +313,12 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusError as err:
         print(err.diagnostic(), file=sys.stderr)
         return EXIT_VALIDATION
+    except OSError as exc:
+        corpus = vars(args).get("corpus")
+        if None in (corpus, exc.filename) or Path(exc.filename) != Path(corpus):
+            raise
+        print(f"cannot read corpus {corpus}: {exc.strerror}", file=sys.stderr)
+        return EXIT_VALIDATION
     except (AnnotationError, FeatureError) as exc:  # FeatureError: --strict
         print(f"annotation failed: {exc}", file=sys.stderr)
         return EXIT_ANNOTATION

@@ -1,17 +1,19 @@
 """Threaded-discussion corpus: line-delimited JSON parsing and reply trees.
 
-The interchange format is one JSON object per line with exactly the fields
-``post_id, discussion_id, parent_id (nullable), author (nullable), timestamp,
-text``. Each discussion must form a single rooted reply tree; sibling order
-is (timestamp, post_id), so parsing is fully deterministic even under
-timestamp ties.
+The interchange format is one UTF-8 JSON object per line with exactly the
+fields ``post_id, discussion_id, parent_id (nullable), author (nullable),
+timestamp, text``. Each discussion must form a single rooted reply tree;
+sibling order is (timestamp, post_id), so parsing is fully deterministic
+even under timestamp ties. A ``DiscussionTree`` is the post ids in that
+order and each post's depth; ``tree_arrays`` derives every structure, for
+the trees as for the features, from the posts' parent positions.
 """
 
 from __future__ import annotations
 
 import json
 import logging
-from collections import defaultdict, deque
+from collections import defaultdict
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -49,10 +51,7 @@ class Post:
 @dataclass(frozen=True)
 class DiscussionTree:
     discussion_id: str
-    root_id: str
-    children: dict[str, tuple[str, ...]]
-    depth: dict[str, int]
-    branch_root_of: dict[str, str]
+    depth: dict[str, int]  # post id -> depth (0 for the root), in ``order``
     order: tuple[str, ...]  # post ids in (timestamp, post_id) order
 
 
@@ -94,17 +93,23 @@ def tree_arrays(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     """Depth, branch root (the depth-1 ancestor; a root is its own) and
     older-sibling rank (earlier positions with the same parent) of every
     post of a forest, from each post's parent position (-1 for a root). The
-    pointer doubling lets a parent be stored after its child."""
+    pointer doubling lets a parent be stored after its child and stops after
+    ceil(log2 n) + 1 steps; a post on or below a parent cycle reaches no
+    root, and its depth is -1."""
     index = np.arange(len(parent))
-    up = np.where(parent < 0, index, parent)        # a root points to itself
-    own = up[up] == up                              # roots and depth 1
+    root = parent < 0
+    up = np.where(root, index, parent)              # a root points to itself
+    own = root[up]                                  # roots and depth 1
     branch_root = np.where(own, index, up)
     depth = (~own).astype(np.int64)                 # hops to ``branch_root``
-    hop = branch_root[branch_root]
-    while not np.array_equal(hop, branch_root):
+    for _ in range((len(parent) - 1).bit_length() + 1):
+        hop = branch_root[branch_root]
+        if np.array_equal(hop, branch_root):
+            break
         depth += depth[branch_root]
-        branch_root, hop = hop, hop[hop]
-    depth += parent >= 0
+        branch_root = hop
+    depth += ~root
+    depth[~own[branch_root]] = -1
     order = np.argsort(parent, kind="stable")
     grouped = parent[order]
     first = np.r_[True, grouped[1:] != grouped[:-1]]
@@ -123,64 +128,51 @@ def build_tree(posts: Iterable[Post]) -> DiscussionTree:
     if not posts:
         raise CorpusError("empty discussion")
     discussion_id = posts[0].discussion_id
-    by_id = {}
+    seen = set()
     for post in posts:
         if post.discussion_id != discussion_id:
             raise CorpusError(
                 f"mixed discussion ids {discussion_id!r} and {post.discussion_id!r}",
                 discussion_id=discussion_id, post_id=post.post_id)
-        if post.post_id in by_id:
+        if post.post_id in seen:
             raise DuplicateId(f"post id {post.post_id!r} repeated",
                               discussion_id=discussion_id, post_id=post.post_id)
-        by_id[post.post_id] = post
+        seen.add(post.post_id)
 
-    roots = [p for p in posts if p.parent_id is None]
+    roots = [p.post_id for p in posts if p.parent_id is None]
     if len(roots) > 1:
-        raise MultipleRoots(
-            f"{len(roots)} roots: {', '.join(sorted(p.post_id for p in roots))}",
-            discussion_id=discussion_id)
+        raise MultipleRoots(f"{len(roots)} roots: {', '.join(sorted(roots))}",
+                            discussion_id=discussion_id)
     for post in posts:
-        if post.parent_id is not None and post.parent_id not in by_id:
+        if post.parent_id is not None and post.parent_id not in seen:
             raise OrphanPost(f"parent {post.parent_id!r} not found",
                              discussion_id=discussion_id, post_id=post.post_id)
     if not roots:
         raise CycleDetected("no root post; parent links form a cycle",
                             discussion_id=discussion_id)
-    root = roots[0]
 
-    ordered = sorted(posts, key=Post.order_key)
-    child_lists: dict[str, list[str]] = defaultdict(list)
-    for post in ordered:
-        if post.parent_id is not None:
-            child_lists[post.parent_id].append(post.post_id)
-
-    depth: dict[str, int] = {root.post_id: 0}
-    branch_root_of: dict[str, str] = {}
-    queue = deque([root.post_id])
-    while queue:
-        pid = queue.popleft()
-        for child in child_lists.get(pid, ()):
-            depth[child] = depth[pid] + 1
-            branch_root_of[child] = child if depth[child] == 1 else branch_root_of[pid]
-            queue.append(child)
-    if len(depth) != len(posts):
-        unreachable = sorted(set(by_id) - set(depth))
+    posts.sort(key=Post.order_key)
+    order = tuple(post.post_id for post in posts)
+    at = {post_id: i for i, post_id in enumerate(order)}
+    depth = tree_arrays(np.array([at.get(post.parent_id, -1) for post in posts],
+                                 np.int64))[0]
+    if depth.min() < 0:
+        unreachable = sorted(order[i] for i in np.flatnonzero(depth < 0))
         raise CycleDetected(
             f"{len(unreachable)} posts unreachable from root (cycle): "
             f"{', '.join(unreachable[:5])}",
             discussion_id=discussion_id, post_id=unreachable[0])
-
-    return DiscussionTree(
-        discussion_id=discussion_id,
-        root_id=root.post_id,
-        children={pid: tuple(kids) for pid, kids in child_lists.items()},
-        depth=depth,
-        branch_root_of=branch_root_of,
-        order=tuple(post.post_id for post in ordered),
-    )
+    return DiscussionTree(discussion_id, dict(zip(order, depth.tolist())), order)
 
 
 def _parse_record(raw: str, line_no: int) -> Post:
+    if not raw.isascii():
+        try:
+            raw.encode("utf-8")
+        except UnicodeEncodeError as exc:  # a byte read as a lone surrogate
+            raise MalformedRecord(
+                f"invalid UTF-8 byte 0x{ord(raw[exc.start]) & 0xFF:02x} at "
+                f"character {exc.start + 1}", line_no=line_no) from None
     try:
         obj = json.loads(raw)
     except json.JSONDecodeError as exc:
@@ -236,7 +228,7 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     In strict mode (default) the first structural violation raises. In
     lenient mode, violations are logged, recorded in ``diagnostics`` (if
     given), and the offending discussion is dropped; unattributable lines
-    (bad JSON) are dropped individually.
+    (not UTF-8, bad JSON) are dropped individually.
     """
     def note(err: CorpusError) -> None:
         line = err.diagnostic()
@@ -250,7 +242,7 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
 
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
-            raw = raw.decode("utf-8")
+            raw = raw.decode("utf-8", "surrogateescape")
         if not raw.strip():
             continue
         try:
@@ -299,7 +291,8 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
 
 def load_corpus(path: str | Path, lenient: bool = False,
                 diagnostics: list[str] | None = None) -> Corpus:
-    with open(path, "r", encoding="utf-8") as fh:
+    # undecodable bytes pass as lone surrogates, which _parse_record reports
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_corpus(fh, lenient=lenient, diagnostics=diagnostics)
 
 

@@ -19,13 +19,11 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
-from itertools import groupby
-from operator import attrgetter
 from pathlib import Path
 import numpy as np
 
 from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
-from .corpus import Corpus, Post, PostArrays, build_tree, tree_arrays
+from .corpus import Corpus, DiscussionTree, Post, PostArrays, tree_arrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
@@ -153,10 +151,11 @@ class SynthResult:
                 f"u{authors[i]:02d}", stamps[i],
                 f"synthetic reply {pid}" if p >= 0
                 else f"synthetic root post {pid}")
-        # each discussion's posts are consecutive in generation order
-        trees = {did: build_tree(group) for did, group in groupby(
-            posts.values(), attrgetter("discussion_id"))}
-        return Corpus(discussions=dict(sorted(trees.items())), posts=posts)
+        depth = tree_arrays(arrays.parent)[0].tolist()
+        starts = arrays.starts.tolist()
+        trees = {did: DiscussionTree(did, dict(zip(ids[a:b], depth[a:b])), ids[a:b])
+                 for did, a, b in zip(arrays.discussion_ids, starts, starts[1:])}
+        return Corpus(discussions=trees, posts=posts)
 
     @cached_property
     def means(self) -> dict[str, dict[str, float]]:

@@ -11,6 +11,8 @@ import pytest
 from threadtone.corpus import Corpus, Post, PostArrays, build_tree
 from threadtone.dimensions import DIMENSIONS
 
+from corpus_oracle import oracle_trees
+
 
 def mk_post(post_id: str, discussion_id: str = "d1", parent_id: str | None = None,
             timestamp: int = 0, author: str | None = "a",
@@ -50,10 +52,10 @@ def random_tree_posts(rng: np.random.Generator, n: int,
 
 def uniform_means(corpus: Corpus, rng: np.random.Generator,
                   lo: float = -5.0, hi: float = 5.0) -> dict[str, dict[str, float]]:
-    """Random post-level means for every non-root post."""
+    """Random post-level means for every non-root post, drawn in each
+    tree's breadth-first order."""
     means: dict[str, dict[str, float]] = {}
-    for did in corpus.discussion_ids():
-        tree = corpus.discussions[did]
+    for tree in oracle_trees(corpus).values():
         for pid, depth in tree.depth.items():
             if depth == 0:
                 continue

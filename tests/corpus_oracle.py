@@ -1,0 +1,109 @@
+"""Reference implementation of the reply-tree builder.
+
+This is the original breadth-first ``threadtone.corpus.build_tree``: it
+walks each discussion from its root through per-parent child lists and
+records every post's depth, its branch root (the depth-1 ancestor) and its
+children in (timestamp, post_id) order. It is kept as the oracle that the
+array-based ``build_tree`` and ``tree_arrays`` must match: the same
+exception (type, message and fields) on a violation, the same ``order`` and
+``depth`` otherwise.
+"""
+
+from __future__ import annotations
+
+from collections import defaultdict, deque
+from dataclasses import dataclass
+from typing import Iterable
+
+from threadtone.corpus import Post
+from threadtone.errors import (
+    CorpusError,
+    CycleDetected,
+    DuplicateId,
+    MultipleRoots,
+    OrphanPost,
+)
+
+
+@dataclass(frozen=True)
+class OracleTree:
+    discussion_id: str
+    root_id: str
+    children: dict[str, tuple[str, ...]]
+    depth: dict[str, int]  # in breadth-first order from the root
+    branch_root_of: dict[str, str]
+    order: tuple[str, ...]  # post ids in (timestamp, post_id) order
+
+
+def build_tree(posts: Iterable[Post]) -> OracleTree:
+    """Assemble one discussion's posts into a validated reply tree.
+
+    Raises MultipleRoots, OrphanPost or CycleDetected on structural
+    violations; a post set with no root necessarily contains a cycle.
+    """
+    posts = list(posts)
+    if not posts:
+        raise CorpusError("empty discussion")
+    discussion_id = posts[0].discussion_id
+    by_id = {}
+    for post in posts:
+        if post.discussion_id != discussion_id:
+            raise CorpusError(
+                f"mixed discussion ids {discussion_id!r} and {post.discussion_id!r}",
+                discussion_id=discussion_id, post_id=post.post_id)
+        if post.post_id in by_id:
+            raise DuplicateId(f"post id {post.post_id!r} repeated",
+                              discussion_id=discussion_id, post_id=post.post_id)
+        by_id[post.post_id] = post
+
+    roots = [p for p in posts if p.parent_id is None]
+    if len(roots) > 1:
+        raise MultipleRoots(
+            f"{len(roots)} roots: {', '.join(sorted(p.post_id for p in roots))}",
+            discussion_id=discussion_id)
+    for post in posts:
+        if post.parent_id is not None and post.parent_id not in by_id:
+            raise OrphanPost(f"parent {post.parent_id!r} not found",
+                             discussion_id=discussion_id, post_id=post.post_id)
+    if not roots:
+        raise CycleDetected("no root post; parent links form a cycle",
+                            discussion_id=discussion_id)
+    root = roots[0]
+
+    ordered = sorted(posts, key=Post.order_key)
+    child_lists: dict[str, list[str]] = defaultdict(list)
+    for post in ordered:
+        if post.parent_id is not None:
+            child_lists[post.parent_id].append(post.post_id)
+
+    depth: dict[str, int] = {root.post_id: 0}
+    branch_root_of: dict[str, str] = {}
+    queue = deque([root.post_id])
+    while queue:
+        pid = queue.popleft()
+        for child in child_lists.get(pid, ()):
+            depth[child] = depth[pid] + 1
+            branch_root_of[child] = child if depth[child] == 1 else branch_root_of[pid]
+            queue.append(child)
+    if len(depth) != len(posts):
+        unreachable = sorted(set(by_id) - set(depth))
+        raise CycleDetected(
+            f"{len(unreachable)} posts unreachable from root (cycle): "
+            f"{', '.join(unreachable[:5])}",
+            discussion_id=discussion_id, post_id=unreachable[0])
+
+    return OracleTree(
+        discussion_id=discussion_id,
+        root_id=root.post_id,
+        children={pid: tuple(kids) for pid, kids in child_lists.items()},
+        depth=depth,
+        branch_root_of=branch_root_of,
+        order=tuple(post.post_id for post in ordered),
+    )
+
+
+def oracle_trees(corpus) -> dict[str, OracleTree]:
+    """The oracle's tree of every discussion of a corpus, in id order."""
+    return {did: build_tree(corpus.posts[pid]
+                            for pid in corpus.discussions[did].order)
+            for did in corpus.discussion_ids()}

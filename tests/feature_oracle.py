@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from threadtone.corpus import Corpus, DiscussionTree, Post
+from threadtone.corpus import Corpus, Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import EmptySample, FeatureError, MissingAnnotation
 from threadtone.features import (
@@ -27,6 +27,8 @@ from threadtone.features import (
     _csv_header,
 )
 from threadtone.regression import ModelSpec, cluster_robust_vcov, ols_fit
+
+from corpus_oracle import OracleTree, oracle_trees
 
 MeanMap = Mapping[str, Mapping[str, float]]
 
@@ -79,7 +81,7 @@ def delta_t_parent(post: Post, posts_by_id: Mapping[str, Post]) -> float | None:
     return delta
 
 
-def _older_siblings(post: Post, tree: DiscussionTree,
+def _older_siblings(post: Post, tree: OracleTree,
                     posts_by_id: Mapping[str, Post]) -> list[Post]:
     if post.parent_id is None:
         return []
@@ -89,7 +91,7 @@ def _older_siblings(post: Post, tree: DiscussionTree,
             if posts_by_id[pid].order_key() < key]
 
 
-def older_sibling_mean(post: Post, dimension_name: str, tree: DiscussionTree,
+def older_sibling_mean(post: Post, dimension_name: str, tree: OracleTree,
                        posts_by_id: Mapping[str, Post],
                        means: MeanMap) -> float | None:
     """Mean score of annotated older siblings; None when there are none."""
@@ -106,7 +108,7 @@ def older_sibling_mean(post: Post, dimension_name: str, tree: DiscussionTree,
     return total / len(values)
 
 
-def br_neg_indicator(post: Post, dimension_name: str, tree: DiscussionTree,
+def br_neg_indicator(post: Post, dimension_name: str, tree: OracleTree,
                      means: MeanMap) -> int | None:
     """1 iff the branch root's score is strictly negative; None at depth 1.
 
@@ -128,8 +130,11 @@ def oracle_feature_rows(corpus: Corpus, means: MeanMap, strict: bool = True,
     # compute_feature_table takes holds it as an all-NaN row
     means = {post_id: dims for post_id, dims in means.items() if dims}
     rows: list[FeatureRow] = []
+    trees = oracle_trees(corpus)
     for discussion_id in corpus.discussion_ids():
-        tree = corpus.discussions[discussion_id]
+        # the breadth-first tree, not the parsed one, so that the oracle
+        # checks depths instead of inheriting them
+        tree = trees[discussion_id]
         # sorted here, not taken from the tree's stored order, so that the
         # oracle checks that order instead of inheriting it
         ordered = sorted((corpus.posts[pid] for pid in tree.depth),

@@ -24,7 +24,7 @@ from threadtone.agreement import (
     fleiss_kappa,
     krippendorff_alpha_interval,
 )
-from threadtone.corpus import build_tree
+from threadtone.corpus import tree_arrays
 from threadtone.dimensions import AnnotationScale
 from threadtone.errors import ExtraKey, NonInteger, NotJson, OutOfRange
 from threadtone.features import compute_feature_table
@@ -44,6 +44,7 @@ from conftest import (
     random_tree_posts,
     uniform_means,
 )
+from corpus_oracle import oracle_trees
 from feature_oracle import assert_table_equals_rows, oracle_feature_rows
 from test_agreement import alpha_oracle, kappa_oracle
 from test_regression import random_instance, sandwich_oracle
@@ -209,30 +210,25 @@ def test_geometry_invariants():
                          seed=77)
     generated = generate_corpus(config).corpus
     for corpus_under_test in (corpus, generated):
-        for tree in corpus_under_test.discussions.values():
-            assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
-            assert tree.depth[tree.root_id] == 0
-            seen = set()
-            queue = [tree.root_id]
-            while queue:
-                pid = queue.pop(0)
-                assert pid not in seen
-                seen.add(pid)
-                queue.extend(tree.children.get(pid, ()))
-            assert len(seen) == len(tree.depth)
+        # the breadth-first walk from each root reaches every post once, at
+        # the depth the tree records
+        oracle = oracle_trees(corpus_under_test)
+        for did, tree in corpus_under_test.discussions.items():
+            assert list(tree.depth.values()).count(0) == 1
+            assert tree.depth == oracle[did].depth
+            assert tree.order == oracle[did].order
 
-    # branch_root_of equals the parent-walk oracle on random trees
+    # tree_arrays' branch root equals the parent-walk oracle on random trees
     for _ in range(20):
         posts = random_tree_posts(rng, int(rng.integers(2, 150)))
-        tree = build_tree(posts)
-        by_id = {p.post_id: p for p in posts}
-        for pid, depth in tree.depth.items():
-            if depth == 0:
-                continue
-            walker = pid
-            while tree.depth[walker] > 1:
-                walker = by_id[walker].parent_id
-            assert tree.branch_root_of[pid] == walker
+        arrays = corpus_from_posts(posts).arrays()
+        parent = arrays.parent.tolist()
+        depth, branch_root, _ = tree_arrays(arrays.parent)
+        for i in range(len(parent)):
+            walker = i
+            while depth[walker] > 1:
+                walker = parent[walker]
+            assert branch_root[i] == walker
     report("br_neg scale-sign invariance, tree invariants, and "
            "branch-root parent-walk oracle all hold")
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from threadtone.cli import _options, build_parser
+from threadtone.cli import _options, build_parser, main
 from threadtone.corpus import save_corpus
 from threadtone.dimensions import AnnotationScale
 from threadtone.report import PipelineOptions
@@ -527,3 +527,41 @@ def test_regress_flags_leave_backend_options_at_defaults():
         ["regress", "--features", "f.csv", "--out", "o", "--model", "M4",
          "--pvalue", "normal"])
     assert _options(args) == PipelineOptions(pvalue_dist="normal")
+
+
+@pytest.mark.parametrize("command", [
+    ["validate"],
+    ["annotate", "--mock", "--cache", "c.jsonl"],
+    ["features", "--annotations", "c.jsonl", "--out", "f.csv"],
+    ["pipeline", "--mock", "--cache", "c.jsonl", "--output-dir", "out"],
+])
+def test_an_unreadable_corpus_exits_with_one_line(tmp_path, monkeypatch,
+                                                  capsys, command):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "folder").mkdir()
+    for corpus, reason in (("missing.jsonl", "No such file or directory"),
+                           ("folder", "Is a directory")):
+        assert main([command[0], "--corpus", corpus, *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"cannot read corpus {corpus}: {reason}\n"
+        assert out == ""
+
+
+def test_undecodable_corpus_bytes_are_a_validation_error(tmp_path, capsys):
+    lines = BUNDLED_CORPUS.read_bytes().splitlines(keepends=True)
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_bytes(b"".join(lines[:4]) + b"\xff\n" + b"".join(lines[4:]))
+    diagnostic = "MalformedRecord line=5: invalid UTF-8 byte 0xff at character 1"
+
+    assert main(["validate", "--corpus", str(corpus)]) == 2
+    assert capsys.readouterr().out == diagnostic + "\n"
+    assert main(["validate", "--lenient", "--corpus", str(corpus)]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        diagnostic, f"ok: 60 discussions, {len(lines)} posts"]
+
+    out = tmp_path / "bundle"
+    assert main(["pipeline", "--mock", "--corpus", str(corpus), "--cache",
+                 str(tmp_path / "c.jsonl"), "--output-dir", str(out)]) == 2
+    validation = json.loads((out / "validation.json").read_text())
+    assert validation["diagnostics"] == [diagnostic]
+    assert not validation["ok"]

@@ -11,6 +11,7 @@ from threadtone.corpus import (
     post_to_json,
     save_corpus,
     serialize_corpus,
+    tree_arrays,
     validate_corpus,
 )
 from threadtone.errors import (
@@ -23,6 +24,7 @@ from threadtone.errors import (
 )
 
 from conftest import corpus_from_posts, mk_post, random_tree_posts
+from corpus_oracle import build_tree as oracle_build_tree
 
 
 def lines(*records: dict) -> io.StringIO:
@@ -45,7 +47,7 @@ def test_parse_minimal_corpus():
     ))
     assert len(corpus.discussions) == 1
     assert len(corpus.posts) == 3
-    assert corpus.discussions["d1"].root_id == "A"
+    assert corpus.discussions["d1"].depth == {"A": 0, "B": 1, "C": 1}
 
 
 def test_orphan_parent_rejected():
@@ -105,8 +107,11 @@ def test_build_tree_four_nodes():
         mk_post("D", parent_id="B", timestamp=3),
     ])
     assert tree.depth == {"A": 0, "B": 1, "C": 1, "D": 2}
-    assert tree.branch_root_of == {"B": "B", "C": "C", "D": "B"}
-    assert tree.children["A"] == ("B", "C")
+    assert tree.order == ("A", "B", "C", "D")
+    depth, branch_root, rank = tree_arrays(np.array([-1, 0, 0, 1]))
+    assert depth.tolist() == [0, 1, 1, 2]
+    assert branch_root.tolist() == [0, 1, 2, 1]
+    assert rank.tolist() == [0, 0, 1, 0]
 
 
 def test_build_tree_cycle():
@@ -123,13 +128,16 @@ def test_build_tree_cycle():
             mk_post("A", parent_id="B", timestamp=1),
             mk_post("B", parent_id="A", timestamp=2),
         ])
+    # a post that replies to itself, below a valid root
+    with pytest.raises(CycleDetected, match="1 posts unreachable"):
+        build_tree([mk_post("R", timestamp=0),
+                    mk_post("S", parent_id="S", timestamp=1)])
 
 
 def test_single_post_discussion():
     tree = build_tree([mk_post("A", timestamp=0)])
-    assert len(tree.depth) == 1
-    assert tree.children == {}
-    assert tree.branch_root_of == {}
+    assert tree.depth == {"A": 0}
+    assert tree.order == ("A",)
 
 
 def test_children_order_breaks_ties_by_id():
@@ -139,7 +147,7 @@ def test_children_order_breaks_ties_by_id():
         mk_post("b", parent_id="A", timestamp=5),
         mk_post("c", parent_id="A", timestamp=4),
     ])
-    assert tree.children["A"] == ("c", "b", "z")
+    assert tree.order == ("A", "c", "b", "z")
 
 
 def test_tree_invariants_on_random_trees():
@@ -147,24 +155,16 @@ def test_tree_invariants_on_random_trees():
     for trial in range(25):
         n = int(rng.integers(1, 201))
         posts = random_tree_posts(rng, n, allow_ties=True)
-        tree = build_tree(posts)
-        assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
-        # BFS from root reaches every node exactly once
-        seen = []
-        queue = [tree.root_id]
-        while queue:
-            pid = queue.pop(0)
-            seen.append(pid)
-            queue.extend(tree.children.get(pid, ()))
-        assert sorted(seen) == sorted(p.post_id for p in posts)
-        assert len(seen) == len(set(seen))
-        # children per parent sorted by (timestamp, post_id)
+        tree, oracle = build_tree(posts), oracle_build_tree(posts)
+        # the breadth-first walk from the root reaches every post once
+        assert tree.depth == oracle.depth
+        assert list(tree.depth) == list(tree.order)
         by_id = {p.post_id: p for p in posts}
-        for kids in tree.children.values():
-            keys = [by_id[k].order_key() for k in kids]
-            assert keys == sorted(keys)
-        assert tree.order == tuple(sorted(by_id, key=lambda pid:
-                                          by_id[pid].order_key()))
+        for post in posts:
+            if post.parent_id is not None:
+                assert tree.depth[post.post_id] == tree.depth[post.parent_id] + 1
+        assert tree.order == oracle.order == tuple(
+            sorted(by_id, key=lambda pid: by_id[pid].order_key()))
 
 
 def test_branch_root_matches_parent_walk_oracle():
@@ -172,15 +172,14 @@ def test_branch_root_matches_parent_walk_oracle():
     for trial in range(25):
         n = int(rng.integers(2, 201))
         posts = random_tree_posts(rng, n)
-        tree = build_tree(posts)
-        by_id = {p.post_id: p for p in posts}
-        for pid, depth in tree.depth.items():
-            if depth == 0:
-                continue
-            walker = pid
-            while tree.depth[walker] > 1:
-                walker = by_id[walker].parent_id
-            assert tree.branch_root_of[pid] == walker
+        arrays = corpus_from_posts(posts).arrays()
+        parent = arrays.parent.tolist()
+        _, branch_root, _ = tree_arrays(arrays.parent)
+        for i in range(len(parent)):
+            walker = i
+            while parent[walker] >= 0 and parent[parent[walker]] >= 0:
+                walker = parent[walker]
+            assert branch_root[i] == walker
 
 
 def test_round_trip_identity(tmp_path):
@@ -221,3 +220,28 @@ def test_validate_corpus_reports(tmp_path):
     corpus, diagnostics = validate_corpus(bad)
     assert corpus is None
     assert len(diagnostics) == 1 and "OrphanPost" in diagnostics[0]
+
+
+def test_undecodable_bytes_are_a_malformed_record(tmp_path):
+    good = [post_to_json(mk_post("A")).encode("utf-8"),
+            post_to_json(mk_post("B", parent_id="A", timestamp=1,
+                                 text="café")).encode("utf-8"),
+            post_to_json(mk_post("C", parent_id="A", timestamp=2)).encode("utf-8")]
+    # CRLF and a lone CR end lines 1 and 2, so the bad bytes are line 3
+    data = good[0] + b"\r\n" + good[1] + b"\r" + b"\xff{\"x\": 1}\n" + good[2] + b"\n"
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(data)
+    diagnostic = "MalformedRecord line=3: invalid UTF-8 byte 0xff at character 1"
+    with pytest.raises(MalformedRecord) as info:
+        load_corpus(path)
+    assert info.value.diagnostic() == diagnostic
+    assert validate_corpus(path) == (None, [diagnostic])
+    corpus, diagnostics = validate_corpus(path, lenient=True)
+    assert diagnostics == [diagnostic]
+    assert corpus.discussions["d1"].order == ("A", "B", "C")
+    assert corpus.posts["B"].text == "café"
+    # byte lines give the same diagnostic
+    lenient = []
+    parse_corpus(io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")),
+                 lenient=True, diagnostics=lenient)
+    assert lenient == [diagnostic]

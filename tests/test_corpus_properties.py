@@ -1,0 +1,154 @@
+"""Property tests: ``build_tree``, ``parse_corpus`` and ``tree_arrays``
+against the breadth-first builder in ``corpus_oracle``.
+
+Random forests get timestamp ties, shuffled input order and one injected
+violation per discussion: two roots, an orphan, a rootless cycle, a
+duplicate id, or a cycle of length 1-8 (with replies below it) hanging off
+a valid root. Strict mode must raise what the oracle raises (type, message
+and fields); lenient mode must give the same diagnostics in the same order
+and keep the same discussions with the same ``order`` and ``depth``.
+"""
+
+import io
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from threadtone import corpus as corpus_module
+from threadtone.corpus import (
+    Post,
+    build_tree,
+    parse_corpus,
+    post_to_json,
+    tree_arrays,
+)
+from threadtone.errors import CorpusError
+
+import corpus_oracle
+
+VIOLATIONS = ("none", "two roots", "orphan", "rootless cycle", "duplicate",
+              "cycle below root")
+
+
+@st.composite
+def discussions(draw, discussion_id: str) -> list[Post]:
+    """One discussion's posts in a random input order."""
+    n = draw(st.integers(1, 12))
+    parents = [-1] + [draw(st.integers(0, i - 1)) for i in range(1, n)]
+    violation = draw(st.sampled_from(VIOLATIONS))
+    if violation == "cycle below root":
+        k = draw(st.integers(1, 8))
+        below = draw(st.integers(0, 3))
+        start = len(parents)
+        # post start + j replies to start + j + 1, the last one to the first
+        parents += [start + (j + 1) % k for j in range(k)]
+        parents += [start + draw(st.integers(0, k - 1)) for _ in range(below)]
+    ids = [f"{discussion_id}-{v}" for v in
+           draw(st.permutations(range(len(parents))))]
+    parent_ids = [None if p < 0 else ids[p] for p in parents]
+    if violation == "two roots" and n > 1:
+        parent_ids[draw(st.integers(1, n - 1))] = None
+    elif violation == "orphan":
+        parent_ids[draw(st.integers(0, n - 1))] = f"{discussion_id}-gone"
+    elif violation == "rootless cycle":
+        parent_ids[0] = ids[draw(st.integers(0, n - 1))]
+    elif violation == "duplicate" and n > 1:
+        ids[draw(st.integers(1, n - 1))] = ids[0]
+    posts = [Post(post_id, discussion_id, parent_id, None,
+                  draw(st.integers(0, 3)), "text")
+             for post_id, parent_id in zip(ids, parent_ids)]
+    return draw(st.permutations(posts))
+
+
+def outcome(build, posts):
+    """The tree's (order, depth) or the raised error's type, text and fields."""
+    try:
+        tree = build(posts)
+    except CorpusError as err:
+        return (type(err), str(err), err.discussion_id, err.post_id,
+                err.line_no)
+    return tree.order, tree.depth
+
+
+@settings(max_examples=400, deadline=None)
+@given(discussions("d"))
+def test_build_tree_matches_oracle(posts):
+    assert outcome(build_tree, posts) == outcome(corpus_oracle.build_tree, posts)
+
+
+@st.composite
+def corpus_lines(draw) -> list[str]:
+    posts = [post for k in range(draw(st.integers(1, 3)))
+             for post in draw(discussions(f"d{k}"))]
+    return [post_to_json(post) for post in draw(st.permutations(posts))]
+
+
+def parsed(lines: list[str], lenient: bool):
+    diagnostics: list[str] = []
+    try:
+        corpus = parse_corpus(io.StringIO("\n".join(lines) + "\n"),
+                              lenient=lenient, diagnostics=diagnostics)
+    except CorpusError as err:
+        return type(err), err.diagnostic()
+    return diagnostics, corpus.posts, {
+        did: (tree.order, tree.depth) for did, tree in corpus.discussions.items()}
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_lines())
+def test_parse_corpus_matches_oracle(lines):
+    for lenient in (False, True):
+        got = parsed(lines, lenient)
+        with mock.patch.object(corpus_module, "build_tree",
+                               corpus_oracle.build_tree):
+            assert got == parsed(lines, lenient)
+
+
+@st.composite
+def forests_with_a_cycle(draw) -> tuple[np.ndarray, set[int]]:
+    """A parent array in random storage order: a random forest, a cycle of
+    length 2-8 and replies below it; and the positions on or below it."""
+    n = draw(st.integers(0, 30))
+    parents = [-1 if i == 0 or draw(st.integers(0, 4)) == 0
+               else draw(st.integers(0, i - 1)) for i in range(n)]
+    k = draw(st.integers(2, 8))
+    parents += [n + (j + 1) % k for j in range(k)]
+    for i in range(n + k, n + k + draw(st.integers(0, 10))):
+        parents.append(draw(st.integers(n, i - 1)))
+    perm = draw(st.permutations(range(len(parents))))
+    at = {old: new for new, old in enumerate(perm)}
+    parent = np.array([-1 if parents[old] < 0 else at[parents[old]]
+                       for old in perm], np.int64)
+    return parent, {at[old] for old in range(n, len(parents))}
+
+
+@settings(max_examples=300, deadline=None)
+@given(forests_with_a_cycle())
+def test_tree_arrays_marks_the_posts_on_or_below_a_cycle(case):
+    parent, cyclic = case
+    depth, branch_root, _ = tree_arrays(parent)
+    assert set(np.flatnonzero(depth < 0).tolist()) == cyclic
+    for i in set(range(len(parent))) - cyclic:
+        hops, below_root, walker = 0, i, i
+        while parent[walker] >= 0:
+            hops, below_root, walker = hops + 1, walker, parent[walker]
+        assert (depth[i], branch_root[i]) == (hops, below_root)
+
+
+def test_tree_arrays_returns_on_a_three_cycle():
+    depth, _, _ = tree_arrays(np.array([-1, 2, 3, 1]))
+    assert depth.tolist() == [0, -1, -1, -1]
+    depth, _, _ = tree_arrays(np.array([-1, 2, 1, 0]))
+    assert depth.tolist() == [0, -1, -1, 1]
+
+
+def test_tree_arrays_reaches_the_end_of_a_chain():
+    # the longest path n posts allow needs all ceil(log2 n) doublings
+    for n in range(1, 70):
+        chain = np.arange(-1, n - 1)
+        assert tree_arrays(chain)[0].tolist() == list(range(n))
+        flipped = n - 1 - chain[::-1]      # stored leaf first
+        flipped[-1] = -1
+        assert tree_arrays(flipped)[0].tolist() == list(range(n - 1, -1, -1))

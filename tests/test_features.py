@@ -19,6 +19,7 @@ from conftest import (
     random_tree_posts,
     uniform_means,
 )
+from corpus_oracle import oracle_trees
 from feature_oracle import (
     NegativeDelta,
     br_neg_indicator,
@@ -75,7 +76,7 @@ def test_older_sibling_mean_examples(four_node_corpus):
         mk_post("s3", parent_id="A", timestamp=3),
         mk_post("s4", parent_id="A", timestamp=4),
     ])
-    tree = corpus.discussions["d1"]
+    tree = oracle_trees(corpus)["d1"]
     by_id = corpus.posts
     means = flat_means(corpus, {"s1": -2.0, "s2": 0.0, "s3": 4.0, "s4": 0.0})
     assert older_sibling_mean(by_id["s4"], DIM, tree, by_id, means) == \
@@ -93,7 +94,7 @@ def test_older_sibling_mean_examples(four_node_corpus):
 
 
 def test_br_neg_examples(four_node_corpus):
-    tree = four_node_corpus.discussions["d1"]
+    tree = oracle_trees(four_node_corpus)["d1"]
     d_post = four_node_corpus.posts["D"]
     b_post = four_node_corpus.posts["B"]
     for score, expected in ((-1.25, 1), (0.0, 0), (2.5, 0)):
@@ -161,14 +162,13 @@ def test_presence_partition_and_dt_bounds():
         corpus = corpus_from_posts(posts)
         means = uniform_means(corpus, rng)
         table = compute_feature_table(*mean_matrix(corpus, means))
-        tree = corpus.discussions["d1"]
-        root_time = corpus.posts[tree.root_id].timestamp
+        root_time = posts[0].timestamp
         for i, post_id in enumerate(table.post_id):
             depth = table.depth[i]
             assert (depth == 1) == (cell(table, post_id, "parent_metric") is None)
             post = corpus.posts[post_id]
-            older = [pid for pid in tree.children[post.parent_id]
-                     if corpus.posts[pid].order_key() < post.order_key()]
+            older = [p for p in posts if p.parent_id == post.parent_id
+                     and p.order_key() < post.order_key()]
             assert (not older) == (cell(table, post_id, "sib_older_mean") is None)
             assert (depth >= 2) == (cell(table, post_id, "br_neg") is not None)
             # the predecessor is never earlier than the root
@@ -202,7 +202,7 @@ def test_adding_sibling_at_mean_keeps_mean():
         mk_post("s3", parent_id="A", timestamp=3),
         mk_post("s4", parent_id="A", timestamp=4),
     ])
-    tree = corpus.discussions["d1"]
+    tree = oracle_trees(corpus)["d1"]
     by_id = corpus.posts
     means = flat_means(corpus, {"s1": -1.0, "s2": 4.0, "s3": 0.0, "s4": 0.0})
     before = older_sibling_mean(by_id["s3"], DIM, tree, by_id, means)

@@ -44,7 +44,7 @@ def test_same_seed_same_bytes():
 def test_generated_corpus_validates():
     result = generate_corpus(small_config())
     for did, tree in result.corpus.discussions.items():
-        assert sum(map(len, tree.children.values())) == len(tree.depth) - 1
+        assert list(tree.depth) == list(tree.order)
         for pid, depth in tree.depth.items():
             post = result.corpus.posts[pid]
             if depth == 0:
@@ -144,7 +144,7 @@ def test_recovery_builds_no_post_objects(monkeypatch):
         raise AssertionError("recovery_experiment built Python objects")
 
     monkeypatch.setattr(synth, "Post", no_objects)
-    monkeypatch.setattr(synth, "build_tree", no_objects)
+    monkeypatch.setattr(synth, "DiscussionTree", no_objects)
     for name in ("corpus", "means", "replication_scores"):
         monkeypatch.setattr(synth.SynthResult, name, property(no_objects))
     report = recovery_experiment(small_config(), n_runs=2)

@@ -70,8 +70,8 @@ def assert_trees_match_build_tree(corpus) -> None:
     assert list(corpus.discussions) == sorted(by_discussion)
     for did, posts in by_discussion.items():
         tree, expected = corpus.discussions[did], build_tree(posts)
-        assert tree == expected  # children, depth, branch roots and order
-        assert list(tree.children) == list(expected.children)
+        assert tree == expected  # depth and order
+        assert list(tree.depth) == list(expected.depth)
 
 
 def assert_matches_oracle(config: SynthConfig) -> None:
