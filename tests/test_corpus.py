@@ -223,12 +223,11 @@ def test_validate_corpus_reports(tmp_path):
 
 
 def test_undecodable_bytes_are_a_malformed_record(tmp_path):
-    good = [post_to_json(mk_post("A")).encode("utf-8"),
-            post_to_json(mk_post("B", parent_id="A", timestamp=1,
-                                 text="café")).encode("utf-8"),
-            post_to_json(mk_post("C", parent_id="A", timestamp=2)).encode("utf-8")]
+    a, b, c = (post_to_json(post).encode("utf-8") for post in (
+        mk_post("A"), mk_post("B", parent_id="A", timestamp=1, text="café"),
+        mk_post("C", parent_id="A", timestamp=2)))
     # CRLF and a lone CR end lines 1 and 2, so the bad bytes are line 3
-    data = good[0] + b"\r\n" + good[1] + b"\r" + b"\xff{\"x\": 1}\n" + good[2] + b"\n"
+    data = a + b"\r\n" + b + b"\r" + b'\xff{"x": 1}\n' + c + b"\n"
     path = tmp_path / "corpus.jsonl"
     path.write_bytes(data)
     diagnostic = "MalformedRecord line=3: invalid UTF-8 byte 0xff at character 1"
