@@ -1,14 +1,17 @@
 """Replicated, schema-constrained annotation of parent-child post pairs.
 
-Each (parent, child) pair is scored N times by a chat-style backend; every
-request is an isolated conversation carrying only the two posts, and each
-response must be a single JSON object with exactly one integer per dimension.
-Scores are written through to an append-only JSONL cache, one line (and in
-memory one dict entry) per 4-tuple (content hash of parent+child+scale,
-model id, dimension, replication). A fully cached pair builds no prompt and
-makes no request; a replication missing a dimension is requested again,
-and its cached dimensions keep their stored scores. A deterministic offline
-mock backend stands in for the live service in tests and pipelines.
+Each distinct (parent, child) pair is scored N times by a chat-style
+backend; every request is an isolated conversation carrying only the two
+posts, and each response must be a single JSON object with exactly one
+integer per dimension. Scores are written through to an append-only JSONL
+cache, one line (and in memory one dict entry) per 4-tuple (content hash of
+parent+child+scale, model id, dimension, replication). The hash names the
+pair everywhere: replies sharing it are annotated once, agreement and the
+manifest key items by it, and every reader looks scores up with the same
+per-key ``get`` calls. A fully cached pair builds no prompt and makes no
+request; a replication missing a dimension is requested again, and its
+cached dimensions keep their stored scores. A deterministic offline mock
+backend stands in for the live service in tests and pipelines.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
 ``http.client``, one keep-alive connection per worker thread. It reads the
@@ -42,7 +45,7 @@ from typing import NamedTuple, Protocol
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, Post, PostArrays
+from .corpus import Corpus, PostArrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
     AmbiguousModel,
@@ -61,6 +64,7 @@ from .workers import run_map
 log = logging.getLogger(__name__)
 
 MOCK_MODEL_ID = "mock"
+_NAMES = tuple(d.name for d in DIMENSIONS)
 
 
 # --- prompt construction -------------------------------------------------------
@@ -290,30 +294,25 @@ class AnnotationCache:
                 self._appender.close()
                 self._appender = None
 
-    def index_by_pair(self, n_replications: int) -> dict[str, dict[str, list[int]]]:
-        """pair_hash -> dimension -> the scores of replications 0..n-1 in
-        order, keeping only (pair, dimension) groups that hold all of them;
-        a group's other replications are ignored, as ``annotate_pair``
-        ignores them.
-
-        Raises AmbiguousModel when the cache holds more than one model id,
-        since replications of different models must never be combined."""
+    def model_pairs(self) -> tuple[str, list[str]]:
+        """The one model id the cache holds ("" when empty) and its sorted
+        pair hashes. Raises AmbiguousModel when it holds more than one
+        model id: replications of different models are never combined."""
         models = sorted({key[1] for key in self._scores})
         if len(models) > 1:
             raise AmbiguousModel(
                 f"annotation cache {self.path} mixes model ids "
                 f"{', '.join(models)}; replications of different "
                 f"models are never combined")
-        grouped: dict[str, dict[str, dict[int, int]]] = {}
-        for (pair_hash, _model, dimension, rep), score in self._scores.items():
-            grouped.setdefault(pair_hash, {}).setdefault(dimension, {})[rep] = score
-        out: dict[str, dict[str, list[int]]] = {}
-        for pair_hash, dims in grouped.items():
-            for dim_name, reps in dims.items():
-                if all(r in reps for r in range(n_replications)):
-                    out.setdefault(pair_hash, {})[dim_name] = [
-                        reps[r] for r in range(n_replications)]
-        return out
+        return (models or [""])[0], sorted({key[0] for key in self._scores})
+
+    def lookup(self, pair_hash: str, model: str,
+               n_replications: int) -> list[int | None]:
+        """One pair's scores, flat and dimension-major (``DIMENSIONS``
+        order), None where missing: one ``get`` per score."""
+        get = self.get
+        return [get((pair_hash, model, name, rep))
+                for name in _NAMES for rep in range(n_replications)]
 
 
 # --- backends --------------------------------------------------------------------
@@ -567,17 +566,15 @@ class MockBackend:
 
 # --- annotation driver -------------------------------------------------------------
 
-_NAMES = tuple(d.name for d in DIMENSIONS)
-
-
-def annotate_pair(parent: Post, child: Post, backend: Backend,
-                  cache: AnnotationCache,
+def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
+                  label: str, backend: Backend, cache: AnnotationCache,
                   scale: AnnotationScale = AnnotationScale(),
                   n_replications: int = 4,
                   max_retries: int = 3,
                   cache_timestamp: int = 0) -> list[int]:
-    """Score one parent-child pair, cache-first: the dimension x
-    replication scores, flat and dimension-major (``DIMENSIONS`` order).
+    """Score the parent-child pair hashed ``pair_hash`` (named ``label`` in
+    errors), cache-first: the dimension x replication scores, flat and
+    dimension-major (``DIMENSIONS`` order).
 
     Each (dimension, replication) score is looked up once. Only a
     replication that misses a dimension builds the prompt and is requested,
@@ -585,16 +582,13 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
     malformed output or transport errors. Its cached dimensions keep their
     stored scores; the rest are cached at once, so a failed run resumes.
     """
-    if not parent.text.strip() or not child.text.strip():
+    if not parent_text.strip() or not child_text.strip():
         raise EmptyText("parent and child texts must be non-empty")
-    pair_hash = pair_content_hash(parent.text, child.text, scale)
     model = backend.model
-    get = cache.get
-    scores = [get((pair_hash, model, name, rep))
-              for name in _NAMES for rep in range(n_replications)]
+    scores = cache.lookup(pair_hash, model, n_replications)
     if None not in scores:
         return scores
-    prompt = build_prompt(parent.text, child.text, scale)
+    prompt = build_prompt(parent_text, child_text, scale)
     for rep in range(n_replications):
         if None not in scores[rep::n_replications]:  # one replication's scores
             continue
@@ -609,7 +603,7 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
                 last_error = exc
         if fresh is None:
             raise AnnotationFailed(
-                f"pair {child.post_id}, replication {rep}: giving up after "
+                f"pair {label}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
         for d, name in enumerate(_NAMES):
             at = d * n_replications + rep
@@ -622,37 +616,46 @@ def annotate_pair(parent: Post, child: Post, backend: Backend,
 
 @dataclass(frozen=True, eq=False)
 class Annotations:
-    """Every reply's scores, aligned with ``Corpus.arrays()``: int64
-    ``scores[k, d, r]`` is replication r of dimension d (``DIMENSIONS``
-    order) of the reply at position ``reply[k]`` of ``posts``."""
+    """A corpus's distinct (parent, child) pairs, aligned with
+    ``Corpus.arrays()``: int64 ``scores[k, d, r]`` is replication r of
+    dimension d (``DIMENSIONS`` order) of the pair hashed ``pair_hashes[k]``,
+    and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``."""
 
     posts: PostArrays
     reply: np.ndarray
+    row: np.ndarray
+    pair_hashes: list[str]
     scores: np.ndarray
 
     def __len__(self) -> int:
         return len(self.reply)
 
-    def reply_ids(self) -> list[str]:
-        return [self.posts.posts[i] for i in self.reply.tolist()]
-
     def means(self) -> np.ndarray:
         """``compute_feature_table``'s means matrix, NaN for the roots; the
         sums are exact, so each mean is ``sum(scores) / len(scores)``."""
         means = np.full((len(self.posts.posts), len(_NAMES)), np.nan)
-        means[self.reply] = self.scores.sum(axis=2) / self.scores.shape[2]
+        means[self.reply] = self.scores.mean(axis=2)[self.row]
         return means
 
 
-def _reply_pairs(corpus: Corpus) -> tuple[PostArrays, np.ndarray,
-                                          list[tuple[Post, Post]]]:
-    """The corpus's arrays, its replies' positions and (parent, reply)s."""
+def _reply_pairs(corpus: Corpus, scale: AnnotationScale) -> tuple[
+        PostArrays, np.ndarray, np.ndarray, list[tuple[str, str, str, str]]]:
+    """The corpus's arrays, its replies' positions, each reply's row among
+    the distinct pairs (grouped by hash, the cache's key), and per pair its
+    hash, parent and child texts and first reply's id."""
     posts = corpus.arrays()
     reply = np.flatnonzero(posts.parent >= 0)
     ids, by_id = posts.posts, corpus.posts
-    return posts, reply, [
-        (by_id[ids[p]], by_id[ids[c]])
-        for c, p in zip(reply.tolist(), posts.parent[reply].tolist())]
+    rows: dict[str, int] = {}
+    row, pairs = [], []
+    for c, p in zip(reply.tolist(), posts.parent[reply].tolist()):
+        parent, child = by_id[ids[p]].text, by_id[ids[c]].text
+        pair_hash = pair_content_hash(parent, child, scale)
+        if pair_hash not in rows:
+            rows[pair_hash] = len(pairs)
+            pairs.append((pair_hash, parent, child, ids[c]))
+        row.append(rows[pair_hash])
+    return posts, reply, np.array(row, np.int64), pairs
 
 
 def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
@@ -660,14 +663,12 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                     n_replications: int = 4, max_retries: int = 3,
                     concurrency: int = 1,
                     cache_timestamp: int = 0) -> Annotations:
-    """Annotate every non-root post against its parent.
+    """Annotate each distinct (parent, child) pair of the corpus's replies
+    once; replies sharing a pair share its scores. Pairs are independent,
+    so ``concurrency`` workers annotate them, each one pair at a time."""
+    posts, reply, row, pairs = _reply_pairs(corpus, scale)
 
-    Pairs are independent, so up to ``concurrency`` (pair x replication-set)
-    requests run in flight at once.
-    """
-    posts, reply, pairs = _reply_pairs(corpus)
-
-    def work(pair: tuple[Post, Post]) -> list[int]:
+    def work(pair: tuple[str, str, str, str]) -> list[int]:
         return annotate_pair(*pair, backend, cache, scale, n_replications,
                              max_retries, cache_timestamp)
 
@@ -678,7 +679,7 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
             rows = list(pool.map(work, pairs))
     scores = np.array(rows, np.int64).reshape(len(rows), len(_NAMES),
                                               n_replications)
-    return Annotations(posts, reply, scores)
+    return Annotations(posts, reply, row, [pair[0] for pair in pairs], scores)
 
 
 def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
@@ -686,26 +687,26 @@ def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
                           n_replications: int = 4,
                           ) -> tuple[PostArrays, np.ndarray]:
     """The corpus's arrays and ``compute_feature_table``'s means matrix from
-    the cache, joined via content hashes: NaN where a reply lacks a complete
-    replication set on a dimension. One model id only (AmbiguousModel)."""
-    by_pair = cache.index_by_pair(n_replications)
-    posts, reply, pairs = _reply_pairs(corpus)
+    the cache, read as ``annotate_pair`` reads it: NaN where a reply lacks a
+    complete replication set on a dimension. One model id only
+    (AmbiguousModel)."""
+    model, _ = cache.model_pairs()
+    posts, reply, row, pairs = _reply_pairs(corpus, scale)
+    scores = np.array([cache.lookup(pair[0], model, n_replications)
+                       for pair in pairs], float)  # None reads as NaN
     means = np.full((len(posts.posts), len(_NAMES)), np.nan)
-    for i, (parent, child) in zip(reply.tolist(), pairs):
-        dims = by_pair.get(pair_content_hash(parent.text, child.text, scale), {})
-        means[i] = [sum(dims[name]) / n_replications if name in dims
-                    else np.nan for name in _NAMES]
+    means[reply] = scores.reshape(len(pairs), len(_NAMES), -1).mean(axis=2)[row]
     return posts, means
 
 
 def cached_pair_scores(cache: AnnotationCache, n_replications: int,
                        ) -> tuple[list[str], np.ndarray]:
-    """The hashes of the pairs the cache holds every dimension's
+    """The sorted hashes of the pairs the cache holds every dimension's
     replications 0..n-1 of, and their int64 pair x dimension x replication
-    scores. One model id only (AmbiguousModel)."""
-    by_pair = cache.index_by_pair(n_replications)
-    items = [pair_hash for pair_hash, dims in by_pair.items()
-             if all(name in dims for name in _NAMES)]
-    scores = np.array([[by_pair[pair_hash][name] for name in _NAMES]
-                       for pair_hash in items], np.int64)
+    scores, read as ``annotate_pair`` reads them. One model id only
+    (AmbiguousModel)."""
+    model, pair_hashes = cache.model_pairs()
+    rows = {h: cache.lookup(h, model, n_replications) for h in pair_hashes}
+    items = [h for h, row in rows.items() if None not in row]
+    scores = np.array([rows[h] for h in items], np.int64)
     return items, scores.reshape(len(items), len(_NAMES), n_replications)

@@ -384,10 +384,7 @@ class FitResult:
     residuals: np.ndarray
     vcov: np.ndarray
     cluster_ids: tuple[str, ...]
-
-    @property
-    def n_clusters(self) -> int:
-        return len(set(self.cluster_ids))
+    n_clusters: int
 
 
 def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
@@ -412,7 +409,8 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
     vcov = cluster_robust_vcov(x, residuals, clusters,
                                small_sample=cr_correction)
     return FitResult(spec=spec, dimension=dimension, x=x, y=y, beta=beta,
-                     residuals=residuals, vcov=vcov, cluster_ids=clusters)
+                     residuals=residuals, vcov=vcov, cluster_ids=clusters,
+                     n_clusters=len(set(clusters)))
 
 
 def table_from_fit(fit: FitResult, pvalue_dist: str = "t") -> RegressionTable:

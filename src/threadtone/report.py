@@ -200,8 +200,8 @@ class PipelineOptions:
 
 def annotate_stage(corpus: Corpus, cache_path: str | Path,
                    options: PipelineOptions) -> tuple[Annotations, int]:
-    """Annotate every reply, cache-first. Returns the replies' scores and
-    the number of backend calls; raises AnnotationError, also when no
+    """Annotate every reply's pair, cache-first. Returns the pairs' scores
+    and the number of backend calls; raises AnnotationError, also when no
     backend is configured."""
     if options.mock:
         backend = MockBackend(seed=options.seed, scale=options.scale,
@@ -233,8 +233,8 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
 def write_agreement(items: Sequence[str], scores: np.ndarray,
                     options: PipelineOptions,
                     path: Path) -> list[DimensionAgreement]:
-    """Replication reliability from item x dimension x replication scores;
-    the caller picks the item key (post id or pair hash)."""
+    """Replication reliability from pair x dimension x replication scores,
+    the items keyed by pair hash."""
     report = agreement_report(items, scores, scale=options.scale,
                               unanimity=options.unanimity)
     write_agreement_csv(report, path)
@@ -354,17 +354,18 @@ def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
     """validate -> annotate (cache-first) -> features -> agreement ->
     regress -> render. Returns the exit code of the first failing stage;
     outputs of earlier stages are preserved."""
+    # stage 1: validate (every violation), before any output is written
+    corpus, diagnostics = validate_corpus(corpus_path, lenient=True)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     with PipelineLock(output_dir):
-        return _run_stages(Path(corpus_path), Path(cache_path), output_dir,
-                           options)
+        return _run_stages(corpus, diagnostics, Path(corpus_path),
+                           Path(cache_path), output_dir, options)
 
 
-def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
+def _run_stages(corpus: Corpus, diagnostics: list[str], corpus_path: Path,
+                cache_path: Path, output_dir: Path,
                 options: PipelineOptions) -> int:
-    # stage 1: validate (collecting mode, so every violation is reported)
-    corpus, diagnostics = validate_corpus(corpus_path, lenient=True)
     failed = bool(diagnostics) and not options.lenient
     validation = {
         "ok": not failed,
@@ -392,9 +393,8 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, output_dir / "features.csv")
 
-    # stage 4: agreement (items keyed by post id) + correlations
-    post_ids = annotations.reply_ids()
-    write_agreement(post_ids, annotations.scores, options,
+    # stage 4: agreement + correlations
+    write_agreement(annotations.pair_hashes, annotations.scores, options,
                     output_dir / "agreement.csv")
     write_correlations(features, output_dir)
 
@@ -412,8 +412,8 @@ def _run_stages(corpus_path: Path, cache_path: Path, output_dir: Path,
         "tool": "threadtone",
         "version": __version__,
         "corpus_sha256": file_sha256(corpus_path),
-        "annotations_sha256": annotation_content_hash(post_ids,
-                                                      annotations.scores),
+        "annotations_sha256": annotation_content_hash(
+            annotations.pair_hashes, annotations.scores),
         "options": options.to_manifest(),
         "n_annotated_posts": len(annotations),
         "n_feature_rows": len(features),

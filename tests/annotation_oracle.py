@@ -1,13 +1,17 @@
 """The annotate stage's per-post dict path, the oracle for the score array.
 
-Before ``annotate_corpus`` returned one reply x dimension x replication
+Before ``annotate_corpus`` returned one pair x dimension x replication
 array, the pipeline carried the scores as dicts: ``annotate_corpus`` gave
-post id -> dimension -> replication-ordered tuple, a means dict of that fed
-``compute_feature_table``, agreement took items keyed by post id and built
-each ratings matrix from the rows of a dict, the correlations re-keyed the
-feature rows' means by post id, and the manifest's ``annotations_sha256``
-hashed one line per post and dimension. This module keeps that path, with
-the statistics themselves taken from ``threadtone.agreement``.
+post id -> dimension -> replication-ordered tuple, annotating every reply
+on its own, a means dict of that fed ``compute_feature_table``, agreement
+built each ratings matrix from the rows of a dict, the correlations re-keyed
+the feature rows' means by post id, and the manifest's
+``annotations_sha256`` hashed one line per item and dimension. This module
+keeps that path, with the statistics themselves taken from
+``threadtone.agreement``. Agreement and the manifest hash now key their
+items by (parent, child) content hash; ``by_pair`` re-keys the records so.
+Run serially, the path annotates a duplicated pair once and reads it back
+from the cache for every later reply.
 """
 
 from __future__ import annotations
@@ -100,6 +104,17 @@ def annotate_corpus(corpus, backend, cache, scale=AnnotationScale(),
         return dict(map(work, pairs))
     with ThreadPoolExecutor(max_workers=concurrency) as pool:
         return dict(pool.map(work, pairs))
+
+
+def by_pair(corpus, records, scale=AnnotationScale()):
+    """The records re-keyed by each reply's (parent, child) content hash;
+    replies sharing a pair hold the same scores when annotated serially."""
+    out = {}
+    for post_id, dims in records.items():
+        child = corpus.posts[post_id]
+        parent = corpus.posts[child.parent_id]
+        out[pair_content_hash(parent.text, child.text, scale)] = dims
+    return out
 
 
 def means_of(records):

@@ -23,6 +23,7 @@ from threadtone.annotate import (
     annotate_corpus,
     annotate_pair,
     build_prompt,
+    cached_pair_scores,
     load_annotation_means,
     mock_annotate,
     pair_content_hash,
@@ -195,56 +196,53 @@ def by_dimension(scores, n_replications=4):
             for k, d in enumerate(DIMENSIONS)}
 
 
-def pair():
-    parent = mk_post("P", timestamp=0)
-    child = mk_post("C", parent_id="P", timestamp=60)
-    return parent, child
+def pair(parent_text="text of P", child_text="text of C"):
+    """annotate_pair's leading arguments for one pair: its content hash,
+    the parent and child texts and its label."""
+    return (pair_content_hash(parent_text, child_text, SCALE), parent_text,
+            child_text, "C")
 
 
 def test_annotate_pair_means(tmp_path, open_cache):
-    parent, child = pair()
     responses = [make_payload(disagree_vs_agree=v) for v in (-3, -3, -2, -3)]
     backend = ScriptedBackend(responses)
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = by_dimension(annotate_pair(parent, child, backend, cache))
+    records = by_dimension(annotate_pair(*pair(), backend, cache))
     scores = records["disagree_vs_agree"]
     assert scores == (-3, -3, -2, -3)
     assert sum(scores) / len(scores) == pytest.approx(-2.75)
 
 
 def test_retry_contract(tmp_path, open_cache):
-    parent, child = pair()
     backend = ScriptedBackend(["garbage", "{\"also\": \"bad\"}", make_payload(),
                                make_payload(), make_payload(), make_payload()])
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotate_pair(parent, child, backend, cache, max_retries=3,
+    records = annotate_pair(*pair(), backend, cache, max_retries=3,
                             n_replications=4)
     assert len(records) == 4 * len(DIMENSIONS)
     assert None not in records
 
 
 def test_annotation_failed_after_retries(tmp_path, open_cache):
-    parent, child = pair()
     backend = ScriptedBackend(["bad"] * 10)
     cache = open_cache(tmp_path / "cache.jsonl")
-    with pytest.raises(AnnotationFailed):
-        annotate_pair(parent, child, backend, cache, max_retries=2,
+    with pytest.raises(AnnotationFailed, match="pair C, replication 0"):
+        annotate_pair(*pair(), backend, cache, max_retries=2,
                       n_replications=2)
 
 
 def test_partial_results_cached_and_resumed(tmp_path, open_cache):
-    parent, child = pair()
     # replication 0 succeeds, replication 1 exhausts retries
     backend = ScriptedBackend([make_payload()] + ["bad"] * 3)
     cache_path = tmp_path / "cache.jsonl"
     cache = open_cache(cache_path)
     with pytest.raises(AnnotationFailed):
-        annotate_pair(parent, child, backend, cache, max_retries=2,
+        annotate_pair(*pair(), backend, cache, max_retries=2,
                       n_replications=2)
     # a rerun only needs the missing replication
     backend2 = ScriptedBackend([make_payload(disagree_vs_agree=2)])
     cache2 = open_cache(cache_path)
-    records = annotate_pair(parent, child, backend2, cache2, max_retries=0,
+    records = annotate_pair(*pair(), backend2, cache2, max_retries=0,
                             n_replications=2)
     assert backend2.calls == 1
     assert by_dimension(records, 2)["disagree_vs_agree"] == (1, 2)
@@ -291,6 +289,53 @@ def test_concurrent_annotation_matches_serial(tmp_path, open_cache):
     assert np.array_equal(parallel.scores, serial.scores)
 
 
+class FreshScoreBackend:
+    """Returns a different valid response on every call, slowly enough
+    that two workers overlap."""
+
+    model = "fresh"
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, replication_index):
+        with self._lock:
+            self.calls += 1
+            value = self.calls % 11 - 5
+        time.sleep(0.02)
+        return make_payload(disagree_vs_agree=value,
+                            attacking_vs_respectful=-value,
+                            emotional_vs_factual=value // 2)
+
+
+def test_a_duplicated_pair_is_annotated_once_under_concurrency(tmp_path,
+                                                              open_cache):
+    # B and C carry the same text and reply to A: one pair, whose requests
+    # two workers used to send twice, giving the replies different scores
+    corpus = corpus_from_posts([
+        mk_post("A", timestamp=0),
+        mk_post("B", parent_id="A", timestamp=60, text="same"),
+        mk_post("C", parent_id="A", timestamp=120, text="same"),
+    ])
+    cache_path = tmp_path / "cache.jsonl"
+    backend = FreshScoreBackend()
+    cold = annotate_corpus(corpus, backend, open_cache(cache_path),
+                           concurrency=2)
+    assert backend.calls == 4
+    assert len(cold) == 2 and cold.pair_hashes == [
+        pair_content_hash("text of A", "same", SCALE)]
+    means = cold.means()
+    assert np.isnan(means[0]).all()
+    assert means[1].tobytes() == means[2].tobytes()
+
+    rerun = FreshScoreBackend()
+    warm = annotate_corpus(corpus, rerun, open_cache(cache_path),
+                           concurrency=2)
+    assert rerun.calls == 0
+    assert warm.means().tobytes() == means.tobytes()
+
+
 def test_load_annotation_means(tmp_path, open_cache):
     corpus = corpus_from_posts([
         mk_post("A", timestamp=0),
@@ -301,56 +346,95 @@ def test_load_annotation_means(tmp_path, open_cache):
                               open_cache(cache_path))
     posts, means = load_annotation_means(corpus, open_cache(cache_path))
     assert posts.posts == records.posts.posts == ("A", "B")
-    assert records.reply_ids() == ["B"]
+    assert records.pair_hashes == [
+        pair_content_hash("text of A", "text of B", SCALE)]
+    assert records.reply.tolist() == [1] and records.row.tolist() == [0]
     scores = records.scores[0, 0].tolist()  # B's disagree_vs_agree
     assert means[1, 0] == sum(scores) / len(scores)
     assert np.isnan(means[0]).all()  # the root
     assert means.tobytes() == records.means().tobytes()
 
 
-def test_index_by_pair_never_mixes_model_ids(tmp_path, open_cache):
+def put_scores(cache, pair_hash, model, reps, score):
+    """Replications 0..reps-1 of every dimension of one pair."""
+    for d in DIMENSIONS:
+        for rep in range(reps):
+            cache.put(CacheKey(pair_hash, model, d.name, rep), score,
+                      timestamp=0)
+
+
+def pair_scores(cache, n_replications):
+    """cached_pair_scores as pair hash -> dimension-major score lists."""
+    items, scores = cached_pair_scores(cache, n_replications)
+    return dict(zip(items, scores.tolist()))
+
+
+def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
     # modelA has reps 0-3 = -5, modelB reps 0-1 = +5; splicing them used to
     # yield [5, 5, -5, -5] as one "complete" replication set
-    dim = "disagree_vs_agree"
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+    pair_hash = pair_content_hash("text of A", "text of B", SCALE)
     path = tmp_path / "mixed.jsonl"
     cache = open_cache(path)
-    for rep in range(4):
-        cache.put(CacheKey("pair", "modelA", dim, rep), -5, timestamp=0)
-    for rep in range(2):
-        cache.put(CacheKey("pair", "modelB", dim, rep), 5, timestamp=0)
+    put_scores(cache, pair_hash, "modelA", 4, -5)
+    put_scores(cache, pair_hash, "modelB", 2, 5)
     cache.close()
     cache = open_cache(path)
     with pytest.raises(AmbiguousModel, match="modelA, modelB"):
-        cache.index_by_pair(4)
-    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+        cached_pair_scores(cache, 4)
     with pytest.raises(AmbiguousModel):
         load_annotation_means(corpus, cache)
 
     # a single-model cache needs no model id: modelA's set alone is
     # complete, modelB's two replications alone are not
-    for model, reps, score, expected in (
-            ("modelA", 4, -5, {"pair": {dim: [-5] * 4}}),
-            ("modelB", 2, 5, {}),
-            ("modelB", 4, 5, {"pair": {dim: [5] * 4}})):
+    for model, reps, score, complete in (("modelA", 4, -5, True),
+                                         ("modelB", 2, 5, False),
+                                         ("modelB", 4, 5, True)):
         single = open_cache(tmp_path / f"{model}-{reps}.jsonl")
-        for rep in range(reps):
-            single.put(CacheKey("pair", model, dim, rep), score, timestamp=0)
+        put_scores(single, pair_hash, model, reps, score)
         single.close()
-        assert single.index_by_pair(4) == expected
-    assert open_cache(tmp_path / "empty.jsonl").index_by_pair(4) == {}
+        expected = [[score] * 4] * len(DIMENSIONS)
+        assert pair_scores(single, 4) == ({pair_hash: expected} if complete
+                                          else {})
+        _, means = load_annotation_means(corpus, single)
+        assert np.isnan(means[0]).all()
+        if complete:
+            assert means[1].tolist() == [float(score)] * len(DIMENSIONS)
+        else:
+            assert np.isnan(means[1]).all()
+    empty = open_cache(tmp_path / "empty.jsonl")
+    assert pair_scores(empty, 4) == {}
+    assert np.isnan(load_annotation_means(corpus, empty)[1]).all()
 
 
-def test_index_by_pair_ignores_extra_replications(tmp_path, open_cache):
+def test_cached_scores_ignore_extra_replications(tmp_path, open_cache):
     # a group holding replications 0-5 and a stray -1 used to be dropped
     # whole, because its replication set was not exactly range(4)
-    dim = "disagree_vs_agree"
     cache = open_cache(tmp_path / "extra.jsonl")
-    for rep in (-1, *range(6)):
-        cache.put(CacheKey("pair", "m", dim, rep), rep, timestamp=0)
-    cache.put(CacheKey("gap", "m", dim, 1), 0, timestamp=0)  # lacks 0
-    assert cache.index_by_pair(4) == {"pair": {dim: [0, 1, 2, 3]}}
-    assert cache.index_by_pair(6) == {"pair": {dim: [0, 1, 2, 3, 4, 5]}}
-    assert cache.index_by_pair(7) == {}
+    for d in DIMENSIONS:
+        for rep in (-1, *range(6)):
+            cache.put(CacheKey("pair", "m", d.name, rep), rep, timestamp=0)
+        cache.put(CacheKey("gap", "m", d.name, 1), 0, timestamp=0)  # lacks 0
+    names = len(DIMENSIONS)
+    assert pair_scores(cache, 4) == {"pair": [[0, 1, 2, 3]] * names}
+    assert pair_scores(cache, 6) == {"pair": [[0, 1, 2, 3, 4, 5]] * names}
+    assert pair_scores(cache, 7) == {}
+
+
+def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):
+    # at 5 replications only the dimension holding a fifth score has a
+    # mean, and the pair is no agreement item
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+    pair_hash = pair_content_hash("text of A", "text of B", SCALE)
+    cache = open_cache(tmp_path / "cache.jsonl")
+    put_scores(cache, pair_hash, "m", 4, 3)
+    cache.put(CacheKey(pair_hash, "m", DIMENSIONS[0].name, 4), 5, timestamp=0)
+    _, means = load_annotation_means(corpus, cache, n_replications=5)
+    assert means[1, 0] == (3 * 4 + 5) / 5
+    assert np.isnan(means[1, 1:]).all()
+    assert pair_scores(cache, 5) == {}
+    _, means = load_annotation_means(corpus, cache)
+    assert means[1].tolist() == [3.0] * len(DIMENSIONS)
 
 
 def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
@@ -399,31 +483,28 @@ def test_cache_keys_include_scale(tmp_path):
 
 
 def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
-    parent, child = pair()
     cache_path = tmp_path / "cache.jsonl"
     cache = open_cache(cache_path)
-    pair_hash = pair_content_hash(parent.text, child.text, SCALE)
+    pair_hash = pair()[0]
     cache.put(CacheKey(pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
               5, timestamp=0)
     backend = ScriptedBackend([make_payload(disagree_vs_agree=-1)])
-    first = annotate_pair(parent, child, backend, cache, n_replications=1)
+    first = annotate_pair(*pair(), backend, cache, n_replications=1)
     cache.close()
     assert backend.calls == 1
     assert by_dimension(first, 1)["disagree_vs_agree"] == (5,)
     assert by_dimension(first, 1)["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
-    rerun = annotate_pair(parent, child, rerun_backend,
+    rerun = annotate_pair(*pair(), rerun_backend,
                           open_cache(cache_path), n_replications=1)
     assert rerun_backend.calls == 0
     assert rerun == first
 
 
 def test_empty_text_is_rejected_before_the_cache(tmp_path, open_cache):
-    parent = mk_post("P", timestamp=0, text="   ")
-    child = mk_post("C", parent_id="P", timestamp=60)
     backend = ScriptedBackend([make_payload()])
     with pytest.raises(EmptyText):
-        annotate_pair(parent, child, backend,
+        annotate_pair(*pair(parent_text="   "), backend,
                       open_cache(tmp_path / "cache.jsonl"))
     assert backend.calls == 0
 
@@ -655,9 +736,8 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
     StubHandler.fail_times = 2
     backend = HttpBackend(BackendConfig(
         url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
-    parent, child = pair()
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotate_pair(parent, child, backend, cache, max_retries=3,
+    records = annotate_pair(*pair(), backend, cache, max_retries=3,
                             n_replications=1)
     assert by_dimension(records, 1)["disagree_vs_agree"] == (1,)
 
@@ -750,19 +830,18 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
     StubHandler.script = list(script)
     backend = HttpBackend(BackendConfig(
         url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
-    parent, child = pair()
     cache_path = tmp_path / "cache.jsonl"
     cache = AnnotationCache(cache_path)
     try:
         if replications_scored == 2:
-            records = annotate_pair(parent, child, backend, cache,
+            records = annotate_pair(*pair(), backend, cache,
                                     max_retries=max_retries, n_replications=2)
             assert by_dimension(records, 2) == {
                 name: (value, value)
                 for name, value in json.loads(make_payload()).items()}
         else:
             with pytest.raises(AnnotationFailed):
-                annotate_pair(parent, child, backend, cache,
+                annotate_pair(*pair(), backend, cache,
                               max_retries=max_retries, n_replications=2)
     finally:
         cache.close()

@@ -1,14 +1,17 @@
 """Property test: the annotate stage's score array against the dict path.
 
-``annotate_corpus`` returns one reply x dimension x replication array, and
-the pipeline's means, agreement, correlations and manifest hash all read
-it. ``annotation_oracle`` keeps the per-post dict path it replaced. On
-small random corpora (duplicate (parent, child) texts, replies timestamped
-before their parent, post ids that sort apart from tree order), with an
-empty, a partly filled or a full cache, 1 or 4 replications and 1 or 2
-workers, both paths must give the same scores, backend calls, cache
-contents, feature columns, agreement rows, Spearman matrix and content
-hash, bit for bit. A warm rerun then looks every score up once.
+``annotate_corpus`` returns one pair x dimension x replication array over
+the distinct (parent, child) pairs, with each reply's row in it, and the
+pipeline's means, agreement, correlations and manifest hash all read it.
+``annotation_oracle`` keeps the per-post dict path it replaced, run
+serially. On small random corpora (duplicate (parent, child) texts, replies
+timestamped before their parent, post ids that sort apart from tree order),
+with an empty, a partly filled or a full cache, 1 or 4 replications and 1
+or 2 workers, both paths must give every reply the same scores, make the
+same backend calls and leave the same cache contents, and give the same
+feature columns, agreement rows (items keyed by pair hash), Spearman matrix
+and content hash, bit for bit. A warm rerun then looks every distinct
+pair's scores up once.
 """
 
 from __future__ import annotations
@@ -25,8 +28,13 @@ from hypothesis import strategies as st
 import annotation_oracle as oracle
 from conftest import corpus_from_posts, mean_matrix, mk_post
 from threadtone.agreement import agreement_report, correlation_report
-from threadtone.annotate import AnnotationCache, MockBackend, annotate_corpus
-from threadtone.dimensions import DIMENSIONS
+from threadtone.annotate import (
+    AnnotationCache,
+    MockBackend,
+    annotate_corpus,
+    pair_content_hash,
+)
+from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.features import PER_DIMENSION, compute_feature_table
 from threadtone.report import annotation_content_hash
 
@@ -115,17 +123,21 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
                                       concurrency)
         records, oracle_calls, oracle_cached = annotate(
             tmp / "dict.jsonl", corpus, oracle.annotate_corpus,
-            n_replications, concurrency)
+            n_replications, 1)
 
-    post_ids = got.reply_ids()
-    assert sorted(post_ids) == sorted(records)
+    reply_ids = [got.posts.posts[i] for i in got.reply.tolist()]
+    assert sorted(reply_ids) == sorted(records)
+    items = oracle.by_pair(corpus, records)
+    assert got.pair_hashes == list(dict.fromkeys(
+        got.pair_hashes[k] for k in got.row.tolist()))
+    assert sorted(got.pair_hashes) == sorted(items)
     assert got.scores.dtype == np.int64
-    assert got.scores.shape == (len(records), len(DIMENSIONS), n_replications)
-    for post_id, row in zip(post_ids, got.scores.tolist()):
-        assert row == [list(records[post_id][d.name]) for d in DIMENSIONS]
+    assert got.scores.shape == (len(items), len(DIMENSIONS), n_replications)
+    for post_id, k in zip(reply_ids, got.row.tolist()):
+        assert got.scores[k].tolist() == [list(records[post_id][d.name])
+                                          for d in DIMENSIONS]
     assert cached == oracle_cached
-    if concurrency == 1:  # two workers may both request a duplicate pair
-        assert calls == oracle_calls
+    assert calls == oracle_calls
 
     features = compute_feature_table(got.posts, got.means(), strict=False)
     expected = compute_feature_table(
@@ -139,14 +151,13 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
                              getattr(expected, kind)[d.name])
 
     for unanimity in (False, True):
-        assert (repr(agreement_report(post_ids, got.scores,
+        assert (repr(agreement_report(got.pair_hashes, got.scores,
                                       unanimity=unanimity))
-                == repr(oracle.agreement_report(records,
-                                                unanimity=unanimity)))
+                == repr(oracle.agreement_report(items, unanimity=unanimity)))
     assert_same_bits(correlation_report(features.post_id, features.metric),
                      oracle.correlation_report(features))
-    assert (annotation_content_hash(post_ids, got.scores)
-            == oracle.annotation_content_hash(records))
+    assert (annotation_content_hash(got.pair_hashes, got.scores)
+            == oracle.annotation_content_hash(items))
 
 
 @settings(max_examples=50, deadline=None,
@@ -155,7 +166,10 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
        concurrency=st.sampled_from((1, 2)))
 def test_a_warm_rerun_looks_each_score_up_once(corpus, n_replications,
                                                concurrency):
-    pairs = sum(post.parent_id is not None for post in corpus.posts.values())
+    pairs = len({pair_content_hash(corpus.posts[post.parent_id].text,
+                                   post.text, AnnotationScale())
+                 for post in corpus.posts.values()
+                 if post.parent_id is not None})
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
         cold, _, _ = annotate(path, corpus, annotate_corpus, n_replications,

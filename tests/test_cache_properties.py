@@ -9,8 +9,9 @@ ids, duplicate keys with different scores, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
 miss of the layout ``cache_line`` writes (which the loader's matcher must
 leave to ``json.loads``), and both loaders must agree on the scores, the
-malformed-line warnings, the torn-tail flag and the index: of the whole
-cache when it holds one model id, and of each model's records alone. The
+malformed-line warnings, the torn-tail flag and the complete pairs'
+scores ``cached_pair_scores`` reads: of the whole cache when it holds one
+model id, and of each model's records alone. The
 same files load alike when cut into chunks of a few bytes, in this process
 or in worker processes. The cache line writer is checked against
 ``json.dumps`` of the record, and each line it writes loads back to its
@@ -31,7 +32,13 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from threadtone import annotate
-from threadtone.annotate import AnnotationCache, CacheKey, cache_line
+from threadtone.annotate import (
+    AnnotationCache,
+    CacheKey,
+    cache_line,
+    cached_pair_scores,
+)
+from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import AmbiguousModel
 
 
@@ -63,6 +70,7 @@ class OracleCache:
         self.torn_tail = not line.endswith("\n")
 
     def index_by_pair(self, n_replications: int, model: str | None = None):
+        """pair_hash -> dimension -> the scores of replications 0..n-1."""
         if model is None:
             models = sorted({key.model for key in self.scores})
             if len(models) > 1:
@@ -83,6 +91,22 @@ class OracleCache:
         return out
 
 
+def oracle_pair_scores(index: dict) -> dict:
+    """The oracle index's pairs that hold every dimension, as pair hash ->
+    dimension-major score lists."""
+    names = [d.name for d in DIMENSIONS]
+    return {pair_hash: [dims[name] for name in names]
+            for pair_hash, dims in index.items()
+            if all(name in dims for name in names)}
+
+
+def pair_scores(cache: AnnotationCache, n_replications: int) -> dict:
+    """cached_pair_scores as pair hash -> dimension-major score lists."""
+    items, scores = cached_pair_scores(cache, n_replications)
+    assert items == sorted(items)
+    return dict(zip(items, scores.tolist()))
+
+
 FIELDS = ("pair_hash", "model", "dimension", "replication", "score")
 MODELS = ("model-a", "model-b")
 
@@ -90,7 +114,7 @@ _records = st.fixed_dictionaries({
     "pair_hash": st.one_of(st.sampled_from(["p0", "p1", "p2"]),
                            st.just(["p0"])),  # unhashable: malformed
     "model": st.sampled_from(MODELS),
-    "dimension": st.sampled_from(["disagree_vs_agree", "emotional_vs_factual"]),
+    "dimension": st.sampled_from([d.name for d in DIMENSIONS]),
     "replication": st.one_of(
         st.integers(0, 3), st.integers(0, 3), st.integers(-1, 5),
         st.sampled_from([1.0, 1.5, "2", "x", None, True, [0], {}])),
@@ -143,9 +167,24 @@ _lines = st.lists(
     max_size=40)
 
 
+# every dimension's replications 0..n-1 of one pair and model, the lines a
+# run writes for a pair, so that some caches hold complete pairs
+_complete_pairs = st.tuples(
+    st.sampled_from(["p0", "p1", "p2"]), st.sampled_from(MODELS),
+    st.integers(1, 4), st.integers(0, 10)).map(
+    lambda group: [(cache_line(group[0], group[1], d.name, rep,
+                               (group[3] + 3 * rep + d_index) % 11 - 5,
+                               0)[:-1], "\n")
+                   for d_index, d in enumerate(DIMENSIONS)
+                   for rep in range(group[2])])
+
+
 @st.composite
 def cache_text(draw) -> str:
     lines = draw(_lines)
+    for group in draw(st.lists(_complete_pairs, max_size=2)):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = group
     text = "".join(line + end for line, end in lines)
     if lines and draw(st.booleans()):  # torn final line: cut it short
         last, end = lines[-1]
@@ -199,7 +238,7 @@ def test_loader_matches_the_dataclass_oracle(text):
         oracle = OracleCache(path)
         cache = assert_loads_as_the_oracle(path, oracle)
         # each model's records alone, written and reloaded as a one-model
-        # cache, index as the oracle indexes that model's records
+        # cache, hold the complete pairs the oracle indexes for that model
         single = {}
         for model in MODELS:
             single[model] = AnnotationCache(Path(tmp) / f"{model}.jsonl")
@@ -210,14 +249,15 @@ def test_loader_matches_the_dataclass_oracle(text):
             single[model] = AnnotationCache(single[model].path)
         for n_replications in (1, 2, 4):
             for model in MODELS:
-                assert single[model].index_by_pair(n_replications) == \
-                    oracle.index_by_pair(n_replications, model)
+                assert pair_scores(single[model], n_replications) == \
+                    oracle_pair_scores(
+                        oracle.index_by_pair(n_replications, model))
             if len({k.model for k in oracle.scores}) > 1:
                 with pytest.raises(AmbiguousModel):
-                    cache.index_by_pair(n_replications)
+                    cached_pair_scores(cache, n_replications)
             else:
-                assert cache.index_by_pair(n_replications) == \
-                    oracle.index_by_pair(n_replications)
+                assert pair_scores(cache, n_replications) == \
+                    oracle_pair_scores(oracle.index_by_pair(n_replications))
 
 
 def set_cpus(monkeypatch: pytest.MonkeyPatch, n: int) -> None:

@@ -140,8 +140,8 @@ def test_synth_recover_needs_a_run(synth_setup, runs):
     assert not out.exists()
 
 
-def test_annotate_features_agreement_regress_report(synth_setup):
-    tmp_path, _, corpus_path, _ = synth_setup
+def test_annotate_features_agreement_regress_report(tmp_path):
+    corpus_path = BUNDLED_CORPUS
     cache_path = tmp_path / "mock_cache.jsonl"
     proc = run_cli("annotate", "--corpus", str(corpus_path),
                    "--cache", str(cache_path), "--mock", "--seed", "7")
@@ -178,7 +178,16 @@ def test_annotate_features_agreement_regress_report(synth_setup):
     assert proc.returncode == 0, proc.stderr
     assert len(list((report_dir / "tables").glob("*.txt"))) == 16
     assert len(list((report_dir / "figures").glob("*.svg"))) == 12
-    assert (report_dir / "agreement.csv").exists()
+
+    # the pipeline keys agreement items by pair hash, as both commands do
+    bundle = tmp_path / "bundle"
+    proc = run_cli("pipeline", "--corpus", str(corpus_path),
+                   "--cache", str(cache_path), "--output-dir", str(bundle),
+                   "--mock", "--seed", "7")
+    assert proc.returncode == 0, proc.stderr
+    agreement = (bundle / "agreement.csv").read_bytes()
+    assert agreement == agreement_path.read_bytes()
+    assert agreement == (report_dir / "agreement.csv").read_bytes()
 
 
 def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
@@ -545,6 +554,8 @@ def test_an_unreadable_corpus_exits_with_one_line(tmp_path, monkeypatch,
         out, err = capsys.readouterr()
         assert err == f"cannot read corpus {corpus}: {reason}\n"
         assert out == ""
+        if command[0] == "pipeline":  # validated before any output exists
+            assert not (tmp_path / "out").exists()
 
 
 def test_undecodable_corpus_bytes_are_a_validation_error(tmp_path, capsys):
