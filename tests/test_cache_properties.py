@@ -8,14 +8,14 @@ records with missing fields, non-integer replications and scores, two model
 ids, duplicate keys with different scores, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
 miss of the layout ``cache_line`` writes (which the loader's matcher must
-leave to ``json.loads``), and both loaders must agree on the scores, the
-malformed-line warnings, the torn-tail flag and the complete pairs'
-scores ``cached_pair_scores`` reads: of the whole cache when it holds one
-model id, and of each model's records alone. The
-same files load alike when cut into chunks of a few bytes, in this process
-or in worker processes. The cache line writer is checked against
-``json.dumps`` of the record, and each line it writes loads back to its
-own key and score.
+leave to ``json.loads``), and whole groups of the lines a run writes for
+one pair, and both loaders must agree on the scores, the malformed-line
+warnings, the torn-tail flag and the complete pairs' scores that
+``cached_pair_scores`` reads: of the whole cache when it holds one model
+id, and of each model's records alone. The same files load alike when
+cut into chunks of a few bytes, in this process or in worker processes.
+The cache line writer is checked against ``json.dumps`` of the record, and
+each line it writes loads back to its own key and score.
 """
 
 from __future__ import annotations
