@@ -1,6 +1,6 @@
 """Intra-annotator reliability across replications, plus rank correlations.
 
-All statistics operate on a complete R x N integer matrix (R replications,
+All statistics operate on a complete R x N integer array (R replications,
 N items) for one dimension, a slice of the items x dimensions x
 replications score array. Items with any missing replication are excluded
 upstream so every metric is computed on a common item set.
@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import csv
 import logging
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -33,38 +33,14 @@ log = logging.getLogger(__name__)
 _NAMES = tuple(d.name for d in DIMENSIONS)
 
 
-@dataclass(frozen=True)
-class RatingsMatrix:
-    """Scores for one dimension: values[r, i] is replication r of item i."""
+def krippendorff_alpha_interval(ratings: np.ndarray) -> float:
+    """alpha = 1 - D_o/D_e with squared-difference distance, over
+    ``ratings[r, i]``, replication r of item i.
 
-    values: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.values.ndim != 2:
-            raise ValueError("values must be a 2-D (raters x items) array")
-
-    @property
-    def n_raters(self) -> int:
-        return int(self.values.shape[0])
-
-    @property
-    def n_items(self) -> int:
-        return int(self.values.shape[1])
-
-
-@dataclass(frozen=True)
-class ScalarResult:
-    value: float
-    degenerate: bool = False
-
-
-def krippendorff_alpha_interval(matrix: RatingsMatrix) -> ScalarResult:
-    """alpha = 1 - D_o/D_e with squared-difference distance.
-
-    When every value in the matrix is identical the expected disagreement is
-    zero; that degenerate case is reported as alpha = 1 with a flag.
+    When every value is identical the expected disagreement is zero; that
+    degenerate case is reported as alpha = 1.
     """
-    values = matrix.values.astype(float)
+    values = ratings.astype(float)
     n_raters, n_items = values.shape
     if n_raters < 2 or n_items < 2:
         raise ValueError("need at least 2 raters and 2 items")
@@ -80,31 +56,30 @@ def krippendorff_alpha_interval(matrix: RatingsMatrix) -> ScalarResult:
     total_sq = (values ** 2).sum()
     d_exp = (2.0 * n * total_sq - 2.0 * total ** 2) / (n * (n - 1))
     if d_exp == 0.0:
-        return ScalarResult(1.0, degenerate=True)
-    return ScalarResult(float(1.0 - d_obs / d_exp))
+        return 1.0
+    return float(1.0 - d_obs / d_exp)
 
 
-def fleiss_kappa(matrix: RatingsMatrix,
-                 scale: AnnotationScale = AnnotationScale()) -> ScalarResult:
-    """Fleiss' kappa over the category-count table, categories being the
-    scale's integer points. A single category used everywhere gives expected
-    agreement 1 and is reported as kappa = 1 with a flag."""
-    values = matrix.values
-    n_raters, n_items = values.shape
+def fleiss_kappa(ratings: np.ndarray,
+                 scale: AnnotationScale = AnnotationScale()) -> float:
+    """Fleiss' kappa of raters x items ``ratings`` over the category-count
+    table, categories being the scale's integer points. A single category
+    used everywhere gives expected agreement 1 and is reported as kappa = 1."""
+    n_raters, n_items = ratings.shape
     if n_raters < 2:
         raise ValueError("need at least 2 raters")
     categories = np.arange(scale.min, scale.max + 1)
     counts = np.zeros((n_items, len(categories)), dtype=float)
     for ci, cat in enumerate(categories):
-        counts[:, ci] = (values == cat).sum(axis=0)
+        counts[:, ci] = (ratings == cat).sum(axis=0)
 
     p_item = ((counts ** 2).sum(axis=1) - n_raters) / (n_raters * (n_raters - 1))
     p_bar = p_item.mean()
     p_cat = counts.sum(axis=0) / (n_items * n_raters)
     p_exp = float((p_cat ** 2).sum())
     if p_exp >= 1.0:
-        return ScalarResult(1.0, degenerate=True)
-    return ScalarResult(float((p_bar - p_exp) / (1.0 - p_exp)))
+        return 1.0
+    return float((p_bar - p_exp) / (1.0 - p_exp))
 
 
 @dataclass(frozen=True)
@@ -116,17 +91,17 @@ class DispersionStats:
     mean_sd: float
 
 
-def dispersion_stats(matrix: RatingsMatrix,
+def dispersion_stats(ratings: np.ndarray,
                      unanimity: bool = False) -> DispersionStats:
-    """Item-mean dispersion of replication scores.
+    """Item-mean dispersion of raters x items replication scores.
 
     Per item, over all rater pairs: mean absolute difference (MAPD), the
     fraction of pairs in exact agreement, the fraction within +-1, plus the
     range and the sample (R-1) standard deviation. With ``unanimity=True``
     the agreement proportions instead ask whether *all* raters coincide
     (resp. span at most 1)."""
-    values = matrix.values.astype(float)
-    n_raters = matrix.n_raters
+    values = ratings.astype(float)
+    n_raters, _ = values.shape
     if n_raters < 2:
         raise ValueError("need at least 2 raters")
     iu, ju = np.triu_indices(n_raters, k=1)
@@ -216,7 +191,6 @@ class DimensionAgreement:
     pct_within_1: float
     mean_range: float
     mean_sd: float
-    degenerate: bool
 
 
 def agreement_report(items: Sequence[str], scores: np.ndarray,
@@ -233,41 +207,30 @@ def agreement_report(items: Sequence[str], scores: np.ndarray,
         # the C-contiguous items x replications block, as rows of scores
         # build it, so every reduction adds in the same order
         values = np.ascontiguousarray(scores[order, d, :], dtype=np.int64)
-        matrix = RatingsMatrix(values.T if order else values.reshape(0, 0))
-        if matrix.n_raters < 2 or matrix.n_items < 2:
+        values = values.T if order else values.reshape(0, 0)
+        n_raters, n_items = values.shape
+        if n_raters < 2 or n_items < 2:
             undefined.append(name)
-            stats, degenerate = [float("nan")] * 7, True
+            stats = [float("nan")] * 7
         else:
-            alpha = krippendorff_alpha_interval(matrix)
-            kappa = fleiss_kappa(matrix, scale)
-            disp = dispersion_stats(matrix, unanimity=unanimity)
-            stats = [alpha.value, kappa.value, *astuple(disp)]
-            degenerate = alpha.degenerate or kappa.degenerate
-        report.append(DimensionAgreement(name, matrix.n_items, matrix.n_raters,
-                                         *stats, degenerate))
+            stats = [krippendorff_alpha_interval(values),
+                     fleiss_kappa(values, scale),
+                     *astuple(dispersion_stats(values, unanimity=unanimity))]
+        report.append(DimensionAgreement(name, n_items, n_raters, *stats))
     if undefined:
         log.warning("agreement undefined for %s (needs 2 items and 2 "
                     "replications); written as nan", ", ".join(undefined))
     return report
 
 
-AGREEMENT_CSV_HEADER = [
-    "dimension", "n_items", "n_raters", "krippendorff_alpha", "fleiss_kappa",
-    "mapd_mean", "exact_agreement", "pct_within_1", "mean_range", "mean_sd",
-]
+AGREEMENT_CSV_HEADER = [field.name for field in fields(DimensionAgreement)]
 
 
 def write_agreement_csv(report: list[DimensionAgreement], path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(AGREEMENT_CSV_HEADER)
-        for row in report:
-            writer.writerow([
-                row.dimension, row.n_items, row.n_raters,
-                repr(row.krippendorff_alpha), repr(row.fleiss_kappa),
-                repr(row.mapd_mean), repr(row.exact_agreement),
-                repr(row.pct_within_1), repr(row.mean_range), repr(row.mean_sd),
-            ])
+        writer.writerows(astuple(row) for row in report)
 
 
 def write_correlation_csv(matrix: np.ndarray, path: str | Path) -> None:

@@ -7,11 +7,12 @@ integer per dimension. Scores are written through to an append-only JSONL
 cache, one line (and in memory one dict entry) per 4-tuple (content hash of
 parent+child+scale, model id, dimension, replication). The hash names the
 pair everywhere: replies sharing it are annotated once, agreement and the
-manifest key items by it, and every reader looks scores up with the same
-per-key ``get`` calls. A fully cached pair builds no prompt and makes no
-request; a replication missing a dimension is requested again, and its
-cached dimensions keep their stored scores. A deterministic offline mock
-backend stands in for the live service in tests and pipelines.
+manifest key items by it, and every reader takes its pairs' scores in one
+bulk read, ``AnnotationCache.scores`` (NaN where missing). Only the pairs
+missing a score go on to the backend: a fully cached pair builds no prompt
+and makes no request, and a replication missing a dimension is requested
+again, with its cached dimensions keeping their stored scores. A
+deterministic offline mock backend stands in for the live service.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
 ``http.client``, one keep-alive connection per worker thread. It reads the
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import partial
 from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
-from typing import NamedTuple, Protocol
+from typing import Protocol, Sequence
 
 import numpy as np
 
@@ -49,6 +50,7 @@ from .corpus import Corpus, PostArrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
     AmbiguousModel,
+    AnnotationError,
     AnnotationFailed,
     AnnotationParseError,
     BackendError,
@@ -148,7 +150,12 @@ def parse_annotation_json(text: str,
 
 def pair_content_hash(parent_text: str, child_text: str,
                       scale: AnnotationScale) -> str:
-    text = f"pair\x00{parent_text}\x00{child_text}\x00{scale.min}:{scale.max}"
+    """sha256 of the NUL-joined texts and scale; texts holding NUL, which
+    would make that ambiguous, are length-prefixed under their own tag."""
+    tag, texts = "pair", (parent_text, child_text)
+    if "\x00" in parent_text or "\x00" in child_text:
+        tag, texts = "pair-lp", [f"{len(t)}:{t}" for t in texts]
+    text = f"{tag}\x00{texts[0]}\x00{texts[1]}\x00{scale.min}:{scale.max}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -160,13 +167,6 @@ def cache_line(pair_hash: str, model: str, dimension: str, replication: int,
             f'{_json_quote(model)}, "dimension": {_json_quote(dimension)}, '
             f'"replication": {replication}, "score": {score}, '
             f'"timestamp": {timestamp}}}\n')
-
-
-class CacheKey(NamedTuple):  # equal to the plain tuple of its fields
-    pair_hash: str
-    model: str
-    dimension: str
-    replication: int
 
 
 _CHUNK_BYTES = 8 << 20  # a larger cache is decoded in chunks of about this
@@ -242,7 +242,7 @@ def _decode_chunk(path: Path, start: int,
 class AnnotationCache:
     """Append-only JSONL score cache, safe for concurrent appends from one
     process. Records: {pair_hash, model, dimension, replication, score,
-    timestamp}. ``get`` also takes a CacheKey's plain 4-tuple.
+    timestamp}, keyed by (pair_hash, model, dimension, replication).
 
     A file larger than ``_CHUNK_BYTES`` is decoded in line-aligned chunks
     on the CPUs in the affinity mask (``workers.run_map``) and merged in
@@ -259,22 +259,24 @@ class AnnotationCache:
             return
         ranges = _line_ranges(self.path)
         line_no = 0
-        with run_map(len(ranges)) as mapped:
-            for part, malformed, n_lines, self._torn_tail in mapped(
-                    _decode_chunk, [self.path] * len(ranges), *zip(*ranges)):
-                self._scores.update(part)
-                for offset in malformed:
-                    log.warning("ignoring malformed cache line %d in %s",
-                                line_no + offset + 1, self.path)
-                line_no += n_lines
-
-    def __len__(self) -> int:
-        return len(self._scores)
+        try:
+            with run_map(len(ranges)) as mapped:
+                for part, malformed, n_lines, self._torn_tail in mapped(
+                        _decode_chunk, [self.path] * len(ranges), *zip(*ranges)):
+                    self._scores.update(part)
+                    for offset in malformed:
+                        log.warning("ignoring malformed cache line %d in %s",
+                                    line_no + offset + 1, self.path)
+                    line_no += n_lines
+        except UnicodeDecodeError as exc:  # exc.object: the chunk's bytes
+            line_no += len(re.findall(rb"\r\n?|\n", exc.object[:exc.start])) + 1
+            raise AnnotationError(f"cache line {line_no} in {self.path} is "
+                                  f"not UTF-8 ({exc.reason})") from None
 
     def get(self, key: tuple[str, str, str, int]) -> int | None:
         return self._scores.get(key)
 
-    def put(self, key: CacheKey, score: int, timestamp: int) -> None:
+    def put(self, key: tuple[str, str, str, int], score: int, timestamp: int) -> None:
         with self._lock:
             if key in self._scores:
                 return
@@ -306,13 +308,15 @@ class AnnotationCache:
                 f"models are never combined")
         return (models or [""])[0], sorted({key[0] for key in self._scores})
 
-    def lookup(self, pair_hash: str, model: str,
-               n_replications: int) -> list[int | None]:
-        """One pair's scores, flat and dimension-major (``DIMENSIONS``
-        order), None where missing: one ``get`` per score."""
+    def scores(self, pair_hashes: Sequence[str], model: str,
+               n_replications: int) -> np.ndarray:
+        """The float64 pair x dimension x replication scores of
+        ``pair_hashes``, NaN where missing: one ``get`` per score."""
         get = self.get
-        return [get((pair_hash, model, name, rep))
+        flat = [get((pair_hash, model, name, rep)) for pair_hash in pair_hashes
                 for name in _NAMES for rep in range(n_replications)]
+        return np.array(flat, float).reshape(  # None reads as NaN
+            len(pair_hashes), len(_NAMES), n_replications)
 
 
 # --- backends --------------------------------------------------------------------
@@ -568,29 +572,18 @@ class MockBackend:
 
 def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
                   label: str, backend: Backend, cache: AnnotationCache,
-                  scale: AnnotationScale = AnnotationScale(),
-                  n_replications: int = 4,
-                  max_retries: int = 3,
-                  cache_timestamp: int = 0) -> list[int]:
-    """Score the parent-child pair hashed ``pair_hash`` (named ``label`` in
-    errors), cache-first: the dimension x replication scores, flat and
-    dimension-major (``DIMENSIONS`` order).
-
-    Each (dimension, replication) score is looked up once. Only a
-    replication that misses a dimension builds the prompt and is requested,
-    as an isolated conversation retried up to ``max_retries`` more times on
-    malformed output or transport errors. Its cached dimensions keep their
-    stored scores; the rest are cached at once, so a failed run resumes.
-    """
-    if not parent_text.strip() or not child_text.strip():
-        raise EmptyText("parent and child texts must be non-empty")
+                  scores: np.ndarray, scale: AnnotationScale = AnnotationScale(),
+                  max_retries: int = 3, cache_timestamp: int = 0) -> None:
+    """Fill in, in place, the NaN (missing) cells of ``scores``, the dimension
+    x replication row of ``AnnotationCache.scores`` for the pair hashed
+    ``pair_hash`` (named ``label`` in errors). Only a replication missing a
+    dimension is requested, as an isolated conversation retried up to
+    ``max_retries`` more times on malformed output or transport errors; the
+    scores it fills are cached at once, so a failed run resumes."""
     model = backend.model
-    scores = cache.lookup(pair_hash, model, n_replications)
-    if None not in scores:
-        return scores
     prompt = build_prompt(parent_text, child_text, scale)
-    for rep in range(n_replications):
-        if None not in scores[rep::n_replications]:  # one replication's scores
+    for rep, column in enumerate(scores.T):  # one replication's scores
+        if not np.isnan(column).any():
             continue
         last_error: Exception | None = None
         fresh = None
@@ -606,20 +599,18 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
                 f"pair {label}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
         for d, name in enumerate(_NAMES):
-            at = d * n_replications + rep
-            if scores[at] is None:
-                scores[at] = fresh[name]
-                cache.put(CacheKey(pair_hash, model, name, rep), scores[at],
+            if np.isnan(column[d]):
+                column[d] = fresh[name]
+                cache.put((pair_hash, model, name, rep), fresh[name],
                           cache_timestamp)
-    return scores
 
 
 @dataclass(frozen=True, eq=False)
 class Annotations:
     """A corpus's distinct (parent, child) pairs, aligned with
-    ``Corpus.arrays()``: int64 ``scores[k, d, r]`` is replication r of
-    dimension d (``DIMENSIONS`` order) of the pair hashed ``pair_hashes[k]``,
-    and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``."""
+    ``Corpus.arrays()``: ``scores[k, d, r]`` is replication r of dimension d
+    (``DIMENSIONS`` order) of the pair hashed ``pair_hashes[k]``, NaN if
+    missing, and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``."""
 
     posts: PostArrays
     reply: np.ndarray
@@ -664,22 +655,26 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
                     concurrency: int = 1,
                     cache_timestamp: int = 0) -> Annotations:
     """Annotate each distinct (parent, child) pair of the corpus's replies
-    once; replies sharing a pair share its scores. Pairs are independent,
-    so ``concurrency`` workers annotate them, each one pair at a time."""
+    once (EmptyText, before any request, if a text is empty); replies
+    sharing a pair share its scores. Only pairs missing a cached score reach
+    ``annotate_pair``, on ``concurrency`` workers, one pair at a time."""
     posts, reply, row, pairs = _reply_pairs(corpus, scale)
+    if any(not parent.strip() or not child.strip() for _, parent, child, _ in pairs):
+        raise EmptyText("parent and child texts must be non-empty")
+    pair_hashes = [pair[0] for pair in pairs]
+    scores = cache.scores(pair_hashes, backend.model, n_replications)
 
-    def work(pair: tuple[str, str, str, str]) -> list[int]:
-        return annotate_pair(*pair, backend, cache, scale, n_replications,
-                             max_retries, cache_timestamp)
+    def work(k: int) -> None:
+        annotate_pair(*pairs[k], backend, cache, scores[k], scale,
+                      max_retries, cache_timestamp)
 
+    missing = np.flatnonzero(np.isnan(scores).any(axis=(1, 2))).tolist()
     if concurrency <= 1:
-        rows = list(map(work, pairs))
+        list(map(work, missing))
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            rows = list(pool.map(work, pairs))
-    scores = np.array(rows, np.int64).reshape(len(rows), len(_NAMES),
-                                              n_replications)
-    return Annotations(posts, reply, row, [pair[0] for pair in pairs], scores)
+            list(pool.map(work, missing))
+    return Annotations(posts, reply, row, pair_hashes, scores.astype(np.int64))
 
 
 def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
@@ -687,26 +682,22 @@ def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
                           n_replications: int = 4,
                           ) -> tuple[PostArrays, np.ndarray]:
     """The corpus's arrays and ``compute_feature_table``'s means matrix from
-    the cache, read as ``annotate_pair`` reads it: NaN where a reply lacks a
-    complete replication set on a dimension. One model id only
-    (AmbiguousModel)."""
+    the cache: NaN where a reply lacks a complete replication set on a
+    dimension. One model id only (AmbiguousModel)."""
     model, _ = cache.model_pairs()
     posts, reply, row, pairs = _reply_pairs(corpus, scale)
-    scores = np.array([cache.lookup(pair[0], model, n_replications)
-                       for pair in pairs], float)  # None reads as NaN
-    means = np.full((len(posts.posts), len(_NAMES)), np.nan)
-    means[reply] = scores.reshape(len(pairs), len(_NAMES), -1).mean(axis=2)[row]
-    return posts, means
+    pair_hashes = [pair[0] for pair in pairs]
+    scores = cache.scores(pair_hashes, model, n_replications)
+    return posts, Annotations(posts, reply, row, pair_hashes, scores).means()
 
 
 def cached_pair_scores(cache: AnnotationCache, n_replications: int,
                        ) -> tuple[list[str], np.ndarray]:
     """The sorted hashes of the pairs the cache holds every dimension's
     replications 0..n-1 of, and their int64 pair x dimension x replication
-    scores, read as ``annotate_pair`` reads them. One model id only
-    (AmbiguousModel)."""
+    scores. One model id only (AmbiguousModel)."""
     model, pair_hashes = cache.model_pairs()
-    rows = {h: cache.lookup(h, model, n_replications) for h in pair_hashes}
-    items = [h for h, row in rows.items() if None not in row]
-    scores = np.array([rows[h] for h in items], np.int64)
-    return items, scores.reshape(len(items), len(_NAMES), n_replications)
+    scores = cache.scores(pair_hashes, model, n_replications)
+    complete = ~np.isnan(scores).any(axis=(1, 2))
+    items = [h for h, whole in zip(pair_hashes, complete.tolist()) if whole]
+    return items, scores[complete].astype(np.int64)

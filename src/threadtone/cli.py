@@ -14,7 +14,7 @@ from . import __version__
 from .annotate import AnnotationCache, cached_pair_scores, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale
-from .errors import AnnotationError, CorpusError, FeatureError
+from .errors import AnnotationError, CorpusError, FeatureError, FeatureFileError
 from .features import compute_feature_table, read_features_csv, write_features_csv
 from .regression import DEFAULT_GRID, MODEL_IDS
 from .report import (
@@ -312,6 +312,9 @@ def main(argv: list[str] | None = None) -> int:
         return _COMMANDS[args.command](args)
     except CorpusError as err:
         print(err.diagnostic(), file=sys.stderr)
+        return EXIT_VALIDATION
+    except FeatureFileError as exc:
+        print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
         corpus = vars(args).get("corpus")

@@ -112,6 +112,10 @@ class MissingAnnotation(FeatureError):
     pass
 
 
+class FeatureFileError(ThreadToneError):
+    """A feature CSV that cannot be read or is not a feature table."""
+
+
 # --- statistics errors -------------------------------------------------------
 
 class StatsError(ThreadToneError):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .corpus import PostArrays, tree_arrays
 from .dimensions import DIMENSIONS
-from .errors import MissingAnnotation
+from .errors import FeatureFileError, MissingAnnotation
 
 log = logging.getLogger(__name__)
 
@@ -219,16 +219,23 @@ def write_features_csv(features: FeatureTable, path: str | Path) -> None:
 
 
 def read_features_csv(path: str | Path) -> FeatureTable:
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        expected = _csv_header()
-        if header != expected:
-            raise ValueError(f"unexpected feature CSV header {header}")
-        records = [record for record in reader if record]
-    columns = {key: [record[j] for record in records]
-               for j, key in enumerate(expected)}
-    columns["depth"] = [int(v) for v in columns["depth"]]
-    for key in expected[3:]:
-        columns[key] = [float(v) if v != "" else NAN for v in columns[key]]
+    """The table ``write_features_csv`` wrote. Raises FeatureFileError,
+    naming the file, when it cannot be read or holds anything else."""
+    expected = _csv_header()
+    try:
+        with open(path, "r", encoding="utf-8", newline="") as fh:
+            reader = csv.reader(fh)
+            if next(reader, None) != expected:
+                raise ValueError("unexpected header")
+            records = [record for record in reader if record]
+        if any(len(record) != len(expected) for record in records):
+            raise ValueError("a row's cells do not match the header")
+        columns = {key: [record[j] for record in records]
+                   for j, key in enumerate(expected)}
+        columns["depth"] = [int(v) for v in columns["depth"]]
+        for key in expected[3:]:
+            columns[key] = [float(v) if v != "" else NAN for v in columns[key]]
+    except (OSError, ValueError, csv.Error) as exc:  # an OSError: its reason
+        raise FeatureFileError(f"cannot read feature table {path}: "
+                               f"{getattr(exc, 'strerror', None) or exc}") from None
     return FeatureTable.from_csv_columns(columns)

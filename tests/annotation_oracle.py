@@ -25,14 +25,12 @@ import numpy as np
 
 from threadtone.agreement import (
     DimensionAgreement,
-    RatingsMatrix,
     dispersion_stats,
     fleiss_kappa,
     krippendorff_alpha_interval,
     spearman_rho,
 )
 from threadtone.annotate import (
-    CacheKey,
     build_prompt,
     pair_content_hash,
     parse_annotation_json,
@@ -80,7 +78,7 @@ def annotate_pair(parent, child, backend, cache, scale=AnnotationScale(),
         for name, reps in scores.items():
             if reps[rep] is None:
                 reps[rep] = fresh[name]
-                cache.put(CacheKey(pair_hash, model, name, rep), reps[rep],
+                cache.put((pair_hash, model, name, rep), reps[rep],
                           cache_timestamp)
     return {name: tuple(reps) for name, reps in scores.items()}
 
@@ -138,17 +136,14 @@ def agreement_report(records, scale=AnnotationScale(), unanimity=False):
                           dtype=int).T
         if not items:
             values = values.reshape(0, 0)
-        matrix = RatingsMatrix(values)
-        if matrix.n_raters < 2 or matrix.n_items < 2:
-            stats, degenerate = [float("nan")] * 7, True
+        n_raters, n_items = values.shape
+        if n_raters < 2 or n_items < 2:
+            stats = [float("nan")] * 7
         else:
-            alpha = krippendorff_alpha_interval(matrix)
-            kappa = fleiss_kappa(matrix, scale)
-            disp = dispersion_stats(matrix, unanimity=unanimity)
-            stats = [alpha.value, kappa.value, *astuple(disp)]
-            degenerate = alpha.degenerate or kappa.degenerate
-        report.append(DimensionAgreement(name, matrix.n_items,
-                                         matrix.n_raters, *stats, degenerate))
+            stats = [krippendorff_alpha_interval(values),
+                     fleiss_kappa(values, scale),
+                     *astuple(dispersion_stats(values, unanimity=unanimity))]
+        report.append(DimensionAgreement(name, n_items, n_raters, *stats))
     return report
 
 

@@ -19,7 +19,6 @@ from threadtone.annotate import (
     parse_annotation_json,
 )
 from threadtone.agreement import (
-    RatingsMatrix,
     dispersion_stats,
     fleiss_kappa,
     krippendorff_alpha_interval,
@@ -128,15 +127,15 @@ def test_agreement_statistic_oracles():
     for _ in range(100):
         n_items = int(rng.integers(2, 30))
         values = rng.integers(-5, 6, size=(4, n_items))
-        matrix = RatingsMatrix(values)
-        alpha = krippendorff_alpha_interval(matrix)
-        kappa = fleiss_kappa(matrix)
-        if not alpha.degenerate:
-            assert abs(alpha.value - alpha_oracle(values)) < 1e-12
-        if not kappa.degenerate:
-            assert abs(kappa.value - kappa_oracle(values, AnnotationScale())) < 1e-12
+        alpha = krippendorff_alpha_interval(values)
+        kappa = fleiss_kappa(values)
+        if (values != values[0, 0]).any():  # not the degenerate constant
+            assert abs(alpha - alpha_oracle(values)) < 1e-12
+            assert abs(kappa - kappa_oracle(values, AnnotationScale())) < 1e-12
+        else:
+            assert alpha == kappa == 1.0
 
-    hand = RatingsMatrix(np.array([[1], [2], [3], [4]]))
+    hand = np.array([[1], [2], [3], [4]])
     stats = dispersion_stats(hand)
     assert abs(stats.mapd_mean - 1.6667) < 1e-4
     assert abs(stats.exact_agreement - 0.0) < 1e-4
@@ -144,11 +143,11 @@ def test_agreement_statistic_oracles():
     assert abs(stats.mean_range - 3.0) < 1e-4
     assert abs(stats.mean_sd - 1.2910) < 1e-4
 
-    identical = RatingsMatrix(np.tile([[2, -1, 0]], (4, 1)))
+    identical = np.tile([[2, -1, 0]], (4, 1))
     alpha = krippendorff_alpha_interval(identical)
     kappa = fleiss_kappa(identical)
     stats = dispersion_stats(identical)
-    assert (alpha.value, kappa.value, stats.exact_agreement) == (1.0, 1.0, 1.0)
+    assert (alpha, kappa, stats.exact_agreement) == (1.0, 1.0, 1.0)
     assert (stats.mapd_mean, stats.mean_range, stats.mean_sd) == (0.0, 0.0, 0.0)
     report("Krippendorff/Fleiss match definitional oracles (< 1e-12); "
            "dispersion hand values and degenerate cases exact")

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from threadtone.agreement import (
     AGREEMENT_CSV_HEADER,
-    RatingsMatrix,
     agreement_report,
     correlation_report,
     dispersion_stats,
@@ -19,7 +18,7 @@ from threadtone.agreement import (
     spearman_rho,
     write_agreement_csv,
 )
-from threadtone.annotate import AnnotationCache, CacheKey, cached_pair_scores
+from threadtone.annotate import AnnotationCache, cached_pair_scores
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
 from threadtone.errors import DegenerateData
 from threadtone.report import PipelineOptions, run_pipeline
@@ -27,11 +26,11 @@ from threadtone.report import PipelineOptions, run_pipeline
 SCALE = AnnotationScale()
 
 
-def matrix(values) -> RatingsMatrix:
-    return RatingsMatrix(np.asarray(values))
+def matrix(values) -> np.ndarray:
+    return np.asarray(values)
 
 
-def random_matrix(rng, n_raters=4, n_items=20, lo=-5, hi=5) -> RatingsMatrix:
+def random_matrix(rng, n_raters=4, n_items=20, lo=-5, hi=5) -> np.ndarray:
     return matrix(rng.integers(lo, hi + 1, size=(n_raters, n_items)))
 
 
@@ -128,38 +127,37 @@ def spearman_oracle(x, y) -> float:
 def test_alpha_perfect_agreement():
     m = matrix([[1, 3, -2, 0], [1, 3, -2, 0], [1, 3, -2, 0]])
     result = krippendorff_alpha_interval(m)
-    assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert not result.degenerate
+    assert result == pytest.approx(1.0, abs=1e-12)
 
 
 def test_alpha_degenerate_constant():
     result = krippendorff_alpha_interval(matrix([[2, 2], [2, 2]]))
-    assert result.value == 1.0
-    assert result.degenerate
+    assert result == 1.0
 
 
 def test_alpha_constant_shift_penalized():
     base = np.array([[1, 2, 3, 4, 0, -3]])
     m = matrix(np.vstack([base, base + 2]))
-    assert krippendorff_alpha_interval(m).value < 1.0
+    assert krippendorff_alpha_interval(m) < 1.0
 
 
 def test_alpha_matches_bruteforce():
     rng = np.random.default_rng(42)
     for _ in range(100):
         m = random_matrix(rng, 4, int(rng.integers(2, 25)))
-        if krippendorff_alpha_interval(m).degenerate:
+        if (m == m[0, 0]).all():  # degenerate: reported as 1.0
+            assert krippendorff_alpha_interval(m) == 1.0
             continue
-        assert krippendorff_alpha_interval(m).value == \
-            pytest.approx(alpha_oracle(m.values), abs=1e-12)
+        assert krippendorff_alpha_interval(m) == \
+            pytest.approx(alpha_oracle(m), abs=1e-12)
 
 
 def test_alpha_shift_invariance():
     rng = np.random.default_rng(1)
     m = random_matrix(rng, 4, 30, lo=-3, hi=3)
-    shifted = matrix(m.values + 2)
-    assert krippendorff_alpha_interval(shifted).value == \
-        pytest.approx(krippendorff_alpha_interval(m).value, abs=1e-12)
+    shifted = matrix(m + 2)
+    assert krippendorff_alpha_interval(shifted) == \
+        pytest.approx(krippendorff_alpha_interval(m), abs=1e-12)
 
 
 # --- fleiss -----------------------------------------------------------------------
@@ -167,20 +165,18 @@ def test_alpha_shift_invariance():
 def test_kappa_unanimity():
     m = matrix([[1, -2, 4], [1, -2, 4], [1, -2, 4], [1, -2, 4]])
     result = fleiss_kappa(m, SCALE)
-    assert result.value == pytest.approx(1.0, abs=1e-12)
-    assert not result.degenerate
+    assert result == pytest.approx(1.0, abs=1e-12)
 
 
 def test_kappa_degenerate_single_category():
     result = fleiss_kappa(matrix([[0, 0], [0, 0]]), SCALE)
-    assert result.value == 1.0
-    assert result.degenerate
+    assert result == 1.0
 
 
 def test_kappa_null_under_uniform_random():
     rng = np.random.default_rng(99)
     m = random_matrix(rng, 4, 50)
-    assert abs(fleiss_kappa(m, SCALE).value) < 0.1
+    assert abs(fleiss_kappa(m, SCALE)) < 0.1
 
 
 def test_kappa_hand_computed_table():
@@ -189,8 +185,8 @@ def test_kappa_hand_computed_table():
                 [-1, 0, 2],
                 [0, 0, 2],
                 [-1, 2, 2]])
-    value = fleiss_kappa(m, SCALE).value
-    assert value == pytest.approx(kappa_oracle(m.values, SCALE), abs=1e-12)
+    value = fleiss_kappa(m, SCALE)
+    assert value == pytest.approx(kappa_oracle(m, SCALE), abs=1e-12)
     # direct closed form: P_i per item, then (P - Pe)/(1 - Pe)
     # item counts: (-1:3, 0:1), (0:3, 2:1), (2:4); category totals -1:3, 0:4, 2:5
     p_items = [(9 + 1 - 4) / 12, (9 + 1 - 4) / 12, (16 - 4) / 12]
@@ -205,10 +201,11 @@ def test_kappa_matches_bruteforce():
     for _ in range(100):
         m = random_matrix(rng, 4, int(rng.integers(2, 30)))
         result = fleiss_kappa(m, SCALE)
-        if result.degenerate:
+        if (m == m[0, 0]).all():  # degenerate: reported as 1.0
+            assert result == 1.0
             continue
-        assert result.value == pytest.approx(
-            kappa_oracle(m.values, SCALE), abs=1e-12)
+        assert result == pytest.approx(
+            kappa_oracle(m, SCALE), abs=1e-12)
 
 
 # --- dispersion --------------------------------------------------------------------
@@ -233,7 +230,7 @@ def test_dispersion_matches_pair_enumeration():
     for _ in range(20):
         m = random_matrix(rng, 4, 100)
         stats = dispersion_stats(m)
-        oracle = dispersion_oracle(m.values)
+        oracle = dispersion_oracle(m)
         for got, want in zip(
                 (stats.mapd_mean, stats.exact_agreement, stats.pct_within_1,
                  stats.mean_range, stats.mean_sd), oracle):
@@ -246,17 +243,17 @@ def test_dispersion_invariances():
     base = dispersion_stats(m)
     assert base.exact_agreement <= base.pct_within_1
     # rater and item permutation invariance
-    perm_raters = matrix(m.values[::-1, :])
-    perm_items = matrix(m.values[:, rng.permutation(m.n_items)])
+    perm_raters = matrix(m[::-1, :])
+    perm_items = matrix(m[:, rng.permutation(m.shape[1])])
     for other in (perm_raters, perm_items):
         stats = dispersion_stats(other)
         assert stats == base
     # constant shift invariance
-    shifted = dispersion_stats(matrix(m.values + 2))
+    shifted = dispersion_stats(matrix(m + 2))
     assert shifted == base
     # kappa invariant under relabeling by a constant shift too
-    assert fleiss_kappa(matrix(m.values + 2), SCALE).value == \
-        pytest.approx(fleiss_kappa(m, SCALE).value, abs=1e-12)
+    assert fleiss_kappa(matrix(m + 2), SCALE) == \
+        pytest.approx(fleiss_kappa(m, SCALE), abs=1e-12)
 
 
 def test_unanimity_variant_is_stricter():
@@ -446,7 +443,7 @@ def test_agreement_report_common_item_set(tmp_path):
         for d in DIMENSIONS:
             if (item, d) != ("c", DIMENSIONS[2]):
                 for rep, score in enumerate(reps):
-                    cache.put(CacheKey(item, "m", d.name, rep), score, 0)
+                    cache.put((item, "m", d.name, rep), score, 0)
     cache.close()
     items, scores = cached_pair_scores(cache, 4)
     assert sorted(items) == ["a", "b"] and scores.shape == (2, 3, 4)

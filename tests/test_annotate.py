@@ -17,7 +17,6 @@ from threadtone import annotate
 from threadtone.annotate import (
     AnnotationCache,
     BackendConfig,
-    CacheKey,
     HttpBackend,
     MockBackend,
     annotate_corpus,
@@ -190,10 +189,17 @@ class ScriptedBackend:
         return item
 
 
-def by_dimension(scores, n_replications=4):
-    """annotate_pair's flat dimension-major scores as name -> tuple."""
-    return {d.name: tuple(scores[k * n_replications:(k + 1) * n_replications])
-            for k, d in enumerate(DIMENSIONS)}
+def by_dimension(scores):
+    """A pair's dimension x replication scores as name -> tuple."""
+    return {d.name: tuple(scores[k].tolist()) for k, d in enumerate(DIMENSIONS)}
+
+
+def annotated(args, backend, cache, n_replications=4, **options):
+    """annotate_pair on the pair's row of ``cache.scores``; returns the row
+    it filled in."""
+    scores = cache.scores([args[0]], backend.model, n_replications)[0]
+    annotate_pair(*args, backend, cache, scores, **options)
+    return scores
 
 
 def pair(parent_text="text of P", child_text="text of C"):
@@ -207,7 +213,7 @@ def test_annotate_pair_means(tmp_path, open_cache):
     responses = [make_payload(disagree_vs_agree=v) for v in (-3, -3, -2, -3)]
     backend = ScriptedBackend(responses)
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = by_dimension(annotate_pair(*pair(), backend, cache))
+    records = by_dimension(annotated(pair(), backend, cache))
     scores = records["disagree_vs_agree"]
     assert scores == (-3, -3, -2, -3)
     assert sum(scores) / len(scores) == pytest.approx(-2.75)
@@ -217,18 +223,18 @@ def test_retry_contract(tmp_path, open_cache):
     backend = ScriptedBackend(["garbage", "{\"also\": \"bad\"}", make_payload(),
                                make_payload(), make_payload(), make_payload()])
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotate_pair(*pair(), backend, cache, max_retries=3,
-                            n_replications=4)
-    assert len(records) == 4 * len(DIMENSIONS)
-    assert None not in records
+    records = annotated(pair(), backend, cache, max_retries=3,
+                        n_replications=4)
+    assert records.shape == (len(DIMENSIONS), 4)
+    assert not np.isnan(records).any()
 
 
 def test_annotation_failed_after_retries(tmp_path, open_cache):
     backend = ScriptedBackend(["bad"] * 10)
     cache = open_cache(tmp_path / "cache.jsonl")
     with pytest.raises(AnnotationFailed, match="pair C, replication 0"):
-        annotate_pair(*pair(), backend, cache, max_retries=2,
-                      n_replications=2)
+        annotated(pair(), backend, cache, max_retries=2,
+                  n_replications=2)
 
 
 def test_partial_results_cached_and_resumed(tmp_path, open_cache):
@@ -237,15 +243,15 @@ def test_partial_results_cached_and_resumed(tmp_path, open_cache):
     cache_path = tmp_path / "cache.jsonl"
     cache = open_cache(cache_path)
     with pytest.raises(AnnotationFailed):
-        annotate_pair(*pair(), backend, cache, max_retries=2,
-                      n_replications=2)
+        annotated(pair(), backend, cache, max_retries=2,
+                  n_replications=2)
     # a rerun only needs the missing replication
     backend2 = ScriptedBackend([make_payload(disagree_vs_agree=2)])
     cache2 = open_cache(cache_path)
-    records = annotate_pair(*pair(), backend2, cache2, max_retries=0,
-                            n_replications=2)
+    records = annotated(pair(), backend2, cache2, max_retries=0,
+                        n_replications=2)
     assert backend2.calls == 1
-    assert by_dimension(records, 2)["disagree_vs_agree"] == (1, 2)
+    assert by_dimension(records)["disagree_vs_agree"] == (1, 2)
 
 
 def test_cache_idempotence_zero_calls(tmp_path, open_cache):
@@ -359,7 +365,7 @@ def put_scores(cache, pair_hash, model, reps, score):
     """Replications 0..reps-1 of every dimension of one pair."""
     for d in DIMENSIONS:
         for rep in range(reps):
-            cache.put(CacheKey(pair_hash, model, d.name, rep), score,
+            cache.put((pair_hash, model, d.name, rep), score,
                       timestamp=0)
 
 
@@ -413,8 +419,8 @@ def test_cached_scores_ignore_extra_replications(tmp_path, open_cache):
     cache = open_cache(tmp_path / "extra.jsonl")
     for d in DIMENSIONS:
         for rep in (-1, *range(6)):
-            cache.put(CacheKey("pair", "m", d.name, rep), rep, timestamp=0)
-        cache.put(CacheKey("gap", "m", d.name, 1), 0, timestamp=0)  # lacks 0
+            cache.put(("pair", "m", d.name, rep), rep, timestamp=0)
+        cache.put(("gap", "m", d.name, 1), 0, timestamp=0)  # lacks 0
     names = len(DIMENSIONS)
     assert pair_scores(cache, 4) == {"pair": [[0, 1, 2, 3]] * names}
     assert pair_scores(cache, 6) == {"pair": [[0, 1, 2, 3, 4, 5]] * names}
@@ -428,7 +434,7 @@ def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):
     pair_hash = pair_content_hash("text of A", "text of B", SCALE)
     cache = open_cache(tmp_path / "cache.jsonl")
     put_scores(cache, pair_hash, "m", 4, 3)
-    cache.put(CacheKey(pair_hash, "m", DIMENSIONS[0].name, 4), 5, timestamp=0)
+    cache.put((pair_hash, "m", DIMENSIONS[0].name, 4), 5, timestamp=0)
     _, means = load_annotation_means(corpus, cache, n_replications=5)
     assert means[1, 0] == (3 * 4 + 5) / 5
     assert np.isnan(means[1, 1:]).all()
@@ -445,27 +451,31 @@ def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
     path = tmp_path / "torn.jsonl"
     path.write_text('{"pair_hash": "p", "model": "m", "dimen', encoding="utf-8")
     cache = open_cache(path)
-    assert len(cache) == 0
-    cache.put(CacheKey("pair", "m", dim, 0), 1, timestamp=0)
-    cache.put(CacheKey("pair", "m", dim, 1), 2, timestamp=0)
+    assert cache._scores == {}
+    cache.put(("pair", "m", dim, 0), 1, timestamp=0)
+    cache.put(("pair", "m", dim, 1), 2, timestamp=0)
     cache.close()
     reloaded = open_cache(path)
-    assert len(reloaded) == 2
-    assert reloaded.get(CacheKey("pair", "m", dim, 0)) == 1
-    assert reloaded.get(CacheKey("pair", "m", dim, 1)) == 2
+    assert len(reloaded._scores) == 2
+    assert reloaded.get(("pair", "m", dim, 0)) == 1
+    assert reloaded.get(("pair", "m", dim, 1)) == 2
     # a cache that ends cleanly gains no blank line
     cache = open_cache(path)
     before = path.read_text(encoding="utf-8")
-    cache.put(CacheKey("pair", "m", dim, 2), 3, timestamp=0)
+    cache.put(("pair", "m", dim, 2), 3, timestamp=0)
     cache.close()
     added = path.read_text(encoding="utf-8")[len(before):]
     assert added.count("\n") == 1 and added.startswith("{")
 
 
+NUL_FREE = st.text(st.characters(codec="utf-8", exclude_characters="\x00"))
+
+
 @settings(max_examples=200, deadline=None)
-@given(st.text(), st.text(), st.integers(-9, -1), st.integers(1, 9))
+@given(NUL_FREE, NUL_FREE, st.integers(-9, -1), st.integers(1, 9))
 def test_pair_hash_matches_the_field_by_field_digest(parent, child, lo, hi):
-    # the digest the cache keys have always used: one update per field
+    # the digest the cache keys have always used for texts without NUL:
+    # one update per field
     h = hashlib.sha256()
     h.update(b"pair\x00")
     h.update(parent.encode("utf-8"))
@@ -474,6 +484,23 @@ def test_pair_hash_matches_the_field_by_field_digest(parent, child, lo, hi):
     h.update(f"\x00{lo}:{hi}".encode("ascii"))
     assert pair_content_hash(parent, child, AnnotationScale(lo, hi)) \
         == h.hexdigest()
+
+
+def test_texts_holding_nul_get_their_own_pair_hash():
+    # joined with NUL, both pairs hashed "pair\0a\0b\0c\0-5:5"
+    assert pair_content_hash("a\x00b", "c", SCALE) \
+        != pair_content_hash("a", "b\x00c", SCALE)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.tuples(*[st.text("a1:\x00", max_size=4)] * 2),
+                min_size=2, max_size=2, unique=True))
+def test_distinct_text_pairs_never_share_a_pair_hash(pairs):
+    # a few characters that mimic the layouts' separators and lengths, with
+    # and without NUL
+    (parent, child), (other_parent, other_child) = pairs
+    assert pair_content_hash(parent, child, SCALE) \
+        != pair_content_hash(other_parent, other_child, SCALE)
 
 
 def test_cache_keys_include_scale(tmp_path):
@@ -486,27 +513,43 @@ def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
     cache_path = tmp_path / "cache.jsonl"
     cache = open_cache(cache_path)
     pair_hash = pair()[0]
-    cache.put(CacheKey(pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
+    cache.put((pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
               5, timestamp=0)
     backend = ScriptedBackend([make_payload(disagree_vs_agree=-1)])
-    first = annotate_pair(*pair(), backend, cache, n_replications=1)
+    first = annotated(pair(), backend, cache, n_replications=1)
     cache.close()
     assert backend.calls == 1
-    assert by_dimension(first, 1)["disagree_vs_agree"] == (5,)
-    assert by_dimension(first, 1)["emotional_vs_factual"] == (-2,)
+    assert by_dimension(first)["disagree_vs_agree"] == (5,)
+    assert by_dimension(first)["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
-    rerun = annotate_pair(*pair(), rerun_backend,
-                          open_cache(cache_path), n_replications=1)
+    rerun = annotated(pair(), rerun_backend,
+                      open_cache(cache_path), n_replications=1)
     assert rerun_backend.calls == 0
-    assert rerun == first
+    assert rerun.tolist() == first.tolist()
 
 
 def test_empty_text_is_rejected_before_the_cache(tmp_path, open_cache):
     backend = ScriptedBackend([make_payload()])
     with pytest.raises(EmptyText):
-        annotate_pair(*pair(parent_text="   "), backend,
-                      open_cache(tmp_path / "cache.jsonl"))
+        annotated(pair(parent_text="   "), backend,
+                  open_cache(tmp_path / "cache.jsonl"))
     assert backend.calls == 0
+
+
+def test_an_empty_text_stops_the_corpus_before_any_request(tmp_path,
+                                                           open_cache):
+    # the second pair's child text is blank: no pair is annotated or cached
+    corpus = corpus_from_posts([
+        mk_post("A", timestamp=0),
+        mk_post("B", parent_id="A", timestamp=60),
+        mk_post("C", parent_id="A", timestamp=120, text=" \n"),
+    ])
+    backend = MockBackend(seed=1)
+    cache_path = tmp_path / "cache.jsonl"
+    with pytest.raises(EmptyText):
+        annotate_corpus(corpus, backend, open_cache(cache_path))
+    assert backend.calls == 0
+    assert not cache_path.exists()
 
 
 # --- backend and cache counters on the bundled corpus -------------------------------
@@ -737,9 +780,9 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
     backend = HttpBackend(BackendConfig(
         url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
     cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotate_pair(*pair(), backend, cache, max_retries=3,
-                            n_replications=1)
-    assert by_dimension(records, 1)["disagree_vs_agree"] == (1,)
+    records = annotated(pair(), backend, cache, max_retries=3,
+                        n_replications=1)
+    assert by_dimension(records)["disagree_vs_agree"] == (1,)
 
 
 def test_netrc_never_replaces_the_bearer_token(stub_server, monkeypatch,
@@ -834,15 +877,15 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
     cache = AnnotationCache(cache_path)
     try:
         if replications_scored == 2:
-            records = annotate_pair(*pair(), backend, cache,
-                                    max_retries=max_retries, n_replications=2)
-            assert by_dimension(records, 2) == {
+            records = annotated(pair(), backend, cache,
+                                max_retries=max_retries, n_replications=2)
+            assert by_dimension(records) == {
                 name: (value, value)
                 for name, value in json.loads(make_payload()).items()}
         else:
             with pytest.raises(AnnotationFailed):
-                annotate_pair(*pair(), backend, cache,
-                              max_retries=max_retries, n_replications=2)
+                annotated(pair(), backend, cache,
+                          max_retries=max_retries, n_replications=2)
     finally:
         cache.close()
         backend.close()

@@ -13,7 +13,9 @@ one pair, and both loaders must agree on the scores, the malformed-line
 warnings, the torn-tail flag and the complete pairs' scores that
 ``cached_pair_scores`` reads: of the whole cache when it holds one model
 id, and of each model's records alone. The same files load alike when
-cut into chunks of a few bytes, in this process or in worker processes.
+cut into chunks of a few bytes, in this process or in worker processes,
+and a byte that is not UTF-8 fails either load with an AnnotationError
+naming its line.
 The cache line writer is checked against ``json.dumps`` of the record, and
 each line it writes loads back to its own key and score.
 """
@@ -23,6 +25,7 @@ from __future__ import annotations
 import json
 import logging
 import os
+import re
 import tempfile
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,12 +37,11 @@ from hypothesis import strategies as st
 from threadtone import annotate
 from threadtone.annotate import (
     AnnotationCache,
-    CacheKey,
     cache_line,
     cached_pair_scores,
 )
 from threadtone.dimensions import DIMENSIONS
-from threadtone.errors import AmbiguousModel
+from threadtone.errors import AmbiguousModel, AnnotationError
 
 
 @dataclass(frozen=True)
@@ -244,7 +246,7 @@ def test_loader_matches_the_dataclass_oracle(text):
             single[model] = AnnotationCache(Path(tmp) / f"{model}.jsonl")
             for key, score in cache._scores.items():
                 if key[1] == model:
-                    single[model].put(CacheKey(*key), score, timestamp=0)
+                    single[model].put(key, score, timestamp=0)
             single[model].close()
             single[model] = AnnotationCache(single[model].path)
         for n_replications in (1, 2, 4):
@@ -310,10 +312,27 @@ def test_pooled_loads_match_the_oracle(tmp_path, monkeypatch):
     assert len(pids) > 2 and str(os.getpid()) not in pids
 
     path.write_bytes(text.encode("utf-8") + b"\xff\n")
-    with pytest.raises(UnicodeDecodeError):
+    message = re.escape(f"cache line 61 in {path} is not UTF-8")
+    with pytest.raises(AnnotationError, match=message):
         AnnotationCache(path)
     set_cpus(monkeypatch, 1)
-    with pytest.raises(UnicodeDecodeError):
+    with pytest.raises(AnnotationError, match=message):
+        AnnotationCache(path)
+
+
+@pytest.mark.parametrize("cpus, chunk_bytes",
+                         ((1, 1), (1, 7), (1, 1 << 20), (2, 64)))
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, monkeypatch, cpus,
+                                                 chunk_bytes):
+    # lines 1-5 end "\n", "\r\n", "\r", "\n" and "\r"; line 6 is empty
+    head = "".join(_RECORD + end for end in ("\n", "\r\n", "\r", "\n", "\r"))
+    path = tmp_path / "cache.jsonl"
+    path.write_bytes((head + "\r\n").encode("utf-8") + b'{"pair_hash": "\xe9"}\n'
+                     + (_RECORD + "\n").encode("utf-8"))
+    set_cpus(monkeypatch, cpus)
+    monkeypatch.setattr(annotate, "_CHUNK_BYTES", chunk_bytes)
+    with pytest.raises(AnnotationError,
+                       match=re.escape(f"cache line 7 in {path} is not UTF-8")):
         AnnotationCache(path)
 
 
@@ -350,7 +369,7 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
     assert cache_line(**record) == expected
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnnotationCache(Path(tmp) / "cache.jsonl")
-        key = CacheKey(pair_hash, model, dimension, replication)
+        key = (pair_hash, model, dimension, replication)
         cache.put(key, score, timestamp)
         cache.close()
         assert cache.path.read_text(encoding="utf-8") == expected

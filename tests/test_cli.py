@@ -216,6 +216,65 @@ def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
     assert not (tmp_path / "r").exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["pipeline", "--corpus", "corpus.jsonl", "--mock", "--cache", "bad.jsonl",
+     "--output-dir", "out"],
+    ["annotate", "--corpus", "corpus.jsonl", "--mock", "--cache", "bad.jsonl"],
+    ["features", "--corpus", "corpus.jsonl", "--annotations", "bad.jsonl",
+     "--out", "f.csv"],
+    ["agreement", "--cache", "bad.jsonl", "--out", "a.csv"],
+    ["report", "--features", "features.csv", "--cache", "bad.jsonl",
+     "--output-dir", "r"],
+])
+def test_a_cache_that_is_not_utf8_exits_with_annotation_code(
+        synth_setup, monkeypatch, capsys, caplog, command):
+    tmp_path, _, _, synth_cache = synth_setup
+    monkeypatch.chdir(tmp_path)
+    assert main(["features", "--corpus", "corpus.jsonl", "--annotations",
+                 str(synth_cache), "--out", "features.csv"]) == 0
+    first = synth_cache.read_bytes().splitlines(keepends=True)[0]
+    (tmp_path / "bad.jsonl").write_bytes(first + b"\xff\n")
+    capsys.readouterr()
+    assert main(command) == 3
+    message = "cache line 2 in bad.jsonl is not UTF-8 (invalid start byte)"
+    err = capsys.readouterr().err
+    if command[0] == "pipeline":
+        assert f"annotation failed: {message}" in caplog.messages
+        assert err == "pipeline failed with exit code 3\n"
+    else:
+        assert err == f"annotation failed: {message}\n"
+    assert not any(Path(name).exists() for name in ("f.csv", "a.csv", "r"))
+
+
+@pytest.mark.parametrize("command", (["regress", "--out", "out"],
+                                     ["report", "--output-dir", "out"]))
+def test_a_bad_feature_table_exits_with_one_line(synth_setup, monkeypatch,
+                                                 capsys, command):
+    tmp_path, _, _, synth_cache = synth_setup
+    monkeypatch.chdir(tmp_path)
+    assert main(["features", "--corpus", "corpus.jsonl", "--annotations",
+                 str(synth_cache), "--out", "good.csv"]) == 0
+    header, first, *rows = Path("good.csv").read_text().splitlines(True)
+    cells = first.split(",")
+    cells[3] = "soon"  # dt_prev
+    tables = {"header.csv": "post_id,discussion_id\n" + first,
+              "short.csv": header + first.rsplit(",", 1)[0] + "\n",
+              "text.csv": header + ",".join(cells) + "".join(rows)}
+    for name, text in tables.items():
+        Path(name).write_text(text)
+    for name, reason in (
+            ("missing.csv", "No such file or directory"),
+            ("header.csv", "unexpected header"),
+            ("short.csv", "a row's cells do not match the header"),
+            ("text.csv", "could not convert string to float: 'soon'")):
+        capsys.readouterr()
+        assert main([command[0], "--features", name, *command[1:]]) == 2
+        out, err = capsys.readouterr()
+        assert err == f"cannot read feature table {name}: {reason}\n"
+        assert out == ""
+        assert not Path("out").exists()
+
+
 def test_strict_features_on_an_incomplete_cache_exits_with_annotation_code(
         synth_setup):
     tmp_path, _, corpus_path, synth_cache = synth_setup
