@@ -30,6 +30,7 @@ import http.client
 import ipaddress
 import json
 import logging
+import math
 import os
 import re
 import ssl
@@ -582,8 +583,8 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
     scores it fills are cached at once, so a failed run resumes."""
     model = backend.model
     prompt = build_prompt(parent_text, child_text, scale)
-    for rep, column in enumerate(scores.T):  # one replication's scores
-        if not np.isnan(column).any():
+    for rep, column in enumerate(scores.T.tolist()):  # one replication's scores
+        if not any(map(math.isnan, column)):
             continue
         last_error: Exception | None = None
         fresh = None
@@ -599,8 +600,8 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
                 f"pair {label}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
         for d, name in enumerate(_NAMES):
-            if np.isnan(column[d]):
-                column[d] = fresh[name]
+            if math.isnan(column[d]):
+                scores[d, rep] = fresh[name]
                 cache.put((pair_hash, model, name, rep), fresh[name],
                           cache_timestamp)
 
