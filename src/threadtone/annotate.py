@@ -149,14 +149,20 @@ def parse_annotation_json(text: str,
 
 # --- cache ----------------------------------------------------------------------
 
+def _pair_text(tag: str, parent_text: str, child_text: str) -> str:
+    """The tag and the two texts joined by NUL; texts holding NUL, which
+    would make that ambiguous, are length-prefixed under ``tag-lp``."""
+    texts = (parent_text, child_text)
+    if "\x00" in parent_text or "\x00" in child_text:
+        tag, texts = f"{tag}-lp", [f"{len(t)}:{t}" for t in texts]
+    return f"{tag}\x00{texts[0]}\x00{texts[1]}"
+
+
 def pair_content_hash(parent_text: str, child_text: str,
                       scale: AnnotationScale) -> str:
-    """sha256 of the NUL-joined texts and scale; texts holding NUL, which
-    would make that ambiguous, are length-prefixed under their own tag."""
-    tag, texts = "pair", (parent_text, child_text)
-    if "\x00" in parent_text or "\x00" in child_text:
-        tag, texts = "pair-lp", [f"{len(t)}:{t}" for t in texts]
-    text = f"{tag}\x00{texts[0]}\x00{texts[1]}\x00{scale.min}:{scale.max}"
+    """sha256 of the pair's texts (``_pair_text``) and scale."""
+    pair = _pair_text("pair", parent_text, child_text)
+    text = f"{pair}\x00{scale.min}:{scale.max}"
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
@@ -256,9 +262,13 @@ class AnnotationCache:
         self._scores: dict[tuple[str, str, str, int], int] = {}
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
-        if not self.path.exists():
+        try:
+            ranges = _line_ranges(self.path)
+        except FileNotFoundError:
             return
-        ranges = _line_ranges(self.path)
+        except OSError as exc:
+            raise AnnotationError(f"cannot read cache {self.path}: "
+                                  f"{exc.strerror}") from None
         line_no = 0
         try:
             with run_map(len(ranges)) as mapped:
@@ -534,15 +544,12 @@ class HttpBackend:
 def mock_annotate(parent_text: str, child_text: str, dimension_name: str,
                   replication_index: int, seed: int,
                   scale: AnnotationScale = AnnotationScale()) -> int:
-    """Deterministic stand-in score: a stable hash of the pair texts,
-    dimension, replication index and seed, mapped uniformly onto the scale."""
-    h = hashlib.sha256()
-    h.update(f"mock\x00{seed}\x00".encode("ascii"))
-    h.update(parent_text.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(child_text.encode("utf-8"))
-    h.update(f"\x00{dimension_name}\x00{replication_index}".encode("utf-8"))
-    draw = int.from_bytes(h.digest()[:8], "big")
+    """Deterministic stand-in score: a stable hash of the seed, pair texts,
+    dimension and replication index, mapped uniformly onto the scale."""
+    pair = _pair_text(f"mock\x00{seed}", parent_text, child_text)
+    text = f"{pair}\x00{dimension_name}\x00{replication_index}"
+    digest = hashlib.sha256(text.encode("utf-8")).digest()
+    draw = int.from_bytes(digest[:8], "big")
     return scale.min + draw % scale.n_points
 
 

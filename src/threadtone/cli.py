@@ -162,8 +162,7 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    # always parse in collecting mode so every violation gets its line
-    corpus, diagnostics = validate_corpus(args.corpus, lenient=True)
+    corpus, diagnostics = validate_corpus(args.corpus)
     for line in diagnostics:
         print(line)
     if diagnostics and not args.lenient:

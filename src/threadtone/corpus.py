@@ -6,7 +6,9 @@ timestamp, text``. Each discussion must form a single rooted reply tree;
 sibling order is (timestamp, post_id), so parsing is fully deterministic
 even under timestamp ties. A ``DiscussionTree`` is the post ids in that
 order and each post's depth; ``tree_arrays`` derives every structure, for
-the trees as for the features, from the posts' parent positions.
+the trees as for the features, from the posts' parent positions. Parsing
+collects every violation in one pass: ``load_corpus`` raises the first,
+``validate_corpus`` returns them all as diagnostic lines.
 """
 
 from __future__ import annotations
@@ -118,51 +120,31 @@ def tree_arrays(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return depth, branch_root, rank
 
 
-def build_tree(posts: Iterable[Post]) -> DiscussionTree:
-    """Assemble one discussion's posts into a validated reply tree.
-
-    Raises MultipleRoots, OrphanPost or CycleDetected on structural
-    violations; a post set with no root necessarily contains a cycle.
-    """
-    posts = list(posts)
-    if not posts:
-        raise CorpusError("empty discussion")
-    discussion_id = posts[0].discussion_id
-    seen = set()
-    for post in posts:
-        if post.discussion_id != discussion_id:
-            raise CorpusError(
-                f"mixed discussion ids {discussion_id!r} and {post.discussion_id!r}",
-                discussion_id=discussion_id, post_id=post.post_id)
-        if post.post_id in seen:
-            raise DuplicateId(f"post id {post.post_id!r} repeated",
-                              discussion_id=discussion_id, post_id=post.post_id)
-        seen.add(post.post_id)
-
-    roots = [p.post_id for p in posts if p.parent_id is None]
+def _violation(discussion_id: str, posts: list[Post], order: tuple[str, ...],
+               depth: list[int]) -> CorpusError | None:
+    """The first structural violation of one discussion, if any, from its
+    posts in input order and their ids and depths in ``order``: several
+    roots, a parent outside the discussion, no root, or posts that reach no
+    root (a post set with no root necessarily contains a cycle)."""
+    roots = sorted(post.post_id for post in posts if post.parent_id is None)
     if len(roots) > 1:
-        raise MultipleRoots(f"{len(roots)} roots: {', '.join(sorted(roots))}",
-                            discussion_id=discussion_id)
+        return MultipleRoots(f"{len(roots)} roots: {', '.join(roots)}",
+                             discussion_id=discussion_id)
+    ids = set(order)
     for post in posts:
-        if post.parent_id is not None and post.parent_id not in seen:
-            raise OrphanPost(f"parent {post.parent_id!r} not found",
-                             discussion_id=discussion_id, post_id=post.post_id)
+        if post.parent_id is not None and post.parent_id not in ids:
+            return OrphanPost(f"parent {post.parent_id!r} not found",
+                              discussion_id=discussion_id, post_id=post.post_id)
     if not roots:
-        raise CycleDetected("no root post; parent links form a cycle",
-                            discussion_id=discussion_id)
-
-    posts.sort(key=Post.order_key)
-    order = tuple(post.post_id for post in posts)
-    at = {post_id: i for i, post_id in enumerate(order)}
-    depth = tree_arrays(np.array([at.get(post.parent_id, -1) for post in posts],
-                                 np.int64))[0]
-    if depth.min() < 0:
-        unreachable = sorted(order[i] for i in np.flatnonzero(depth < 0))
-        raise CycleDetected(
+        return CycleDetected("no root post; parent links form a cycle",
+                             discussion_id=discussion_id)
+    unreachable = sorted(pid for pid, d in zip(order, depth) if d < 0)
+    if unreachable:
+        return CycleDetected(
             f"{len(unreachable)} posts unreachable from root (cycle): "
             f"{', '.join(unreachable[:5])}",
             discussion_id=discussion_id, post_id=unreachable[0])
-    return DiscussionTree(discussion_id, dict(zip(order, depth.tolist())), order)
+    return None
 
 
 def _parse_record(raw: str, line_no: int) -> Post:
@@ -221,21 +203,16 @@ def _parse_record(raw: str, line_no: int) -> Post:
 
 
 def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
-                 lenient: bool = False,
-                 diagnostics: list[str] | None = None) -> Corpus:
-    """Parse line-delimited JSON posts into a validated Corpus.
+                 ) -> tuple[Corpus, list[CorpusError]]:
+    """Parse line-delimited JSON posts into the valid discussions and every
+    violation, in one pass over the lines.
 
-    In strict mode (default) the first structural violation raises. In
-    lenient mode, violations are logged, recorded in ``diagnostics`` (if
-    given), and the offending discussion is dropped; unattributable lines
-    (not UTF-8, bad JSON) are dropped individually.
+    A line that is not UTF-8 or not JSON is dropped on its own; any other
+    violation drops its whole discussion (a repeated id both). The errors
+    are the lines' in line order, then each remaining discussion's first
+    structural violation in discussion id order.
     """
-    def note(err: CorpusError) -> None:
-        line = err.diagnostic()
-        if diagnostics is not None:
-            diagnostics.append(line)
-        log.warning("%s", line)
-
+    errors: list[CorpusError] = []
     by_discussion: dict[str, list[Post]] = defaultdict(list)
     seen_ids: dict[str, str] = {}
     dropped: set[str] = set()
@@ -248,63 +225,63 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
         try:
             post = _parse_record(raw, line_no)
         except CorpusError as err:
-            if not lenient:
-                raise
-            note(err)
+            errors.append(err)
             if err.discussion_id is not None:
                 dropped.add(err.discussion_id)
             continue
         if post.post_id in seen_ids:
-            err = DuplicateId(
+            errors.append(DuplicateId(
                 f"post id {post.post_id!r} already used in discussion "
                 f"{seen_ids[post.post_id]!r}",
                 discussion_id=post.discussion_id, post_id=post.post_id,
-                line_no=line_no)
-            if not lenient:
-                raise err
-            note(err)
-            dropped.add(post.discussion_id)
-            dropped.add(seen_ids[post.post_id])
+                line_no=line_no))
+            dropped.update((post.discussion_id, seen_ids[post.post_id]))
             continue
         seen_ids[post.post_id] = post.discussion_id
         by_discussion[post.discussion_id].append(post)
 
+    # the remaining discussions in id order, each one's posts in
+    # (timestamp, post_id) order; a parent in another discussion, or in
+    # none, makes only the child's discussion invalid, as _violation reports
+    kept = [did for did in sorted(by_discussion) if did not in dropped]
+    groups = [by_discussion[did] for did in kept]
+    ordered = [post for group in groups
+               for post in sorted(group, key=Post.order_key)]
+    ids = tuple(post.post_id for post in ordered)
+    at = {post_id: i for i, post_id in enumerate(ids)}
+    depth = tree_arrays(np.array([at.get(post.parent_id, -1) for post in ordered],
+                                 np.int64))[0].tolist()
+    bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+
     discussions: dict[str, DiscussionTree] = {}
     posts: dict[str, Post] = {}
-    for discussion_id in sorted(by_discussion):
-        if discussion_id in dropped:
+    for did, group, a, b in zip(kept, groups, bounds, bounds[1:]):
+        err = _violation(did, group, ids[a:b], depth[a:b])
+        if err is not None:
+            errors.append(err)
             continue
-        group = by_discussion[discussion_id]
-        try:
-            tree = build_tree(group)
-        except CorpusError as err:
-            if not lenient:
-                raise
-            note(err)
-            continue
-        discussions[discussion_id] = tree
-        for post in group:
-            posts[post.post_id] = post
-
-    return Corpus(discussions=discussions, posts=posts)
+        discussions[did] = DiscussionTree(did, dict(zip(ids[a:b], depth[a:b])),
+                                          ids[a:b])
+        posts.update((post.post_id, post) for post in group)
+    return Corpus(discussions=discussions, posts=posts), errors
 
 
-def load_corpus(path: str | Path, lenient: bool = False,
-                diagnostics: list[str] | None = None) -> Corpus:
+def _parse_file(path: str | Path) -> tuple[Corpus, list[CorpusError]]:
     # undecodable bytes pass as lone surrogates, which _parse_record reports
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
-        return parse_corpus(fh, lenient=lenient, diagnostics=diagnostics)
+        return parse_corpus(fh)
+
+
+def load_corpus(path: str | Path) -> Corpus:
+    """Parse an interchange file; raises its first violation."""
+    corpus, errors = _parse_file(path)
+    if errors:
+        raise errors[0]
+    return corpus
 
 
 def post_to_json(post: Post) -> str:
-    record = {
-        "post_id": post.post_id,
-        "discussion_id": post.discussion_id,
-        "parent_id": post.parent_id,
-        "author": post.author,
-        "timestamp": post.timestamp,
-        "text": post.text,
-    }
+    record = {field: getattr(post, field) for field in RECORD_FIELDS}
     return json.dumps(record, ensure_ascii=False)
 
 
@@ -321,15 +298,11 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
             fh.write(line + "\n")
 
 
-def validate_corpus(path: str | Path, lenient: bool = False) -> tuple[Corpus | None, list[str]]:
-    """Validate an interchange file; returns (corpus-or-None, diagnostics).
-
-    Strict mode returns ``(None, [diagnostic])`` on the first violation;
-    lenient mode always returns a corpus with offending discussions dropped.
-    """
-    diagnostics: list[str] = []
-    try:
-        corpus = load_corpus(path, lenient=lenient, diagnostics=diagnostics)
-    except CorpusError as err:
-        return None, [err.diagnostic()]
+def validate_corpus(path: str | Path) -> tuple[Corpus, list[str]]:
+    """Parse an interchange file, collecting every violation: the valid
+    discussions and one diagnostic line per violation, each logged once."""
+    corpus, errors = _parse_file(path)
+    diagnostics = [err.diagnostic() for err in errors]
+    for line in diagnostics:
+        log.warning("%s", line)
     return corpus, diagnostics

@@ -355,7 +355,7 @@ def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
     regress -> render. Returns the exit code of the first failing stage;
     outputs of earlier stages are preserved."""
     # stage 1: validate (every violation), before any output is written
-    corpus, diagnostics = validate_corpus(corpus_path, lenient=True)
+    corpus, diagnostics = validate_corpus(corpus_path)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     with PipelineLock(output_dir):

@@ -125,8 +125,7 @@ class SynthResult:
     (NaN for roots) and authors in that order; ``generated`` holds each
     post's position there in generation order, ``jitter`` each reply's
     replication jitter in that order (None without integer replications).
-    ``corpus``, ``means`` and ``replication_scores`` are built on first
-    access."""
+    ``corpus`` and ``replication_scores`` are built on first access."""
     arrays: PostArrays
     mean_matrix: np.ndarray
     truncations: int
@@ -156,14 +155,6 @@ class SynthResult:
         trees = {did: DiscussionTree(did, dict(zip(ids[a:b], depth[a:b])), ids[a:b])
                  for did, a, b in zip(arrays.discussion_ids, starts, starts[1:])}
         return Corpus(discussions=trees, posts=posts)
-
-    @cached_property
-    def means(self) -> dict[str, dict[str, float]]:
-        """Post id -> dimension -> mean score, replies in generation order."""
-        replies = self.generated[self.arrays.parent[self.generated] >= 0]
-        ids, rows = self.arrays.posts, self.mean_matrix[replies].tolist()
-        return {ids[i]: dict(zip(_DIM_NAMES, row))
-                for i, row in zip(replies.tolist(), rows)}
 
     @cached_property
     def replication_scores(self) -> list[int] | None:

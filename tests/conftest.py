@@ -8,7 +8,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from threadtone.corpus import Corpus, Post, PostArrays, build_tree
+from threadtone.corpus import Corpus, Post, PostArrays, parse_corpus, post_to_json
 from threadtone.dimensions import DIMENSIONS
 
 from corpus_oracle import oracle_trees
@@ -22,15 +22,16 @@ def mk_post(post_id: str, discussion_id: str = "d1", parent_id: str | None = Non
                 text=text if text is not None else f"text of {post_id}")
 
 
+def parse_strict(lines) -> Corpus:
+    """``parse_corpus`` of the lines; raises its first violation."""
+    corpus, errors = parse_corpus(lines)
+    if errors:
+        raise errors[0]
+    return corpus
+
+
 def corpus_from_posts(posts: list[Post]) -> Corpus:
-    by_discussion: dict[str, list[Post]] = {}
-    for post in posts:
-        by_discussion.setdefault(post.discussion_id, []).append(post)
-    return Corpus(
-        discussions={did: build_tree(group)
-                     for did, group in by_discussion.items()},
-        posts={p.post_id: p for p in posts},
-    )
+    return parse_strict(post_to_json(post) for post in posts)
 
 
 def random_tree_posts(rng: np.random.Generator, n: int,
@@ -72,6 +73,14 @@ def mean_matrix(corpus: Corpus, means: dict[str, dict[str, float]],
     rows = [[means.get(post_id, {}).get(d.name, np.nan) for d in DIMENSIONS]
             for post_id in posts.posts]
     return posts, np.array(rows, float).reshape(len(rows), len(DIMENSIONS))
+
+
+def mean_map(posts: PostArrays, means: np.ndarray) -> dict[str, dict[str, float]]:
+    """Reply id -> dimension -> mean, from the posts' arrays and their
+    (n_posts x n_dimensions) means in that order."""
+    return {posts.posts[i]: dict(zip((d.name for d in DIMENSIONS),
+                                     means[i].tolist()))
+            for i in np.flatnonzero(posts.parent >= 0)}
 
 
 @pytest.fixture

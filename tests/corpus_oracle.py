@@ -1,21 +1,23 @@
-"""Reference implementation of the reply-tree builder.
+"""Reference implementations of the reply-tree builder and the parser.
 
-This is the original breadth-first ``threadtone.corpus.build_tree``: it
-walks each discussion from its root through per-parent child lists and
-records every post's depth, its branch root (the depth-1 ancestor) and its
-children in (timestamp, post_id) order. It is kept as the oracle that the
-array-based ``build_tree`` and ``tree_arrays`` must match: the same
-exception (type, message and fields) on a violation, the same ``order`` and
-``depth`` otherwise.
+``build_tree`` is the original breadth-first tree builder: it walks each
+discussion from its root through per-parent child lists and records every
+post's depth, its branch root (the depth-1 ancestor) and its children in
+(timestamp, post_id) order. ``parse_corpus`` is the original two-mode
+parser, which reads the lines and then builds each discussion's tree on its
+own. They are kept as the oracle that ``threadtone.corpus.parse_corpus``
+and ``tree_arrays`` must match: the same first error (type, message and
+fields) in strict mode; in lenient mode the same diagnostics in the same
+order, the same posts, and the same ``order`` and ``depth`` of every tree.
 """
 
 from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass
-from typing import Iterable
+from typing import IO, Iterable
 
-from threadtone.corpus import Post
+from threadtone.corpus import Corpus, Post, _parse_record
 from threadtone.errors import (
     CorpusError,
     CycleDetected,
@@ -107,3 +109,71 @@ def oracle_trees(corpus) -> dict[str, OracleTree]:
     return {did: build_tree(corpus.posts[pid]
                             for pid in corpus.discussions[did].order)
             for did in corpus.discussion_ids()}
+
+
+def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
+                 lenient: bool = False,
+                 diagnostics: list[str] | None = None) -> Corpus:
+    """Parse line-delimited JSON posts into a validated Corpus of
+    ``OracleTree``s.
+
+    In strict mode (default) the first structural violation raises. In
+    lenient mode, violations are recorded in ``diagnostics`` (if given) and
+    the offending discussion is dropped; unattributable lines (not UTF-8,
+    bad JSON) are dropped individually.
+    """
+    def note(err: CorpusError) -> None:
+        if diagnostics is not None:
+            diagnostics.append(err.diagnostic())
+
+    by_discussion: dict[str, list[Post]] = defaultdict(list)
+    seen_ids: dict[str, str] = {}
+    dropped: set[str] = set()
+
+    for line_no, raw in enumerate(source, start=1):
+        if isinstance(raw, bytes):
+            raw = raw.decode("utf-8", "surrogateescape")
+        if not raw.strip():
+            continue
+        try:
+            post = _parse_record(raw, line_no)
+        except CorpusError as err:
+            if not lenient:
+                raise
+            note(err)
+            if err.discussion_id is not None:
+                dropped.add(err.discussion_id)
+            continue
+        if post.post_id in seen_ids:
+            err = DuplicateId(
+                f"post id {post.post_id!r} already used in discussion "
+                f"{seen_ids[post.post_id]!r}",
+                discussion_id=post.discussion_id, post_id=post.post_id,
+                line_no=line_no)
+            if not lenient:
+                raise err
+            note(err)
+            dropped.add(post.discussion_id)
+            dropped.add(seen_ids[post.post_id])
+            continue
+        seen_ids[post.post_id] = post.discussion_id
+        by_discussion[post.discussion_id].append(post)
+
+    discussions: dict[str, OracleTree] = {}
+    posts: dict[str, Post] = {}
+    for discussion_id in sorted(by_discussion):
+        if discussion_id in dropped:
+            continue
+        group = by_discussion[discussion_id]
+        try:
+            tree = build_tree(group)
+        except CorpusError as err:
+            if not lenient:
+                raise
+            note(err)
+            continue
+        discussions[discussion_id] = tree
+        for post in group:
+            posts[post.post_id] = post
+
+    return Corpus(discussions=discussions, posts=posts)

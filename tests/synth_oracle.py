@@ -18,10 +18,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from threadtone.annotate import pair_content_hash
-from threadtone.corpus import Corpus, Post, build_tree
+from threadtone.corpus import Corpus, Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.regression import MODEL_SPECS
 from threadtone.synth import SynthConfig
+
+from corpus_oracle import build_tree
 
 _BASE_TIME = 1_600_000_000
 _DISCUSSION_SPACING = 30 * 86_400

@@ -39,6 +39,7 @@ from threadtone.synth import SynthConfig, generate_corpus, recovery_experiment
 
 from conftest import (
     corpus_from_posts,
+    mean_map,
     mean_matrix,
     random_tree_posts,
     uniform_means,
@@ -95,7 +96,7 @@ def test_noiseless_identifiability_all_models():
                              sigma=0.0, tau=0.0, seed=31, continuous=True)
         result = generate_corpus(config)
         features = compute_feature_table(
-            *mean_matrix(result.corpus, result.means))
+            result.arrays, result.mean_matrix)
         table = run_model(get_model_spec(model), features, "disagree_vs_agree")
         for j, term in enumerate(table.terms):
             assert abs(term.estimate - coefs[j]) < 1e-8, (model, term.term)
@@ -163,9 +164,9 @@ def test_model_filters_match_bruteforce_recount():
             model="M4", coefficients={dim: (0.1, 0.3)},
             sigma=1.0, tau=0.3, seed=int(rng.integers(1 << 30)))
         result = generate_corpus(config)
-        features = compute_feature_table(
-            *mean_matrix(result.corpus, result.means))
-        rows = oracle_feature_rows(result.corpus, result.means)
+        features = compute_feature_table(result.arrays, result.mean_matrix)
+        rows = oracle_feature_rows(result.corpus,
+                                   mean_map(result.arrays, result.mean_matrix))
         assert_table_equals_rows(features, rows)
         recount = {
             "M1": sum(1 for r in rows if r.dt_prev is not None),

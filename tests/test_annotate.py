@@ -492,6 +492,13 @@ def test_texts_holding_nul_get_their_own_pair_hash():
         != pair_content_hash("a", "b\x00c", SCALE)
 
 
+def test_texts_holding_nul_get_their_own_mock_scores():
+    def scores(parent, child):
+        return [mock_annotate(parent, child, d.name, rep, seed=7)
+                for d in DIMENSIONS for rep in range(4)]
+    assert scores("a\x00b", "c") != scores("a", "b\x00c")
+
+
 @settings(max_examples=500, deadline=None)
 @given(st.lists(st.tuples(*[st.text("a1:\x00", max_size=4)] * 2),
                 min_size=2, max_size=2, unique=True))

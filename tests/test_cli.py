@@ -216,7 +216,7 @@ def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
     assert not (tmp_path / "r").exists()
 
 
-@pytest.mark.parametrize("command", [
+BAD_CACHE_COMMANDS = [
     ["pipeline", "--corpus", "corpus.jsonl", "--mock", "--cache", "bad.jsonl",
      "--output-dir", "out"],
     ["annotate", "--corpus", "corpus.jsonl", "--mock", "--cache", "bad.jsonl"],
@@ -225,7 +225,10 @@ def test_mixed_model_cache_exits_with_annotation_code(synth_setup):
     ["agreement", "--cache", "bad.jsonl", "--out", "a.csv"],
     ["report", "--features", "features.csv", "--cache", "bad.jsonl",
      "--output-dir", "r"],
-])
+]
+
+
+@pytest.mark.parametrize("command", BAD_CACHE_COMMANDS)
 def test_a_cache_that_is_not_utf8_exits_with_annotation_code(
         synth_setup, monkeypatch, capsys, caplog, command):
     tmp_path, _, _, synth_cache = synth_setup
@@ -243,6 +246,26 @@ def test_a_cache_that_is_not_utf8_exits_with_annotation_code(
         assert err == "pipeline failed with exit code 3\n"
     else:
         assert err == f"annotation failed: {message}\n"
+    assert not any(Path(name).exists() for name in ("f.csv", "a.csv", "r"))
+
+
+@pytest.mark.parametrize("command", BAD_CACHE_COMMANDS)
+def test_a_cache_that_is_a_directory_exits_with_annotation_code(
+        synth_setup, monkeypatch, command):
+    tmp_path, _, _, synth_cache = synth_setup
+    monkeypatch.chdir(tmp_path)
+    assert main(["features", "--corpus", "corpus.jsonl", "--annotations",
+                 str(synth_cache), "--out", "features.csv"]) == 0
+    Path("bad.jsonl").mkdir()
+    proc = run_cli(*command)
+    assert proc.returncode == 3, proc.stderr
+    message = "annotation failed: cannot read cache bad.jsonl: Is a directory"
+    if command[0] == "pipeline":
+        assert proc.stderr.splitlines() == [f"ERROR threadtone.report: {message}",
+                                            "pipeline failed with exit code 3"]
+        assert not Path("out/.threadtone.lock").exists()
+    else:
+        assert proc.stderr.splitlines() == [message]
     assert not any(Path(name).exists() for name in ("f.csv", "a.csv", "r"))
 
 

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from threadtone.corpus import (
-    build_tree,
     load_corpus,
     parse_corpus,
     post_to_json,
@@ -23,7 +22,7 @@ from threadtone.errors import (
     OrphanPost,
 )
 
-from conftest import corpus_from_posts, mk_post, random_tree_posts
+from conftest import corpus_from_posts, mk_post, parse_strict, random_tree_posts
 from corpus_oracle import build_tree as oracle_build_tree
 
 
@@ -40,7 +39,7 @@ def record(post_id, parent_id=None, timestamp=0, discussion_id="d1", **extra):
 
 
 def test_parse_minimal_corpus():
-    corpus = parse_corpus(lines(
+    corpus = parse_strict(lines(
         record("A", timestamp=0),
         record("B", parent_id="A", timestamp=3600),
         record("C", parent_id="A", timestamp=7200),
@@ -52,55 +51,61 @@ def test_parse_minimal_corpus():
 
 def test_orphan_parent_rejected():
     with pytest.raises(OrphanPost):
-        parse_corpus(lines(record("A"), record("B", parent_id="Z", timestamp=1)))
+        parse_strict(lines(record("A"), record("B", parent_id="Z", timestamp=1)))
 
 
 def test_multiple_roots_rejected():
     with pytest.raises(MultipleRoots):
-        parse_corpus(lines(record("A"), record("B", timestamp=1)))
+        parse_strict(lines(record("A"), record("B", timestamp=1)))
 
 
 def test_duplicate_id_rejected():
     with pytest.raises(DuplicateId):
-        parse_corpus(lines(record("A"), record("A", timestamp=1)))
+        parse_strict(lines(record("A"), record("A", timestamp=1)))
 
 
 def test_missing_timestamp_rejected():
     bad = record("A")
     del bad["timestamp"]
     with pytest.raises(MissingTimestamp):
-        parse_corpus(lines(bad))
+        parse_strict(lines(bad))
 
 
 def test_malformed_json_and_fields():
     with pytest.raises(MalformedRecord):
-        parse_corpus(io.StringIO("{not json}\n"))
+        parse_strict(io.StringIO("{not json}\n"))
     with pytest.raises(MalformedRecord):
-        parse_corpus(lines(record("A", unexpected=1)))
+        parse_strict(lines(record("A", unexpected=1)))
     with pytest.raises(MalformedRecord):
-        parse_corpus(lines(record("A", timestamp=-5)))
+        parse_strict(lines(record("A", timestamp=-5)))
     with pytest.raises(MalformedRecord, match="below 2"):
-        parse_corpus(lines(record("A", timestamp=2 ** 63)))
-    parse_corpus(lines(record("A", timestamp=2 ** 63 - 1)))
+        parse_strict(lines(record("A", timestamp=2 ** 63)))
+    parse_strict(lines(record("A", timestamp=2 ** 63 - 1)))
     with pytest.raises(MalformedRecord):
-        parse_corpus(lines(record("A", timestamp=1.5)))
+        parse_strict(lines(record("A", timestamp=1.5)))
 
 
-def test_lenient_drops_offending_discussion(caplog):
-    diagnostics = []
-    corpus = parse_corpus(lines(
+def test_lenient_drops_offending_discussion(tmp_path, caplog):
+    path = tmp_path / "corpus.jsonl"
+    path.write_text(lines(
         record("A"),
         record("B", parent_id="A", timestamp=1),
         record("X", discussion_id="d2"),
         record("Y", discussion_id="d2", parent_id="MISSING", timestamp=2),
-    ), lenient=True, diagnostics=diagnostics)
+    ).getvalue(), encoding="utf-8")
+    corpus, diagnostics = validate_corpus(path)
     assert set(corpus.discussions) == {"d1"}
     assert len(diagnostics) == 1
     assert "OrphanPost" in diagnostics[0]
+    assert caplog.messages == diagnostics  # logged once
+
+
+def tree_of(posts):
+    return corpus_from_posts(posts).discussions["d1"]
 
 
 def test_build_tree_four_nodes():
-    tree = build_tree([
+    tree = tree_of([
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=1),
         mk_post("C", parent_id="A", timestamp=2),
@@ -116,7 +121,7 @@ def test_build_tree_four_nodes():
 
 def test_build_tree_cycle():
     with pytest.raises(CycleDetected):
-        build_tree([
+        tree_of([
             mk_post("R", timestamp=0),
             mk_post("A", parent_id="C", timestamp=1),
             mk_post("B", parent_id="A", timestamp=2),
@@ -124,24 +129,24 @@ def test_build_tree_cycle():
         ])
     # no root at all: every post has a parent
     with pytest.raises(CycleDetected):
-        build_tree([
+        tree_of([
             mk_post("A", parent_id="B", timestamp=1),
             mk_post("B", parent_id="A", timestamp=2),
         ])
     # a post that replies to itself, below a valid root
     with pytest.raises(CycleDetected, match="1 posts unreachable"):
-        build_tree([mk_post("R", timestamp=0),
-                    mk_post("S", parent_id="S", timestamp=1)])
+        tree_of([mk_post("R", timestamp=0),
+                 mk_post("S", parent_id="S", timestamp=1)])
 
 
 def test_single_post_discussion():
-    tree = build_tree([mk_post("A", timestamp=0)])
+    tree = tree_of([mk_post("A", timestamp=0)])
     assert tree.depth == {"A": 0}
     assert tree.order == ("A",)
 
 
 def test_children_order_breaks_ties_by_id():
-    tree = build_tree([
+    tree = tree_of([
         mk_post("A", timestamp=0),
         mk_post("z", parent_id="A", timestamp=5),
         mk_post("b", parent_id="A", timestamp=5),
@@ -155,7 +160,7 @@ def test_tree_invariants_on_random_trees():
     for trial in range(25):
         n = int(rng.integers(1, 201))
         posts = random_tree_posts(rng, n, allow_ties=True)
-        tree, oracle = build_tree(posts), oracle_build_tree(posts)
+        tree, oracle = tree_of(posts), oracle_build_tree(posts)
         # the breadth-first walk from the root reaches every post once
         assert tree.depth == oracle.depth
         assert list(tree.depth) == list(tree.order)
@@ -218,7 +223,7 @@ def test_validate_corpus_reports(tmp_path):
                                "timestamp": 3, "text": "x"}) + "\n",
                    encoding="utf-8")
     corpus, diagnostics = validate_corpus(bad)
-    assert corpus is None
+    assert corpus.discussions == {} and corpus.posts == {}
     assert len(diagnostics) == 1 and "OrphanPost" in diagnostics[0]
 
 
@@ -234,13 +239,11 @@ def test_undecodable_bytes_are_a_malformed_record(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         load_corpus(path)
     assert info.value.diagnostic() == diagnostic
-    assert validate_corpus(path) == (None, [diagnostic])
-    corpus, diagnostics = validate_corpus(path, lenient=True)
+    corpus, diagnostics = validate_corpus(path)
     assert diagnostics == [diagnostic]
     assert corpus.discussions["d1"].order == ("A", "B", "C")
     assert corpus.posts["B"].text == "café"
     # byte lines give the same diagnostic
-    lenient = []
-    parse_corpus(io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")),
-                 lenient=True, diagnostics=lenient)
-    assert lenient == [diagnostic]
+    _, errors = parse_corpus(
+        io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")))
+    assert [err.diagnostic() for err in errors] == [diagnostic]

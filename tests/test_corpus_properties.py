@@ -1,35 +1,29 @@
-"""Property tests: ``build_tree``, ``parse_corpus`` and ``tree_arrays``
-against the breadth-first builder in ``corpus_oracle``.
+"""Property tests: ``parse_corpus`` and ``tree_arrays`` against the
+parser and the breadth-first builder in ``corpus_oracle``.
 
 Random forests get timestamp ties, shuffled input order and one injected
-violation per discussion: two roots, an orphan, a rootless cycle, a
-duplicate id, or a cycle of length 1-8 (with replies below it) hanging off
-a valid root. Strict mode must raise what the oracle raises (type, message
-and fields); lenient mode must give the same diagnostics in the same order
-and keep the same discussions with the same ``order`` and ``depth``.
+violation per discussion: two roots, an orphan, a parent in another (or a
+missing) discussion, a rootless cycle, a duplicate id, or a cycle of length
+1-8 (with replies below it) hanging off a valid root; a corpus may also be
+empty. The first error must be the one the oracle raises in strict mode
+(type, message and fields); all of them must be the diagnostics the oracle
+gives in lenient mode, in the same order, with the same posts and the same
+discussions with the same ``order`` and ``depth``.
 """
 
 import io
-from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadtone import corpus as corpus_module
-from threadtone.corpus import (
-    Post,
-    build_tree,
-    parse_corpus,
-    post_to_json,
-    tree_arrays,
-)
+from threadtone.corpus import Post, parse_corpus, post_to_json, tree_arrays
 from threadtone.errors import CorpusError
 
 import corpus_oracle
 
-VIOLATIONS = ("none", "two roots", "orphan", "rootless cycle", "duplicate",
-              "cycle below root")
+VIOLATIONS = ("none", "two roots", "orphan", "other discussion",
+              "rootless cycle", "duplicate", "cycle below root")
 
 
 @st.composite
@@ -52,6 +46,8 @@ def discussions(draw, discussion_id: str) -> list[Post]:
         parent_ids[draw(st.integers(1, n - 1))] = None
     elif violation == "orphan":
         parent_ids[draw(st.integers(0, n - 1))] = f"{discussion_id}-gone"
+    elif violation == "other discussion":  # d0-d2 may exist, d3 does not
+        parent_ids[draw(st.integers(0, n - 1))] = f"d{draw(st.integers(0, 3))}-0"
     elif violation == "rootless cycle":
         parent_ids[0] = ids[draw(st.integers(0, n - 1))]
     elif violation == "duplicate" and n > 1:
@@ -62,48 +58,41 @@ def discussions(draw, discussion_id: str) -> list[Post]:
     return draw(st.permutations(posts))
 
 
-def outcome(build, posts):
-    """The tree's (order, depth) or the raised error's type, text and fields."""
-    try:
-        tree = build(posts)
-    except CorpusError as err:
-        return (type(err), str(err), err.discussion_id, err.post_id,
-                err.line_no)
-    return tree.order, tree.depth
-
-
-@settings(max_examples=400, deadline=None)
-@given(discussions("d"))
-def test_build_tree_matches_oracle(posts):
-    assert outcome(build_tree, posts) == outcome(corpus_oracle.build_tree, posts)
-
-
 @st.composite
 def corpus_lines(draw) -> list[str]:
-    posts = [post for k in range(draw(st.integers(1, 3)))
+    posts = [post for k in range(draw(st.integers(0, 3)))
              for post in draw(discussions(f"d{k}"))]
     return [post_to_json(post) for post in draw(st.permutations(posts))]
 
 
-def parsed(lines: list[str], lenient: bool):
-    diagnostics: list[str] = []
-    try:
-        corpus = parse_corpus(io.StringIO("\n".join(lines) + "\n"),
-                              lenient=lenient, diagnostics=diagnostics)
-    except CorpusError as err:
-        return type(err), err.diagnostic()
-    return diagnostics, corpus.posts, {
+def fields(err: CorpusError):
+    return (type(err), str(err), err.discussion_id, err.post_id, err.line_no)
+
+
+def contents(corpus):
+    """The posts in order, and each tree's ``order`` and ``depth``."""
+    return list(corpus.posts.items()), {
         did: (tree.order, tree.depth) for did, tree in corpus.discussions.items()}
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(corpus_lines())
 def test_parse_corpus_matches_oracle(lines):
-    for lenient in (False, True):
-        got = parsed(lines, lenient)
-        with mock.patch.object(corpus_module, "build_tree",
-                               corpus_oracle.build_tree):
-            assert got == parsed(lines, lenient)
+    text = "\n".join(lines) + "\n"
+    corpus, errors = parse_corpus(io.StringIO(text))
+    try:
+        corpus_oracle.parse_corpus(io.StringIO(text))
+    except CorpusError as err:
+        assert fields(errors[0]) == fields(err)
+    else:
+        assert errors == []
+    diagnostics: list[str] = []
+    oracle = corpus_oracle.parse_corpus(io.StringIO(text), lenient=True,
+                                        diagnostics=diagnostics)
+    assert [err.diagnostic() for err in errors] == diagnostics
+    assert contents(corpus) == contents(oracle)
+    for tree in corpus.discussions.values():
+        assert list(tree.depth) == list(tree.order)
 
 
 @st.composite

@@ -4,11 +4,16 @@
 ``Corpus(...)``, ``DiscussionTree.depth`` and ``save_corpus``. This runs
 each workload's set-up at toy size and checks the input properties it
 records against the generator's arrays, so a change to that part of the
-package fails here and not first in a benchmark run.
+package fails here and not first in a benchmark run. It also installs the
+layer tracer, which raises if one of its targets is gone, and checks that
+a traced ``validate_corpus`` call records its span.
 """
 
 import dataclasses
 import importlib.util
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -18,7 +23,8 @@ import pytest
 from threadtone.corpus import load_corpus, tree_arrays
 from threadtone.synth import generate_corpus
 
-RUN_PY = Path(__file__).resolve().parents[1] / "perfbench" / "run.py"
+ROOT = Path(__file__).resolve().parents[1]
+RUN_PY = ROOT / "perfbench" / "run.py"
 SEED = 11
 
 
@@ -97,3 +103,25 @@ def test_recovery_m6_setup(run, tmp_path):
     properties = run.input_properties(inputs)
     assert recorded(properties) == expected(arrays)
     assert properties["corpora_per_iteration"] == 1
+
+
+def test_the_layer_tracer_installs_and_records_a_validate_span():
+    # in a process of its own, since install patches the package's modules
+    script = """if True:
+        import json, sys
+        sys.path.insert(0, sys.argv[1])
+        import layertrace
+        from threadtone import corpus
+        tracer = layertrace.Tracer()
+        layertrace.install(tracer)
+        _, diagnostics = corpus.validate_corpus(sys.argv[2])
+        print(json.dumps([[span[0] for span in tracer.spans], diagnostics]))
+    """
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, str(ROOT / "perfbench"),
+         str(ROOT / "data" / "synthetic_corpus.jsonl")],
+        capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == [["corpus.validate"], []]

@@ -20,7 +20,7 @@ from threadtone.synth import (
     write_cache_records,
 )
 
-from conftest import mean_matrix
+from conftest import mean_map, mean_matrix
 
 
 def small_config(**overrides) -> SynthConfig:
@@ -36,7 +36,7 @@ def test_same_seed_same_bytes():
     b = generate_corpus(small_config())
     assert list(serialize_corpus(a.corpus)) == list(serialize_corpus(b.corpus))
     assert a.cache_records == b.cache_records
-    assert a.means == b.means
+    assert np.array_equal(a.mean_matrix, b.mean_matrix, equal_nan=True)
     c = generate_corpus(small_config(seed=12))
     assert list(serialize_corpus(c.corpus)) != list(serialize_corpus(a.corpus))
 
@@ -63,13 +63,14 @@ def test_identity_propagation_noiseless():
                                          "attacking_vs_respectful",
                                          "emotional_vs_factual")})
     result = generate_corpus(config)
+    means = mean_map(result.arrays, result.mean_matrix)
     for did in result.corpus.discussion_ids():
         tree = result.corpus.discussions[did]
         for pid, depth in tree.depth.items():
             if depth < 2:
                 continue
             parent_id = result.corpus.posts[pid].parent_id
-            assert result.means[pid] == result.means[parent_id]
+            assert means[pid] == means[parent_id]
 
 
 def test_replication_scores_are_integers_with_exact_mean():
@@ -84,7 +85,7 @@ def test_replication_scores_are_integers_with_exact_mean():
         assert set(reps) == {0, 1, 2, 3}
     # per-pair replication mean equals the stored post mean
     means_from_cache = {key: sum(reps.values()) / 4 for key, reps in by_key.items()}
-    stored = sorted(v for m in result.means.values() for v in m.values())
+    stored = sorted(result.mean_matrix[result.arrays.parent >= 0].ravel().tolist())
     cached = sorted(means_from_cache.values())
     assert stored == pytest.approx(cached, abs=1e-12)
 
@@ -107,14 +108,14 @@ def test_truncation_counting():
                         coefficients={"disagree_vs_agree": (0.0, 0.3)})
     n_scores = 0
     result = generate_corpus(tame)
-    n_scores = sum(len(m) for m in result.means.values())
+    n_scores = np.count_nonzero(~np.isnan(result.mean_matrix))
     assert result.truncations / n_scores < 0.01
 
 
 def test_continuous_mode_has_no_cache():
     result = generate_corpus(small_config(continuous=True))
     assert result.cache_records is None
-    values = [v for m in result.means.values() for v in m.values()]
+    values = result.mean_matrix[result.arrays.parent >= 0].ravel().tolist()
     assert any(v != round(v) for v in values)
 
 
@@ -145,7 +146,7 @@ def test_recovery_builds_no_post_objects(monkeypatch):
 
     monkeypatch.setattr(synth, "Post", no_objects)
     monkeypatch.setattr(synth, "DiscussionTree", no_objects)
-    for name in ("corpus", "means", "replication_scores"):
+    for name in ("corpus", "replication_scores"):
         monkeypatch.setattr(synth.SynthResult, name, property(no_objects))
     report = recovery_experiment(small_config(), n_runs=2)
     assert report.n_failed == 0
@@ -275,8 +276,8 @@ def test_generator_arrays_match_the_corpus(overrides):
     else:
         assert max(np.diff(result.arrays.starts)) > 10_000
     from_arrays = compute_feature_table(result.arrays, result.mean_matrix)
-    from_corpus = compute_feature_table(
-        *mean_matrix(result.corpus, result.means))
+    from_corpus = compute_feature_table(*mean_matrix(
+        result.corpus, mean_map(result.arrays, result.mean_matrix)))
     for got, want in zip(from_arrays.csv_columns(), from_corpus.csv_columns()):
         if isinstance(want, tuple):
             assert got == want
@@ -364,8 +365,7 @@ def test_corpus_scale_matches_config():
 
 def test_feature_table_from_synth_has_all_presence_classes():
     result = generate_corpus(small_config(n_discussions=10, mean_posts=25))
-    features = compute_feature_table(
-        *mean_matrix(result.corpus, result.means))
+    features = compute_feature_table(result.arrays, result.mean_matrix)
     dim = "disagree_vs_agree"
     assert np.isnan(features.parent_metric[dim]).any()
     assert (~np.isnan(features.parent_metric[dim])).any()

@@ -7,19 +7,21 @@ scale, both noise levels (including 0), the reply-to-root probability
 need JSON escaping, and coefficients large enough to clip. Every comparison
 is exact: the serialized corpus, the replication records, the truncation
 count, and the means by ``repr`` so that the sign of a zero counts. Every
-tree of the generated corpus must equal the one ``build_tree`` derives from
-its posts.
+tree of the generated corpus must have the ``order`` and ``depth`` that the
+breadth-first ``build_tree`` in ``corpus_oracle`` derives from its posts.
 """
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from threadtone.corpus import build_tree, serialize_corpus
+from threadtone.corpus import serialize_corpus
 from threadtone.dimensions import DIMENSIONS
 from threadtone.regression import MODEL_IDS, MODEL_SPECS
 from threadtone.synth import SynthConfig, generate_corpus
 
+from conftest import mean_map
+from corpus_oracle import build_tree
 from synth_oracle import oracle_generate_corpus
 
 DIM_NAMES = [d.name for d in DIMENSIONS]
@@ -60,28 +62,29 @@ def means_repr(means) -> str:
     # float() keeps the sign of a zero; the oracle's continuous-mode means
     # are numpy scalars, whose repr differs from a float's
     return repr({pid: {name: float(v) for name, v in by_dim.items()}
-                 for pid, by_dim in means.items()})
+                 for pid, by_dim in sorted(means.items())})
 
 
-def assert_trees_match_build_tree(corpus) -> None:
+def assert_trees_match_oracle(corpus) -> None:
     by_discussion = {}
     for post in corpus.posts.values():
         by_discussion.setdefault(post.discussion_id, []).append(post)
     assert list(corpus.discussions) == sorted(by_discussion)
     for did, posts in by_discussion.items():
         tree, expected = corpus.discussions[did], build_tree(posts)
-        assert tree == expected  # depth and order
-        assert list(tree.depth) == list(expected.depth)
+        assert (tree.order, tree.depth) == (expected.order, expected.depth)
+        assert list(tree.depth) == list(tree.order)
 
 
 def assert_matches_oracle(config: SynthConfig) -> None:
     result = generate_corpus(config)
-    assert_trees_match_build_tree(result.corpus)
+    assert_trees_match_oracle(result.corpus)
     oracle = oracle_generate_corpus(config)
     assert (list(serialize_corpus(result.corpus))
             == list(serialize_corpus(oracle.corpus)))
     assert list(result.corpus.posts) == list(oracle.corpus.posts)
-    assert means_repr(result.means) == means_repr(oracle.means)
+    assert (means_repr(mean_map(result.arrays, result.mean_matrix))
+            == means_repr(oracle.means))
     assert repr(result.cache_records) == repr(oracle.cache_records)
     assert result.truncations == oracle.truncations
 
