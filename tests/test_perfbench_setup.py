@@ -15,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ def test_recovery_m6_setup(run, tmp_path):
 
 def test_the_layer_tracer_installs_and_records_a_validate_span():
     # in a process of its own, since install patches the package's modules
-    script = """if True:
+    script = textwrap.dedent("""
         import json, sys
         sys.path.insert(0, sys.argv[1])
         import layertrace
@@ -116,7 +117,7 @@ def test_the_layer_tracer_installs_and_records_a_validate_span():
         layertrace.install(tracer)
         _, diagnostics = corpus.validate_corpus(sys.argv[2])
         print(json.dumps([[span[0] for span in tracer.spans], diagnostics]))
-    """
+    """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH"))))}
     proc = subprocess.run(
