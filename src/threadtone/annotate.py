@@ -166,23 +166,27 @@ def pair_content_hash(parent_text: str, child_text: str,
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def cache_line(pair_hash: str, model: str, dimension: str, replication: int,
-               score: int, timestamp: int) -> str:
-    """One cache record as its JSONL line: the bytes ``json.dumps`` writes
-    for the record dict, formatted directly."""
+def cache_head(pair_hash: str, model: str) -> str:
+    """A cache record's JSONL line up to its dimension; ``cache_tail`` adds
+    the rest, together the bytes ``json.dumps`` writes for the record."""
     return (f'{{"pair_hash": {_json_quote(pair_hash)}, "model": '
-            f'{_json_quote(model)}, "dimension": {_json_quote(dimension)}, '
-            f'"replication": {replication}, "score": {score}, '
-            f'"timestamp": {timestamp}}}\n')
+            f'{_json_quote(model)}, "dimension": ')
+
+
+def cache_tail(dimension: str, replication: int, score: int,
+               timestamp: int) -> str:
+    """The rest of a cache record's JSONL line, from its dimension."""
+    return (f'{_json_quote(dimension)}, "replication": {replication}, '
+            f'"score": {score}, "timestamp": {timestamp}}}\n')
 
 
 _CHUNK_BYTES = 8 << 20  # a larger cache is decoded in chunks of about this
 
-# One line per match: the exact line cache_line writes, when json.loads
-# would decode it to the same values (strings without escapes or control
-# characters, integers short enough for any int() digit limit), or else
-# any other line, whole, in the last group. The match after a final "\n"
-# is empty.
+# One line per match: the exact line cache_head + cache_tail write, when
+# json.loads would decode it to the same values (strings without escapes or
+# control characters, integers short enough for any int() digit limit), or
+# else any other line, whole, in the last group. The match after a final
+# "\n" is empty.
 _STRING = r'"([^"\\\x00-\x1f]*)"'
 _INTEGER = r'-?(?:0|[1-9][0-9]{0,17})'
 _LINE = re.compile(
@@ -229,7 +233,7 @@ def _decode_chunk(path: Path, start: int,
     # dimension, where the match makes a new one on each of the 12 lines
     share = {}.setdefault
     for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
-        if rep:  # the exact line cache_line writes
+        if rep:  # the exact line cache_head + cache_tail write
             scores[share(pair, pair), share(model, model), share(dim, dim),
                    int(rep)] = int(score)
             continue
@@ -298,7 +302,8 @@ class AnnotationCache:
                 if self._torn_tail:  # close it, or the record joins it
                     self._appender.write("\n")
                     self._torn_tail = False
-            self._appender.write(cache_line(*key, score, timestamp))
+            self._appender.write(cache_head(*key[:2])
+                                 + cache_tail(*key[2:], score, timestamp))
             self._appender.flush()
 
     def close(self) -> None:

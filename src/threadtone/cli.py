@@ -162,7 +162,7 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus, diagnostics = validate_corpus(args.corpus)
+    corpus, diagnostics = validate_corpus(args.corpus, log_diagnostics=False)
     for line in diagnostics:
         print(line)
     if diagnostics and not args.lenient:

@@ -15,8 +15,10 @@ from __future__ import annotations
 
 import json
 import logging
+import re
 from collections import defaultdict
 from dataclasses import dataclass
+from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -35,6 +37,7 @@ from .errors import (
 log = logging.getLogger(__name__)
 
 RECORD_FIELDS = ("post_id", "discussion_id", "parent_id", "author", "timestamp", "text")
+_SURROGATE = re.compile("[\ud800-\udfff]")
 
 
 @dataclass(frozen=True)
@@ -161,6 +164,12 @@ def _parse_record(raw: str, line_no: int) -> Post:
         raise MalformedRecord(f"invalid JSON ({exc.msg})", line_no=line_no) from None
     if not isinstance(obj, dict):
         raise MalformedRecord("record is not a JSON object", line_no=line_no)
+    if "\\u" in raw:  # an escape may decode to a lone surrogate, which
+        for name in RECORD_FIELDS:  # has no UTF-8 to hash or write
+            value = obj.get(name)
+            if isinstance(value, str) and (lone := _SURROGATE.search(value)):
+                raise MalformedRecord(f"{name} holds a lone surrogate "
+                                      f"{ascii(lone.group())}", line_no=line_no)
 
     extra = set(obj) - set(RECORD_FIELDS)
     if extra:
@@ -281,8 +290,13 @@ def load_corpus(path: str | Path) -> Corpus:
 
 
 def post_to_json(post: Post) -> str:
-    record = {field: getattr(post, field) for field in RECORD_FIELDS}
-    return json.dumps(record, ensure_ascii=False)
+    """The bytes ``json.dumps(record, ensure_ascii=False)`` writes."""
+    parent = "null" if post.parent_id is None else _quote(post.parent_id)
+    author = "null" if post.author is None else _quote(post.author)
+    return (f'{{"post_id": {_quote(post.post_id)}, "discussion_id": '
+            f'{_quote(post.discussion_id)}, "parent_id": {parent}, '
+            f'"author": {author}, "timestamp": {post.timestamp}, '
+            f'"text": {_quote(post.text)}}}')
 
 
 def serialize_corpus(corpus: Corpus) -> Iterator[str]:
@@ -294,15 +308,17 @@ def serialize_corpus(corpus: Corpus) -> Iterator[str]:
 
 def save_corpus(corpus: Corpus, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for line in serialize_corpus(corpus):
-            fh.write(line + "\n")
+        fh.writelines(f"{line}\n" for line in serialize_corpus(corpus))
 
 
-def validate_corpus(path: str | Path) -> tuple[Corpus, list[str]]:
+def validate_corpus(path: str | Path, log_diagnostics: bool = True,
+                    ) -> tuple[Corpus, list[str]]:
     """Parse an interchange file, collecting every violation: the valid
-    discussions and one diagnostic line per violation, each logged once."""
+    discussions and one diagnostic line per violation, each logged once
+    unless ``log_diagnostics`` is false (the caller prints them)."""
     corpus, errors = _parse_file(path)
     diagnostics = [err.diagnostic() for err in errors]
-    for line in diagnostics:
-        log.warning("%s", line)
+    if log_diagnostics:
+        for line in diagnostics:
+            log.warning("%s", line)
     return corpus, diagnostics

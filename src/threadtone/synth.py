@@ -19,10 +19,12 @@ import logging
 import math
 from dataclasses import asdict, dataclass, field, replace
 from functools import cached_property
+from itertools import product, repeat
 from pathlib import Path
+from typing import Iterator
 import numpy as np
 
-from .annotate import MOCK_MODEL_ID, cache_line, pair_content_hash
+from .annotate import MOCK_MODEL_ID, cache_head, cache_tail, pair_content_hash
 from .corpus import Corpus, DiscussionTree, Post, PostArrays, tree_arrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import StatsError
@@ -125,7 +127,7 @@ class SynthResult:
     (NaN for roots) and authors in that order; ``generated`` holds each
     post's position there in generation order, ``jitter`` each reply's
     replication jitter in that order (None without integer replications).
-    ``corpus`` and ``replication_scores`` are built on first access."""
+    ``corpus`` is built on first access."""
     arrays: PostArrays
     mean_matrix: np.ndarray
     truncations: int
@@ -156,11 +158,9 @@ class SynthResult:
                  for did, a, b in zip(arrays.discussion_ids, starts, starts[1:])}
         return Corpus(discussions=trees, posts=posts)
 
-    @cached_property
-    def replication_scores(self) -> list[int] | None:
-        """Every reply's integer scores, flat, in the order of
-        ``corpus.posts`` (reply, then dimension, then replication), or None
-        in continuous mode."""
+    @property
+    def cache_records(self) -> CacheRecords | None:
+        """Annotation-cache records, built on each access; None if continuous."""
         if self.config.continuous:
             return None
         # each integer score n_reps times, with a zero-sum +-1 jitter that
@@ -177,22 +177,30 @@ class SynthResult:
             hi += hi >= lo
             reps[r, m, lo] -= 1
             reps[r, m, hi] += 1
-        return reps.ravel().tolist()
+        posts = self.corpus.posts
+        return CacheRecords(
+            [pair_content_hash(posts[post.parent_id].text, post.text, scale)
+             for post in posts.values() if post.parent_id is not None],
+            self.config.model_id, reps)
 
-    @property
-    def cache_records(self) -> list[dict] | None:
-        """Annotation-cache records, built on each access; None if continuous."""
-        if self.replication_scores is None:
-            return None
-        scale, model = self.config.scale, self.config.model_id
-        posts, scores = self.corpus.posts, iter(self.replication_scores)
-        return [{"pair_hash": pair_hash, "model": model, "dimension": name,
-                 "replication": rep, "score": next(scores), "timestamp": 0}
-                for post in posts.values() if post.parent_id is not None
-                for pair_hash in (pair_content_hash(
-                    posts[post.parent_id].text, post.text, scale),)
-                for name in _DIM_NAMES
-                for rep in range(self.config.replications)]
+
+@dataclass(frozen=True, eq=False)
+class CacheRecords:
+    """Annotation-cache records as columns: the replies' pair hashes in the
+    order of ``corpus.posts``, the model id and their int64 reply x
+    dimension x replication scores; iterating yields the records as dicts."""
+    pair_hashes: list[str]
+    model: str
+    scores: np.ndarray
+
+    def __iter__(self) -> Iterator[dict]:
+        for pair_hash, by_dimension in zip(self.pair_hashes,
+                                           self.scores.tolist()):
+            for name, reps in zip(_DIM_NAMES, by_dimension):
+                for rep, score in enumerate(reps):
+                    yield {"pair_hash": pair_hash, "model": self.model,
+                           "dimension": name, "replication": rep,
+                           "score": score, "timestamp": 0}
 
 
 def _draw_discussion(rng: np.random.Generator, config: SynthConfig) -> tuple:
@@ -341,9 +349,20 @@ def generate_corpus(config: SynthConfig) -> SynthResult:
         jitter=jitter)
 
 
-def write_cache_records(records: list[dict], path: str | Path) -> None:
+def write_cache_records(records: CacheRecords, path: str | Path) -> None:
+    """Write the records' lines, formatting each pair's head and each
+    (dimension, replication, score) tail once: head + head.join(tails)."""
+    scores = records.scores
+    low, high = int(scores.min(initial=0)), int(scores.max(initial=0))
+    tails = np.array([cache_tail(*key, 0) for key in product(
+        _DIM_NAMES, range(scores.shape[2]), range(low, high + 1))],
+        dtype=object).reshape(*scores.shape[1:], -1)
+    # every score's tail, indexed by (dimension, replication, score - low)
+    rows = tails[(*np.indices(scores.shape[1:]), scores - low)]
+    heads = map(cache_head, records.pair_hashes, repeat(records.model))
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.writelines(cache_line(**record) for record in records)
+        fh.writelines(head + head.join(row) for head, row in
+                      zip(heads, rows.reshape(len(scores), -1).tolist()))
 
 
 # --- coefficient recovery ---------------------------------------------------------

@@ -7,17 +7,17 @@ torn final lines, ``\r\n`` and bare ``\r`` line ends, non-object JSON,
 records with missing fields, non-integer replications and scores, two model
 ids, duplicate keys with different scores, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
-miss of the layout ``cache_line`` writes (which the loader's matcher must
-leave to ``json.loads``), and whole groups of the lines a run writes for
-one pair, and both loaders must agree on the scores, the malformed-line
-warnings, the torn-tail flag and the complete pairs' scores that
-``cached_pair_scores`` reads: of the whole cache when it holds one model
-id, and of each model's records alone. The same files load alike when
-cut into chunks of a few bytes, in this process or in worker processes,
-and a byte that is not UTF-8 fails either load with an AnnotationError
-naming its line.
-The cache line writer is checked against ``json.dumps`` of the record, and
-each line it writes loads back to its own key and score.
+miss of the layout ``cache_head`` + ``cache_tail`` write (which the
+loader's matcher must leave to ``json.loads``), and whole groups of the
+lines a run writes for one pair, and both loaders must agree on the scores,
+the malformed-line warnings, the torn-tail flag and the complete pairs'
+scores that ``cached_pair_scores`` reads: of the whole cache when it holds
+one model id, and of each model's records alone. The same files load alike
+when cut into chunks of a few bytes, in this process or in worker
+processes, and a byte that is not UTF-8 fails either load with an
+AnnotationError naming its line.
+The cache line writer (head plus tail) is checked against ``json.dumps`` of
+the record, and each line it writes loads back to its own key and score.
 """
 
 from __future__ import annotations
@@ -37,7 +37,8 @@ from hypothesis import strategies as st
 from threadtone import annotate
 from threadtone.annotate import (
     AnnotationCache,
-    cache_line,
+    cache_head,
+    cache_tail,
     cached_pair_scores,
 )
 from threadtone.dimensions import DIMENSIONS
@@ -131,9 +132,9 @@ _RECORD = json.dumps({"pair_hash": "p1", "model": "model-a",
                       "dimension": "emotional_vs_factual", "replication": 1,
                       "score": 2, "timestamp": 0})
 
-# the loader's matcher takes a line only in the exact layout cache_line
-# writes, with strings json.loads would not unescape and integers it would
-# not reject; these lines must take the json.loads path instead
+# the loader's matcher takes a line only in the exact layout cache_head +
+# cache_tail write, with strings json.loads would not unescape and integers
+# it would not reject; these lines must take the json.loads path instead
 _fallback_lines = st.sampled_from([
     " " + _RECORD,  # leading space: a valid record
     _RECORD + "  ",  # trailing spaces: a valid record
@@ -174,9 +175,10 @@ _lines = st.lists(
 _complete_pairs = st.tuples(
     st.sampled_from(["p0", "p1", "p2"]), st.sampled_from(MODELS),
     st.integers(1, 4), st.integers(0, 10)).map(
-    lambda group: [(cache_line(group[0], group[1], d.name, rep,
-                               (group[3] + 3 * rep + d_index) % 11 - 5,
-                               0)[:-1], "\n")
+    lambda group: [(cache_head(group[0], group[1])
+                    + cache_tail(d.name, rep,
+                                 (group[3] + 3 * rep + d_index) % 11 - 5,
+                                 0)[:-1], "\n")
                    for d_index, d in enumerate(DIMENSIONS)
                    for rep in range(group[2])])
 
@@ -366,7 +368,8 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
               "replication": replication, "score": score,
               "timestamp": timestamp}
     expected = json.dumps(record) + "\n"
-    assert cache_line(**record) == expected
+    assert (cache_head(pair_hash, model)
+            + cache_tail(dimension, replication, score, timestamp)) == expected
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnnotationCache(Path(tmp) / "cache.jsonl")
         key = (pair_hash, model, dimension, replication)

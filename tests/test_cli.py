@@ -65,6 +65,46 @@ def test_validate_structural_error(tmp_path):
     assert lenient.returncode == 0
 
 
+def test_validate_prints_each_diagnostic_once(tmp_path):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(
+        '{"post_id": "A", "discussion_id": "d", "parent_id": null,'
+        ' "author": null, "timestamp": 0, "text": "r"}\n'
+        '{"post_id": "B", "discussion_id": "d", "parent_id": "GONE",'
+        ' "author": null, "timestamp": 5, "text": "x"}\n')
+    diagnostic = "OrphanPost discussion=d post=B: parent 'GONE' not found"
+    proc = run_cli("validate", "--corpus", str(bad))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, f"{diagnostic}\n", "")
+    lenient = run_cli("validate", "--corpus", str(bad), "--lenient")
+    assert (lenient.returncode, lenient.stdout, lenient.stderr) == (
+        0, f"{diagnostic}\nok: 0 discussions, 0 posts\n", "")
+    # the pipeline writes no diagnostics to stdout, so it logs them
+    pipeline = run_cli("pipeline", "--mock", "--corpus", str(bad), "--cache",
+                       str(tmp_path / "c.jsonl"), "--output-dir",
+                       str(tmp_path / "out"))
+    assert pipeline.returncode == 2
+    assert pipeline.stderr.splitlines().count(
+        f"WARNING threadtone.corpus: {diagnostic}") == 1
+
+
+def test_an_escaped_lone_surrogate_stops_validate_and_annotate(tmp_path):
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        '{"post_id": "A", "discussion_id": "d", "parent_id": null,'
+        ' "author": null, "timestamp": 0, "text": "r"}\n'
+        '{"post_id": "B", "discussion_id": "d", "parent_id": "A",'
+        ' "author": null, "timestamp": 5, "text": "x\\ud800y"}\n')
+    diagnostic = "MalformedRecord line=2: text holds a lone surrogate '\\ud800'"
+    validate = run_cli("validate", "--corpus", str(corpus))
+    assert (validate.returncode, validate.stdout, validate.stderr) == (
+        2, f"{diagnostic}\n", "")
+    annotate = run_cli("annotate", "--mock", "--corpus", str(corpus),
+                       "--cache", str(tmp_path / "c.jsonl"))
+    assert (annotate.returncode, annotate.stdout, annotate.stderr) == (
+        2, "", f"{diagnostic}\n")
+
+
 def test_synth_generate_and_recover(synth_setup):
     tmp_path, config_path, _, _ = synth_setup
     corpus_out = tmp_path / "gen.jsonl"

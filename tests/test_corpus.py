@@ -85,6 +85,21 @@ def test_malformed_json_and_fields():
         parse_strict(lines(record("A", timestamp=1.5)))
 
 
+@pytest.mark.parametrize("field", ["post_id", "discussion_id", "parent_id",
+                                   "author", "text"])
+@pytest.mark.parametrize("lone", ["\ud800", "\udfff"])
+def test_an_escaped_lone_surrogate_is_a_malformed_record(field, lone):
+    # json.dumps escapes it, so the line itself is ASCII
+    bad = {**record("B", parent_id="A", timestamp=1), field: f"x{lone}y"}
+    with pytest.raises(MalformedRecord) as info:
+        parse_strict(lines(record("A"), bad))
+    assert info.value.diagnostic() == (
+        f"MalformedRecord line=2: {field} holds a lone surrogate {ascii(lone)}")
+    # an escaped surrogate pair decodes to one character, which is kept
+    pair = {**record("B", parent_id="A", timestamp=1), "text": "\U0001f600"}
+    assert parse_strict(lines(record("A"), pair)).posts["B"].text == "\U0001f600"
+
+
 def test_lenient_drops_offending_discussion(tmp_path, caplog):
     path = tmp_path / "corpus.jsonl"
     path.write_text(lines(

@@ -9,6 +9,11 @@ empty. The first error must be the one the oracle raises in strict mode
 (type, message and fields); all of them must be the diagnostics the oracle
 gives in lenient mode, in the same order, with the same posts and the same
 discussions with the same ``order`` and ``depth``.
+
+``post_to_json`` must write the bytes of the ``json.dumps`` oracle in
+``writer_oracle`` for any post the parser reads back: strings with quotes,
+backslashes, control and non-ASCII characters, null parents and authors,
+and timestamps up to 2**63 - 1.
 """
 
 import io
@@ -17,10 +22,17 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from threadtone.corpus import Post, parse_corpus, post_to_json, tree_arrays
+from threadtone.corpus import (
+    Post,
+    _parse_record,
+    parse_corpus,
+    post_to_json,
+    tree_arrays,
+)
 from threadtone.errors import CorpusError
 
 import corpus_oracle
+import writer_oracle
 
 VIOLATIONS = ("none", "two roots", "orphan", "other discussion",
               "rootless cycle", "duplicate", "cycle below root")
@@ -141,3 +153,23 @@ def test_tree_arrays_reaches_the_end_of_a_chain():
         flipped = n - 1 - chain[::-1]      # stored leaf first
         flipped[-1] = -1
         assert tree_arrays(flipped)[0].tolist() == list(range(n - 1, -1, -1))
+
+
+# any text but a lone surrogate, which the parser refuses
+line_texts = st.one_of(
+    st.sampled_from(['"q"', "back\\slash", "\x00\x1f\x7f", "new\nline\r\t",
+                     "\u2028\u2029", "naïve – ✓", "\U0001f600", "\\u00e8", ""]),
+    st.text(st.characters(codec="utf-8")))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Post, post_id=line_texts, discussion_id=line_texts,
+                 parent_id=st.none() | line_texts,
+                 author=st.none() | line_texts,
+                 timestamp=st.sampled_from([0, 2 ** 63 - 1])
+                 | st.integers(0, 2 ** 63 - 1),
+                 text=line_texts))
+def test_post_lines_match_the_json_dumps_oracle(post):
+    line = post_to_json(post)
+    assert line == writer_oracle.post_to_json(post)
+    assert _parse_record(line, 1) == post

@@ -35,7 +35,7 @@ def test_same_seed_same_bytes():
     a = generate_corpus(small_config())
     b = generate_corpus(small_config())
     assert list(serialize_corpus(a.corpus)) == list(serialize_corpus(b.corpus))
-    assert a.cache_records == b.cache_records
+    assert list(a.cache_records) == list(b.cache_records)
     assert np.array_equal(a.mean_matrix, b.mean_matrix, equal_nan=True)
     c = generate_corpus(small_config(seed=12))
     assert list(serialize_corpus(c.corpus)) != list(serialize_corpus(a.corpus))
@@ -146,7 +146,7 @@ def test_recovery_builds_no_post_objects(monkeypatch):
 
     monkeypatch.setattr(synth, "Post", no_objects)
     monkeypatch.setattr(synth, "DiscussionTree", no_objects)
-    for name in ("corpus", "replication_scores"):
+    for name in ("corpus", "cache_records"):
         monkeypatch.setattr(synth.SynthResult, name, property(no_objects))
     report = recovery_experiment(small_config(), n_runs=2)
     assert report.n_failed == 0

@@ -9,7 +9,14 @@ is exact: the serialized corpus, the replication records, the truncation
 count, and the means by ``repr`` so that the sign of a zero counts. Every
 tree of the generated corpus must have the ``order`` and ``depth`` that the
 breadth-first ``build_tree`` in ``corpus_oracle`` derives from its posts.
+The cache file ``write_cache_records`` writes from the record columns must
+be the bytes of the per-record writer in ``writer_oracle``, for 1-4
+replications, any model id and scales both narrower and wider than -5..5.
 """
+
+import dataclasses
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -18,8 +25,9 @@ from hypothesis import strategies as st
 from threadtone.corpus import serialize_corpus
 from threadtone.dimensions import DIMENSIONS
 from threadtone.regression import MODEL_IDS, MODEL_SPECS
-from threadtone.synth import SynthConfig, generate_corpus
+from threadtone.synth import SynthConfig, generate_corpus, write_cache_records
 
+import writer_oracle
 from conftest import mean_map
 from corpus_oracle import build_tree
 from synth_oracle import oracle_generate_corpus
@@ -85,7 +93,9 @@ def assert_matches_oracle(config: SynthConfig) -> None:
     assert list(result.corpus.posts) == list(oracle.corpus.posts)
     assert (means_repr(mean_map(result.arrays, result.mean_matrix))
             == means_repr(oracle.means))
-    assert repr(result.cache_records) == repr(oracle.cache_records)
+    records = result.cache_records
+    assert (repr(None if records is None else list(records))
+            == repr(oracle.cache_records))
     assert result.truncations == oracle.truncations
 
 
@@ -94,6 +104,32 @@ def assert_matches_oracle(config: SynthConfig) -> None:
 @given(synth_configs())
 def test_generate_corpus_matches_oracle(config):
     assert_matches_oracle(config)
+
+
+model_ids = st.one_of(
+    st.sampled_from(["mock", 'm"q\\x', "modèle\n\t", "模型 \U0001f600",
+                     "\x00\x7f\u2028"]),
+    st.text(max_size=8))
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(synth_configs(), st.integers(1, 4), model_ids,
+       st.sampled_from([(-5, 5), (-1, 9), (-12, 3), (-2, 2)]))
+def test_cache_file_matches_the_per_record_writer(config, replications,
+                                                  model_id, scale):
+    config = dataclasses.replace(config, replications=replications,
+                                 model_id=model_id, scale_min=scale[0],
+                                 scale_max=scale[1])
+    records = generate_corpus(config).cache_records
+    if config.continuous:
+        assert records is None
+        return
+    with tempfile.TemporaryDirectory() as tmp:
+        ours, oracle = Path(tmp, "ours.jsonl"), Path(tmp, "oracle.jsonl")
+        write_cache_records(records, ours)
+        writer_oracle.write_cache_records(records, oracle)
+        assert ours.read_bytes() == oracle.read_bytes()
 
 
 @pytest.mark.parametrize("continuous", [False, True])
