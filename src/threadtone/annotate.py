@@ -47,7 +47,7 @@ from typing import Protocol, Sequence
 import numpy as np
 
 from . import __version__
-from .corpus import Corpus, PostArrays
+from .corpus import PostArrays
 from .dimensions import DIMENSIONS, AnnotationScale
 from .errors import (
     AmbiguousModel,
@@ -68,6 +68,7 @@ log = logging.getLogger(__name__)
 
 MOCK_MODEL_ID = "mock"
 _NAMES = tuple(d.name for d in DIMENSIONS)
+EFFORT, VERBOSITY = "high", "low"  # what every HTTP request body asks for
 
 
 # --- prompt construction -------------------------------------------------------
@@ -349,8 +350,6 @@ class BackendConfig:
     url: str
     api_key_env: str
     model: str
-    effort: str = "high"
-    verbosity: str = "low"
     timeout: float = 60.0
 
 
@@ -516,8 +515,8 @@ class HttpBackend:
             "model": self.config.model,
             "system": prompt.system,
             "input": prompt.user,
-            "effort": self.config.effort,
-            "verbosity": self.config.verbosity,
+            "effort": EFFORT,
+            "verbosity": VERBOSITY,
         }, allow_nan=False).encode("utf-8")
         with self._lock:
             self.calls += 1
@@ -620,8 +619,8 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
 
 @dataclass(frozen=True, eq=False)
 class Annotations:
-    """A corpus's distinct (parent, child) pairs, aligned with
-    ``Corpus.arrays()``: ``scores[k, d, r]`` is replication r of dimension d
+    """A corpus's distinct (parent, child) pairs, aligned with its
+    ``PostArrays``: ``scores[k, d, r]`` is replication r of dimension d
     (``DIMENSIONS`` order) of the pair hashed ``pair_hashes[k]``, NaN if
     missing, and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``."""
 
@@ -642,36 +641,33 @@ class Annotations:
         return means
 
 
-def _reply_pairs(corpus: Corpus, scale: AnnotationScale) -> tuple[
-        PostArrays, np.ndarray, np.ndarray, list[tuple[str, str, str, str]]]:
-    """The corpus's arrays, its replies' positions, each reply's row among
-    the distinct pairs (grouped by hash, the cache's key), and per pair its
-    hash, parent and child texts and first reply's id."""
-    posts = corpus.arrays()
+def _reply_pairs(posts: PostArrays, texts: Sequence[str], scale: AnnotationScale,
+                 ) -> tuple[np.ndarray, np.ndarray, list[tuple[str, str, str, str]]]:
+    """The replies' positions, each reply's row among the distinct pairs
+    (grouped by hash, the cache's key), and per pair its hash, parent and
+    child texts and first reply's id."""
     reply = np.flatnonzero(posts.parent >= 0)
-    ids, by_id = posts.posts, corpus.posts
     rows: dict[str, int] = {}
     row, pairs = [], []
     for c, p in zip(reply.tolist(), posts.parent[reply].tolist()):
-        parent, child = by_id[ids[p]].text, by_id[ids[c]].text
+        parent, child = texts[p], texts[c]
         pair_hash = pair_content_hash(parent, child, scale)
         if pair_hash not in rows:
             rows[pair_hash] = len(pairs)
-            pairs.append((pair_hash, parent, child, ids[c]))
+            pairs.append((pair_hash, parent, child, posts.posts[c]))
         row.append(rows[pair_hash])
-    return posts, reply, np.array(row, np.int64), pairs
+    return reply, np.array(row, np.int64), pairs
 
 
-def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
-                    scale: AnnotationScale = AnnotationScale(),
+def annotate_corpus(posts: PostArrays, texts: Sequence[str], backend: Backend,
+                    cache: AnnotationCache, scale: AnnotationScale = AnnotationScale(),
                     n_replications: int = 4, max_retries: int = 3,
-                    concurrency: int = 1,
-                    cache_timestamp: int = 0) -> Annotations:
+                    concurrency: int = 1, cache_timestamp: int = 0) -> Annotations:
     """Annotate each distinct (parent, child) pair of the corpus's replies
     once (EmptyText, before any request, if a text is empty); replies
     sharing a pair share its scores. Only pairs missing a cached score reach
     ``annotate_pair``, on ``concurrency`` workers, one pair at a time."""
-    posts, reply, row, pairs = _reply_pairs(corpus, scale)
+    reply, row, pairs = _reply_pairs(posts, texts, scale)
     if any(not parent.strip() or not child.strip() for _, parent, child, _ in pairs):
         raise EmptyText("parent and child texts must be non-empty")
     pair_hashes = [pair[0] for pair in pairs]
@@ -690,18 +686,18 @@ def annotate_corpus(corpus: Corpus, backend: Backend, cache: AnnotationCache,
     return Annotations(posts, reply, row, pair_hashes, scores.astype(np.int64))
 
 
-def load_annotation_means(corpus: Corpus, cache: AnnotationCache,
+def load_annotation_means(posts: PostArrays, texts: Sequence[str],
+                          cache: AnnotationCache,
                           scale: AnnotationScale = AnnotationScale(),
-                          n_replications: int = 4,
-                          ) -> tuple[PostArrays, np.ndarray]:
-    """The corpus's arrays and ``compute_feature_table``'s means matrix from
-    the cache: NaN where a reply lacks a complete replication set on a
+                          n_replications: int = 4) -> np.ndarray:
+    """``compute_feature_table``'s means matrix of the corpus from the
+    cache: NaN where a reply lacks a complete replication set on a
     dimension. One model id only (AmbiguousModel)."""
     model, _ = cache.model_pairs()
-    posts, reply, row, pairs = _reply_pairs(corpus, scale)
+    reply, row, pairs = _reply_pairs(posts, texts, scale)
     pair_hashes = [pair[0] for pair in pairs]
     scores = cache.scores(pair_hashes, model, n_replications)
-    return posts, Annotations(posts, reply, row, pair_hashes, scores).means()
+    return Annotations(posts, reply, row, pair_hashes, scores).means()
 
 
 def cached_pair_scores(cache: AnnotationCache, n_replications: int,

@@ -162,18 +162,18 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    corpus, diagnostics = validate_corpus(args.corpus, log_diagnostics=False)
+    posts, _, diagnostics = validate_corpus(args.corpus, log_diagnostics=False)
     for line in diagnostics:
         print(line)
     if diagnostics and not args.lenient:
         return EXIT_VALIDATION
-    print(f"ok: {len(corpus.discussions)} discussions, "
-          f"{len(corpus.posts)} posts")
+    print(f"ok: {len(posts.discussion_ids)} discussions, "
+          f"{len(posts.posts)} posts")
     return EXIT_OK
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    annotations, calls = annotate_stage(load_corpus(args.corpus), args.cache,
+    annotations, calls = annotate_stage(*load_corpus(args.corpus), args.cache,
                                         _options(args))
     print(f"annotated {len(annotations)} posts "
           f"({calls} backend calls, cache {args.cache})")
@@ -182,9 +182,9 @@ def cmd_annotate(args: argparse.Namespace) -> int:
 
 def cmd_features(args: argparse.Namespace) -> int:
     options = _options(args)
-    corpus = load_corpus(args.corpus)
-    posts, means = load_annotation_means(
-        corpus, AnnotationCache(args.annotations), scale=options.scale,
+    posts, texts = load_corpus(args.corpus)
+    means = load_annotation_means(
+        posts, texts, AnnotationCache(args.annotations), scale=options.scale,
         n_replications=options.replications)
     features = compute_feature_table(posts, means, strict=args.strict,
                                      prev_scope=options.prev_scope)
@@ -266,8 +266,8 @@ def cmd_synth(args: argparse.Namespace) -> int:
               file=sys.stderr)
         return 2
     write_cache_records(records, args.out_cache)
-    print(f"generated {len(result.corpus.posts)} posts in "
-          f"{len(result.corpus.discussions)} discussions "
+    print(f"generated {len(result.arrays.posts)} posts in "
+          f"{len(result.arrays.discussion_ids)} discussions "
           f"({result.truncations} truncated scores)")
     return EXIT_OK
 

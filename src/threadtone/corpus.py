@@ -1,14 +1,15 @@
-"""Threaded-discussion corpus: line-delimited JSON parsing and reply trees.
+"""Threaded-discussion corpus: line-delimited JSON parsed into columns.
 
 The interchange format is one UTF-8 JSON object per line with exactly the
 fields ``post_id, discussion_id, parent_id (nullable), author (nullable),
 timestamp, text``. Each discussion must form a single rooted reply tree;
 sibling order is (timestamp, post_id), so parsing is fully deterministic
-even under timestamp ties. A ``DiscussionTree`` is the post ids in that
-order and each post's depth; ``tree_arrays`` derives every structure, for
-the trees as for the features, from the posts' parent positions. Parsing
-collects every violation in one pass: ``load_corpus`` raises the first,
-``validate_corpus`` returns them all as diagnostic lines.
+even under timestamp ties. A parsed corpus is a ``PostArrays`` and the
+posts' texts in that order; ``tree_arrays`` derives every structure from
+the parent positions. Parsing collects every violation in one pass:
+``load_corpus`` raises the first, ``validate_corpus`` returns them all as
+diagnostic lines. ``Post``, ``DiscussionTree`` and ``Corpus`` are only what
+``save_corpus`` writes, a generated corpus.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass
+from itertools import compress
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -49,9 +51,6 @@ class Post:
     timestamp: int
     text: str
 
-    def order_key(self) -> tuple[int, str]:
-        return (self.timestamp, self.post_id)
-
 
 @dataclass(frozen=True)
 class DiscussionTree:
@@ -67,18 +66,6 @@ class Corpus:
 
     def discussion_ids(self) -> list[str]:
         return sorted(self.discussions)
-
-    def arrays(self) -> "PostArrays":
-        """The posts as flat arrays, in each tree's ``order``."""
-        trees = [self.discussions[d] for d in self.discussion_ids()]
-        ids = [post_id for tree in trees for post_id in tree.order]
-        at = {post_id: i for i, post_id in enumerate(ids)}
-        posts = [self.posts[post_id] for post_id in ids]
-        return PostArrays(
-            tuple(ids), tuple(self.discussion_ids()),
-            np.cumsum([0] + [len(tree.order) for tree in trees]),
-            np.array([at.get(post.parent_id, -1) for post in posts], np.int64),
-            np.array([post.timestamp for post in posts], np.int64))
 
 
 @dataclass(frozen=True, eq=False)
@@ -123,21 +110,21 @@ def tree_arrays(parent: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     return depth, branch_root, rank
 
 
-def _violation(discussion_id: str, posts: list[Post], order: tuple[str, ...],
+def _violation(discussion_id: str, posts: list[tuple], order: list[str],
                depth: list[int]) -> CorpusError | None:
     """The first structural violation of one discussion, if any, from its
     posts in input order and their ids and depths in ``order``: several
     roots, a parent outside the discussion, no root, or posts that reach no
     root (a post set with no root necessarily contains a cycle)."""
-    roots = sorted(post.post_id for post in posts if post.parent_id is None)
+    roots = sorted(post_id for _, post_id, parent_id, _ in posts if parent_id is None)
     if len(roots) > 1:
         return MultipleRoots(f"{len(roots)} roots: {', '.join(roots)}",
                              discussion_id=discussion_id)
     ids = set(order)
-    for post in posts:
-        if post.parent_id is not None and post.parent_id not in ids:
-            return OrphanPost(f"parent {post.parent_id!r} not found",
-                              discussion_id=discussion_id, post_id=post.post_id)
+    for _, post_id, parent_id, _ in posts:
+        if parent_id is not None and parent_id not in ids:
+            return OrphanPost(f"parent {parent_id!r} not found",
+                              discussion_id=discussion_id, post_id=post_id)
     if not roots:
         return CycleDetected("no root post; parent links form a cycle",
                              discussion_id=discussion_id)
@@ -150,7 +137,8 @@ def _violation(discussion_id: str, posts: list[Post], order: tuple[str, ...],
     return None
 
 
-def _parse_record(raw: str, line_no: int) -> Post:
+def _parse_record(raw: str, line_no: int) -> dict:
+    """The line's record, the JSON object checked field by field."""
     if not raw.isascii():
         try:
             raw.encode("utf-8")
@@ -171,23 +159,24 @@ def _parse_record(raw: str, line_no: int) -> Post:
                 raise MalformedRecord(f"{name} holds a lone surrogate "
                                       f"{ascii(lone.group())}", line_no=line_no)
 
+    # an error names an id only if it is a string
+    post_id, discussion_id = (value if isinstance(value := obj.get(name), str)
+                              else None for name in ("post_id", "discussion_id"))
     extra = set(obj) - set(RECORD_FIELDS)
     if extra:
         raise MalformedRecord(f"unexpected fields {sorted(extra)}", line_no=line_no,
-                              post_id=obj.get("post_id"))
+                              post_id=post_id)
     missing = [f for f in RECORD_FIELDS if f not in obj and f != "timestamp"]
     if missing:
         raise MalformedRecord(f"missing fields {missing}", line_no=line_no,
-                              post_id=obj.get("post_id"))
+                              post_id=post_id)
     if "timestamp" not in obj or obj["timestamp"] is None:
         raise MissingTimestamp("timestamp absent", line_no=line_no,
-                               post_id=obj.get("post_id"),
-                               discussion_id=obj.get("discussion_id"))
+                               post_id=post_id, discussion_id=discussion_id)
 
-    post_id, discussion_id = obj["post_id"], obj["discussion_id"]
     parent_id, author = obj["parent_id"], obj["author"]
     timestamp, text = obj["timestamp"], obj["text"]
-    if not isinstance(post_id, str) or not isinstance(discussion_id, str):
+    if post_id is None or discussion_id is None:
         raise MalformedRecord("post_id and discussion_id must be strings",
                               line_no=line_no)
     if parent_id is not None and not isinstance(parent_id, str):
@@ -207,14 +196,14 @@ def _parse_record(raw: str, line_no: int) -> Post:
     if not isinstance(text, str):
         raise MalformedRecord("text must be a string", line_no=line_no,
                               post_id=post_id, discussion_id=discussion_id)
-    return Post(post_id=post_id, discussion_id=discussion_id, parent_id=parent_id,
-                author=author, timestamp=timestamp, text=text)
+    return obj
 
 
 def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
-                 ) -> tuple[Corpus, list[CorpusError]]:
-    """Parse line-delimited JSON posts into the valid discussions and every
-    violation, in one pass over the lines.
+                 ) -> tuple[PostArrays, list[str], list[CorpusError]]:
+    """Parse line-delimited JSON posts into the valid discussions' arrays,
+    their posts' texts in the same order, and every violation, in one pass
+    over the lines.
 
     A line that is not UTF-8 or not JSON is dropped on its own; any other
     violation drops its whole discussion (a repeated id both). The errors
@@ -222,7 +211,9 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     structural violation in discussion id order.
     """
     errors: list[CorpusError] = []
-    by_discussion: dict[str, list[Post]] = defaultdict(list)
+    # each discussion's posts as (timestamp, post_id, parent_id, text), so
+    # that they sort in sibling order
+    by_discussion: dict[str, list[tuple]] = defaultdict(list)
     seen_ids: dict[str, str] = {}
     dropped: set[str] = set()
 
@@ -232,61 +223,66 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
         if not raw.strip():
             continue
         try:
-            post = _parse_record(raw, line_no)
+            rec = _parse_record(raw, line_no)
         except CorpusError as err:
             errors.append(err)
             if err.discussion_id is not None:
                 dropped.add(err.discussion_id)
             continue
-        if post.post_id in seen_ids:
+        post_id, discussion_id = rec["post_id"], rec["discussion_id"]
+        if post_id in seen_ids:
             errors.append(DuplicateId(
-                f"post id {post.post_id!r} already used in discussion "
-                f"{seen_ids[post.post_id]!r}",
-                discussion_id=post.discussion_id, post_id=post.post_id,
-                line_no=line_no))
-            dropped.update((post.discussion_id, seen_ids[post.post_id]))
+                f"post id {post_id!r} already used in discussion "
+                f"{seen_ids[post_id]!r}",
+                discussion_id=discussion_id, post_id=post_id, line_no=line_no))
+            dropped.update((discussion_id, seen_ids[post_id]))
             continue
-        seen_ids[post.post_id] = post.discussion_id
-        by_discussion[post.discussion_id].append(post)
+        seen_ids[post_id] = discussion_id
+        by_discussion[discussion_id].append(
+            (rec["timestamp"], post_id, rec["parent_id"], rec["text"]))
 
     # the remaining discussions in id order, each one's posts in
     # (timestamp, post_id) order; a parent in another discussion, or in
     # none, makes only the child's discussion invalid, as _violation reports
     kept = [did for did in sorted(by_discussion) if did not in dropped]
     groups = [by_discussion[did] for did in kept]
-    ordered = [post for group in groups
-               for post in sorted(group, key=Post.order_key)]
-    ids = tuple(post.post_id for post in ordered)
+    ordered = [post for group in groups for post in sorted(group)]
+    ids = [post[1] for post in ordered]
     at = {post_id: i for i, post_id in enumerate(ids)}
-    depth = tree_arrays(np.array([at.get(post.parent_id, -1) for post in ordered],
-                                 np.int64))[0].tolist()
+    parent = np.array([at.get(post[2], -1) for post in ordered], np.int64)
+    depth = tree_arrays(parent)[0].tolist()
     bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
+    found = [_violation(did, group, ids[a:b], depth[a:b])
+             for did, group, a, b in zip(kept, groups, bounds, bounds[1:])]
+    errors += [err for err in found if err is not None]
 
-    discussions: dict[str, DiscussionTree] = {}
-    posts: dict[str, Post] = {}
-    for did, group, a, b in zip(kept, groups, bounds, bounds[1:]):
-        err = _violation(did, group, ids[a:b], depth[a:b])
-        if err is not None:
-            errors.append(err)
-            continue
-        discussions[did] = DiscussionTree(did, dict(zip(ids[a:b], depth[a:b])),
-                                          ids[a:b])
-        posts.update((post.post_id, post) for post in group)
-    return Corpus(discussions=discussions, posts=posts), errors
+    # drop the invalid discussions: a valid one's parents all lie inside
+    # it, so they shift by the posts dropped before it, as it does
+    valid = np.array([err is None for err in found], bool)
+    sizes = np.diff(bounds)
+    keep = np.repeat(valid, sizes)
+    parent = np.where(parent < 0, parent, parent - np.cumsum(~keep))[keep]
+    # the kept posts' columns, empty when no discussion is kept
+    stamps, ids, _, texts = list(zip(*compress(ordered, keep.tolist()))) or [()] * 4
+    posts = PostArrays(ids, tuple(compress(kept, valid)),
+                       np.r_[0, np.cumsum(sizes[valid])], parent,
+                       np.array(stamps, np.int64))
+    return posts, list(texts), errors
 
 
-def _parse_file(path: str | Path) -> tuple[Corpus, list[CorpusError]]:
+def _parse_file(path: str | Path) -> tuple[PostArrays, list[str], list[CorpusError]]:
     # undecodable bytes pass as lone surrogates, which _parse_record reports
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as fh:
         return parse_corpus(fh)
 
 
-def load_corpus(path: str | Path) -> Corpus:
-    """Parse an interchange file; raises its first violation."""
-    corpus, errors = _parse_file(path)
+def load_corpus(path: str | Path) -> tuple[PostArrays, list[str]]:
+    """Parse an interchange file into its arrays and texts; raises its
+    first violation."""
+    posts, texts, errors = _parse_file(path)
     if errors:
         raise errors[0]
-    return corpus
+    return posts, texts
 
 
 def post_to_json(post: Post) -> str:
@@ -312,13 +308,14 @@ def save_corpus(corpus: Corpus, path: str | Path) -> None:
 
 
 def validate_corpus(path: str | Path, log_diagnostics: bool = True,
-                    ) -> tuple[Corpus, list[str]]:
+                    ) -> tuple[PostArrays, list[str], list[str]]:
     """Parse an interchange file, collecting every violation: the valid
-    discussions and one diagnostic line per violation, each logged once
-    unless ``log_diagnostics`` is false (the caller prints them)."""
-    corpus, errors = _parse_file(path)
+    discussions' arrays and texts, and one diagnostic line per violation,
+    each logged once unless ``log_diagnostics`` is false (the caller prints
+    them)."""
+    posts, texts, errors = _parse_file(path)
     diagnostics = [err.diagnostic() for err in errors]
     if log_diagnostics:
         for line in diagnostics:
             log.warning("%s", line)
-    return corpus, diagnostics
+    return posts, texts, diagnostics

@@ -40,7 +40,7 @@ from .annotate import (
     MockBackend,
     annotate_corpus,
 )
-from .corpus import Corpus, validate_corpus
+from .corpus import PostArrays, validate_corpus
 from .dimensions import DIMENSIONS, AnnotationScale, dimension_by_name
 from .errors import AnnotationError, StatsError
 from .features import FeatureTable, compute_feature_table, write_features_csv
@@ -198,7 +198,7 @@ class PipelineOptions:
         return manifest
 
 
-def annotate_stage(corpus: Corpus, cache_path: str | Path,
+def annotate_stage(posts: PostArrays, texts: Sequence[str], cache_path: str | Path,
                    options: PipelineOptions) -> tuple[Annotations, int]:
     """Annotate every reply's pair, cache-first. Returns the pairs' scores
     and the number of backend calls; raises AnnotationError, also when no
@@ -218,7 +218,7 @@ def annotate_stage(corpus: Corpus, cache_path: str | Path,
     cache = AnnotationCache(cache_path)
     try:
         annotations = annotate_corpus(
-            corpus, backend, cache, scale=options.scale,
+            posts, texts, backend, cache, scale=options.scale,
             n_replications=options.replications,
             max_retries=options.max_retries,
             concurrency=options.concurrency,
@@ -355,23 +355,23 @@ def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
     regress -> render. Returns the exit code of the first failing stage;
     outputs of earlier stages are preserved."""
     # stage 1: validate (every violation), before any output is written
-    corpus, diagnostics = validate_corpus(corpus_path)
+    posts, texts, diagnostics = validate_corpus(corpus_path)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
     with PipelineLock(output_dir):
-        return _run_stages(corpus, diagnostics, Path(corpus_path),
+        return _run_stages(posts, texts, diagnostics, Path(corpus_path),
                            Path(cache_path), output_dir, options)
 
 
-def _run_stages(corpus: Corpus, diagnostics: list[str], corpus_path: Path,
-                cache_path: Path, output_dir: Path,
-                options: PipelineOptions) -> int:
+def _run_stages(posts: PostArrays, texts: Sequence[str],
+                diagnostics: list[str], corpus_path: Path, cache_path: Path,
+                output_dir: Path, options: PipelineOptions) -> int:
     failed = bool(diagnostics) and not options.lenient
     validation = {
         "ok": not failed,
         "diagnostics": diagnostics,
-        "n_discussions": len(corpus.discussions),
-        "n_posts": len(corpus.posts),
+        "n_discussions": len(posts.discussion_ids),
+        "n_posts": len(posts.posts),
     }
     write_json(output_dir / "validation.json", validation)
     if failed:
@@ -380,7 +380,7 @@ def _run_stages(corpus: Corpus, diagnostics: list[str], corpus_path: Path,
 
     # stage 2: annotate, cache-first
     try:
-        annotations, calls = annotate_stage(corpus, cache_path, options)
+        annotations, calls = annotate_stage(posts, texts, cache_path, options)
     except AnnotationError as exc:
         log.error("annotation failed: %s", exc)
         return EXIT_ANNOTATION

@@ -121,6 +121,12 @@ class SynthConfig:
         write_json(path, asdict(self))
 
 
+def _texts(arrays: PostArrays) -> list[str]:
+    """The generated posts' texts, in the order of ``arrays``."""
+    return [f"synthetic reply {pid}" if p >= 0 else f"synthetic root post {pid}"
+            for pid, p in zip(arrays.posts, arrays.parent.tolist())]
+
+
 @dataclass(eq=False)
 class SynthResult:
     """A generated corpus as arrays: its structure, and the posts' means
@@ -144,14 +150,12 @@ class SynthResult:
         stamps, authors = arrays.timestamp.tolist(), self.authors.tolist()
         discussion = np.repeat(arrays.discussion_ids,
                                np.diff(arrays.starts)).tolist()
+        texts = _texts(arrays)
         posts = {}
         for i in self.generated.tolist():
             pid, p = ids[i], parent[i]
-            posts[pid] = Post(
-                pid, discussion[i], None if p < 0 else ids[p],
-                f"u{authors[i]:02d}", stamps[i],
-                f"synthetic reply {pid}" if p >= 0
-                else f"synthetic root post {pid}")
+            posts[pid] = Post(pid, discussion[i], None if p < 0 else ids[p],
+                              f"u{authors[i]:02d}", stamps[i], texts[i])
         depth = tree_arrays(arrays.parent)[0].tolist()
         starts = arrays.starts.tolist()
         trees = {did: DiscussionTree(did, dict(zip(ids[a:b], depth[a:b])), ids[a:b])
@@ -177,17 +181,17 @@ class SynthResult:
             hi += hi >= lo
             reps[r, m, lo] -= 1
             reps[r, m, hi] += 1
-        posts = self.corpus.posts
+        texts = _texts(self.arrays)
         return CacheRecords(
-            [pair_content_hash(posts[post.parent_id].text, post.text, scale)
-             for post in posts.values() if post.parent_id is not None],
+            [pair_content_hash(texts[p], texts[c], scale) for c, p in
+             zip(replies.tolist(), self.arrays.parent[replies].tolist())],
             self.config.model_id, reps)
 
 
 @dataclass(frozen=True, eq=False)
 class CacheRecords:
-    """Annotation-cache records as columns: the replies' pair hashes in the
-    order of ``corpus.posts``, the model id and their int64 reply x
+    """Annotation-cache records as columns: the replies' pair hashes in
+    generation order, the model id and their int64 reply x
     dimension x replication scores; iterating yields the records as dicts."""
     pair_hashes: list[str]
     model: str

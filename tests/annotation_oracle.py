@@ -83,13 +83,15 @@ def annotate_pair(parent, child, backend, cache, scale=AnnotationScale(),
     return {name: tuple(reps) for name, reps in scores.items()}
 
 
-def annotate_corpus(corpus, backend, cache, scale=AnnotationScale(),
+def annotate_corpus(posts, backend, cache, scale=AnnotationScale(),
                     n_replications=4, max_retries=3, concurrency=1,
                     cache_timestamp=0):
-    """post id -> dimension -> replication-ordered scores of every reply."""
-    posts = [corpus.posts[post_id] for discussion_id in corpus.discussion_ids()
-             for post_id in corpus.discussions[discussion_id].order]
-    pairs = [(corpus.posts[post.parent_id], post) for post in posts
+    """post id -> dimension -> replication-ordered scores of every reply of
+    a corpus's posts, in (discussion, timestamp, post id) order."""
+    by_id = {post.post_id: post for post in posts}
+    ordered = sorted(posts, key=lambda post: (post.discussion_id,
+                                              post.timestamp, post.post_id))
+    pairs = [(by_id[post.parent_id], post) for post in ordered
              if post.parent_id is not None]
 
     def work(pair):
@@ -104,13 +106,15 @@ def annotate_corpus(corpus, backend, cache, scale=AnnotationScale(),
         return dict(pool.map(work, pairs))
 
 
-def by_pair(corpus, records, scale=AnnotationScale()):
-    """The records re-keyed by each reply's (parent, child) content hash;
-    replies sharing a pair hold the same scores when annotated serially."""
+def by_pair(posts, records, scale=AnnotationScale()):
+    """The records of a corpus's posts re-keyed by each reply's (parent,
+    child) content hash; replies sharing a pair hold the same scores when
+    annotated serially."""
+    by_id = {post.post_id: post for post in posts}
     out = {}
     for post_id, dims in records.items():
-        child = corpus.posts[post_id]
-        parent = corpus.posts[child.parent_id]
+        child = by_id[post_id]
+        parent = by_id[child.parent_id]
         out[pair_content_hash(parent.text, child.text, scale)] = dims
     return out
 

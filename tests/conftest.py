@@ -8,7 +8,14 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from threadtone.corpus import Corpus, Post, PostArrays, parse_corpus, post_to_json
+from threadtone.corpus import (
+    Corpus,
+    DiscussionTree,
+    Post,
+    PostArrays,
+    parse_corpus,
+    post_to_json,
+)
 from threadtone.dimensions import DIMENSIONS
 
 from corpus_oracle import oracle_trees
@@ -22,16 +29,26 @@ def mk_post(post_id: str, discussion_id: str = "d1", parent_id: str | None = Non
                 text=text if text is not None else f"text of {post_id}")
 
 
-def parse_strict(lines) -> Corpus:
-    """``parse_corpus`` of the lines; raises its first violation."""
-    corpus, errors = parse_corpus(lines)
+def parse_strict(lines) -> tuple[PostArrays, list[str]]:
+    """``parse_corpus``'s arrays and texts of the lines; raises its first
+    violation."""
+    posts, texts, errors = parse_corpus(lines)
     if errors:
         raise errors[0]
-    return corpus
+    return posts, texts
 
 
-def corpus_from_posts(posts: list[Post]) -> Corpus:
+def corpus_from_posts(posts: list[Post]) -> tuple[PostArrays, list[str]]:
+    """The parsed arrays and texts of a corpus's posts."""
     return parse_strict(post_to_json(post) for post in posts)
+
+
+def writer_corpus(posts: list[Post]) -> Corpus:
+    """The ``Corpus`` of valid posts, as ``save_corpus`` takes it."""
+    trees = {did: DiscussionTree(did, {pid: tree.depth[pid] for pid in tree.order},
+                                 tree.order)
+             for did, tree in oracle_trees(posts).items()}
+    return Corpus(discussions=trees, posts={post.post_id: post for post in posts})
 
 
 def random_tree_posts(rng: np.random.Generator, n: int,
@@ -51,12 +68,12 @@ def random_tree_posts(rng: np.random.Generator, n: int,
     return posts
 
 
-def uniform_means(corpus: Corpus, rng: np.random.Generator,
+def uniform_means(posts: list[Post], rng: np.random.Generator,
                   lo: float = -5.0, hi: float = 5.0) -> dict[str, dict[str, float]]:
     """Random post-level means for every non-root post, drawn in each
-    tree's breadth-first order."""
+    tree's breadth-first order, the trees in discussion id order."""
     means: dict[str, dict[str, float]] = {}
-    for tree in oracle_trees(corpus).values():
+    for tree in oracle_trees(posts).values():
         for pid, depth in tree.depth.items():
             if depth == 0:
                 continue
@@ -64,15 +81,15 @@ def uniform_means(corpus: Corpus, rng: np.random.Generator,
     return means
 
 
-def mean_matrix(corpus: Corpus, means: dict[str, dict[str, float]],
+def mean_matrix(posts: list[Post], means: dict[str, dict[str, float]],
                 ) -> tuple[PostArrays, np.ndarray]:
-    """A corpus and post id -> dimension -> mean as ``compute_feature_table``
-    takes them: the posts' arrays and an (n_posts x n_dimensions) matrix,
-    NaN where a post lacks a dimension."""
-    posts = corpus.arrays()
+    """A corpus's posts and post id -> dimension -> mean as
+    ``compute_feature_table`` takes them: the parsed arrays and an
+    (n_posts x n_dimensions) matrix, NaN where a post lacks a dimension."""
+    arrays, _ = corpus_from_posts(posts)
     rows = [[means.get(post_id, {}).get(d.name, np.nan) for d in DIMENSIONS]
-            for post_id in posts.posts]
-    return posts, np.array(rows, float).reshape(len(rows), len(DIMENSIONS))
+            for post_id in arrays.posts]
+    return arrays, np.array(rows, float).reshape(len(rows), len(DIMENSIONS))
 
 
 def mean_map(posts: PostArrays, means: np.ndarray) -> dict[str, dict[str, float]]:
@@ -84,14 +101,14 @@ def mean_map(posts: PostArrays, means: np.ndarray) -> dict[str, dict[str, float]
 
 
 @pytest.fixture
-def four_node_corpus() -> Corpus:
+def four_node_corpus() -> list[Post]:
     """A root; B, C reply to A; D replies to B."""
-    return corpus_from_posts([
+    return [
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=3600),
         mk_post("C", parent_id="A", timestamp=7200),
         mk_post("D", parent_id="B", timestamp=10800),
-    ])
+    ]
 
 
 @pytest.fixture(autouse=True)

@@ -5,10 +5,11 @@ discussion from its root through per-parent child lists and records every
 post's depth, its branch root (the depth-1 ancestor) and its children in
 (timestamp, post_id) order. ``parse_corpus`` is the original two-mode
 parser, which reads the lines and then builds each discussion's tree on its
-own. They are kept as the oracle that ``threadtone.corpus.parse_corpus``
-and ``tree_arrays`` must match: the same first error (type, message and
-fields) in strict mode; in lenient mode the same diagnostics in the same
-order, the same posts, and the same ``order`` and ``depth`` of every tree.
+own, into ``Post`` objects and trees. They are kept as the oracle that
+``threadtone.corpus.parse_corpus`` and ``tree_arrays`` must match: the same
+first error (type, message and fields) in strict mode; in lenient mode the
+same diagnostics in the same order, and the same posts, in each tree's
+``order``, with the same ``depth``.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from collections import defaultdict, deque
 from dataclasses import dataclass
 from typing import IO, Iterable
 
-from threadtone.corpus import Corpus, Post, _parse_record
+from threadtone.corpus import Post, _parse_record
 from threadtone.errors import (
     CorpusError,
     CycleDetected,
@@ -72,7 +73,7 @@ def build_tree(posts: Iterable[Post]) -> OracleTree:
                             discussion_id=discussion_id)
     root = roots[0]
 
-    ordered = sorted(posts, key=Post.order_key)
+    ordered = sorted(posts, key=lambda post: (post.timestamp, post.post_id))
     child_lists: dict[str, list[str]] = defaultdict(list)
     for post in ordered:
         if post.parent_id is not None:
@@ -104,18 +105,21 @@ def build_tree(posts: Iterable[Post]) -> OracleTree:
     )
 
 
-def oracle_trees(corpus) -> dict[str, OracleTree]:
-    """The oracle's tree of every discussion of a corpus, in id order."""
-    return {did: build_tree(corpus.posts[pid]
-                            for pid in corpus.discussions[did].order)
-            for did in corpus.discussion_ids()}
+def oracle_trees(posts: Iterable[Post]) -> dict[str, OracleTree]:
+    """The oracle's tree of every discussion of a corpus's posts, in id
+    order."""
+    by_discussion: dict[str, list[Post]] = defaultdict(list)
+    for post in posts:
+        by_discussion[post.discussion_id].append(post)
+    return {did: build_tree(by_discussion[did]) for did in sorted(by_discussion)}
 
 
 def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
                  lenient: bool = False,
-                 diagnostics: list[str] | None = None) -> Corpus:
-    """Parse line-delimited JSON posts into a validated Corpus of
-    ``OracleTree``s.
+                 diagnostics: list[str] | None = None,
+                 ) -> tuple[dict[str, OracleTree], dict[str, Post]]:
+    """Parse line-delimited JSON posts into the ``OracleTree`` of every
+    valid discussion, in id order, and their posts by id.
 
     In strict mode (default) the first structural violation raises. In
     lenient mode, violations are recorded in ``diagnostics`` (if given) and
@@ -136,7 +140,7 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
         if not raw.strip():
             continue
         try:
-            post = _parse_record(raw, line_no)
+            post = Post(**_parse_record(raw, line_no))
         except CorpusError as err:
             if not lenient:
                 raise
@@ -176,4 +180,4 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
         for post in group:
             posts[post.post_id] = post
 
-    return Corpus(discussions=discussions, posts=posts)
+    return discussions, posts

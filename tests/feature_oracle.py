@@ -17,7 +17,7 @@ from typing import Iterable, Mapping
 
 import numpy as np
 
-from threadtone.corpus import Corpus, Post
+from threadtone.corpus import Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import EmptySample, FeatureError, MissingAnnotation
 from threadtone.features import (
@@ -31,6 +31,11 @@ from threadtone.regression import ModelSpec, cluster_robust_vcov, ols_fit
 from corpus_oracle import OracleTree, oracle_trees
 
 MeanMap = Mapping[str, Mapping[str, float]]
+
+
+def order_key(post: Post) -> tuple[int, str]:
+    """A post's place in (timestamp, post_id) order."""
+    return (post.timestamp, post.post_id)
 
 
 class NegativeDelta(FeatureError):
@@ -53,10 +58,10 @@ class FeatureRow:
 def delta_t_prev(post: Post, ordered_posts: list[Post]) -> float | None:
     """Hours since the predecessor in (timestamp, post_id) order; None for
     the earliest post of the scope."""
-    key = post.order_key()
+    key = order_key(post)
     prev = None
     for other in ordered_posts:
-        if other.order_key() < key:
+        if order_key(other) < key:
             prev = other
         else:
             break
@@ -86,9 +91,9 @@ def _older_siblings(post: Post, tree: OracleTree,
     if post.parent_id is None:
         return []
     siblings = tree.children.get(post.parent_id, ())
-    key = post.order_key()
+    key = order_key(post)
     return [posts_by_id[pid] for pid in siblings
-            if posts_by_id[pid].order_key() < key]
+            if order_key(posts_by_id[pid]) < key]
 
 
 def older_sibling_mean(post: Post, dimension_name: str, tree: OracleTree,
@@ -123,22 +128,21 @@ def br_neg_indicator(post: Post, dimension_name: str, tree: OracleTree,
     return 1 if branch_means[dimension_name] < 0 else 0
 
 
-def oracle_feature_rows(corpus: Corpus, means: MeanMap, strict: bool = True,
+def oracle_feature_rows(posts: Iterable[Post], means: MeanMap,
+                        strict: bool = True,
                         prev_scope: str = "discussion") -> list[FeatureRow]:
-    """One FeatureRow per annotated non-root post (see compute_feature_table)."""
+    """One FeatureRow per annotated non-root post of a corpus's posts (see
+    compute_feature_table)."""
     # a post mapped to no dimension is unannotated: the means matrix that
     # compute_feature_table takes holds it as an all-NaN row
     means = {post_id: dims for post_id, dims in means.items() if dims}
     rows: list[FeatureRow] = []
-    trees = oracle_trees(corpus)
-    for discussion_id in corpus.discussion_ids():
-        # the breadth-first tree, not the parsed one, so that the oracle
-        # checks depths instead of inheriting them
-        tree = trees[discussion_id]
+    posts = list(posts)
+    by_id = {post.post_id: post for post in posts}
+    for discussion_id, tree in oracle_trees(posts).items():
         # sorted here, not taken from the tree's stored order, so that the
         # oracle checks that order instead of inheriting it
-        ordered = sorted((corpus.posts[pid] for pid in tree.depth),
-                         key=Post.order_key)
+        ordered = sorted((by_id[pid] for pid in tree.depth), key=order_key)
         posts_by_id = {p.post_id: p for p in ordered}
         for post in ordered:
             depth = tree.depth[post.post_id]

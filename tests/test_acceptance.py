@@ -165,7 +165,7 @@ def test_model_filters_match_bruteforce_recount():
             sigma=1.0, tau=0.3, seed=int(rng.integers(1 << 30)))
         result = generate_corpus(config)
         features = compute_feature_table(result.arrays, result.mean_matrix)
-        rows = oracle_feature_rows(result.corpus,
+        rows = oracle_feature_rows(result.corpus.posts.values(),
                                    mean_map(result.arrays, result.mean_matrix))
         assert_table_equals_rows(features, rows)
         recount = {
@@ -192,13 +192,12 @@ def test_geometry_invariants():
     dim = "disagree_vs_agree"
     # br_neg invariance under positive rescaling
     posts = random_tree_posts(rng, 80)
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
-    features = compute_feature_table(*mean_matrix(corpus, means))
+    means = uniform_means(posts, rng)
+    features = compute_feature_table(*mean_matrix(posts, means))
     for c in (0.01, 7.3):
         scaled = {pid: {k: c * v for k, v in vals.items()}
                   for pid, vals in means.items()}
-        scaled_features = compute_feature_table(*mean_matrix(corpus, scaled))
+        scaled_features = compute_feature_table(*mean_matrix(posts, scaled))
         assert scaled_features.post_id == features.post_id
         for name, column in features.br_neg.items():
             assert np.array_equal(scaled_features.br_neg[name], column,
@@ -208,20 +207,27 @@ def test_geometry_invariants():
     config = SynthConfig(n_discussions=8, mean_posts=20, model="M4",
                          coefficients={dim: (0.1, 0.3)}, sigma=1.0, tau=0.2,
                          seed=77)
+    # the breadth-first walk from each root reaches every post once, at
+    # the depth the tree records
     generated = generate_corpus(config).corpus
-    for corpus_under_test in (corpus, generated):
-        # the breadth-first walk from each root reaches every post once, at
-        # the depth the tree records
-        oracle = oracle_trees(corpus_under_test)
-        for did, tree in corpus_under_test.discussions.items():
-            assert list(tree.depth.values()).count(0) == 1
-            assert tree.depth == oracle[did].depth
-            assert tree.order == oracle[did].order
+    oracle = oracle_trees(generated.posts.values())
+    for did, tree in generated.discussions.items():
+        assert list(tree.depth.values()).count(0) == 1
+        assert tree.depth == oracle[did].depth
+        assert tree.order == oracle[did].order
+    parsed, _ = corpus_from_posts(posts)
+    oracle = oracle_trees(posts)
+    depth = tree_arrays(parsed.parent)[0].tolist()
+    starts = parsed.starts.tolist()
+    for did, a, b in zip(parsed.discussion_ids, starts, starts[1:]):
+        assert depth[a:b].count(0) == 1
+        assert dict(zip(parsed.posts[a:b], depth[a:b])) == oracle[did].depth
+        assert parsed.posts[a:b] == oracle[did].order
 
     # tree_arrays' branch root equals the parent-walk oracle on random trees
     for _ in range(20):
         posts = random_tree_posts(rng, int(rng.integers(2, 150)))
-        arrays = corpus_from_posts(posts).arrays()
+        arrays, _ = corpus_from_posts(posts)
         parent = arrays.parent.tolist()
         depth, branch_root, _ = tree_arrays(arrays.parent)
         for i in range(len(parent)):
@@ -288,10 +294,10 @@ def test_annotation_protocol():
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = Path(tmp) / "cache.jsonl"
         first = MockBackend(seed=1)
-        records1 = annotate_corpus(corpus, first, AnnotationCache(cache_path))
+        records1 = annotate_corpus(*corpus, first, AnnotationCache(cache_path))
         assert first.calls > 0
         second = MockBackend(seed=1)
-        records2 = annotate_corpus(corpus, second, AnnotationCache(cache_path))
+        records2 = annotate_corpus(*corpus, second, AnnotationCache(cache_path))
         assert second.calls == 0
         assert np.array_equal(records1.scores, records2.scores)
 

@@ -45,7 +45,7 @@ from threadtone.errors import (
 
 from threadtone.report import PipelineOptions, annotate_stage
 
-from conftest import corpus_from_posts, mk_post
+from conftest import corpus_from_posts, mk_post, writer_corpus
 
 SCALE = AnnotationScale()
 
@@ -262,10 +262,10 @@ def test_cache_idempotence_zero_calls(tmp_path, open_cache):
     ])
     cache_path = tmp_path / "cache.jsonl"
     backend = MockBackend(seed=9)
-    first = annotate_corpus(corpus, backend, open_cache(cache_path))
+    first = annotate_corpus(*corpus, backend, open_cache(cache_path))
     assert backend.calls > 0
     again = MockBackend(seed=9)
-    second = annotate_corpus(corpus, again, open_cache(cache_path))
+    second = annotate_corpus(*corpus, again, open_cache(cache_path))
     assert again.calls == 0
     assert np.array_equal(second.scores, first.scores)
 
@@ -278,7 +278,7 @@ def test_mock_end_to_end_determinism(tmp_path, open_cache):
     runs = []
     for i in range(2):
         cache = open_cache(tmp_path / f"cache{i}.jsonl")
-        runs.append(annotate_corpus(corpus, MockBackend(seed=3), cache))
+        runs.append(annotate_corpus(*corpus, MockBackend(seed=3), cache))
     assert np.array_equal(runs[0].scores, runs[1].scores)
 
 
@@ -287,9 +287,9 @@ def test_concurrent_annotation_matches_serial(tmp_path, open_cache):
     posts += [mk_post(f"B{i}", parent_id="A", timestamp=60 + i)
               for i in range(12)]
     corpus = corpus_from_posts(posts)
-    serial = annotate_corpus(corpus, MockBackend(seed=4),
+    serial = annotate_corpus(*corpus, MockBackend(seed=4),
                              open_cache(tmp_path / "s.jsonl"))
-    parallel = annotate_corpus(corpus, MockBackend(seed=4),
+    parallel = annotate_corpus(*corpus, MockBackend(seed=4),
                                open_cache(tmp_path / "p.jsonl"),
                                concurrency=4)
     assert np.array_equal(parallel.scores, serial.scores)
@@ -326,7 +326,7 @@ def test_a_duplicated_pair_is_annotated_once_under_concurrency(tmp_path,
     ])
     cache_path = tmp_path / "cache.jsonl"
     backend = FreshScoreBackend()
-    cold = annotate_corpus(corpus, backend, open_cache(cache_path),
+    cold = annotate_corpus(*corpus, backend, open_cache(cache_path),
                            concurrency=2)
     assert backend.calls == 4
     assert len(cold) == 2 and cold.pair_hashes == [
@@ -336,7 +336,7 @@ def test_a_duplicated_pair_is_annotated_once_under_concurrency(tmp_path,
     assert means[1].tobytes() == means[2].tobytes()
 
     rerun = FreshScoreBackend()
-    warm = annotate_corpus(corpus, rerun, open_cache(cache_path),
+    warm = annotate_corpus(*corpus, rerun, open_cache(cache_path),
                            concurrency=2)
     assert rerun.calls == 0
     assert warm.means().tobytes() == means.tobytes()
@@ -348,10 +348,10 @@ def test_load_annotation_means(tmp_path, open_cache):
         mk_post("B", parent_id="A", timestamp=60),
     ])
     cache_path = tmp_path / "cache.jsonl"
-    records = annotate_corpus(corpus, MockBackend(seed=5),
+    records = annotate_corpus(*corpus, MockBackend(seed=5),
                               open_cache(cache_path))
-    posts, means = load_annotation_means(corpus, open_cache(cache_path))
-    assert posts.posts == records.posts.posts == ("A", "B")
+    means = load_annotation_means(*corpus, open_cache(cache_path))
+    assert records.posts is corpus[0] and corpus[0].posts == ("A", "B")
     assert records.pair_hashes == [
         pair_content_hash("text of A", "text of B", SCALE)]
     assert records.reply.tolist() == [1] and records.row.tolist() == [0]
@@ -389,7 +389,7 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
     with pytest.raises(AmbiguousModel, match="modelA, modelB"):
         cached_pair_scores(cache, 4)
     with pytest.raises(AmbiguousModel):
-        load_annotation_means(corpus, cache)
+        load_annotation_means(*corpus, cache)
 
     # a single-model cache needs no model id: modelA's set alone is
     # complete, modelB's two replications alone are not
@@ -402,7 +402,7 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
         expected = [[score] * 4] * len(DIMENSIONS)
         assert pair_scores(single, 4) == ({pair_hash: expected} if complete
                                           else {})
-        _, means = load_annotation_means(corpus, single)
+        means = load_annotation_means(*corpus, single)
         assert np.isnan(means[0]).all()
         if complete:
             assert means[1].tolist() == [float(score)] * len(DIMENSIONS)
@@ -410,7 +410,7 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
             assert np.isnan(means[1]).all()
     empty = open_cache(tmp_path / "empty.jsonl")
     assert pair_scores(empty, 4) == {}
-    assert np.isnan(load_annotation_means(corpus, empty)[1]).all()
+    assert np.isnan(load_annotation_means(*corpus, empty)[1]).all()
 
 
 def test_cached_scores_ignore_extra_replications(tmp_path, open_cache):
@@ -435,11 +435,11 @@ def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):
     cache = open_cache(tmp_path / "cache.jsonl")
     put_scores(cache, pair_hash, "m", 4, 3)
     cache.put((pair_hash, "m", DIMENSIONS[0].name, 4), 5, timestamp=0)
-    _, means = load_annotation_means(corpus, cache, n_replications=5)
+    means = load_annotation_means(*corpus, cache, n_replications=5)
     assert means[1, 0] == (3 * 4 + 5) / 5
     assert np.isnan(means[1, 1:]).all()
     assert pair_scores(cache, 5) == {}
-    _, means = load_annotation_means(corpus, cache)
+    means = load_annotation_means(*corpus, cache)
     assert means[1].tolist() == [3.0] * len(DIMENSIONS)
 
 
@@ -554,7 +554,7 @@ def test_an_empty_text_stops_the_corpus_before_any_request(tmp_path,
     backend = MockBackend(seed=1)
     cache_path = tmp_path / "cache.jsonl"
     with pytest.raises(EmptyText):
-        annotate_corpus(corpus, backend, open_cache(cache_path))
+        annotate_corpus(*corpus, backend, open_cache(cache_path))
     assert backend.calls == 0
     assert not cache_path.exists()
 
@@ -568,7 +568,7 @@ BUNDLED_CORPUS = (Path(__file__).resolve().parent.parent / "data"
 @pytest.fixture(scope="module")
 def bundled():
     corpus = load_corpus(BUNDLED_CORPUS)
-    pairs = sum(post.parent_id is not None for post in corpus.posts.values())
+    pairs = int((corpus[0].parent >= 0).sum())
     return corpus, pairs
 
 
@@ -578,7 +578,7 @@ def test_cold_concurrent_run_counts_every_call(bundled, tmp_path):
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
     try:
-        records, calls = annotate_stage(corpus, tmp_path / "cache.jsonl",
+        records, calls = annotate_stage(*corpus, tmp_path / "cache.jsonl",
                                         options)
     finally:
         sys.setswitchinterval(interval)
@@ -590,7 +590,7 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
     corpus, pairs = bundled
     options = PipelineOptions(mock=True, seed=7)
     cache_path = tmp_path / "cache.jsonl"
-    cold, _ = annotate_stage(corpus, cache_path, options)
+    cold, _ = annotate_stage(*corpus, cache_path, options)
 
     lookups = Counter()
     get = AnnotationCache.get
@@ -605,7 +605,7 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
 
     monkeypatch.setattr(AnnotationCache, "get", counted_get)
     monkeypatch.setattr(annotate, "build_prompt", no_prompt)
-    warm, calls = annotate_stage(corpus, cache_path, options)
+    warm, calls = annotate_stage(*corpus, cache_path, options)
     assert calls == 0
     assert lookups == {"hit": pairs * options.replications * len(DIMENSIONS)}
     assert np.array_equal(warm.scores, cold.scores)
@@ -727,8 +727,7 @@ def keepalive_server(stub_server, monkeypatch):
 def test_http_backend_wire_format(stub_server, monkeypatch, tmp_path):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "sekrit")
     backend = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="gpt-test",
-        effort="high", verbosity="low"))
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="gpt-test"))
     prompt = build_prompt("a parent", "a child")
     text = backend.complete(prompt, 0)
     assert parse_annotation_json(text)
@@ -765,13 +764,14 @@ def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch,
         return complete(backend, prompt, replication_index)
 
     monkeypatch.setattr(HttpBackend, "complete", counted_complete)
-    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
+    posts = [mk_post("A"), mk_post("B", parent_id="A")]
+    corpus = corpus_from_posts(posts)
     corpus_path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, corpus_path)
+    save_corpus(writer_corpus(posts), corpus_path)
     options = PipelineOptions(backend_url=stub_server, model="m",
                               api_key_env="NOT_SET_ANYWHERE_123")
     with pytest.raises(BackendError, match="NOT_SET_ANYWHERE_123"):
-        annotate_stage(corpus, tmp_path / "cache.jsonl", options)
+        annotate_stage(*corpus, tmp_path / "cache.jsonl", options)
     code = main(["annotate", "--corpus", str(corpus_path),
                  "--cache", str(tmp_path / "cache.jsonl"),
                  "--backend-url", stub_server,
@@ -915,7 +915,7 @@ def test_keepalive_opens_one_connection_per_worker(keepalive_server,
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
     try:
-        records = annotate_corpus(corpus, backend, cache, n_replications=2,
+        records = annotate_corpus(*corpus, backend, cache, n_replications=2,
                                   concurrency=4)
     finally:
         sys.setswitchinterval(interval)
@@ -933,7 +933,7 @@ def test_annotate_stage_closes_the_backend_connections(keepalive_server,
                                 mk_post("C", parent_id="A")])
     options = PipelineOptions(backend_url=keepalive_server, model="m",
                               api_key_env="TEST_ANNOTATOR_KEY", concurrency=2)
-    records, calls = annotate_stage(corpus, tmp_path / "cache.jsonl", options)
+    records, calls = annotate_stage(*corpus, tmp_path / "cache.jsonl", options)
     assert len(records) == 2 and calls == 8
     deadline = time.monotonic() + 10
     while len(StubHandler.closed) < len(StubHandler.opened):

@@ -43,7 +43,8 @@ TEXTS = ("yes", "no", "maybe so")  # few texts: duplicate pairs are common
 
 @st.composite
 def corpora(draw):
-    """1-3 discussions of 1-8 posts with ids in a random order."""
+    """The posts of 1-3 discussions of 1-8 posts with ids in a random
+    order."""
     posts = []
     for d in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 8))
@@ -53,7 +54,12 @@ def corpora(draw):
             posts.append(mk_post(ids[i], f"d{d}", parent,
                                  draw(st.integers(0, 6)) * 600,
                                  text=draw(st.sampled_from(TEXTS))))
-    return corpus_from_posts(posts)
+    return posts
+
+
+def annotate_parsed(posts, backend, cache, **options):
+    """``annotate_corpus`` of the posts' parsed arrays and texts."""
+    return annotate_corpus(*corpus_from_posts(posts), backend, cache, **options)
 
 
 @contextmanager
@@ -119,7 +125,7 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
             shutil.copy(seeded, tmp / name)
 
         got, calls, cached = annotate(tmp / "array.jsonl", corpus,
-                                      annotate_corpus, n_replications,
+                                      annotate_parsed, n_replications,
                                       concurrency)
         records, oracle_calls, oracle_cached = annotate(
             tmp / "dict.jsonl", corpus, oracle.annotate_corpus,
@@ -166,16 +172,16 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
        concurrency=st.sampled_from((1, 2)))
 def test_a_warm_rerun_looks_each_score_up_once(corpus, n_replications,
                                                concurrency):
-    pairs = len({pair_content_hash(corpus.posts[post.parent_id].text,
-                                   post.text, AnnotationScale())
-                 for post in corpus.posts.values()
-                 if post.parent_id is not None})
+    by_id = {post.post_id: post for post in corpus}
+    pairs = len({pair_content_hash(by_id[post.parent_id].text, post.text,
+                                   AnnotationScale())
+                 for post in corpus if post.parent_id is not None})
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
-        cold, _, _ = annotate(path, corpus, annotate_corpus, n_replications,
+        cold, _, _ = annotate(path, corpus, annotate_parsed, n_replications,
                               concurrency)
         with counted_gets() as counts:
-            warm, calls, _ = annotate(path, corpus, annotate_corpus,
+            warm, calls, _ = annotate(path, corpus, annotate_parsed,
                                       n_replications, concurrency)
     assert calls == 0
     assert counts == {"hit": pairs * len(DIMENSIONS) * n_replications,

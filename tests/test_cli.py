@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from threadtone import corpus as corpus_module
 from threadtone.cli import _options, build_parser, main
 from threadtone.corpus import save_corpus
 from threadtone.dimensions import AnnotationScale
@@ -103,6 +104,57 @@ def test_an_escaped_lone_surrogate_stops_validate_and_annotate(tmp_path):
                        "--cache", str(tmp_path / "c.jsonl"))
     assert (annotate.returncode, annotate.stdout, annotate.stderr) == (
         2, "", f"{diagnostic}\n")
+
+
+@pytest.mark.parametrize("line, diagnostic", (
+    ('{"post_id": "p1", "discussion_id": ["d"], "parent_id": null,'
+     ' "author": null, "text": "x"}',
+     "MissingTimestamp line=1 post=p1: timestamp absent"),
+    ('{"post_id": ["p"], "discussion_id": "d", "parent_id": null,'
+     ' "author": null, "timestamp": 0, "text": "x", "extra": 1}',
+     "MalformedRecord line=1: unexpected fields ['extra']"),
+), ids=("list discussion id", "list post id"))
+def test_a_diagnostic_names_only_string_ids(tmp_path, line, diagnostic):
+    # a list id is unhashable and would print as "post=['p']": an id that
+    # is not a string reaches no diagnostic and drops no discussion
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(line + "\n")
+    proc = run_cli("validate", "--corpus", str(corpus))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (
+        2, f"{diagnostic}\n", "")
+
+
+def test_the_read_path_builds_no_corpus_objects(tmp_path, monkeypatch,
+                                                capsys):
+    # the commands that read a corpus take its columns: Post, DiscussionTree
+    # and Corpus are only the synthetic corpus writer's input
+    def run(out):
+        out.mkdir()
+        cache = out / "cache.jsonl"
+        corpus = ["--corpus", str(BUNDLED_CORPUS)]
+        printed = []
+        for args in (["validate", *corpus],
+                     ["annotate", "--mock", "--seed", "7", *corpus,
+                      "--cache", str(cache)],
+                     ["features", *corpus, "--annotations", str(cache),
+                      "--out", str(out / "features.csv")],
+                     ["pipeline", "--mock", "--seed", "7", *corpus,
+                      "--cache", str(cache), "--output-dir", str(out / "bundle")]):
+            assert main(args) == 0
+            printed.append(capsys.readouterr().out.replace(str(out), "OUT"))
+        return printed, {path.relative_to(out): path.read_bytes()
+                         for path in sorted(out.rglob("*")) if path.is_file()}
+
+    expected = run(tmp_path / "objects")
+    assert expected[0][0] == "ok: 60 discussions, 2328 posts\n"
+
+    def no_objects(*args, **kwargs):
+        raise AssertionError("a corpus object was built")
+
+    for cls in (corpus_module.Post, corpus_module.DiscussionTree,
+                corpus_module.Corpus):
+        monkeypatch.setattr(cls, "__init__", no_objects)
+    assert run(tmp_path / "columns") == expected
 
 
 def test_synth_generate_and_recover(synth_setup):

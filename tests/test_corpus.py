@@ -1,3 +1,4 @@
+import dataclasses
 import io
 import json
 
@@ -5,6 +6,7 @@ import numpy as np
 import pytest
 
 from threadtone.corpus import (
+    PostArrays,
     load_corpus,
     parse_corpus,
     post_to_json,
@@ -22,7 +24,13 @@ from threadtone.errors import (
     OrphanPost,
 )
 
-from conftest import corpus_from_posts, mk_post, parse_strict, random_tree_posts
+from conftest import (
+    corpus_from_posts,
+    mk_post,
+    parse_strict,
+    random_tree_posts,
+    writer_corpus,
+)
 from corpus_oracle import build_tree as oracle_build_tree
 
 
@@ -39,14 +47,18 @@ def record(post_id, parent_id=None, timestamp=0, discussion_id="d1", **extra):
 
 
 def test_parse_minimal_corpus():
-    corpus = parse_strict(lines(
+    posts, texts = parse_strict(lines(
         record("A", timestamp=0),
         record("B", parent_id="A", timestamp=3600),
         record("C", parent_id="A", timestamp=7200),
     ))
-    assert len(corpus.discussions) == 1
-    assert len(corpus.posts) == 3
-    assert corpus.discussions["d1"].depth == {"A": 0, "B": 1, "C": 1}
+    assert posts.discussion_ids == ("d1",)
+    assert posts.posts == ("A", "B", "C")
+    assert texts == ["body A", "body B", "body C"]
+    assert posts.starts.tolist() == [0, 3]
+    assert posts.parent.tolist() == [-1, 0, 0]
+    assert posts.timestamp.tolist() == [0, 3600, 7200]
+    assert tree_arrays(posts.parent)[0].tolist() == [0, 1, 1]
 
 
 def test_orphan_parent_rejected():
@@ -97,7 +109,7 @@ def test_an_escaped_lone_surrogate_is_a_malformed_record(field, lone):
         f"MalformedRecord line=2: {field} holds a lone surrogate {ascii(lone)}")
     # an escaped surrogate pair decodes to one character, which is kept
     pair = {**record("B", parent_id="A", timestamp=1), "text": "\U0001f600"}
-    assert parse_strict(lines(record("A"), pair)).posts["B"].text == "\U0001f600"
+    assert parse_strict(lines(record("A"), pair))[1] == ["body A", "\U0001f600"]
 
 
 def test_lenient_drops_offending_discussion(tmp_path, caplog):
@@ -108,26 +120,30 @@ def test_lenient_drops_offending_discussion(tmp_path, caplog):
         record("X", discussion_id="d2"),
         record("Y", discussion_id="d2", parent_id="MISSING", timestamp=2),
     ).getvalue(), encoding="utf-8")
-    corpus, diagnostics = validate_corpus(path)
-    assert set(corpus.discussions) == {"d1"}
+    posts, texts, diagnostics = validate_corpus(path)
+    assert posts.discussion_ids == ("d1",)
+    assert posts.posts == ("A", "B") and texts == ["body A", "body B"]
     assert len(diagnostics) == 1
     assert "OrphanPost" in diagnostics[0]
     assert caplog.messages == diagnostics  # logged once
 
 
 def tree_of(posts):
-    return corpus_from_posts(posts).discussions["d1"]
+    """The parsed ids and each one's depth, of one discussion's posts."""
+    arrays, _ = corpus_from_posts(posts)
+    return arrays.posts, dict(zip(arrays.posts,
+                                  tree_arrays(arrays.parent)[0].tolist()))
 
 
 def test_build_tree_four_nodes():
-    tree = tree_of([
+    order, depth = tree_of([
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=1),
         mk_post("C", parent_id="A", timestamp=2),
         mk_post("D", parent_id="B", timestamp=3),
     ])
-    assert tree.depth == {"A": 0, "B": 1, "C": 1, "D": 2}
-    assert tree.order == ("A", "B", "C", "D")
+    assert depth == {"A": 0, "B": 1, "C": 1, "D": 2}
+    assert order == ("A", "B", "C", "D")
     depth, branch_root, rank = tree_arrays(np.array([-1, 0, 0, 1]))
     assert depth.tolist() == [0, 1, 1, 2]
     assert branch_root.tolist() == [0, 1, 2, 1]
@@ -155,19 +171,19 @@ def test_build_tree_cycle():
 
 
 def test_single_post_discussion():
-    tree = tree_of([mk_post("A", timestamp=0)])
-    assert tree.depth == {"A": 0}
-    assert tree.order == ("A",)
+    order, depth = tree_of([mk_post("A", timestamp=0)])
+    assert depth == {"A": 0}
+    assert order == ("A",)
 
 
 def test_children_order_breaks_ties_by_id():
-    tree = tree_of([
+    order, _ = tree_of([
         mk_post("A", timestamp=0),
         mk_post("z", parent_id="A", timestamp=5),
         mk_post("b", parent_id="A", timestamp=5),
         mk_post("c", parent_id="A", timestamp=4),
     ])
-    assert tree.order == ("A", "c", "b", "z")
+    assert order == ("A", "c", "b", "z")
 
 
 def test_tree_invariants_on_random_trees():
@@ -175,16 +191,15 @@ def test_tree_invariants_on_random_trees():
     for trial in range(25):
         n = int(rng.integers(1, 201))
         posts = random_tree_posts(rng, n, allow_ties=True)
-        tree, oracle = tree_of(posts), oracle_build_tree(posts)
+        (order, depth), oracle = tree_of(posts), oracle_build_tree(posts)
         # the breadth-first walk from the root reaches every post once
-        assert tree.depth == oracle.depth
-        assert list(tree.depth) == list(tree.order)
+        assert depth == oracle.depth
         by_id = {p.post_id: p for p in posts}
         for post in posts:
             if post.parent_id is not None:
-                assert tree.depth[post.post_id] == tree.depth[post.parent_id] + 1
-        assert tree.order == oracle.order == tuple(
-            sorted(by_id, key=lambda pid: by_id[pid].order_key()))
+                assert depth[post.post_id] == depth[post.parent_id] + 1
+        assert order == oracle.order == tuple(
+            sorted(by_id, key=lambda pid: (by_id[pid].timestamp, pid)))
 
 
 def test_branch_root_matches_parent_walk_oracle():
@@ -192,7 +207,7 @@ def test_branch_root_matches_parent_walk_oracle():
     for trial in range(25):
         n = int(rng.integers(2, 201))
         posts = random_tree_posts(rng, n)
-        arrays = corpus_from_posts(posts).arrays()
+        arrays, _ = corpus_from_posts(posts)
         parent = arrays.parent.tolist()
         _, branch_root, _ = tree_arrays(arrays.parent)
         for i in range(len(parent)):
@@ -202,43 +217,52 @@ def test_branch_root_matches_parent_walk_oracle():
             assert branch_root[i] == walker
 
 
+def assert_round_trip(posts, path) -> None:
+    """Saving the posts and loading the file gives the columns parsing
+    them gives, and the file holds their lines in the parsed order."""
+    save_corpus(writer_corpus(posts), path)
+    (reparsed, texts), (parsed, parsed_texts) = (load_corpus(path),
+                                                 corpus_from_posts(posts))
+    for field in dataclasses.fields(PostArrays):
+        a, b = getattr(reparsed, field.name), getattr(parsed, field.name)
+        assert np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b
+    assert texts == parsed_texts
+    by_id = {post.post_id: post for post in posts}
+    lines = [post_to_json(by_id[pid]) for pid in reparsed.posts]
+    assert path.read_text(encoding="utf-8").splitlines() == lines
+    # serialization itself is stable
+    assert list(serialize_corpus(writer_corpus(posts))) == lines
+
+
 def test_round_trip_identity(tmp_path):
     rng = np.random.default_rng(3)
     posts = []
     for d in range(4):
         posts += random_tree_posts(rng, int(rng.integers(1, 40)), f"disc{d}")
-    corpus = corpus_from_posts(posts)
-    path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path)
-    reparsed = load_corpus(path)
-    assert reparsed == corpus
-    # serialization itself is stable
-    assert list(serialize_corpus(reparsed)) == list(serialize_corpus(corpus))
+    assert_round_trip(posts, tmp_path / "corpus.jsonl")
 
 
 def test_round_trip_preserves_unicode(tmp_path):
-    corpus = corpus_from_posts([
+    assert_round_trip([
         mk_post("A", text="naïve – résumé ✓"),
         mk_post("B", parent_id="A", timestamp=1, text="回复 \"quoted\"\nline"),
-    ])
-    path = tmp_path / "corpus.jsonl"
-    save_corpus(corpus, path)
-    assert load_corpus(path) == corpus
+    ], tmp_path / "corpus.jsonl")
 
 
 def test_validate_corpus_reports(tmp_path):
     good = tmp_path / "good.jsonl"
     good.write_text(post_to_json(mk_post("A")) + "\n", encoding="utf-8")
-    corpus, diagnostics = validate_corpus(good)
-    assert corpus is not None and diagnostics == []
+    posts, texts, diagnostics = validate_corpus(good)
+    assert posts.posts == ("A",) and texts == ["text of A"]
+    assert diagnostics == []
 
     bad = tmp_path / "bad.jsonl"
     bad.write_text(json.dumps({"post_id": "B", "discussion_id": "d",
                                "parent_id": "NOPE", "author": None,
                                "timestamp": 3, "text": "x"}) + "\n",
                    encoding="utf-8")
-    corpus, diagnostics = validate_corpus(bad)
-    assert corpus.discussions == {} and corpus.posts == {}
+    posts, texts, diagnostics = validate_corpus(bad)
+    assert posts.discussion_ids == () and posts.posts == () and texts == []
     assert len(diagnostics) == 1 and "OrphanPost" in diagnostics[0]
 
 
@@ -254,11 +278,11 @@ def test_undecodable_bytes_are_a_malformed_record(tmp_path):
     with pytest.raises(MalformedRecord) as info:
         load_corpus(path)
     assert info.value.diagnostic() == diagnostic
-    corpus, diagnostics = validate_corpus(path)
+    posts, texts, diagnostics = validate_corpus(path)
     assert diagnostics == [diagnostic]
-    assert corpus.discussions["d1"].order == ("A", "B", "C")
-    assert corpus.posts["B"].text == "café"
+    assert posts.posts == ("A", "B", "C")
+    assert texts[1] == "café"
     # byte lines give the same diagnostic
-    _, errors = parse_corpus(
+    _, _, errors = parse_corpus(
         io.BytesIO(data.replace(b"\r\n", b"\n").replace(b"\r", b"\n")))
     assert [err.diagnostic() for err in errors] == [diagnostic]

@@ -7,8 +7,9 @@ missing) discussion, a rootless cycle, a duplicate id, or a cycle of length
 1-8 (with replies below it) hanging off a valid root; a corpus may also be
 empty. The first error must be the one the oracle raises in strict mode
 (type, message and fields); all of them must be the diagnostics the oracle
-gives in lenient mode, in the same order, with the same posts and the same
-discussions with the same ``order`` and ``depth``.
+gives in lenient mode, in the same order, and the columns must hold the
+oracle's discussions and their posts in each tree's ``order``: the same ids,
+discussion ids, starts, parent positions, timestamps, texts and depths.
 
 ``post_to_json`` must write the bytes of the ``json.dumps`` oracle in
 ``writer_oracle`` for any post the parser reads back: strings with quotes,
@@ -81,17 +82,30 @@ def fields(err: CorpusError):
     return (type(err), str(err), err.discussion_id, err.post_id, err.line_no)
 
 
-def contents(corpus):
-    """The posts in order, and each tree's ``order`` and ``depth``."""
-    return list(corpus.posts.items()), {
-        did: (tree.order, tree.depth) for did, tree in corpus.discussions.items()}
+def columns(posts, texts):
+    """A parsed corpus as lists: ids, discussion ids, starts, parent
+    positions, timestamps, texts and depths."""
+    return (list(posts.posts), list(posts.discussion_ids), posts.starts.tolist(),
+            posts.parent.tolist(), posts.timestamp.tolist(), texts,
+            tree_arrays(posts.parent)[0].tolist())
+
+
+def oracle_columns(trees, by_id):
+    """The same lists from the oracle's trees and posts."""
+    posts = [by_id[pid] for tree in trees.values() for pid in tree.order]
+    at = {post.post_id: i for i, post in enumerate(posts)}
+    return ([post.post_id for post in posts], list(trees),
+            np.cumsum([0] + [len(tree.order) for tree in trees.values()]).tolist(),
+            [at.get(post.parent_id, -1) for post in posts],
+            [post.timestamp for post in posts], [post.text for post in posts],
+            [trees[post.discussion_id].depth[post.post_id] for post in posts])
 
 
 @settings(max_examples=400, deadline=None)
 @given(corpus_lines())
 def test_parse_corpus_matches_oracle(lines):
     text = "\n".join(lines) + "\n"
-    corpus, errors = parse_corpus(io.StringIO(text))
+    posts, texts, errors = parse_corpus(io.StringIO(text))
     try:
         corpus_oracle.parse_corpus(io.StringIO(text))
     except CorpusError as err:
@@ -102,9 +116,7 @@ def test_parse_corpus_matches_oracle(lines):
     oracle = corpus_oracle.parse_corpus(io.StringIO(text), lenient=True,
                                         diagnostics=diagnostics)
     assert [err.diagnostic() for err in errors] == diagnostics
-    assert contents(corpus) == contents(oracle)
-    for tree in corpus.discussions.values():
-        assert list(tree.depth) == list(tree.order)
+    assert columns(posts, texts) == oracle_columns(*oracle)
 
 
 @st.composite
@@ -172,4 +184,4 @@ line_texts = st.one_of(
 def test_post_lines_match_the_json_dumps_oracle(post):
     line = post_to_json(post)
     assert line == writer_oracle.post_to_json(post)
-    assert _parse_record(line, 1) == post
+    assert Post(**_parse_record(line, 1)) == post

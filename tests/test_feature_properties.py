@@ -21,7 +21,7 @@ from threadtone.errors import MissingAnnotation, StatsError
 from threadtone.features import compute_feature_table, write_features_csv
 from threadtone.regression import MODEL_IDS, filter_rows, fit_model, get_model_spec
 
-from conftest import corpus_from_posts, mean_matrix, mk_post
+from conftest import mean_matrix, mk_post
 from feature_oracle import (
     assert_table_equals_rows,
     oracle_csv_text,
@@ -41,7 +41,7 @@ scores = st.one_of(st.integers(-20, 20).map(lambda v: v / 4),
 
 @st.composite
 def annotated_corpora(draw):
-    """(corpus, means) with 1-3 discussions of 1-30 posts each."""
+    """(posts, means) with 1-3 discussions of 1-30 posts each."""
     posts, means = [], {}
     for d in range(draw(st.integers(1, 3))):
         n = draw(st.integers(1, 30))
@@ -60,7 +60,7 @@ def annotated_corpora(draw):
             elif kind == "some":
                 dims = draw(st.sets(st.sampled_from(DIM_NAMES)))
                 means[ids[i]] = {name: draw(scores) for name in sorted(dims)}
-    return corpus_from_posts(posts), means
+    return posts, means
 
 
 @st.composite
@@ -72,7 +72,7 @@ def forests_with_a_star(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = int(rng.integers(2_001, 2_201))
     ids = [f"star-p{label:04d}" for label in rng.permutation(n)]
-    posts = [*corpus.posts.values(), mk_post(ids[0], "star", None, 3600)]
+    posts = [*corpus, mk_post(ids[0], "star", None, 3600)]
     for i in range(1, n):
         to_reply = i > 1 and rng.random() < 0.1
         parent = ids[int(rng.integers(1, i))] if to_reply else ids[0]
@@ -85,7 +85,7 @@ def forests_with_a_star(draw):
             means[ids[i]] = {name: float(rng.integers(-20, 21)) / 4
                              if rng.random() < 0.5 else rng.uniform(-5, 5)
                              for name in dims}
-    return corpus_from_posts(posts), means
+    return posts, means
 
 
 PROPERTY_SETTINGS = settings(max_examples=150, deadline=None,

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from threadtone.corpus import Corpus
+from threadtone.corpus import Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import MissingAnnotation
 from threadtone.features import (
@@ -13,7 +13,6 @@ from threadtone.features import (
 )
 
 from conftest import (
-    corpus_from_posts,
     mean_matrix,
     mk_post,
     random_tree_posts,
@@ -26,6 +25,7 @@ from feature_oracle import (
     delta_t_parent,
     delta_t_prev,
     older_sibling_mean,
+    order_key,
 )
 
 DIM = DIMENSIONS[0].name
@@ -37,7 +37,7 @@ def cell(table: FeatureTable, post_id: str, name: str, dim: str = DIM):
     return None if np.isnan(value) else value
 
 
-def flat_means(corpus: Corpus, scores: dict[str, float]) -> dict[str, dict[str, float]]:
+def flat_means(posts: list[Post], scores: dict[str, float]) -> dict[str, dict[str, float]]:
     """Same score on every dimension, per post."""
     return {pid: {d.name: v for d in DIMENSIONS} for pid, v in scores.items()}
 
@@ -46,14 +46,14 @@ def test_delta_t_prev_examples():
     posts = [mk_post("A", timestamp=0),
              mk_post("B", parent_id="A", timestamp=2 * 3600),
              mk_post("C", parent_id="A", timestamp=5 * 3600)]
-    ordered = sorted(posts, key=lambda p: p.order_key())
+    ordered = sorted(posts, key=order_key)
     assert delta_t_prev(posts[2], ordered) == pytest.approx(3.0)
     assert delta_t_prev(posts[0], ordered) is None
     # identical timestamps: the later-ordered post sees a zero gap
     tied = [mk_post("A", timestamp=0),
             mk_post("B", parent_id="A", timestamp=100),
             mk_post("C", parent_id="A", timestamp=100)]
-    ordered = sorted(tied, key=lambda p: p.order_key())
+    ordered = sorted(tied, key=order_key)
     assert delta_t_prev(tied[2], ordered) == 0.0
 
 
@@ -69,15 +69,15 @@ def test_delta_t_parent_examples():
 
 
 def test_older_sibling_mean_examples(four_node_corpus):
-    corpus = corpus_from_posts([
+    corpus = [
         mk_post("A", timestamp=0),
         mk_post("s1", parent_id="A", timestamp=1),
         mk_post("s2", parent_id="A", timestamp=2),
         mk_post("s3", parent_id="A", timestamp=3),
         mk_post("s4", parent_id="A", timestamp=4),
-    ])
+    ]
     tree = oracle_trees(corpus)["d1"]
-    by_id = corpus.posts
+    by_id = {post.post_id: post for post in corpus}
     means = flat_means(corpus, {"s1": -2.0, "s2": 0.0, "s3": 4.0, "s4": 0.0})
     assert older_sibling_mean(by_id["s4"], DIM, tree, by_id, means) == \
         pytest.approx(2.0 / 3.0, abs=1e-9)
@@ -95,8 +95,7 @@ def test_older_sibling_mean_examples(four_node_corpus):
 
 def test_br_neg_examples(four_node_corpus):
     tree = oracle_trees(four_node_corpus)["d1"]
-    d_post = four_node_corpus.posts["D"]
-    b_post = four_node_corpus.posts["B"]
+    _, b_post, _, d_post = four_node_corpus
     for score, expected in ((-1.25, 1), (0.0, 0), (2.5, 0)):
         means = flat_means(four_node_corpus, {"B": score, "C": 0.0, "D": 0.0})
         assert br_neg_indicator(d_post, DIM, tree, means) == expected
@@ -127,7 +126,7 @@ def test_feature_table_presence_walkthrough(four_node_corpus):
 
 
 def test_root_only_corpus_gives_empty_table():
-    corpus = corpus_from_posts([mk_post("A"), mk_post("X", discussion_id="d2")])
+    corpus = [mk_post("A"), mk_post("X", discussion_id="d2")]
     table = compute_feature_table(*mean_matrix(corpus, {}))
     assert len(table) == 0
     for column in table.csv_columns():
@@ -145,11 +144,11 @@ def test_strict_vs_lenient_missing_annotation(four_node_corpus):
 
 
 def test_negative_delta_rows_are_excluded(caplog):
-    corpus = corpus_from_posts([
+    corpus = [
         mk_post("A", timestamp=1000),
         mk_post("B", parent_id="A", timestamp=2000),
         mk_post("C", parent_id="B", timestamp=500),  # predates its parent
-    ])
+    ]
     means = flat_means(corpus, {"B": 1.0, "C": 1.0})
     table = compute_feature_table(*mean_matrix(corpus, means), strict=False)
     assert set(table.post_id) == {"B"}
@@ -159,16 +158,16 @@ def test_presence_partition_and_dt_bounds():
     rng = np.random.default_rng(11)
     for trial in range(15):
         posts = random_tree_posts(rng, int(rng.integers(2, 80)))
-        corpus = corpus_from_posts(posts)
-        means = uniform_means(corpus, rng)
-        table = compute_feature_table(*mean_matrix(corpus, means))
+        by_id = {post.post_id: post for post in posts}
+        means = uniform_means(posts, rng)
+        table = compute_feature_table(*mean_matrix(posts, means))
         root_time = posts[0].timestamp
         for i, post_id in enumerate(table.post_id):
             depth = table.depth[i]
             assert (depth == 1) == (cell(table, post_id, "parent_metric") is None)
-            post = corpus.posts[post_id]
+            post = by_id[post_id]
             older = [p for p in posts if p.parent_id == post.parent_id
-                     and p.order_key() < post.order_key()]
+                     and order_key(p) < order_key(post)]
             assert (not older) == (cell(table, post_id, "sib_older_mean") is None)
             assert (depth >= 2) == (cell(table, post_id, "br_neg") is not None)
             # the predecessor is never earlier than the root
@@ -181,13 +180,12 @@ def test_presence_partition_and_dt_bounds():
 def test_scale_sign_invariance_of_br_neg():
     rng = np.random.default_rng(13)
     posts = random_tree_posts(rng, 60)
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
-    table = compute_feature_table(*mean_matrix(corpus, means))
+    means = uniform_means(posts, rng)
+    table = compute_feature_table(*mean_matrix(posts, means))
     for c in (0.1, 3.0, 250.0):
         scaled = {pid: {k: c * v for k, v in vals.items()}
                   for pid, vals in means.items()}
-        scaled_table = compute_feature_table(*mean_matrix(corpus, scaled))
+        scaled_table = compute_feature_table(*mean_matrix(posts, scaled))
         assert scaled_table.post_id == table.post_id
         for dim in DIMENSIONS:
             assert np.array_equal(scaled_table.br_neg[dim.name],
@@ -195,15 +193,15 @@ def test_scale_sign_invariance_of_br_neg():
 
 
 def test_adding_sibling_at_mean_keeps_mean():
-    corpus = corpus_from_posts([
+    corpus = [
         mk_post("A", timestamp=0),
         mk_post("s1", parent_id="A", timestamp=1),
         mk_post("s2", parent_id="A", timestamp=2),
         mk_post("s3", parent_id="A", timestamp=3),
         mk_post("s4", parent_id="A", timestamp=4),
-    ])
+    ]
     tree = oracle_trees(corpus)["d1"]
-    by_id = corpus.posts
+    by_id = {post.post_id: post for post in corpus}
     means = flat_means(corpus, {"s1": -1.0, "s2": 4.0, "s3": 0.0, "s4": 0.0})
     before = older_sibling_mean(by_id["s3"], DIM, tree, by_id, means)
     # give s3 exactly the running mean, then look from s4
@@ -217,12 +215,12 @@ def test_adding_sibling_at_mean_keeps_mean():
 
 def test_prev_scope_branch():
     # two branches; within-branch predecessor differs from global one
-    corpus = corpus_from_posts([
+    corpus = [
         mk_post("A", timestamp=0),
         mk_post("B", parent_id="A", timestamp=1 * 3600),   # branch B
         mk_post("C", parent_id="A", timestamp=2 * 3600),   # branch C
         mk_post("D", parent_id="B", timestamp=3 * 3600),   # in branch B
-    ])
+    ]
     means = flat_means(corpus, {"B": 0.0, "C": 0.0, "D": 0.0})
     table = compute_feature_table(*mean_matrix(corpus, means),
                                   prev_scope="branch")
@@ -237,12 +235,11 @@ def test_prev_scope_branch():
 def test_feature_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     posts = random_tree_posts(rng, 40)
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
+    means = uniform_means(posts, rng)
     # drop some annotations so that absent cells appear in every column
     for j, pid in enumerate(list(means)[::5]):
         del means[pid][DIMENSIONS[j % len(DIMENSIONS)].name]
-    table = compute_feature_table(*mean_matrix(corpus, means))
+    table = compute_feature_table(*mean_matrix(posts, means))
     path = tmp_path / "features.csv"
     write_features_csv(table, path)
     loaded = read_features_csv(path)
@@ -263,9 +260,9 @@ def test_feature_csv_round_trip(tmp_path):
 def test_output_order_is_deterministic():
     rng = np.random.default_rng(17)
     posts = random_tree_posts(rng, 30, "dB") + random_tree_posts(rng, 20, "dA")
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
-    table = compute_feature_table(*mean_matrix(corpus, means))
-    keys = [(did, corpus.posts[pid].timestamp, pid)
+    means = uniform_means(posts, rng)
+    table = compute_feature_table(*mean_matrix(posts, means))
+    by_id = {post.post_id: post for post in posts}
+    keys = [(did, by_id[pid].timestamp, pid)
             for did, pid in zip(table.discussion_id, table.post_id)]
     assert keys == sorted(keys)

@@ -69,8 +69,7 @@ def test_warm_deep_setup(run, tmp_path):
     properties = run.input_properties(inputs)
     assert recorded(properties) == expected(arrays)
     assert properties["cache_lines"] == 12 * properties["pairs"]
-    assert np.array_equal(load_corpus(inputs.corpus).arrays().parent,
-                          arrays.parent)
+    assert np.array_equal(load_corpus(inputs.corpus)[0].parent, arrays.parent)
 
 
 def test_cold_http_setup(run, tmp_path):
@@ -93,7 +92,7 @@ def test_cold_http_setup(run, tmp_path):
             total += size
     assert recorded(properties) == expected(arrays, kept)
     assert properties["expected_requests"] == 4 * properties["pairs"]
-    assert load_corpus(inputs.corpus).discussion_ids() == sorted(kept)
+    assert load_corpus(inputs.corpus)[0].discussion_ids == tuple(sorted(kept))
 
 
 def test_recovery_m6_setup(run, tmp_path):
@@ -115,7 +114,7 @@ def test_the_layer_tracer_installs_and_records_a_validate_span():
         from threadtone import corpus
         tracer = layertrace.Tracer()
         layertrace.install(tracer)
-        _, diagnostics = corpus.validate_corpus(sys.argv[2])
+        _, _, diagnostics = corpus.validate_corpus(sys.argv[2])
         print(json.dumps([[span[0] for span in tracer.spans], diagnostics]))
     """)
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(

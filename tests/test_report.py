@@ -31,7 +31,6 @@ from threadtone.synth import SynthConfig, generate_corpus
 from threadtone.corpus import save_corpus
 
 from conftest import (
-    corpus_from_posts,
     mean_matrix,
     random_tree_posts,
     uniform_means,
@@ -138,9 +137,8 @@ def test_band_narrowest_at_center_and_monotone():
     # fit a simple regression, use its CR0 vcov
     rng = np.random.default_rng(1)
     posts = random_tree_posts(rng, 120)
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
-    features = compute_feature_table(*mean_matrix(corpus, means))
+    means = uniform_means(posts, rng)
+    features = compute_feature_table(*mean_matrix(posts, means))
     fit = fit_model(get_model_spec("M1"), features, DIM)
     v = fit.vcov
     center = -v[0, 1] / v[1, 1]
@@ -165,9 +163,8 @@ def test_nice_ticks_cover_range():
 def test_emit_scatter_structure():
     rng = np.random.default_rng(2)
     posts = random_tree_posts(rng, 60)
-    corpus = corpus_from_posts(posts)
-    means = uniform_means(corpus, rng)
-    features = compute_feature_table(*mean_matrix(corpus, means))
+    means = uniform_means(posts, rng)
+    features = compute_feature_table(*mean_matrix(posts, means))
     # one discussion is one cluster: only the normal reference has a band
     svg = emit_scatter(features, "M1", DIM, pvalue_dist="normal")
     assert svg.startswith("<svg ")
@@ -183,7 +180,7 @@ def test_emit_scatter_structure():
     with pytest.raises(ValueError):
         emit_scatter(features, "M5", DIM)
     with pytest.raises(EmptySample):
-        emit_scatter(compute_feature_table(*mean_matrix(corpus, {}),
+        emit_scatter(compute_feature_table(*mean_matrix(posts, {}),
                                            strict=False), "M1", DIM)
 
 
@@ -193,9 +190,8 @@ def test_scatter_band_uses_the_tables_critical_value(monkeypatch):
     rng = np.random.default_rng(3)
     posts = [post for d in range(4)
              for post in random_tree_posts(rng, 30, discussion_id=f"d{d}")]
-    corpus = corpus_from_posts(posts)
     features = compute_feature_table(
-        *mean_matrix(corpus, uniform_means(corpus, rng)))
+        *mean_matrix(posts, uniform_means(posts, rng)))
     seen = []
     monkeypatch.setattr(report, "scatter_svg",
                         lambda data, z: seen.append(z) or "")

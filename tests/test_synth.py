@@ -8,7 +8,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from threadtone.annotate import AnnotationCache, load_annotation_means
+from threadtone.annotate import (
+    AnnotationCache,
+    load_annotation_means,
+    pair_content_hash,
+)
 from threadtone.corpus import PostArrays, serialize_corpus
 from threadtone import synth
 from threadtone.features import compute_feature_table
@@ -20,7 +24,7 @@ from threadtone.synth import (
     write_cache_records,
 )
 
-from conftest import mean_map, mean_matrix
+from conftest import mean_map, mean_matrix, parse_strict
 
 
 def small_config(**overrides) -> SynthConfig:
@@ -94,7 +98,8 @@ def test_cache_loads_through_annotation_layer(tmp_path):
     result = generate_corpus(small_config())
     path = tmp_path / "cache.jsonl"
     write_cache_records(result.cache_records, path)
-    posts, means = load_annotation_means(result.corpus, AnnotationCache(path))
+    posts, texts = parse_strict(serialize_corpus(result.corpus))
+    means = load_annotation_means(posts, texts, AnnotationCache(path))
     assert posts.posts == result.arrays.posts
     assert np.array_equal(means, result.mean_matrix, equal_nan=True)
 
@@ -152,6 +157,22 @@ def test_recovery_builds_no_post_objects(monkeypatch):
     assert report.n_failed == 0
     with pytest.raises(AssertionError, match="built Python objects"):
         generate_corpus(small_config()).corpus
+
+
+def test_cache_records_build_no_post_objects(monkeypatch):
+    def no_objects(*args):
+        raise AssertionError("cache_records built Python objects")
+
+    for name in ("Post", "DiscussionTree", "Corpus"):
+        monkeypatch.setattr(synth, name, no_objects)
+    monkeypatch.setattr(synth.SynthResult, "corpus", property(no_objects))
+    records = generate_corpus(small_config()).cache_records
+    monkeypatch.undo()
+    posts = generate_corpus(small_config()).corpus.posts
+    scale = small_config().scale
+    assert records.pair_hashes == [
+        pair_content_hash(posts[post.parent_id].text, post.text, scale)
+        for post in posts.values() if post.parent_id is not None]
 
 
 PAPER_CONFIG = Path(__file__).resolve().parents[1] / "data" / "synth_config.json"
@@ -262,7 +283,8 @@ def test_pooled_records_keep_their_attributes(monkeypatch, caplog):
 def test_generator_arrays_match_the_corpus(overrides):
     result = generate_corpus(small_config(model="M6", coefficients={
         "disagree_vs_agree": (-0.9, 0.33, -0.4, -0.19)}, **overrides))
-    derived = result.corpus.arrays()
+    derived, texts = parse_strict(serialize_corpus(result.corpus))
+    assert texts == synth._texts(result.arrays)
     for field in dataclasses.fields(PostArrays):
         got, want = getattr(result.arrays, field.name), getattr(derived,
                                                                 field.name)
@@ -277,7 +299,8 @@ def test_generator_arrays_match_the_corpus(overrides):
         assert max(np.diff(result.arrays.starts)) > 10_000
     from_arrays = compute_feature_table(result.arrays, result.mean_matrix)
     from_corpus = compute_feature_table(*mean_matrix(
-        result.corpus, mean_map(result.arrays, result.mean_matrix)))
+        result.corpus.posts.values(), mean_map(result.arrays,
+                                               result.mean_matrix)))
     for got, want in zip(from_arrays.csv_columns(), from_corpus.csv_columns()):
         if isinstance(want, tuple):
             assert got == want
