@@ -25,12 +25,11 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .dimensions import DIMENSIONS, AnnotationScale
+from .dimensions import NAMES, AnnotationScale
 from .errors import DegenerateData
 
 log = logging.getLogger(__name__)
 
-_NAMES = tuple(d.name for d in DIMENSIONS)
 
 
 def krippendorff_alpha_interval(ratings: np.ndarray) -> float:
@@ -161,12 +160,12 @@ def correlation_report(post_ids: Sequence[str],
     dimensions present in post-id order. Symmetric with unit diagonal; a
     cell that is undefined (fewer than three posts, or a constant series)
     is nan."""
-    columns = np.column_stack([metric[name] for name in _NAMES])
+    columns = np.column_stack([metric[name] for name in NAMES])
     present = np.flatnonzero(~np.isnan(columns).any(axis=1)).tolist()
     posts = sorted(present, key=post_ids.__getitem__)
     series = columns[posts].T
-    out = np.eye(len(_NAMES))
-    for i, j in combinations(range(len(_NAMES)), 2):
+    out = np.eye(len(NAMES))
+    for i, j in combinations(range(len(NAMES)), 2):
         try:
             out[i, j] = out[j, i] = spearman_rho(series[i], series[j])
         except (ValueError, DegenerateData):
@@ -203,7 +202,7 @@ def agreement_report(items: Sequence[str], scores: np.ndarray,
     order = sorted(range(len(items)), key=items.__getitem__)
     report = []
     undefined = []
-    for d, name in enumerate(_NAMES):
+    for d, name in enumerate(NAMES):
         # the C-contiguous items x replications block, as rows of scores
         # build it, so every reduction adds in the same order
         values = np.ascontiguousarray(scores[order, d, :], dtype=np.int64)
@@ -236,19 +235,19 @@ def write_agreement_csv(report: list[DimensionAgreement], path: str | Path) -> N
 def write_correlation_csv(matrix: np.ndarray, path: str | Path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["dimension", *_NAMES])
-        for i, name in enumerate(_NAMES):
+        writer.writerow(["dimension", *NAMES])
+        for i, name in enumerate(NAMES):
             writer.writerow([name] + [repr(float(v)) for v in matrix[i]])
 
 
 def render_correlations(matrix: np.ndarray) -> str:
     """Two-decimal text rendering of the Spearman matrix."""
-    width = max(len(n) for n in _NAMES)
+    width = max(len(n) for n in NAMES)
     lines = ["pairwise Spearman correlations of post-level means"]
-    header = " " * (width + 2) + "  ".join(n.rjust(width) for n in _NAMES)
+    header = " " * (width + 2) + "  ".join(n.rjust(width) for n in NAMES)
     lines.append(header)
-    for i, name in enumerate(_NAMES):
+    for i, name in enumerate(NAMES):
         cells = "  ".join(f"{matrix[i, j]:.2f}".rjust(width)
-                          for j in range(len(_NAMES)))
+                          for j in range(len(NAMES)))
         lines.append(f"{name.ljust(width)}  {cells}")
     return "\n".join(lines) + "\n"

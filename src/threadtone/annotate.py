@@ -48,7 +48,7 @@ import numpy as np
 
 from . import __version__
 from .corpus import PostArrays
-from .dimensions import DIMENSIONS, AnnotationScale
+from .dimensions import DIMENSIONS, NAMES, AnnotationScale
 from .errors import (
     AmbiguousModel,
     AnnotationError,
@@ -67,7 +67,6 @@ from .workers import run_map
 log = logging.getLogger(__name__)
 
 MOCK_MODEL_ID = "mock"
-_NAMES = tuple(d.name for d in DIMENSIONS)
 EFFORT, VERBOSITY = "high", "low"  # what every HTTP request body asks for
 
 
@@ -92,7 +91,7 @@ _SYSTEM_FOOTER = (
     "\nRespond with a single JSON object and nothing else: no explanation, "
     "no reasoning, no text before or after the object. The object must have "
     "exactly these keys, each mapped to an integer score: "
-    + ", ".join(f'"{d.name}"' for d in DIMENSIONS) + "."
+    + ", ".join(f'"{name}"' for name in NAMES) + "."
 )
 
 
@@ -130,15 +129,14 @@ def parse_annotation_json(text: str,
         raise NotJson(f"not a single JSON document: {exc.msg}") from None
     if not isinstance(obj, dict):
         raise NotJson(f"expected a JSON object, got {type(obj).__name__}")
-    expected = [d.name for d in DIMENSIONS]
-    missing = [k for k in expected if k not in obj]
+    missing = [k for k in NAMES if k not in obj]
     if missing:
         raise MissingKey(f"missing keys {missing}")
-    extra = sorted(set(obj) - set(expected))
+    extra = sorted(set(obj) - set(NAMES))
     if extra:
         raise ExtraKey(f"unexpected keys {extra}")
     scores: dict[str, int] = {}
-    for key in expected:
+    for key in NAMES:
         value = obj[key]
         if isinstance(value, bool) or not isinstance(value, int):
             raise NonInteger(f"{key}: {value!r} is not an integer")
@@ -331,9 +329,9 @@ class AnnotationCache:
         ``pair_hashes``, NaN where missing: one ``get`` per score."""
         get = self.get
         flat = [get((pair_hash, model, name, rep)) for pair_hash in pair_hashes
-                for name in _NAMES for rep in range(n_replications)]
+                for name in NAMES for rep in range(n_replications)]
         return np.array(flat, float).reshape(  # None reads as NaN
-            len(pair_hashes), len(_NAMES), n_replications)
+            len(pair_hashes), len(NAMES), n_replications)
 
 
 # --- backends --------------------------------------------------------------------
@@ -572,10 +570,10 @@ class MockBackend:
         with self._calls_lock:
             self.calls += 1
         scores = {
-            d.name: mock_annotate(prompt.parent_text, prompt.child_text,
-                                  d.name, replication_index, self.seed,
-                                  self.scale)
-            for d in DIMENSIONS
+            name: mock_annotate(prompt.parent_text, prompt.child_text,
+                                name, replication_index, self.seed,
+                                self.scale)
+            for name in NAMES
         }
         return json.dumps(scores)
 
@@ -610,7 +608,7 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
             raise AnnotationFailed(
                 f"pair {label}, replication {rep}: giving up after "
                 f"{max_retries + 1} attempts ({last_error})")
-        for d, name in enumerate(_NAMES):
+        for d, name in enumerate(NAMES):
             if math.isnan(column[d]):
                 scores[d, rep] = fresh[name]
                 cache.put((pair_hash, model, name, rep), fresh[name],
@@ -636,7 +634,7 @@ class Annotations:
     def means(self) -> np.ndarray:
         """``compute_feature_table``'s means matrix, NaN for the roots; the
         sums are exact, so each mean is ``sum(scores) / len(scores)``."""
-        means = np.full((len(self.posts.posts), len(_NAMES)), np.nan)
+        means = np.full((len(self.posts.posts), len(NAMES)), np.nan)
         means[self.reply] = self.scores.mean(axis=2)[self.row]
         return means
 

@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .annotate import AnnotationCache, cached_pair_scores, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
-from .dimensions import DIMENSIONS, AnnotationScale
+from .dimensions import NAMES, AnnotationScale
 from .errors import AnnotationError, CorpusError, FeatureError, FeatureFileError
 from .features import compute_feature_table, read_features_csv, write_features_csv
 from .regression import DEFAULT_GRID, MODEL_IDS
@@ -118,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", dest="model_id", default="all",
                    choices=("all",) + MODEL_IDS)
     p.add_argument("--dimension", default="all",
-                   choices=("all",) + tuple(d.name for d in DIMENSIONS))
+                   choices=("all",) + NAMES)
     p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("report", parents=[common, inference],
@@ -209,8 +209,7 @@ def cmd_regress(args: argparse.Namespace) -> int:
         grid = DEFAULT_GRID
     else:
         models = MODEL_IDS if args.model_id == "all" else (args.model_id,)
-        dims = ([d.name for d in DIMENSIONS] if args.dimension == "all"
-                else (args.dimension,))
+        dims = NAMES if args.dimension == "all" else (args.dimension,)
         grid = tuple(product(models, dims))
     out_dir = Path(args.out)
     tables, _ = write_regression(read_features_csv(args.features),

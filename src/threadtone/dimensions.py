@@ -26,6 +26,7 @@ DIMENSIONS: tuple[Dimension, ...] = (
     ATTACKING_VS_RESPECTFUL,
     EMOTIONAL_VS_FACTUAL,
 )
+NAMES: tuple[str, ...] = tuple(d.name for d in DIMENSIONS)
 
 _BY_NAME = {d.name: d for d in DIMENSIONS}
 

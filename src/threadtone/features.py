@@ -27,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from .corpus import PostArrays, tree_arrays
-from .dimensions import DIMENSIONS
+from .dimensions import NAMES
 from .errors import FeatureFileError, MissingAnnotation
 
 log = logging.getLogger(__name__)
@@ -40,8 +40,8 @@ PER_DIMENSION = ("metric", "parent_metric", "sib_older_mean", "br_neg")
 
 def _csv_header() -> list[str]:
     header = ["post_id", "discussion_id", "depth", "dt_prev", "dt_parent"]
-    for dim in DIMENSIONS:
-        header += [f"{dim.name}_{kind}" for kind in PER_DIMENSION]
+    for name in NAMES:
+        header += [f"{name}_{kind}" for kind in PER_DIMENSION]
     return header
 
 
@@ -74,8 +74,8 @@ class FeatureTable:
         """Columns in ``_csv_header()`` order."""
         columns = [self.post_id, self.discussion_id, self.depth,
                    self.dt_prev, self.dt_parent]
-        for dim in DIMENSIONS:
-            columns += [getattr(self, kind)[dim.name] for kind in PER_DIMENSION]
+        for name in NAMES:
+            columns += [getattr(self, kind)[name] for kind in PER_DIMENSION]
         return columns
 
     @classmethod
@@ -90,8 +90,7 @@ class FeatureTable:
             depth=np.array(columns["depth"], dtype=np.int64),
             dt_prev=floats("dt_prev"),
             dt_parent=floats("dt_parent"),
-            **{kind: {dim.name: floats(f"{dim.name}_{kind}")
-                      for dim in DIMENSIONS}
+            **{kind: {name: floats(f"{name}_{kind}") for name in NAMES}
                for kind in PER_DIMENSION},
         )
 
@@ -116,7 +115,6 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
     if prev_scope not in ("discussion", "branch"):
         raise ValueError(f"prev_scope must be 'discussion' or 'branch', "
                          f"got {prev_scope!r}")
-    names = [dim.name for dim in DIMENSIONS]
     annotated = ~np.isnan(means).all(axis=1)
     ids, parent, stamp = posts.posts, posts.parent, posts.timestamp
     depth, branch_root, sibling_rank = tree_arrays(parent)
@@ -164,7 +162,7 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
         depth=depth[rows],
         dt_prev=np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR),
         dt_parent=(t - stamp[p]) / SECONDS_PER_HOUR,
-        **{kind: dict(zip(names, np.ascontiguousarray(matrix.T)))
+        **{kind: dict(zip(NAMES, np.ascontiguousarray(matrix.T)))
            for kind, matrix in per_kind.items()})
 
 

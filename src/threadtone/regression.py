@@ -46,7 +46,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .dimensions import DIMENSIONS
+from .dimensions import NAMES
 from .errors import EmptySample, InsufficientSample, SingularDesign, StatsError
 from .features import FeatureTable
 
@@ -334,7 +334,7 @@ MODEL_IDS = tuple(MODEL_SPECS)
 # dimension, M6 on the stance dimension only.
 DEFAULT_GRID: tuple[tuple[str, str], ...] = tuple(
     (model_id, name) for model_id in MODEL_IDS[:5]
-    for name in sorted(d.name for d in DIMENSIONS)
+    for name in sorted(NAMES)
 ) + (("M6", "disagree_vs_agree"),)
 
 

@@ -41,7 +41,7 @@ from .annotate import (
     annotate_corpus,
 )
 from .corpus import PostArrays, validate_corpus
-from .dimensions import DIMENSIONS, AnnotationScale, dimension_by_name
+from .dimensions import DIMENSIONS, NAMES, AnnotationScale, dimension_by_name
 from .errors import AnnotationError, StatsError
 from .features import FeatureTable, compute_feature_table, write_features_csv
 from .regression import (
@@ -313,7 +313,6 @@ def annotation_content_hash(items: Sequence[str], scores: np.ndarray) -> str:
     sha256 of the sorted lines ``item|dimension|score,score,...``, each
     ended by a newline. Replication rows repeat, so each distinct one is
     formatted once, keyed by its bytes."""
-    names = [dim.name for dim in DIMENSIONS]
     scores = np.ascontiguousarray(scores, np.int64)
     row_bytes = scores.itemsize * scores.shape[2]
     rows = scores.view(np.dtype((np.void, row_bytes)))[..., 0].tolist()
@@ -321,7 +320,7 @@ def annotation_content_hash(items: Sequence[str], scores: np.ndarray) -> str:
             for row in {row for dims in rows for row in dims}}
     lines = sorted([f"{item}|{name}|{text[row]}"
                     for item, dims in zip(items, rows)
-                    for name, row in zip(names, dims)])
+                    for name, row in zip(NAMES, dims)])
     joined = "".join(line + "\n" for line in lines)
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 

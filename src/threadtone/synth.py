@@ -26,7 +26,7 @@ import numpy as np
 
 from .annotate import MOCK_MODEL_ID, cache_head, cache_tail, pair_content_hash
 from .corpus import Corpus, DiscussionTree, Post, PostArrays, tree_arrays
-from .dimensions import DIMENSIONS, AnnotationScale
+from .dimensions import NAMES, AnnotationScale
 from .errors import StatsError
 from .features import compute_feature_table
 from .regression import MODEL_SPECS, critical_value, run_model
@@ -37,7 +37,6 @@ log = logging.getLogger(__name__)
 
 _BASE_TIME = 1_600_000_000  # fixed epoch anchor for synthetic timestamps
 _DISCUSSION_SPACING = 30 * 86_400
-_DIM_NAMES = tuple(d.name for d in DIMENSIONS)
 
 
 @dataclass(frozen=True)
@@ -84,7 +83,7 @@ class SynthConfig:
         AnnotationScale(self.scale_min, self.scale_max)  # min < 0 < max
         spec = MODEL_SPECS[self.model]
         for dim_name, coefs in self.coefficients.items():
-            if dim_name not in _DIM_NAMES:
+            if dim_name not in NAMES:
                 raise ValueError(f"unknown dimension {dim_name!r}")
             expected = 1 + len(spec.terms)
             if len(coefs) != expected:
@@ -200,7 +199,7 @@ class CacheRecords:
     def __iter__(self) -> Iterator[dict]:
         for pair_hash, by_dimension in zip(self.pair_hashes,
                                            self.scores.tolist()):
-            for name, reps in zip(_DIM_NAMES, by_dimension):
+            for name, reps in zip(NAMES, by_dimension):
                 for rep, score in enumerate(reps):
                     yield {"pair_hash": pair_hash, "model": self.model,
                            "dimension": name, "replication": rep,
@@ -209,7 +208,7 @@ class CacheRecords:
 
 def _draw_discussion(rng: np.random.Generator, config: SynthConfig) -> tuple:
     """One discussion's random draws, in the generator's fixed order."""
-    scale, n_dims = config.scale, len(_DIM_NAMES)
+    scale, n_dims = config.scale, len(NAMES)
     n_posts = max(2, int(rng.poisson(config.mean_posts)))
     u = rng.normal(0.0, config.tau, size=n_dims)
     gaps = rng.exponential(config.mean_hours_between_posts * 3600.0,
@@ -277,7 +276,7 @@ def _simulate(config: SynthConfig, draws: list[tuple]) -> tuple:
     exists["parent_metric"] = exists["br_neg"] = parents[at] >= 0
     exists["sib_older_mean"] = n_older[replies] > 0
     sib_divisor = np.maximum(n_older[replies], 1)[:, None]
-    betas = np.array([config.coefficient_vector(name) for name in _DIM_NAMES])
+    betas = np.array([config.coefficient_vector(name) for name in NAMES])
     terms = [(betas[:, t], term.split(":"))
              for t, term in enumerate(MODEL_SPECS[config.model].terms, 1)]
     any_term = np.logical_or.reduce([
@@ -290,7 +289,7 @@ def _simulate(config: SynthConfig, draws: list[tuple]) -> tuple:
     exogenous = np.concatenate(base)[in_steps] + u + eps
 
     # --- the score recursion, one reply index at a time -------------------
-    values = np.zeros((len(local), len(_DIM_NAMES)))   # roots stay 0
+    values = np.zeros((len(local), len(NAMES)))   # roots stay 0
     sib_sums = np.zeros_like(values)
     clipped = np.empty(eps.shape, bool)
     intercept = betas[:, 0]
@@ -359,7 +358,7 @@ def write_cache_records(records: CacheRecords, path: str | Path) -> None:
     scores = records.scores
     low, high = int(scores.min(initial=0)), int(scores.max(initial=0))
     tails = np.array([cache_tail(*key, 0) for key in product(
-        _DIM_NAMES, range(scores.shape[2]), range(low, high + 1))],
+        NAMES, range(scores.shape[2]), range(low, high + 1))],
         dtype=object).reshape(*scores.shape[1:], -1)
     # every score's tail, indexed by (dimension, replication, score - low)
     rows = tails[(*np.indices(scores.shape[1:]), scores - low)]
