@@ -26,9 +26,8 @@ from .report import (
     annotate_stage,
     run_pipeline,
     write_agreement,
-    write_correlations,
-    write_figures,
     write_regression,
+    write_report,
 )
 from .synth import SynthConfig, generate_corpus, recovery_experiment, write_cache_records
 
@@ -226,14 +225,8 @@ def cmd_report(args: argparse.Namespace) -> int:
                                  options.replications)
               if args.cache else None)
     features = read_features_csv(args.features)
-    out_dir = Path(args.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    if cached is not None:
-        write_agreement(*cached, options, out_dir / "agreement.csv")
-    write_correlations(features, out_dir)
-    tables, _ = write_regression(features, options, out_dir / "tables", out_dir)
-    write_figures(features, tables, options, out_dir / "figures")
-    print(f"wrote {len(tables)} tables to {out_dir}")
+    tables, _, _ = write_report(features, options, args.output_dir, cached)
+    print(f"wrote {len(tables)} tables to {Path(args.output_dir)}")
     return EXIT_OK if tables else EXIT_INFERENCE
 
 

@@ -17,9 +17,10 @@ import logging
 import math
 import os
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -41,7 +42,7 @@ from .annotate import (
     annotate_corpus,
 )
 from .corpus import PostArrays, validate_corpus
-from .dimensions import DIMENSIONS, NAMES, AnnotationScale, dimension_by_name
+from .dimensions import NAMES, AnnotationScale, dimension_by_name
 from .errors import AnnotationError, StatsError
 from .features import FeatureTable, compute_feature_table, write_features_csv
 from .regression import (
@@ -64,6 +65,7 @@ EXIT_ANNOTATION = 3
 EXIT_INFERENCE = 4
 
 SIMPLE_MODELS = ("M1", "M2", "M3", "M4")  # one regressor: scatter-plottable
+SIG_DIGITS = 5  # significant digits of every rounded number
 
 _X_LABELS = {
     "dt_prev": "hours since the previous post in the discussion",
@@ -73,15 +75,15 @@ _X_LABELS = {
 }
 
 
-def format_sig(x: float, digits: int = 5) -> str:
-    """Fixed-point with exactly ``digits`` significant digits, counted
+def format_sig(x: float) -> str:
+    """Fixed-point with exactly SIG_DIGITS significant digits, counted
     after rounding (9.999996 is "10.000")."""
     if math.isnan(x):
         return "nan"
     if x == 0:
-        return "0." + "0" * digits
-    exponent = int(f"{x:.{digits - 1}e}".partition("e")[2])
-    decimals = digits - 1 - exponent
+        return "0." + "0" * SIG_DIGITS
+    exponent = int(f"{x:.{SIG_DIGITS - 1}e}".partition("e")[2])
+    decimals = SIG_DIGITS - 1 - exponent
     if decimals <= 0:
         return f"{round(x, decimals):.0f}"
     return f"{x:.{decimals}f}"
@@ -152,16 +154,10 @@ def emit_scatter(features: FeatureTable, model_id: str, dimension: str,
     term = spec.terms[0]
     dim = dimension_by_name(dimension)
     data = ScatterData(
-        x=tuple(fit.x[:, 1].tolist()),
-        y=tuple(fit.y.tolist()),
-        intercept=float(fit.beta[0]),
-        slope=float(fit.beta[1]),
-        vcov=((float(fit.vcov[0, 0]), float(fit.vcov[0, 1])),
-              (float(fit.vcov[1, 0]), float(fit.vcov[1, 1]))),
-        x_label=_X_LABELS[term],
+        x=fit.x[:, 1], y=fit.y, intercept=float(fit.beta[0]),
+        slope=float(fit.beta[1]), vcov=fit.vcov, x_label=_X_LABELS[term],
         y_label=f"{dim.negative_pole} (-) to {dim.positive_pole} (+)",
-        title=f"{model_id}: {dimension} vs {term}",
-    )
+        title=f"{model_id}: {dimension} vs {term}")
     return scatter_svg(data, critical_value(fit.n_clusters, pvalue_dist))
 
 
@@ -241,14 +237,6 @@ def write_agreement(items: Sequence[str], scores: np.ndarray,
     return report
 
 
-def write_correlations(features: FeatureTable, out_dir: Path) -> None:
-    """Spearman correlations of the feature rows' post-level means."""
-    correlations = correlation_report(features.post_id, features.metric)
-    write_correlation_csv(correlations, out_dir / "correlations.csv")
-    (out_dir / "correlations.txt").write_text(
-        render_correlations(correlations), encoding="utf-8")
-
-
 def write_regression(features: FeatureTable, options: PipelineOptions,
                      tables_dir: Path, summary_dir: Path,
                      grid: Sequence[tuple[str, str]] = DEFAULT_GRID,
@@ -280,22 +268,45 @@ def write_figures(features: FeatureTable, tables: list[RegressionTable],
     returns how many were written."""
     figures_dir.mkdir(exist_ok=True)
     n_figures = 0
-    fitted = {(t.model_id, t.dimension) for t in tables}
-    for model_id in SIMPLE_MODELS:
-        for dim in DIMENSIONS:
-            if (model_id, dim.name) not in fitted:
-                continue
-            try:
-                svg = emit_scatter(features, model_id, dim.name,
-                                   cr_correction=options.cr_correction,
-                                   pvalue_dist=options.pvalue_dist)
-            except StatsError as exc:
-                log.warning("figure %s/%s skipped: %s", model_id, dim.name, exc)
-                continue
-            (figures_dir / f"{model_id}_{dim.name}.svg").write_text(
-                svg, encoding="utf-8")
-            n_figures += 1
+    for table in tables:
+        model_id, dimension = table.model_id, table.dimension
+        if model_id not in SIMPLE_MODELS:
+            continue
+        try:
+            svg = emit_scatter(features, model_id, dimension,
+                               cr_correction=options.cr_correction,
+                               pvalue_dist=options.pvalue_dist)
+        except StatsError as exc:
+            log.warning("figure %s/%s skipped: %s", model_id, dimension, exc)
+            continue
+        (figures_dir / f"{model_id}_{dimension}.svg").write_text(
+            svg, encoding="utf-8")
+        n_figures += 1
     return n_figures
+
+
+def write_report(features: FeatureTable, options: PipelineOptions,
+                 out_dir: str | Path,
+                 pair_scores: tuple[Sequence[str], np.ndarray] | None = None,
+                 ) -> tuple[list[RegressionTable], dict[str, str], int]:
+    """The bundle's report half, shared by ``run_pipeline`` and the report
+    command: agreement.csv (only given the pair hashes and their pair x
+    dimension x replication scores), correlations.{csv,txt}, tables/,
+    regression_summary.json and, when some model was fitted, figures/.
+    Returns the tables, the per-model errors and the number of figures."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    if pair_scores is not None:
+        write_agreement(*pair_scores, options, out_dir / "agreement.csv")
+    correlations = correlation_report(features.post_id, features.metric)
+    write_correlation_csv(correlations, out_dir / "correlations.csv")
+    (out_dir / "correlations.txt").write_text(
+        render_correlations(correlations), encoding="utf-8")
+    tables, errors = write_regression(features, options, out_dir / "tables",
+                                      out_dir)
+    n_figures = (write_figures(features, tables, options, out_dir / "figures")
+                 if tables else 0)
+    return tables, errors, n_figures
 
 
 # --- pipeline -------------------------------------------------------------------
@@ -325,27 +336,20 @@ def annotation_content_hash(items: Sequence[str], scores: np.ndarray) -> str:
     return hashlib.sha256(joined.encode("utf-8")).hexdigest()
 
 
-class PipelineLock:
+@contextmanager
+def pipeline_lock(output_dir: Path) -> Iterator[None]:
     """One pipeline instance per output directory."""
-
-    def __init__(self, output_dir: Path):
-        self.path = output_dir / ".threadtone.lock"
-
-    def __enter__(self) -> "PipelineLock":
-        try:
-            fd = os.open(self.path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            raise RuntimeError(
-                f"output directory is locked by another run ({self.path}); "
-                f"remove the lock file if that run is dead") from None
-        os.close(fd)
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        try:
-            os.unlink(self.path)
-        except FileNotFoundError:
-            pass
+    path = output_dir / ".threadtone.lock"
+    try:
+        os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
+    except FileExistsError:
+        raise RuntimeError(
+            f"output directory is locked by another run ({path}); "
+            f"remove the lock file if that run is dead") from None
+    try:
+        yield
+    finally:
+        path.unlink(missing_ok=True)
 
 
 def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
@@ -357,71 +361,59 @@ def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
     posts, texts, diagnostics = validate_corpus(corpus_path)
     output_dir = Path(output_dir)
     output_dir.mkdir(parents=True, exist_ok=True)
-    with PipelineLock(output_dir):
-        return _run_stages(posts, texts, diagnostics, Path(corpus_path),
-                           Path(cache_path), output_dir, options)
+    with pipeline_lock(output_dir):
+        failed = bool(diagnostics) and not options.lenient
+        validation = {
+            "ok": not failed,
+            "diagnostics": diagnostics,
+            "n_discussions": len(posts.discussion_ids),
+            "n_posts": len(posts.posts),
+        }
+        write_json(output_dir / "validation.json", validation)
+        if failed:
+            log.error("corpus validation failed (%d diagnostics)",
+                      len(diagnostics))
+            return EXIT_VALIDATION
 
+        # stage 2: annotate, cache-first
+        try:
+            annotations, calls = annotate_stage(posts, texts, cache_path,
+                                                options)
+        except AnnotationError as exc:
+            log.error("annotation failed: %s", exc)
+            return EXIT_ANNOTATION
+        log.info("annotation complete: %d posts, %d backend calls",
+                 len(annotations), calls)
 
-def _run_stages(posts: PostArrays, texts: Sequence[str],
-                diagnostics: list[str], corpus_path: Path, cache_path: Path,
-                output_dir: Path, options: PipelineOptions) -> int:
-    failed = bool(diagnostics) and not options.lenient
-    validation = {
-        "ok": not failed,
-        "diagnostics": diagnostics,
-        "n_discussions": len(posts.discussion_ids),
-        "n_posts": len(posts.posts),
-    }
-    write_json(output_dir / "validation.json", validation)
-    if failed:
-        log.error("corpus validation failed (%d diagnostics)", len(diagnostics))
-        return EXIT_VALIDATION
+        # stage 3: features
+        features = compute_feature_table(annotations.posts, annotations.means(),
+                                         strict=False,
+                                         prev_scope=options.prev_scope)
+        write_features_csv(features, output_dir / "features.csv")
 
-    # stage 2: annotate, cache-first
-    try:
-        annotations, calls = annotate_stage(posts, texts, cache_path, options)
-    except AnnotationError as exc:
-        log.error("annotation failed: %s", exc)
-        return EXIT_ANNOTATION
-    log.info("annotation complete: %d posts, %d backend calls",
-             len(annotations), calls)
+        # stages 4-6: agreement + correlations, regress, figures
+        tables, errors, n_figures = write_report(
+            features, options, output_dir,
+            (annotations.pair_hashes, annotations.scores))
+        if not tables:
+            log.error("all regressions failed")
+            return EXIT_INFERENCE
 
-    # stage 3: features
-    features = compute_feature_table(annotations.posts, annotations.means(),
-                                     strict=False,
-                                     prev_scope=options.prev_scope)
-    write_features_csv(features, output_dir / "features.csv")
-
-    # stage 4: agreement + correlations
-    write_agreement(annotations.pair_hashes, annotations.scores, options,
-                    output_dir / "agreement.csv")
-    write_correlations(features, output_dir)
-
-    # stage 5: regress
-    tables, errors = write_regression(features, options,
-                                      output_dir / "tables", output_dir)
-    if not tables:
-        log.error("all regressions failed")
-        return EXIT_INFERENCE
-
-    # stage 6: figures
-    n_figures = write_figures(features, tables, options, output_dir / "figures")
-
-    manifest = {
-        "tool": "threadtone",
-        "version": __version__,
-        "corpus_sha256": file_sha256(corpus_path),
-        "annotations_sha256": annotation_content_hash(
-            annotations.pair_hashes, annotations.scores),
-        "options": options.to_manifest(),
-        "n_annotated_posts": len(annotations),
-        "n_feature_rows": len(features),
-        "n_tables": len(tables),
-        "n_figures": n_figures,
-        "regression_errors": errors,
-    }
-    write_json(output_dir / "manifest.json", manifest)
-    return EXIT_OK
+        manifest = {
+            "tool": "threadtone",
+            "version": __version__,
+            "corpus_sha256": file_sha256(corpus_path),
+            "annotations_sha256": annotation_content_hash(
+                annotations.pair_hashes, annotations.scores),
+            "options": options.to_manifest(),
+            "n_annotated_posts": len(annotations),
+            "n_feature_rows": len(features),
+            "n_tables": len(tables),
+            "n_figures": n_figures,
+            "regression_errors": errors,
+        }
+        write_json(output_dir / "manifest.json", manifest)
+        return EXIT_OK
 
 
 def write_json(path: str | Path, obj: dict) -> None:

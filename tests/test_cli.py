@@ -538,6 +538,9 @@ def test_single_discussion_corpus_exits_with_inference_code(tmp_path):
             proc = run_cli(*args, "--pvalue", pvalue)
             assert proc.returncode == code, (args[0], proc.stderr)
             assert "Traceback" not in proc.stderr
+        # figures/ only when some model was fitted, in the bundle and report
+        for directory in (out, tmp_path / f"report-{pvalue}"):
+            assert (directory / "figures").is_dir() == (code == 0), directory
 
 
 def test_two_reply_corpus_exits_with_inference_code(tmp_path):
