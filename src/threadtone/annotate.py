@@ -291,19 +291,25 @@ class AnnotationCache:
         return self._scores.get(key)
 
     def put(self, key: tuple[str, str, str, int], score: int, timestamp: int) -> None:
+        """Record and append one score; AnnotationError if the file cannot
+        be opened or written."""
         with self._lock:
             if key in self._scores:
                 return
+            try:
+                if self._appender is None:
+                    self._appender = open(self.path, "a", encoding="utf-8",
+                                          newline="\n")
+                    if self._torn_tail:  # close it, or the record joins it
+                        self._appender.write("\n")
+                        self._torn_tail = False
+                self._appender.write(cache_head(*key[:2])
+                                     + cache_tail(*key[2:], score, timestamp))
+                self._appender.flush()
+            except OSError as exc:
+                raise AnnotationError(f"cannot write cache {self.path}: "
+                                      f"{exc.strerror}") from None
             self._scores[key] = score
-            if self._appender is None:
-                self._appender = open(self.path, "a", encoding="utf-8",
-                                      newline="\n")
-                if self._torn_tail:  # close it, or the record joins it
-                    self._appender.write("\n")
-                    self._torn_tail = False
-            self._appender.write(cache_head(*key[:2])
-                                 + cache_tail(*key[2:], score, timestamp))
-            self._appender.flush()
 
     def close(self) -> None:
         with self._lock:
@@ -664,16 +670,24 @@ def annotate_corpus(posts: PostArrays, texts: Sequence[str], backend: Backend,
     """Annotate each distinct (parent, child) pair of the corpus's replies
     once (EmptyText, before any request, if a text is empty); replies
     sharing a pair share its scores. Only pairs missing a cached score reach
-    ``annotate_pair``, on ``concurrency`` workers, one pair at a time."""
+    ``annotate_pair``, on ``concurrency`` workers, one pair at a time; after
+    the first pair that fails, no worker starts another."""
     reply, row, pairs = _reply_pairs(posts, texts, scale)
     if any(not parent.strip() or not child.strip() for _, parent, child, _ in pairs):
         raise EmptyText("parent and child texts must be non-empty")
     pair_hashes = [pair[0] for pair in pairs]
     scores = cache.scores(pair_hashes, backend.model, n_replications)
+    failed = threading.Event()
 
     def work(k: int) -> None:
-        annotate_pair(*pairs[k], backend, cache, scores[k], scale,
-                      max_retries, cache_timestamp)
+        if failed.is_set():
+            return
+        try:
+            annotate_pair(*pairs[k], backend, cache, scores[k], scale,
+                          max_retries, cache_timestamp)
+        except BaseException:
+            failed.set()
+            raise
 
     missing = np.flatnonzero(np.isnan(scores).any(axis=(1, 2))).tolist()
     if concurrency <= 1:

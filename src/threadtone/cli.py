@@ -14,7 +14,13 @@ from . import __version__
 from .annotate import AnnotationCache, cached_pair_scores, load_annotation_means
 from .corpus import load_corpus, save_corpus, validate_corpus
 from .dimensions import NAMES, AnnotationScale
-from .errors import AnnotationError, CorpusError, FeatureError, FeatureFileError
+from .errors import (
+    AnnotationError,
+    CorpusError,
+    FeatureError,
+    FeatureFileError,
+    OutputLocked,
+)
 from .features import compute_feature_table, read_features_csv, write_features_csv
 from .regression import DEFAULT_GRID, MODEL_IDS
 from .report import (
@@ -304,14 +310,17 @@ def main(argv: list[str] | None = None) -> int:
     except CorpusError as err:
         print(err.diagnostic(), file=sys.stderr)
         return EXIT_VALIDATION
-    except FeatureFileError as exc:
+    except (FeatureFileError, OutputLocked) as exc:
         print(exc, file=sys.stderr)
         return EXIT_VALIDATION
     except OSError as exc:
-        corpus = vars(args).get("corpus")
-        if None in (corpus, exc.filename) or Path(exc.filename) != Path(corpus):
+        if exc.filename is None:
             raise
-        print(f"cannot read corpus {corpus}: {exc.strerror}", file=sys.stderr)
+        corpus = vars(args).get("corpus")
+        if corpus is not None and Path(exc.filename) == Path(corpus):
+            print(f"cannot read corpus {corpus}: {exc.strerror}", file=sys.stderr)
+        else:  # an output file or directory
+            print(f"cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
         return EXIT_VALIDATION
     except (AnnotationError, FeatureError) as exc:  # FeatureError: --strict
         print(f"annotation failed: {exc}", file=sys.stderr)

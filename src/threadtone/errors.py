@@ -102,6 +102,12 @@ class AmbiguousModel(AnnotationError):
     """A cache read without a model id holds records from several models."""
 
 
+# --- pipeline errors ---------------------------------------------------------
+
+class OutputLocked(ThreadToneError, RuntimeError):
+    """Another run holds the output directory's lock file."""
+
+
 # --- feature-table errors ----------------------------------------------------
 
 class FeatureError(ThreadToneError):

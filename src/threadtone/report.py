@@ -43,7 +43,7 @@ from .annotate import (
 )
 from .corpus import PostArrays, validate_corpus
 from .dimensions import NAMES, AnnotationScale, dimension_by_name
-from .errors import AnnotationError, StatsError
+from .errors import AnnotationError, OutputLocked, StatsError
 from .features import FeatureTable, compute_feature_table, write_features_csv
 from .regression import (
     DEFAULT_GRID,
@@ -343,7 +343,7 @@ def pipeline_lock(output_dir: Path) -> Iterator[None]:
     try:
         os.close(os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY))
     except FileExistsError:
-        raise RuntimeError(
+        raise OutputLocked(
             f"output directory is locked by another run ({path}); "
             f"remove the lock file if that run is dead") from None
     try:

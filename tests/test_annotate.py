@@ -611,6 +611,44 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
     assert np.array_equal(warm.scores, cold.scores)
 
 
+class RejectingBackend:
+    """Answers every request with output that is not JSON."""
+
+    model = "rejecting"
+
+    def __init__(self):
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, replication_index):
+        with self._lock:
+            self.calls += 1
+        return "no JSON here"
+
+
+@pytest.mark.parametrize("max_retries", (0, 2))
+@pytest.mark.parametrize("concurrency", (1, 2, 4))
+def test_no_pair_starts_after_the_first_failed_one(bundled, tmp_path,
+                                                   concurrency, max_retries):
+    # each worker gives up on its first pair and then starts no other, so
+    # the run makes between one and `concurrency` pairs' worth of attempts
+    corpus, _ = bundled
+    backend = RejectingBackend()
+    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # many thread switches: a late stop shows
+    try:
+        with pytest.raises(AnnotationFailed):
+            annotate_corpus(*corpus, backend, cache, max_retries=max_retries,
+                            concurrency=concurrency)
+    finally:
+        sys.setswitchinterval(interval)
+        cache.close()
+    attempts = max_retries + 1
+    assert attempts <= backend.calls <= concurrency * attempts
+    assert not (tmp_path / "cache.jsonl").exists()
+
+
 # --- HTTP backend against a local stub ------------------------------------------------
 
 class StubHandler(BaseHTTPRequestHandler):

@@ -361,6 +361,61 @@ def test_a_cache_that_is_a_directory_exits_with_annotation_code(
     assert not any(Path(name).exists() for name in ("f.csv", "a.csv", "r"))
 
 
+@pytest.mark.parametrize("command", (["annotate"],
+                                     ["pipeline", "--output-dir", "out"]))
+def test_a_cache_that_cannot_be_written_exits_with_annotation_code(
+        tmp_path, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    proc = run_cli(command[0], "--corpus", str(BUNDLED_CORPUS), "--mock",
+                   "--cache", "missing/c.jsonl", *command[1:])
+    assert proc.returncode == 3, proc.stderr
+    message = ("annotation failed: cannot write cache missing/c.jsonl: "
+               "No such file or directory")
+    if command[0] == "pipeline":
+        assert proc.stderr.splitlines() == [f"ERROR threadtone.report: {message}",
+                                            "pipeline failed with exit code 3"]
+        assert Path("out/validation.json").exists()
+        assert not Path("out/.threadtone.lock").exists()
+    else:
+        assert proc.stderr.splitlines() == [message]
+
+
+LOCKED = ("output directory is locked by another run (locked/.threadtone.lock); "
+          "remove the lock file if that run is dead")
+
+
+@pytest.mark.parametrize("command, message", [
+    (["features", "--corpus", "corpus.jsonl", "--annotations",
+      "synth_cache.jsonl", "--out", "missing/f.csv"],
+     "cannot write missing/f.csv: No such file or directory"),
+    (["agreement", "--cache", "synth_cache.jsonl", "--out", "missing/a.csv"],
+     "cannot write missing/a.csv: No such file or directory"),
+    (["synth", "--config", "config.json", "--out-corpus", "missing/c.jsonl",
+      "--out-cache", "k.jsonl"],
+     "cannot write missing/c.jsonl: No such file or directory"),
+    (["pipeline", "--corpus", "corpus.jsonl", "--cache", "k.jsonl", "--mock",
+      "--output-dir", "file/out"],
+     "cannot write file/out: Not a directory"),
+    (["pipeline", "--corpus", "corpus.jsonl", "--cache", "k.jsonl", "--mock",
+      "--output-dir", "locked"], LOCKED),
+], ids=["features", "agreement", "synth", "pipeline-below-a-file",
+        "pipeline-locked"])
+def test_an_output_that_cannot_be_written_exits_with_one_line(
+        synth_setup, monkeypatch, command, message):
+    tmp_path = synth_setup[0]
+    monkeypatch.chdir(tmp_path)
+    Path("file").write_text("a regular file\n")
+    Path("locked").mkdir()
+    Path("locked/.threadtone.lock").touch()
+    proc = run_cli(*command)
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [message]
+    assert proc.stdout == ""
+    # the other run keeps its lock, and nothing was written beside it
+    assert sorted(os.listdir("locked")) == [".threadtone.lock"]
+    assert not Path("k.jsonl").exists()
+
+
 @pytest.mark.parametrize("command", (["regress", "--out", "out"],
                                      ["report", "--output-dir", "out"]))
 def test_a_bad_feature_table_exits_with_one_line(synth_setup, monkeypatch,
