@@ -21,7 +21,7 @@ import logging
 from dataclasses import astuple, dataclass, fields
 from itertools import combinations
 from pathlib import Path
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -154,16 +154,15 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
 
 
 def correlation_report(post_ids: Sequence[str],
-                       metric: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Pairwise Spearman correlations of post-level means, given as one
-    column per dimension name (NaN where absent), over the posts with all
-    dimensions present in post-id order. Symmetric with unit diagonal; a
-    cell that is undefined (fewer than three posts, or a constant series)
-    is nan."""
-    columns = np.column_stack([metric[name] for name in NAMES])
-    present = np.flatnonzero(~np.isnan(columns).any(axis=1)).tolist()
+                       metric: np.ndarray) -> np.ndarray:
+    """Pairwise Spearman correlations of post-level means, given as a
+    posts x dimensions array in ``NAMES`` order (NaN where absent), over
+    the posts with all dimensions present in post-id order. Symmetric with
+    unit diagonal; a cell that is undefined (fewer than three posts, or a
+    constant series) is nan."""
+    present = np.flatnonzero(~np.isnan(metric).any(axis=1)).tolist()
     posts = sorted(present, key=post_ids.__getitem__)
-    series = columns[posts].T
+    series = metric[posts].T
     out = np.eye(len(NAMES))
     for i, j in combinations(range(len(NAMES)), 2):
         try:

@@ -11,10 +11,11 @@ sibling exists.
 The table is built in one array pass over ``corpus.PostArrays`` (every
 post's parent and timestamp, in (timestamp, post_id) order per discussion)
 and a matrix of the posts' means; only the older-sibling sums step, once
-per sibling rank. It is stored as columns: ``post_id``, ``discussion_id``
-and ``depth`` per row, float64 ``dt_prev`` and ``dt_parent``, and per
-dimension float64 ``metric``, ``parent_metric``, ``sib_older_mean`` and
-``br_neg`` (0 or 1). NaN means absent.
+per sibling rank. It holds ``post_id``, ``discussion_id`` and ``depth`` per
+row and one float64 rows x ``len(COLUMNS)`` matrix of the features in
+``features.csv``'s column order: ``dt_prev``, ``dt_parent``, then per
+dimension ``<dim>_metric``, ``<dim>_parent_metric``,
+``<dim>_sib_older_mean`` and ``<dim>_br_neg`` (0 or 1). NaN means absent.
 """
 
 from __future__ import annotations
@@ -36,63 +37,31 @@ SECONDS_PER_HOUR = 3600.0
 NAN = float("nan")
 
 PER_DIMENSION = ("metric", "parent_metric", "sib_older_mean", "br_neg")
-
-
-def _csv_header() -> list[str]:
-    header = ["post_id", "discussion_id", "depth", "dt_prev", "dt_parent"]
-    for name in NAMES:
-        header += [f"{name}_{kind}" for kind in PER_DIMENSION]
-    return header
+COLUMNS = ("dt_prev", "dt_parent") + tuple(
+    f"{name}_{kind}" for name in NAMES for kind in PER_DIMENSION)
+_HEADER = ("post_id", "discussion_id", "depth") + COLUMNS
+_INDEX = {key: j for j, key in enumerate(COLUMNS)}
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
-    """One row per annotated non-root post, stored as columns."""
+    """One row per annotated non-root post: its ids and depth, and in
+    ``values[:, j]`` the feature ``COLUMNS[j]`` (each column contiguous)."""
 
     post_id: tuple[str, ...]
     discussion_id: tuple[str, ...]
     depth: np.ndarray
-    dt_prev: np.ndarray
-    dt_parent: np.ndarray
-    metric: dict[str, np.ndarray]
-    parent_metric: dict[str, np.ndarray]
-    sib_older_mean: dict[str, np.ndarray]
-    br_neg: dict[str, np.ndarray]
+    values: np.ndarray
 
     def __len__(self) -> int:
         return len(self.post_id)
 
     def column(self, name: str, dimension: str) -> np.ndarray:
         """A feature by model field name; NaN where it is absent."""
-        if name in ("dt_prev", "dt_parent"):
-            return getattr(self, name)
-        if name in PER_DIMENSION:
-            return getattr(self, name)[dimension]
-        raise ValueError(f"unknown feature field {name!r}")
-
-    def csv_columns(self) -> list[np.ndarray | tuple]:
-        """Columns in ``_csv_header()`` order."""
-        columns = [self.post_id, self.discussion_id, self.depth,
-                   self.dt_prev, self.dt_parent]
-        for name in NAMES:
-            columns += [getattr(self, kind)[name] for kind in PER_DIMENSION]
-        return columns
-
-    @classmethod
-    def from_csv_columns(cls, columns: dict[str, list]) -> "FeatureTable":
-        """Build from lists keyed by ``_csv_header()`` names."""
-        def floats(key: str) -> np.ndarray:
-            return np.array(columns[key], dtype=float)
-
-        return cls(
-            post_id=tuple(columns["post_id"]),
-            discussion_id=tuple(columns["discussion_id"]),
-            depth=np.array(columns["depth"], dtype=np.int64),
-            dt_prev=floats("dt_prev"),
-            dt_parent=floats("dt_parent"),
-            **{kind: {name: floats(f"{name}_{kind}") for name in NAMES}
-               for kind in PER_DIMENSION},
-        )
+        key = f"{dimension}_{name}" if name in PER_DIMENSION else name
+        if key not in _INDEX:
+            raise ValueError(f"unknown feature field {name!r}")
+        return self.values[:, _INDEX[key]]
 
 
 def compute_feature_table(posts: PostArrays, means: np.ndarray,
@@ -149,21 +118,24 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
     p, t = parent[rows], stamp[rows]
     deep = (depth[rows] >= 2)[:, None]
     branch = means[branch_root[rows]]
-    per_kind = {
-        "metric": means[rows],
-        "parent_metric": np.where(deep, means[p], NAN),
-        "sib_older_mean": _older_sibling_means(parent, sibling_rank,
-                                               means)[rows],
-        "br_neg": np.where(deep & ~np.isnan(branch), branch < 0, NAN),
-    }
+    per_kind = (
+        means[rows],
+        np.where(deep, means[p], NAN),
+        _older_sibling_means(parent, sibling_rank, means)[rows],
+        np.where(deep & ~np.isnan(branch), branch < 0, NAN),
+    )
+    # dimension x kind x row: COLUMNS' per-dimension order
+    per_dimension = np.stack(per_kind).transpose(2, 0, 1)
+    values = np.vstack([
+        np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR),
+        (t - stamp[p]) / SECONDS_PER_HOUR,
+        per_dimension.reshape(len(COLUMNS) - 2, len(rows)),
+    ])
     return FeatureTable(
         post_id=tuple(ids[i] for i in rows.tolist()),
         discussion_id=tuple(discussion[rows].tolist()),
         depth=depth[rows],
-        dt_prev=np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR),
-        dt_parent=(t - stamp[p]) / SECONDS_PER_HOUR,
-        **{kind: dict(zip(NAMES, np.ascontiguousarray(matrix.T)))
-           for kind, matrix in per_kind.items()})
+        values=values.T)
 
 
 def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
@@ -193,47 +165,38 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
 
 # --- CSV interchange ----------------------------------------------------------
 
-def _cell(value: float | int) -> str:
-    if value != value:  # NaN: absent
-        return ""
-    return repr(value) if isinstance(value, float) else str(value)
-
-
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
-    header = _csv_header()
-    cells = []
-    for key, column in zip(header, features.csv_columns()):
-        if isinstance(column, tuple):
-            cells.append(column)
-        elif key.endswith("_br_neg"):
-            cells.append(["" if v != v else str(int(v)) for v in column.tolist()])
+    cells = [features.post_id, features.discussion_id, features.depth.tolist()]
+    # tolist() yields Python floats: repr(np.float64) is not a number
+    for key, column in zip(COLUMNS, features.values.T.tolist()):
+        if key.endswith("_br_neg"):
+            cells.append(["" if v != v else str(int(v)) for v in column])
         else:
-            # tolist() yields Python floats: repr(np.float64) is not a number
-            cells.append([_cell(v) for v in column.tolist()])
+            cells.append(["" if v != v else repr(v) for v in column])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
+        writer.writerow(_HEADER)
         writer.writerows(zip(*cells))
 
 
 def read_features_csv(path: str | Path) -> FeatureTable:
     """The table ``write_features_csv`` wrote. Raises FeatureFileError,
     naming the file, when it cannot be read or holds anything else."""
-    expected = _csv_header()
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
-            if next(reader, None) != expected:
+            if tuple(next(reader, ())) != _HEADER:
                 raise ValueError("unexpected header")
             records = [record for record in reader if record]
-        if any(len(record) != len(expected) for record in records):
+        if any(len(record) != len(_HEADER) for record in records):
             raise ValueError("a row's cells do not match the header")
-        columns = {key: [record[j] for record in records]
-                   for j, key in enumerate(expected)}
-        columns["depth"] = [int(v) for v in columns["depth"]]
-        for key in expected[3:]:
-            columns[key] = [float(v) if v != "" else NAN for v in columns[key]]
+        columns = list(zip(*records)) or [()] * len(_HEADER)
+        depth = np.array([int(v) for v in columns[2]], dtype=np.int64)
+        # one row per feature, so each column of the transpose is contiguous
+        values = np.array([[float(v) if v != "" else NAN for v in column]
+                           for column in columns[3:]], dtype=float)
     except (OSError, ValueError, csv.Error) as exc:  # an OSError: its reason
         raise FeatureFileError(f"cannot read feature table {path}: "
                                f"{getattr(exc, 'strerror', None) or exc}") from None
-    return FeatureTable.from_csv_columns(columns)
+    return FeatureTable(post_id=columns[0], discussion_id=columns[1],
+                        depth=depth, values=values.T)

@@ -348,7 +348,7 @@ def get_model_spec(model_id: str, m6_relax_sibling_filter: bool = False) -> Mode
 def filter_rows(spec: ModelSpec, features: FeatureTable,
                 dimension: str) -> np.ndarray:
     """Mask of the rows with the response and every required field present."""
-    mask = ~np.isnan(features.metric[dimension])
+    mask = ~np.isnan(features.column("metric", dimension))
     for name in spec.base_fields():
         mask &= ~np.isnan(features.column(name, dimension))
     return mask
@@ -402,7 +402,7 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
         for name in rest:
             column = column * features.column(name, dimension)[mask]
         x[:, j] = column
-    y = features.metric[dimension][mask]
+    y = features.column("metric", dimension)[mask]
     clusters = tuple(compress(features.discussion_id, mask.tolist()))
 
     beta, residuals = ols_fit(x, y)

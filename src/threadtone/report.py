@@ -298,7 +298,8 @@ def write_report(features: FeatureTable, options: PipelineOptions,
     out_dir.mkdir(parents=True, exist_ok=True)
     if pair_scores is not None:
         write_agreement(*pair_scores, options, out_dir / "agreement.csv")
-    correlations = correlation_report(features.post_id, features.metric)
+    correlations = correlation_report(features.post_id, np.column_stack(
+        [features.column("metric", name) for name in NAMES]))
     write_correlation_csv(correlations, out_dir / "correlations.csv")
     (out_dir / "correlations.txt").write_text(
         render_correlations(correlations), encoding="utf-8")

@@ -154,8 +154,8 @@ def agreement_report(records, scale=AnnotationScale(), unanimity=False):
 def correlation_report(features):
     """The Spearman matrix of the feature rows' means, re-keyed by post id
     and read back one post at a time."""
-    metric = {name: column.tolist()
-              for name, column in features.metric.items()}
+    metric = {name: features.column("metric", name).tolist()
+              for name in NAMES}
     means = {post_id: {name: values[i] for name, values in metric.items()
                        if values[i] == values[i]}  # NaN: absent
              for i, post_id in enumerate(features.post_id)}

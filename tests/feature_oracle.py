@@ -21,14 +21,15 @@ from threadtone.corpus import Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import EmptySample, FeatureError, MissingAnnotation
 from threadtone.features import (
+    COLUMNS,
     PER_DIMENSION,
     SECONDS_PER_HOUR,
     FeatureTable,
-    _csv_header,
 )
 from threadtone.regression import ModelSpec, cluster_robust_vcov, ols_fit
 
 from corpus_oracle import OracleTree, oracle_trees
+from feature_table_oracle import _csv_header
 
 MeanMap = Mapping[str, Mapping[str, float]]
 
@@ -222,18 +223,15 @@ def table_from_rows(rows: Iterable[FeatureRow]) -> FeatureTable:
         return math.nan if value is None else value
 
     rows = list(rows)
-    columns = {
-        "post_id": [r.post_id for r in rows],
-        "discussion_id": [r.discussion_id for r in rows],
-        "depth": [r.depth for r in rows],
-        "dt_prev": [nan(r.dt_prev) for r in rows],
-        "dt_parent": [nan(r.dt_parent) for r in rows],
-    }
-    for dim in DIMENSIONS:
-        for kind in PER_DIMENSION:
-            columns[f"{dim.name}_{kind}"] = [
-                nan(getattr(r, kind).get(dim.name)) for r in rows]
-    return FeatureTable.from_csv_columns(columns)
+    values = [[nan(r.dt_prev), nan(r.dt_parent)]
+              + [nan(getattr(r, kind).get(dim.name))
+                 for dim in DIMENSIONS for kind in PER_DIMENSION]
+              for r in rows]
+    return FeatureTable(
+        post_id=tuple(r.post_id for r in rows),
+        discussion_id=tuple(r.discussion_id for r in rows),
+        depth=np.array([r.depth for r in rows], dtype=np.int64),
+        values=np.array(values, dtype=float).reshape(len(rows), len(COLUMNS)))
 
 
 def assert_table_equals_rows(table: FeatureTable, rows: list[FeatureRow]) -> None:
@@ -242,15 +240,10 @@ def assert_table_equals_rows(table: FeatureTable, rows: list[FeatureRow]) -> Non
     assert table.post_id == want.post_id
     assert table.discussion_id == want.discussion_id
     assert np.array_equal(table.depth, want.depth)
-    for name in ("dt_prev", "dt_parent"):
-        assert np.array_equal(getattr(table, name), getattr(want, name),
-                              equal_nan=True), name
-    for kind in PER_DIMENSION:
-        got, expected = getattr(table, kind), getattr(want, kind)
-        assert set(got) == set(expected) == {d.name for d in DIMENSIONS}
-        for name in expected:
-            assert np.array_equal(got[name], expected[name],
-                                  equal_nan=True), (kind, name)
+    assert table.values.shape == want.values.shape == (len(rows), len(COLUMNS))
+    for j, key in enumerate(COLUMNS):
+        assert np.array_equal(table.values[:, j], want.values[:, j],
+                              equal_nan=True), key
 
 
 # --- per-row model filter and design ------------------------------------------------

@@ -24,7 +24,7 @@ from threadtone.agreement import (
     krippendorff_alpha_interval,
 )
 from threadtone.corpus import tree_arrays
-from threadtone.dimensions import AnnotationScale
+from threadtone.dimensions import NAMES, AnnotationScale
 from threadtone.errors import ExtraKey, NonInteger, NotJson, OutOfRange
 from threadtone.features import compute_feature_table
 from threadtone.regression import (
@@ -199,8 +199,9 @@ def test_geometry_invariants():
                   for pid, vals in means.items()}
         scaled_features = compute_feature_table(*mean_matrix(posts, scaled))
         assert scaled_features.post_id == features.post_id
-        for name, column in features.br_neg.items():
-            assert np.array_equal(scaled_features.br_neg[name], column,
+        for name in NAMES:
+            assert np.array_equal(scaled_features.column("br_neg", name),
+                                  features.column("br_neg", name),
                                   equal_nan=True)
 
     # tree invariants on generated and parsed corpora

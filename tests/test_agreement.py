@@ -332,12 +332,11 @@ def test_midranks_and_spearman_match_the_loop(xy):
 # --- correlation report ---------------------------------------------------------------
 
 def columns_of(means_by_post):
-    """post id -> dimension -> mean as post ids and one column per
-    dimension, NaN where a post lacks it."""
+    """post id -> dimension -> mean as post ids and a posts x dimensions
+    array, NaN where a post lacks a dimension."""
     post_ids = tuple(means_by_post)
-    return post_ids, {d.name: np.array([means_by_post[p].get(d.name, np.nan)
-                                        for p in post_ids])
-                      for d in DIMENSIONS}
+    return post_ids, np.array([[means_by_post[p].get(d.name, np.nan)
+                                for d in DIMENSIONS] for p in post_ids])
 
 
 def test_correlation_report_structure_and_consistency():

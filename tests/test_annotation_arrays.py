@@ -35,7 +35,7 @@ from threadtone.annotate import (
     pair_content_hash,
 )
 from threadtone.dimensions import DIMENSIONS, AnnotationScale
-from threadtone.features import PER_DIMENSION, compute_feature_table
+from threadtone.features import compute_feature_table
 from threadtone.report import annotation_content_hash
 
 TEXTS = ("yes", "no", "maybe so")  # few texts: duplicate pairs are common
@@ -149,18 +149,16 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
     expected = compute_feature_table(
         *mean_matrix(corpus, oracle.means_of(records)), strict=False)
     assert features.post_id == expected.post_id
-    for name in ("depth", "dt_prev", "dt_parent"):
-        assert_same_bits(getattr(features, name), getattr(expected, name))
-    for kind in PER_DIMENSION:
-        for d in DIMENSIONS:
-            assert_same_bits(getattr(features, kind)[d.name],
-                             getattr(expected, kind)[d.name])
+    assert_same_bits(features.depth, expected.depth)
+    assert_same_bits(features.values, expected.values)
 
     for unanimity in (False, True):
         assert (repr(agreement_report(got.pair_hashes, got.scores,
                                       unanimity=unanimity))
                 == repr(oracle.agreement_report(items, unanimity=unanimity)))
-    assert_same_bits(correlation_report(features.post_id, features.metric),
+    metric = np.column_stack([features.column("metric", d.name)
+                              for d in DIMENSIONS])
+    assert_same_bits(correlation_report(features.post_id, metric),
                      oracle.correlation_report(features))
     assert (annotation_content_hash(got.pair_hashes, got.scores)
             == oracle.annotation_content_hash(items))

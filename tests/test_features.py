@@ -5,6 +5,7 @@ from threadtone.corpus import Post
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import MissingAnnotation
 from threadtone.features import (
+    COLUMNS,
     PER_DIMENSION,
     FeatureTable,
     compute_feature_table,
@@ -129,8 +130,9 @@ def test_root_only_corpus_gives_empty_table():
     corpus = [mk_post("A"), mk_post("X", discussion_id="d2")]
     table = compute_feature_table(*mean_matrix(corpus, {}))
     assert len(table) == 0
-    for column in table.csv_columns():
-        assert len(column) == 0
+    assert table.post_id == table.discussion_id == ()
+    assert len(table.depth) == 0
+    assert table.values.shape == (0, len(COLUMNS))
 
 
 def test_strict_vs_lenient_missing_annotation(four_node_corpus):
@@ -188,8 +190,9 @@ def test_scale_sign_invariance_of_br_neg():
         scaled_table = compute_feature_table(*mean_matrix(posts, scaled))
         assert scaled_table.post_id == table.post_id
         for dim in DIMENSIONS:
-            assert np.array_equal(scaled_table.br_neg[dim.name],
-                                  table.br_neg[dim.name], equal_nan=True)
+            assert np.array_equal(scaled_table.column("br_neg", dim.name),
+                                  table.column("br_neg", dim.name),
+                                  equal_nan=True)
 
 
 def test_adding_sibling_at_mean_keeps_mean():
@@ -245,12 +248,13 @@ def test_feature_csv_round_trip(tmp_path):
     loaded = read_features_csv(path)
     assert loaded.post_id == table.post_id
     assert loaded.discussion_id == table.discussion_id
-    for got, want in zip(loaded.csv_columns()[2:], table.csv_columns()[2:]):
+    for got, want in ((loaded.depth, table.depth),
+                      (loaded.values, table.values)):
         assert got.dtype == want.dtype
         assert np.array_equal(got, want, equal_nan=True)
     for kind in PER_DIMENSION:
         for dim in DIMENSIONS:
-            assert np.isnan(getattr(table, kind)[dim.name]).any(), (kind, dim)
+            assert np.isnan(table.column(kind, dim.name)).any(), (kind, dim)
     # a second write reproduces the bytes
     again = tmp_path / "again.csv"
     write_features_csv(loaded, again)

@@ -427,8 +427,8 @@ def test_m6_sibling_filter_and_relax():
     relaxed_sample = filter_rows(relaxed_spec, table, DIM)
     assert strict_sample.dtype == bool and relaxed_sample.dtype == bool
     assert strict_sample.sum() < relaxed_sample.sum()
-    assert not np.isnan(table.sib_older_mean[DIM][strict_sample]).any()
-    assert not np.isnan(table.parent_metric[DIM][relaxed_sample]).any()
+    assert not np.isnan(table.column("sib_older_mean", DIM)[strict_sample]).any()
+    assert not np.isnan(table.column("parent_metric", DIM)[relaxed_sample]).any()
 
 
 def test_filter_counts_match_bruteforce():
