@@ -166,6 +166,17 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
     return PipelineOptions(**values)
 
 
+def _existing_cache(path: str) -> AnnotationCache:
+    """The cache a read-only command reads. Unlike ``annotate`` and
+    ``pipeline``, which create a missing cache, it must exist."""
+    try:
+        Path(path).stat()
+    except OSError as exc:
+        raise AnnotationError(f"cannot read cache {Path(path)}: "
+                              f"{exc.strerror}") from None
+    return AnnotationCache(path)
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     posts, _, diagnostics = validate_corpus(args.corpus, log_diagnostics=False)
     for line in diagnostics:
@@ -189,7 +200,7 @@ def cmd_features(args: argparse.Namespace) -> int:
     options = _options(args)
     posts, texts = load_corpus(args.corpus)
     means = load_annotation_means(
-        posts, texts, AnnotationCache(args.annotations), scale=options.scale,
+        posts, texts, _existing_cache(args.annotations), scale=options.scale,
         n_replications=options.replications)
     features = compute_feature_table(posts, means, strict=args.strict,
                                      prev_scope=options.prev_scope)
@@ -200,7 +211,7 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_agreement(args: argparse.Namespace) -> int:
     options = _options(args)
-    items, scores = cached_pair_scores(AnnotationCache(args.cache),
+    items, scores = cached_pair_scores(_existing_cache(args.cache),
                                        options.replications)
     report = write_agreement(items, scores, options, Path(args.out))
     for row in report:
@@ -227,7 +238,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     options = _options(args)
     # read the cache first: a cache that cannot be used exits before any
     # output is written
-    cached = (cached_pair_scores(AnnotationCache(args.cache),
+    cached = (cached_pair_scores(_existing_cache(args.cache),
                                  options.replications)
               if args.cache else None)
     features = read_features_csv(args.features)

@@ -361,6 +361,24 @@ def test_a_cache_that_is_a_directory_exits_with_annotation_code(
     assert not any(Path(name).exists() for name in ("f.csv", "a.csv", "r"))
 
 
+@pytest.mark.parametrize("command", BAD_CACHE_COMMANDS[2:])
+def test_read_only_commands_refuse_a_missing_cache(synth_setup, monkeypatch,
+                                                   command):
+    # features, agreement and report used to read a missing cache as an
+    # empty one and exit 0; annotate and pipeline still create it
+    tmp_path, _, _, synth_cache = synth_setup
+    monkeypatch.chdir(tmp_path)
+    assert main(["features", "--corpus", "corpus.jsonl", "--annotations",
+                 str(synth_cache), "--out", "features.csv"]) == 0
+    proc = run_cli(*command)
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "annotation failed: cannot read cache bad.jsonl: "
+        "No such file or directory"]
+    assert not any(Path(name).exists()
+                   for name in ("bad.jsonl", "f.csv", "a.csv", "r"))
+
+
 @pytest.mark.parametrize("command", (["annotate"],
                                      ["pipeline", "--output-dir", "out"]))
 def test_a_cache_that_cannot_be_written_exits_with_annotation_code(
