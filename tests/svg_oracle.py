@@ -9,10 +9,15 @@ oracle whose exact SVG string ``threadtone.svgplot.scatter_svg`` must
 reproduce. The formatting helpers and the circle writer, which the array
 rewrite left as they were, are imported.
 
-One line was added to ``nice_ticks``: it stops once a step no longer moves
-the tick value. Without it, a range only a few ulps wide (two x values 1 ulp
-apart near 1e6) looped forever. The line is reached only where the loop
-would never have ended, so every output the old code returned is unchanged.
+Two lines were added to ``nice_ticks``. One stops the loop once a step no
+longer moves the tick value. Without it, a range only a few ulps wide (two
+x values 1 ulp apart near 1e6) looped forever. The line is reached only
+where the loop would never have ended, so every output the old code
+returned is unchanged. The other keeps only ticks at or above
+``lo - step * 1e-9``, the lower twin of the loop's upper bound. On that same
+range the first tick, ``ceil(lo / step) * step``, rounded below ``lo`` and
+was drawn far left of the plot; a tick the old code drew inside the range
+is kept.
 """
 
 from __future__ import annotations
@@ -59,8 +64,9 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
     ticks = []
     value = first
     while value <= hi + step * 1e-9:
-        ticks.append(round(value, 10))
-        if value + step == value:  # the one addition, see above
+        if value >= lo - step * 1e-9:  # an addition, see above
+            ticks.append(round(value, 10))
+        if value + step == value:  # an addition, see above
             break
         value += step
     return ticks

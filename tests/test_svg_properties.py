@@ -10,13 +10,14 @@ SVG string.
 from __future__ import annotations
 
 import math
+import re
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import svg_oracle
-from threadtone.svgplot import ScatterData, band_half_width, scatter_svg
+from threadtone.svgplot import WIDTH, ScatterData, band_half_width, scatter_svg
 
 magnitudes = st.floats(min_value=1e-6, max_value=1e6)
 
@@ -77,12 +78,18 @@ def test_scatter_svg_matches_the_tuple_oracle(scatter):
 
 def test_a_range_a_few_ulps_wide_is_drawn():
     # nice_ticks used to loop forever once a tick step fell below half an
-    # ulp of the tick value
+    # ulp of the tick value, and then returned a first tick below the
+    # range, drawn at x = -496
     close = np.array([1e6, math.nextafter(1e6, math.inf)])
     data = ScatterData(x=close, y=close, intercept=1e6, slope=0.0,
                        vcov=np.zeros((2, 2)), x_label="x", y_label="y",
                        title="t")
-    assert scatter_svg(data, 1.96).count("<circle") == 2
+    svg = scatter_svg(data, 1.96)
+    assert svg.count("<circle") == 2
+    xs = re.findall(r'<(?:line x1="([^"]*)" y1="[^"]*" x2="([^"]*)"'
+                    r'|text x="([^"]*)")', svg)
+    xs = [float(x) for match in xs for x in match if x]
+    assert xs and all(0 <= x <= WIDTH for x in xs)
 
 
 @settings(max_examples=200, deadline=None)
