@@ -57,10 +57,11 @@ class FeatureTable:
         return len(self.post_id)
 
     def column(self, name: str, dimension: str) -> np.ndarray:
-        """A feature by model field name; NaN where it is absent."""
+        """A feature by model field name; NaN where it is absent.
+        ValueError for a field or dimension that has no column."""
         key = f"{dimension}_{name}" if name in PER_DIMENSION else name
         if key not in _INDEX:
-            raise ValueError(f"unknown feature field {name!r}")
+            raise ValueError(f"unknown feature column {key!r}")
         return self.values[:, _INDEX[key]]
 
 
@@ -118,19 +119,17 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
     p, t = parent[rows], stamp[rows]
     deep = (depth[rows] >= 2)[:, None]
     branch = means[branch_root[rows]]
-    per_kind = (
-        means[rows],
-        np.where(deep, means[p], NAN),
-        _older_sibling_means(parent, sibling_rank, means)[rows],
-        np.where(deep & ~np.isnan(branch), branch < 0, NAN),
-    )
+    values = np.empty((len(COLUMNS), len(rows)))
+    values[0] = np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR)
+    values[1] = (t - stamp[p]) / SECONDS_PER_HOUR
     # dimension x kind x row: COLUMNS' per-dimension order
-    per_dimension = np.stack(per_kind).transpose(2, 0, 1)
-    values = np.vstack([
-        np.where(prev < 0, NAN, (t - stamp[prev]) / SECONDS_PER_HOUR),
-        (t - stamp[p]) / SECONDS_PER_HOUR,
-        per_dimension.reshape(len(COLUMNS) - 2, len(rows)),
-    ])
+    per_dimension = values[2:].reshape(len(NAMES), len(PER_DIMENSION),
+                                       len(rows))
+    per_dimension[:, 0] = means[rows].T
+    per_dimension[:, 1] = np.where(deep, means[p], NAN).T
+    per_dimension[:, 2] = _older_sibling_means(parent, sibling_rank,
+                                               means)[rows].T
+    per_dimension[:, 3] = np.where(deep & ~np.isnan(branch), branch < 0, NAN).T
     return FeatureTable(
         post_id=tuple(ids[i] for i in rows.tolist()),
         discussion_id=tuple(discussion[rows].tolist()),
@@ -167,12 +166,12 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
 
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
     cells = [features.post_id, features.discussion_id, features.depth.tolist()]
-    # tolist() yields Python floats: repr(np.float64) is not a number
-    for key, column in zip(COLUMNS, features.values.T.tolist()):
+    for key, column in zip(COLUMNS, features.values.T):
+        # tolist() yields Python floats: repr(np.float64) is not a number
         if key.endswith("_br_neg"):
-            cells.append(["" if v != v else str(int(v)) for v in column])
+            cells.append(["" if v != v else str(int(v)) for v in column.tolist()])
         else:
-            cells.append(["" if v != v else repr(v) for v in column])
+            cells.append(["" if v != v else repr(v) for v in column.tolist()])
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)

@@ -135,6 +135,20 @@ def test_root_only_corpus_gives_empty_table():
     assert table.values.shape == (0, len(COLUMNS))
 
 
+def test_column_indexes_the_matrix_and_refuses_unknown_names(four_node_corpus):
+    means = flat_means(four_node_corpus, {"B": 1.0, "C": 2.0, "D": 3.0})
+    table = compute_feature_table(*mean_matrix(four_node_corpus, means))
+    for j, key in enumerate(COLUMNS):
+        dim = next((d.name for d in DIMENSIONS
+                    if key.startswith(d.name + "_")), DIM)
+        name = key.removeprefix(dim + "_")
+        assert np.shares_memory(table.column(name, dim), table.values[:, j])
+        assert table.column(name, dim).flags.c_contiguous
+    for name, dim in (("bogus", DIM), ("metric", "bogus"), (DIM, "metric")):
+        with pytest.raises(ValueError):
+            table.column(name, dim)
+
+
 def test_strict_vs_lenient_missing_annotation(four_node_corpus):
     means = flat_means(four_node_corpus, {"B": 1.0, "D": 2.0})  # C missing
     with pytest.raises(MissingAnnotation):
