@@ -62,7 +62,6 @@ from .errors import (
     NotJson,
     OutOfRange,
 )
-from .workers import run_map
 
 log = logging.getLogger(__name__)
 
@@ -179,7 +178,7 @@ def cache_tail(dimension: str, replication: int, score: int,
             f'"score": {score}, "timestamp": {timestamp}}}\n')
 
 
-_CHUNK_BYTES = 8 << 20  # a larger cache is decoded in chunks of about this
+_BLOCK_BYTES = 1 << 20  # the cache is read about this much at a time
 
 # One line per match: the exact line cache_head + cache_tail write, when
 # json.loads would decode it to the same values (strings without escapes or
@@ -194,70 +193,15 @@ _LINE = re.compile(
     rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}\n|(.*)$)')
 
 
-def _line_ranges(path: Path) -> list[tuple[int, int]]:
-    """Byte ranges covering the file in order, one per ``_CHUNK_BYTES``,
-    each cut moved forward to just after the next ``\\n``, so every range
-    holds whole lines (a ``\\r\\n`` is never split)."""
-    size = path.stat().st_size
-    cuts = [0]
-    with open(path, "rb") as fh:
-        for nominal in range(_CHUNK_BYTES, size, _CHUNK_BYTES):
-            fh.seek(nominal)
-            fh.readline()
-            cuts.append(fh.tell())
-    cuts.append(size)
-    return [(start, stop) for start, stop in zip(cuts, cuts[1:]) if start < stop]
-
-
-def _decode_chunk(path: Path, start: int,
-                  stop: int) -> tuple[dict, list[int], int, bool]:
-    """The cache records of bytes [start, stop) of a file, read as the
-    text-mode ``open`` reads them (UTF-8, universal newlines).
-
-    Returns the ``{key: score}`` dict (later lines win), the 0-based line
-    offsets of the malformed lines, the number of lines, and whether the
-    last line lacks its ``\\n``."""
-    with open(path, "rb") as fh:
-        fh.seek(start)
-        text = fh.read(stop - start).decode("utf-8")
-    if "\r" in text:
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
-    torn = not text.endswith("\n")
-    rows = _LINE.findall(text)
-    if not torn:
-        rows.pop()  # the empty match after the final "\n"
-    scores: dict[tuple[str, str, str, int], int] = {}
-    malformed = []
-    # keys share one string object per distinct pair hash, model and
-    # dimension, where the match makes a new one on each of the 12 lines
-    share = {}.setdefault
-    for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
-        if rep:  # the exact line cache_head + cache_tail write
-            scores[share(pair, pair), share(model, model), share(dim, dim),
-                   int(rep)] = int(score)
-            continue
-        if not line.strip():
-            continue
-        try:
-            rec = json.loads(line)
-            pair, model, dim = rec["pair_hash"], rec["model"], rec["dimension"]
-            scores[share(pair, pair), share(model, model), share(dim, dim),
-                   int(rec["replication"])] = int(rec["score"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError,
-                OverflowError):  # int(Infinity)
-            malformed.append(offset)
-    return scores, malformed, len(rows), torn
-
-
 class AnnotationCache:
     """Append-only JSONL score cache, safe for concurrent appends from one
     process. Records: {pair_hash, model, dimension, replication, score,
     timestamp}, keyed by (pair_hash, model, dimension, replication).
 
-    A file larger than ``_CHUNK_BYTES`` is decoded in line-aligned chunks
-    on the CPUs in the affinity mask (``workers.run_map``) and merged in
-    file order, so the scores, their order, the malformed-line warnings and
-    any decoding error are those of a serial read."""
+    The file is read as the text-mode ``open`` reads it (strict UTF-8,
+    universal newlines), ``_BLOCK_BYTES`` and the rest of a line at a time,
+    so a block holds whole lines and a ``\\r\\n`` is never split. Later
+    lines win; a malformed line is skipped with a warning naming its line."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
@@ -265,27 +209,54 @@ class AnnotationCache:
         self._scores: dict[tuple[str, str, str, int], int] = {}
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
+        # keys share one string object per distinct pair hash, model and
+        # dimension, where the match makes a new one on each of the 12 lines
+        share = {}.setdefault
+        line_no = 0
         try:
-            ranges = _line_ranges(self.path)
+            with open(self.path, "rb") as fh:
+                while block := fh.read(_BLOCK_BYTES) + fh.readline():
+                    line_no = self._read_block(block, line_no, share)
         except FileNotFoundError:
             return
         except OSError as exc:
             raise AnnotationError(f"cannot read cache {self.path}: "
                                   f"{exc.strerror}") from None
-        line_no = 0
+
+    def _read_block(self, block: bytes, line_no: int, share) -> int:
+        """Record the scores of a block of whole lines that follows line
+        ``line_no``; returns the number of the block's last line."""
+        if b"\r" in block:  # neither byte occurs inside a UTF-8 sequence
+            block = block.replace(b"\r\n", b"\n").replace(b"\r", b"\n")
         try:
-            with run_map(len(ranges)) as mapped:
-                for part, malformed, n_lines, self._torn_tail in mapped(
-                        _decode_chunk, [self.path] * len(ranges), *zip(*ranges)):
-                    self._scores.update(part)
-                    for offset in malformed:
-                        log.warning("ignoring malformed cache line %d in %s",
-                                    line_no + offset + 1, self.path)
-                    line_no += n_lines
-        except UnicodeDecodeError as exc:  # exc.object: the chunk's bytes
-            line_no += len(re.findall(rb"\r\n?|\n", exc.object[:exc.start])) + 1
+            text = block.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            line_no += block.count(b"\n", 0, exc.start) + 1
             raise AnnotationError(f"cache line {line_no} in {self.path} is "
                                   f"not UTF-8 ({exc.reason})") from None
+        self._torn_tail = not text.endswith("\n")
+        rows = _LINE.findall(text)
+        if not self._torn_tail:
+            rows.pop()  # the empty match after the final "\n"
+        scores = self._scores
+        for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
+            if rep:  # the exact line cache_head + cache_tail write
+                scores[share(pair, pair), share(model, model),
+                       share(dim, dim), int(rep)] = int(score)
+                continue
+            if not line.strip():
+                continue
+            try:
+                rec = json.loads(line)
+                pair, model, dim = (rec["pair_hash"], rec["model"],
+                                    rec["dimension"])
+                scores[share(pair, pair), share(model, model),
+                       share(dim, dim), int(rec["replication"])] = int(rec["score"])
+            except (json.JSONDecodeError, KeyError, TypeError, ValueError,
+                    OverflowError):  # int(Infinity)
+                log.warning("ignoring malformed cache line %d in %s",
+                            line_no + offset + 1, self.path)
+        return line_no + len(rows)
 
     def get(self, key: tuple[str, str, str, int]) -> int | None:
         return self._scores.get(key)

@@ -1,5 +1,6 @@
 """An ordered ``map`` over independent items, in forked worker processes
-when the affinity mask leaves CPUs to spare.
+when the affinity mask leaves CPUs to spare. ``synth.recovery_experiment``
+runs its simulated corpora through it.
 
 A worker emits no log record itself: it returns the records its call
 logged with the call's result, each frozen to plain attributes (its message
@@ -83,7 +84,7 @@ def run_map(n_items: int) -> Iterator[Callable]:
         return
     # fork, not spawn: a spawned worker would import numpy and the package
     # again (~0.27 s), more than most callers save. Imported here: ~20 ms
-    # that one-item calls and small caches never need
+    # that one-item calls never need
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor
     pool = ProcessPoolExecutor(

@@ -280,19 +280,13 @@ def test_chunked_loads_match_the_oracle(text):
         path = Path(tmp) / "cache.jsonl"
         path.write_bytes(text.encode("utf-8"))
         oracle = OracleCache(path)
-        set_cpus(monkeypatch, 1)
-        for chunk_bytes in (1, 7, 64):
-            monkeypatch.setattr(annotate, "_CHUNK_BYTES", chunk_bytes)
+        for block_bytes in (1, 7, 64):
+            monkeypatch.setattr(annotate, "_BLOCK_BYTES", block_bytes)
             assert_loads_as_the_oracle(path, oracle)
 
 
-decode_chunk = annotate._decode_chunk
-
-
-def _decode_and_record(path: Path, start: int, stop: int):
-    with open(path.with_name("pids"), "a", encoding="utf-8") as fh:
-        fh.write(f"{os.getpid()}\n")
-    return decode_chunk(path, start, stop)
+def _no_fork():
+    raise AssertionError("the cache was read in a forked process")
 
 
 def test_pooled_loads_match_the_oracle(tmp_path, monkeypatch):
@@ -306,12 +300,13 @@ def test_pooled_loads_match_the_oracle(tmp_path, monkeypatch):
     path = tmp_path / "cache.jsonl"
     path.write_bytes(text[:-9].encode("utf-8"))  # a torn tail
     oracle = OracleCache(path)
+    # a cache of several blocks, with two CPUs to spare, is read in this
+    # process alone
     set_cpus(monkeypatch, 2)
-    monkeypatch.setattr(annotate, "_CHUNK_BYTES", 512)
-    monkeypatch.setattr(annotate, "_decode_chunk", _decode_and_record)
+    monkeypatch.setattr(os, "fork", _no_fork)
+    monkeypatch.setattr(annotate, "_BLOCK_BYTES", 512)
+    assert path.stat().st_size > 4 * annotate._BLOCK_BYTES
     assert_loads_as_the_oracle(path, oracle)
-    pids = (tmp_path / "pids").read_text(encoding="utf-8").split()
-    assert len(pids) > 2 and str(os.getpid()) not in pids
 
     path.write_bytes(text.encode("utf-8") + b"\xff\n")
     message = re.escape(f"cache line 61 in {path} is not UTF-8")
@@ -322,17 +317,15 @@ def test_pooled_loads_match_the_oracle(tmp_path, monkeypatch):
         AnnotationCache(path)
 
 
-@pytest.mark.parametrize("cpus, chunk_bytes",
-                         ((1, 1), (1, 7), (1, 1 << 20), (2, 64)))
-def test_bytes_that_are_not_utf8_name_their_line(tmp_path, monkeypatch, cpus,
-                                                 chunk_bytes):
+@pytest.mark.parametrize("block_bytes", (1, 7, 1 << 20, 64))
+def test_bytes_that_are_not_utf8_name_their_line(tmp_path, monkeypatch,
+                                                 block_bytes):
     # lines 1-5 end "\n", "\r\n", "\r", "\n" and "\r"; line 6 is empty
     head = "".join(_RECORD + end for end in ("\n", "\r\n", "\r", "\n", "\r"))
     path = tmp_path / "cache.jsonl"
     path.write_bytes((head + "\r\n").encode("utf-8") + b'{"pair_hash": "\xe9"}\n'
                      + (_RECORD + "\n").encode("utf-8"))
-    set_cpus(monkeypatch, cpus)
-    monkeypatch.setattr(annotate, "_CHUNK_BYTES", chunk_bytes)
+    monkeypatch.setattr(annotate, "_BLOCK_BYTES", block_bytes)
     with pytest.raises(AnnotationError,
                        match=re.escape(f"cache line 7 in {path} is not UTF-8")):
         AnnotationCache(path)
