@@ -267,14 +267,13 @@ def cmd_synth(args: argparse.Namespace) -> int:
     if not args.out_corpus or not args.out_cache:
         print("synth requires --out-corpus and --out-cache", file=sys.stderr)
         return 2
-    result = generate_corpus(config)
-    save_corpus(result.corpus, args.out_corpus)
-    records = result.cache_records
-    if records is None:
+    if config.continuous:
         print("continuous-mode configs produce no integer cache",
               file=sys.stderr)
         return 2
-    write_cache_records(records, args.out_cache)
+    result = generate_corpus(config)
+    save_corpus(result.corpus, args.out_corpus)
+    write_cache_records(result.cache_records, args.out_cache)
     print(f"generated {len(result.arrays.posts)} posts in "
           f"{len(result.arrays.discussion_ids)} discussions "
           f"({result.truncations} truncated scores)")

@@ -204,6 +204,20 @@ def test_invalid_synth_config_exits_with_one_line(synth_setup, override,
     assert not corpus_out.exists()
 
 
+def test_synth_on_a_continuous_config_writes_nothing(synth_setup):
+    tmp_path, config_path, _, _ = synth_setup
+    continuous = tmp_path / "continuous.json"
+    continuous.write_text(json.dumps({**json.loads(config_path.read_text()),
+                                      "continuous": True}))
+    corpus_out, cache_out = tmp_path / "gen.jsonl", tmp_path / "gen_cache.jsonl"
+    proc = run_cli("synth", "--config", str(continuous),
+                   "--out-corpus", str(corpus_out), "--out-cache", str(cache_out))
+    assert proc.returncode == 2
+    assert proc.stderr.splitlines() == [
+        "continuous-mode configs produce no integer cache"]
+    assert not corpus_out.exists() and not cache_out.exists()
+
+
 @pytest.mark.parametrize("flag, value", (("--replications", "2"),
                                          ("--seed", "99"),
                                          ("--scale-min", "-2"),
