@@ -51,7 +51,7 @@ def nice_ticks(lo: float, hi: float) -> list[float]:
         if value + step == value:  # below half an ulp: it would loop forever
             break
         value += step
-    return ticks
+    return ticks or [lo]  # a range a few ulps wide can keep none
 
 
 def _fmt(x: float) -> str:

@@ -9,7 +9,7 @@ oracle whose exact SVG string ``threadtone.svgplot.scatter_svg`` must
 reproduce. The formatting helpers and the circle writer, which the array
 rewrite left as they were, are imported.
 
-Two lines were added to ``nice_ticks``. One stops the loop once a step no
+Three lines were added to ``nice_ticks``. One stops the loop once a step no
 longer moves the tick value. Without it, a range only a few ulps wide (two
 x values 1 ulp apart near 1e6) looped forever. The line is reached only
 where the loop would never have ended, so every output the old code
@@ -17,7 +17,9 @@ returned is unchanged. The other keeps only ticks at or above
 ``lo - step * 1e-9``, the lower twin of the loop's upper bound. On that same
 range the first tick, ``ceil(lo / step) * step``, rounded below ``lo`` and
 was drawn far left of the plot; a tick the old code drew inside the range
-is kept.
+is kept. The third returns ``[lo]`` when the loop keeps no tick, so that
+range still has one labelled tick; where the old code returned a tick, it
+returns the same ticks.
 """
 
 from __future__ import annotations
@@ -69,7 +71,7 @@ def nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
         if value + step == value:  # an addition, see above
             break
         value += step
-    return ticks
+    return ticks or [lo]  # an addition, see above
 
 
 @dataclass(frozen=True)

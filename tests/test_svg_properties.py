@@ -78,8 +78,8 @@ def test_scatter_svg_matches_the_tuple_oracle(scatter):
 
 def test_a_range_a_few_ulps_wide_is_drawn():
     # nice_ticks used to loop forever once a tick step fell below half an
-    # ulp of the tick value, and then returned a first tick below the
-    # range, drawn at x = -496
+    # ulp of the tick value, then returned a first tick below the range,
+    # drawn at x = -496, and then no tick at all
     close = np.array([1e6, math.nextafter(1e6, math.inf)])
     data = ScatterData(x=close, y=close, intercept=1e6, slope=0.0,
                        vcov=np.zeros((2, 2)), x_label="x", y_label="y",
@@ -90,6 +90,9 @@ def test_a_range_a_few_ulps_wide_is_drawn():
                     r'|text x="([^"]*)")', svg)
     xs = [float(x) for match in xs for x in match if x]
     assert xs and all(0 <= x <= WIDTH for x in xs)
+    x_labels = re.findall(r'<text x="[^"]*" y="[^"]*" font-family="sans-serif" '
+                          r'font-size="11" text-anchor="middle">', svg)
+    assert x_labels
 
 
 @settings(max_examples=200, deadline=None)
