@@ -192,8 +192,9 @@ def read_features_csv(path: str | Path) -> FeatureTable:
         columns = list(zip(*records)) or [()] * len(_HEADER)
         depth = np.array([int(v) for v in columns[2]], dtype=np.int64)
         # one row per feature, so each column of the transpose is contiguous
-        values = np.array([[float(v) if v != "" else NAN for v in column]
-                           for column in columns[3:]], dtype=float)
+        values = np.empty((len(_HEADER) - 3, len(records)))
+        for row, column in zip(values, columns[3:]):
+            row[:] = [float(v) if v != "" else NAN for v in column]
     except (OSError, ValueError, csv.Error) as exc:  # an OSError: its reason
         raise FeatureFileError(f"cannot read feature table {path}: "
                                f"{getattr(exc, 'strerror', None) or exc}") from None
