@@ -150,7 +150,10 @@ def spearman_rho(x: Sequence[float], y: Sequence[float]) -> float:
     if np.all(x == x[0]) or np.all(y == y[0]):
         raise DegenerateData("rank correlation undefined for constant input")
     rx, ry = (ranks - ranks.mean() for ranks in (midranks(x), midranks(y)))
-    return float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    # elementwise sums, not BLAS dot products, which wake their threads on
+    # each call; centred midranks are multiples of 0.5, so every partial
+    # sum is exact (below n ~ 200k) and the order of summation is free
+    return float((rx * ry).sum() / np.sqrt((rx * rx).sum() * (ry * ry).sum()))
 
 
 def correlation_report(post_ids: Sequence[str],

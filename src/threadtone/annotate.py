@@ -4,11 +4,12 @@ Each distinct (parent, child) pair is scored N times by a chat-style
 backend; every request is an isolated conversation carrying only the two
 posts, and each response must be a single JSON object with exactly one
 integer per dimension. Scores are written through to an append-only JSONL
-cache, one line (and in memory one dict entry) per 4-tuple (content hash of
-parent+child+scale, model id, dimension, replication). The hash names the
-pair everywhere: replies sharing it are annotated once, agreement and the
-manifest key items by it, and every reader takes its pairs' scores in one
-bulk read, ``AnnotationCache.scores`` (NaN where missing). Only the pairs
+cache, one line per 4-tuple (content hash of parent+child+scale, model id,
+dimension, replication), and held in memory as one row of score slots per
+(pair hash, model id). The hash names the pair everywhere: replies sharing
+it are annotated once, agreement and the manifest key items by it, and
+every reader takes its pairs' scores in one bulk read,
+``AnnotationCache.scores`` (NaN where missing). Only the pairs
 missing a score go on to the backend: a fully cached pair builds no prompt
 and makes no request, and a replication missing a dimension is requested
 again, with its cached dimensions keeping their stored scores. A
@@ -37,6 +38,7 @@ import ssl
 import threading
 import urllib.parse
 import urllib.request
+from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import partial
@@ -193,6 +195,15 @@ _LINE = re.compile(
     rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}\n|(.*)$)')
 
 
+# The row store: each (pair hash, model) has one row of _ROW int8 slots in a
+# flat block, replication r of dimension NAMES[d] at slot d * _SLOTS + r.
+_SLOTS = 8  # replications 0.._SLOTS-1 of each dimension have a slot
+_ROW = len(NAMES) * _SLOTS
+_DIM_SLOT = {name: d * _SLOTS for d, name in enumerate(NAMES)}
+_MISSING = -128  # an empty slot; a slot holds scores -127..127
+_EMPTY_ROW = array("b", [_MISSING]) * _ROW
+
+
 class AnnotationCache:
     """Append-only JSONL score cache, safe for concurrent appends from one
     process. Records: {pair_hash, model, dimension, replication, score,
@@ -201,29 +212,34 @@ class AnnotationCache:
     The file is read as the text-mode ``open`` reads it (strict UTF-8,
     universal newlines), ``_BLOCK_BYTES`` and the rest of a line at a time,
     so a block holds whole lines and a ``\\r\\n`` is never split. Later
-    lines win; a malformed line is skipped with a warning naming its line."""
+    lines win; a malformed line is skipped with a warning naming its line.
+
+    In memory the scores form one row per (pair hash, model): ``_rows``
+    maps the pair to its row's offset in ``_block``, an int8 array of
+    ``_ROW`` slots per row (``_MISSING`` where empty). A key with a
+    dimension outside ``NAMES``, a replication outside 0.._SLOTS-1 or a
+    score an int8 slot cannot hold is kept in ``_overflow`` instead."""
 
     def __init__(self, path: str | Path):
         self.path = Path(path)
         self._lock = threading.Lock()
-        self._scores: dict[tuple[str, str, str, int], int] = {}
+        self._rows: dict[tuple[str, str], int] = {}
+        self._block = array("b")
+        self._overflow: dict[tuple[str, str, str, int], int] = {}
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
-        # keys share one string object per distinct pair hash, model and
-        # dimension, where the match makes a new one on each of the 12 lines
-        share = {}.setdefault
         line_no = 0
         try:
             with open(self.path, "rb") as fh:
                 while block := fh.read(_BLOCK_BYTES) + fh.readline():
-                    line_no = self._read_block(block, line_no, share)
+                    line_no = self._read_block(block, line_no)
         except FileNotFoundError:
             return
         except OSError as exc:
             raise AnnotationError(f"cannot read cache {self.path}: "
                                   f"{exc.strerror}") from None
 
-    def _read_block(self, block: bytes, line_no: int, share) -> int:
+    def _read_block(self, block: bytes, line_no: int) -> int:
         """Record the scores of a block of whole lines that follows line
         ``line_no``; returns the number of the block's last line."""
         if b"\r" in block:  # neither byte occurs inside a UTF-8 sequence
@@ -238,34 +254,60 @@ class AnnotationCache:
         rows = _LINE.findall(text)
         if not self._torn_tail:
             rows.pop()  # the empty match after the final "\n"
-        scores = self._scores
+        store = self._store
         for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
             if rep:  # the exact line cache_head + cache_tail write
-                scores[share(pair, pair), share(model, model),
-                       share(dim, dim), int(rep)] = int(score)
+                store(pair, model, dim, int(rep), int(score))
                 continue
             if not line.strip():
                 continue
             try:
                 rec = json.loads(line)
-                pair, model, dim = (rec["pair_hash"], rec["model"],
-                                    rec["dimension"])
-                scores[share(pair, pair), share(model, model),
-                       share(dim, dim), int(rec["replication"])] = int(rec["score"])
+                store(rec["pair_hash"], rec["model"], rec["dimension"],
+                      int(rec["replication"]), int(rec["score"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     OverflowError):  # int(Infinity)
                 log.warning("ignoring malformed cache line %d in %s",
                             line_no + offset + 1, self.path)
         return line_no + len(rows)
 
+    def _store(self, pair: str, model: str, dim: str, rep: int,
+               score: int) -> None:
+        """Record one score, replacing the one its key held; TypeError,
+        before anything is recorded, if a name is unhashable."""
+        slot = _DIM_SLOT.get(dim)
+        row = self._rows.get((pair, model))
+        if slot is not None and 0 <= rep < _SLOTS:
+            if row is None:
+                row = len(self._block)
+                self._block.extend(_EMPTY_ROW)  # before a reader can see it
+                self._rows[pair, model] = row
+            if _MISSING < score < 128:
+                self._block[row + slot + rep] = score
+                if self._overflow:
+                    self._overflow.pop((pair, model, dim, rep), None)
+                return
+            self._block[row + slot + rep] = _MISSING
+        self._overflow[pair, model, dim, rep] = score
+
     def get(self, key: tuple[str, str, str, int]) -> int | None:
-        return self._scores.get(key)
+        pair, model, dim, rep = key
+        slot = _DIM_SLOT.get(dim)
+        if slot is not None and 0 <= rep < _SLOTS:
+            row = self._rows.get((pair, model))
+            if row is not None:
+                score = self._block[row + slot + rep]
+                if score != _MISSING:
+                    return score
+        return self._overflow.get(key)
+
+    _get = get  # put's own lookup: a wrapper that counts get calls skips it
 
     def put(self, key: tuple[str, str, str, int], score: int, timestamp: int) -> None:
         """Record and append one score; AnnotationError if the file cannot
         be opened or written."""
         with self._lock:
-            if key in self._scores:
+            if self._get(key) is not None:
                 return
             try:
                 if self._appender is None:
@@ -280,7 +322,7 @@ class AnnotationCache:
             except OSError as exc:
                 raise AnnotationError(f"cannot write cache {self.path}: "
                                       f"{exc.strerror}") from None
-            self._scores[key] = score
+            self._store(*key, score)
 
     def close(self) -> None:
         with self._lock:
@@ -292,13 +334,14 @@ class AnnotationCache:
         """The one model id the cache holds ("" when empty) and its sorted
         pair hashes. Raises AmbiguousModel when it holds more than one
         model id: replications of different models are never combined."""
-        models = sorted({key[1] for key in self._scores})
+        keys = [*self._rows, *(key[:2] for key in self._overflow)]
+        models = sorted({model for _, model in keys})
         if len(models) > 1:
             raise AmbiguousModel(
                 f"annotation cache {self.path} mixes model ids "
                 f"{', '.join(models)}; replications of different "
                 f"models are never combined")
-        return (models or [""])[0], sorted({key[0] for key in self._scores})
+        return (models or [""])[0], sorted({pair for pair, _ in keys})
 
     def scores(self, pair_hashes: Sequence[str], model: str,
                n_replications: int) -> np.ndarray:

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -178,25 +179,52 @@ def write_features_csv(features: FeatureTable, path: str | Path) -> None:
         writer.writerows(zip(*cells))
 
 
+def _bad_cell(record: list[str]) -> tuple[int, ValueError]:
+    """The column and error of a row's first cell that does not convert."""
+    for column, cell in enumerate(record[2:], start=2):
+        try:
+            int(cell) if column == 2 else float(cell) if cell != "" else None
+        except ValueError as exc:
+            return column, exc
+
+
 def read_features_csv(path: str | Path) -> FeatureTable:
     """The table ``write_features_csv`` wrote. Raises FeatureFileError,
-    naming the file, when it cannot be read or holds anything else."""
+    naming the file, when it cannot be read or holds anything else. Rows
+    are converted as they are read, yet the error is the first a whole-file
+    read meets: the header, the text, a row's length, then the first bad
+    cell by column (depth first), then by row."""
+    post_id, discussion_id, depth = [], [], []
+    values = array("d")
+    misshapen, bad = False, None  # reported once the whole file is read
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
             reader = csv.reader(fh)
             if tuple(next(reader, ())) != _HEADER:
                 raise ValueError("unexpected header")
-            records = [record for record in reader if record]
-        if any(len(record) != len(_HEADER) for record in records):
+            for record in reader:
+                if len(record) != len(_HEADER):
+                    misshapen |= bool(record)
+                    continue
+                try:
+                    depth.append(int(record[2]))
+                    values.extend([float(v) if v != "" else NAN
+                                   for v in record[3:]])
+                except ValueError:
+                    column, error = _bad_cell(record)
+                    if bad is None or column < bad[0]:
+                        bad = column, error
+                post_id.append(record[0])
+                discussion_id.append(record[1])
+        if misshapen:
             raise ValueError("a row's cells do not match the header")
-        columns = list(zip(*records)) or [()] * len(_HEADER)
-        depth = np.array([int(v) for v in columns[2]], dtype=np.int64)
-        # one row per feature, so each column of the transpose is contiguous
-        values = np.empty((len(_HEADER) - 3, len(records)))
-        for row, column in zip(values, columns[3:]):
-            row[:] = [float(v) if v != "" else NAN for v in column]
+        if bad is not None:
+            raise bad[1]
     except (OSError, ValueError, csv.Error) as exc:  # an OSError: its reason
         raise FeatureFileError(f"cannot read feature table {path}: "
                                f"{getattr(exc, 'strerror', None) or exc}") from None
-    return FeatureTable(post_id=columns[0], discussion_id=columns[1],
-                        depth=depth, values=values.T)
+    matrix = np.frombuffer(values).reshape(len(depth), len(COLUMNS))
+    return FeatureTable(post_id=tuple(post_id),
+                        discussion_id=tuple(discussion_id),
+                        depth=np.array(depth, np.int64),
+                        values=np.asfortranarray(matrix))  # columns contiguous

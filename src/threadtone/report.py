@@ -323,18 +323,25 @@ def file_sha256(path: str | Path) -> str:
 def annotation_content_hash(items: Sequence[str], scores: np.ndarray) -> str:
     """Order-independent hash of item x dimension x replication raw scores:
     sha256 of the sorted lines ``item|dimension|score,score,...``, each
-    ended by a newline. Replication rows repeat, so each distinct one is
-    formatted once, keyed by its bytes."""
+    ended by a newline. The items must be distinct and hold no ``|``
+    (ValueError otherwise): then the items sorted by ``item + "|"``, each
+    with its lines in sorted dimension order, give the lines in sorted
+    order, so they are hashed one item at a time. Replication rows repeat,
+    so each distinct one is formatted once."""
+    if len(set(items)) != len(items) or any("|" in item for item in items):
+        raise ValueError("annotation items must be distinct and hold no '|'")
     scores = np.ascontiguousarray(scores, np.int64)
-    row_bytes = scores.itemsize * scores.shape[2]
-    rows = scores.view(np.dtype((np.void, row_bytes)))[..., 0].tolist()
-    text = {row: ",".join(map(str, np.frombuffer(row, np.int64).tolist()))
-            for row in {row for dims in rows for row in dims}}
-    lines = sorted([f"{item}|{name}|{text[row]}"
-                    for item, dims in zip(items, rows)
-                    for name, row in zip(NAMES, dims)])
-    joined = "".join(line + "\n" for line in lines)
-    return hashlib.sha256(joined.encode("utf-8")).hexdigest()
+    rows = scores.view(np.dtype((np.void, scores.itemsize * scores.shape[2])))
+    distinct, code = np.unique(rows.ravel(), return_inverse=True)
+    text = [",".join(map(str, np.frombuffer(row, np.int64).tolist()))
+            for row in distinct.tolist()]
+    code = code.reshape(len(items), len(NAMES)).tolist()
+    dims = sorted(range(len(NAMES)), key=lambda d: NAMES[d] + "|")
+    h = hashlib.sha256()
+    for k in sorted(range(len(items)), key=lambda k: items[k] + "|"):
+        h.update("".join(f"{items[k]}|{NAMES[d]}|{text[code[k][d]]}\n"
+                         for d in dims).encode("utf-8"))
+    return h.hexdigest()
 
 
 @contextmanager

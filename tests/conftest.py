@@ -1,5 +1,6 @@
-"""Shared builders for corpus and annotation test data, and a check that
-no worker process outlives a test."""
+"""Shared builders for corpus and annotation test data, a reader of the
+annotation cache's in-memory store, and a check that no worker process
+outlives a test."""
 
 from __future__ import annotations
 
@@ -8,6 +9,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
+from threadtone import annotate
 from threadtone.corpus import (
     Corpus,
     DiscussionTree,
@@ -16,7 +18,7 @@ from threadtone.corpus import (
     parse_corpus,
     post_to_json,
 )
-from threadtone.dimensions import DIMENSIONS
+from threadtone.dimensions import DIMENSIONS, NAMES
 
 from corpus_oracle import oracle_trees
 
@@ -98,6 +100,26 @@ def mean_map(posts: PostArrays, means: np.ndarray) -> dict[str, dict[str, float]
     return {posts.posts[i]: dict(zip((d.name for d in DIMENSIONS),
                                      means[i].tolist()))
             for i in np.flatnonzero(posts.parent >= 0)}
+
+
+def stored_scores(cache: annotate.AnnotationCache) -> dict:
+    """Every (pair hash, model, dimension, replication) -> score the cache
+    holds: its rows' filled slots and its overflow dict. A key lies in one
+    of the two, and only a key no slot can take or hold lies in the second."""
+    stored = {}
+    for (pair, model), row in cache._rows.items():
+        assert row % annotate._ROW == 0
+        for name in NAMES:
+            for rep in range(annotate._SLOTS):
+                score = cache._block[row + annotate._DIM_SLOT[name] + rep]
+                if score != annotate._MISSING:
+                    stored[pair, model, name, rep] = score
+    assert len(cache._block) == annotate._ROW * len(cache._rows)
+    for key, score in cache._overflow.items():
+        assert key not in stored
+        assert (key[2] not in NAMES or not 0 <= key[3] < annotate._SLOTS
+                or not annotate._MISSING < score < 128)
+    return {**stored, **cache._overflow}
 
 
 @pytest.fixture

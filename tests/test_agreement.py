@@ -329,6 +329,22 @@ def test_midranks_and_spearman_match_the_loop(xy):
     assert spearman_rho(x, y) == expected  # exact: correlations.csv bytes
 
 
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(3, 150_000), st.integers(2, 60), st.integers(0, 2**32 - 1))
+def test_spearman_matches_the_dot_products_at_any_length(n, n_values, seed):
+    # spearman_rho sums elementwise products where it once took BLAS dot
+    # products, whose summation order changes with the length (blocked and
+    # threaded past ~16k); both must give the same bits while the partial
+    # sums of the centred midranks are exact
+    rng = np.random.default_rng(seed)
+    x, y = (rng.integers(0, n_values, n).astype(float) for _ in range(2))
+    if np.all(x == x[0]) or np.all(y == y[0]):
+        return
+    rx, ry = (ranks - ranks.mean() for ranks in (midranks(x), midranks(y)))
+    expected = float((rx @ ry) / np.sqrt((rx @ rx) * (ry @ ry)))
+    assert spearman_rho(x, y) == expected
+
 # --- correlation report ---------------------------------------------------------------
 
 def columns_of(means_by_post):

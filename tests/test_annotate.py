@@ -45,7 +45,7 @@ from threadtone.errors import (
 
 from threadtone.report import PipelineOptions, annotate_stage
 
-from conftest import corpus_from_posts, mk_post, writer_corpus
+from conftest import corpus_from_posts, mk_post, stored_scores, writer_corpus
 
 SCALE = AnnotationScale()
 
@@ -451,12 +451,12 @@ def test_torn_final_line_is_closed_before_the_next_append(tmp_path,
     path = tmp_path / "torn.jsonl"
     path.write_text('{"pair_hash": "p", "model": "m", "dimen', encoding="utf-8")
     cache = open_cache(path)
-    assert cache._scores == {}
+    assert stored_scores(cache) == {}
     cache.put(("pair", "m", dim, 0), 1, timestamp=0)
     cache.put(("pair", "m", dim, 1), 2, timestamp=0)
     cache.close()
     reloaded = open_cache(path)
-    assert len(reloaded._scores) == 2
+    assert len(stored_scores(reloaded)) == 2
     assert reloaded.get(("pair", "m", dim, 0)) == 1
     assert reloaded.get(("pair", "m", dim, 1)) == 2
     # a cache that ends cleanly gains no blank line

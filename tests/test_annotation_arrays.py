@@ -26,7 +26,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import annotation_oracle as oracle
-from conftest import corpus_from_posts, mean_matrix, mk_post
+from conftest import corpus_from_posts, mean_matrix, mk_post, stored_scores
 from threadtone.agreement import agreement_report, correlation_report
 from threadtone.annotate import (
     AnnotationCache,
@@ -90,7 +90,7 @@ def annotate(path, corpus, run, n_replications, concurrency):
                      concurrency=concurrency)
     finally:
         cache.close()
-    return result, backend.calls, AnnotationCache(path)._scores
+    return result, backend.calls, stored_scores(AnnotationCache(path))
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:

@@ -1,11 +1,17 @@
-"""Property test: the tuple-keyed cache loader against the dataclass-keyed one.
+"""Property test: the row-store cache loader against the dataclass-keyed one.
 
 ``OracleCache`` is the loader and index that ``AnnotationCache`` had before
 its keys became plain tuples: a frozen-dataclass key per line and
-``json.loads`` per line. Hypothesis writes JSONL files with blank lines,
+``json.loads`` per line. ``AnnotationCache`` keeps one row of slots per
+(pair hash, model) and an overflow dict for the keys no slot takes;
+``conftest.stored_scores`` rebuilds its key -> score mapping, which must
+equal the oracle's. Hypothesis writes JSONL files with blank lines,
 torn final lines, ``\r\n`` and bare ``\r`` line ends, non-object JSON,
 records with missing fields, non-integer replications and scores, two model
-ids, duplicate keys with different scores, and records padded with
+ids, duplicate keys with different scores, keys outside the slots
+(unknown dimensions, negative or large replications, scores an int8 slot
+cannot hold), one key written again so that it moves between a slot and
+the overflow dict and back, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
 miss of the layout ``cache_head`` + ``cache_tail`` write (which the
 loader's matcher must leave to ``json.loads``), and whole groups of the
@@ -13,9 +19,8 @@ lines a run writes for one pair, and both loaders must agree on the scores,
 the malformed-line warnings, the torn-tail flag and the complete pairs'
 scores that ``cached_pair_scores`` reads: of the whole cache when it holds
 one model id, and of each model's records alone. The same files load alike
-when cut into chunks of a few bytes, in this process or in worker
-processes, and a byte that is not UTF-8 fails either load with an
-AnnotationError naming its line.
+when read a few bytes at a time, and a byte that is not UTF-8 fails the
+load with an AnnotationError naming its line.
 The cache line writer (head plus tail) is checked against ``json.dumps`` of
 the record, and each line it writes loads back to its own key and score.
 """
@@ -43,6 +48,8 @@ from threadtone.annotate import (
 )
 from threadtone.dimensions import DIMENSIONS
 from threadtone.errors import AmbiguousModel, AnnotationError
+
+from conftest import stored_scores
 
 
 @dataclass(frozen=True)
@@ -117,11 +124,13 @@ _records = st.fixed_dictionaries({
     "pair_hash": st.one_of(st.sampled_from(["p0", "p1", "p2"]),
                            st.just(["p0"])),  # unhashable: malformed
     "model": st.sampled_from(MODELS),
-    "dimension": st.sampled_from([d.name for d in DIMENSIONS]),
+    "dimension": st.sampled_from([d.name for d in DIMENSIONS] + ["other"]),
     "replication": st.one_of(
         st.integers(0, 3), st.integers(0, 3), st.integers(-1, 5),
+        st.sampled_from([7, 8, 9, -2**70, 2**70]),  # around the slot range
         st.sampled_from([1.0, 1.5, "2", "x", None, True, [0], {}])),
     "score": st.one_of(st.integers(-5, 5),
+                       st.sampled_from([127, -127, 128, -128, 2**53]),
                        st.sampled_from([2.5, "3", "three", None])),
     "timestamp": st.integers(0, 10),
 }).flatmap(lambda rec: st.sets(st.sampled_from(FIELDS), max_size=2).map(
@@ -174,13 +183,24 @@ _lines = st.lists(
 # run writes for a pair, so that some caches hold complete pairs
 _complete_pairs = st.tuples(
     st.sampled_from(["p0", "p1", "p2"]), st.sampled_from(MODELS),
-    st.integers(1, 4), st.integers(0, 10)).map(
+    st.sampled_from([1, 2, 3, 4, 10]), st.integers(0, 10)).map(
     lambda group: [(cache_head(group[0], group[1])
                     + cache_tail(d.name, rep,
                                  (group[3] + 3 * rep + d_index) % 11 - 5,
                                  0)[:-1], "\n")
                    for d_index, d in enumerate(DIMENSIONS)
                    for rep in range(group[2])])
+
+# one key written two or three times, its score moving between a slot
+# (which holds -127..127) and the overflow dict
+_moved_key = st.tuples(
+    st.sampled_from(["p0", "p1"]), st.sampled_from(MODELS),
+    st.sampled_from([d.name for d in DIMENSIONS]), st.integers(0, 7),
+    st.lists(st.sampled_from([-5, 3, 127, -127, 128, -128, 10**6]),
+             min_size=2, max_size=3)).map(
+    lambda key: [(cache_head(key[0], key[1])
+                  + cache_tail(key[2], key[3], score, 0)[:-1], "\n")
+                 for score in key[4]])
 
 
 @st.composite
@@ -189,6 +209,12 @@ def cache_text(draw) -> str:
     for group in draw(st.lists(_complete_pairs, max_size=2)):
         at = draw(st.integers(0, len(lines)))
         lines[at:at] = group
+    for moves in draw(st.lists(_moved_key, max_size=2)):
+        at = 0
+        for line in moves:  # in order, among the other lines
+            at = draw(st.integers(at, len(lines)))
+            lines.insert(at, line)
+            at += 1
     text = "".join(line + end for line, end in lines)
     if lines and draw(st.booleans()):  # torn final line: cut it short
         last, end = lines[-1]
@@ -218,12 +244,9 @@ def load(path: Path) -> tuple[AnnotationCache, list[str]]:
 
 def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCache:
     cache, messages = load(path)
-    assert cache._scores == {
+    assert stored_scores(cache) == {
         (k.pair_hash, k.model, k.dimension, k.replication): v
         for k, v in oracle.scores.items()}
-    assert list(cache._scores) == [
-        (k.pair_hash, k.model, k.dimension, k.replication)
-        for k in oracle.scores]
     assert messages == [f"ignoring malformed cache line {n} in {path}"
                         for n in oracle.malformed]
     assert cache._torn_tail == oracle.torn_tail
@@ -235,6 +258,9 @@ def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCac
 @given(cache_text())
 @example(_RECORD + "\n" + _RECORD + "x")  # torn tail: one stray character
 @example(_RECORD)  # a whole record without its "\n"
+@example("".join(  # one key: a slot, the overflow dict, a slot, the dict
+    cache_head("p0", "model-a") + cache_tail(DIMENSIONS[0].name, 1, score, 0)
+    for score in (3, 1000, 4, -128)))
 def test_loader_matches_the_dataclass_oracle(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cache.jsonl"
@@ -246,12 +272,12 @@ def test_loader_matches_the_dataclass_oracle(text):
         single = {}
         for model in MODELS:
             single[model] = AnnotationCache(Path(tmp) / f"{model}.jsonl")
-            for key, score in cache._scores.items():
+            for key, score in stored_scores(cache).items():
                 if key[1] == model:
                     single[model].put(key, score, timestamp=0)
             single[model].close()
             single[model] = AnnotationCache(single[model].path)
-        for n_replications in (1, 2, 4):
+        for n_replications in (1, 2, 4, 10):
             for model in MODELS:
                 assert pair_scores(single[model], n_replications) == \
                     oracle_pair_scores(
@@ -341,7 +367,7 @@ def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
         + json.dumps(good) + "\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="threadtone.annotate"):
         cache = AnnotationCache(path)
-    assert cache._scores == {("p", "m", "d", 0): 1}
+    assert stored_scores(cache) == {("p", "m", "d", 0): 1}
     assert [r.getMessage() for r in caplog.records] == [
         f"ignoring malformed cache line {n} in {path}" for n in (1, 2)]
 
@@ -369,4 +395,4 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
         cache.put(key, score, timestamp)
         cache.close()
         assert cache.path.read_text(encoding="utf-8") == expected
-        assert AnnotationCache(cache.path)._scores == {key: score}
+        assert stored_scores(AnnotationCache(cache.path)) == {key: score}

@@ -3,6 +3,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats
 
 from threadtone import report, svgplot
@@ -30,6 +32,7 @@ from threadtone.svgplot import band_half_width, nice_ticks, scatter_svg, Scatter
 from threadtone.synth import SynthConfig, generate_corpus
 from threadtone.corpus import save_corpus
 
+import annotation_oracle
 from conftest import (
     mean_matrix,
     random_tree_posts,
@@ -318,3 +321,29 @@ def test_annotation_content_hash_is_order_free():
     a = annotation_content_hash(["p1", "p2"], scores)
     assert a == annotation_content_hash(["p2", "p1"], scores[::-1])
     assert a != annotation_content_hash(["p2", "p1"], scores)
+
+
+# items that are prefixes of one another ("a", "ab", "a0", "a_"), where a
+# sort by item alone would order their lines differently from the full sort
+_items = st.lists(st.text(alphabet="ab0_~ é", max_size=4), unique=True,
+                  max_size=12)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_items, st.integers(1, 4), st.data())
+def test_annotation_content_hash_matches_the_full_sort(items, n_rep, data):
+    scores = np.array(data.draw(st.lists(
+        st.integers(-5, 5), min_size=len(items) * 3 * n_rep,
+        max_size=len(items) * 3 * n_rep)), np.int64).reshape(
+        len(items), len(DIMENSIONS), n_rep)
+    records = {item: {d.name: row.tolist() for d, row in zip(DIMENSIONS, rows)}
+               for item, rows in zip(items, scores)}
+    assert (annotation_content_hash(items, scores)
+            == annotation_oracle.annotation_content_hash(records))
+
+
+@pytest.mark.parametrize("items", (["a", "a|b"], ["|"], ["a", "b", "a"]))
+def test_annotation_content_hash_needs_distinct_items_without_a_bar(items):
+    scores = np.zeros((len(items), len(DIMENSIONS), 2), np.int64)
+    with pytest.raises(ValueError, match="distinct and hold no"):
+        annotation_content_hash(items, scores)
