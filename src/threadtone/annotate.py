@@ -182,17 +182,17 @@ def cache_tail(dimension: str, replication: int, score: int,
 
 _BLOCK_BYTES = 1 << 20  # the cache is read about this much at a time
 
-# One line per match: the exact line cache_head + cache_tail write, when
-# json.loads would decode it to the same values (strings without escapes or
-# control characters, integers short enough for any int() digit limit), or
-# else any other line, whole, in the last group. The match after a final
-# "\n" is empty.
-_STRING = r'"([^"\\\x00-\x1f]*)"'
+# The exact line cache_head + cache_tail write, when json.loads would decode
+# it to the same values (strings without escapes or control characters,
+# integers short enough for any int() digit limit), cut at its first _SEP:
+# neither the pair hash nor the model holds a '"', so an exact line has no
+# earlier _SEP, and it is exact if and only if both halves match.
+_SEP = '", "dimension": '
+_CHARS = r'[^"\\\x00-\x1f]*'
 _INTEGER = r'-?(?:0|[1-9][0-9]{0,17})'
-_LINE = re.compile(
-    rf'(?m)^(?:\{{"pair_hash": {_STRING}, "model": {_STRING}, '
-    rf'"dimension": {_STRING}, "replication": ({_INTEGER}), '
-    rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}\n|(.*)$)')
+_HEAD = re.compile(rf'\{{"pair_hash": "({_CHARS})", "model": "({_CHARS})')
+_TAIL = re.compile(rf'"({_CHARS})", "replication": ({_INTEGER}), '
+                   rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}')
 
 
 # The row store: each (pair hash, model) has one row of _ROW int8 slots in a
@@ -211,8 +211,12 @@ class AnnotationCache:
 
     The file is read as the text-mode ``open`` reads it (strict UTF-8,
     universal newlines), ``_BLOCK_BYTES`` and the rest of a line at a time,
-    so a block holds whole lines and a ``\\r\\n`` is never split. Later
-    lines win; a malformed line is skipped with a warning naming its line.
+    so a block holds whole lines and a ``\\r\\n`` is never split. Each
+    line is cut at its first ``_SEP`` into a head and a tail, and each
+    distinct head and tail of a block is matched once (``_HEAD``,
+    ``_TAIL``); a line that is not the exact layout ``cache_head`` +
+    ``cache_tail`` write goes to ``json.loads``. Later lines win; a
+    malformed line is skipped with a warning naming its line.
 
     In memory the scores form one row per (pair hash, model): ``_rows``
     maps the pair to its row's offset in ``_block``, an int8 array of
@@ -251,13 +255,40 @@ class AnnotationCache:
             raise AnnotationError(f"cache line {line_no} in {self.path} is "
                                   f"not UTF-8 ({exc.reason})") from None
         self._torn_tail = not text.endswith("\n")
-        rows = _LINE.findall(text)
+        lines = text.split("\n")
         if not self._torn_tail:
-            rows.pop()  # the empty match after the final "\n"
-        store = self._store
-        for offset, (pair, model, dim, rep, score, line) in enumerate(rows):
-            if rep:  # the exact line cache_head + cache_tail write
-                store(pair, model, dim, int(rep), int(score))
+            lines.pop()  # the empty string after the final "\n"
+        # Each distinct head and tail is matched once per block: a response
+        # writes its lines under one head, and few tails occur.
+        keys: dict[str, tuple] = {}  # head -> (pair, model), or ()
+        fields: dict[str, tuple] = {}  # tail -> (dim, rep, score), or ()
+        rows: dict[str, int] = {}  # head -> its row's offset in _block
+        slots: dict[str, tuple[int, int]] = {}  # tail -> (slot, int8 score)
+        flat, overflow, store = self._block, self._overflow, self._store
+        for offset, line in enumerate(lines):
+            head, _, tail = line.partition(_SEP)
+            slot = slots.get(tail)
+            if slot is not None and not overflow:  # else _store clears overflow
+                row = rows.get(head)
+                if row is not None:
+                    flat[row + slot[0]] = slot[1]
+                    continue
+            got = fields.get(tail)
+            if got is None:
+                match = _TAIL.fullmatch(tail)
+                got = fields[tail] = (match[1], int(match[2]),
+                                      int(match[3])) if match else ()
+                if got and got[0] in _DIM_SLOT and 0 <= got[1] < _SLOTS \
+                        and _MISSING < got[2] < 128:
+                    slot = slots[tail] = (_DIM_SLOT[got[0]] + got[1], got[2])
+            key = keys.get(head)
+            if key is None:
+                match = _HEAD.fullmatch(head)
+                key = keys[head] = match.groups() if match else ()
+            if key and got:  # an exact line
+                store(*key, *got)
+                if slot is not None:  # _store has made the row
+                    rows[head] = self._rows[key]
                 continue
             if not line.strip():
                 continue
@@ -269,7 +300,7 @@ class AnnotationCache:
                     OverflowError):  # int(Infinity)
                 log.warning("ignoring malformed cache line %d in %s",
                             line_no + offset + 1, self.path)
-        return line_no + len(rows)
+        return line_no + len(lines)
 
     def _store(self, pair: str, model: str, dim: str, rep: int,
                score: int) -> None:
@@ -346,10 +377,19 @@ class AnnotationCache:
     def scores(self, pair_hashes: Sequence[str], model: str,
                n_replications: int) -> np.ndarray:
         """The float64 pair x dimension x replication scores of
-        ``pair_hashes``, NaN where missing: one ``get`` per score."""
+        ``pair_hashes``, NaN where missing: one ``get`` per score.
+        AnnotationError if a score lies beyond +-2**53, which a float64
+        cannot hold exactly; only ``_overflow`` holds such a score."""
         get = self.get
         flat = [get((pair_hash, model, name, rep)) for pair_hash in pair_hashes
                 for name in NAMES for rep in range(n_replications)]
+        if self._overflow:
+            for k, score in enumerate(flat):
+                if score is not None and not -2**53 <= score <= 2**53:
+                    pair_hash = pair_hashes[k // (len(NAMES) * n_replications)]
+                    raise AnnotationError(
+                        f"cache {self.path} holds score {score} for pair "
+                        f"{pair_hash}, beyond the +-2**53 a float64 holds")
         return np.array(flat, float).reshape(  # None reads as NaN
             len(pair_hashes), len(NAMES), n_replications)
 

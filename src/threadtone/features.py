@@ -168,11 +168,15 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
     cells = [features.post_id, features.discussion_id, features.depth.tolist()]
     for key, column in zip(COLUMNS, features.values.T):
-        # tolist() yields Python floats: repr(np.float64) is not a number
+        # each distinct bit pattern is formatted once (-0.0, 0.0 and NaN stay
+        # apart); tolist() yields Python floats: repr(np.float64) is not a number
+        bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
+        distinct = bits.view(np.float64).tolist()
         if key.endswith("_br_neg"):
-            cells.append(["" if v != v else str(int(v)) for v in column.tolist()])
+            text = ["" if v != v else str(int(v)) for v in distinct]
         else:
-            cells.append(["" if v != v else repr(v) for v in column.tolist()])
+            text = ["" if v != v else repr(v) for v in distinct]
+        cells.append(np.array(text, object)[inverse].tolist())
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(_HEADER)

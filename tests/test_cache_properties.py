@@ -14,13 +14,18 @@ cannot hold), one key written again so that it moves between a slot and
 the overflow dict and back, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
 miss of the layout ``cache_head`` + ``cache_tail`` write (which the
-loader's matcher must leave to ``json.loads``), and whole groups of the
-lines a run writes for one pair, and both loaders must agree on the scores,
-the malformed-line warnings, the torn-tail flag and the complete pairs'
+loader's matcher must leave to ``json.loads``), lines whose head (up to
+the first ``", "dimension": ``) or tail is not one the cache writes (a
+good head of the second model id with a bad tail, two separators, escaped
+strings holding the separator, a head alone and then a tail alone), and
+whole groups of the lines a run writes for one pair, and both loaders must
+agree on the scores, the malformed-line warnings, the torn-tail flag, the
+model id and pairs ``model_pairs`` reports, and the complete pairs'
 scores that ``cached_pair_scores`` reads: of the whole cache when it holds
 one model id, and of each model's records alone. The same files load alike
 when read a few bytes at a time, and a byte that is not UTF-8 fails the
-load with an AnnotationError naming its line.
+load with an AnnotationError naming its line. A score beyond +-2**53 stops
+``cached_pair_scores`` instead of being rounded.
 The cache line writer (head plus tail) is checked against ``json.dumps`` of
 the record, and each line it writes loads back to its own key and score.
 """
@@ -168,9 +173,43 @@ _matched_lines = st.sampled_from([
     _RECORD.replace('"timestamp": 0', '"timestamp": ' + "9" * 18),
 ])
 
+_DIM = DIMENSIONS[0].name
+_HEAD_B = cache_head("p0", MODELS[1])  # a valid head of the second model id
+
+# lines the loader cuts at their first '", "dimension": ' into a head and a
+# tail, where a half fails its matcher and the line goes to json.loads
+_split_lines = st.sampled_from([
+    # a valid head with a tail that is not one: malformed lines, which must
+    # not give the second model id a row, and one json.loads accepts
+    _HEAD_B + f'"{_DIM}", "replication": "x", "score": 2, "timestamp": 0}}',
+    _HEAD_B + f'"{_DIM}", "replication": 1, "score": null, "timestamp": 0}}',
+    _HEAD_B + f'"{_DIM}", "replication": 1, "sc',
+    _HEAD_B + f'"{_DIM}", "replication": 1.0, "score": 2, "timestamp": 0}}',
+    # two separators: json.loads keeps the later dimension
+    cache_head("p1", MODELS[0]) + '"other", "dimension": '
+    + cache_tail(_DIM, 1, 2, 0)[:-1],
+    cache_head("p1", MODELS[0]) + f'"{_DIM}", "dimension": '
+    + cache_tail("other", 1, 2, 0)[:-1],
+    # escaped strings that hold the separator, or end in a backslash
+    *(json.dumps({**json.loads(_RECORD), field: value}) for field, value in (
+        ("pair_hash", 'p1", "dimension": "q'),
+        ("model", MODELS[0] + '", "dimension": "'),
+        ("dimension", 'x", "dimension": "' + _DIM),
+        ("pair_hash", "p1\\"), ("model", MODELS[0] + "\\"),
+        ("model", MODELS[0] + '\\", "dimension": '))),
+])
+
 _other_lines = st.one_of(st.sampled_from([
     "", "   ", "\t", "[1, 2]", "3", '"text"', "null", "{not json",
-    '{"pair_hash": "p0"', "}"]), _fallback_lines)
+    '{"pair_hash": "p0"', "}"]), _fallback_lines, _split_lines)
+
+# a line cut in two at a separator: its head alone (with the separator or
+# without), then its tail alone, both malformed
+_halves = st.tuples(
+    st.sampled_from([cache_head("p2", MODELS[1]),
+                     cache_head("p2", MODELS[1])[:-len(annotate._SEP)]]),
+    st.sampled_from(["\n", "\r\n"])).map(
+    lambda half: [(half[0], half[1]), (cache_tail(_DIM, 2, 3, 0)[:-1], half[1])])
 
 _lines = st.lists(
     st.tuples(st.one_of(_records, _records, _records, _other_lines,
@@ -207,6 +246,9 @@ _moved_key = st.tuples(
 def cache_text(draw) -> str:
     lines = draw(_lines)
     for group in draw(st.lists(_complete_pairs, max_size=2)):
+        at = draw(st.integers(0, len(lines)))
+        lines[at:at] = group
+    for group in draw(st.lists(_halves, max_size=2)):
         at = draw(st.integers(0, len(lines)))
         lines[at:at] = group
     for moves in draw(st.lists(_moved_key, max_size=2)):
@@ -250,6 +292,13 @@ def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCac
     assert messages == [f"ignoring malformed cache line {n} in {path}"
                         for n in oracle.malformed]
     assert cache._torn_tail == oracle.torn_tail
+    models = sorted({k.model for k in oracle.scores})
+    if len(models) > 1:
+        with pytest.raises(AmbiguousModel):
+            cache.model_pairs()
+    else:
+        assert cache.model_pairs() == (
+            (models or [""])[0], sorted({k.pair_hash for k in oracle.scores}))
     return cache
 
 
@@ -355,6 +404,51 @@ def test_bytes_that_are_not_utf8_name_their_line(tmp_path, monkeypatch,
     with pytest.raises(AnnotationError,
                        match=re.escape(f"cache line 7 in {path} is not UTF-8")):
         AnnotationCache(path)
+
+
+@pytest.mark.parametrize("block_bytes", (1, 7, 64, 1 << 20))
+def test_a_bad_tail_gives_its_head_no_row(tmp_path, monkeypatch, block_bytes):
+    # the first model's lines, then a good head of a second model id with
+    # tails that are not cache tails: malformed lines, which must not make
+    # the cache hold two model ids
+    good = [cache_head(f"p{k}", MODELS[0]) + cache_tail(d.name, rep, k - rep, 0)
+            for k in range(3) for d in DIMENSIONS for rep in range(4)]
+    bad = [_HEAD_B + tail for tail in (
+        f'"{_DIM}", "replication": "x", "score": 2, "timestamp": 0}}',
+        f'"{_DIM}", "replication": 1, "score": null, "timestamp": 0}}',
+        f'"{_DIM}", "replication": 1, "sc')]
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(good[:20]) + "\n".join(bad) + "\n"
+                    + "".join(good[20:]), encoding="utf-8")
+    monkeypatch.setattr(annotate, "_BLOCK_BYTES", block_bytes)
+    cache = assert_loads_as_the_oracle(path, OracleCache(path))
+    assert cache.model_pairs() == (MODELS[0], ["p0", "p1", "p2"])
+    assert len(cached_pair_scores(cache, 4)[0]) == 3
+    # a good tail no slot takes still records its key, and so the model id
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(_HEAD_B + cache_tail("other", 1, 2, 0))
+    with pytest.raises(AmbiguousModel):
+        assert_loads_as_the_oracle(path, OracleCache(path)).model_pairs()
+
+
+@pytest.mark.parametrize("score", (10**30, 2**53 + 1, -2**53 - 1))
+def test_a_score_a_float64_cannot_hold_is_refused(tmp_path, score):
+    lines = [cache_head("p0", "m") + cache_tail(d.name, rep, 1, 0)
+             for d in DIMENSIONS for rep in range(4)]
+    lines[5] = cache_head("p0", "m") + cache_tail(DIMENSIONS[1].name, 1, score, 0)
+    path = tmp_path / "cache.jsonl"
+    path.write_text("".join(lines), encoding="utf-8")
+    cache = AnnotationCache(path)
+    assert cache.get(("p0", "m", DIMENSIONS[1].name, 1)) == score
+    with pytest.raises(AnnotationError,
+                       match=re.escape(f"holds score {score} for pair p0,")):
+        cached_pair_scores(cache, 4)
+    # +-2**53 itself is exact
+    for exact in (2**53, -2**53):
+        lines[5] = cache_head("p0", "m") + cache_tail(DIMENSIONS[1].name, 1, exact, 0)
+        path.write_text("".join(lines), encoding="utf-8")
+        items, scores = cached_pair_scores(AnnotationCache(path), 4)
+        assert items == ["p0"] and scores[0, 1, 1] == exact
 
 
 def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):

@@ -684,6 +684,23 @@ def test_agreement_on_an_empty_cache(tmp_path):
     assert all(row[1] == "0" and row[3:] == ["nan"] * 7 for row in rows)
 
 
+@pytest.mark.parametrize("score", (10**30, 2**53 + 1))
+def test_agreement_refuses_a_score_a_float64_cannot_hold(synth_setup, score):
+    # agreement used to print such a score rounded (2**53 + 1) or as
+    # -2**63 (10**30); it now stops, naming the pair and the score
+    tmp_path, _, _, synth_cache = synth_setup
+    first = json.loads(synth_cache.read_text().splitlines()[0])
+    cache, out = tmp_path / "big.jsonl", tmp_path / "agreement.csv"
+    cache.write_text(synth_cache.read_text()
+                     + json.dumps({**first, "score": score}) + "\n")
+    proc = run_cli("agreement", "--cache", str(cache), "--out", str(out))
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr == (f"annotation failed: cache {cache} holds score "
+                           f"{score} for pair {first['pair_hash']}, beyond "
+                           f"the +-2**53 a float64 holds\n")
+    assert not out.exists()
+
+
 def test_features_read_the_first_replications_of_a_larger_cache(synth_setup):
     # a cache annotated at 6 replications, read at 4, keeps every pair, as
     # the pipeline at 4 does; it used to lose them all
