@@ -12,7 +12,9 @@ every reader takes its pairs' scores in one bulk read,
 ``AnnotationCache.scores`` (NaN where missing). Only the pairs
 missing a score go on to the backend: a fully cached pair builds no prompt
 and makes no request, and a replication missing a dimension is requested
-again, with its cached dimensions keeping their stored scores. A
+again, with its cached dimensions keeping their stored scores.
+``annotate_pair`` counts the requests it sends and ``annotate_corpus``
+sums them (``Annotations.requests``); a backend only sends them. A
 deterministic offline mock backend stands in for the live service.
 
 The HTTP backend speaks HTTP/1.1 through the standard library's
@@ -41,7 +43,6 @@ import urllib.request
 from array import array
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from functools import partial
 from json.encoder import encode_basestring_ascii as _json_quote
 from pathlib import Path
 from typing import Protocol, Sequence
@@ -398,17 +399,11 @@ class AnnotationCache:
 
 class Backend(Protocol):
     model: str
-    calls: int
 
     def complete(self, prompt: Prompt, replication_index: int) -> str: ...
 
 
-@dataclass
-class BackendConfig:
-    url: str
-    api_key_env: str
-    model: str
-    timeout: float = 60.0
+_TIMEOUT = 60.0  # seconds an HTTP connection waits to connect or read
 
 
 def _environment_proxy(scheme: str, netloc: str,
@@ -464,9 +459,10 @@ def _tls_context() -> ssl.SSLContext:
 class HttpBackend:
     """Chat-style HTTP backend over the standard library's ``http.client``.
 
-    POSTs a JSON body {model, system, input, effort, verbosity}; the response
-    must be a JSON object whose "output_text" field carries the assistant
-    text. The bearer token is read from the configured environment variable
+    Built from the backend URL, the name of the environment variable that
+    holds the bearer token and the model id. POSTs a JSON body {model,
+    system, input, effort, verbosity}; the response must be a JSON object
+    whose "output_text" field carries the assistant text. The token is read
     when the backend is built (BackendError if it is unset, before any
     request) and never logged. ``~/.netrc`` is never read.
 
@@ -482,27 +478,26 @@ class HttpBackend:
     ``Proxy-Authorization: Basic``. Only ``http://`` proxies are supported.
 
     Each worker thread keeps one keep-alive connection, so ``concurrency``
-    workers open at most that many. A reused connection that the server has
-    closed meanwhile is reopened and the request sent again, once, without
+    workers open at most that many; each waits ``_TIMEOUT`` seconds to
+    connect or read. A reused connection that the server has closed
+    meanwhile is reopened and the request sent again, once, without
     costing an attempt. Any other transport error closes the thread's
     connection and raises BackendError. Any status but 200 raises
     BackendError on a connection that stays open: redirects are not
-    followed. ``close`` closes every connection.
+    followed. ``close`` closes every connection. The backend counts no
+    requests: ``annotate_pair`` returns how many it made.
     """
 
-    def __init__(self, config: BackendConfig):
-        token = os.environ.get(config.api_key_env)
+    def __init__(self, url: str, api_key_env: str, model: str):
+        token = os.environ.get(api_key_env)
         if token is None:
             raise BackendError(
-                f"API key environment variable {config.api_key_env!r} "
-                f"is not set")
+                f"API key environment variable {api_key_env!r} is not set")
         if "\r" in token or "\n" in token:
             raise BackendError(
-                f"API key environment variable {config.api_key_env!r} "
+                f"API key environment variable {api_key_env!r} "
                 f"holds a line break")
-        self.config = config
-        self.model = config.model
-        self.calls = 0
+        self.model = model
         self._lock = threading.Lock()
         self._local = threading.local()
         self._connections: list[http.client.HTTPConnection] = []
@@ -510,44 +505,40 @@ class HttpBackend:
                          "Content-Type": "application/json",
                          "User-Agent": f"threadtone/{__version__}"}
 
-        url = urllib.parse.urlsplit(config.url)
+        parts = urllib.parse.urlsplit(url)
         try:
-            host, port = url.hostname, url.port
+            host, port = parts.hostname, parts.port
         except ValueError:
             host = None
-        if url.scheme not in ("http", "https") or not host:
-            raise BackendError(f"backend URL {config.url!r} is not an "
+        if parts.scheme not in ("http", "https") or not host:
+            raise BackendError(f"backend URL {url!r} is not an "
                                f"http or https URL")
-        netloc = url.netloc.rpartition("@")[2]
-        self._target = (url.path or "/") + (f"?{url.query}" if url.query else "")
-        https = url.scheme == "https"
-        connection = http.client.HTTPSConnection if https else http.client.HTTPConnection
-        options = {"timeout": config.timeout}
+        netloc = parts.netloc.rpartition("@")[2]
+        self._target = (parts.path or "/") + (f"?{parts.query}" if parts.query else "")
+        https = parts.scheme == "https"
+        # how _connection opens a connection: its class and options, the
+        # (host, port) it dials and the (host, port, headers) of a CONNECT
+        # tunnel through the proxy, if any
+        self._class = http.client.HTTPSConnection if https else http.client.HTTPConnection
+        self._options: dict = {"timeout": _TIMEOUT}
         if https:
-            options["context"] = _tls_context()
-
-        proxy = _environment_proxy(url.scheme, netloc, host)
-        if proxy is None:
-            self._connect = partial(connection, host, port, **options)
-        elif https:
-            proxy_host, proxy_port, proxy_headers = proxy
-
-            def tunnel() -> http.client.HTTPConnection:
-                conn = connection(proxy_host, proxy_port, **options)
-                conn.set_tunnel(host, port, headers=proxy_headers)
-                return conn
-
-            self._connect = tunnel
-        else:
-            proxy_host, proxy_port, proxy_headers = proxy
-            self._target = f"http://{netloc}{self._target}"  # absolute form
-            self._headers.update(proxy_headers)
-            self._connect = partial(connection, proxy_host, proxy_port, **options)
+            self._options["context"] = _tls_context()
+        self._address, self._tunnel = (host, port), None
+        proxy = _environment_proxy(parts.scheme, netloc, host)
+        if proxy is not None:
+            self._address, proxy_headers = proxy[:2], proxy[2]
+            if https:
+                self._tunnel = (host, port, proxy_headers)
+            else:
+                self._target = f"http://{netloc}{self._target}"  # absolute form
+                self._headers.update(proxy_headers)
 
     def _connection(self) -> http.client.HTTPConnection:
         conn = getattr(self._local, "conn", None)
         if conn is None:
-            conn = self._local.conn = self._connect()
+            conn = self._local.conn = self._class(*self._address, **self._options)
+            if self._tunnel is not None:
+                conn.set_tunnel(*self._tunnel)
             with self._lock:
                 self._connections.append(conn)
         return conn
@@ -570,14 +561,12 @@ class HttpBackend:
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
         body = json.dumps({
-            "model": self.config.model,
+            "model": self.model,
             "system": prompt.system,
             "input": prompt.user,
             "effort": EFFORT,
             "verbosity": VERBOSITY,
         }, allow_nan=False).encode("utf-8")
-        with self._lock:
-            self.calls += 1
         conn = self._connection()
         try:
             status, data = self._exchange(conn, body)
@@ -623,12 +612,8 @@ class MockBackend:
         self.seed = seed
         self.scale = scale
         self.model = model
-        self.calls = 0
-        self._calls_lock = threading.Lock()
 
     def complete(self, prompt: Prompt, replication_index: int) -> str:
-        with self._calls_lock:
-            self.calls += 1
         scores = {
             name: mock_annotate(prompt.parent_text, prompt.child_text,
                                 name, replication_index, self.seed,
@@ -643,21 +628,24 @@ class MockBackend:
 def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
                   label: str, backend: Backend, cache: AnnotationCache,
                   scores: np.ndarray, scale: AnnotationScale = AnnotationScale(),
-                  max_retries: int = 3, cache_timestamp: int = 0) -> None:
+                  max_retries: int = 3, cache_timestamp: int = 0) -> int:
     """Fill in, in place, the NaN (missing) cells of ``scores``, the dimension
     x replication row of ``AnnotationCache.scores`` for the pair hashed
     ``pair_hash`` (named ``label`` in errors). Only a replication missing a
     dimension is requested, as an isolated conversation retried up to
     ``max_retries`` more times on malformed output or transport errors; the
-    scores it fills are cached at once, so a failed run resumes."""
+    scores it fills are cached at once, so a failed run resumes. Returns
+    the number of requests it made, retries included."""
     model = backend.model
     prompt = build_prompt(parent_text, child_text, scale)
+    requests = 0
     for rep, column in enumerate(scores.T.tolist()):  # one replication's scores
         if not any(map(math.isnan, column)):
             continue
         last_error: Exception | None = None
         fresh = None
         for _attempt in range(max_retries + 1):
+            requests += 1
             try:
                 text = backend.complete(prompt, rep)
                 fresh = parse_annotation_json(text, scale)
@@ -673,6 +661,7 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
                 scores[d, rep] = fresh[name]
                 cache.put((pair_hash, model, name, rep), fresh[name],
                           cache_timestamp)
+    return requests
 
 
 @dataclass(frozen=True, eq=False)
@@ -680,13 +669,15 @@ class Annotations:
     """A corpus's distinct (parent, child) pairs, aligned with its
     ``PostArrays``: ``scores[k, d, r]`` is replication r of dimension d
     (``DIMENSIONS`` order) of the pair hashed ``pair_hashes[k]``, NaN if
-    missing, and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``."""
+    missing, and the reply at position ``reply[j]`` of ``posts`` is pair ``row[j]``.
+    ``requests`` counts the backend requests that filled them in."""
 
     posts: PostArrays
     reply: np.ndarray
     row: np.ndarray
     pair_hashes: list[str]
     scores: np.ndarray
+    requests: int = 0
 
     def __len__(self) -> int:
         return len(self.reply)
@@ -725,7 +716,8 @@ def annotate_corpus(posts: PostArrays, texts: Sequence[str], backend: Backend,
     once (EmptyText, before any request, if a text is empty); replies
     sharing a pair share its scores. Only pairs missing a cached score reach
     ``annotate_pair``, on ``concurrency`` workers, one pair at a time; after
-    the first pair that fails, no worker starts another."""
+    the first pair that fails, no worker starts another. The result counts
+    the requests the pairs' ``annotate_pair`` calls made."""
     reply, row, pairs = _reply_pairs(posts, texts, scale)
     if any(not parent.strip() or not child.strip() for _, parent, child, _ in pairs):
         raise EmptyText("parent and child texts must be non-empty")
@@ -733,23 +725,24 @@ def annotate_corpus(posts: PostArrays, texts: Sequence[str], backend: Backend,
     scores = cache.scores(pair_hashes, backend.model, n_replications)
     failed = threading.Event()
 
-    def work(k: int) -> None:
+    def work(k: int) -> int:
         if failed.is_set():
-            return
+            return 0
         try:
-            annotate_pair(*pairs[k], backend, cache, scores[k], scale,
-                          max_retries, cache_timestamp)
+            return annotate_pair(*pairs[k], backend, cache, scores[k], scale,
+                                 max_retries, cache_timestamp)
         except BaseException:
             failed.set()
             raise
 
     missing = np.flatnonzero(np.isnan(scores).any(axis=(1, 2))).tolist()
-    if concurrency <= 1:
-        list(map(work, missing))
+    if concurrency <= 1:  # inline: a one-worker pool only adds its start-up
+        requests = sum(map(work, missing))
     else:
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            list(pool.map(work, missing))
-    return Annotations(posts, reply, row, pair_hashes, scores.astype(np.int64))
+            requests = sum(pool.map(work, missing))
+    return Annotations(posts, reply, row, pair_hashes, scores.astype(np.int64),
+                       requests)
 
 
 def load_annotation_means(posts: PostArrays, texts: Sequence[str],

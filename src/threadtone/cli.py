@@ -189,10 +189,10 @@ def cmd_validate(args: argparse.Namespace) -> int:
 
 
 def cmd_annotate(args: argparse.Namespace) -> int:
-    annotations, calls = annotate_stage(*load_corpus(args.corpus), args.cache,
-                                        _options(args))
+    annotations = annotate_stage(*load_corpus(args.corpus), args.cache,
+                                 _options(args))
     print(f"annotated {len(annotations)} posts "
-          f"({calls} backend calls, cache {args.cache})")
+          f"({annotations.requests} backend calls, cache {args.cache})")
     return EXIT_OK
 
 

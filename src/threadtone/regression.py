@@ -413,33 +413,23 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
                      n_clusters=len(set(clusters)))
 
 
-def table_from_fit(fit: FitResult, pvalue_dist: str = "t") -> RegressionTable:
-    ses = np.sqrt(np.maximum(np.diag(fit.vcov), 0.0))
-    n_clusters = fit.n_clusters
-    names = ("intercept",) + fit.spec.terms
-    terms = tuple(
-        TermEstimate(
-            term=name,
-            estimate=float(fit.beta[j]),
-            std_error=float(ses[j]),
-            p_value=p_value(float(fit.beta[j]), float(ses[j]), n_clusters,
-                            dist=pvalue_dist),
-        )
-        for j, name in enumerate(names)
-    )
-    sst = float(((fit.y - fit.y.mean()) ** 2).sum())
-    ssr = float((fit.residuals ** 2).sum())
-    r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
-    return RegressionTable(model_id=fit.spec.id, dimension=fit.dimension,
-                           terms=terms, n_obs=len(fit.y),
-                           n_clusters=n_clusters, r_squared=r_squared)
-
-
 def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,
               cr_correction: bool = False, pvalue_dist: str = "t") -> RegressionTable:
     """Fit one model for one dimension with discussion-clustered SEs."""
     fit = fit_model(spec, features, dimension, cr_correction=cr_correction)
-    return table_from_fit(fit, pvalue_dist=pvalue_dist)
+    ses = np.sqrt(np.maximum(np.diag(fit.vcov), 0.0))
+    terms = tuple(
+        TermEstimate(term=name, estimate=float(beta), std_error=float(se),
+                     p_value=p_value(float(beta), float(se), fit.n_clusters,
+                                     dist=pvalue_dist))
+        for name, beta, se in zip(("intercept",) + spec.terms, fit.beta, ses)
+    )
+    sst = float(((fit.y - fit.y.mean()) ** 2).sum())
+    ssr = float((fit.residuals ** 2).sum())
+    r_squared = 1.0 - ssr / sst if sst > 0 else float("nan")
+    return RegressionTable(model_id=spec.id, dimension=dimension,
+                           terms=terms, n_obs=len(fit.y),
+                           n_clusters=fit.n_clusters, r_squared=r_squared)
 
 
 def run_all(features: FeatureTable,

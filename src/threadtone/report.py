@@ -36,7 +36,6 @@ from .agreement import (
 from .annotate import (
     AnnotationCache,
     Annotations,
-    BackendConfig,
     HttpBackend,
     MockBackend,
     annotate_corpus,
@@ -195,18 +194,17 @@ class PipelineOptions:
 
 
 def annotate_stage(posts: PostArrays, texts: Sequence[str], cache_path: str | Path,
-                   options: PipelineOptions) -> tuple[Annotations, int]:
+                   options: PipelineOptions) -> Annotations:
     """Annotate every reply's pair, cache-first. Returns the pairs' scores
-    and the number of backend calls; raises AnnotationError, also when no
-    backend is configured."""
+    and the number of backend requests made (``Annotations.requests``);
+    raises AnnotationError, also when no backend is configured."""
     if options.mock:
         backend = MockBackend(seed=options.seed, scale=options.scale,
                               model=options.model)
         cache_timestamp = 0
     elif options.backend_url:
-        backend = HttpBackend(BackendConfig(
-            url=options.backend_url, api_key_env=options.api_key_env,
-            model=options.model))
+        backend = HttpBackend(options.backend_url, options.api_key_env,
+                              options.model)
         cache_timestamp = int(time.time())
     else:
         raise AnnotationError("no backend configured: mock mode is off and "
@@ -223,7 +221,7 @@ def annotate_stage(posts: PostArrays, texts: Sequence[str], cache_path: str | Pa
         cache.close()
         if isinstance(backend, HttpBackend):
             backend.close()
-    return annotations, backend.calls
+    return annotations
 
 
 def write_agreement(items: Sequence[str], scores: np.ndarray,
@@ -385,13 +383,12 @@ def run_pipeline(corpus_path: str | Path, cache_path: str | Path,
 
         # stage 2: annotate, cache-first
         try:
-            annotations, calls = annotate_stage(posts, texts, cache_path,
-                                                options)
+            annotations = annotate_stage(posts, texts, cache_path, options)
         except AnnotationError as exc:
             log.error("annotation failed: %s", exc)
             return EXIT_ANNOTATION
         log.info("annotation complete: %d posts, %d backend calls",
-                 len(annotations), calls)
+                 len(annotations), annotations.requests)
 
         # stage 3: features
         features = compute_feature_table(annotations.posts, annotations.means(),

@@ -294,12 +294,12 @@ def test_annotation_protocol():
     import tempfile
     with tempfile.TemporaryDirectory() as tmp:
         cache_path = Path(tmp) / "cache.jsonl"
-        first = MockBackend(seed=1)
-        records1 = annotate_corpus(*corpus, first, AnnotationCache(cache_path))
-        assert first.calls > 0
-        second = MockBackend(seed=1)
-        records2 = annotate_corpus(*corpus, second, AnnotationCache(cache_path))
-        assert second.calls == 0
+        records1 = annotate_corpus(*corpus, MockBackend(seed=1),
+                                   AnnotationCache(cache_path))
+        assert records1.requests == 10 * 4  # ten pairs, four replications
+        records2 = annotate_corpus(*corpus, MockBackend(seed=1),
+                                   AnnotationCache(cache_path))
+        assert records2.requests == 0
         assert np.array_equal(records1.scores, records2.scores)
 
     # mock frequency uniformity over the 11-point scale

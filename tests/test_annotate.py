@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from threadtone import annotate
 from threadtone.annotate import (
     AnnotationCache,
-    BackendConfig,
     HttpBackend,
     MockBackend,
     annotate_corpus,
@@ -30,7 +29,7 @@ from threadtone.annotate import (
 )
 from threadtone.cli import main
 from threadtone.corpus import load_corpus, save_corpus
-from threadtone.dimensions import DIMENSIONS, AnnotationScale
+from threadtone.dimensions import DIMENSIONS, NAMES, AnnotationScale
 from threadtone.errors import (
     AmbiguousModel,
     AnnotationFailed,
@@ -261,12 +260,10 @@ def test_cache_idempotence_zero_calls(tmp_path, open_cache):
         mk_post("C", parent_id="A", timestamp=120),
     ])
     cache_path = tmp_path / "cache.jsonl"
-    backend = MockBackend(seed=9)
-    first = annotate_corpus(*corpus, backend, open_cache(cache_path))
-    assert backend.calls > 0
-    again = MockBackend(seed=9)
-    second = annotate_corpus(*corpus, again, open_cache(cache_path))
-    assert again.calls == 0
+    first = annotate_corpus(*corpus, MockBackend(seed=9), open_cache(cache_path))
+    assert first.requests == 2 * 4  # two pairs, four replications each
+    second = annotate_corpus(*corpus, MockBackend(seed=9), open_cache(cache_path))
+    assert second.requests == 0
     assert np.array_equal(second.scores, first.scores)
 
 
@@ -328,7 +325,7 @@ def test_a_duplicated_pair_is_annotated_once_under_concurrency(tmp_path,
     backend = FreshScoreBackend()
     cold = annotate_corpus(*corpus, backend, open_cache(cache_path),
                            concurrency=2)
-    assert backend.calls == 4
+    assert backend.calls == cold.requests == 4
     assert len(cold) == 2 and cold.pair_hashes == [
         pair_content_hash("text of A", "same", SCALE)]
     means = cold.means()
@@ -338,7 +335,7 @@ def test_a_duplicated_pair_is_annotated_once_under_concurrency(tmp_path,
     rerun = FreshScoreBackend()
     warm = annotate_corpus(*corpus, rerun, open_cache(cache_path),
                            concurrency=2)
-    assert rerun.calls == 0
+    assert rerun.calls == warm.requests == 0
     assert warm.means().tobytes() == means.tobytes()
 
 
@@ -535,6 +532,24 @@ def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
     assert rerun.tolist() == first.tolist()
 
 
+def test_a_partly_cached_pair_counts_only_what_it_requests_again(
+        tmp_path, open_cache):
+    # replication 0 is whole, 1 lacks one dimension, 2 lacks all three and
+    # 3 is whole; replication 2's first answer is malformed and retried
+    cache = open_cache(tmp_path / "cache.jsonl")
+    pair_hash = pair()[0]
+    for rep, names in ((0, NAMES), (1, NAMES[:2]), (3, NAMES)):
+        for name in names:
+            cache.put((pair_hash, ScriptedBackend.model, name, rep), 3,
+                      timestamp=0)
+    backend = ScriptedBackend([make_payload(), "bad", make_payload()])
+    scores = cache.scores([pair_hash], backend.model, 4)[0]
+    requests = annotate_pair(*pair(), backend, cache, scores)
+    assert requests == backend.calls == 3
+    assert scores[:, 1].tolist() == [3, 3, -2]
+    assert scores[:, 2].tolist() == [1, 0, -2]
+
+
 def test_empty_text_is_rejected_before_the_cache(tmp_path, open_cache):
     backend = ScriptedBackend([make_payload()])
     with pytest.raises(EmptyText):
@@ -551,7 +566,7 @@ def test_an_empty_text_stops_the_corpus_before_any_request(tmp_path,
         mk_post("B", parent_id="A", timestamp=60),
         mk_post("C", parent_id="A", timestamp=120, text=" \n"),
     ])
-    backend = MockBackend(seed=1)
+    backend = ScriptedBackend([])  # a request would fail with IndexError
     cache_path = tmp_path / "cache.jsonl"
     with pytest.raises(EmptyText):
         annotate_corpus(*corpus, backend, open_cache(cache_path))
@@ -575,22 +590,24 @@ def bundled():
 def test_cold_concurrent_run_counts_every_call(bundled, tmp_path):
     corpus, pairs = bundled
     options = PipelineOptions(mock=True, seed=7, concurrency=4)
+    cache_path = tmp_path / "cache.jsonl"
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
     try:
-        records, calls = annotate_stage(*corpus, tmp_path / "cache.jsonl",
-                                        options)
+        records = annotate_stage(*corpus, cache_path, options)
     finally:
         sys.setswitchinterval(interval)
-    assert len(records) == pairs
-    assert calls == pairs * options.replications
+    assert len(records) == pairs == 2268
+    assert records.requests == pairs * options.replications == 9072
+    assert annotate_stage(*corpus, cache_path, options).requests == 0
 
 
 def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
     corpus, pairs = bundled
     options = PipelineOptions(mock=True, seed=7)
     cache_path = tmp_path / "cache.jsonl"
-    cold, _ = annotate_stage(*corpus, cache_path, options)
+    cold = annotate_stage(*corpus, cache_path, options)
+    assert cold.requests == pairs * options.replications == 9072
 
     lookups = Counter()
     get = AnnotationCache.get
@@ -605,8 +622,8 @@ def test_warm_rerun_reads_only_the_cache(bundled, tmp_path, monkeypatch):
 
     monkeypatch.setattr(AnnotationCache, "get", counted_get)
     monkeypatch.setattr(annotate, "build_prompt", no_prompt)
-    warm, calls = annotate_stage(*corpus, cache_path, options)
-    assert calls == 0
+    warm = annotate_stage(*corpus, cache_path, options)
+    assert warm.requests == 0
     assert lookups == {"hit": pairs * options.replications * len(DIMENSIONS)}
     assert np.array_equal(warm.scores, cold.scores)
 
@@ -764,8 +781,8 @@ def keepalive_server(stub_server, monkeypatch):
 
 def test_http_backend_wire_format(stub_server, monkeypatch, tmp_path):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "sekrit")
-    backend = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="gpt-test"))
+    backend = HttpBackend(
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="gpt-test")
     prompt = build_prompt("a parent", "a child")
     text = backend.complete(prompt, 0)
     assert parse_annotation_json(text)
@@ -781,14 +798,14 @@ def test_http_backend_wire_format(stub_server, monkeypatch, tmp_path):
 
 def test_http_backend_errors(stub_server, monkeypatch):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
-    backend = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     StubHandler.fail_times = 1
     with pytest.raises(BackendError):
         backend.complete(build_prompt("p", "c"), 0)
     with pytest.raises(BackendError):
-        HttpBackend(BackendConfig(
-            url=stub_server, api_key_env="NOT_SET_ANYWHERE_123", model="m"))
+        HttpBackend(
+            url=stub_server, api_key_env="NOT_SET_ANYWHERE_123", model="m")
 
 
 def test_missing_api_key_fails_before_any_request(stub_server, monkeypatch,
@@ -822,8 +839,8 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
                                               tmp_path, open_cache):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     StubHandler.fail_times = 2
-    backend = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     cache = open_cache(tmp_path / "cache.jsonl")
     records = annotated(pair(), backend, cache, max_retries=3,
                         n_replications=1)
@@ -835,8 +852,8 @@ def test_netrc_never_replaces_the_bearer_token(stub_server, monkeypatch,
     (tmp_path / ".netrc").write_text(  # HOME is tmp_path
         "machine 127.0.0.1 login alice password hunter2\n")
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "sekrit")
-    backend = HttpBackend(BackendConfig(
-        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[0]["auth"] == "Bearer sekrit"
 
@@ -845,9 +862,9 @@ def test_environment_proxy_receives_the_absolute_form_target(stub_server,
                                                              monkeypatch):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     monkeypatch.setenv("HTTP_PROXY", stub_server)
-    backend = HttpBackend(BackendConfig(
+    backend = HttpBackend(
         url="http://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
-        model="m"))
+        model="m")
     assert parse_annotation_json(backend.complete(build_prompt("p", "c"), 0))
     # only the proxy is contacted, so backend.invalid is never resolved
     assert StubHandler.seen[0]["path"] == "http://backend.invalid/v1"
@@ -868,8 +885,8 @@ def test_no_proxy_bypasses_the_environment_proxy(stub_server, monkeypatch,
     monkeypatch.setenv("HTTP_PROXY", stub_server)
     if no_proxy is not None:
         monkeypatch.setenv(*no_proxy)
-    backend = HttpBackend(BackendConfig(
-        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m")
     backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[0]["path"] == path.format(url=stub_server)
 
@@ -878,8 +895,8 @@ def test_proxy_settings_are_read_when_the_backend_is_built(stub_server,
                                                            monkeypatch):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     monkeypatch.setenv("HTTP_PROXY", stub_server)
-    backend = HttpBackend(BackendConfig(
-        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m")
     monkeypatch.delenv("HTTP_PROXY")
     backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[0]["path"] == f"{stub_server}/v1"  # via the proxy
@@ -916,28 +933,30 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
                                     served):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     StubHandler.script = list(script)
-    backend = HttpBackend(BackendConfig(
-        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     cache_path = tmp_path / "cache.jsonl"
     cache = AnnotationCache(cache_path)
+    records = cache.scores([pair()[0]], backend.model, 2)[0]
     try:
         if replications_scored == 2:
-            records = annotated(pair(), backend, cache,
-                                max_retries=max_retries, n_replications=2)
+            requests = annotate_pair(*pair(), backend, cache, records,
+                                     max_retries=max_retries)
+            assert requests == served
             assert by_dimension(records) == {
                 name: (value, value)
                 for name, value in json.loads(make_payload()).items()}
         else:
             with pytest.raises(AnnotationFailed):
-                annotated(pair(), backend, cache,
-                          max_retries=max_retries, n_replications=2)
+                annotate_pair(*pair(), backend, cache, records,
+                              max_retries=max_retries)
     finally:
         cache.close()
         backend.close()
     keys = cache_keys(cache_path)
     assert len(keys) == len(set(keys)) == replications_scored * len(DIMENSIONS)
     assert {key[3] for key in keys} == set(range(replications_scored))
-    assert len(StubHandler.seen) == served == backend.calls
+    assert len(StubHandler.seen) == served
 
 
 def test_keepalive_opens_one_connection_per_worker(keepalive_server,
@@ -947,8 +966,8 @@ def test_keepalive_opens_one_connection_per_worker(keepalive_server,
     posts += [mk_post(f"B{i}", parent_id="A", timestamp=60 + i)
               for i in range(12)]
     corpus = corpus_from_posts(posts)
-    backend = HttpBackend(BackendConfig(
-        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     cache = AnnotationCache(tmp_path / "cache.jsonl")
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
@@ -960,7 +979,7 @@ def test_keepalive_opens_one_connection_per_worker(keepalive_server,
         cache.close()
         backend.close()
     assert len(records) == 12
-    assert len(StubHandler.seen) == backend.calls == 24
+    assert len(StubHandler.seen) == records.requests == 24
     assert 1 <= len(StubHandler.opened) <= 4
 
 
@@ -971,12 +990,28 @@ def test_annotate_stage_closes_the_backend_connections(keepalive_server,
                                 mk_post("C", parent_id="A")])
     options = PipelineOptions(backend_url=keepalive_server, model="m",
                               api_key_env="TEST_ANNOTATOR_KEY", concurrency=2)
-    records, calls = annotate_stage(*corpus, tmp_path / "cache.jsonl", options)
-    assert len(records) == 2 and calls == 8
+    records = annotate_stage(*corpus, tmp_path / "cache.jsonl", options)
+    assert len(records) == 2 and records.requests == 8
     deadline = time.monotonic() + 10
     while len(StubHandler.closed) < len(StubHandler.opened):
         assert time.monotonic() < deadline, "a connection was left open"
         time.sleep(0.01)
+
+
+@pytest.mark.parametrize("concurrency", (1, 2))
+def test_requests_count_a_retried_request(keepalive_server, monkeypatch,
+                                          tmp_path, concurrency):
+    # two pairs of four replications, and one request answered 500 and sent
+    # again: the stub serves nine, and the stage counts nine
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    StubHandler.script = ["500"]
+    corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A"),
+                                mk_post("C", parent_id="A")])
+    options = PipelineOptions(backend_url=keepalive_server, model="m",
+                              api_key_env="TEST_ANNOTATOR_KEY",
+                              concurrency=concurrency)
+    records = annotate_stage(*corpus, tmp_path / "cache.jsonl", options)
+    assert records.requests == len(StubHandler.seen) == 9
 
 
 @pytest.mark.parametrize("no_proxy, path", [
@@ -989,8 +1024,8 @@ def test_no_proxy_cidr_entries_match_ip_literal_hosts(stub_server, monkeypatch,
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     monkeypatch.setenv("HTTP_PROXY", stub_server)
     monkeypatch.setenv("NO_PROXY", no_proxy)
-    backend = HttpBackend(BackendConfig(
-        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    backend = HttpBackend(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m")
     backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[0]["path"] == path.format(url=stub_server)
 
@@ -1000,9 +1035,9 @@ def test_proxy_credentials_become_proxy_authorization(stub_server, monkeypatch):
     proxy = stub_server.replace("http://", "http://alice:s%40cret@")
     monkeypatch.setenv("HTTP_PROXY", proxy)
     expected = "Basic " + base64.b64encode(b"alice:s@cret").decode("ascii")
-    backend = HttpBackend(BackendConfig(
+    backend = HttpBackend(
         url="http://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
-        model="m"))
+        model="m")
     assert parse_annotation_json(backend.complete(build_prompt("p", "c"), 0))
     assert StubHandler.seen[0]["path"] == "http://backend.invalid/v1"
     assert StubHandler.seen[0]["proxy_auth"] == expected
@@ -1010,8 +1045,8 @@ def test_proxy_credentials_become_proxy_authorization(stub_server, monkeypatch):
 
     # a host that bypasses the proxy is never sent the proxy's credentials
     monkeypatch.setenv("NO_PROXY", "127.0.0.1")
-    direct = HttpBackend(BackendConfig(
-        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+    direct = HttpBackend(
+        url=f"{stub_server}/v1", api_key_env="TEST_ANNOTATOR_KEY", model="m")
     direct.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen[1]["path"] == "/v1"
     assert StubHandler.seen[1]["proxy_auth"] is None
@@ -1023,9 +1058,9 @@ def test_https_goes_through_a_connect_tunnel(stub_server, monkeypatch):
     monkeypatch.delenv("CURL_CA_BUNDLE", raising=False)
     monkeypatch.setenv("HTTPS_PROXY",
                        stub_server.replace("http://", "http://alice:pw@"))
-    backend = HttpBackend(BackendConfig(
+    backend = HttpBackend(
         url="https://backend.invalid/v1", api_key_env="TEST_ANNOTATOR_KEY",
-        model="m"))
+        model="m")
     with pytest.raises(BackendError, match="403"):  # the stub refuses it
         backend.complete(build_prompt("p", "c"), 0)
     assert StubHandler.seen == [{
@@ -1039,8 +1074,7 @@ def test_a_url_that_is_not_http_fails_when_the_backend_is_built(monkeypatch,
                                                                url):
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
     with pytest.raises(BackendError, match="not an http or https URL"):
-        HttpBackend(BackendConfig(url=url, api_key_env="TEST_ANNOTATOR_KEY",
-                                  model="m"))
+        HttpBackend(url=url, api_key_env="TEST_ANNOTATOR_KEY", model="m")
 
 
 def test_an_api_key_with_a_line_break_fails_when_the_backend_is_built(
@@ -1048,5 +1082,5 @@ def test_an_api_key_with_a_line_break_fails_when_the_backend_is_built(
     # http.client would raise ValueError on the header at the first request
     monkeypatch.setenv("TEST_ANNOTATOR_KEY", "sekrit\r\nX-Injected: 1")
     with pytest.raises(BackendError, match="line break"):
-        HttpBackend(BackendConfig(url="http://127.0.0.1:9/v1",
-                                  api_key_env="TEST_ANNOTATOR_KEY", model="m"))
+        HttpBackend(url="http://127.0.0.1:9/v1",
+                    api_key_env="TEST_ANNOTATOR_KEY", model="m")

@@ -8,7 +8,8 @@ serially. On small random corpora (duplicate (parent, child) texts, replies
 timestamped before their parent, post ids that sort apart from tree order),
 with an empty, a partly filled or a full cache, 1 or 4 replications and 1
 or 2 workers, both paths must give every reply the same scores, make the
-same backend calls and leave the same cache contents, and give the same
+same backend requests (the array path also counting them in its
+result) and leave the same cache contents, and give the same
 feature columns, agreement rows (items keyed by pair hash), Spearman matrix
 and content hash, bit for bit. A warm rerun then looks every distinct
 pair's scores up once.
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import shutil
 import tempfile
+import threading
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -80,10 +82,25 @@ def counted_gets():
         AnnotationCache.get = get
 
 
+class CountingMock(MockBackend):
+    """The mock backend, counting the requests it answers."""
+
+    def __init__(self, seed):
+        super().__init__(seed=seed)
+        self.calls = 0
+        self._lock = threading.Lock()
+
+    def complete(self, prompt, replication_index):
+        with self._lock:
+            self.calls += 1
+        return super().complete(prompt, replication_index)
+
+
 def annotate(path, corpus, run, n_replications, concurrency):
     """Annotate with mock seed 2 into the cache at ``path``; returns the
-    result, the backend calls and the loaded cache contents."""
-    backend = MockBackend(seed=2)
+    result, the requests the backend answered and the loaded cache
+    contents."""
+    backend = CountingMock(seed=2)
     cache = AnnotationCache(path)
     try:
         result = run(corpus, backend, cache, n_replications=n_replications,
@@ -143,7 +160,7 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
         assert got.scores[k].tolist() == [list(records[post_id][d.name])
                                           for d in DIMENSIONS]
     assert cached == oracle_cached
-    assert calls == oracle_calls
+    assert got.requests == calls == oracle_calls
 
     features = compute_feature_table(got.posts, got.means(), strict=False)
     expected = compute_feature_table(
@@ -181,7 +198,7 @@ def test_a_warm_rerun_looks_each_score_up_once(corpus, n_replications,
         with counted_gets() as counts:
             warm, calls, _ = annotate(path, corpus, annotate_parsed,
                                       n_replications, concurrency)
-    assert calls == 0
+    assert warm.requests == calls == 0
     assert counts == {"hit": pairs * len(DIMENSIONS) * n_replications,
                       "miss": 0}
     assert_same_bits(warm.scores, cold.scores)
