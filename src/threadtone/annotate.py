@@ -196,13 +196,8 @@ _TAIL = re.compile(rf'"({_CHARS})", "replication": ({_INTEGER}), '
                    rf'"score": ({_INTEGER}), "timestamp": {_INTEGER}\}}')
 
 
-# The row store: each (pair hash, model) has one row of _ROW int8 slots in a
-# flat block, replication r of dimension NAMES[d] at slot d * _SLOTS + r.
-_SLOTS = 8  # replications 0.._SLOTS-1 of each dimension have a slot
-_ROW = len(NAMES) * _SLOTS
-_DIM_SLOT = {name: d * _SLOTS for d, name in enumerate(NAMES)}
-_MISSING = -128  # an empty slot; a slot holds scores -127..127
-_EMPTY_ROW = array("b", [_MISSING]) * _ROW
+_MISSING = -128  # an empty score slot; a slot holds scores -127..127
+_DIMENSION = {name: d for d, name in enumerate(NAMES)}
 
 
 class AnnotationCache:
@@ -217,20 +212,22 @@ class AnnotationCache:
     distinct head and tail of a block is matched once (``_HEAD``,
     ``_TAIL``); a line that is not the exact layout ``cache_head`` +
     ``cache_tail`` write goes to ``json.loads``. Later lines win; a
-    malformed line is skipped with a warning naming its line.
+    malformed line, or one scored outside -127..127, is skipped with a
+    warning naming its line.
 
-    In memory the scores form one row per (pair hash, model): ``_rows``
-    maps the pair to its row's offset in ``_block``, an int8 array of
-    ``_ROW`` slots per row (``_MISSING`` where empty). A key with a
-    dimension outside ``NAMES``, a replication outside 0.._SLOTS-1 or a
-    score an int8 slot cannot hold is kept in ``_overflow`` instead."""
+    In memory each (pair hash, model) has one row: ``_rows`` maps the pair
+    to its offset in ``_block``, an int8 array holding replication r of
+    ``NAMES[d]`` at ``row + d * n_replications + r`` (``_MISSING`` where
+    empty). A record of another dimension or replication makes its row but
+    keeps no score: no reader asks for it."""
 
-    def __init__(self, path: str | Path):
+    def __init__(self, path: str | Path, n_replications: int = 4):
         self.path = Path(path)
+        self.n_replications = n_replications
         self._lock = threading.Lock()
         self._rows: dict[tuple[str, str], int] = {}
         self._block = array("b")
-        self._overflow: dict[tuple[str, str, str, int], int] = {}
+        self._empty_row = array("b", [_MISSING]) * (len(NAMES) * n_replications)
         self._appender: "object | None" = None
         self._torn_tail = False  # last line lacks its "\n" (interrupted write)
         line_no = 0
@@ -265,11 +262,11 @@ class AnnotationCache:
         fields: dict[str, tuple] = {}  # tail -> (dim, rep, score), or ()
         rows: dict[str, int] = {}  # head -> its row's offset in _block
         slots: dict[str, tuple[int, int]] = {}  # tail -> (slot, int8 score)
-        flat, overflow, store = self._block, self._overflow, self._store
+        n, flat, store = self.n_replications, self._block, self._store
         for offset, line in enumerate(lines):
             head, _, tail = line.partition(_SEP)
             slot = slots.get(tail)
-            if slot is not None and not overflow:  # else _store clears overflow
+            if slot is not None:
                 row = rows.get(head)
                 if row is not None:
                     flat[row + slot[0]] = slot[1]
@@ -279,24 +276,22 @@ class AnnotationCache:
                 match = _TAIL.fullmatch(tail)
                 got = fields[tail] = (match[1], int(match[2]),
                                       int(match[3])) if match else ()
-                if got and got[0] in _DIM_SLOT and 0 <= got[1] < _SLOTS \
-                        and _MISSING < got[2] < 128:
-                    slot = slots[tail] = (_DIM_SLOT[got[0]] + got[1], got[2])
+                if got and _MISSING < got[2] < 128:
+                    d = _DIMENSION.get(got[0])
+                    if d is not None and 0 <= got[1] < n:
+                        slots[tail] = (d * n + got[1], got[2])
             key = keys.get(head)
             if key is None:
                 match = _HEAD.fullmatch(head)
                 key = keys[head] = match.groups() if match else ()
-            if key and got:  # an exact line
-                store(*key, *got)
-                if slot is not None:  # _store has made the row
-                    rows[head] = self._rows[key]
-                continue
-            if not line.strip():
-                continue
             try:
-                rec = json.loads(line)
-                store(rec["pair_hash"], rec["model"], rec["dimension"],
-                      int(rec["replication"]), int(rec["score"]))
+                if key and got:  # an exact line
+                    store(*key, *got)
+                    rows[head] = self._rows[key]
+                elif line.strip():
+                    rec = json.loads(line)
+                    store(rec["pair_hash"], rec["model"], rec["dimension"],
+                          int(rec["replication"]), int(rec["score"]))
             except (json.JSONDecodeError, KeyError, TypeError, ValueError,
                     OverflowError):  # int(Infinity)
                 log.warning("ignoring malformed cache line %d in %s",
@@ -305,42 +300,39 @@ class AnnotationCache:
 
     def _store(self, pair: str, model: str, dim: str, rep: int,
                score: int) -> None:
-        """Record one score, replacing the one its key held; TypeError,
-        before anything is recorded, if a name is unhashable."""
-        slot = _DIM_SLOT.get(dim)
+        """Record one score in its pair's row, which it makes if needed;
+        ValueError for a score outside -127..127 and TypeError for an
+        unhashable name, both before anything is recorded."""
+        if not _MISSING < score < 128:
+            raise ValueError(f"score {score} outside -127..127")
+        d, n = _DIMENSION.get(dim), self.n_replications
         row = self._rows.get((pair, model))
-        if slot is not None and 0 <= rep < _SLOTS:
-            if row is None:
-                row = len(self._block)
-                self._block.extend(_EMPTY_ROW)  # before a reader can see it
-                self._rows[pair, model] = row
-            if _MISSING < score < 128:
-                self._block[row + slot + rep] = score
-                if self._overflow:
-                    self._overflow.pop((pair, model, dim, rep), None)
-                return
-            self._block[row + slot + rep] = _MISSING
-        self._overflow[pair, model, dim, rep] = score
+        if row is None:
+            row = len(self._block)
+            self._block.extend(self._empty_row)  # before a reader can see it
+            self._rows[pair, model] = row
+        if d is not None and 0 <= rep < n:
+            self._block[row + d * n + rep] = score
 
     def get(self, key: tuple[str, str, str, int]) -> int | None:
         pair, model, dim, rep = key
-        slot = _DIM_SLOT.get(dim)
-        if slot is not None and 0 <= rep < _SLOTS:
-            row = self._rows.get((pair, model))
-            if row is not None:
-                score = self._block[row + slot + rep]
-                if score != _MISSING:
-                    return score
-        return self._overflow.get(key)
+        d, n = _DIMENSION.get(dim), self.n_replications
+        row = self._rows.get((pair, model))
+        if row is None or d is None or not 0 <= rep < n:
+            return None
+        score = self._block[row + d * n + rep]
+        return None if score == _MISSING else score
 
     _get = get  # put's own lookup: a wrapper that counts get calls skips it
 
     def put(self, key: tuple[str, str, str, int], score: int, timestamp: int) -> None:
-        """Record and append one score; AnnotationError if the file cannot
-        be opened or written."""
+        """Record and append one score; ValueError, before either, if it
+        lies outside -127..127, and AnnotationError if the file cannot be
+        opened or written."""
         with self._lock:
             if self._get(key) is not None:
                 return
+            self._store(*key, score)
             try:
                 if self._appender is None:
                     self._appender = open(self.path, "a", encoding="utf-8",
@@ -354,7 +346,6 @@ class AnnotationCache:
             except OSError as exc:
                 raise AnnotationError(f"cannot write cache {self.path}: "
                                       f"{exc.strerror}") from None
-            self._store(*key, score)
 
     def close(self) -> None:
         with self._lock:
@@ -366,33 +357,23 @@ class AnnotationCache:
         """The one model id the cache holds ("" when empty) and its sorted
         pair hashes. Raises AmbiguousModel when it holds more than one
         model id: replications of different models are never combined."""
-        keys = [*self._rows, *(key[:2] for key in self._overflow)]
-        models = sorted({model for _, model in keys})
+        models = sorted({model for _, model in self._rows})
         if len(models) > 1:
             raise AmbiguousModel(
                 f"annotation cache {self.path} mixes model ids "
                 f"{', '.join(models)}; replications of different "
                 f"models are never combined")
-        return (models or [""])[0], sorted({pair for pair, _ in keys})
+        return (models or [""])[0], sorted({pair for pair, _ in self._rows})
 
-    def scores(self, pair_hashes: Sequence[str], model: str,
-               n_replications: int) -> np.ndarray:
+    def scores(self, pair_hashes: Sequence[str], model: str) -> np.ndarray:
         """The float64 pair x dimension x replication scores of
-        ``pair_hashes``, NaN where missing: one ``get`` per score.
-        AnnotationError if a score lies beyond +-2**53, which a float64
-        cannot hold exactly; only ``_overflow`` holds such a score."""
-        get = self.get
+        ``pair_hashes``, replications 0..n_replications-1, NaN where
+        missing: one ``get`` per score."""
+        get, reps = self.get, range(self.n_replications)
         flat = [get((pair_hash, model, name, rep)) for pair_hash in pair_hashes
-                for name in NAMES for rep in range(n_replications)]
-        if self._overflow:
-            for k, score in enumerate(flat):
-                if score is not None and not -2**53 <= score <= 2**53:
-                    pair_hash = pair_hashes[k // (len(NAMES) * n_replications)]
-                    raise AnnotationError(
-                        f"cache {self.path} holds score {score} for pair "
-                        f"{pair_hash}, beyond the +-2**53 a float64 holds")
+                for name in NAMES for rep in reps]
         return np.array(flat, float).reshape(  # None reads as NaN
-            len(pair_hashes), len(NAMES), n_replications)
+            len(pair_hashes), len(NAMES), self.n_replications)
 
 
 # --- backends --------------------------------------------------------------------
@@ -635,7 +616,7 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
     dimension is requested, as an isolated conversation retried up to
     ``max_retries`` more times on malformed output or transport errors; the
     scores it fills are cached at once, so a failed run resumes. Returns
-    the number of requests it made, retries included."""
+    its request count, retries included, as AnnotationFailed.requests does."""
     model = backend.model
     prompt = build_prompt(parent_text, child_text, scale)
     requests = 0
@@ -655,7 +636,7 @@ def annotate_pair(pair_hash: str, parent_text: str, child_text: str,
         if fresh is None:
             raise AnnotationFailed(
                 f"pair {label}, replication {rep}: giving up after "
-                f"{max_retries + 1} attempts ({last_error})")
+                f"{max_retries + 1} attempts ({last_error})", requests)
         for d, name in enumerate(NAMES):
             if math.isnan(column[d]):
                 scores[d, rep] = fresh[name]
@@ -710,62 +691,67 @@ def _reply_pairs(posts: PostArrays, texts: Sequence[str], scale: AnnotationScale
 
 def annotate_corpus(posts: PostArrays, texts: Sequence[str], backend: Backend,
                     cache: AnnotationCache, scale: AnnotationScale = AnnotationScale(),
-                    n_replications: int = 4, max_retries: int = 3,
-                    concurrency: int = 1, cache_timestamp: int = 0) -> Annotations:
+                    max_retries: int = 3, concurrency: int = 1,
+                    cache_timestamp: int = 0) -> Annotations:
     """Annotate each distinct (parent, child) pair of the corpus's replies
     once (EmptyText, before any request, if a text is empty); replies
     sharing a pair share its scores. Only pairs missing a cached score reach
     ``annotate_pair``, on ``concurrency`` workers, one pair at a time; after
     the first pair that fails, no worker starts another. The result counts
-    the requests the pairs' ``annotate_pair`` calls made."""
+    the requests the pairs' ``annotate_pair`` calls made; so does, over
+    every pair that ran, the AnnotationFailed raised when one fails."""
     reply, row, pairs = _reply_pairs(posts, texts, scale)
     if any(not parent.strip() or not child.strip() for _, parent, child, _ in pairs):
         raise EmptyText("parent and child texts must be non-empty")
     pair_hashes = [pair[0] for pair in pairs]
-    scores = cache.scores(pair_hashes, backend.model, n_replications)
+    scores = cache.scores(pair_hashes, backend.model)
     failed = threading.Event()
+    requests: list[int] = []  # per pair that ran, the requests it made
 
-    def work(k: int) -> int:
+    def work(k: int) -> None:
         if failed.is_set():
-            return 0
+            return
         try:
-            return annotate_pair(*pairs[k], backend, cache, scores[k], scale,
-                                 max_retries, cache_timestamp)
-        except BaseException:
+            requests.append(annotate_pair(*pairs[k], backend, cache, scores[k],
+                                          scale, max_retries, cache_timestamp))
+        except BaseException as exc:
             failed.set()
+            requests.append(getattr(exc, "requests", 0))  # AnnotationFailed's
             raise
 
     missing = np.flatnonzero(np.isnan(scores).any(axis=(1, 2))).tolist()
-    if concurrency <= 1:  # inline: a one-worker pool only adds its start-up
-        requests = sum(map(work, missing))
-    else:
-        with ThreadPoolExecutor(max_workers=concurrency) as pool:
-            requests = sum(pool.map(work, missing))
+    try:
+        if concurrency <= 1:  # inline: a one-worker pool only adds its start-up
+            list(map(work, missing))
+        else:
+            with ThreadPoolExecutor(max_workers=concurrency) as pool:
+                list(pool.map(work, missing))
+    except AnnotationFailed as exc:  # the pool has let its workers finish
+        raise AnnotationFailed(f"{exc}; {sum(requests)} backend calls made",
+                               sum(requests)) from None
     return Annotations(posts, reply, row, pair_hashes, scores.astype(np.int64),
-                       requests)
+                       sum(requests))
 
 
 def load_annotation_means(posts: PostArrays, texts: Sequence[str],
                           cache: AnnotationCache,
-                          scale: AnnotationScale = AnnotationScale(),
-                          n_replications: int = 4) -> np.ndarray:
+                          scale: AnnotationScale = AnnotationScale()) -> np.ndarray:
     """``compute_feature_table``'s means matrix of the corpus from the
     cache: NaN where a reply lacks a complete replication set on a
     dimension. One model id only (AmbiguousModel)."""
     model, _ = cache.model_pairs()
     reply, row, pairs = _reply_pairs(posts, texts, scale)
     pair_hashes = [pair[0] for pair in pairs]
-    scores = cache.scores(pair_hashes, model, n_replications)
+    scores = cache.scores(pair_hashes, model)
     return Annotations(posts, reply, row, pair_hashes, scores).means()
 
 
-def cached_pair_scores(cache: AnnotationCache, n_replications: int,
-                       ) -> tuple[list[str], np.ndarray]:
+def cached_pair_scores(cache: AnnotationCache) -> tuple[list[str], np.ndarray]:
     """The sorted hashes of the pairs the cache holds every dimension's
-    replications 0..n-1 of, and their int64 pair x dimension x replication
-    scores. One model id only (AmbiguousModel)."""
+    replications 0..n_replications-1 of, and their int64 pair x dimension x
+    replication scores. One model id only (AmbiguousModel)."""
     model, pair_hashes = cache.model_pairs()
-    scores = cache.scores(pair_hashes, model, n_replications)
+    scores = cache.scores(pair_hashes, model)
     complete = ~np.isnan(scores).any(axis=(1, 2))
     items = [h for h, whole in zip(pair_hashes, complete.tolist()) if whole]
     return items, scores[complete].astype(np.int64)

@@ -166,7 +166,7 @@ def _options(args: argparse.Namespace) -> PipelineOptions:
     return PipelineOptions(**values)
 
 
-def _existing_cache(path: str) -> AnnotationCache:
+def _existing_cache(path: str, n_replications: int) -> AnnotationCache:
     """The cache a read-only command reads. Unlike ``annotate`` and
     ``pipeline``, which create a missing cache, it must exist."""
     try:
@@ -174,7 +174,7 @@ def _existing_cache(path: str) -> AnnotationCache:
     except OSError as exc:
         raise AnnotationError(f"cannot read cache {Path(path)}: "
                               f"{exc.strerror}") from None
-    return AnnotationCache(path)
+    return AnnotationCache(path, n_replications)
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
@@ -200,8 +200,8 @@ def cmd_features(args: argparse.Namespace) -> int:
     options = _options(args)
     posts, texts = load_corpus(args.corpus)
     means = load_annotation_means(
-        posts, texts, _existing_cache(args.annotations), scale=options.scale,
-        n_replications=options.replications)
+        posts, texts, _existing_cache(args.annotations, options.replications),
+        scale=options.scale)
     features = compute_feature_table(posts, means, strict=args.strict,
                                      prev_scope=options.prev_scope)
     write_features_csv(features, args.out)
@@ -211,8 +211,8 @@ def cmd_features(args: argparse.Namespace) -> int:
 
 def cmd_agreement(args: argparse.Namespace) -> int:
     options = _options(args)
-    items, scores = cached_pair_scores(_existing_cache(args.cache),
-                                       options.replications)
+    items, scores = cached_pair_scores(
+        _existing_cache(args.cache, options.replications))
     report = write_agreement(items, scores, options, Path(args.out))
     for row in report:
         print(f"{row.dimension}: alpha={row.krippendorff_alpha:.3f} "
@@ -238,8 +238,7 @@ def cmd_report(args: argparse.Namespace) -> int:
     options = _options(args)
     # read the cache first: a cache that cannot be used exits before any
     # output is written
-    cached = (cached_pair_scores(_existing_cache(args.cache),
-                                 options.replications)
+    cached = (cached_pair_scores(_existing_cache(args.cache, options.replications))
               if args.cache else None)
     features = read_features_csv(args.features)
     tables, _, _ = write_report(features, options, args.output_dir, cached)

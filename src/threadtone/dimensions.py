@@ -41,7 +41,7 @@ def dimension_by_name(name: str) -> Dimension:
 
 @dataclass(frozen=True)
 class AnnotationScale:
-    """Inclusive integer score range; must straddle zero."""
+    """Inclusive integer score range within -127..127; must straddle zero."""
 
     min: int = -5
     max: int = 5
@@ -49,6 +49,9 @@ class AnnotationScale:
     def __post_init__(self) -> None:
         if not (self.min < 0 < self.max):
             raise ValueError(f"scale must satisfy min < 0 < max, got "
+                             f"[{self.min}, {self.max}]")
+        if self.min < -127 or self.max > 127:  # the cache holds int8 scores
+            raise ValueError(f"scale bounds must lie in -127..127, got "
                              f"[{self.min}, {self.max}]")
 
     @property

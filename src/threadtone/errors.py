@@ -95,7 +95,12 @@ class BackendError(AnnotationError):
 
 
 class AnnotationFailed(AnnotationError):
-    """All retries exhausted for one (pair, replication) request."""
+    """All retries exhausted for one (pair, replication) request;
+    ``requests`` counts the backend requests made until then."""
+
+    def __init__(self, message: str, requests: int = 0):
+        super().__init__(message)
+        self.requests = requests
 
 
 class AmbiguousModel(AnnotationError):

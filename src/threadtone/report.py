@@ -209,11 +209,10 @@ def annotate_stage(posts: PostArrays, texts: Sequence[str], cache_path: str | Pa
     else:
         raise AnnotationError("no backend configured: mock mode is off and "
                               "there is no backend URL")
-    cache = AnnotationCache(cache_path)
+    cache = AnnotationCache(cache_path, options.replications)
     try:
         annotations = annotate_corpus(
             posts, texts, backend, cache, scale=options.scale,
-            n_replications=options.replications,
             max_retries=options.max_retries,
             concurrency=options.concurrency,
             cache_timestamp=cache_timestamp)
@@ -228,8 +227,15 @@ def write_agreement(items: Sequence[str], scores: np.ndarray,
                     options: PipelineOptions,
                     path: Path) -> list[DimensionAgreement]:
     """Replication reliability from pair x dimension x replication scores,
-    the items keyed by pair hash."""
-    report = agreement_report(items, scores, scale=options.scale,
+    the items keyed by pair hash; AnnotationError, before anything is
+    written, if a score lies off the scale, whose points Fleiss' kappa counts."""
+    scale = options.scale
+    outside = np.argwhere((scores < scale.min) | (scores > scale.max))
+    if len(outside):
+        k, d, r = outside[0]
+        raise AnnotationError(f"pair {items[k]} holds score {scores[k, d, r]}, "
+                              f"outside the scale [{scale.min}, {scale.max}]")
+    report = agreement_report(items, scores, scale=scale,
                               unanimity=options.unanimity)
     write_agreement_csv(report, path)
     return report

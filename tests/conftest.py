@@ -104,22 +104,19 @@ def mean_map(posts: PostArrays, means: np.ndarray) -> dict[str, dict[str, float]
 
 def stored_scores(cache: annotate.AnnotationCache) -> dict:
     """Every (pair hash, model, dimension, replication) -> score the cache
-    holds: its rows' filled slots and its overflow dict. A key lies in one
-    of the two, and only a key no slot can take or hold lies in the second."""
+    holds: its rows' filled slots, replication r of ``NAMES[d]`` at
+    ``row + d * n + r`` for the cache's n replications."""
+    n = cache.n_replications
     stored = {}
     for (pair, model), row in cache._rows.items():
-        assert row % annotate._ROW == 0
-        for name in NAMES:
-            for rep in range(annotate._SLOTS):
-                score = cache._block[row + annotate._DIM_SLOT[name] + rep]
+        assert row % (len(NAMES) * n) == 0
+        for d, name in enumerate(NAMES):
+            for rep in range(n):
+                score = cache._block[row + d * n + rep]
                 if score != annotate._MISSING:
                     stored[pair, model, name, rep] = score
-    assert len(cache._block) == annotate._ROW * len(cache._rows)
-    for key, score in cache._overflow.items():
-        assert key not in stored
-        assert (key[2] not in NAMES or not 0 <= key[3] < annotate._SLOTS
-                or not annotate._MISSING < score < 128)
-    return {**stored, **cache._overflow}
+    assert len(cache._block) == len(NAMES) * n * len(cache._rows)
+    return stored
 
 
 @pytest.fixture

@@ -460,7 +460,7 @@ def test_agreement_report_common_item_set(tmp_path):
                 for rep, score in enumerate(reps):
                     cache.put((item, "m", d.name, rep), score, 0)
     cache.close()
-    items, scores = cached_pair_scores(cache, 4)
+    items, scores = cached_pair_scores(cache)
     assert sorted(items) == ["a", "b"] and scores.shape == (2, 3, 4)
     report = agreement_report(items, scores)
     assert all(r.n_items == 2 for r in report)

@@ -1,6 +1,7 @@
 import base64
 import hashlib
 import json
+import re
 import sys
 import threading
 import time
@@ -54,8 +55,8 @@ def open_cache():
     """Opens caches like AnnotationCache and closes each when the test ends."""
     caches = []
 
-    def opener(path):
-        caches.append(AnnotationCache(path))
+    def opener(path, n_replications=4):
+        caches.append(AnnotationCache(path, n_replications))
         return caches[-1]
 
     yield opener
@@ -188,15 +189,26 @@ class ScriptedBackend:
         return item
 
 
+@pytest.mark.parametrize("bounds", ((-128, 5), (-5, 128), (-1000, 1000)))
+def test_a_scale_must_fit_the_cache_scores(bounds):
+    # a cache holds scores -127..127, so no run may ask for others
+    with pytest.raises(ValueError, match=re.escape(
+            f"scale bounds must lie in -127..127, got [{bounds[0]}, {bounds[1]}]")):
+        AnnotationScale(*bounds)
+    assert AnnotationScale(-127, 127).n_points == 255
+    with pytest.raises(ValueError, match="scale must satisfy min < 0 < max"):
+        AnnotationScale(128, 200)
+
+
 def by_dimension(scores):
     """A pair's dimension x replication scores as name -> tuple."""
     return {d.name: tuple(scores[k].tolist()) for k, d in enumerate(DIMENSIONS)}
 
 
-def annotated(args, backend, cache, n_replications=4, **options):
+def annotated(args, backend, cache, **options):
     """annotate_pair on the pair's row of ``cache.scores``; returns the row
     it filled in."""
-    scores = cache.scores([args[0]], backend.model, n_replications)[0]
+    scores = cache.scores([args[0]], backend.model)[0]
     annotate_pair(*args, backend, cache, scores, **options)
     return scores
 
@@ -221,34 +233,32 @@ def test_annotate_pair_means(tmp_path, open_cache):
 def test_retry_contract(tmp_path, open_cache):
     backend = ScriptedBackend(["garbage", "{\"also\": \"bad\"}", make_payload(),
                                make_payload(), make_payload(), make_payload()])
-    cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotated(pair(), backend, cache, max_retries=3,
-                        n_replications=4)
+    cache = open_cache(tmp_path / "cache.jsonl", n_replications=4)
+    records = annotated(pair(), backend, cache, max_retries=3)
     assert records.shape == (len(DIMENSIONS), 4)
     assert not np.isnan(records).any()
 
 
 def test_annotation_failed_after_retries(tmp_path, open_cache):
     backend = ScriptedBackend(["bad"] * 10)
-    cache = open_cache(tmp_path / "cache.jsonl")
-    with pytest.raises(AnnotationFailed, match="pair C, replication 0"):
-        annotated(pair(), backend, cache, max_retries=2,
-                  n_replications=2)
+    cache = open_cache(tmp_path / "cache.jsonl", n_replications=2)
+    with pytest.raises(AnnotationFailed, match="pair C, replication 0") as failed:
+        annotated(pair(), backend, cache, max_retries=2)
+    assert failed.value.requests == backend.calls == 3
 
 
 def test_partial_results_cached_and_resumed(tmp_path, open_cache):
     # replication 0 succeeds, replication 1 exhausts retries
     backend = ScriptedBackend([make_payload()] + ["bad"] * 3)
     cache_path = tmp_path / "cache.jsonl"
-    cache = open_cache(cache_path)
-    with pytest.raises(AnnotationFailed):
-        annotated(pair(), backend, cache, max_retries=2,
-                  n_replications=2)
+    cache = open_cache(cache_path, n_replications=2)
+    with pytest.raises(AnnotationFailed) as failed:
+        annotated(pair(), backend, cache, max_retries=2)
+    assert failed.value.requests == backend.calls == 4  # 1, then 3 for rep 1
     # a rerun only needs the missing replication
     backend2 = ScriptedBackend([make_payload(disagree_vs_agree=2)])
-    cache2 = open_cache(cache_path)
-    records = annotated(pair(), backend2, cache2, max_retries=0,
-                        n_replications=2)
+    cache2 = open_cache(cache_path, n_replications=2)
+    records = annotated(pair(), backend2, cache2, max_retries=0)
     assert backend2.calls == 1
     assert by_dimension(records)["disagree_vs_agree"] == (1, 2)
 
@@ -366,9 +376,9 @@ def put_scores(cache, pair_hash, model, reps, score):
                       timestamp=0)
 
 
-def pair_scores(cache, n_replications):
+def pair_scores(cache):
     """cached_pair_scores as pair hash -> dimension-major score lists."""
-    items, scores = cached_pair_scores(cache, n_replications)
+    items, scores = cached_pair_scores(cache)
     return dict(zip(items, scores.tolist()))
 
 
@@ -384,7 +394,7 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
     cache.close()
     cache = open_cache(path)
     with pytest.raises(AmbiguousModel, match="modelA, modelB"):
-        cached_pair_scores(cache, 4)
+        cached_pair_scores(cache)
     with pytest.raises(AmbiguousModel):
         load_annotation_means(*corpus, cache)
 
@@ -397,8 +407,8 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
         put_scores(single, pair_hash, model, reps, score)
         single.close()
         expected = [[score] * 4] * len(DIMENSIONS)
-        assert pair_scores(single, 4) == ({pair_hash: expected} if complete
-                                          else {})
+        assert pair_scores(single) == ({pair_hash: expected} if complete
+                                       else {})
         means = load_annotation_means(*corpus, single)
         assert np.isnan(means[0]).all()
         if complete:
@@ -406,22 +416,26 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
         else:
             assert np.isnan(means[1]).all()
     empty = open_cache(tmp_path / "empty.jsonl")
-    assert pair_scores(empty, 4) == {}
+    assert pair_scores(empty) == {}
     assert np.isnan(load_annotation_means(*corpus, empty)[1]).all()
 
 
 def test_cached_scores_ignore_extra_replications(tmp_path, open_cache):
     # a group holding replications 0-5 and a stray -1 used to be dropped
     # whole, because its replication set was not exactly range(4)
-    cache = open_cache(tmp_path / "extra.jsonl")
+    path = tmp_path / "extra.jsonl"
+    cache = open_cache(path)
     for d in DIMENSIONS:
         for rep in (-1, *range(6)):
             cache.put(("pair", "m", d.name, rep), rep, timestamp=0)
         cache.put(("gap", "m", d.name, 1), 0, timestamp=0)  # lacks 0
+    cache.close()
     names = len(DIMENSIONS)
-    assert pair_scores(cache, 4) == {"pair": [[0, 1, 2, 3]] * names}
-    assert pair_scores(cache, 6) == {"pair": [[0, 1, 2, 3, 4, 5]] * names}
-    assert pair_scores(cache, 7) == {}
+    assert pair_scores(cache) == {"pair": [[0, 1, 2, 3]] * names}
+    assert pair_scores(open_cache(path, 4)) == {"pair": [[0, 1, 2, 3]] * names}
+    assert pair_scores(open_cache(path, 6)) == {
+        "pair": [[0, 1, 2, 3, 4, 5]] * names}
+    assert pair_scores(open_cache(path, 7)) == {}
 
 
 def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):
@@ -429,14 +443,16 @@ def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):
     # mean, and the pair is no agreement item
     corpus = corpus_from_posts([mk_post("A"), mk_post("B", parent_id="A")])
     pair_hash = pair_content_hash("text of A", "text of B", SCALE)
-    cache = open_cache(tmp_path / "cache.jsonl")
+    path = tmp_path / "cache.jsonl"
+    cache = open_cache(path, n_replications=5)
     put_scores(cache, pair_hash, "m", 4, 3)
     cache.put((pair_hash, "m", DIMENSIONS[0].name, 4), 5, timestamp=0)
-    means = load_annotation_means(*corpus, cache, n_replications=5)
+    means = load_annotation_means(*corpus, cache)
     assert means[1, 0] == (3 * 4 + 5) / 5
     assert np.isnan(means[1, 1:]).all()
-    assert pair_scores(cache, 5) == {}
-    means = load_annotation_means(*corpus, cache)
+    assert pair_scores(cache) == {}
+    cache.close()
+    means = load_annotation_means(*corpus, open_cache(path))
     assert means[1].tolist() == [3.0] * len(DIMENSIONS)
 
 
@@ -515,19 +531,19 @@ def test_cache_keys_include_scale(tmp_path):
 
 def test_partial_replication_keeps_cached_dimensions(tmp_path, open_cache):
     cache_path = tmp_path / "cache.jsonl"
-    cache = open_cache(cache_path)
+    cache = open_cache(cache_path, n_replications=1)
     pair_hash = pair()[0]
     cache.put((pair_hash, ScriptedBackend.model, "disagree_vs_agree", 0),
               5, timestamp=0)
     backend = ScriptedBackend([make_payload(disagree_vs_agree=-1)])
-    first = annotated(pair(), backend, cache, n_replications=1)
+    first = annotated(pair(), backend, cache)
     cache.close()
     assert backend.calls == 1
     assert by_dimension(first)["disagree_vs_agree"] == (5,)
     assert by_dimension(first)["emotional_vs_factual"] == (-2,)
     rerun_backend = ScriptedBackend([])
     rerun = annotated(pair(), rerun_backend,
-                      open_cache(cache_path), n_replications=1)
+                      open_cache(cache_path, n_replications=1))
     assert rerun_backend.calls == 0
     assert rerun.tolist() == first.tolist()
 
@@ -543,7 +559,7 @@ def test_a_partly_cached_pair_counts_only_what_it_requests_again(
             cache.put((pair_hash, ScriptedBackend.model, name, rep), 3,
                       timestamp=0)
     backend = ScriptedBackend([make_payload(), "bad", make_payload()])
-    scores = cache.scores([pair_hash], backend.model, 4)[0]
+    scores = cache.scores([pair_hash], backend.model)[0]
     requests = annotate_pair(*pair(), backend, cache, scores)
     assert requests == backend.calls == 3
     assert scores[:, 1].tolist() == [3, 3, -2]
@@ -841,9 +857,8 @@ def test_http_backend_retry_via_annotate_pair(stub_server, monkeypatch,
     StubHandler.fail_times = 2
     backend = HttpBackend(
         url=stub_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
-    cache = open_cache(tmp_path / "cache.jsonl")
-    records = annotated(pair(), backend, cache, max_retries=3,
-                        n_replications=1)
+    cache = open_cache(tmp_path / "cache.jsonl", n_replications=1)
+    records = annotated(pair(), backend, cache, max_retries=3)
     assert by_dimension(records)["disagree_vs_agree"] == (1,)
 
 
@@ -936,8 +951,8 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
     backend = HttpBackend(
         url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
     cache_path = tmp_path / "cache.jsonl"
-    cache = AnnotationCache(cache_path)
-    records = cache.scores([pair()[0]], backend.model, 2)[0]
+    cache = AnnotationCache(cache_path, n_replications=2)
+    records = cache.scores([pair()[0]], backend.model)[0]
     try:
         if replications_scored == 2:
             requests = annotate_pair(*pair(), backend, cache, records,
@@ -947,9 +962,10 @@ def test_keepalive_transport_faults(keepalive_server, monkeypatch, tmp_path,
                 name: (value, value)
                 for name, value in json.loads(make_payload()).items()}
         else:
-            with pytest.raises(AnnotationFailed):
+            with pytest.raises(AnnotationFailed) as failed:
                 annotate_pair(*pair(), backend, cache, records,
                               max_retries=max_retries)
+            assert failed.value.requests == served
     finally:
         cache.close()
         backend.close()
@@ -968,12 +984,11 @@ def test_keepalive_opens_one_connection_per_worker(keepalive_server,
     corpus = corpus_from_posts(posts)
     backend = HttpBackend(
         url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
-    cache = AnnotationCache(tmp_path / "cache.jsonl")
+    cache = AnnotationCache(tmp_path / "cache.jsonl", n_replications=2)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)  # many thread switches: a lost update shows
     try:
-        records = annotate_corpus(*corpus, backend, cache, n_replications=2,
-                                  concurrency=4)
+        records = annotate_corpus(*corpus, backend, cache, concurrency=4)
     finally:
         sys.setswitchinterval(interval)
         cache.close()
@@ -981,6 +996,63 @@ def test_keepalive_opens_one_connection_per_worker(keepalive_server,
     assert len(records) == 12
     assert len(StubHandler.seen) == records.requests == 24
     assert 1 <= len(StubHandler.opened) <= 4
+
+
+@pytest.mark.parametrize("concurrency", (1, 4))
+def test_a_failed_run_counts_the_requests_of_every_pair_that_ran(
+        keepalive_server, monkeypatch, tmp_path, concurrency):
+    # five good replies, then every request fails: inline, two pairs are
+    # scored and the third fails on its second replication after 7
+    # requests; with a pool, every pair that started counts, the failed
+    # ones included, and the count is the stub's served count either way
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    StubHandler.script = ["ok"] * 5 + ["500"] * 200
+    posts = [mk_post("A", timestamp=0)]
+    posts += [mk_post(f"B{i}", parent_id="A", timestamp=60 + i)
+              for i in range(12)]
+    backend = HttpBackend(
+        url=keepalive_server, api_key_env="TEST_ANNOTATOR_KEY", model="m")
+    cache = AnnotationCache(tmp_path / "cache.jsonl", n_replications=2)
+    try:
+        with pytest.raises(AnnotationFailed) as failed:
+            annotate_corpus(*corpus_from_posts(posts), backend, cache,
+                            max_retries=1, concurrency=concurrency)
+    finally:
+        cache.close()
+        backend.close()
+    served = len(StubHandler.seen)
+    assert failed.value.requests == served
+    assert str(failed.value).endswith(f"; {served} backend calls made")
+    if concurrency == 1:
+        assert served == 7
+
+
+@pytest.mark.parametrize("command", ("annotate", "pipeline"))
+def test_a_failed_command_reports_its_requests(stub_server, monkeypatch,
+                                               tmp_path, capsys, caplog,
+                                               command):
+    monkeypatch.setenv("TEST_ANNOTATOR_KEY", "k")
+    StubHandler.script = ["ok"] * 4 + ["500"] * 20
+    posts = [mk_post("A"), mk_post("B", parent_id="A"),
+             mk_post("C", parent_id="A")]
+    corpus_path = tmp_path / "corpus.jsonl"
+    save_corpus(writer_corpus(posts), corpus_path)
+    out = ["--output-dir", str(tmp_path / "out")] if command == "pipeline" else []
+    assert main([command, "--corpus", str(corpus_path), "--cache",
+                 str(tmp_path / "cache.jsonl"), "--backend-url", stub_server,
+                 "--api-key-env", "TEST_ANNOTATOR_KEY", "--max-retries", "1",
+                 *out]) == 3
+    # the first pair's 4 replications, then the second pair's first one
+    # fails twice
+    assert len(StubHandler.seen) == 6
+    message = ("annotation failed: pair C, replication 0: giving up after 2 "
+               "attempts (backend returned HTTP 500); 6 backend calls made")
+    err = capsys.readouterr().err
+    if command == "pipeline":
+        assert message in caplog.messages
+        assert err == "pipeline failed with exit code 3\n"
+    else:
+        assert err == message + "\n"
 
 
 def test_annotate_stage_closes_the_backend_connections(keepalive_server,

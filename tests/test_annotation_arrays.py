@@ -59,8 +59,10 @@ def corpora(draw):
     return posts
 
 
-def annotate_parsed(posts, backend, cache, **options):
-    """``annotate_corpus`` of the posts' parsed arrays and texts."""
+def annotate_parsed(posts, backend, cache, n_replications, **options):
+    """``annotate_corpus`` of the posts' parsed arrays and texts, into a
+    cache that holds ``n_replications``, the oracle's parameter."""
+    assert cache.n_replications == n_replications
     return annotate_corpus(*corpus_from_posts(posts), backend, cache, **options)
 
 
@@ -101,13 +103,14 @@ def annotate(path, corpus, run, n_replications, concurrency):
     result, the requests the backend answered and the loaded cache
     contents."""
     backend = CountingMock(seed=2)
-    cache = AnnotationCache(path)
+    cache = AnnotationCache(path, n_replications)
     try:
         result = run(corpus, backend, cache, n_replications=n_replications,
                      concurrency=concurrency)
     finally:
         cache.close()
-    return result, backend.calls, stored_scores(AnnotationCache(path))
+    return (result, backend.calls,
+            stored_scores(AnnotationCache(path, n_replications)))
 
 
 def assert_same_bits(a: np.ndarray, b: np.ndarray) -> None:
@@ -128,7 +131,7 @@ def test_score_array_matches_the_dict_path(corpus, fill, n_replications,
         seeded.touch()
         if fill != "empty":
             # another seed's scores, so kept and fresh ones differ
-            cache = AnnotationCache(seeded)
+            cache = AnnotationCache(seeded, n_replications)
             oracle.annotate_corpus(corpus, MockBackend(seed=1), cache,
                                    n_replications=n_replications)
             cache.close()

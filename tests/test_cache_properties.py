@@ -2,16 +2,19 @@
 
 ``OracleCache`` is the loader and index that ``AnnotationCache`` had before
 its keys became plain tuples: a frozen-dataclass key per line and
-``json.loads`` per line. ``AnnotationCache`` keeps one row of slots per
-(pair hash, model) and an overflow dict for the keys no slot takes;
-``conftest.stored_scores`` rebuilds its key -> score mapping, which must
-equal the oracle's. Hypothesis writes JSONL files with blank lines,
+``json.loads`` per line, with one rule added: a score outside -127..127
+makes its line malformed. ``AnnotationCache(path, n)`` keeps one row of
+slots per (pair hash, model) for the keys a reader asks for, the
+dimensions x replications 0..n-1; ``conftest.stored_scores`` rebuilds its
+key -> score mapping, which must equal the oracle's keys of those
+dimensions and replications, for n in 1, 2, 4 and 10. Hypothesis writes
+JSONL files with blank lines,
 torn final lines, ``\r\n`` and bare ``\r`` line ends, non-object JSON,
 records with missing fields, non-integer replications and scores, two model
 ids, duplicate keys with different scores, keys outside the slots
-(unknown dimensions, negative or large replications, scores an int8 slot
-cannot hold), one key written again so that it moves between a slot and
-the overflow dict and back, and records padded with
+(unknown dimensions, negative or large replications) and scores outside
+-127..127, one key written again so that its score moves between one a
+slot holds and one outside -127..127 and back, and records padded with
 whitespace, followed by extra data, led by a byte order mark or a near
 miss of the layout ``cache_head`` + ``cache_tail`` write (which the
 loader's matcher must leave to ``json.loads``), lines whose head (up to
@@ -24,10 +27,11 @@ model id and pairs ``model_pairs`` reports, and the complete pairs'
 scores that ``cached_pair_scores`` reads: of the whole cache when it holds
 one model id, and of each model's records alone. The same files load alike
 when read a few bytes at a time, and a byte that is not UTF-8 fails the
-load with an AnnotationError naming its line. A score beyond +-2**53 stops
-``cached_pair_scores`` instead of being rounded.
+load with an AnnotationError naming its line. A record no slot takes still
+lists its pair in ``model_pairs``.
 The cache line writer (head plus tail) is checked against ``json.dumps`` of
-the record, and each line it writes loads back to its own key and score.
+the record, and each line it writes loads back to its own key and score,
+or, for a key no slot takes, to its pair's empty row.
 """
 
 from __future__ import annotations
@@ -51,7 +55,7 @@ from threadtone.annotate import (
     cache_tail,
     cached_pair_scores,
 )
-from threadtone.dimensions import DIMENSIONS
+from threadtone.dimensions import DIMENSIONS, NAMES
 from threadtone.errors import AmbiguousModel, AnnotationError
 
 from conftest import stored_scores
@@ -79,7 +83,10 @@ class OracleCache:
                     rec = json.loads(line)
                     key = OracleKey(rec["pair_hash"], rec["model"],
                                     rec["dimension"], int(rec["replication"]))
-                    self.scores[key] = int(rec["score"])
+                    score = int(rec["score"])
+                    if not -127 <= score <= 127:
+                        raise ValueError(f"score {score} outside -127..127")
+                    self.scores[key] = score
                 except (json.JSONDecodeError, KeyError, TypeError, ValueError):
                     self.malformed.append(line_no)
         self.torn_tail = not line.endswith("\n")
@@ -115,9 +122,9 @@ def oracle_pair_scores(index: dict) -> dict:
             if all(name in dims for name in names)}
 
 
-def pair_scores(cache: AnnotationCache, n_replications: int) -> dict:
+def pair_scores(cache: AnnotationCache) -> dict:
     """cached_pair_scores as pair hash -> dimension-major score lists."""
-    items, scores = cached_pair_scores(cache, n_replications)
+    items, scores = cached_pair_scores(cache)
     assert items == sorted(items)
     return dict(zip(items, scores.tolist()))
 
@@ -230,8 +237,8 @@ _complete_pairs = st.tuples(
                    for d_index, d in enumerate(DIMENSIONS)
                    for rep in range(group[2])])
 
-# one key written two or three times, its score moving between a slot
-# (which holds -127..127) and the overflow dict
+# one key written two or three times, its score moving between one a slot
+# holds (-127..127) and one outside, whose line is malformed
 _moved_key = st.tuples(
     st.sampled_from(["p0", "p1"]), st.sampled_from(MODELS),
     st.sampled_from([d.name for d in DIMENSIONS]), st.integers(0, 7),
@@ -273,22 +280,27 @@ class _Collect(logging.Handler):
         self.messages.append(record.getMessage())
 
 
-def load(path: Path) -> tuple[AnnotationCache, list[str]]:
+def load(path: Path, n_replications: int) -> tuple[AnnotationCache, list[str]]:
     """The cache at ``path`` and the warnings its load logged."""
     handler = _Collect()
     logger = logging.getLogger("threadtone.annotate")
     logger.addHandler(handler)
     try:
-        return AnnotationCache(path), handler.messages
+        return AnnotationCache(path, n_replications), handler.messages
     finally:
         logger.removeHandler(handler)
 
 
-def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCache:
-    cache, messages = load(path)
+def assert_loads_as_the_oracle(path: Path, oracle: OracleCache,
+                               n_replications: int = 4) -> AnnotationCache:
+    """Load the cache at ``path`` with ``n_replications`` and check it
+    against the oracle: the keys of its slots, the warnings, the torn-tail
+    flag and ``model_pairs``."""
+    cache, messages = load(path, n_replications)
     assert stored_scores(cache) == {
         (k.pair_hash, k.model, k.dimension, k.replication): v
-        for k, v in oracle.scores.items()}
+        for k, v in oracle.scores.items()
+        if k.dimension in NAMES and 0 <= k.replication < n_replications}
     assert messages == [f"ignoring malformed cache line {n} in {path}"
                         for n in oracle.malformed]
     assert cache._torn_tail == oracle.torn_tail
@@ -307,7 +319,7 @@ def assert_loads_as_the_oracle(path: Path, oracle: OracleCache) -> AnnotationCac
 @given(cache_text())
 @example(_RECORD + "\n" + _RECORD + "x")  # torn tail: one stray character
 @example(_RECORD)  # a whole record without its "\n"
-@example("".join(  # one key: a slot, the overflow dict, a slot, the dict
+@example("".join(  # one key: kept, malformed, kept, malformed (3, then 4)
     cache_head("p0", "model-a") + cache_tail(DIMENSIONS[0].name, 1, score, 0)
     for score in (3, 1000, 4, -128)))
 def test_loader_matches_the_dataclass_oracle(text):
@@ -315,27 +327,26 @@ def test_loader_matches_the_dataclass_oracle(text):
         path = Path(tmp) / "cache.jsonl"
         path.write_bytes(text.encode("utf-8"))
         oracle = OracleCache(path)
-        cache = assert_loads_as_the_oracle(path, oracle)
-        # each model's records alone, written and reloaded as a one-model
-        # cache, hold the complete pairs the oracle indexes for that model
-        single = {}
-        for model in MODELS:
-            single[model] = AnnotationCache(Path(tmp) / f"{model}.jsonl")
-            for key, score in stored_scores(cache).items():
-                if key[1] == model:
-                    single[model].put(key, score, timestamp=0)
-            single[model].close()
-            single[model] = AnnotationCache(single[model].path)
         for n_replications in (1, 2, 4, 10):
+            cache = assert_loads_as_the_oracle(path, oracle, n_replications)
+            # each model's records alone, written and reloaded as a
+            # one-model cache, hold the complete pairs the oracle indexes
+            # for that model
             for model in MODELS:
-                assert pair_scores(single[model], n_replications) == \
-                    oracle_pair_scores(
-                        oracle.index_by_pair(n_replications, model))
+                single = AnnotationCache(
+                    Path(tmp) / f"{model}-{n_replications}.jsonl",
+                    n_replications)
+                for key, score in stored_scores(cache).items():
+                    if key[1] == model:
+                        single.put(key, score, timestamp=0)
+                single.close()
+                assert pair_scores(AnnotationCache(single.path, n_replications)) \
+                    == oracle_pair_scores(oracle.index_by_pair(n_replications, model))
             if len({k.model for k in oracle.scores}) > 1:
                 with pytest.raises(AmbiguousModel):
-                    cached_pair_scores(cache, n_replications)
+                    cached_pair_scores(cache)
             else:
-                assert pair_scores(cache, n_replications) == \
+                assert pair_scores(cache) == \
                     oracle_pair_scores(oracle.index_by_pair(n_replications))
 
 
@@ -357,7 +368,8 @@ def test_chunked_loads_match_the_oracle(text):
         oracle = OracleCache(path)
         for block_bytes in (1, 7, 64):
             monkeypatch.setattr(annotate, "_BLOCK_BYTES", block_bytes)
-            assert_loads_as_the_oracle(path, oracle)
+            for n_replications in (4, 10):
+                assert_loads_as_the_oracle(path, oracle, n_replications)
 
 
 def _no_fork():
@@ -423,37 +435,75 @@ def test_a_bad_tail_gives_its_head_no_row(tmp_path, monkeypatch, block_bytes):
     monkeypatch.setattr(annotate, "_BLOCK_BYTES", block_bytes)
     cache = assert_loads_as_the_oracle(path, OracleCache(path))
     assert cache.model_pairs() == (MODELS[0], ["p0", "p1", "p2"])
-    assert len(cached_pair_scores(cache, 4)[0]) == 3
-    # a good tail no slot takes still records its key, and so the model id
+    assert len(cached_pair_scores(cache)[0]) == 3
+    # a good tail no slot takes still makes its pair's row, and so the
+    # model id
     with path.open("a", encoding="utf-8") as fh:
         fh.write(_HEAD_B + cache_tail("other", 1, 2, 0))
     with pytest.raises(AmbiguousModel):
         assert_loads_as_the_oracle(path, OracleCache(path)).model_pairs()
 
 
-@pytest.mark.parametrize("score", (10**30, 2**53 + 1, -2**53 - 1))
-def test_a_score_a_float64_cannot_hold_is_refused(tmp_path, score):
-    lines = [cache_head("p0", "m") + cache_tail(d.name, rep, 1, 0)
-             for d in DIMENSIONS for rep in range(4)]
+def assert_the_line_is_refused(tmp_path, caplog, score):
+    """A pair's line scored ``score`` is warned by number and skipped, so
+    the pair lacks that score; +-127 are kept in its place."""
+    lines = [cache_head(p, "m") + cache_tail(d.name, rep, 1, 0)
+             for p in ("p0", "p1") for d in DIMENSIONS for rep in range(4)]
     lines[5] = cache_head("p0", "m") + cache_tail(DIMENSIONS[1].name, 1, score, 0)
     path = tmp_path / "cache.jsonl"
     path.write_text("".join(lines), encoding="utf-8")
-    cache = AnnotationCache(path)
-    assert cache.get(("p0", "m", DIMENSIONS[1].name, 1)) == score
-    with pytest.raises(AnnotationError,
-                       match=re.escape(f"holds score {score} for pair p0,")):
-        cached_pair_scores(cache, 4)
-    # +-2**53 itself is exact
-    for exact in (2**53, -2**53):
-        lines[5] = cache_head("p0", "m") + cache_tail(DIMENSIONS[1].name, 1, exact, 0)
+    with caplog.at_level(logging.WARNING, logger="threadtone.annotate"):
+        cache = AnnotationCache(path)
+    assert [r.getMessage() for r in caplog.records] == [
+        f"ignoring malformed cache line 6 in {path}"]
+    assert cache.get(("p0", "m", DIMENSIONS[1].name, 1)) is None
+    assert cache.model_pairs() == ("m", ["p0", "p1"])
+    items, scores = cached_pair_scores(cache)
+    assert items == ["p1"] and (scores == 1).all()
+    for kept in (127, -127):
+        lines[5] = cache_head("p0", "m") + cache_tail(DIMENSIONS[1].name, 1, kept, 0)
         path.write_text("".join(lines), encoding="utf-8")
-        items, scores = cached_pair_scores(AnnotationCache(path), 4)
-        assert items == ["p0"] and scores[0, 1, 1] == exact
+        items, scores = cached_pair_scores(AnnotationCache(path))
+        assert items == ["p0", "p1"] and scores[0, 1, 1] == kept
+
+
+@pytest.mark.parametrize("score", (10**30, 2**53 + 1, -2**53 - 1))
+def test_a_score_a_float64_cannot_hold_is_refused(tmp_path, caplog, score):
+    # such a score used to be kept apart and then stop the read; like any
+    # score outside -127..127, its line is now malformed
+    assert_the_line_is_refused(tmp_path, caplog, score)
+
+
+@pytest.mark.parametrize("score", (128, -128, 2**53))
+def test_a_score_an_int8_slot_cannot_hold_is_refused(tmp_path, caplog, score):
+    assert_the_line_is_refused(tmp_path, caplog, score)
+
+
+@pytest.mark.parametrize("n_replications", (1, 4, 10))
+@pytest.mark.parametrize("dimension, replication", (
+    ("other", 0), (DIMENSIONS[0].name, -1), (DIMENSIONS[0].name, None)))
+def test_a_record_no_slot_takes_still_lists_its_pair(tmp_path, n_replications,
+                                                     dimension, replication):
+    # replication None stands for n, the first one a slot does not take
+    replication = n_replications if replication is None else replication
+    path = tmp_path / "cache.jsonl"
+    path.write_text(cache_head("p0", MODELS[0])
+                    + cache_tail(dimension, replication, 3, 0), encoding="utf-8")
+    cache = AnnotationCache(path, n_replications)
+    assert cache.model_pairs() == (MODELS[0], ["p0"])
+    assert stored_scores(cache) == {}
+    assert cached_pair_scores(cache)[0] == []
+    assert cache.get(("p0", MODELS[0], dimension, replication)) is None
+    # across two models it is still ambiguous
+    with path.open("a", encoding="utf-8") as fh:
+        fh.write(cache_head("p1", MODELS[1]) + cache_tail(DIMENSIONS[0].name, 0, 1, 0))
+    with pytest.raises(AmbiguousModel):
+        AnnotationCache(path, n_replications).model_pairs()
 
 
 def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
     path = tmp_path / "cache.jsonl"
-    good = {"pair_hash": "p", "model": "m", "dimension": "d",
+    good = {"pair_hash": "p", "model": "m", "dimension": DIMENSIONS[0].name,
             "replication": 0, "score": 1, "timestamp": 0}
     path.write_text(
         json.dumps({**good, "replication": float("inf")}) + "\n"
@@ -461,7 +511,7 @@ def test_an_overflowing_replication_is_a_malformed_line(tmp_path, caplog):
         + json.dumps(good) + "\n", encoding="utf-8")
     with caplog.at_level(logging.WARNING, logger="threadtone.annotate"):
         cache = AnnotationCache(path)
-    assert stored_scores(cache) == {("p", "m", "d", 0): 1}
+    assert stored_scores(cache) == {("p", "m", DIMENSIONS[0].name, 0): 1}
     assert [r.getMessage() for r in caplog.records] == [
         f"ignoring malformed cache line {n} in {path}" for n in (1, 2)]
 
@@ -473,7 +523,11 @@ line_strings = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(line_strings, line_strings, line_strings, st.integers(), st.integers(),
+@given(st.one_of(st.sampled_from(["p0"]), line_strings),
+       st.one_of(st.sampled_from(["m"]), line_strings),
+       st.one_of(st.sampled_from(NAMES), line_strings),
+       st.one_of(st.integers(-1, 4), st.integers()),
+       st.one_of(st.integers(-128, 128), st.integers()),
        st.integers())
 def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
                                        replication, score, timestamp):
@@ -486,7 +540,15 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnnotationCache(Path(tmp) / "cache.jsonl")
         key = (pair_hash, model, dimension, replication)
+        if not -127 <= score <= 127:  # refused before anything is written
+            with pytest.raises(ValueError, match="outside -127..127"):
+                cache.put(key, score, timestamp)
+            assert not cache.path.exists() and cache.model_pairs() == ("", [])
+            return
         cache.put(key, score, timestamp)
         cache.close()
         assert cache.path.read_text(encoding="utf-8") == expected
-        assert stored_scores(AnnotationCache(cache.path)) == {key: score}
+        reloaded = AnnotationCache(cache.path)
+        kept = dimension in NAMES and 0 <= replication < 4
+        assert stored_scores(reloaded) == ({key: score} if kept else {})
+        assert reloaded.model_pairs() == (model, [pair_hash])

@@ -10,7 +10,7 @@ import pytest
 from threadtone import corpus as corpus_module
 from threadtone.cli import _options, build_parser, main
 from threadtone.corpus import save_corpus
-from threadtone.dimensions import AnnotationScale
+from threadtone.dimensions import NAMES, AnnotationScale
 from threadtone.report import PipelineOptions
 from threadtone.synth import SynthConfig, generate_corpus, write_cache_records
 
@@ -185,6 +185,7 @@ def test_synth_generate_and_recover(synth_setup):
     ({"scale_min": 2}, "scale must satisfy min < 0 < max"),
     ({"n_discussions": 2.5}, "n_discussions must be an integer"),
     ({"coefficients": [0.1, 0.4]}, "coefficients must be JSON objects"),
+    ({"scale_min": -128}, "scale bounds must lie in -127..127, got [-128, 5]"),
 ))
 def test_invalid_synth_config_exits_with_one_line(synth_setup, override,
                                                   message):
@@ -687,18 +688,100 @@ def test_agreement_on_an_empty_cache(tmp_path):
 @pytest.mark.parametrize("score", (10**30, 2**53 + 1))
 def test_agreement_refuses_a_score_a_float64_cannot_hold(synth_setup, score):
     # agreement used to print such a score rounded (2**53 + 1) or as
-    # -2**63 (10**30); it now stops, naming the pair and the score
+    # -2**63 (10**30), and then stopped on it; its line is now warned by
+    # number and skipped, so its pair, lacking that score, is no item
     tmp_path, _, _, synth_cache = synth_setup
-    first = json.loads(synth_cache.read_text().splitlines()[0])
-    cache, out = tmp_path / "big.jsonl", tmp_path / "agreement.csv"
-    cache.write_text(synth_cache.read_text()
-                     + json.dumps({**first, "score": score}) + "\n")
+    lines = synth_cache.read_text().splitlines(keepends=True)
+    first = json.loads(lines[0])
+    cache = tmp_path / "big.jsonl"
+    cache.write_text(json.dumps({**first, "score": score}) + "\n"
+                     + "".join(lines[1:]))
+    n_items = {}
+    for path in (synth_cache, cache):
+        out = tmp_path / f"{path.stem}.csv"
+        proc = run_cli("agreement", "--cache", str(path), "--out", str(out))
+        assert proc.returncode == 0, proc.stderr
+        n_items[path] = {row.split(",")[1]
+                         for row in out.read_text().splitlines()[1:]}
+    assert proc.stderr == (f"WARNING threadtone.annotate: ignoring malformed "
+                           f"cache line 1 in {cache}\n")
+    [whole], [skipped] = n_items[synth_cache], n_items[cache]
+    assert int(skipped) == int(whole) - 1
+
+
+def first_score_outside(cache: Path, scale: AnnotationScale) -> tuple[str, int]:
+    """The first pair in sorted order whose scores (in dimension, then
+    replication order) leave ``scale``, and that score."""
+    by_pair: dict = {}
+    for line in cache.read_text().splitlines():
+        rec = json.loads(line)
+        by_pair.setdefault(rec["pair_hash"], {})[
+            NAMES.index(rec["dimension"]), rec["replication"]] = rec["score"]
+    for pair_hash in sorted(by_pair):
+        for _, score in sorted(by_pair[pair_hash].items()):
+            if not scale.contains(score):
+                return pair_hash, score
+    raise AssertionError("every score lies on the scale")
+
+
+def test_agreement_refuses_a_cache_scored_on_another_scale(tmp_path):
+    # Fleiss' kappa counts only the scale's points: read on the default
+    # -5..5 scale, a cache annotated on -10..10 used to exit 0 with kappa
+    # near -0.16 where the mock's uniform scores give ~0
+    cache, out = tmp_path / "wide.jsonl", tmp_path / "agreement.csv"
+    proc = run_cli("annotate", "--corpus", str(BUNDLED_CORPUS), "--cache",
+                   str(cache), "--mock", "--seed", "7", "--scale-min", "-10",
+                   "--scale-max", "10")
+    assert proc.returncode == 0, proc.stderr
     proc = run_cli("agreement", "--cache", str(cache), "--out", str(out))
     assert proc.returncode == 3, proc.stderr
-    assert proc.stderr == (f"annotation failed: cache {cache} holds score "
-                           f"{score} for pair {first['pair_hash']}, beyond "
-                           f"the +-2**53 a float64 holds\n")
+    pair_hash, score = first_score_outside(cache, AnnotationScale())
+    assert proc.stderr == (f"annotation failed: pair {pair_hash} holds score "
+                           f"{score}, outside the scale [-5, 5]\n")
     assert not out.exists()
+    proc = run_cli("agreement", "--cache", str(cache), "--out", str(out),
+                   "--scale-min", "-10", "--scale-max", "10")
+    assert proc.returncode == 0, proc.stderr
+    kappas = [float(line.split("kappa=")[1].split()[0])
+              for line in proc.stdout.splitlines()]
+    assert len(kappas) == 3 and all(abs(k) < 0.02 for k in kappas)
+
+
+def test_report_refuses_a_cache_scored_on_another_scale(synth_setup):
+    tmp_path, _, corpus_path, synth_cache = synth_setup
+    features = tmp_path / "features.csv"
+    proc = run_cli("features", "--corpus", str(corpus_path), "--annotations",
+                   str(synth_cache), "--out", str(features))
+    assert proc.returncode == 0, proc.stderr
+    report = tmp_path / "report"
+    proc = run_cli("report", "--features", str(features), "--cache",
+                   str(synth_cache), "--output-dir", str(report),
+                   "--scale-min", "-2", "--scale-max", "2")
+    assert proc.returncode == 3, proc.stderr
+    pair_hash, score = first_score_outside(synth_cache, AnnotationScale(-2, 2))
+    assert proc.stderr == (f"annotation failed: pair {pair_hash} holds score "
+                           f"{score}, outside the scale [-2, 2]\n")
+    assert not (report / "agreement.csv").exists()
+    assert not (report / "tables").exists()
+
+
+@pytest.mark.parametrize("scale, bounds", (
+    (("--scale-max", "128"), "[-5, 128]"),
+    (("--scale-min", "-128"), "[-128, 5]"),
+    (("--scale-min", "-200", "--scale-max", "200"), "[-200, 200]")))
+def test_a_scale_beyond_the_cache_scores_is_a_usage_error(tmp_path, scale,
+                                                         bounds):
+    # a score outside -127..127 is a malformed cache line, so no run may
+    # ask a backend for one
+    cache = tmp_path / "cache.jsonl"
+    proc = run_cli("annotate", "--corpus", str(BUNDLED_CORPUS), "--cache",
+                   str(cache), "--mock", *scale)
+    assert proc.returncode == 2
+    [error] = [line for line in proc.stderr.splitlines() if "error" in line]
+    assert error == ("threadtone: error: --scale-min/--scale-max: scale "
+                     f"bounds must lie in -127..127, got {bounds}")
+    assert proc.stderr.endswith(error + "\n") and "Traceback" not in proc.stderr
+    assert not cache.exists()
 
 
 def test_features_read_the_first_replications_of_a_larger_cache(synth_setup):

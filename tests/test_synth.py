@@ -361,6 +361,7 @@ NAN = float("nan")
     {"coefficients": {"disagreement": (0.0, 1.0)}},
     {"coefficients": {"disagree_vs_agree": (0.0, float("inf"))}},
     {"coefficients": {"disagree_vs_agree": (NAN, 1.0)}},
+    {"scale_min": -128}, {"scale_max": 128},
 ))
 def test_config_rejects_values_that_would_fail_mid_generation(override):
     with pytest.raises(ValueError):
