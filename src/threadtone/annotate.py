@@ -326,9 +326,13 @@ class AnnotationCache:
     _get = get  # put's own lookup: a wrapper that counts get calls skips it
 
     def put(self, key: tuple[str, str, str, int], score: int, timestamp: int) -> None:
-        """Record and append one score; ValueError, before either, if it
-        lies outside -127..127, and AnnotationError if the file cannot be
-        opened or written."""
+        """Record and append one score; ValueError, before either, if no
+        slot takes its key (a dimension not in NAMES, a replication outside
+        0..n_replications-1) or it lies outside -127..127, and
+        AnnotationError if the file cannot be opened or written."""
+        if key[2] not in _DIMENSION or not 0 <= key[3] < self.n_replications:
+            raise ValueError(f"no score slot for dimension {key[2]!r}, "
+                             f"replication {key[3]} of {self.n_replications}")
         with self._lock:
             if self._get(key) is not None:
                 return
@@ -738,10 +742,17 @@ def load_annotation_means(posts: PostArrays, texts: Sequence[str],
                           scale: AnnotationScale = AnnotationScale()) -> np.ndarray:
     """``compute_feature_table``'s means matrix of the corpus from the
     cache: NaN where a reply lacks a complete replication set on a
-    dimension. One model id only (AmbiguousModel)."""
-    model, _ = cache.model_pairs()
+    dimension. One model id only (AmbiguousModel); AnnotationError if the
+    cache holds pairs but none of the corpus's, as one scored on another
+    scale does (the pair hashes include it)."""
+    model, cached = cache.model_pairs()
     reply, row, pairs = _reply_pairs(posts, texts, scale)
     pair_hashes = [pair[0] for pair in pairs]
+    if cached and pair_hashes and set(cached).isdisjoint(pair_hashes):
+        raise AnnotationError(
+            f"annotation cache {cache.path} holds none of the corpus's "
+            f"{len(pair_hashes)} reply pairs on the scale [{scale.min}, "
+            f"{scale.max}] ({len(cached)} pairs of model {model})")
     scores = cache.scores(pair_hashes, model)
     return Annotations(posts, reply, row, pair_hashes, scores).means()
 

@@ -19,7 +19,7 @@ import logging
 import re
 from collections import defaultdict
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, repeat
 from json.encoder import encode_basestring as _quote
 from pathlib import Path
 from typing import IO, Iterable, Iterator
@@ -40,6 +40,16 @@ log = logging.getLogger(__name__)
 
 RECORD_FIELDS = ("post_id", "discussion_id", "parent_id", "author", "timestamp", "text")
 _SURROGATE = re.compile("[\ud800-\udfff]")
+# A line in the layout post_to_json writes, when json.loads would decode it
+# as it stands and _parse_record accept it: strings without escapes, control
+# characters or surrogates (a byte that is not UTF-8 reads as one), and a
+# plain integer timestamp below 10**18. Its fields are the groups.
+_CHARS = r'[^"\\\x00-\x1f\ud800-\udfff]*'
+_EXACT = re.compile(
+    rf'\{{"post_id": "({_CHARS})", "discussion_id": "({_CHARS})", '
+    rf'"parent_id": (?:null|"({_CHARS})"), "author": (?:null|"{_CHARS}"), '
+    rf'"timestamp": (0|[1-9][0-9]{{0,17}}), "text": "({_CHARS})"\}}\n?')
+_FIELDS = ("post_id", "discussion_id", "parent_id", "timestamp", "text")
 
 
 @dataclass(frozen=True)
@@ -205,10 +215,12 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     their posts' texts in the same order, and every violation, in one pass
     over the lines.
 
-    A line that is not UTF-8 or not JSON is dropped on its own; any other
-    violation drops its whole discussion (a repeated id both). The errors
-    are the lines' in line order, then each remaining discussion's first
-    structural violation in discussion id order.
+    A line that ``_EXACT`` matches is read from its groups (``_FIELDS``),
+    any other by ``_parse_record``. A line that is not UTF-8 or not JSON is
+    dropped on its own; any other violation drops its whole discussion (a
+    repeated id both). The errors are the lines' in line order, then each
+    remaining discussion's first structural violation in discussion id
+    order.
     """
     errors: list[CorpusError] = []
     # each discussion's posts as (timestamp, post_id, parent_id, text), so
@@ -217,19 +229,25 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     seen_ids: dict[str, str] = {}
     dropped: set[str] = set()
 
+    exact = _EXACT.fullmatch
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", "surrogateescape")
-        if not raw.strip():
+        if match := exact(raw):
+            post_id, discussion_id, parent_id, timestamp, text = match.groups()
+            timestamp = int(timestamp)
+        elif not raw.strip():
             continue
-        try:
-            rec = _parse_record(raw, line_no)
-        except CorpusError as err:
-            errors.append(err)
-            if err.discussion_id is not None:
-                dropped.add(err.discussion_id)
-            continue
-        post_id, discussion_id = rec["post_id"], rec["discussion_id"]
+        else:
+            try:
+                rec = _parse_record(raw, line_no)
+            except CorpusError as err:
+                errors.append(err)
+                if err.discussion_id is not None:
+                    dropped.add(err.discussion_id)
+                continue
+            post_id, discussion_id, parent_id, timestamp, text = (
+                rec[name] for name in _FIELDS)
         if post_id in seen_ids:
             errors.append(DuplicateId(
                 f"post id {post_id!r} already used in discussion "
@@ -238,8 +256,7 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
             dropped.update((discussion_id, seen_ids[post_id]))
             continue
         seen_ids[post_id] = discussion_id
-        by_discussion[discussion_id].append(
-            (rec["timestamp"], post_id, rec["parent_id"], rec["text"]))
+        by_discussion[discussion_id].append((timestamp, post_id, parent_id, text))
 
     # the remaining discussions in id order, each one's posts in
     # (timestamp, post_id) order; a parent in another discussion, or in
@@ -247,9 +264,9 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     kept = [did for did in sorted(by_discussion) if did not in dropped]
     groups = [by_discussion[did] for did in kept]
     ordered = [post for group in groups for post in sorted(group)]
-    ids = [post[1] for post in ordered]
-    at = {post_id: i for i, post_id in enumerate(ids)}
-    parent = np.array([at.get(post[2], -1) for post in ordered], np.int64)
+    stamps, ids, parent_ids, texts = zip(*ordered) if ordered else [()] * 4
+    at = dict(zip(ids, range(len(ids))))
+    parent = np.fromiter(map(at.get, parent_ids, repeat(-1)), np.int64, len(ids))
     depth = tree_arrays(parent)[0].tolist()
     bounds = np.cumsum([0] + [len(group) for group in groups]).tolist()
     found = [_violation(did, group, ids[a:b], depth[a:b])
@@ -262,12 +279,11 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     sizes = np.diff(bounds)
     keep = np.repeat(valid, sizes)
     parent = np.where(parent < 0, parent, parent - np.cumsum(~keep))[keep]
-    # the kept posts' columns, empty when no discussion is kept
-    stamps, ids, _, texts = list(zip(*compress(ordered, keep.tolist()))) or [()] * 4
-    posts = PostArrays(ids, tuple(compress(kept, valid)),
+    keep = keep.tolist()
+    posts = PostArrays(tuple(compress(ids, keep)), tuple(compress(kept, valid)),
                        np.r_[0, np.cumsum(sizes[valid])], parent,
-                       np.array(stamps, np.int64))
-    return posts, list(texts), errors
+                       np.array(list(compress(stamps, keep)), np.int64))
+    return posts, list(compress(texts, keep)), errors
 
 
 def _parse_file(path: str | Path) -> tuple[PostArrays, list[str], list[CorpusError]]:

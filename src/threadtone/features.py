@@ -22,9 +22,11 @@ from __future__ import annotations
 
 import csv
 import logging
+import re
 from array import array
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -42,17 +44,32 @@ COLUMNS = ("dt_prev", "dt_parent") + tuple(
     f"{name}_{kind}" for name in NAMES for kind in PER_DIMENSION)
 _HEADER = ("post_id", "discussion_id", "depth") + COLUMNS
 _INDEX = {key: j for j, key in enumerate(COLUMNS)}
+_QUOTED = re.compile('[,"\r\n]')  # a cell holding one is quoted
+
+
+def cluster_codes(ids: Sequence) -> np.ndarray:
+    """Each id's int64 rank among the distinct ids, in Python order: the
+    order ``np.unique`` gives a string array, whose conversion would drop
+    trailing NULs and merge ids that differ only by them."""
+    rank = {key: code for code, key in enumerate(sorted(set(ids)))}
+    return np.fromiter(map(rank.__getitem__, ids), np.int64, len(ids))
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureTable:
     """One row per annotated non-root post: its ids and depth, and in
-    ``values[:, j]`` the feature ``COLUMNS[j]`` (each column contiguous)."""
+    ``values[:, j]`` the feature ``COLUMNS[j]`` (each column contiguous).
+    ``cluster`` holds each row's discussion as ``cluster_codes``, the
+    regressions' cluster ids."""
 
     post_id: tuple[str, ...]
     discussion_id: tuple[str, ...]
     depth: np.ndarray
     values: np.ndarray
+    cluster: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "cluster", cluster_codes(self.discussion_id))
 
     def __len__(self) -> int:
         return len(self.post_id)
@@ -89,7 +106,9 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
     annotated = ~np.isnan(means).all(axis=1)
     ids, parent, stamp = posts.posts, posts.parent, posts.timestamp
     depth, branch_root, sibling_rank = tree_arrays(parent)
-    discussion = np.repeat(posts.discussion_ids, np.diff(posts.starts))
+    # each post's discussion by position: a string array would drop NULs
+    discussion = np.repeat(np.arange(len(posts.discussion_ids)),
+                           np.diff(posts.starts))
     reply = parent >= 0
     # a root's parent -1 reads the last post, which ``reply`` masks
     early = reply & annotated & (stamp < stamp[parent])
@@ -100,8 +119,9 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
                         "parent %s by %.4g h", ids[i], ids[p],
                         int(stamp[p] - stamp[i]) / SECONDS_PER_HOUR)
         elif strict:
-            raise MissingAnnotation(f"post {ids[i]} (discussion "
-                                    f"{discussion[i]}) has no annotation")
+            raise MissingAnnotation(
+                f"post {ids[i]} (discussion "
+                f"{posts.discussion_ids[discussion[i]]}) has no annotation")
         else:
             log.warning("skipping unannotated post %s", ids[i])
     rows = np.flatnonzero(reply & annotated & ~early)
@@ -133,7 +153,8 @@ def compute_feature_table(posts: PostArrays, means: np.ndarray,
     per_dimension[:, 3] = np.where(deep & ~np.isnan(branch), branch < 0, NAN).T
     return FeatureTable(
         post_id=tuple(ids[i] for i in rows.tolist()),
-        discussion_id=tuple(discussion[rows].tolist()),
+        discussion_id=tuple(map(posts.discussion_ids.__getitem__,
+                                discussion[rows].tolist())),
         depth=depth[rows],
         values=values.T)
 
@@ -165,22 +186,33 @@ def _older_sibling_means(parent: np.ndarray, rank: np.ndarray,
 
 # --- CSV interchange ----------------------------------------------------------
 
+def _id_cells(ids: tuple[str, ...]) -> Sequence[str]:
+    """Ids as CSV cells: quoted, with each quote doubled, when they hold a
+    comma, a quote or a line break, so that they read back as they are."""
+    if not _QUOTED.search("".join(ids)):  # the usual case: none does
+        return ids
+    return ['"' + i.replace('"', '""') + '"' if _QUOTED.search(i) else i
+            for i in ids]
+
+
 def write_features_csv(features: FeatureTable, path: str | Path) -> None:
-    cells = [features.post_id, features.discussion_id, features.depth.tolist()]
+    cells = [_id_cells(features.post_id), _id_cells(features.discussion_id),
+             list(map(str, features.depth.tolist()))]
     for key, column in zip(COLUMNS, features.values.T):
         # each distinct bit pattern is formatted once (-0.0, 0.0 and NaN stay
         # apart); tolist() yields Python floats: repr(np.float64) is not a number
         bits, inverse = np.unique(column.view(np.int64), return_inverse=True)
-        distinct = bits.view(np.float64).tolist()
+        distinct = bits.view(np.float64)
         if key.endswith("_br_neg"):
-            text = ["" if v != v else str(int(v)) for v in distinct]
+            text = ["" if v != v else str(int(v)) for v in distinct.tolist()]
         else:
-            text = ["" if v != v else repr(v) for v in distinct]
+            text = list(map(repr, distinct.tolist()))
+            for k in np.flatnonzero(np.isnan(distinct)).tolist():
+                text[k] = ""
         cells.append(np.array(text, object)[inverse].tolist())
+    lines = [",".join(_HEADER), *map(",".join, zip(*cells)), ""]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_HEADER)
-        writer.writerows(zip(*cells))
+        fh.write("\n".join(lines))
 
 
 def _bad_cell(record: list[str]) -> tuple[int, ValueError]:

@@ -40,7 +40,6 @@ import logging
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from itertools import compress
 from statistics import NormalDist
 from typing import Sequence
 
@@ -48,7 +47,7 @@ import numpy as np
 
 from .dimensions import NAMES
 from .errors import EmptySample, InsufficientSample, SingularDesign, StatsError
-from .features import FeatureTable
+from .features import FeatureTable, cluster_codes
 
 log = logging.getLogger(__name__)
 
@@ -90,16 +89,22 @@ def cluster_robust_vcov(x: np.ndarray, residuals: np.ndarray,
                         ) -> np.ndarray:
     """Sandwich covariance with one score block per cluster (CR0).
 
-    ``small_sample=True`` applies the CR1 factor G/(G-1) * (n-1)/(n-k). A
-    single cluster is permitted but logged, since the estimator is then not
-    meaningful for inference.
+    ``cluster_ids`` is an integer array, such as ``FeatureTable.cluster``'s
+    codes, or any other sequence of ids, which ``cluster_codes`` codes; the
+    score blocks are summed in sorted cluster order. ``small_sample=True``
+    applies the CR1 factor G/(G-1) * (n-1)/(n-k). A single cluster is
+    permitted but logged, since the estimator is then not meaningful for
+    inference.
     """
     x = np.asarray(x, dtype=float)
     residuals = np.asarray(residuals, dtype=float)
     n, k = x.shape
     if residuals.shape != (n,) or len(cluster_ids) != n:
         raise ValueError("residuals and cluster_ids must align with x rows")
-    _, inverse = np.unique(np.asarray(cluster_ids), return_inverse=True)
+    if isinstance(cluster_ids, np.ndarray) and cluster_ids.dtype.kind in "iu":
+        _, inverse = np.unique(cluster_ids, return_inverse=True)
+    else:
+        inverse = cluster_codes(cluster_ids)
     n_clusters = int(inverse.max()) + 1
     if n_clusters < 2:
         log.warning("cluster-robust vcov with a single cluster")
@@ -383,7 +388,7 @@ class FitResult:
     beta: np.ndarray
     residuals: np.ndarray
     vcov: np.ndarray
-    cluster_ids: tuple[str, ...]
+    cluster: np.ndarray  # the rows' ``FeatureTable.cluster`` codes
     n_clusters: int
 
 
@@ -403,14 +408,14 @@ def fit_model(spec: ModelSpec, features: FeatureTable, dimension: str,
             column = column * features.column(name, dimension)[mask]
         x[:, j] = column
     y = features.column("metric", dimension)[mask]
-    clusters = tuple(compress(features.discussion_id, mask.tolist()))
+    cluster = features.cluster[mask]
 
     beta, residuals = ols_fit(x, y)
-    vcov = cluster_robust_vcov(x, residuals, clusters,
+    vcov = cluster_robust_vcov(x, residuals, cluster,
                                small_sample=cr_correction)
     return FitResult(spec=spec, dimension=dimension, x=x, y=y, beta=beta,
-                     residuals=residuals, vcov=vcov, cluster_ids=clusters,
-                     n_clusters=len(set(clusters)))
+                     residuals=residuals, vcov=vcov, cluster=cluster,
+                     n_clusters=int(np.count_nonzero(np.bincount(cluster))))
 
 
 def run_model(spec: ModelSpec, features: FeatureTable, dimension: str,

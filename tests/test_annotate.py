@@ -22,6 +22,8 @@ from threadtone.annotate import (
     annotate_corpus,
     annotate_pair,
     build_prompt,
+    cache_head,
+    cache_tail,
     cached_pair_scores,
     load_annotation_means,
     mock_annotate,
@@ -423,19 +425,35 @@ def test_cached_scores_never_mix_model_ids(tmp_path, open_cache):
 def test_cached_scores_ignore_extra_replications(tmp_path, open_cache):
     # a group holding replications 0-5 and a stray -1 used to be dropped
     # whole, because its replication set was not exactly range(4)
+    # (``put`` refuses a replication outside 0..n-1, so the lines are
+    # written as a cache filled at six replications and an edit leave them)
     path = tmp_path / "extra.jsonl"
+    path.write_text("".join(
+        cache_head(pair, "m") + cache_tail(d.name, rep, score, 0)
+        for d in DIMENSIONS
+        for pair, rep, score in [("pair", rep, rep) for rep in (-1, *range(6))]
+        + [("gap", 1, 0)]), encoding="utf-8")  # "gap" lacks replication 0
     cache = open_cache(path)
-    for d in DIMENSIONS:
-        for rep in (-1, *range(6)):
-            cache.put(("pair", "m", d.name, rep), rep, timestamp=0)
-        cache.put(("gap", "m", d.name, 1), 0, timestamp=0)  # lacks 0
-    cache.close()
     names = len(DIMENSIONS)
     assert pair_scores(cache) == {"pair": [[0, 1, 2, 3]] * names}
     assert pair_scores(open_cache(path, 4)) == {"pair": [[0, 1, 2, 3]] * names}
     assert pair_scores(open_cache(path, 6)) == {
         "pair": [[0, 1, 2, 3, 4, 5]] * names}
     assert pair_scores(open_cache(path, 7)) == {}
+
+
+def test_put_refuses_a_key_no_slot_takes(tmp_path, open_cache):
+    # such a key was appended again on every put: _get never finds it
+    path = tmp_path / "cache.jsonl"
+    cache = open_cache(path)
+    for key in (("p", "m", "other", 0), ("p", "m", NAMES[0], 4),
+                ("p", "m", NAMES[0], -1)):
+        for _ in range(3):
+            with pytest.raises(ValueError, match="no score slot"):
+                cache.put(key, 1, timestamp=0)
+    cache.close()
+    assert not path.exists()  # not a line written
+    assert cache.model_pairs() == ("", [])
 
 
 def test_means_need_every_replication_of_a_dimension(tmp_path, open_cache):

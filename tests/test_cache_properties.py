@@ -540,8 +540,10 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
     with tempfile.TemporaryDirectory() as tmp:
         cache = AnnotationCache(Path(tmp) / "cache.jsonl")
         key = (pair_hash, model, dimension, replication)
-        if not -127 <= score <= 127:  # refused before anything is written
-            with pytest.raises(ValueError, match="outside -127..127"):
+        kept = dimension in NAMES and 0 <= replication < 4  # a slot takes it
+        if not kept or not -127 <= score <= 127:  # refused, nothing written
+            with pytest.raises(ValueError, match="outside -127..127" if kept
+                               else "no score slot"):
                 cache.put(key, score, timestamp)
             assert not cache.path.exists() and cache.model_pairs() == ("", [])
             return
@@ -549,6 +551,5 @@ def test_cache_line_matches_json_dumps(pair_hash, model, dimension,
         cache.close()
         assert cache.path.read_text(encoding="utf-8") == expected
         reloaded = AnnotationCache(cache.path)
-        kept = dimension in NAMES and 0 <= replication < 4
-        assert stored_scores(reloaded) == ({key: score} if kept else {})
+        assert stored_scores(reloaded) == {key: score}
         assert reloaded.model_pairs() == (model, [pair_hash])

@@ -765,6 +765,22 @@ def test_report_refuses_a_cache_scored_on_another_scale(synth_setup):
     assert not (report / "tables").exists()
 
 
+def test_features_refuse_a_cache_scored_on_another_scale(synth_setup):
+    # the pair hashes include the scale, so on -2..2 the cache scored on
+    # -5..5 holds none of the corpus's pairs: features used to write an
+    # empty table and exit 0, warning once per post
+    tmp_path, _, corpus_path, synth_cache = synth_setup
+    features = tmp_path / "features.csv"
+    proc = run_cli("features", "--corpus", str(corpus_path), "--annotations",
+                   str(synth_cache), "--out", str(features),
+                   "--scale-min", "-2", "--scale-max", "2")
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"annotation failed: annotation cache "
+                                  f"{synth_cache} holds none of the corpus's ")
+    assert not features.exists()
+
+
 @pytest.mark.parametrize("scale, bounds", (
     (("--scale-max", "128"), "[-5, 128]"),
     (("--scale-min", "-128"), "[-128, 5]"),

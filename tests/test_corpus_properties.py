@@ -15,15 +15,26 @@ discussion ids, starts, parent positions, timestamps, texts and depths.
 ``writer_oracle`` for any post the parser reads back: strings with quotes,
 backslashes, control and non-ASCII characters, null parents and authors,
 and timestamps up to 2**63 - 1.
+
+The strict-line pattern ``_EXACT`` must match every line of the bundled
+corpus and every line ``post_to_json`` writes for strings that need no
+escape, giving their fields. Lines it must refuse (escapes, bytes that are
+not UTF-8, timestamps that are not plain integers below 10**18, keys out of
+order, repeated or extra, other spacing, ``\r\n`` endings) must parse as
+the oracle parses them: the same errors, fields and columns.
 """
 
 import io
+import json
+import re
+from pathlib import Path
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from threadtone.corpus import (
+    _EXACT,
     Post,
     _parse_record,
     parse_corpus,
@@ -101,22 +112,138 @@ def oracle_columns(trees, by_id):
             [trees[post.discussion_id].depth[post.post_id] for post in posts])
 
 
-@settings(max_examples=400, deadline=None)
-@given(corpus_lines())
-def test_parse_corpus_matches_oracle(lines):
-    text = "\n".join(lines) + "\n"
-    posts, texts, errors = parse_corpus(io.StringIO(text))
+def assert_parses_as_the_oracle(data: str | bytes) -> None:
+    """The first error is the strict oracle's, every error the lenient
+    oracle's diagnostics, and the columns its trees'."""
+    source = io.BytesIO if isinstance(data, bytes) else io.StringIO
+    posts, texts, errors = parse_corpus(source(data))
     try:
-        corpus_oracle.parse_corpus(io.StringIO(text))
+        corpus_oracle.parse_corpus(source(data))
     except CorpusError as err:
         assert fields(errors[0]) == fields(err)
     else:
         assert errors == []
     diagnostics: list[str] = []
-    oracle = corpus_oracle.parse_corpus(io.StringIO(text), lenient=True,
+    oracle = corpus_oracle.parse_corpus(source(data), lenient=True,
                                         diagnostics=diagnostics)
     assert [err.diagnostic() for err in errors] == diagnostics
     assert columns(posts, texts) == oracle_columns(*oracle)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corpus_lines())
+def test_parse_corpus_matches_oracle(lines):
+    assert_parses_as_the_oracle("\n".join(lines) + "\n")
+
+
+def _timestamp(value: str):
+    return lambda line: re.sub(r'"timestamp": [0-9]+', f'"timestamp": {value}',
+                               line)
+
+
+def _reorder(line: str) -> str:
+    return json.dumps(dict(reversed(json.loads(line).items())),
+                      ensure_ascii=False)
+
+
+# Edits that turn a post_to_json line into one the strict pattern refuses;
+# _parse_record decides what each one holds.
+REFUSED_EDITS = {
+    "escaped quote": lambda line: line.replace('"text": "', '"text": "\\"'),
+    "escaped backslash": lambda line: line.replace('"text": "',
+                                                   '"text": "\\\\'),
+    "escaped e-acute": lambda line: line.replace('"text": "',
+                                                 '"text": "\\u00e9'),
+    "escaped surrogate": lambda line: line.replace('"text": "',
+                                                   '"text": "\\ud800'),
+    "escaped id": lambda line: line.replace('"post_id": "', '"post_id": "\\u0041'),
+    "raw tab": lambda line: line.replace('"text": "', '"text": "\t'),
+    "timestamp -0": _timestamp("-0"),
+    "timestamp 1.0": _timestamp("1.0"),
+    "timestamp 1e3": _timestamp("1e3"),
+    "timestamp 01": _timestamp("01"),
+    "timestamp 10**18": _timestamp("1" + "0" * 18),
+    "timestamp 19 nines": _timestamp("9" * 19),
+    "reordered keys": _reorder,
+    "duplicate key": lambda line: line.replace('{"post_id": ',
+                                               '{"post_id": "x", "post_id": ', 1),
+    "extra key": lambda line: line[:-1] + ', "extra": 1}',
+    "compact": lambda line: json.dumps(json.loads(line), ensure_ascii=False,
+                                       separators=(",", ":")),
+    "extra space": lambda line: line.replace(", ", ",  ", 1),
+    "leading space": lambda line: " " + line,
+    "trailing space": lambda line: line + " ",
+    "crlf": lambda line: line + "\r",
+}
+
+
+def _refused(line: str | bytes) -> bool:
+    if isinstance(line, bytes):
+        line = line.decode("utf-8", "surrogateescape")
+    return _EXACT.fullmatch(line + "\n") is None
+
+
+@settings(max_examples=300, deadline=None)
+@given(corpus_lines(), st.data())
+def test_lines_the_strict_pattern_refuses_parse_as_the_oracle(lines, data):
+    if not lines:
+        lines = [post_to_json(Post("p", "d", None, None, 0, "text"))]
+    edited = list(lines)
+    for k in data.draw(st.sets(st.integers(0, len(lines) - 1), min_size=1)):
+        name = data.draw(st.sampled_from(sorted(REFUSED_EDITS) + ["non-UTF-8"]))
+        if name == "non-UTF-8":  # a byte that no UTF-8 sequence holds
+            edited[k] = lines[k].encode("utf-8").replace(b'"text": "',
+                                                         b'"text": "\xff')
+        else:
+            edited[k] = REFUSED_EDITS[name](lines[k])
+        assert _refused(edited[k]), name
+    encoded = [line if isinstance(line, bytes) else line.encode("utf-8")
+               for line in edited]
+    assert_parses_as_the_oracle(b"\n".join(encoded) + b"\n")
+
+
+def test_every_refused_edit_is_refused():
+    line = post_to_json(Post("p", "d", "q", "a", 1600000000, "text"))
+    assert not _refused(line)
+    for name, edit in REFUSED_EDITS.items():
+        assert _refused(edit(line)), name
+
+
+# strings that need no escape in a JSON line, and are no surrogate
+plain_texts = st.text(st.characters(codec="utf-8", min_codepoint=0x20,
+                                    exclude_characters='"\\'))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.builds(Post, post_id=plain_texts, discussion_id=plain_texts,
+                 parent_id=st.none() | plain_texts,
+                 author=st.none() | plain_texts,
+                 timestamp=st.sampled_from([0, 10 ** 18 - 1])
+                 | st.integers(0, 10 ** 18 - 1),
+                 text=plain_texts))
+def test_the_strict_pattern_reads_every_plain_line(post):
+    line = post_to_json(post)
+    for ending in ("", "\n"):
+        match = _EXACT.fullmatch(line + ending)
+        assert match is not None
+        assert match.groups() == (post.post_id, post.discussion_id,
+                                  post.parent_id, str(post.timestamp),
+                                  post.text)
+
+
+def test_the_strict_pattern_reads_every_bundled_line():
+    path = Path(__file__).resolve().parent.parent / "data" / "synthetic_corpus.jsonl"
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        lines = list(fh)
+    assert len(lines) == 2328
+    for line in lines:
+        match = _EXACT.fullmatch(line)
+        assert match is not None, line
+        record = _parse_record(line, 1)
+        assert match.groups() == tuple(
+            str(record[name]) if name == "timestamp" else record[name]
+            for name in ("post_id", "discussion_id", "parent_id", "timestamp",
+                         "text"))
 
 
 @st.composite

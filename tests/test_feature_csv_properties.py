@@ -162,3 +162,19 @@ def test_bytes_that_are_not_utf8_outrank_a_short_row(tmp_path):
     message = read_message(oracle.read_features_csv, path)
     assert "can't decode byte 0xff" in message
     assert read_message(read_features_csv, path) == message
+
+
+def test_ids_with_line_breaks_quotes_and_commas_round_trip(tmp_path):
+    # csv.writer(lineterminator="\n") left a "\r" unquoted, so the file
+    # did not read back ("a row's cells do not match the header")
+    ids = ("p\r", "p\n", "p\r\n", "\r", 'say "hi"', '"', "a,b", ",", "plain")
+    table = FeatureTable(post_id=ids, discussion_id=ids[::-1],
+                         depth=np.arange(len(ids), dtype=np.int64),
+                         values=np.zeros((len(ids), len(COLUMNS))))
+    path = tmp_path / "features.csv"
+    write_features_csv(table, path)
+    assert path.read_bytes().split(b"\n")[1].startswith(b'"p\r",plain,0,')
+    got = read_features_csv(path)
+    assert got.post_id == ids and got.discussion_id == ids[::-1]
+    assert np.array_equal(got.depth, table.depth)
+    assert np.array_equal(got.values, table.values)

@@ -149,7 +149,10 @@ def test_masks_and_fits_match_oracle(data):
                 fit = fit_model(spec, table, dim)
                 assert np.array_equal(fit.x, x)
                 assert np.array_equal(fit.y, y)
-                assert fit.cluster_ids == clusters
+                # each code is its discussion's rank among the table's ids
+                distinct = sorted(set(table.discussion_id))
+                assert fit.cluster.dtype == np.int64
+                assert [distinct[c] for c in fit.cluster.tolist()] == list(clusters)
                 assert np.array_equal(fit.beta, beta)
                 assert np.array_equal(fit.vcov, vcov)
 

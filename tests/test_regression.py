@@ -1,5 +1,7 @@
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,13 +10,15 @@ from hypothesis import strategies as st
 from scipy import special as scipy_special
 from scipy import stats as scipy_stats
 
-from threadtone.dimensions import DIMENSIONS
+from threadtone.dimensions import DIMENSIONS, NAMES
 from threadtone.errors import EmptySample, InsufficientSample, SingularDesign
+from threadtone.features import compute_feature_table
 from threadtone.regression import (
     MODEL_SPECS,
     cluster_robust_vcov,
     critical_value,
     filter_rows,
+    fit_model,
     get_model_spec,
     ols_fit,
     p_value,
@@ -23,6 +27,7 @@ from threadtone.regression import (
     stars_for,
 )
 
+from conftest import parse_strict
 from feature_oracle import FeatureRow, table_from_rows, term_value
 from regression_oracle import _solve_pivoted
 
@@ -552,3 +557,45 @@ def test_noiseless_recovery_all_models():
         for j, term in enumerate(table.terms):
             assert term.estimate == pytest.approx(beta[j], abs=1e-8)
             assert term.std_error <= 1e-8
+
+
+def test_ids_that_differ_by_trailing_nuls_are_separate_clusters():
+    # a numpy string array drops trailing NULs: "a" and "a\0" used to be one
+    # cluster in the sandwich and in the table's discussion ids
+    x = np.ones((4, 1))
+    residuals = np.array([1.0, 2.0, 3.0, 4.0])
+    apart = cluster_robust_vcov(x, residuals, ["a", "a\0", "a", "a\0"])
+    assert np.array_equal(apart, cluster_robust_vcov(x, residuals,
+                                                     ["a", "b", "a", "b"]))
+    assert np.array_equal(apart, cluster_robust_vcov(
+        x, residuals, np.array([0, 1, 0, 1], np.int64)))
+    assert not np.array_equal(apart, cluster_robust_vcov(x, residuals,
+                                                         ["a"] * 4))
+
+
+def test_a_discussion_renamed_by_a_trailing_nul_stays_a_cluster():
+    # the bundled corpus with its second discussion renamed to the first's
+    # id + NUL: the fits used to count 59 clusters of its 60 discussions
+    path = Path(__file__).resolve().parent.parent / "data" / "synthetic_corpus.jsonl"
+    records = [json.loads(line) for line in path.read_text("utf-8").splitlines()]
+    first, second = sorted({r["discussion_id"] for r in records})[:2]
+    for record in records:
+        if record["discussion_id"] == second:
+            record["discussion_id"] = first + "\0"
+    posts, _ = parse_strict(json.dumps(r) for r in records)
+    assert len(posts.discussion_ids) == 60
+    rng = np.random.default_rng(0)
+    means = np.where((posts.parent >= 0)[:, None],
+                     rng.normal(size=(len(posts.posts), len(NAMES))), np.nan)
+    table = compute_feature_table(posts, means)
+    assert first + "\0" in table.discussion_id
+    assert len(set(table.cluster.tolist())) == 60
+    for model_id in ("M1", "M2", "M4"):
+        fit = fit_model(get_model_spec(model_id), table, NAMES[0])
+        assert fit.n_clusters == 60
+        ids = [table.discussion_id[i]
+               for i in np.flatnonzero(filter_rows(fit.spec, table, NAMES[0]))]
+        assert np.array_equal(cluster_robust_vcov(fit.x, fit.residuals, ids),
+                              fit.vcov)
+    tables, errors = run_all(table, [("M2", NAMES[0])])
+    assert not errors and tables[0].n_clusters == 60
