@@ -21,6 +21,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from itertools import compress, repeat
 from json.encoder import encode_basestring as _quote
+from operator import itemgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator
 
@@ -43,13 +44,14 @@ _SURROGATE = re.compile("[\ud800-\udfff]")
 # A line in the layout post_to_json writes, when json.loads would decode it
 # as it stands and _parse_record accept it: strings without escapes, control
 # characters or surrogates (a byte that is not UTF-8 reads as one), and a
-# plain integer timestamp below 10**18. Its fields are the groups.
+# plain integer timestamp below 10**18. Its fields are the groups, and
+# _FIELDS takes the same fields from a record _parse_record returns.
 _CHARS = r'[^"\\\x00-\x1f\ud800-\udfff]*'
 _EXACT = re.compile(
     rf'\{{"post_id": "({_CHARS})", "discussion_id": "({_CHARS})", '
     rf'"parent_id": (?:null|"({_CHARS})"), "author": (?:null|"{_CHARS}"), '
     rf'"timestamp": (0|[1-9][0-9]{{0,17}}), "text": "({_CHARS})"\}}\n?')
-_FIELDS = ("post_id", "discussion_id", "parent_id", "timestamp", "text")
+_FIELDS = itemgetter("post_id", "discussion_id", "parent_id", "timestamp", "text")
 
 
 @dataclass(frozen=True)
@@ -215,12 +217,12 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     their posts' texts in the same order, and every violation, in one pass
     over the lines.
 
-    A line that ``_EXACT`` matches is read from its groups (``_FIELDS``),
-    any other by ``_parse_record``. A line that is not UTF-8 or not JSON is
-    dropped on its own; any other violation drops its whole discussion (a
-    repeated id both). The errors are the lines' in line order, then each
-    remaining discussion's first structural violation in discussion id
-    order.
+    A line that ``_EXACT`` matches is read from its groups, any other
+    (every line holding a backslash among them) by ``_parse_record``. A
+    line that is not UTF-8 or not JSON is dropped on its own; any other
+    violation drops its whole discussion (a repeated id both). The errors
+    are the lines' in line order, then each remaining discussion's first
+    structural violation in discussion id order.
     """
     errors: list[CorpusError] = []
     # each discussion's posts as (timestamp, post_id, parent_id, text), so
@@ -233,7 +235,9 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
     for line_no, raw in enumerate(source, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8", "surrogateescape")
-        if match := exact(raw):
+        # a line holding an escape cannot match, and the pattern would fail
+        # on it only after backtracking over its text: skip the scan
+        if "\\" not in raw and (match := exact(raw)):
             post_id, discussion_id, parent_id, timestamp, text = match.groups()
             timestamp = int(timestamp)
         elif not raw.strip():
@@ -246,8 +250,7 @@ def parse_corpus(source: IO[str] | IO[bytes] | Iterable[str],
                 if err.discussion_id is not None:
                     dropped.add(err.discussion_id)
                 continue
-            post_id, discussion_id, parent_id, timestamp, text = (
-                rec[name] for name in _FIELDS)
+            post_id, discussion_id, parent_id, timestamp, text = _FIELDS(rec)
         if post_id in seen_ids:
             errors.append(DuplicateId(
                 f"post id {post_id!r} already used in discussion "
